@@ -18,7 +18,7 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 from .constants import db10
-from .geometry import AntennaAssembly, Direction, FeedModel
+from .geometry import AntennaAssembly, Direction
 from .pattern import (
     directivity_upper_bound,
     illumination,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,11 @@ REFLECTION_EFFICIENCY = 0.23
 
 DEFAULT_GRID_STEP_DEG = 0.25
 
-# Directions per chunk in the lattice field evaluation; bounds memory.
-_CHUNK = 65536
+# Most directions per block of whole elevation rows in the lattice field
+# kernel (a row longer than this is one block).  Bounds the kernel's
+# temporaries and keeps a block's accumulator and z array (256 kB each)
+# in cache across the n_x - 1 Horner passes over them.
+_CHUNK = 16384
 
 
 def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG,
@@ -57,16 +60,6 @@ def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG,
     az = az_range[0] + step_deg * np.arange(n_az + 1)
     el = el_range[0] + step_deg * np.arange(n_el + 1)
     return az, el
-
-
-def unit_vectors(az_deg: np.ndarray, el_deg: np.ndarray):
-    """Direction cosines (ux, uy, uz) on the az x el grid, shape (n_el, n_az)."""
-    a = np.radians(np.asarray(az_deg))[None, :]
-    e = np.radians(np.asarray(el_deg))[:, None]
-    ux = np.sin(a) * np.cos(e)
-    uy = np.broadcast_to(np.sin(e), (e.size, a.size))
-    uz = np.cos(a) * np.cos(e)
-    return ux, uy, uz
 
 
 def feed_distances(assembly: AntennaAssembly) -> np.ndarray:
@@ -225,58 +218,54 @@ class FarFieldPattern:
                     + self.gain_offset_db)
 
 
-def _lattice_field(x_mm, y_mm, coeffs_grid, k, ux, uy):
-    """Phased sum over a separable lattice, chunked over directions.
+def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
+    """Phased sum over a centred uniform lattice on an (el, az) grid.
 
-    Exact reformulation of the per-element sum: with elements on an
-    x-by-y lattice, exp(j k r.u) factorizes into exp(j k x ux) and
-    exp(j k y uy), so each direction costs two small matrix products
-    instead of a full pass over all elements.
+    Exact reformulation of the per-element sum
+    F(az, el) = sum_{y, m} C[y, m] exp(j k (x_m ux + y uy)), with
+    ux = sin(az) cos(el), uy = sin(el) and x_m = x_0 + m * period.
+    uy is constant along an elevation row, so the y sum collapses first
+    into B = exp(j k uy y) @ C, shape (n_el, n_x), once per call.  Each
+    row is then the polynomial sum_m B[row, m] z^m in
+    z = exp(j k period ux), times exp(j k x_0 ux), evaluated by Horner
+    with n_x - 1 in-place multiply-adds over the row's directions.
+    Cost: O(directions * n_x + n_el * n_x * n_y), with no per-direction
+    exponential table.  No assumption is made on the axes, so scattered
+    directions are exact.  Rows are evaluated in blocks of at most
+    ``_CHUNK`` directions (at least one row); rows are independent, so
+    the blocking does not change a bit of the result.
     """
-    shape = ux.shape
-    uxf = ux.ravel()
-    uyf = uy.ravel()
-    out = np.empty(uxf.size, dtype=complex)
-    for lo in range(0, uxf.size, _CHUNK):
-        hi = min(lo + _CHUNK, uxf.size)
-        ex = np.exp(1j * k * np.outer(uxf[lo:hi], x_mm))          # (d, n_x)
-        ey = np.exp(1j * k * np.outer(uyf[lo:hi], y_mm))          # (d, n_y)
-        out[lo:hi] = np.einsum("dy,dy->d", ex @ coeffs_grid.T, ey)
-    return out.reshape(shape)
+    n_y, n_x = coeffs_grid.shape
+    az = np.radians(az_deg)
+    el = np.radians(el_deg)
+    sin_az = np.sin(az)
+    cos_el = np.cos(el)
+    y_mm = (np.arange(n_y) - 0.5 * (n_y - 1)) * period_mm
+    rows_b = np.exp(1j * k * np.outer(np.sin(el), y_mm)) @ coeffs_grid
+    x0_mm = -0.5 * (n_x - 1) * period_mm
+    out = np.empty((el.size, az.size), dtype=complex)
+    step = max(1, _CHUNK // max(az.size, 1))
+    for lo in range(0, el.size, step):
+        hi = min(lo + step, el.size)
+        k_ux = k * np.outer(cos_el[lo:hi], sin_az)
+        z = np.exp(1j * period_mm * k_ux)
+        b = rows_b[lo:hi]
+        acc = out[lo:hi]
+        acc[...] = b[:, n_x - 1, None]
+        for m in range(n_x - 2, -1, -1):
+            acc *= z
+            acc += b[:, m, None]
+        acc *= np.exp(1j * x0_mm * k_ux)
+    return out
 
 
-def array_field(positions_mm, coeffs, k_per_mm, az_deg, el_deg,
-                element_exponent: float = ELEMENT_EXPONENT) -> np.ndarray:
-    """Raw phased summation over arbitrary element positions.
-
-    Returns the complex field on the (el, az) grid including the
-    cos^qe element factor.  This is the generic (non-factorized) path;
-    :func:`far_field` uses the lattice fast path for array assemblies.
-    """
-    positions = np.asarray(positions_mm, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    ux, uy, uz = unit_vectors(az_deg, el_deg)
-    shape = ux.shape
-    d = np.column_stack([ux.ravel(), uy.ravel(), uz.ravel()])
-    out = np.empty(d.shape[0], dtype=complex)
-    for lo in range(0, d.shape[0], _CHUNK // 8):
-        hi = min(lo + _CHUNK // 8, d.shape[0])
-        phase = (d[lo:hi] @ positions.T) * k_per_mm
-        out[lo:hi] = np.exp(1j * phase) @ coeffs
-    factor = np.clip(uz.ravel(), 0.0, None) ** element_exponent
-    return (out * factor).reshape(shape)
-
-
-def _integrate_power(az_deg, el_deg, *fields) -> float:
+def _integrate_power(az_deg, el_deg, field) -> float:
     """Hemisphere power integral with the az-el Jacobian cos(el)."""
     az = np.radians(np.asarray(az_deg))
     el = np.radians(np.asarray(el_deg))
     d_az = az[1] - az[0] if az.size > 1 else math.radians(1.0)
     d_el = el[1] - el[0] if el.size > 1 else math.radians(1.0)
-    total = 0.0
-    for f in fields:
-        total += float(np.sum(np.abs(f) ** 2 * np.cos(el)[:, None]) * d_az * d_el)
-    return total
+    return float(np.sum(np.abs(field) ** 2 * np.cos(el)[:, None]) * d_az * d_el)
 
 
 def far_field(assembly: AntennaAssembly, mask, az_deg=None, el_deg=None,
@@ -311,16 +300,16 @@ def far_field(assembly: AntennaAssembly, mask, az_deg=None, el_deg=None,
     gamma = resolve_reflections(assembly, mask)
     coeffs = illum * gamma
 
-    n_x, n_y = assembly.array.n_x, assembly.array.n_y
-    period = assembly.array.period_mm
-    x_mm = (np.arange(n_x) - 0.5 * (n_x - 1)) * period
-    y_mm = (np.arange(n_y) - 0.5 * (n_y - 1)) * period
-    ux, uy, uz = unit_vectors(az_deg, el_deg)
-    co = _lattice_field(x_mm, y_mm, coeffs.reshape(n_y, n_x), assembly.k_per_mm, ux, uy)
-    co = co * np.clip(uz, 0.0, None) ** qe
-    cross = co * 10.0 ** (assembly.cross_pol_db / 20.0)
+    array = assembly.array
+    co = _lattice_field(array.period_mm, coeffs.reshape(array.n_y, array.n_x),
+                        assembly.k_per_mm, az_deg, el_deg)
+    uz = np.outer(np.cos(np.radians(el_deg)), np.cos(np.radians(az_deg)))
+    co *= np.clip(uz, 0.0, None) ** qe
+    xp_ratio = 10.0 ** (assembly.cross_pol_db / 20.0)
+    cross = co * xp_ratio
 
-    power = _integrate_power(az_deg, el_deg, co, cross)
+    # the cross-polar field is a scaled copy, so its power is too
+    power = _integrate_power(az_deg, el_deg, co) * (1.0 + xp_ratio**2)
     eta_s = spillover_efficiency(assembly)
     eta_i = taper_efficiency(np.abs(illum))
     offset = db10(eta_s * eta_i * eta_r)
@@ -430,15 +419,23 @@ def directivity_upper_bound(area_m2: float, frequency_ghz: float) -> float:
     return float(db10(4.0 * math.pi * area_m2 / lam**2))
 
 
+def steering_row(assembly: AntennaAssembly, illum: np.ndarray,
+                 direction: Direction) -> np.ndarray:
+    """Per-element weights so that the co-polar field toward ``direction``
+    is ``row @ gamma`` for per-element reflections ``gamma``.
+
+    The single-direction form of :func:`far_field`'s sum, element factor
+    included; ``illum`` is the assembly's :func:`illumination`.
+    """
+    u = direction.unit_vector()
+    phase = assembly.k_per_mm * (assembly.array.positions_mm() @ u)
+    return illum * np.exp(1j * phase) * max(u[2], 0.0) ** ELEMENT_EXPONENT
+
+
 def field_toward(assembly: AntennaAssembly, mask, direction: Direction) -> complex:
     """Complex co-polar field of one reflection state toward one direction."""
-    illum = illumination(assembly)
-    gamma = resolve_reflections(assembly, mask)
-    u = direction.unit_vector()
-    positions = assembly.array.positions_mm()
-    phase = assembly.k_per_mm * (positions @ u)
-    qe_factor = max(u[2], 0.0) ** ELEMENT_EXPONENT
-    return complex(np.sum(illum * gamma * np.exp(1j * phase)) * qe_factor)
+    row = steering_row(assembly, illumination(assembly), direction)
+    return complex(row @ resolve_reflections(assembly, mask))
 
 
 @dataclass(frozen=True)

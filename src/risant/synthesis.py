@@ -17,7 +17,7 @@ an optional search-space widening retry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +27,11 @@ from .pattern import (
     PhaseMask,
     direction_grid,
     far_field,
-    field_toward,
     illumination,
     resolve_reflections,
     state_reflections,
     steered_gain,
+    steering_row,
 )
 
 # Synthesis is allowed anywhere inside this azimuth/elevation sector.
@@ -272,7 +272,7 @@ def _align_strip_phases(assembly: AntennaAssembly, phases: np.ndarray,
     shift = np.zeros(n)
     for s in range(n - 1):
         cross = Direction(lo + (s + 1) * width / n, el_deg)
-        row = _steering_row(assembly, illum, cross)
+        row = steering_row(assembly, illum, cross)
         f_here = row[strip == s] @ refl[strip == s]
         f_next = row[strip == s + 1] @ refl[strip == s + 1]
         shift[s + 1] = shift[s] + math.degrees(np.angle(f_here) - np.angle(f_next))
@@ -360,14 +360,6 @@ class TrainingResult:
     success: bool
 
 
-def _steering_row(assembly: AntennaAssembly, illum: np.ndarray,
-                  direction: Direction) -> np.ndarray:
-    """Per-element weights so that field toward ``direction`` = row @ gamma."""
-    u = direction.unit_vector()
-    phase = assembly.k_per_mm * (assembly.array.positions_mm() @ u)
-    return illum * np.exp(1j * phase) * max(u[2], 0.0)
-
-
 def _measure(row: np.ndarray, entry: CodebookEntry, rel_noise: float, rng) -> float:
     """One pilot: received power of a codeword with per-pilot AWGN.
 
@@ -400,7 +392,7 @@ def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Directio
     noise_scale = 0.0
     if pilot_snr_db is not None:
         noise_scale = 10.0 ** (-pilot_snr_db / 20.0)
-    row = _steering_row(assembly, illumination(assembly), truth)
+    row = steering_row(assembly, illumination(assembly), truth)
 
     pilots = 0
     widenings = 0
@@ -452,6 +444,6 @@ def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Directio
 def exhaustive_search(assembly: AntennaAssembly, codebook: Codebook,
                       truth: Direction) -> int:
     """Index of the leaf with the highest noiseless power toward ``truth``."""
-    row = _steering_row(assembly, illumination(assembly), truth)
+    row = steering_row(assembly, illumination(assembly), truth)
     powers = [abs(row @ e.reflections) ** 2 for e in codebook.leaves]
     return int(np.argmax(powers))

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from risant import pattern
 from risant.constants import db10
 from risant.element import reflection_coefficient
 from risant.geometry import (
@@ -172,26 +173,57 @@ class TestResolveReflections:
         assert abs(g_on) == pytest.approx(on.amplitude)
 
 
+def _random_reflections(rng, n):
+    return rng.uniform(0.5, 1.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+def _assert_matches_brute_force_sum(asm, gamma, az, el):
+    """far_field on (az, el) against the direct per-element sum, 1e-9 relative."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pat = far_field(asm, gamma, az, el)
+
+    coeffs = illumination(asm) * gamma
+    pos = asm.array.positions_mm()
+    k = asm.k_per_mm
+    for i, e in enumerate(el):
+        for j, a in enumerate(az):
+            u = Direction(float(a), float(e)).unit_vector()
+            field = np.sum(coeffs * np.exp(1j * k * (pos @ u)))
+            field *= max(u[2], 0.0) ** ELEMENT_EXPONENT
+            assert abs(pat.co_pol[i, j] - field) <= 1e-9 * (abs(field) + 1e-12)
+
+
 class TestFarField:
     def test_matches_brute_force_sum(self, small_assembly):
         rng = np.random.default_rng(17)
-        n = small_assembly.array.n_elements
-        gamma = rng.uniform(0.5, 1.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        gamma = _random_reflections(rng, small_assembly.array.n_elements)
         az = np.sort(rng.uniform(-90.0, 90.0, 10))
         el = np.sort(rng.uniform(-90.0, 90.0, 5))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pat = far_field(small_assembly, gamma, az, el)
+        _assert_matches_brute_force_sum(small_assembly, gamma, az, el)
 
-        coeffs = illumination(small_assembly) * gamma
-        pos = small_assembly.array.positions_mm()
-        k = small_assembly.k_per_mm
-        for i, e in enumerate(el):
-            for j, a in enumerate(az):
-                u = Direction(float(a), float(e)).unit_vector()
-                field = np.sum(coeffs * np.exp(1j * k * (pos @ u)))
-                field *= max(u[2], 0.0) ** ELEMENT_EXPONENT
-                assert abs(pat.co_pol[i, j] - field) <= 1e-9 * (abs(field) + 1e-12)
+    @pytest.mark.parametrize("n_x, n_y", [(7, 4), (4, 7), (1, 5), (5, 1), (1, 1)])
+    def test_odd_and_degenerate_lattices_match_brute_force_sum(self, n_x, n_y):
+        asm = AntennaAssembly(
+            array=RisArray(n_x=n_x, n_y=n_y, period_mm=5.0, group_size=1),
+            feed=FeedModel(position_mm=(-20.0, 0.0, 60.0), pattern_exponent=6.5),
+        )
+        rng = np.random.default_rng(n_x * 10 + n_y)
+        gamma = _random_reflections(rng, asm.array.n_elements)
+        # non-uniform axes reaching both grid edges
+        az = np.concatenate([[-90.0], np.sort(rng.uniform(-90.0, 90.0, 9)), [90.0]])
+        el = np.concatenate([[-90.0], np.sort(rng.uniform(-90.0, 90.0, 6)), [90.0]])
+        _assert_matches_brute_force_sum(asm, gamma, az, el)
+
+    @pytest.mark.parametrize("chunk", [1, 500, 3000, 10_000])
+    def test_row_blocking_does_not_change_a_bit(self, small_assembly, monkeypatch, chunk):
+        # 721 directions per row: 1 and 500 are below one row, 3000 and
+        # 10000 give blocks of 4 and 13 rows, neither dividing 721 rows
+        gamma = np.exp(1j * np.linspace(0, 5, small_assembly.array.n_elements))
+        az, el = direction_grid(0.25)
+        default = far_field(small_assembly, gamma, az, el).co_pol
+        monkeypatch.setattr(pattern, "_CHUNK", chunk)
+        assert np.array_equal(far_field(small_assembly, gamma, az, el).co_pol, default)
 
     def test_field_toward_agrees_with_grid(self, small_assembly):
         gamma = np.ones(small_assembly.array.n_elements, dtype=complex)
