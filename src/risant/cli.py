@@ -18,9 +18,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
+import yaml
 
 from . import __version__
 from .element import optimize_structure
@@ -40,7 +41,7 @@ from .link import (
     simulate_evm,
 )
 from .pattern import direction_grid, far_field, pattern_metrics
-from .scenario import ScenarioError, Scenario, load_scenario
+from .scenario import ScenarioError, Scenario, iter_leaf_paths, load_scenario
 from .synthesis import (
     beam_training,
     build_codebook,
@@ -115,12 +116,9 @@ def cmd_element_opt(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     c = result.circuit
     payload = {
         "frequency_ghz": freq,
-        "circuit": {
-            "c_p_ff": c.c_p_ff, "l_p_nh": c.l_p_nh, "l_g_nh": c.l_g_nh,
-            "l_v_nh": c.l_v_nh, "r_loss_ohm": c.r_loss_ohm,
-            "line_z0_ohm": c.line_z0_ohm, "line_length_deg": c.line_length_deg,
-            "diode_l_nh": c.diode.l_on_nh,
-        },
+        # the tuned values under the scenario's circuit keys
+        "circuit": {**{key: getattr(c, key) for key in section["start"]},
+                    "diode_l_nh": c.diode.l_on_nh},
         "amp_on": result.amp_on, "amp_off": result.amp_off,
         "phase_diff_deg": result.phase_diff_deg,
         "objective": result.objective,
@@ -324,8 +322,7 @@ def cmd_aclr_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                   ["center_freq_ghz", "aod_az_deg", "aclr_lower_dbc",
                    "aclr_upper_dbc", "pass_28dbc"], rows),
         write_json(os.path.join(out, "aclr_sweep.json"), {
-            "pa": {"kind": pa.kind, "saturation_level": pa.saturation_level,
-                   "smoothness": pa.smoothness},
+            "pa": asdict(pa),
             "channel_bandwidth_mhz": bw_mhz,
             "aclr_lower_dbc": values[0],
             "aclr_upper_dbc": values[1],
@@ -363,19 +360,7 @@ def cmd_rate(scn: Scenario, out: str, args) -> tuple[list[str], str]:
         "rate_bps": rate,
         "rate_gbps": rate / 1e9,
         "dl_duty": dl_duty(frame),
-        "frame": {
-            "slot_pattern": frame.slot_pattern,
-            "s_slot_split": list(frame.s_slot_split),
-            "scs_khz": frame.scs_khz,
-            "cc_count": frame.cc_count,
-            "cc_bandwidth_mhz": frame.cc_bandwidth_mhz,
-            "layers": frame.layers,
-            "modulation_order": frame.modulation_order,
-            "max_code_rate": frame.max_code_rate,
-            "scaling": frame.scaling,
-            "overhead": frame.overhead,
-            "prb_per_cc": frame.prb_per_cc,
-        },
+        "frame": asdict(frame),
     }
     outputs = [write_json(os.path.join(out, "rate.json"), payload)]
     return outputs, f"rate: {rate / 1e9:.4f} Gbps (duty {dl_duty(frame):.4f})"
@@ -472,43 +457,34 @@ class _OverrideAction(argparse.Action):
     """Collect --dotted.name VALUE flags as scenario overrides."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        import yaml as _yaml
         try:
-            parsed = _yaml.safe_load(values)
-        except _yaml.YAMLError as exc:
+            parsed = yaml.safe_load(values)
+        except yaml.YAMLError as exc:
             parser.error(f"cannot parse value for {option_string}: {exc}")
         namespace.overrides.append((option_string.lstrip("-"), parsed))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .scenario import iter_leaf_paths
-
     parser = argparse.ArgumentParser(
         prog="risant", allow_abbrev=False,
         description="One-bit reflectarray antenna and link simulator.")
     parser.add_argument("--version", action="version", version=__version__)
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    leaves = list(iter_leaf_paths())
-    for name in SUBCOMMANDS:
-        # allow_abbrev is not inherited from the parent parser; without it a
-        # prefix typo could silently match one of the override flags below
-        sub = subparsers.add_parser(name, help=f"run the {name} pipeline",
-                                    allow_abbrev=False)
-        sub.add_argument("--scenario", metavar="FILE", default=None,
-                         help="YAML scenario file (omitted = prototype defaults)")
-        sub.add_argument("--out", metavar="DIR", default=None,
-                         help=f"output directory (default ${OUTPUT_DIR_ENV} or cwd)")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the scenario rng_seed")
-        sub.add_argument("--strict", action="store_true",
-                         help="exit 3 when quality targets are missed")
-        sub.add_argument("--threads", type=int, default=None,
-                         help="limit numerical library threads (best effort)")
-        sub.set_defaults(overrides=[])
-        for dotted, default in leaves:
-            sub.add_argument(f"--{dotted}", action=_OverrideAction,
-                             metavar="VALUE", dest="overrides",
-                             help=argparse.SUPPRESS, default=argparse.SUPPRESS)
+    parser.add_argument("command", choices=SUBCOMMANDS, help="pipeline to run")
+    parser.add_argument("--scenario", metavar="FILE", default=None,
+                        help="YAML scenario file (omitted = prototype defaults)")
+    parser.add_argument("--out", metavar="DIR", default=None,
+                        help=f"output directory (default ${OUTPUT_DIR_ENV} or cwd)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the scenario rng_seed")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit 3 when quality targets are missed")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="limit numerical library threads (best effort)")
+    parser.set_defaults(overrides=[])
+    for dotted, _ in iter_leaf_paths():
+        parser.add_argument(f"--{dotted}", action=_OverrideAction,
+                            metavar="VALUE", dest="overrides",
+                            help=argparse.SUPPRESS, default=argparse.SUPPRESS)
     return parser
 
 
@@ -533,9 +509,8 @@ def _resolve_out_dir(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = list(getattr(args, "overrides", []))
+    args = build_parser().parse_args(argv)
+    overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(("rng_seed", int(args.seed)))
     try:
@@ -546,10 +521,8 @@ def main(argv=None) -> int:
         return 2
 
     started = time.time()
-    note = None
     try:
-        with _thread_limit(args.threads) as thread_note:
-            note = thread_note
+        with _thread_limit(args.threads) as note:
             outputs, summary = COMMANDS[args.command](scn, out_dir, args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -10,13 +10,12 @@ No fading, no synchronization, no HARQ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import signal as sp_signal
 
 from .constants import C_MPS, THERMAL_NOISE_DBM_PER_HZ, db10, from_db10
-from .geometry import Direction
 
 EVM_LIMIT = 0.08                  # transmit quality bound for 64QAM downlink
 ACLR_LIMIT_DBC = -28.0            # adjacent-channel leakage compliance bound
@@ -39,7 +38,6 @@ class LinkScenario:
     """Single point-to-point link between the array and a receiver."""
 
     d_m: float = 4.0
-    aod: Direction = field(default_factory=lambda: Direction(0.0, 0.0))
     center_freq_ghz: float = 26.0
     bandwidth_mhz: float = 400.0
     tx_power_dbm: float = 1.0
@@ -134,18 +132,6 @@ class XpdModel:
     def __post_init__(self):
         if self.h_antenna_db >= 0 or self.v_antenna_db >= 0:
             raise ValueError("cross-pol leakage must be below 0 dB")
-
-
-@dataclass(frozen=True)
-class LinkMetrics:
-    """Summary container assembled by the CLI from the pieces below."""
-
-    snr_db: float | None = None
-    sinr_h_db: float | None = None
-    sinr_v_db: float | None = None
-    evm_percent: float | None = None
-    aclr_dbc: tuple[float, ...] | None = None
-    throughput_bps: float | None = None
 
 
 # ---------------------------------------------------------------------------

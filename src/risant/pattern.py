@@ -62,11 +62,6 @@ def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG,
     return az, el
 
 
-def feed_distances(assembly: AntennaAssembly) -> np.ndarray:
-    positions = assembly.array.positions_mm()
-    return np.linalg.norm(positions - assembly.feed.position(), axis=1)
-
-
 # Assemblies are immutable value types, so the spillover integral can be
 # memoized per instance; repeated pattern evaluations on one assembly
 # (steering sweeps, beam training) would otherwise redo it every call.

@@ -3,21 +3,30 @@
 A scenario file is a nested mapping with seven optional sections
 (element, array, feed, pattern, link, frame, training) plus a global
 rng_seed.  Every key has a default matching the prototype hardware, so
-an empty file is a complete, runnable scenario.  Unknown keys anywhere
-are rejected with their dotted path; every leaf can also be overridden
-from the command line by the same dotted name.
+an empty file is a complete, runnable scenario.  The model dataclasses
+are the schema: a section that feeds one takes its defaults from the
+class and is built by coercing each key by the class's type hints.
+Unknown keys anywhere are rejected with their dotted path; every leaf
+can also be overridden from the command line by the same dotted name.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import math
+import typing
+from dataclasses import dataclass, fields
 
 import yaml
 
 from .element import (
+    DEFAULT_START_CIRCUIT,
+    DEFAULT_SWEEPS,
+    DESIGN_CIRCUIT,
     DesignTargets,
     DiodeModel,
     ElementCircuit,
@@ -38,116 +47,70 @@ class ScenarioError(Exception):
     """Configuration problem: unknown key, bad type, unparseable file."""
 
 
+def _defaults(model, *skip) -> dict:
+    """The scenario section of a model dataclass: the field defaults of a
+    class, or the field values of an instance, without ``skip``; tuples
+    become lists, as YAML gives them."""
+    section = {}
+    for f in fields(model):
+        if f.name not in skip:
+            value = getattr(model, f.name)
+            section[f.name] = list(value) if isinstance(value, tuple) else value
+    return section
+
+
+# circuit fields with no scenario key: the stub keeps the model's
+# reference frequency and loss, and the diode has a section of its own
+_CIRCUIT_ONLY = ("line_ref_ghz", "line_loss_tan", "diode")
+
 DEFAULT_SCENARIO = {
     "rng_seed": 0,
     "element": {
-        "start": {
-            "c_p_ff": 45.0,
-            "l_p_nh": 0.30,
-            "l_g_nh": 0.80,
-            "l_v_nh": 0.50,
-            "r_loss_ohm": 0.5,
-            "line_z0_ohm": 196.9,
-            "line_length_deg": 30.35,
-        },
-        "diode": {
-            "r_on_ohm": 5.0,
-            "l_on_nh": 0.05,
-            "r_off_ohm": 10000.0,
-            "l_off_nh": 0.05,
-            "c_off_ff": 35.0,
-        },
+        "start": _defaults(DEFAULT_START_CIRCUIT, *_CIRCUIT_ONLY),
+        "diode": _defaults(DiodeModel),
         # tuned element used by every pattern-level subcommand; matches
         # the frozen output of element-opt from the start values above
-        "design": {
-            "c_p_ff": 50.0,
-            "l_p_nh": 0.30,
-            "l_g_nh": 1.10,
-            "l_v_nh": 0.50,
-            "r_loss_ohm": 0.5,
-            "line_z0_ohm": 196.9,
-            "line_length_deg": 30.35,
-            "l_diode_nh": 0.045,
-        },
-        "sweeps": {
-            "c_p_ff": [30.0, 70.0, 0.5],
-            "l_g_nh": [0.50, 1.40, 0.02],
-            "l_v_nh": [0.30, 1.00, 0.02],
-            "l_diode_nh": [0.02, 0.12, 0.005],
-        },
-        "targets": {"min_amplitude": 0.85, "phase_tolerance_deg": 5.0},
+        "design": {**_defaults(DESIGN_CIRCUIT, *_CIRCUIT_ONLY),
+                   "l_diode_nh": DESIGN_CIRCUIT.diode.l_on_nh},
+        "sweeps": {name: [r.lo, r.hi, r.step] for name, r in DEFAULT_SWEEPS.items()},
+        "targets": _defaults(DesignTargets, "phase_diff_target_deg"),
         "max_rounds": 8,
         "trace": True,
     },
-    "array": {
-        "n_x": 32,
-        "n_y": 32,
-        "period_mm": 5.0,
-        "polarization": "H",
-        "group_size": 2,
-        "group_axis": "y",
-    },
+    "array": _defaults(RisArray, "grouping"),
     "feed": {
-        "position_mm": [-82.0, 0.0, 150.0],
-        "pattern_exponent": 6.5,
-        "gain_dbi": None,
-        "polarization": "H",
-        "search": {
-            "x_mm": [-120.0, 120.0],
-            "y_mm": [0.0, 0.0],
-            "z_mm": [80.0, 260.0],
-            "coarse_step_mm": 20.0,
-        },
+        **_defaults(FeedModel),
+        "search": _defaults(FeedSearchSpace, "refine_offsets_mm"),
     },
     "pattern": {
-        "frequency_ghz": 26.0,
-        "cross_pol_db": -15.19,
+        **_defaults(AntennaAssembly, "array", "feed", "element_circuit",
+                    "incidence_model"),
         "step_deg": 0.25,
         "target": {"az_deg": 0.0, "el_deg": 0.0},
         "scan_az_deg": [-60.0, -45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0, 60.0],
         "scan_el_deg": [-30.0, -10.0, 10.0, 30.0],
         "widebeam": {"sector_az_deg": [-15.0, 15.0], "el_deg": 0.0,
                      "n_subapertures": None},
-        "incidence": {"enabled": False, "beta_deg_per_deg2": 0.004,
-                      "amplitude_exponent": 0.5},
+        "incidence": {"enabled": False, **_defaults(IncidenceModel)},
         "compensate_incidence": False,
     },
     "link": {
-        "d_m": 4.0,
-        "aod": {"az_deg": 0.0, "el_deg": 0.0},
-        "center_freq_ghz": 26.0,
-        "bandwidth_mhz": 400.0,
-        "tx_power_dbm": 1.0,
-        "tx_antenna_gain_dbi": 22.2,
-        "rx_antenna_gain_dbi": 22.0,
-        "lna_gain_db": 30.0,
-        "rx_noise_figure_db": 5.0,
-        "tx_evm_floor": 0.03,
-        "modulation": "64QAM",
+        **_defaults(LinkScenario),
         "evm_symbols": 100000,
         "sweep_distances_m": [1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0,
                               14.0, 16.0, 18.0, 20.0],
-        "pa": {"kind": "rapp", "saturation_level": 4.0, "smoothness": 2.0},
+        "pa": _defaults(PaModel),
         "aclr": {"centers_ghz": [25.2, 26.8], "channel_bandwidth_mhz": 400.0,
                  "n_symbols": 64, "aod_az_deg": [-60.0, -30.0, 0.0, 30.0, 60.0]},
         "stream_gains_dbi": {"h": 22.01, "v": 22.11},
-        "xpd_db": {"h": -15.19, "v": -10.16},
+        "xpd_db": {"h": XpdModel.h_antenna_db, "v": XpdModel.v_antenna_db},
         "dual": {"d_m": 3.0, "center_freq_ghz": 26.6},
     },
     "frame": {
-        "slot_pattern": "DDDSU",
-        "s_slot_split": [10, 2, 2],
-        "scs_khz": 120,
-        "cc_count": 4,
-        "cc_bandwidth_mhz": 200.0,
-        "layers": 2,
-        "modulation_order": 6,
-        "max_code_rate": 948 / 1024,
-        "scaling": 1.0,
+        **_defaults(FrameConfig),
         # calibrated so the prototype frame reproduces the published
         # peak rate; the FrameConfig type itself defaults to 0.18
         "overhead": 0.14,
-        "prb_per_cc": 132,
     },
     "training": {
         "n_levels": 3,
@@ -159,6 +122,64 @@ DEFAULT_SCENARIO = {
         "el_deg": 0.0,
     },
 }
+
+# scenario keys that feed model fields of another name
+_FIELDS = {
+    DiodeModel: {"l_diode_nh": ("l_on_nh", "l_off_nh")},   # element.design
+    XpdModel: {"h": ("h_antenna_db",), "v": ("v_antenna_db",)},
+}
+
+_KINDS = {float: "a finite number", int: "an integer", str: "a string"}
+
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _coerce(raw, hint, dotted: str):
+    """``raw`` as a value of type ``hint``, or a ScenarioError naming ``dotted``.
+
+    Knows the hints of the model fields: float, int, str, X | None and
+    fixed-length tuple[...]; any other hint passes the value through.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:                                   # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if raw is None else _coerce(raw, inner, dotted)
+    if typing.get_origin(hint) is tuple:
+        if isinstance(raw, (list, tuple)) and len(raw) == len(args):
+            return tuple(_coerce(v, a, dotted) for v, a in zip(raw, args))
+        raise ScenarioError(f"{dotted} must be a list of {len(args)} values, got {raw!r}")
+    if hint not in _KINDS or (hint is str and isinstance(raw, str)):
+        return raw
+    if hint is not str and not isinstance(raw, bool):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            value = float(raw)          # numeric text too: YAML reads 1e3 as a string
+            if math.isfinite(value) and (hint is float or value.is_integer()):
+                return hint(value)
+    raise ScenarioError(f"{dotted} must be {_KINDS[hint]}, got {raw!r}")
+
+
+def _build(cls, section: dict, dotted: str, **given):
+    """Build ``cls`` from the keys of ``section`` that name its fields.
+
+    Each key is coerced by the class's type hints and wins over ``given``,
+    which holds finished values for the other fields.  A value the model
+    rejects becomes a ScenarioError naming the keys set away from their
+    defaults (or the section, if none is).
+    """
+    hints = _hints(cls)
+    kwargs, used = dict(given), {}
+    for key, raw in section.items():
+        for name in _FIELDS.get(cls, {}).get(key, (key,)):
+            if name in hints:
+                kwargs[name] = _coerce(raw, hints[name], f"{dotted}.{key}")
+                used[key] = raw
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        defaults = dict(iter_leaf_paths())
+        changed = [f"{dotted}.{key}" for key, raw in used.items()
+                   if raw != defaults.get(f"{dotted}.{key}")]
+        raise ScenarioError(f"{', '.join(changed) or dotted}: {exc}") from None
 
 
 def _merge(defaults, user, path=""):
@@ -231,124 +252,61 @@ class Scenario:
     # -- builders ---------------------------------------------------------
 
     def build_array(self) -> RisArray:
-        a = self.data["array"]
-        return RisArray(n_x=int(a["n_x"]), n_y=int(a["n_y"]),
-                        period_mm=float(a["period_mm"]),
-                        polarization=str(a["polarization"]),
-                        group_size=int(a["group_size"]),
-                        group_axis=str(a["group_axis"]))
+        return _build(RisArray, self.data["array"], "array")
 
     def build_feed(self) -> FeedModel:
-        f = self.data["feed"]
-        gain = f["gain_dbi"]
-        return FeedModel(position_mm=tuple(float(v) for v in f["position_mm"]),
-                         pattern_exponent=float(f["pattern_exponent"]),
-                         gain_dbi=None if gain is None else float(gain),
-                         polarization=str(f["polarization"]))
+        return _build(FeedModel, self.data["feed"], "feed")
 
     def build_assembly(self) -> AntennaAssembly:
         p = self.data["pattern"]
-        inc = p["incidence"]
-        model = None
-        if inc["enabled"]:
-            model = IncidenceModel(
-                beta_deg_per_deg2=float(inc["beta_deg_per_deg2"]),
-                amplitude_exponent=float(inc["amplitude_exponent"]))
-        return AntennaAssembly(array=self.build_array(), feed=self.build_feed(),
-                               frequency_ghz=float(p["frequency_ghz"]),
-                               cross_pol_db=float(p["cross_pol_db"]),
-                               element_circuit=self.build_design_circuit(),
-                               incidence_model=model)
+        model = (_build(IncidenceModel, p["incidence"], "pattern.incidence")
+                 if p["incidence"]["enabled"] else None)
+        return _build(AntennaAssembly, p, "pattern", array=self.build_array(),
+                      feed=self.build_feed(), incidence_model=model,
+                      element_circuit=self.build_design_circuit())
 
     def build_diode(self) -> DiodeModel:
-        d = self.data["element"]["diode"]
-        return DiodeModel(r_on_ohm=float(d["r_on_ohm"]), l_on_nh=float(d["l_on_nh"]),
-                          r_off_ohm=float(d["r_off_ohm"]), l_off_nh=float(d["l_off_nh"]),
-                          c_off_ff=float(d["c_off_ff"]))
+        return _build(DiodeModel, self.data["element"]["diode"], "element.diode")
 
     def build_start_circuit(self) -> ElementCircuit:
-        s = self.data["element"]["start"]
-        return ElementCircuit(c_p_ff=float(s["c_p_ff"]), l_p_nh=float(s["l_p_nh"]),
-                              l_g_nh=float(s["l_g_nh"]), l_v_nh=float(s["l_v_nh"]),
-                              r_loss_ohm=float(s["r_loss_ohm"]),
-                              line_z0_ohm=float(s["line_z0_ohm"]),
-                              line_length_deg=float(s["line_length_deg"]),
-                              diode=self.build_diode())
+        return _build(ElementCircuit, self.data["element"]["start"], "element.start",
+                      diode=self.build_diode())
 
     def build_design_circuit(self) -> ElementCircuit:
-        d = self.data["element"]["design"]
-        diode = replace(self.build_diode(), l_on_nh=float(d["l_diode_nh"]),
-                        l_off_nh=float(d["l_diode_nh"]))
-        return ElementCircuit(c_p_ff=float(d["c_p_ff"]), l_p_nh=float(d["l_p_nh"]),
-                              l_g_nh=float(d["l_g_nh"]), l_v_nh=float(d["l_v_nh"]),
-                              r_loss_ohm=float(d["r_loss_ohm"]),
-                              line_z0_ohm=float(d["line_z0_ohm"]),
-                              line_length_deg=float(d["line_length_deg"]),
-                              diode=diode)
+        design = self.data["element"]["design"]
+        diode = _build(DiodeModel, design, "element.design", **vars(self.build_diode()))
+        return _build(ElementCircuit, design, "element.design", diode=diode)
 
     def build_sweeps(self) -> dict[str, SweepRange]:
         out = {}
-        for name, (lo, hi, step) in self.data["element"]["sweeps"].items():
-            out[name] = SweepRange(float(lo), float(hi), float(step))
+        for name, bounds in self.data["element"]["sweeps"].items():
+            dotted = f"element.sweeps.{name}"
+            lo, hi, step = _coerce(bounds, tuple[float, float, float], dotted)
+            out[name] = _build(SweepRange, {}, dotted, lo=lo, hi=hi, step=step)
         return out
 
     def build_targets(self) -> DesignTargets:
-        t = self.data["element"]["targets"]
-        return DesignTargets(min_amplitude=float(t["min_amplitude"]),
-                             phase_tolerance_deg=float(t["phase_tolerance_deg"]))
+        return _build(DesignTargets, self.data["element"]["targets"], "element.targets")
 
     def build_feed_space(self) -> FeedSearchSpace:
-        s = self.data["feed"]["search"]
-        return FeedSearchSpace(x_mm=tuple(float(v) for v in s["x_mm"]),
-                               y_mm=tuple(float(v) for v in s["y_mm"]),
-                               z_mm=tuple(float(v) for v in s["z_mm"]),
-                               coarse_step_mm=float(s["coarse_step_mm"]))
+        return _build(FeedSearchSpace, self.data["feed"]["search"], "feed.search")
 
     def build_target_direction(self) -> Direction:
-        t = self.data["pattern"]["target"]
-        return Direction(float(t["az_deg"]), float(t["el_deg"]))
+        return _build(Direction, self.data["pattern"]["target"], "pattern.target")
 
     def build_link(self, dual: bool = False) -> LinkScenario:
-        ln = self.data["link"]
-        d_m, f_ghz = ln["d_m"], ln["center_freq_ghz"]
-        if dual:
-            d_m, f_ghz = ln["dual"]["d_m"], ln["dual"]["center_freq_ghz"]
-        return LinkScenario(
-            d_m=float(d_m),
-            aod=Direction(float(ln["aod"]["az_deg"]), float(ln["aod"]["el_deg"])),
-            center_freq_ghz=float(f_ghz),
-            bandwidth_mhz=float(ln["bandwidth_mhz"]),
-            tx_power_dbm=float(ln["tx_power_dbm"]),
-            tx_antenna_gain_dbi=float(ln["tx_antenna_gain_dbi"]),
-            rx_antenna_gain_dbi=float(ln["rx_antenna_gain_dbi"]),
-            lna_gain_db=float(ln["lna_gain_db"]),
-            rx_noise_figure_db=float(ln["rx_noise_figure_db"]),
-            tx_evm_floor=float(ln["tx_evm_floor"]),
-            modulation=str(ln["modulation"]))
+        link = _build(LinkScenario, self.data["link"], "link")
+        return (_build(LinkScenario, self.data["link"]["dual"], "link.dual", **vars(link))
+                if dual else link)
 
     def build_pa(self) -> PaModel:
-        pa = self.data["link"]["pa"]
-        return PaModel(kind=str(pa["kind"]),
-                       saturation_level=float(pa["saturation_level"]),
-                       smoothness=float(pa["smoothness"]))
+        return _build(PaModel, self.data["link"]["pa"], "link.pa")
 
     def build_xpd(self) -> XpdModel:
-        x = self.data["link"]["xpd_db"]
-        return XpdModel(h_antenna_db=float(x["h"]), v_antenna_db=float(x["v"]))
+        return _build(XpdModel, self.data["link"]["xpd_db"], "link.xpd_db")
 
     def build_frame(self) -> FrameConfig:
-        fr = self.data["frame"]
-        return FrameConfig(slot_pattern=str(fr["slot_pattern"]),
-                           s_slot_split=tuple(int(v) for v in fr["s_slot_split"]),
-                           scs_khz=int(fr["scs_khz"]),
-                           cc_count=int(fr["cc_count"]),
-                           cc_bandwidth_mhz=float(fr["cc_bandwidth_mhz"]),
-                           layers=int(fr["layers"]),
-                           modulation_order=int(fr["modulation_order"]),
-                           max_code_rate=float(fr["max_code_rate"]),
-                           scaling=float(fr["scaling"]),
-                           overhead=float(fr["overhead"]),
-                           prb_per_cc=int(fr["prb_per_cc"]))
+        return _build(FrameConfig, self.data["frame"], "frame")
 
 
 def resolve_scenario(user_data: dict | None, overrides=()) -> Scenario:

@@ -59,10 +59,6 @@ def required_phases(assembly: AntennaAssembly, target: Direction,
     return np.mod(np.mod(phase, 360.0), 360.0)
 
 
-def required_phase(assembly: AntennaAssembly, element_index: int, target: Direction) -> float:
-    return float(required_phases(assembly, target)[element_index])
-
-
 def quantize_one_bit(phase_deg) -> np.ndarray:
     """Nearest of the two states 0/180 deg; ties (90, 270) go to state 1."""
     phase = np.mod(np.asarray(phase_deg, dtype=float), 360.0)

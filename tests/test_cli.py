@@ -289,6 +289,25 @@ class TestFailureModes:
         assert rc == 2
         assert "unknown key 'link.bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("geometry", "array.n_x", "foo"),
+        ("geometry", "array.group_size", "3"),
+        ("pattern", "feed.position_mm", "[0,0]"),
+        ("rate", "frame.s_slot_split", "[10,2]"),
+        ("rate", "frame.slot_pattern", "XYZ"),
+        ("link", "link.modulation", "8PSK"),
+        ("aclr-sweep", "link.pa.kind", "foo"),
+        ("dual-stream", "link.xpd_db.h", "3"),
+        ("pattern", "pattern.frequency_ghz", ".nan"),
+    ])
+    def test_value_the_model_rejects_exits_2(self, command, flag, value, tmp_path,
+                                             capsys):
+        rc = main([command, f"--{flag}", value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error" in err and flag in err
+        assert "Traceback" not in err
+
     def test_strict_element_opt_exits_3_on_unreachable_target(self, tmp_path,
                                                               capsys):
         rc = main(["element-opt", "--strict", "--out", str(tmp_path),

@@ -1,9 +1,16 @@
 """Scenario resolution: defaults, merging, overrides, and the builders
 that turn the plain mapping into typed model objects."""
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
-from risant.element import DEFAULT_START_CIRCUIT, DESIGN_CIRCUIT
+from risant.cli import main
+from risant.element import DEFAULT_START_CIRCUIT, DESIGN_CIRCUIT, DesignTargets, DiodeModel
+from risant.feedopt import FeedSearchSpace
+from risant.geometry import FeedModel, IncidenceModel, RisArray
+from risant.link import FrameConfig, LinkScenario, PaModel, XpdModel
 from risant.scenario import (
     DEFAULT_SCENARIO,
     Scenario,
@@ -175,3 +182,41 @@ class TestLeafPaths:
         # writing each leaf's own default back must be a no-op
         sc = resolve_scenario(None, overrides=list(iter_leaf_paths()))
         assert sc.data == DEFAULT_SCENARIO
+
+
+class TestSingleSourceOfDefaults:
+    """The default tree takes each model section from the model class, so
+    building a default section gives the class's own default."""
+
+    @pytest.mark.parametrize("build, expected", [
+        ("build_diode", DiodeModel()),
+        ("build_targets", DesignTargets()),
+        ("build_feed", FeedModel()),
+        ("build_feed_space", FeedSearchSpace()),
+        ("build_link", LinkScenario()),
+        ("build_pa", PaModel()),
+        ("build_xpd", XpdModel()),
+        # the one calibrated deviation from the class default
+        ("build_frame", FrameConfig(overhead=0.14)),
+    ])
+    def test_section_builds_class_default(self, scenario, build, expected):
+        assert getattr(scenario, build)() == expected
+
+    def test_incidence_section_builds_class_default(self):
+        sc = resolve_scenario({"pattern": {"incidence": {"enabled": True}}})
+        assert sc.build_assembly().incidence_model == IncidenceModel()
+
+    def test_array_fields_match_class_default(self, scenario):
+        built, default = scenario.build_array(), RisArray()
+        for f in fields(RisArray):
+            np.testing.assert_array_equal(getattr(built, f.name), getattr(default, f.name))
+
+    def test_default_hash_is_pinned(self):
+        # any moved default changes it, e.g. feed.gain_dbi 11.76 for null
+        assert resolve_scenario(None).hash() == (
+            "49da47647279a89fd3ba3a3c1cecaa62037b7c38a4ed07c4d8815c78c2658f68")
+
+    def test_removed_link_aod_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rate", "--link.aod.az_deg", "1"])
+        assert excinfo.value.code == 2
