@@ -146,7 +146,8 @@ def cmd_pattern(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     p = scn.section("pattern")
     target = scn.build_target_direction()
     cw = synthesize_codeword(asm, target, bool(p["compensate_incidence"]))
-    az, el = direction_grid(float(p["step_deg"]))
+    step = scn.literal("pattern.step_deg")
+    az, el = direction_grid(step)
     pat = far_field(asm, cw.mask, az, el)
     metrics = pattern_metrics(pat)
     gain = pat.gain_dbi()
@@ -163,7 +164,7 @@ def cmd_pattern(scn: Scenario, out: str, args) -> tuple[list[str], str]:
             "hpbw_az_deg": metrics.hpbw_az_deg,
             "hpbw_el_deg": metrics.hpbw_el_deg,
             "cross_pol_db": metrics.cross_pol_db,
-            "grid_step_deg": float(p["step_deg"]),
+            "grid_step_deg": step,
         }),
         write_csv(os.path.join(out, "pattern_cut_az.csv"),
                   ["az_deg", "gain_dbi"],
@@ -263,7 +264,7 @@ def cmd_link(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     ls = scn.build_link()
     snr = link_budget(ls)
     evm_cf = evm_closed_form(snr, ls.tx_evm_floor)
-    evm_mc = simulate_evm(ls, int(scn.section("link")["evm_symbols"]), scn.rng_seed)
+    evm_mc = simulate_evm(ls, scn.literal("link.evm_symbols"), scn.rng_seed)
     payload = {
         "d_m": ls.d_m, "center_freq_ghz": ls.center_freq_ghz,
         "bandwidth_mhz": ls.bandwidth_mhz, "modulation": ls.modulation,
@@ -280,7 +281,7 @@ def cmd_link(scn: Scenario, out: str, args) -> tuple[list[str], str]:
 
 def cmd_evm_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     ls = scn.build_link()
-    distances = [float(d) for d in scn.section("link")["sweep_distances_m"]]
+    distances = scn.literal("link.sweep_distances_m")
     rows = []
     for d in distances:
         snr = link_budget(replace(ls, d_m=d))
@@ -373,7 +374,7 @@ def cmd_train(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     codebook = build_codebook(asm, sector_az=sector, n_levels=int(tr["n_levels"]),
                               branching=int(tr["branching"]),
                               el_deg=float(tr["el_deg"]))
-    n_trials = int(tr["n_trials"])
+    n_trials = scn.literal("training.n_trials")
     snr = float(tr["pilot_snr_db"])
     threshold = float(tr["accept_threshold_db"])
     seed_root = np.random.SeedSequence(scn.rng_seed)

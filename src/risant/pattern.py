@@ -68,6 +68,20 @@ def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG,
 _spillover_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _feed_rays(feed, xs, ys):
+    """Distance and clipped cosine off the feed boresight from the feed to
+    the z = 0 points on the axes ``xs`` and ``ys``, shape (ys.size, xs.size).
+    r^2 and the ray's dot product with the boresight split into a y term
+    plus an x term, so no per-point 3-vector is formed."""
+    fx, fy, fz = feed.position_mm
+    bx, by, bz = feed.boresight()
+    dx, dy = xs - fx, ys - fy
+    r = np.sqrt((dy * dy)[:, None] + (dx * dx + fz * fz))
+    cos_feed = (dy * by)[:, None] + (dx * bx - fz * bz)
+    cos_feed /= r
+    return r, np.clip(cos_feed, 0.0, 1.0, out=cos_feed)
+
+
 def spillover_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> float:
     """Fraction of the feed's radiated power intercepted by the aperture.
 
@@ -84,17 +98,13 @@ def spillover_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> float:
     half_y = 0.5 * assembly.array.n_y * assembly.array.period_mm
     xs = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_x - half_x
     ys = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_y - half_y
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    v = pts - feed.position()
-    r = np.linalg.norm(v, axis=1)
-    cos_feed = (v / r[:, None]) @ feed.boresight()
-    cos_feed = np.clip(cos_feed, 0.0, 1.0)
-    cos_plane = feed.position()[2] / r  # obliquity of the aperture plane
-    # Normalized radiation intensity of the cos^q pattern over a hemisphere.
-    u = (q + 1.0) / (2.0 * math.pi) * cos_feed**q
+    r, cos_feed = _feed_rays(feed, xs, ys)
+    # normalized cos^q intensity over a hemisphere, (q + 1) / (2 pi) cos^q,
+    # times a cell's solid angle: obliquity fz / r over r^2
+    integrand = np.power(cos_feed, q, out=cos_feed)
+    integrand /= r * r * r
     cell = (2 * half_x / n_grid) * (2 * half_y / n_grid)
-    power = float(np.sum(u * cos_plane / r**2) * cell)
+    power = float(np.sum(integrand)) * (q + 1.0) / (2.0 * math.pi) * feed.position_mm[2] * cell
     cached[n_grid] = min(power, 1.0)
     return cached[n_grid]
 
@@ -116,13 +126,12 @@ def illumination(assembly: AntennaAssembly, normalize: bool = True) -> np.ndarra
     spillover efficiency (and therefore never exceeds one).
     """
     feed = assembly.feed
-    positions = assembly.array.positions_mm()
-    v = positions - feed.position()
-    r = np.linalg.norm(v, axis=1)
-    cos_feed = np.clip((v / r[:, None]) @ feed.boresight(), 0.0, 1.0)
+    xs, ys = ((np.arange(n) - 0.5 * (n - 1)) * assembly.array.period_mm
+              for n in (assembly.array.n_x, assembly.array.n_y))
+    r, cos_feed = _feed_rays(feed, xs, ys)
     amp = cos_feed ** (0.5 * feed.pattern_exponent) / r
     phase = -assembly.k_per_mm * r
-    a = amp * np.exp(1j * phase)
+    a = (amp * np.exp(1j * phase)).ravel()
     if normalize:
         a *= math.sqrt(spillover_efficiency(assembly) / np.sum(amp**2))
     return a

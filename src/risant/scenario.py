@@ -129,6 +129,18 @@ _FIELDS = {
     XpdModel: {"h": ("h_antenna_db",), "v": ("v_antenna_db",)},
 }
 
+# keys with no model dataclass home that commands read as plain values,
+# checked when the scenario resolves: dotted key -> (type hint, test the
+# coerced value must pass, what the test asks for)
+_LITERALS = {
+    "rng_seed": (int, lambda v: v >= 0, "a non-negative integer"),
+    "link.evm_symbols": (int, lambda v: v >= 1, "a positive integer"),
+    "link.sweep_distances_m": (list[float], lambda v: v and min(v) > 0,
+                               "a non-empty list of positive numbers"),
+    "pattern.step_deg": (float, lambda v: v > 0, "a positive number"),
+    "training.n_trials": (int, lambda v: v >= 1, "a positive integer"),
+}
+
 _KINDS = {float: "a finite number", int: "an integer", str: "a string"}
 
 _hints = functools.cache(typing.get_type_hints)
@@ -137,17 +149,23 @@ _hints = functools.cache(typing.get_type_hints)
 def _coerce(raw, hint, dotted: str):
     """``raw`` as a value of type ``hint``, or a ScenarioError naming ``dotted``.
 
-    Knows the hints of the model fields: float, int, str, X | None and
-    fixed-length tuple[...]; any other hint passes the value through.
+    Knows the hints of the model fields and of ``_LITERALS``: float, int,
+    str, X | None, fixed-length tuple[...] and list[X]; any other hint
+    passes the value through.
     """
     args = typing.get_args(hint)
     if type(None) in args:                                   # X | None
         (inner,) = [a for a in args if a is not type(None)]
         return None if raw is None else _coerce(raw, inner, dotted)
-    if typing.get_origin(hint) is tuple:
+    origin = typing.get_origin(hint)
+    if origin is tuple:
         if isinstance(raw, (list, tuple)) and len(raw) == len(args):
             return tuple(_coerce(v, a, dotted) for v, a in zip(raw, args))
         raise ScenarioError(f"{dotted} must be a list of {len(args)} values, got {raw!r}")
+    if origin is list:
+        if isinstance(raw, list):
+            return [_coerce(v, args[0], dotted) for v in raw]
+        raise ScenarioError(f"{dotted} must be a list, got {raw!r}")
     if hint not in _KINDS or (hint is str and isinstance(raw, str)):
         return raw
     if hint is not str and not isinstance(raw, bool):
@@ -239,7 +257,16 @@ class Scenario:
 
     @property
     def rng_seed(self) -> int:
-        return int(self.data["rng_seed"])
+        return self.literal("rng_seed")
+
+    def literal(self, dotted: str):
+        """The value of a key of ``_LITERALS``, coerced and checked."""
+        hint, valid, must = _LITERALS[dotted]
+        raw = functools.reduce(dict.__getitem__, dotted.split("."), self.data)
+        value = _coerce(raw, hint, dotted)
+        if not valid(value):
+            raise ScenarioError(f"{dotted} must be {must}, got {raw!r}")
+        return value
 
     def section(self, name: str) -> dict:
         return self.data[name]
@@ -315,7 +342,10 @@ def resolve_scenario(user_data: dict | None, overrides=()) -> Scenario:
     for item in overrides:
         dotted, value = item if isinstance(item, tuple) else parse_override(item)
         _set_dotted(merged, dotted, value)
-    return Scenario(data=merged)
+    scenario = Scenario(data=merged)
+    for dotted in _LITERALS:          # a bad value fails before any command runs
+        scenario.literal(dotted)
+    return scenario
 
 
 def load_scenario(path: str | None, overrides=()) -> Scenario:

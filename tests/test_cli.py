@@ -308,6 +308,21 @@ class TestFailureModes:
         assert "scenario error" in err and flag in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("rate", "rng_seed", "foo"),
+        ("rate", "rng_seed", "1.5"),
+        ("link", "link.evm_symbols", "foo"),
+        ("train", "training.n_trials", "0"),
+        ("pattern", "pattern.step_deg", "0"),
+        ("evm-sweep", "link.sweep_distances_m", "[]"),
+    ])
+    def test_bad_literal_value_exits_2(self, command, flag, value, tmp_path, capsys):
+        rc = main([command, f"--{flag}", value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error" in err and flag in err
+        assert "Traceback" not in err
+
     def test_strict_element_opt_exits_3_on_unreachable_target(self, tmp_path,
                                                               capsys):
         rc = main(["element-opt", "--strict", "--out", str(tmp_path),

@@ -7,10 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risant import pattern
 from risant.constants import db10
 from risant.element import reflection_coefficient
+from risant.feedopt import FeedSearchSpace
 from risant.geometry import (
     AntennaAssembly,
     Direction,
@@ -105,6 +108,70 @@ class TestSpillover:
         coarse = spillover_efficiency(assembly, n_grid=128)
         fine = spillover_efficiency(assembly, n_grid=512)
         assert coarse == pytest.approx(fine, rel=1e-3)
+
+
+def _spillover_per_point(assembly, n_grid):
+    """The spillover midpoint sum point by point, over an (N, 3) mesh."""
+    feed = assembly.feed
+    q = feed.pattern_exponent
+    half_x = 0.5 * assembly.array.n_x * assembly.array.period_mm
+    half_y = 0.5 * assembly.array.n_y * assembly.array.period_mm
+    xs = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_x - half_x
+    ys = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_y - half_y
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    v = pts - feed.position()
+    r = np.linalg.norm(v, axis=1)
+    cos_feed = np.clip((v / r[:, None]) @ feed.boresight(), 0.0, 1.0)
+    cos_plane = feed.position()[2] / r
+    u = (q + 1.0) / (2.0 * math.pi) * cos_feed**q
+    cell = (2 * half_x / n_grid) * (2 * half_y / n_grid)
+    return min(float(np.sum(u * cos_plane / r**2) * cell), 1.0)
+
+
+def _illumination_per_point(assembly):
+    """Un-normalized illumination element by element, from positions_mm()."""
+    feed = assembly.feed
+    v = assembly.array.positions_mm() - feed.position()
+    r = np.linalg.norm(v, axis=1)
+    cos_feed = np.clip((v / r[:, None]) @ feed.boresight(), 0.0, 1.0)
+    amp = cos_feed ** (0.5 * feed.pattern_exponent) / r
+    return amp * np.exp(-1j * assembly.k_per_mm * r)
+
+
+# feeds off both axes, so an x/y transposition of the lattice changes the sums
+OFF_AXIS_FEEDS = [(-37.0, 12.5, 60.0), (25.0, -18.0, 45.0)]
+NON_SQUARE = [(7, 4), (4, 7), (1, 5)]
+
+
+class TestFeedIntegralsMatchPerPointReference:
+    @pytest.mark.parametrize("n_x, n_y", NON_SQUARE + [(32, 32)])
+    @pytest.mark.parametrize("position", OFF_AXIS_FEEDS)
+    @pytest.mark.parametrize("n_grid", [1, 2, 17, 128, 256])
+    def test_spillover(self, n_x, n_y, position, n_grid):
+        asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, group_size=1),
+                              feed=FeedModel(position_mm=position))
+        assert spillover_efficiency(asm, n_grid) == pytest.approx(
+            _spillover_per_point(asm, n_grid), rel=1e-12)
+
+    @pytest.mark.parametrize("n_x, n_y", NON_SQUARE)
+    @pytest.mark.parametrize("position", OFF_AXIS_FEEDS)
+    def test_illumination(self, n_x, n_y, position):
+        asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, group_size=1),
+                              feed=FeedModel(position_mm=position))
+        expected = _illumination_per_point(asm)
+        np.testing.assert_allclose(illumination(asm, normalize=False), expected,
+                                   rtol=1e-12)
+        expected *= math.sqrt(_spillover_per_point(asm, 256) / np.sum(np.abs(expected) ** 2))
+        np.testing.assert_allclose(illumination(asm), expected, rtol=1e-12)
+
+    @settings(deadline=None)
+    @given(x=st.floats(*FeedSearchSpace().x_mm), y=st.floats(-60.0, 60.0),
+           z=st.floats(*FeedSearchSpace().z_mm))
+    def test_spillover_in_unit_interval_over_the_search_box(self, x, y, z):
+        asm = AntennaAssembly(feed=FeedModel(position_mm=(x, y, z)))
+        for n_grid in (128, 256):
+            assert 0.0 < spillover_efficiency(asm, n_grid) <= 1.0
 
 
 class TestTaperEfficiency:
