@@ -7,7 +7,7 @@ hierarchical beam training, and the downstream link numbers (EVM,
 adjacent-channel leakage, dual-polarization SINR, TDD peak rate).
 """
 
-from .constants import C_MPS, ETA0_OHM, db10, db20, from_db10, wrap_deg
+from .constants import C_MPS, ETA0_OHM, db10, from_db10, wrap_deg
 from .element import (
     DEFAULT_START_CIRCUIT,
     DEFAULT_SWEEPS,
@@ -41,7 +41,6 @@ from .geometry import (
     RisArray,
     element_positions,
     group_map,
-    incidence_angle,
 )
 from .link import (
     FrameConfig,

@@ -108,11 +108,11 @@ def _json_default(value):
 
 def cmd_element_opt(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     section = scn.section("element")
-    freq = float(scn.section("pattern")["frequency_ghz"])
+    freq = scn.literal("pattern.frequency_ghz")
     result = optimize_structure(scn.build_start_circuit(), frequency_ghz=freq,
                                 targets=scn.build_targets(), sweeps=scn.build_sweeps(),
-                                max_rounds=int(section["max_rounds"]),
-                                keep_trace=bool(section["trace"]))
+                                max_rounds=scn.literal("element.max_rounds"),
+                                keep_trace=scn.literal("element.trace"))
     c = result.circuit
     payload = {
         "frequency_ghz": freq,
@@ -143,9 +143,8 @@ def cmd_element_opt(scn: Scenario, out: str, args) -> tuple[list[str], str]:
 
 def cmd_pattern(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     asm = scn.build_assembly()
-    p = scn.section("pattern")
     target = scn.build_target_direction()
-    cw = synthesize_codeword(asm, target, bool(p["compensate_incidence"]))
+    cw = synthesize_codeword(asm, target, scn.literal("pattern.compensate_incidence"))
     step = scn.literal("pattern.step_deg")
     az, el = direction_grid(step)
     pat = far_field(asm, cw.mask, az, el)
@@ -181,10 +180,11 @@ def cmd_pattern(scn: Scenario, out: str, args) -> tuple[list[str], str]:
 
 def cmd_steer(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     asm = scn.build_assembly()
-    p = scn.section("pattern")
-    targets = [Direction(float(a), 0.0) for a in p["scan_az_deg"]]
-    targets += [Direction(0.0, float(e)) for e in p["scan_el_deg"]]
-    points = scan_evaluation(asm, targets, bool(p["compensate_incidence"]))
+    targets = [Direction(a, 0.0) for a in scn.literal("pattern.scan_az_deg")]
+    targets += [Direction(0.0, e) for e in scn.literal("pattern.scan_el_deg")]
+    if not targets:
+        raise ScenarioError("pattern.scan_az_deg and pattern.scan_el_deg are both empty")
+    points = scan_evaluation(asm, targets, scn.literal("pattern.compensate_incidence"))
     rows = [(pt.target.az_deg, pt.target.el_deg, pt.gain_dbi,
              pt.pointing_error_deg, pt.loss_vs_broadside_db) for pt in points]
     outputs = [
@@ -203,12 +203,11 @@ def cmd_steer(scn: Scenario, out: str, args) -> tuple[list[str], str]:
 
 def cmd_widebeam(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     asm = scn.build_assembly()
-    wb_cfg = scn.section("pattern")["widebeam"]
-    sector = tuple(float(v) for v in wb_cfg["sector_az_deg"])
-    n_sub = wb_cfg["n_subapertures"]
-    result = synthesize_wide_beam(asm, sector, el_deg=float(wb_cfg["el_deg"]),
-                                  n_subapertures=None if n_sub is None else int(n_sub))
-    el = float(wb_cfg["el_deg"])
+    sector = scn.literal("pattern.widebeam.sector_az_deg")
+    el = scn.literal("pattern.widebeam.el_deg")
+    result = synthesize_wide_beam(
+        asm, sector, el_deg=el,
+        n_subapertures=scn.literal("pattern.widebeam.n_subapertures"))
     az = np.arange(sector[0] - 10.0, sector[1] + 10.0 + 1e-9, 0.25)
     pat = far_field(asm, result.codeword.mask, az, np.array([el]))
     gain = pat.gain_dbi()[0]
@@ -302,22 +301,16 @@ def cmd_evm_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
 
 
 def cmd_aclr_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
-    cfg = scn.section("link")["aclr"]
     pa = scn.build_pa()
-    bw_mhz = float(cfg["channel_bandwidth_mhz"])
-    prb = PRB_TABLE_120KHZ.get(int(round(bw_mhz)))
-    if prb is None:
-        raise ScenarioError(
-            f"link.aclr.channel_bandwidth_mhz must be one of "
-            f"{sorted(PRB_TABLE_120KHZ)} MHz, got {bw_mhz}")
-    waveform = WaveformConfig(occupied_subcarriers=12 * prb)
-    values = measure_aclr(pa, waveform, int(cfg["n_symbols"]), scn.rng_seed,
+    bw_mhz = scn.literal("link.aclr.channel_bandwidth_mhz")
+    waveform = WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[round(bw_mhz)])
+    values = measure_aclr(pa, waveform, scn.literal("link.aclr.n_symbols"), scn.rng_seed,
                           channel_bandwidth_hz=bw_mhz * 1e6)
     # the amplifier operating point is independent of carrier and beam
     # direction here, so the measured leakage repeats across the sweep
-    rows = [(float(center), float(aod), values[0], values[1],
-             max(values) <= ACLR_LIMIT_DBC)
-            for center in cfg["centers_ghz"] for aod in cfg["aod_az_deg"]]
+    rows = [(center, aod, values[0], values[1], max(values) <= ACLR_LIMIT_DBC)
+            for center in scn.literal("link.aclr.centers_ghz")
+            for aod in scn.literal("link.aclr.aod_az_deg")]
     outputs = [
         write_csv(os.path.join(out, "aclr_sweep.csv"),
                   ["center_freq_ghz", "aod_az_deg", "aclr_lower_dbc",
@@ -337,12 +330,11 @@ def cmd_aclr_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
 
 def cmd_dual_stream(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     ls = scn.build_link(dual=True)
-    gains = scn.section("link")["stream_gains_dbi"]
+    gains = {pol: scn.literal(f"link.stream_gains_dbi.{pol}") for pol in ("h", "v")}
     xpd = scn.build_xpd()
-    sinr = dual_stream_sinr({"h": float(gains["h"]), "v": float(gains["v"])},
-                            xpd, ls)
-    rows = [("H", float(gains["h"]), xpd.h_antenna_db, sinr.h_db),
-            ("V", float(gains["v"]), xpd.v_antenna_db, sinr.v_db)]
+    sinr = dual_stream_sinr(gains, xpd, ls)
+    rows = [("H", gains["h"], xpd.h_antenna_db, sinr.h_db),
+            ("V", gains["v"], xpd.v_antenna_db, sinr.v_db)]
     outputs = [
         write_csv(os.path.join(out, "dual_stream.csv"),
                   ["stream", "gain_dbi", "leakage_db", "sinr_db"], rows),
@@ -369,21 +361,20 @@ def cmd_rate(scn: Scenario, out: str, args) -> tuple[list[str], str]:
 
 def cmd_train(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     asm = scn.build_assembly()
-    tr = scn.section("training")
-    sector = tuple(float(v) for v in tr["sector_az_deg"])
-    codebook = build_codebook(asm, sector_az=sector, n_levels=int(tr["n_levels"]),
-                              branching=int(tr["branching"]),
-                              el_deg=float(tr["el_deg"]))
+    sector = scn.literal("training.sector_az_deg")
+    el = scn.literal("training.el_deg")
+    codebook = build_codebook(asm, sector_az=sector,
+                              n_levels=scn.literal("training.n_levels"),
+                              branching=scn.literal("training.branching"), el_deg=el)
     n_trials = scn.literal("training.n_trials")
-    snr = float(tr["pilot_snr_db"])
-    threshold = float(tr["accept_threshold_db"])
+    snr = scn.literal("training.pilot_snr_db")
+    threshold = scn.literal("training.accept_threshold_db")
     seed_root = np.random.SeedSequence(scn.rng_seed)
     rows = []
     for trial, seq in enumerate(seed_root.spawn(n_trials)):
         truth_seq, noise_seq = seq.spawn(2)
         truth_rng = np.random.default_rng(truth_seq)
-        truth = Direction(float(truth_rng.uniform(sector[0], sector[1])),
-                          float(tr["el_deg"]))
+        truth = Direction(float(truth_rng.uniform(sector[0], sector[1])), el)
         # paired arms share the noise stream: identical pilot noise up to
         # the point where the widened search spends extra measurements
         widened = beam_training(asm, codebook, truth, pilot_snr_db=snr,

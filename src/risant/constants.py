@@ -28,11 +28,6 @@ def db10(x) -> float:
     return 10.0 * np.log10(x)
 
 
-def db20(x) -> float:
-    """Field ratio to dB."""
-    return 20.0 * np.log10(x)
-
-
 def from_db10(x_db):
     return 10.0 ** (np.asarray(x_db) / 10.0)
 

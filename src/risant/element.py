@@ -167,13 +167,6 @@ def reflection_coefficient(
     )
 
 
-def phase_difference(circuit: ElementCircuit, frequency_ghz: float) -> float:
-    """ON-minus-OFF reflection phase, wrapped to (-180, 180] degrees."""
-    on = reflection_coefficient(circuit, "on", frequency_ghz)
-    off = reflection_coefficient(circuit, "off", frequency_ghz)
-    return float(wrap_deg(on.phase_deg - off.phase_deg))
-
-
 @dataclass(frozen=True)
 class DesignTargets:
     min_amplitude: float = 0.85

@@ -42,6 +42,9 @@ DEFAULT_REFINE_OFFSETS_MM = (
     (0.0, 0.0, 30.0), (0.0, 0.0, -30.0),
 )
 
+# The realized gain that stage two scores is the broadside beam's.
+_BROADSIDE = Direction(0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class FeedSearchSpace:
@@ -160,17 +163,15 @@ class RefinedFeedResult:
     evaluations: list  # rows: (dx, dy, dz, realized_gain)
 
 
-def realized_feed_gain(assembly: AntennaAssembly, position_mm,
-                       target: Direction = Direction(0.0, 0.0)) -> float:
-    """One-bit realized gain of the assembly with the feed moved."""
+def realized_feed_gain(assembly: AntennaAssembly, position_mm) -> float:
+    """One-bit realized broadside gain of the assembly with the feed moved."""
     moved = _with_feed(assembly, position_mm)
-    codeword = synthesize_codeword(moved, target)
-    return steered_gain(moved, codeword.mask, target).gain_dbi
+    codeword = synthesize_codeword(moved, _BROADSIDE)
+    return steered_gain(moved, codeword.mask, _BROADSIDE).gain_dbi
 
 
 def refine_feed(assembly: AntennaAssembly, candidate_mm,
-                offsets_mm=DEFAULT_REFINE_OFFSETS_MM,
-                target: Direction = Direction(0.0, 0.0)) -> RefinedFeedResult:
+                offsets_mm=DEFAULT_REFINE_OFFSETS_MM) -> RefinedFeedResult:
     """Re-score candidate offsets with the full pattern engine.
 
     The zero offset must be part of the offset list so the refined
@@ -186,7 +187,7 @@ def refine_feed(assembly: AntennaAssembly, candidate_mm,
     rows = []
     best_idx = 0
     for i, delta in enumerate(offsets):
-        gain = realized_feed_gain(assembly, candidate + delta, target)
+        gain = realized_feed_gain(assembly, candidate + delta)
         rows.append((float(delta[0]), float(delta[1]), float(delta[2]), float(gain)))
         if gain > rows[best_idx][3]:
             best_idx = i
@@ -204,8 +205,8 @@ class FeedPlacementResult:
     refined: RefinedFeedResult
 
 
-def optimize_feed(assembly: AntennaAssembly, space: FeedSearchSpace = FeedSearchSpace(),
-                  target: Direction = Direction(0.0, 0.0)) -> FeedPlacementResult:
+def optimize_feed(assembly: AntennaAssembly,
+                  space: FeedSearchSpace = FeedSearchSpace()) -> FeedPlacementResult:
     coarse = coarse_optimize_feed(assembly, space)
-    refined = refine_feed(assembly, coarse.position_mm, space.refine_offsets_mm, target)
+    refined = refine_feed(assembly, coarse.position_mm, space.refine_offsets_mm)
     return FeedPlacementResult(coarse=coarse, refined=refined)

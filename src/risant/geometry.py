@@ -109,7 +109,6 @@ class FeedModel:
 
     position_mm: tuple[float, float, float] = (-82.0, 0.0, 150.0)
     pattern_exponent: float = 6.5
-    gain_dbi: float | None = None
     polarization: str = "H"
 
     def __post_init__(self):
@@ -119,10 +118,6 @@ class FeedModel:
             raise ValueError("pattern exponent must be non-negative")
         if self.polarization not in ("H", "V"):
             raise ValueError(f"polarization must be 'H' or 'V', got {self.polarization!r}")
-        if self.gain_dbi is None:
-            object.__setattr__(
-                self, "gain_dbi", 10.0 * math.log10(2.0 * (self.pattern_exponent + 1.0))
-            )
 
     def position(self) -> np.ndarray:
         return np.asarray(self.position_mm, dtype=float)
@@ -133,27 +128,13 @@ class FeedModel:
         return v / np.linalg.norm(v)
 
 
-def incidence_angle(feed: FeedModel, element_pos_mm) -> float:
-    """Angle between the feed-to-element ray and the aperture normal, deg.
+def incidence_angles(feed: FeedModel, positions_mm: np.ndarray) -> np.ndarray:
+    """Angle between each feed-to-element ray and the aperture normal, deg,
+    over an (N, 3) position array.
 
     Equals the local angle of incidence on the element; 0 for an element
     directly below the feed, approaching 90 for grazing rays.
     """
-    p = np.asarray(element_pos_mm, dtype=float)
-    v = p - feed.position()
-    r = np.linalg.norm(v)
-    if r == 0:
-        raise ValueError("element coincides with the feed")
-    cos_theta = -v[2] / r  # ray travels towards -z
-    cos_theta = min(1.0, max(-1.0, cos_theta))
-    angle = math.degrees(math.acos(cos_theta))
-    if not (0.0 <= angle < 90.0):
-        raise ValueError(f"incidence angle {angle:.2f} deg outside [0, 90)")
-    return angle
-
-
-def incidence_angles(feed: FeedModel, positions_mm: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`incidence_angle` over an (N, 3) position array."""
     v = positions_mm - feed.position()
     r = np.linalg.norm(v, axis=1)
     cos_theta = np.clip(-v[:, 2] / r, -1.0, 1.0)

@@ -43,7 +43,6 @@ class LinkScenario:
     tx_power_dbm: float = 1.0
     tx_antenna_gain_dbi: float = 22.2
     rx_antenna_gain_dbi: float = 22.0
-    lna_gain_db: float = 30.0
     rx_noise_figure_db: float = 5.0
     tx_evm_floor: float = 0.03
     modulation: str = "64QAM"
@@ -337,12 +336,12 @@ def _band_power(freqs: np.ndarray, psd: np.ndarray, center_hz: float,
 
 def aclr(samples: np.ndarray, sample_rate_hz: float,
          designated: tuple[float, float],
-         adjacent: list[tuple[float, float]],
-         nperseg: int = 4096) -> list[float]:
+         adjacent: list[tuple[float, float]]) -> list[float]:
     """Adjacent-channel leakage, dBc per adjacent channel.
 
     Channels are (center_hz, bandwidth_hz) relative to the carrier.
-    Power ratios come from a Welch averaged periodogram integrated over
+    Power ratios come from a Welch averaged periodogram (Hann segments
+    of 4096 samples, or the whole record if shorter) integrated over
     each channel; results are 10 log10(P_adjacent / P_designated), so
     compliant amplifiers give values well below 0.
     """
@@ -357,7 +356,7 @@ def aclr(samples: np.ndarray, sample_rate_hz: float,
                 f"{(center + bw / 2) / 1e6:.1f}] MHz extends past the Nyquist "
                 f"band of +-{nyquist / 1e6:.1f} MHz")
     freqs, psd = sp_signal.welch(samples, fs=sample_rate_hz, window="hann",
-                                 nperseg=min(nperseg, len(samples)),
+                                 nperseg=min(4096, len(samples)),
                                  return_onesided=False, detrend=False)
     p_designated = _band_power(freqs, psd, *designated)
     if p_designated <= 0:

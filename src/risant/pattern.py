@@ -49,17 +49,17 @@ DEFAULT_GRID_STEP_DEG = 0.25
 _CHUNK = 16384
 
 
-def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG,
-                   az_range: tuple[float, float] = (-90.0, 90.0),
-                   el_range: tuple[float, float] = (-90.0, 90.0)):
-    """Regular (az, el) grid arrays spanning the given ranges inclusive."""
+def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG):
+    """Regular (az, el) axes from -90 deg in steps of ``step_deg``, ending
+    at the last point that does not pass +90 deg."""
     if step_deg <= 0:
         raise ValueError("grid step must be positive")
-    n_az = int(round((az_range[1] - az_range[0]) / step_deg))
-    n_el = int(round((el_range[1] - el_range[0]) / step_deg))
-    az = az_range[0] + step_deg * np.arange(n_az + 1)
-    el = el_range[0] + step_deg * np.arange(n_el + 1)
-    return az, el
+    # floor, not round: a step that does not divide 180 must stop short of
+    # +90; the tolerance keeps the endpoint of a step that does, and the
+    # clip keeps that endpoint from rounding one ulp past +90
+    n = int(math.floor(180.0 / step_deg + 1e-9))
+    axis = np.minimum(-90.0 + step_deg * np.arange(n + 1), 90.0)
+    return axis, axis.copy()
 
 
 # Assemblies are immutable value types, so the spillover integral can be
@@ -272,19 +272,13 @@ def _integrate_power(az_deg, el_deg, field) -> float:
     return float(np.sum(np.abs(field) ** 2 * np.cos(el)[:, None]) * d_az * d_el)
 
 
-def far_field(assembly: AntennaAssembly, mask, az_deg=None, el_deg=None,
-              element_exponent: float | None = None,
-              reflection_efficiency: float | None = None) -> FarFieldPattern:
+def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPattern:
     """Far-field pattern of the fed array for one reflection state.
 
     ``mask`` is a :class:`PhaseMask` or an explicit per-element complex
     reflection array.  Warns when the grid is too coarse to resolve the
     main lobe of the full-size array.
     """
-    if az_deg is None or el_deg is None:
-        g_az, g_el = direction_grid()
-        az_deg = g_az if az_deg is None else az_deg
-        el_deg = g_el if el_deg is None else el_deg
     az_deg = np.asarray(az_deg, dtype=float)
     el_deg = np.asarray(el_deg, dtype=float)
     step = max(
@@ -297,9 +291,6 @@ def far_field(assembly: AntennaAssembly, mask, az_deg=None, el_deg=None,
             f"{assembly.array.n_x}x{assembly.array.n_y} array",
             stacklevel=2,
         )
-    qe = ELEMENT_EXPONENT if element_exponent is None else element_exponent
-    eta_r = REFLECTION_EFFICIENCY if reflection_efficiency is None else reflection_efficiency
-
     illum = illumination(assembly)
     gamma = resolve_reflections(assembly, mask)
     coeffs = illum * gamma
@@ -308,7 +299,7 @@ def far_field(assembly: AntennaAssembly, mask, az_deg=None, el_deg=None,
     co = _lattice_field(array.period_mm, coeffs.reshape(array.n_y, array.n_x),
                         assembly.k_per_mm, az_deg, el_deg)
     uz = np.outer(np.cos(np.radians(el_deg)), np.cos(np.radians(az_deg)))
-    co *= np.clip(uz, 0.0, None) ** qe
+    co *= np.clip(uz, 0.0, None) ** ELEMENT_EXPONENT
     xp_ratio = 10.0 ** (assembly.cross_pol_db / 20.0)
     cross = co * xp_ratio
 
@@ -316,7 +307,7 @@ def far_field(assembly: AntennaAssembly, mask, az_deg=None, el_deg=None,
     power = _integrate_power(az_deg, el_deg, co) * (1.0 + xp_ratio**2)
     eta_s = spillover_efficiency(assembly)
     eta_i = taper_efficiency(np.abs(illum))
-    offset = db10(eta_s * eta_i * eta_r)
+    offset = db10(eta_s * eta_i * REFLECTION_EFFICIENCY)
     return FarFieldPattern(
         az_deg=az_deg, el_deg=el_deg, co_pol=co, cross_pol=cross,
         power_total=power, gain_offset_db=float(offset),
@@ -436,12 +427,6 @@ def steering_row(assembly: AntennaAssembly, illum: np.ndarray,
     return illum * np.exp(1j * phase) * max(u[2], 0.0) ** ELEMENT_EXPONENT
 
 
-def field_toward(assembly: AntennaAssembly, mask, direction: Direction) -> complex:
-    """Complex co-polar field of one reflection state toward one direction."""
-    row = steering_row(assembly, illumination(assembly), direction)
-    return complex(row @ resolve_reflections(assembly, mask))
-
-
 @dataclass(frozen=True)
 class SteeredGain:
     gain_dbi: float
@@ -449,16 +434,15 @@ class SteeredGain:
     pointing_error_deg: float
 
 
-def steered_gain(assembly: AntennaAssembly, mask, target: Direction,
-                 coarse_step: float = 1.0, window_deg: float = 3.0,
-                 fine_step: float = 0.1) -> SteeredGain:
+def steered_gain(assembly: AntennaAssembly, mask, target: Direction) -> SteeredGain:
     """Realized gain and pointing of one mask, cheap two-pass evaluation.
 
-    A coarse hemisphere grid locates the global peak and supplies the
-    power normalization; a fine window around the coarse peak refines
-    the gain and the pointing error against ``target``.
+    A 1 deg hemisphere grid locates the global peak and supplies the
+    power normalization; a 0.1 deg window of +-3 deg around the coarse
+    peak refines the gain and the pointing error against ``target``.
     """
-    coarse = far_field(assembly, mask, *direction_grid(coarse_step))
+    window_deg, fine_step = 3.0, 0.1
+    coarse = far_field(assembly, mask, *direction_grid(1.0))
     intensity = np.abs(coarse.co_pol) ** 2
     i_el, i_az = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
     az0 = float(coarse.az_deg[i_az])

@@ -40,7 +40,8 @@ from .geometry import (
     IncidenceModel,
     RisArray,
 )
-from .link import FrameConfig, LinkScenario, PaModel, XpdModel
+from .link import PRB_TABLE_120KHZ, FrameConfig, LinkScenario, PaModel, XpdModel
+from .synthesis import SCAN_SECTOR
 
 
 class ScenarioError(Exception):
@@ -129,19 +130,69 @@ _FIELDS = {
     XpdModel: {"h": ("h_antenna_db",), "v": ("v_antenna_db",)},
 }
 
-# keys with no model dataclass home that commands read as plain values,
-# checked when the scenario resolves: dotted key -> (type hint, test the
-# coerced value must pass, what the test asks for)
+_AZ, _EL = SCAN_SECTOR
+
+
+def _any(value) -> bool:
+    """No test beyond the type hint's coercion."""
+    return True
+
+
+def _inside(lo, hi):
+    """Test that every number of a value (a number or a list) lies in [lo, hi]."""
+    return lambda v: all(lo <= x <= hi for x in (v if isinstance(v, (list, tuple)) else [v]))
+
+
+def _sector(lo, hi):
+    """Test that a pair of numbers is increasing and lies in [lo, hi]."""
+    return lambda v: v[0] < v[1] and _inside(lo, hi)(v)
+
+
+# keys that commands read as plain values, checked when the scenario
+# resolves: dotted key -> (type hint, test the coerced value must pass,
+# what the test asks for).  Directions and sectors must lie in the scan
+# sector that synthesis accepts.
 _LITERALS = {
     "rng_seed": (int, lambda v: v >= 0, "a non-negative integer"),
+    "element.max_rounds": (int, lambda v: v >= 0, "a non-negative integer"),
+    "element.trace": (bool, _any, ""),
+    "pattern.frequency_ghz": (float, lambda v: v > 0, "a positive number"),
+    "pattern.step_deg": (float, lambda v: v > 0, "a positive number"),
+    "pattern.target.az_deg": (float, _inside(*_AZ), f"an azimuth in {list(_AZ)} deg"),
+    "pattern.target.el_deg": (float, _inside(*_EL), f"an elevation in {list(_EL)} deg"),
+    "pattern.scan_az_deg": (list[float], _inside(*_AZ),
+                            f"a list of azimuths in {list(_AZ)} deg"),
+    "pattern.scan_el_deg": (list[float], _inside(*_EL),
+                            f"a list of elevations in {list(_EL)} deg"),
+    "pattern.widebeam.sector_az_deg": (tuple[float, float], _sector(*_AZ),
+                                       f"[lo, hi] with lo < hi in {list(_AZ)} deg"),
+    "pattern.widebeam.el_deg": (float, _inside(*_EL), f"an elevation in {list(_EL)} deg"),
+    "pattern.widebeam.n_subapertures": (int | None, lambda v: v is None or v >= 1,
+                                        "null or a positive integer"),
+    "pattern.incidence.enabled": (bool, _any, ""),
+    "pattern.compensate_incidence": (bool, _any, ""),
     "link.evm_symbols": (int, lambda v: v >= 1, "a positive integer"),
     "link.sweep_distances_m": (list[float], lambda v: v and min(v) > 0,
                                "a non-empty list of positive numbers"),
-    "pattern.step_deg": (float, lambda v: v > 0, "a positive number"),
+    "link.aclr.centers_ghz": (list[float], _any, ""),
+    "link.aclr.channel_bandwidth_mhz": (float, lambda v: round(v) in PRB_TABLE_120KHZ,
+                                        f"one of {sorted(PRB_TABLE_120KHZ)} MHz"),
+    "link.aclr.n_symbols": (int, lambda v: v >= 1, "a positive integer"),
+    "link.aclr.aod_az_deg": (list[float], _any, ""),
+    "link.stream_gains_dbi.h": (float, _any, ""),
+    "link.stream_gains_dbi.v": (float, _any, ""),
+    "training.n_levels": (int, lambda v: v >= 1, "a positive integer"),
+    "training.branching": (int, lambda v: v >= 2, "an integer of at least 2"),
+    "training.pilot_snr_db": (float, _any, ""),
     "training.n_trials": (int, lambda v: v >= 1, "a positive integer"),
+    "training.accept_threshold_db": (float, _any, ""),
+    "training.sector_az_deg": (tuple[float, float], _sector(*_AZ),
+                               f"[lo, hi] with lo < hi in {list(_AZ)} deg"),
+    "training.el_deg": (float, _inside(*_EL), f"an elevation in {list(_EL)} deg"),
 }
 
-_KINDS = {float: "a finite number", int: "an integer", str: "a string"}
+_KINDS = {float: "a finite number", int: "an integer", str: "a string",
+          bool: "true or false"}
 
 _hints = functools.cache(typing.get_type_hints)
 
@@ -150,8 +201,8 @@ def _coerce(raw, hint, dotted: str):
     """``raw`` as a value of type ``hint``, or a ScenarioError naming ``dotted``.
 
     Knows the hints of the model fields and of ``_LITERALS``: float, int,
-    str, X | None, fixed-length tuple[...] and list[X]; any other hint
-    passes the value through.
+    str, bool, X | None, fixed-length tuple[...] and list[X]; any other
+    hint passes the value through.
     """
     args = typing.get_args(hint)
     if type(None) in args:                                   # X | None
@@ -166,9 +217,9 @@ def _coerce(raw, hint, dotted: str):
         if isinstance(raw, list):
             return [_coerce(v, args[0], dotted) for v in raw]
         raise ScenarioError(f"{dotted} must be a list, got {raw!r}")
-    if hint not in _KINDS or (hint is str and isinstance(raw, str)):
+    if hint not in _KINDS or (hint in (str, bool) and isinstance(raw, hint)):
         return raw
-    if hint is not str and not isinstance(raw, bool):
+    if hint in (int, float) and not isinstance(raw, bool):
         with contextlib.suppress(TypeError, ValueError, OverflowError):
             value = float(raw)          # numeric text too: YAML reads 1e3 as a string
             if math.isfinite(value) and (hint is float or value.is_integer()):
@@ -287,7 +338,7 @@ class Scenario:
     def build_assembly(self) -> AntennaAssembly:
         p = self.data["pattern"]
         model = (_build(IncidenceModel, p["incidence"], "pattern.incidence")
-                 if p["incidence"]["enabled"] else None)
+                 if self.literal("pattern.incidence.enabled") else None)
         return _build(AntennaAssembly, p, "pattern", array=self.build_array(),
                       feed=self.build_feed(), incidence_model=model,
                       element_circuit=self.build_design_circuit())

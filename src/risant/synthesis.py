@@ -21,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import db10
 from .geometry import AntennaAssembly, Direction, incidence_angles
 from .pattern import (
     PhaseMask,
-    direction_grid,
     far_field,
     illumination,
     resolve_reflections,
@@ -35,7 +33,7 @@ from .pattern import (
 )
 
 # Synthesis is allowed anywhere inside this azimuth/elevation sector.
-DEFAULT_SCAN_SECTOR = ((-60.0, 60.0), (-30.0, 30.0))
+SCAN_SECTOR = ((-60.0, 60.0), (-30.0, 30.0))
 
 DEFAULT_ACCEPT_THRESHOLD_DB = -6.0
 
@@ -75,8 +73,8 @@ def group_circular_mean(assembly: AntennaAssembly, phases_deg: np.ndarray) -> np
     return np.mod(np.mod(np.degrees(np.angle(sums)), 360.0), 360.0)
 
 
-def _check_sector(target: Direction, scan_sector) -> None:
-    (az_lo, az_hi), (el_lo, el_hi) = scan_sector
+def _check_sector(target: Direction) -> None:
+    (az_lo, az_hi), (el_lo, el_hi) = SCAN_SECTOR
     if not (az_lo <= target.az_deg <= az_hi and el_lo <= target.el_deg <= el_hi):
         raise ValueError(
             f"target (az={target.az_deg}, el={target.el_deg}) outside the scan sector "
@@ -106,10 +104,9 @@ class Codeword:
 
 
 def synthesize_codeword(assembly: AntennaAssembly, target: Direction,
-                        compensate_incidence: bool = False,
-                        scan_sector=DEFAULT_SCAN_SECTOR) -> Codeword:
+                        compensate_incidence: bool = False) -> Codeword:
     """Grouped one-bit codeword steering the beam toward ``target``."""
-    _check_sector(target, scan_sector)
+    _check_sector(target)
     phases = required_phases(assembly, target, compensate_incidence)
     fused = group_circular_mean(assembly, phases)
     return Codeword(states=quantize_one_bit(fused), target=target)
@@ -138,15 +135,13 @@ class ScanPoint:
 
 
 def scan_evaluation(assembly: AntennaAssembly, targets,
-                    compensate_incidence: bool = False,
-                    scan_sector=DEFAULT_SCAN_SECTOR) -> list[ScanPoint]:
+                    compensate_incidence: bool = False) -> list[ScanPoint]:
     """Synthesize and evaluate one-bit beams for a list of directions."""
-    broadside = synthesize_codeword(assembly, Direction(0.0, 0.0), compensate_incidence,
-                                    scan_sector)
+    broadside = synthesize_codeword(assembly, Direction(0.0, 0.0), compensate_incidence)
     g0 = steered_gain(assembly, broadside.mask, Direction(0.0, 0.0)).gain_dbi
     points = []
     for target in targets:
-        cw = synthesize_codeword(assembly, target, compensate_incidence, scan_sector)
+        cw = synthesize_codeword(assembly, target, compensate_incidence)
         sg = steered_gain(assembly, cw.mask, target)
         points.append(ScanPoint(
             target=target,
@@ -186,8 +181,7 @@ def estimate_hpbw_deg(assembly: AntennaAssembly) -> float:
 def synthesize_wide_beam(assembly: AntennaAssembly, sector_az: tuple[float, float],
                          el_deg: float = 0.0, n_subapertures: int | None = None,
                          quantize: bool = True,
-                         evaluate_ripple: bool = True,
-                         scan_sector=DEFAULT_SCAN_SECTOR) -> WideBeamResult:
+                         evaluate_ripple: bool = True) -> WideBeamResult:
     """Sector beam from contiguous column strips steered across the sector.
 
     Each strip of columns reuses the narrow-beam synthesis restricted to
@@ -199,8 +193,8 @@ def synthesize_wide_beam(assembly: AntennaAssembly, sector_az: tuple[float, floa
     lo, hi = sector_az
     if not (lo < hi):
         raise ValueError(f"sector bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    _check_sector(Direction(lo, el_deg), scan_sector)
-    _check_sector(Direction(hi, el_deg), scan_sector)
+    _check_sector(Direction(lo, el_deg))
+    _check_sector(Direction(hi, el_deg))
     width = hi - lo
     hpbw = estimate_hpbw_deg(assembly)
     note = ""
@@ -238,10 +232,9 @@ def synthesize_wide_beam(assembly: AntennaAssembly, sector_az: tuple[float, floa
     if evaluate_ripple:
         inset = 0.1 * width
         az = np.arange(lo + inset, hi - inset + 1e-9, min(0.25, width / 40))
-        sector_pattern = far_field(assembly, mask, az, np.array([el_deg]))
-        norm = far_field(assembly, mask, *direction_grid(1.0))
-        gains = (db10(np.abs(sector_pattern.co_pol[0]) ** 2 * 4 * math.pi / norm.power_total)
-                 + norm.gain_offset_db)
+        # the power normalization and gain offset are one constant over
+        # the cut, so they cancel in max - min
+        gains = far_field(assembly, mask, az, np.array([el_deg])).gain_dbi()[0]
         ripple = float(np.max(gains) - np.min(gains))
     return WideBeamResult(codeword=codeword, phases_deg=phases_out,
                           n_subapertures=n_subapertures, ripple_db=ripple, note=note)

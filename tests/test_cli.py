@@ -315,6 +315,16 @@ class TestFailureModes:
         ("train", "training.n_trials", "0"),
         ("pattern", "pattern.step_deg", "0"),
         ("evm-sweep", "link.sweep_distances_m", "[]"),
+        ("widebeam", "pattern.widebeam.n_subapertures", "foo"),
+        ("aclr-sweep", "link.aclr.n_symbols", "foo"),
+        ("element-opt", "element.max_rounds", "foo"),
+        ("element-opt", "element.trace", "foo"),
+        ("dual-stream", "link.stream_gains_dbi.h", "foo"),
+        ("train", "training.branching", "0"),
+        ("widebeam", "pattern.widebeam.sector_az_deg", "[10.0,-10.0]"),
+        ("pattern", "pattern.target.az_deg", "80"),
+        ("steer", "pattern.scan_az_deg", "[80.0]"),
+        ("train", "training.sector_az_deg", "[-80.0,80.0]"),
     ])
     def test_bad_literal_value_exits_2(self, command, flag, value, tmp_path, capsys):
         rc = main([command, f"--{flag}", value, "--out", str(tmp_path)])
@@ -322,6 +332,13 @@ class TestFailureModes:
         assert rc == 2
         assert "scenario error" in err and flag in err
         assert "Traceback" not in err
+
+    def test_steer_without_targets_exits_2(self, tmp_path, capsys):
+        rc = main(["steer", "--pattern.scan_az_deg", "[]", "--pattern.scan_el_deg", "[]",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "pattern.scan_az_deg" in err and "Traceback" not in err
 
     def test_strict_element_opt_exits_3_on_unreachable_target(self, tmp_path,
                                                               capsys):

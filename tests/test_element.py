@@ -24,7 +24,6 @@ from risant.element import (
     element_impedance,
     geometry_to_circuit,
     optimize_structure,
-    phase_difference,
     reflection_coefficient,
     state_metrics,
 )
@@ -161,7 +160,7 @@ class TestPhaseDifference:
         z_on = element_impedance(circuit, "on", REF_GHZ)
         z_off = element_impedance(circuit, "off", REF_GHZ)
         assert abs(z_on - z_off) / abs(z_on) < 1e-6
-        assert abs(phase_difference(circuit, REF_GHZ)) < 1e-3
+        assert abs(state_metrics(circuit, REF_GHZ)[2]) < 1e-3
 
     def test_equals_wrapped_subtraction(self):
         rng = np.random.default_rng(19)
@@ -170,7 +169,7 @@ class TestPhaseDifference:
             on = reflection_coefficient(c, "on", REF_GHZ)
             off = reflection_coefficient(c, "off", REF_GHZ)
             expected = wrap_deg(on.phase_deg - off.phase_deg)
-            assert phase_difference(c, REF_GHZ) == pytest.approx(float(expected), abs=1e-12)
+            assert state_metrics(c, REF_GHZ)[2] == pytest.approx(float(expected), abs=1e-12)
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

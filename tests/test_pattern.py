@@ -29,15 +29,16 @@ from risant.pattern import (
     direction_grid,
     directivity_upper_bound,
     far_field,
-    field_toward,
     illumination,
     pattern_metrics,
     resolve_reflections,
     spillover_efficiency,
     state_reflections,
     steered_gain,
+    steering_row,
     taper_efficiency,
 )
+from risant.synthesis import synthesize_codeword
 
 
 def _plane_wave_assembly(n_x=32, n_y=1):
@@ -58,6 +59,15 @@ class TestDirectionGrid:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             direction_grid(0.0)
+
+    @given(st.floats(min_value=0.01, max_value=2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_axes_stop_at_plus_ninety(self, step):
+        # a step that does not divide 180 (0.38, say) ends short of +90
+        for axis in direction_grid(step):
+            assert axis[0] == -90.0
+            np.testing.assert_allclose(np.diff(axis), step, rtol=1e-9)
+            assert 90.0 - step < axis[-1] <= 90.0
 
 
 class TestIllumination:
@@ -299,9 +309,8 @@ class TestFarField:
             warnings.simplefilter("ignore")
             pat = far_field(small_assembly, gamma, np.array([12.0]),
                             np.array([-7.0]))
-        assert field_toward(small_assembly, gamma, d) == pytest.approx(
-            complex(pat.co_pol[0, 0]), rel=1e-12
-        )
+        row = steering_row(small_assembly, illumination(small_assembly), d)
+        assert complex(row @ gamma) == pytest.approx(complex(pat.co_pol[0, 0]), rel=1e-12)
 
     def test_two_coherent_elements_quadruple_the_power(self):
         asm = AntennaAssembly(
@@ -377,11 +386,11 @@ class TestPatternMetrics:
         # (rectangle-rule quadrature on the 1 deg grid costs a few hundredths)
         assert m.peak_gain_dbi == pytest.approx(db10(2.0), abs=0.05)
 
-    def test_uniform_line_matches_dirichlet_sidelobe(self):
+    def test_uniform_line_matches_dirichlet_sidelobe(self, monkeypatch):
         asm = _plane_wave_assembly(32, 1)
         az = np.arange(-90.0, 90.0 + 1e-9, 0.02)
-        pat = far_field(asm, np.ones(32, dtype=complex), az, np.array([0.0]),
-                        element_exponent=0.0)
+        monkeypatch.setattr(pattern, "ELEMENT_EXPONENT", 0.0)
+        pat = far_field(asm, np.ones(32, dtype=complex), az, np.array([0.0]))
         m = pattern_metrics(pat)
         assert m.peak_direction.az_deg == pytest.approx(0.0, abs=0.02)
         assert m.sll_db == pytest.approx(-13.232886761906704, abs=0.05)
@@ -438,6 +447,20 @@ class TestDirectivityBound:
 
 
 class TestSteeredGain:
+    @given(st.floats(min_value=-60.0, max_value=60.0),
+           st.floats(min_value=0.0, max_value=30.0))
+    @settings(max_examples=6, deadline=None)
+    def test_bounded_and_mirror_symmetric(self, assembly, az, el):
+        # the default feed sits on y = 0 and bias groups pair rows
+        # symmetrically, so (az, el) and (az, -el) are mirror images
+        up, down = Direction(az, el), Direction(az, -el)
+        sg_up = steered_gain(assembly, synthesize_codeword(assembly, up).mask, up)
+        sg_down = steered_gain(assembly, synthesize_codeword(assembly, down).mask, down)
+        bound = directivity_upper_bound(assembly.array.aperture_m2, assembly.frequency_ghz)
+        assert sg_up.gain_dbi <= bound and sg_down.gain_dbi <= bound
+        assert sg_up.gain_dbi == pytest.approx(sg_down.gain_dbi, abs=1e-9)
+        assert sg_up.pointing_error_deg == pytest.approx(sg_down.pointing_error_deg, abs=1e-9)
+
     def test_consistent_with_full_metrics(self, small_assembly):
         gamma = np.exp(-1j * np.angle(illumination(small_assembly)))
         target = Direction(0.0, 0.0)

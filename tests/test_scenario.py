@@ -212,11 +212,21 @@ class TestSingleSourceOfDefaults:
             np.testing.assert_array_equal(getattr(built, f.name), getattr(default, f.name))
 
     def test_default_hash_is_pinned(self):
-        # any moved default changes it, e.g. feed.gain_dbi 11.76 for null
+        # any moved default changes it, e.g. frame.overhead 0.18 for 0.14
         assert resolve_scenario(None).hash() == (
-            "49da47647279a89fd3ba3a3c1cecaa62037b7c38a4ed07c4d8815c78c2658f68")
+            "40fb67fc303b1d6621491129e84592e8aabd483fce9e65b08b682bc6002e6255")
 
     def test_removed_link_aod_flag_is_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["rate", "--link.aod.az_deg", "1"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("section, key", [("feed", "gain_dbi"),
+                                              ("link", "lna_gain_db")])
+    def test_removed_unread_key_is_rejected(self, section, key):
+        # the keys fed model fields that no output read
+        with pytest.raises(ScenarioError, match=f"unknown key '{section}.{key}'"):
+            resolve_scenario({section: {key: 99.0}})
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rate", f"--{section}.{key}", "99"])
         assert excinfo.value.code == 2

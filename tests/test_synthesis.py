@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risant import synthesis
+from risant.constants import db10
 from risant.geometry import AntennaAssembly, Direction, FeedModel, IncidenceModel, RisArray
-from risant.pattern import state_reflections, steered_gain
+from risant.pattern import direction_grid, far_field, state_reflections, steered_gain
 from risant.synthesis import (
     Codeword,
     build_codebook,
@@ -229,6 +231,26 @@ class TestWideBeam:
         assert wb.phases_deg is not None and wb.phases_deg.shape == (1024,)
         quant = synthesize_wide_beam(assembly, (0.0, 30.0), evaluate_ripple=False)
         assert quant.phases_deg is None and quant.codeword is not None
+
+    @pytest.mark.parametrize("sector", [(-15.0, 15.0), (-60.0, 60.0), (-1.0, 1.0)])
+    def test_ripple_takes_one_far_field_call(self, assembly, monkeypatch, sector):
+        # the cut's power normalization and gain offset cancel in max - min,
+        # so the ripple equals the hemisphere-normalized one without its pass
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return far_field(*args)
+
+        monkeypatch.setattr(synthesis, "far_field", counting)
+        wb = synthesize_wide_beam(assembly, sector)
+        assert len(calls) == 1
+        _, mask, az, el = calls[0]
+        cut = far_field(assembly, mask, az, el)
+        hemisphere = far_field(assembly, mask, *direction_grid(1.0))
+        gains = (db10(np.abs(cut.co_pol[0]) ** 2 * 4 * math.pi / hemisphere.power_total)
+                 + hemisphere.gain_offset_db)
+        assert wb.ripple_db == pytest.approx(np.max(gains) - np.min(gains), rel=1e-12)
 
     def test_sector_validation(self, assembly):
         with pytest.raises(ValueError, match="lo < hi"):
