@@ -66,7 +66,6 @@ from .link import (
 from .pattern import (
     FarFieldPattern,
     PatternMetrics,
-    PhaseMask,
     SteeredGain,
     direction_grid,
     directivity_upper_bound,

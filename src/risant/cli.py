@@ -35,6 +35,7 @@ from .link import (
     dl_duty,
     dual_stream_sinr,
     evm_closed_form,
+    evm_vs_distance,
     link_budget,
     measure_aclr,
     peak_rate_3gpp,
@@ -147,7 +148,7 @@ def cmd_pattern(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     cw = synthesize_codeword(asm, target, scn.literal("pattern.compensate_incidence"))
     step = scn.literal("pattern.step_deg")
     az, el = direction_grid(step)
-    pat = far_field(asm, cw.mask, az, el)
+    pat = far_field(asm, cw, az, el)
     metrics = pattern_metrics(pat)
     gain = pat.gain_dbi()
 
@@ -209,7 +210,7 @@ def cmd_widebeam(scn: Scenario, out: str, args) -> tuple[list[str], str]:
         asm, sector, el_deg=el,
         n_subapertures=scn.literal("pattern.widebeam.n_subapertures"))
     az = np.arange(sector[0] - 10.0, sector[1] + 10.0 + 1e-9, 0.25)
-    pat = far_field(asm, result.codeword.mask, az, np.array([el]))
+    pat = far_field(asm, result.codeword, az, np.array([el]))
     gain = pat.gain_dbi()[0]
     outputs = [
         write_json(os.path.join(out, "widebeam.json"), {
@@ -279,13 +280,7 @@ def cmd_link(scn: Scenario, out: str, args) -> tuple[list[str], str]:
 
 
 def cmd_evm_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
-    ls = scn.build_link()
-    distances = scn.literal("link.sweep_distances_m")
-    rows = []
-    for d in distances:
-        snr = link_budget(replace(ls, d_m=d))
-        evm = evm_closed_form(snr, ls.tx_evm_floor)
-        rows.append((d, snr, 100.0 * evm, evm <= EVM_LIMIT))
+    rows = evm_vs_distance(scn.build_link(), scn.literal("link.sweep_distances_m"))
     outputs = [
         write_csv(os.path.join(out, "evm_sweep.csv"),
                   ["d_m", "snr_db", "evm_pct", "pass_8pct"], rows),

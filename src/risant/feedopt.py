@@ -167,7 +167,7 @@ def realized_feed_gain(assembly: AntennaAssembly, position_mm) -> float:
     """One-bit realized broadside gain of the assembly with the feed moved."""
     moved = _with_feed(assembly, position_mm)
     codeword = synthesize_codeword(moved, _BROADSIDE)
-    return steered_gain(moved, codeword.mask, _BROADSIDE).gain_dbi
+    return steered_gain(moved, codeword, _BROADSIDE).gain_dbi
 
 
 def refine_feed(assembly: AntennaAssembly, candidate_mm,

@@ -221,16 +221,18 @@ def simulate_evm(scenario: LinkScenario, n_symbols: int = 100_000,
                            scenario.modulation, n_symbols, rng_seed)
 
 
-def evm_vs_distance(scenario: LinkScenario, d_list) -> list[tuple[float, float, bool]]:
-    """Closed-form EVM table over distance: rows (d_m, evm_percent, pass_8pct)."""
+def evm_vs_distance(scenario: LinkScenario,
+                    d_list) -> list[tuple[float, float, float, bool]]:
+    """Closed-form EVM table over ascending distances (ties allowed): rows
+    (d_m, snr_db, evm_percent, pass_8pct)."""
     d_arr = [float(d) for d in d_list]
-    if any(b <= a for a, b in zip(d_arr, d_arr[1:])):
-        raise ValueError("distance list must be strictly ascending")
+    if any(b < a for a, b in zip(d_arr, d_arr[1:])):
+        raise ValueError("distance list must be ascending")
     rows = []
     for d in d_arr:
         snr = link_budget(replace(scenario, d_m=d))
         evm = evm_closed_form(snr, scenario.tx_evm_floor)
-        rows.append((d, 100.0 * evm, evm <= EVM_LIMIT))
+        rows.append((d, snr, 100.0 * evm, evm <= EVM_LIMIT))
     return rows
 
 

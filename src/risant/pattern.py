@@ -137,18 +137,6 @@ def illumination(assembly: AntennaAssembly, normalize: bool = True) -> np.ndarra
     return a
 
 
-@dataclass(frozen=True)
-class PhaseMask:
-    """Binary state per bias group, resolved through the element circuit."""
-
-    states: np.ndarray  # uint8, one entry per group
-
-    def __post_init__(self):
-        states = np.asarray(self.states)
-        if states.ndim != 1 or not np.all((states == 0) | (states == 1)):
-            raise ValueError("mask states must be a flat array of 0/1")
-
-
 def state_reflections(assembly: AntennaAssembly):
     """(Gamma_off, Gamma_on) of the element circuit at the assembly frequency."""
     off = reflection_coefficient(assembly.element_circuit, "off", assembly.frequency_ghz)
@@ -159,9 +147,9 @@ def state_reflections(assembly: AntennaAssembly):
 def resolve_reflections(assembly: AntennaAssembly, mask) -> np.ndarray:
     """Per-element complex reflection coefficients for a mask.
 
-    ``mask`` may be a :class:`PhaseMask` (or anything with group
-    ``states``), or an explicit per-element complex array which is
-    passed through.  The assembly's incidence model, when present,
+    ``mask`` may be a codeword (anything with 0/1 group ``states``), the
+    group states themselves, or an explicit per-element complex array
+    which is passed through.  The assembly's incidence model, when present,
     applies its quadratic phase shift and cosine amplitude roll-off
     using each element's angle seen from the feed.
     """
@@ -190,15 +178,16 @@ def resolve_reflections(assembly: AntennaAssembly, mask) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FarFieldPattern:
-    """Sampled co- and cross-polar fields on a regular (az, el) grid."""
+    """Sampled co-polar field on a regular (az, el) grid; the cross-polar
+    field is the co-polar one scaled by a constant, so only its ratio is
+    kept."""
 
     az_deg: np.ndarray
     el_deg: np.ndarray
     co_pol: np.ndarray        # complex, shape (n_el, n_az)
-    cross_pol: np.ndarray     # complex, same shape
-    power_total: float        # hemisphere-integrated radiated power
+    cross_pol_db: float       # cross-polar to co-polar field ratio, dB
+    power_total: float        # hemisphere-integrated radiated power, both pols
     gain_offset_db: float     # 10*log10(eta_s * eta_i * reflection efficiency)
-    frequency_ghz: float
 
     def __post_init__(self):
         az = np.asarray(self.az_deg)
@@ -209,8 +198,8 @@ class FarFieldPattern:
             raise ValueError("grid axes must be strictly increasing")
         if self.co_pol.shape != (el.size, az.size):
             raise ValueError("field shape must be (n_el, n_az)")
-        if not (np.all(np.isfinite(self.co_pol)) and np.all(np.isfinite(self.cross_pol))):
-            raise ValueError("pattern fields must be finite")
+        if not np.all(np.isfinite(self.co_pol)):
+            raise ValueError("pattern field must be finite")
         if self.power_total <= 0:
             raise ValueError("integrated power must be positive")
 
@@ -275,9 +264,9 @@ def _integrate_power(az_deg, el_deg, field) -> float:
 def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPattern:
     """Far-field pattern of the fed array for one reflection state.
 
-    ``mask`` is a :class:`PhaseMask` or an explicit per-element complex
-    reflection array.  Warns when the grid is too coarse to resolve the
-    main lobe of the full-size array.
+    ``mask`` is a codeword or an explicit per-element complex reflection
+    array (see :func:`resolve_reflections`).  Warns when the grid is too
+    coarse to resolve the main lobe of the full-size array.
     """
     az_deg = np.asarray(az_deg, dtype=float)
     el_deg = np.asarray(el_deg, dtype=float)
@@ -300,18 +289,15 @@ def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPatter
                         assembly.k_per_mm, az_deg, el_deg)
     uz = np.outer(np.cos(np.radians(el_deg)), np.cos(np.radians(az_deg)))
     co *= np.clip(uz, 0.0, None) ** ELEMENT_EXPONENT
-    xp_ratio = 10.0 ** (assembly.cross_pol_db / 20.0)
-    cross = co * xp_ratio
-
     # the cross-polar field is a scaled copy, so its power is too
+    xp_ratio = 10.0 ** (assembly.cross_pol_db / 20.0)
     power = _integrate_power(az_deg, el_deg, co) * (1.0 + xp_ratio**2)
     eta_s = spillover_efficiency(assembly)
     eta_i = taper_efficiency(np.abs(illum))
     offset = db10(eta_s * eta_i * REFLECTION_EFFICIENCY)
     return FarFieldPattern(
-        az_deg=az_deg, el_deg=el_deg, co_pol=co, cross_pol=cross,
+        az_deg=az_deg, el_deg=el_deg, co_pol=co, cross_pol_db=assembly.cross_pol_db,
         power_total=power, gain_offset_db=float(offset),
-        frequency_ghz=assembly.frequency_ghz,
     )
 
 
@@ -394,15 +380,13 @@ def pattern_metrics(pattern: FarFieldPattern) -> PatternMetrics:
         if pattern.el_deg.size > 1:
             hpbw_el = _hpbw(pattern.el_deg, el_cut, i_el)
 
-    xp_peak = float(np.max(np.abs(pattern.cross_pol) ** 2))
-    xp_db = db10(xp_peak / peak) if xp_peak > 0 else -math.inf
     return PatternMetrics(
         peak_gain_dbi=float(gain),
         peak_direction=Direction(float(pattern.az_deg[i_az]), float(pattern.el_deg[i_el])),
         sll_db=sll,
         hpbw_az_deg=float(hpbw_az),
         hpbw_el_deg=float(hpbw_el),
-        cross_pol_db=float(xp_db),
+        cross_pol_db=pattern.cross_pol_db,
     )
 
 

@@ -172,8 +172,8 @@ _LITERALS = {
     "pattern.incidence.enabled": (bool, _any, ""),
     "pattern.compensate_incidence": (bool, _any, ""),
     "link.evm_symbols": (int, lambda v: v >= 1, "a positive integer"),
-    "link.sweep_distances_m": (list[float], lambda v: v and min(v) > 0,
-                               "a non-empty list of positive numbers"),
+    "link.sweep_distances_m": (list[float], lambda v: v and min(v) > 0 and v == sorted(v),
+                               "a non-empty ascending list of positive numbers"),
     "link.aclr.centers_ghz": (list[float], _any, ""),
     "link.aclr.channel_bandwidth_mhz": (float, lambda v: round(v) in PRB_TABLE_120KHZ,
                                         f"one of {sorted(PRB_TABLE_120KHZ)} MHz"),
@@ -283,26 +283,23 @@ def _set_dotted(data: dict, dotted: str, value):
     node[leaf] = value
 
 
-def parse_override(text: str) -> tuple[str, object]:
-    """Split 'dotted.name=value' and YAML-parse the value."""
-    if "=" not in text:
-        raise ScenarioError(f"override '{text}' must look like name=value")
-    dotted, raw = text.split("=", 1)
-    dotted = dotted.strip()
-    if not dotted:
-        raise ScenarioError(f"override '{text}' has an empty name")
-    try:
-        value = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"cannot parse override value '{raw}': {exc}") from exc
-    return dotted, value
+def _literal(data: dict, dotted: str):
+    """The value of a key of ``_LITERALS`` in ``data``, coerced and checked."""
+    hint, valid, must = _LITERALS[dotted]
+    raw = functools.reduce(dict.__getitem__, dotted.split("."), data)
+    value = _coerce(raw, hint, dotted)
+    if not valid(value):
+        raise ScenarioError(f"{dotted} must be {must}, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully resolved configuration; `data` is the merged plain mapping."""
+    """Fully resolved configuration; `data` is the merged plain mapping and
+    `literals` the checked value of every ``_LITERALS`` key."""
 
     data: dict
+    literals: dict
 
     # -- access -----------------------------------------------------------
 
@@ -311,13 +308,8 @@ class Scenario:
         return self.literal("rng_seed")
 
     def literal(self, dotted: str):
-        """The value of a key of ``_LITERALS``, coerced and checked."""
-        hint, valid, must = _LITERALS[dotted]
-        raw = functools.reduce(dict.__getitem__, dotted.split("."), self.data)
-        value = _coerce(raw, hint, dotted)
-        if not valid(value):
-            raise ScenarioError(f"{dotted} must be {must}, got {raw!r}")
-        return value
+        """The checked value of a key of ``_LITERALS``."""
+        return self.literals[dotted]
 
     def section(self, name: str) -> dict:
         return self.data[name]
@@ -388,15 +380,12 @@ class Scenario:
 
 
 def resolve_scenario(user_data: dict | None, overrides=()) -> Scenario:
-    """Merge user data over the defaults and apply dotted overrides."""
+    """Merge user data over the defaults and apply ``(dotted, value)``
+    overrides; a bad literal value fails here, before any command runs."""
     merged = _merge(DEFAULT_SCENARIO, user_data or {})
-    for item in overrides:
-        dotted, value = item if isinstance(item, tuple) else parse_override(item)
+    for dotted, value in overrides:
         _set_dotted(merged, dotted, value)
-    scenario = Scenario(data=merged)
-    for dotted in _LITERALS:          # a bad value fails before any command runs
-        scenario.literal(dotted)
-    return scenario
+    return Scenario(data=merged, literals={d: _literal(merged, d) for d in _LITERALS})
 
 
 def load_scenario(path: str | None, overrides=()) -> Scenario:

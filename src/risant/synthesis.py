@@ -23,7 +23,6 @@ import numpy as np
 
 from .geometry import AntennaAssembly, Direction, incidence_angles
 from .pattern import (
-    PhaseMask,
     far_field,
     illumination,
     resolve_reflections,
@@ -84,23 +83,14 @@ def _check_sector(target: Direction) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Codeword:
-    """One-bit states per bias group plus the intent that produced them."""
+    """One-bit states per bias group, resolved through the element circuit."""
 
     states: np.ndarray
-    target: Direction | None = None
-    sector: tuple[float, float] | None = None   # azimuth sector covered, deg
 
     def __post_init__(self):
         states = np.asarray(self.states)
         if states.ndim != 1 or not np.all((states == 0) | (states == 1)):
             raise ValueError("codeword states must be a flat 0/1 array")
-
-    @property
-    def mask(self) -> PhaseMask:
-        return PhaseMask(states=np.asarray(self.states, dtype=np.uint8))
-
-    def bitstring(self) -> str:
-        return "".join("1" if s else "0" for s in np.asarray(self.states))
 
 
 def synthesize_codeword(assembly: AntennaAssembly, target: Direction,
@@ -109,7 +99,7 @@ def synthesize_codeword(assembly: AntennaAssembly, target: Direction,
     _check_sector(target)
     phases = required_phases(assembly, target, compensate_incidence)
     fused = group_circular_mean(assembly, phases)
-    return Codeword(states=quantize_one_bit(fused), target=target)
+    return Codeword(states=quantize_one_bit(fused))
 
 
 def continuous_reflections(assembly: AntennaAssembly, phases_deg: np.ndarray,
@@ -138,11 +128,11 @@ def scan_evaluation(assembly: AntennaAssembly, targets,
                     compensate_incidence: bool = False) -> list[ScanPoint]:
     """Synthesize and evaluate one-bit beams for a list of directions."""
     broadside = synthesize_codeword(assembly, Direction(0.0, 0.0), compensate_incidence)
-    g0 = steered_gain(assembly, broadside.mask, Direction(0.0, 0.0)).gain_dbi
+    g0 = steered_gain(assembly, broadside, Direction(0.0, 0.0)).gain_dbi
     points = []
     for target in targets:
         cw = synthesize_codeword(assembly, target, compensate_incidence)
-        sg = steered_gain(assembly, cw.mask, target)
+        sg = steered_gain(assembly, cw, target)
         points.append(ScanPoint(
             target=target,
             pointing_error_deg=sg.pointing_error_deg,
@@ -220,8 +210,7 @@ def synthesize_wide_beam(assembly: AntennaAssembly, sector_az: tuple[float, floa
     phases_out = None
     if quantize:
         fused = group_circular_mean(assembly, phases)
-        codeword = Codeword(states=quantize_one_bit(fused), sector=(lo, hi))
-        mask = codeword.mask
+        codeword = mask = Codeword(states=quantize_one_bit(fused))
     else:
         if n_subapertures > 1:
             phases = _align_strip_phases(assembly, phases, strip, sector_az, el_deg)
@@ -333,7 +322,7 @@ def build_codebook(assembly: AntennaAssembly, sector_az=(-60.0, 60.0),
                 else:
                     refl = continuous_reflections(assembly, wb.phases_deg)
             if cw is not None:
-                refl = resolve_reflections(assembly, cw.mask)
+                refl = resolve_reflections(assembly, cw)
             entries.append(CodebookEntry(reflections=refl, sector_az=(s_lo, s_hi),
                                          center=center, codeword=cw))
         levels.append(entries)
@@ -401,15 +390,12 @@ def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Directio
                 for i in children]
         pilots += len(children)
         top = int(np.argmax(meas))
-        if widening and meas[top] < parent_power * threshold and level >= 1:
+        if widening and meas[top] < parent_power * threshold:
             # Suspicious drop: re-expand to every level entry under the
-            # grandparent (one retry per level).
-            grandparent = best // codebook.branching if level >= 2 else None
-            if grandparent is None:
-                wide = list(range(len(codebook.levels[level])))
-            else:
-                lo = grandparent * codebook.branching ** 2
-                wide = list(range(lo, lo + codebook.branching ** 2))
+            # grandparent (one retry per level; at level 1 the root, whose
+            # grandchildren are the whole level).
+            lo = best // codebook.branching * codebook.branching ** 2
+            wide = list(range(lo, lo + codebook.branching ** 2))
             meas = [_measure(row, codebook.levels[level][i], noise_scale, rng)
                     for i in wide]
             pilots += len(wide)

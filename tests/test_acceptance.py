@@ -112,7 +112,7 @@ def test_criterion_03_element_design(report):
 def test_criterion_04_broadside_pattern(assembly, report):
     t0 = time.perf_counter()
     codeword = synthesize_codeword(assembly, Direction(0.0, 0.0))
-    pattern = far_field(assembly, codeword.mask, *direction_grid(0.25))
+    pattern = far_field(assembly, codeword, *direction_grid(0.25))
     metrics = pattern_metrics(pattern)
     elapsed = time.perf_counter() - t0
     ok = (abs(metrics.peak_gain_dbi - 22.2) <= 3.0
@@ -155,7 +155,7 @@ def test_criterion_06_quantization_loss(assembly, report):
     for az in rng.uniform(-60.0, 60.0, 100):
         target = Direction(float(az), 0.0)
         codeword = synthesize_codeword(assembly, target)
-        quantized = steered_gain(assembly, codeword.mask, target).gain_dbi
+        quantized = steered_gain(assembly, codeword, target).gain_dbi
         ideal = continuous_reflections(
             assembly, required_phases(assembly, target), "state-average")
         continuous = steered_gain(assembly, ideal, target).gain_dbi
@@ -179,8 +179,8 @@ def test_criterion_07_engine_cross_checks(assembly, continuous_codebook, report)
     el = np.sort(rng.uniform(-90.0, 90.0, 5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # 50 scattered points, not a lobe scan
-        pattern = far_field(assembly, codeword.mask, az, el)
-    coeffs = illumination(assembly) * resolve_reflections(assembly, codeword.mask)
+        pattern = far_field(assembly, codeword, az, el)
+    coeffs = illumination(assembly) * resolve_reflections(assembly, codeword)
     positions = assembly.array.positions_mm()
     k = assembly.k_per_mm
     worst = 0.0
@@ -231,18 +231,18 @@ def test_criterion_08_evm_chain(scenario, report):
         rel_errors.append(abs(simulated - closed) / closed)
     distances = scenario.section("link")["sweep_distances_m"]
     rows = evm_vs_distance(link, distances)
-    evm_pct = [r[1] for r in rows]
+    evm_pct = [r[2] for r in rows]
     monotone = all(b >= a for a, b in zip(evm_pct, evm_pct[1:]))
     elapsed = time.perf_counter() - t0
     ok = (max(rel_errors) <= 0.02 and monotone and evm_pct[-1] <= 8.0
-          and rows[-1][2] and elapsed < 60.0)
+          and rows[-1][3] and elapsed < 60.0)
     report(8, ok, f"EVM: Monte Carlo within {100 * max(rel_errors):.2f}% of "
                    f"closed form at 4 SNRs (<=2%), monotone over distance, "
                    f"{evm_pct[-1]:.2f}% at {rows[-1][0]:.0f} m (<=8%)", elapsed)
     assert max(rel_errors) <= 0.02
     assert monotone
     assert evm_pct[-1] <= 8.0
-    assert rows[-1][2]
+    assert rows[-1][3]
     assert elapsed < 60.0
 
 

@@ -315,6 +315,7 @@ class TestFailureModes:
         ("train", "training.n_trials", "0"),
         ("pattern", "pattern.step_deg", "0"),
         ("evm-sweep", "link.sweep_distances_m", "[]"),
+        ("evm-sweep", "link.sweep_distances_m", "[4.0, 2.0]"),
         ("widebeam", "pattern.widebeam.n_subapertures", "foo"),
         ("aclr-sweep", "link.aclr.n_symbols", "foo"),
         ("element-opt", "element.max_rounds", "foo"),

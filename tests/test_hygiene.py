@@ -1,0 +1,81 @@
+"""Source hygiene of the package, read with ``ast`` only: every import of a
+module is used in it, and every public top-level name is used somewhere in
+``src/`` besides its own definition (an export from ``risant/__init__``
+counts as a use)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "risant"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Names bound by the module's imports (``__future__`` excluded)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _used_names(tree: ast.AST, with_imports: bool = False) -> set[str]:
+    """Names and attributes read anywhere under ``tree``; ``with_imports``
+    adds the names that ``from`` imports take from other modules."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif with_imports and isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    return used
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """Public top-level functions, classes and constants of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def _uses_outside_definition(tree: ast.Module, name: str) -> bool:
+    """Whether ``name`` is used in the module other than by its own top-level
+    definition (a self-referencing body, such as a recursive call, does not
+    count)."""
+    for node in tree.body:
+        defines = (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+        if not defines and name in _used_names(node, with_imports=True):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    unused = sorted(_imported_names(tree) - _used_names(tree))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_public_name_has_a_user():
+    trees = {p: _tree(p) for p in PACKAGE.glob("*.py")}
+    orphans = []
+    for path in MODULES:
+        for name in sorted(_public_definitions(trees[path])):
+            if not any(_uses_outside_definition(tree, name) for tree in trees.values()):
+                orphans.append(f"{path.name}:{name}")
+    assert not orphans, f"public names nothing in src/ uses: {orphans}"

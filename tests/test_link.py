@@ -123,14 +123,19 @@ class TestEvm:
 
     def test_distance_sweep_monotone_and_flagged(self):
         rows = evm_vs_distance(LinkScenario(), [1.0, 4.0, 10.0, 20.0])
-        evms = [r[1] for r in rows]
+        evms = [r[2] for r in rows]
         assert all(a < b for a, b in zip(evms, evms[1:]))
-        for d, evm_pct, ok in rows:
+        for d, snr_db, evm_pct, ok in rows:
             assert ok == (evm_pct <= 100.0 * EVM_LIMIT)
 
     def test_distance_sweep_requires_ascending(self):
         with pytest.raises(ValueError, match="ascending"):
             evm_vs_distance(LinkScenario(), [4.0, 2.0])
+
+    def test_distance_sweep_allows_ties(self):
+        rows = evm_vs_distance(LinkScenario(), [2.0, 2.0, 3.0])
+        assert rows[0] == rows[1]
+        assert [r[0] for r in rows] == [2.0, 2.0, 3.0]
 
 
 class TestWaveform:

@@ -25,7 +25,6 @@ from risant.pattern import (
     DEFAULT_GRID_STEP_DEG,
     ELEMENT_EXPONENT,
     FarFieldPattern,
-    PhaseMask,
     direction_grid,
     directivity_upper_bound,
     far_field,
@@ -38,6 +37,7 @@ from risant.pattern import (
     steering_row,
     taper_efficiency,
 )
+from risant.synthesis import Codeword
 from risant.synthesis import synthesize_codeword
 
 
@@ -209,7 +209,7 @@ class TestResolveReflections:
     def test_group_states_expand_through_grouping(self, assembly):
         states = np.zeros(assembly.array.n_groups, dtype=np.uint8)
         states[7] = 1
-        gamma = resolve_reflections(assembly, PhaseMask(states))
+        gamma = resolve_reflections(assembly, Codeword(states))
         g_off, g_on = state_reflections(assembly)
         members = assembly.array.grouping == 7
         assert members.sum() == assembly.array.group_size
@@ -219,10 +219,6 @@ class TestResolveReflections:
     def test_state_count_mismatch_rejected(self, assembly):
         with pytest.raises(ValueError, match="groups"):
             resolve_reflections(assembly, np.zeros(assembly.array.n_groups - 1, dtype=np.uint8))
-
-    def test_mask_validation(self):
-        with pytest.raises(ValueError):
-            PhaseMask(np.array([0, 1, 2], dtype=np.uint8))
 
     def test_incidence_model_applies_to_both_mask_kinds(self, small_assembly):
         model = IncidenceModel(beta_deg_per_deg2=0.004, amplitude_exponent=0.5)
@@ -238,8 +234,8 @@ class TestResolveReflections:
                                    rtol=1e-12)
 
         states = np.arange(small_assembly.array.n_groups, dtype=np.uint8) % 2
-        plain = resolve_reflections(small_assembly, PhaseMask(states))
-        shifted = resolve_reflections(modeled, PhaseMask(states))
+        plain = resolve_reflections(small_assembly, Codeword(states))
+        shifted = resolve_reflections(modeled, Codeword(states))
         np.testing.assert_allclose(shifted, plain * factor, rtol=1e-12)
 
     def test_state_reflections_match_element_model(self, assembly):
@@ -341,14 +337,20 @@ class TestFarField:
                                       rel=1e-9)
 
     def test_cross_pol_is_scaled_copy(self, small_assembly):
+        # the cross-polar field is co_pol scaled by the assembly's ratio: the
+        # pattern keeps the ratio and counts the copy's power in power_total
         gamma = np.ones(small_assembly.array.n_elements, dtype=complex)
+        az, el = np.linspace(-30, 30, 31), np.array([0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pat = far_field(small_assembly, gamma, np.linspace(-30, 30, 31),
-                            np.array([0.0]))
-        np.testing.assert_allclose(
-            pat.cross_pol, pat.co_pol * 10 ** (small_assembly.cross_pol_db / 20.0)
-        )
+            pat = far_field(small_assembly, gamma, az, el)
+            co_only = far_field(replace(small_assembly, cross_pol_db=-math.inf),
+                                gamma, az, el)
+        assert pat.cross_pol_db == small_assembly.cross_pol_db
+        np.testing.assert_array_equal(pat.co_pol, co_only.co_pol)
+        assert pat.power_total == pytest.approx(
+            co_only.power_total * (1.0 + 10 ** (small_assembly.cross_pol_db / 10.0)),
+            rel=1e-12)
 
     def test_warns_on_coarse_grid(self, small_assembly):
         gamma = np.ones(small_assembly.array.n_elements, dtype=complex)
@@ -374,8 +376,8 @@ class TestPatternMetrics:
         power = float(np.sum(np.cos(np.radians(el))[:, None] * np.ones_like(co.real))
                       * d_az * d_el)
         return FarFieldPattern(az_deg=az, el_deg=el, co_pol=co,
-                               cross_pol=np.zeros_like(co), power_total=power,
-                               gain_offset_db=0.0, frequency_ghz=26.0)
+                               cross_pol_db=-math.inf, power_total=power,
+                               gain_offset_db=0.0)
 
     def test_flat_pattern_has_no_sidelobes(self):
         m = pattern_metrics(self._flat_pattern())
@@ -417,7 +419,7 @@ class TestPatternMetrics:
         az = np.linspace(-90, 90, 721)
         pat = far_field(small_assembly, gamma, az, az.copy())
         m = pattern_metrics(pat)
-        assert m.cross_pol_db == pytest.approx(small_assembly.cross_pol_db, abs=0.01)
+        assert m.cross_pol_db == small_assembly.cross_pol_db
 
 
 class TestDirectivityBound:
@@ -454,8 +456,8 @@ class TestSteeredGain:
         # the default feed sits on y = 0 and bias groups pair rows
         # symmetrically, so (az, el) and (az, -el) are mirror images
         up, down = Direction(az, el), Direction(az, -el)
-        sg_up = steered_gain(assembly, synthesize_codeword(assembly, up).mask, up)
-        sg_down = steered_gain(assembly, synthesize_codeword(assembly, down).mask, down)
+        sg_up = steered_gain(assembly, synthesize_codeword(assembly, up), up)
+        sg_down = steered_gain(assembly, synthesize_codeword(assembly, down), down)
         bound = directivity_upper_bound(assembly.array.aperture_m2, assembly.frequency_ghz)
         assert sg_up.gain_dbi <= bound and sg_down.gain_dbi <= bound
         assert sg_up.gain_dbi == pytest.approx(sg_down.gain_dbi, abs=1e-9)

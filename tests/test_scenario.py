@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from risant.cli import main
+from risant.cli import build_parser, main
 from risant.element import DEFAULT_START_CIRCUIT, DESIGN_CIRCUIT, DesignTargets, DiodeModel
 from risant.feedopt import FeedSearchSpace
 from risant.geometry import FeedModel, IncidenceModel, RisArray
@@ -17,7 +17,6 @@ from risant.scenario import (
     ScenarioError,
     iter_leaf_paths,
     load_scenario,
-    parse_override,
     resolve_scenario,
 )
 
@@ -46,20 +45,20 @@ class TestResolve:
             resolve_scenario({"link": 5})
 
     def test_overrides_change_single_leaf(self):
-        sc = resolve_scenario(None, overrides=["frame.overhead=0.10"])
+        sc = resolve_scenario(None, overrides=[("frame.overhead", 0.10)])
         assert sc.data["frame"]["overhead"] == 0.10
         assert sc.data["frame"]["layers"] == 2
 
     def test_override_rejects_sections_and_unknowns(self):
         with pytest.raises(ScenarioError, match="is a section"):
-            resolve_scenario(None, overrides=["frame=1"])
+            resolve_scenario(None, overrides=[("frame", 1)])
         with pytest.raises(ScenarioError, match="unknown key"):
-            resolve_scenario(None, overrides=["frame.blah=1"])
+            resolve_scenario(None, overrides=[("frame.blah", 1)])
 
     def test_hash_stable_and_sensitive(self):
         a = resolve_scenario(None)
         b = resolve_scenario(None)
-        c = resolve_scenario(None, overrides=["rng_seed=7"])
+        c = resolve_scenario(None, overrides=[("rng_seed", 7)])
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
         assert len(a.hash()) == 64
@@ -67,19 +66,16 @@ class TestResolve:
 
 class TestParseOverride:
     def test_yaml_typing(self):
-        assert parse_override("frame.overhead=0.14") == ("frame.overhead", 0.14)
-        assert parse_override("array.n_x=16") == ("array.n_x", 16)
-        assert parse_override("pattern.incidence.enabled=true") == (
-            "pattern.incidence.enabled", True)
-        name, value = parse_override("feed.position_mm=[0, 0, 100]")
-        assert value == [0, 0, 100]
-        assert parse_override("link.modulation=QPSK")[1] == "QPSK"
+        def parsed(flag, value):
+            return build_parser().parse_args(["rate", f"--{flag}", value]).overrides
 
-    def test_malformed(self):
-        with pytest.raises(ScenarioError, match="name=value"):
-            parse_override("no-equals-sign")
-        with pytest.raises(ScenarioError, match="empty name"):
-            parse_override("=5")
+        assert parsed("frame.overhead", "0.14") == [("frame.overhead", 0.14)]
+        assert parsed("array.n_x", "16") == [("array.n_x", 16)]
+        assert parsed("pattern.incidence.enabled", "true") == [
+            ("pattern.incidence.enabled", True)]
+        assert parsed("feed.position_mm", "[0, 0, 100]") == [
+            ("feed.position_mm", [0, 0, 100])]
+        assert parsed("link.modulation", "QPSK") == [("link.modulation", "QPSK")]
 
 
 class TestLoad:
@@ -110,7 +106,7 @@ class TestLoad:
     def test_file_plus_overrides(self, tmp_path):
         f = tmp_path / "s.yaml"
         f.write_text("link:\n  d_m: 2.0\n")
-        sc = load_scenario(str(f), overrides=["link.tx_power_dbm=3"])
+        sc = load_scenario(str(f), overrides=[("link.tx_power_dbm", 3)])
         assert sc.data["link"]["d_m"] == 2.0
         assert sc.data["link"]["tx_power_dbm"] == 3
 

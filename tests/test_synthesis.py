@@ -144,9 +144,7 @@ class TestCodewordSynthesis:
     def test_shape_and_dtype(self, assembly):
         cw = synthesize_codeword(assembly, Direction(30.0, 0.0))
         assert cw.states.shape == (assembly.array.n_groups,)
-        assert cw.target == Direction(30.0, 0.0)
         assert set(np.unique(cw.states)) <= {0, 1}
-        assert len(cw.bitstring()) == assembly.array.n_groups
 
     def test_broadside_codeword_mirror_symmetric_in_y(self, assembly):
         cw = synthesize_codeword(assembly, Direction(0.0, 0.0))
@@ -155,7 +153,7 @@ class TestCodewordSynthesis:
 
     def test_steered_codeword_points_at_target(self, assembly):
         target = Direction(30.0, 0.0)
-        sg = steered_gain(assembly, synthesize_codeword(assembly, target).mask, target)
+        sg = steered_gain(assembly, synthesize_codeword(assembly, target), target)
         assert sg.pointing_error_deg <= 2.0
 
     def test_rejects_target_outside_scan_sector(self, assembly):
