@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .constants import db10
 from .geometry import AntennaAssembly, Direction
@@ -134,6 +133,9 @@ def coarse_optimize_feed(assembly: AntennaAssembly,
     free = [i for i in range(3) if space.axis_grid(i).size > 1]
     position = np.asarray(grid_best, dtype=float)
     if free:
+        # imported here: scipy.optimize costs ~0.7 s and only the polish needs it
+        from scipy import optimize as sp_optimize
+
         bounds = [(space.x_mm, space.y_mm, space.z_mm)[i] for i in free]
 
         def cost(v):

@@ -18,6 +18,13 @@ from .constants import wavelength_mm, wavenumber_per_mm
 from .element import DESIGN_CIRCUIT, ElementCircuit
 
 
+def _check_lattice(n_x: int, n_y: int, period_mm: float) -> None:
+    if n_x < 1 or n_y < 1:
+        raise ValueError("array dimensions must be at least 1x1")
+    if period_mm <= 0:
+        raise ValueError("element period must be positive")
+
+
 def element_positions(n_x: int, n_y: int, period_mm: float) -> np.ndarray:
     """Centred lattice positions, shape (n_x*n_y, 3), row-major in y.
 
@@ -25,10 +32,7 @@ def element_positions(n_x: int, n_y: int, period_mm: float) -> np.ndarray:
     (iy - (n_y-1)/2) * period, 0) and occupies row iy, i.e. linear index
     iy * n_x + ix.
     """
-    if n_x < 1 or n_y < 1:
-        raise ValueError("array dimensions must be at least 1x1")
-    if period_mm <= 0:
-        raise ValueError("element period must be positive")
+    _check_lattice(n_x, n_y, period_mm)
     ix = np.arange(n_x) - 0.5 * (n_x - 1)
     iy = np.arange(n_y) - 0.5 * (n_y - 1)
     gx, gy = np.meshgrid(ix * period_mm, iy * period_mm)  # row-major: y outer
@@ -73,6 +77,7 @@ class RisArray:
     def __post_init__(self):
         if self.polarization not in ("H", "V"):
             raise ValueError(f"polarization must be 'H' or 'V', got {self.polarization!r}")
+        _check_lattice(self.n_x, self.n_y, self.period_mm)
         if self.grouping is None:
             object.__setattr__(
                 self, "grouping", group_map(self.n_x, self.n_y, self.group_size, self.group_axis)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as sp_signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import C_MPS, THERMAL_NOISE_DBM_PER_HZ, db10, from_db10
 
@@ -336,6 +336,27 @@ def _band_power(freqs: np.ndarray, psd: np.ndarray, center_hz: float,
     return float(np.sum(psd[mask]))
 
 
+def _welch_psd(samples: np.ndarray, sample_rate_hz: float,
+               nperseg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided Welch PSD: periodic Hann segments at 50 % overlap, no detrend.
+
+    Returns (fftfreq axis, mean of the density-scaled periodograms). The
+    arithmetic follows scipy.signal.welch(..., window="hann",
+    return_onesided=False, detrend=False) step for step: the window is
+    built on the symmetric linspace and carries the density scale
+    1/sqrt(fs * sum w^2), and the periodograms are averaged along a
+    contiguous axis. On scipy 1.17 the PSD is bit-identical, so ACLR
+    artifacts keep their bytes.
+    """
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    win *= 1.0 / np.sqrt(sum(win ** 2) / (1.0 / sample_rate_hz))
+    step = nperseg - nperseg // 2
+    spec = np.fft.fft(sliding_window_view(samples, nperseg)[::step] * win)
+    periodograms = spec.real ** 2 + spec.imag ** 2
+    psd = np.ascontiguousarray(periodograms.T).mean(axis=1)
+    return np.fft.fftfreq(nperseg, 1.0 / sample_rate_hz), psd
+
+
 def aclr(samples: np.ndarray, sample_rate_hz: float,
          designated: tuple[float, float],
          adjacent: list[tuple[float, float]]) -> list[float]:
@@ -357,9 +378,7 @@ def aclr(samples: np.ndarray, sample_rate_hz: float,
                 f"{name} channel [{(center - bw / 2) / 1e6:.1f}, "
                 f"{(center + bw / 2) / 1e6:.1f}] MHz extends past the Nyquist "
                 f"band of +-{nyquist / 1e6:.1f} MHz")
-    freqs, psd = sp_signal.welch(samples, fs=sample_rate_hz, window="hann",
-                                 nperseg=min(4096, len(samples)),
-                                 return_onesided=False, detrend=False)
+    freqs, psd = _welch_psd(samples, sample_rate_hz, min(4096, len(samples)))
     p_designated = _band_power(freqs, psd, *designated)
     if p_designated <= 0:
         raise ValueError("designated channel carries no power")

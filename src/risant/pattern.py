@@ -163,6 +163,8 @@ def resolve_reflections(assembly: AntennaAssembly, mask) -> np.ndarray:
             raise ValueError(
                 f"mask has {states.shape} states, array has {assembly.array.n_groups} groups"
             )
+        if not np.all((states == 0) | (states == 1)):
+            raise ValueError("group states must be 0 or 1")
         g_off, g_on = state_reflections(assembly)
         per_element = states[assembly.array.grouping]
         gamma = np.where(per_element == 1, g_on, g_off)

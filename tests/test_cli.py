@@ -9,10 +9,13 @@ promises byte-identical artifacts for identical scenario and seed.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import risant
 from risant import __version__
 from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
 
@@ -95,6 +98,19 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["rate", "--link.bogus", "1", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy costs over a second to import; only feed-opt's polish needs it
+        src = os.path.dirname(os.path.dirname(risant.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, risant.cli; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestClosure:
@@ -299,6 +315,8 @@ class TestFailureModes:
         ("aclr-sweep", "link.pa.kind", "foo"),
         ("dual-stream", "link.xpd_db.h", "3"),
         ("pattern", "pattern.frequency_ghz", ".nan"),
+        ("geometry", "array.n_x", "0"),
+        ("geometry", "array.period_mm", "-1"),
     ])
     def test_value_the_model_rejects_exits_2(self, command, flag, value, tmp_path,
                                              capsys):

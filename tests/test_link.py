@@ -1,6 +1,7 @@
 """Link-level chain: budget, EVM, waveform and spectral compliance,
 dual-stream SINR, frame throughput and the power figure."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,9 +14,11 @@ from risant.link import (
     EVM_LIMIT,
     FrameConfig,
     LinkScenario,
+    PRB_TABLE_120KHZ,
     PaModel,
     WaveformConfig,
     XpdModel,
+    _welch_psd,
     aclr,
     apply_pa,
     constellation,
@@ -33,6 +36,7 @@ from risant.link import (
     simulate_evm,
     simulate_evm_at,
 )
+from risant.scenario import resolve_scenario
 
 
 class TestBudget:
@@ -240,6 +244,37 @@ class TestAclr:
     def test_silent_input_rejected(self):
         with pytest.raises(ValueError, match="no power"):
             aclr(np.zeros(8192, dtype=complex), 1e9, (0.0, 100e6), [(200e6, 100e6)])
+
+
+@functools.cache
+def _aclr_sweep_samples(bw_mhz):
+    """The amplified record that `aclr-sweep` measures at one channel bandwidth."""
+    scn = resolve_scenario(None)
+    cfg = WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[bw_mhz])
+    w = ofdm_waveform(cfg, scn.literal("link.aclr.n_symbols"), scn.rng_seed)
+    return apply_pa(w, scn.build_pa()), cfg.sample_rate_hz
+
+
+class TestWelch:
+    """The numpy Welch behind `aclr` against the scipy call it replaced."""
+
+    @pytest.mark.parametrize("bw_mhz, record", [
+        (400, slice(None)),
+        (50, slice(None)),
+        (400, slice(3000)),           # shorter than a segment: one, the whole record
+        (50, slice(123457)),          # odd length
+        (50, slice(None, None, 3)),   # non-contiguous view
+    ])
+    def test_matches_scipy_welch(self, bw_mhz, record):
+        samples, rate = _aclr_sweep_samples(bw_mhz)
+        x = samples[record]
+        nperseg = min(4096, len(x))
+        freqs, psd = _welch_psd(x, rate, nperseg)
+        ref_freqs, ref_psd = sp_signal.welch(x, fs=rate, window="hann", nperseg=nperseg,
+                                             return_onesided=False, detrend=False)
+        np.testing.assert_array_equal(freqs, ref_freqs)
+        # far-out bins sit ~15 decades below the peak and hold round-off only
+        np.testing.assert_allclose(psd, ref_psd, rtol=1e-12, atol=1e-12 * ref_psd.max())
 
 
 class TestDualStream:

@@ -220,6 +220,11 @@ class TestResolveReflections:
         with pytest.raises(ValueError, match="groups"):
             resolve_reflections(assembly, np.zeros(assembly.array.n_groups - 1, dtype=np.uint8))
 
+    @pytest.mark.parametrize("value", [2, 0.7, -1])
+    def test_raw_states_other_than_0_or_1_rejected(self, assembly, value):
+        with pytest.raises(ValueError, match="0 or 1"):
+            resolve_reflections(assembly, np.full(assembly.array.n_groups, value))
+
     def test_incidence_model_applies_to_both_mask_kinds(self, small_assembly):
         model = IncidenceModel(beta_deg_per_deg2=0.004, amplitude_exponent=0.5)
         modeled = replace(small_assembly, incidence_model=model)
