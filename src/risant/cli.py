@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -46,6 +47,7 @@ from .scenario import ScenarioError, Scenario, iter_leaf_paths, load_scenario
 from .synthesis import (
     beam_training,
     build_codebook,
+    estimate_hpbw_deg,
     scan_evaluation,
     synthesize_codeword,
     synthesize_wide_beam,
@@ -358,9 +360,19 @@ def cmd_train(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     asm = scn.build_assembly()
     sector = scn.literal("training.sector_az_deg")
     el = scn.literal("training.el_deg")
-    codebook = build_codebook(asm, sector_az=sector,
-                              n_levels=scn.literal("training.n_levels"),
-                              branching=scn.literal("training.branching"), el_deg=el)
+    n_levels = scn.literal("training.n_levels")
+    branching = scn.literal("training.branching")
+    # the codebook holds branching**n_levels leaves; leaves far narrower
+    # than the beam cost codewords without adding resolution.  Compared in
+    # logs, since a huge n_levels would make the integer power itself slow
+    hpbw = estimate_hpbw_deg(asm)
+    if n_levels * math.log(branching) > math.log(8.0 * (sector[1] - sector[0]) / hpbw):
+        raise ScenarioError(
+            f"training.n_levels: {n_levels} levels of {branching} (training.branching) "
+            f"split the {sector[1] - sector[0]:g} deg sector into leaves narrower than "
+            f"1/8 of the {hpbw:.2f} deg beamwidth")
+    codebook = build_codebook(asm, sector_az=sector, n_levels=n_levels,
+                              branching=branching, el_deg=el)
     n_trials = scn.literal("training.n_trials")
     snr = scn.literal("training.pilot_snr_db")
     threshold = scn.literal("training.accept_threshold_db")

@@ -16,6 +16,7 @@ constant.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 import weakref
@@ -263,6 +264,33 @@ def _integrate_power(az_deg, el_deg, field) -> float:
     return float(np.sum(np.abs(field) ** 2 * np.cos(el)[:, None]) * d_az * d_el)
 
 
+def _coefficients(assembly: AntennaAssembly, mask):
+    """Feed illumination and the (n_y, n_x) lattice of illumination times
+    reflection for a mask."""
+    illum = illumination(assembly)
+    coeffs = illum * resolve_reflections(assembly, mask)
+    return illum, coeffs.reshape(assembly.array.n_y, assembly.array.n_x)
+
+
+def _gain_offset_db(assembly: AntennaAssembly, illum: np.ndarray) -> float:
+    """10*log10(eta_s * eta_i * reflection efficiency) of an illumination."""
+    eta_s = spillover_efficiency(assembly)
+    eta_i = taper_efficiency(np.abs(illum))
+    return float(db10(eta_s * eta_i * REFLECTION_EFFICIENCY))
+
+
+def _element_factor(az_deg, el_deg) -> np.ndarray:
+    """cos(theta)^qe towards each (el, az) grid direction, clipped at 0."""
+    uz = np.outer(np.cos(np.radians(el_deg)), np.cos(np.radians(az_deg)))
+    return np.clip(uz, 0.0, None) ** ELEMENT_EXPONENT
+
+
+def _both_pols(assembly: AntennaAssembly) -> float:
+    """Total over co-polar power: the cross-polar field is a scaled copy."""
+    xp_ratio = 10.0 ** (assembly.cross_pol_db / 20.0)
+    return 1.0 + xp_ratio**2
+
+
 def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPattern:
     """Far-field pattern of the fed array for one reflection state.
 
@@ -282,24 +310,13 @@ def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPatter
             f"{assembly.array.n_x}x{assembly.array.n_y} array",
             stacklevel=2,
         )
-    illum = illumination(assembly)
-    gamma = resolve_reflections(assembly, mask)
-    coeffs = illum * gamma
-
-    array = assembly.array
-    co = _lattice_field(array.period_mm, coeffs.reshape(array.n_y, array.n_x),
-                        assembly.k_per_mm, az_deg, el_deg)
-    uz = np.outer(np.cos(np.radians(el_deg)), np.cos(np.radians(az_deg)))
-    co *= np.clip(uz, 0.0, None) ** ELEMENT_EXPONENT
-    # the cross-polar field is a scaled copy, so its power is too
-    xp_ratio = 10.0 ** (assembly.cross_pol_db / 20.0)
-    power = _integrate_power(az_deg, el_deg, co) * (1.0 + xp_ratio**2)
-    eta_s = spillover_efficiency(assembly)
-    eta_i = taper_efficiency(np.abs(illum))
-    offset = db10(eta_s * eta_i * REFLECTION_EFFICIENCY)
+    illum, coeffs = _coefficients(assembly, mask)
+    co = _lattice_field(assembly.array.period_mm, coeffs, assembly.k_per_mm, az_deg, el_deg)
+    co *= _element_factor(az_deg, el_deg)
+    power = _integrate_power(az_deg, el_deg, co) * _both_pols(assembly)
     return FarFieldPattern(
         az_deg=az_deg, el_deg=el_deg, co_pol=co, cross_pol_db=assembly.cross_pol_db,
-        power_total=power, gain_offset_db=float(offset),
+        power_total=power, gain_offset_db=_gain_offset_db(assembly, illum),
     )
 
 
@@ -314,15 +331,12 @@ class PatternMetrics:
 
 
 def _first_null(values: np.ndarray, start: int, step: int) -> int:
-    """Index of the first local minimum walking from ``start`` by ``step``."""
+    """Index of the first local minimum walking from ``start`` by ``step``;
+    the grid edge bounds a lobe that falls all the way to it."""
     i = start
-    while 0 <= i + step < values.size:
-        if values[i + step] >= values[i]:
-            return i
+    while 0 <= i + step < values.size and values[i + step] < values[i]:
         i += step
-    raise ValueError(
-        "no first null found around the main lobe; evaluate the pattern on a finer grid"
-    )
+    return i
 
 
 def _hpbw(axis_deg: np.ndarray, cut: np.ndarray, peak_idx: int) -> float:
@@ -349,9 +363,10 @@ def pattern_metrics(pattern: FarFieldPattern) -> PatternMetrics:
     """Peak gain, sidelobe level, beamwidths and cross-pol ratio.
 
     The main lobe is bounded by the first nulls along the azimuth and
-    elevation cuts through the peak; the sidelobe level is the highest
-    sample outside that region.  A flat (structureless) pattern reports
-    no sidelobes.
+    elevation cuts through the peak, or by the grid edge where a cut
+    falls all the way to it; the sidelobe level is the highest sample
+    outside that region.  A flat (structureless) pattern, or a lobe that
+    fills the grid, reports no sidelobes.
     """
     intensity = np.abs(pattern.co_pol) ** 2
     i_el, i_az = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
@@ -367,20 +382,14 @@ def pattern_metrics(pattern: FarFieldPattern) -> PatternMetrics:
     if not flat:
         az_cut = intensity[i_el, :]
         el_cut = intensity[:, i_az]
-        az_lo = _first_null(az_cut, i_az, -1) if i_az > 0 else i_az
-        az_hi = _first_null(az_cut, i_az, +1) if i_az < az_cut.size - 1 else i_az
-        if pattern.el_deg.size > 1:
-            el_lo = _first_null(el_cut, i_el, -1) if i_el > 0 else i_el
-            el_hi = _first_null(el_cut, i_el, +1) if i_el < el_cut.size - 1 else i_el
-        else:
-            el_lo = el_hi = i_el
+        az_lo, az_hi = (_first_null(az_cut, i_az, step) for step in (-1, 1))
+        el_lo, el_hi = (_first_null(el_cut, i_el, step) for step in (-1, 1))
         outside = np.ones_like(intensity, dtype=bool)
         outside[el_lo:el_hi + 1, az_lo:az_hi + 1] = False
         if np.any(outside):
             sll = float(db10(intensity[outside].max() / peak))
         hpbw_az = _hpbw(pattern.az_deg, az_cut, i_az)
-        if pattern.el_deg.size > 1:
-            hpbw_el = _hpbw(pattern.el_deg, el_cut, i_el)
+        hpbw_el = _hpbw(pattern.el_deg, el_cut, i_el)
 
     return PatternMetrics(
         peak_gain_dbi=float(gain),
@@ -420,28 +429,178 @@ class SteeredGain:
     pointing_error_deg: float
 
 
+@dataclass(frozen=True, eq=False)
+class _CoarseTables:
+    """What :func:`steered_gain` needs of its 1 deg hemisphere grid for one
+    lattice, built once per (period, k, n_y, n_x, ELEMENT_EXPONENT).  It
+    stays in memory for the life of the process, so the distances are
+    float32, rounded up."""
+
+    az_deg: np.ndarray
+    el_deg: np.ndarray
+    az_factor: np.ndarray   # (n_az,) cos(az)^qe; times el_factor, the element factor
+    el_factor: np.ndarray   # (n_el,) cos(el)^qe
+    lags: np.ndarray        # (2 n_y, 2 n_x) grid power per coefficient lag
+    n_fft: int              # u-space samples per axis of the peak-locating FFT
+    sample: np.ndarray      # (n_el * n_az,) flat index of each point's nearest sample
+    du_x: np.ndarray        # (n_el * n_az,) |ux - ux of that sample|, at least
+    du_y: np.ndarray        # (n_el,) |uy - uy of that sample|, at least
+    x_mm: np.ndarray        # (n_x,) |x| of the centred element columns
+    y_mm: np.ndarray        # (n_y,) |y| of the centred element rows
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_tables(period_mm: float, k: float, n_y: int, n_x: int,
+                   exponent: float) -> _CoarseTables:
+    """Lag table and nearest-sample map of the 1 deg grid for one lattice.
+
+    The grid power of :func:`_integrate_power`, sum_g w_g |F(g)|^2 with
+    w_g = uz^(2 qe) cos(el) dAz dEl, expands over coefficient pairs into
+    sum_{p,q} R(p, q) T(p, q): R is the coefficients' autocorrelation at
+    the lag of p columns and q rows, and T(p, q) = sum_g w_g
+    exp(j k period (p ux + q uy)).  The grid is symmetric in az and in
+    el, so T is real and even in p and in q: one quadrant of the grid,
+    folded, gives T(|p|, |q|).  It is stored in the circular layout of a
+    (2 n_y, 2 n_x) FFT, where the autocorrelation lands.
+    """
+    az, el = direction_grid(1.0)
+    az_r, el_r = np.radians(az), np.radians(el)
+    # cos(az) and cos(el) are >= 0 on the grid, so uz^qe splits per axis
+    az_factor, el_factor = np.cos(az_r) ** exponent, np.cos(el_r) ** exponent
+    weight = np.outer(el_factor**2 * np.cos(el_r), az_factor**2)
+    weight *= (az_r[1] - az_r[0]) * (el_r[1] - el_r[0])
+    kd = k * period_mm
+
+    # T on the az >= 0, el >= 0 quadrant, each off-axis point standing for
+    # its mirror images; rows in chunks of about 0.5 MB of cosines
+    on_az, on_el = az >= 0, el >= 0
+    fold_az = np.where(az[on_az] > 0, 2.0, 1.0)
+    fold_el = np.where(el[on_el] > 0, 2.0, 1.0)
+    w = weight[np.ix_(on_el, on_az)] * fold_az
+    kd_ux = kd * np.outer(np.cos(el_r[on_el]), np.sin(az_r[on_az]))
+    p = np.arange(n_x)
+    by_col = np.empty((w.shape[0], n_x))
+    step = max(1, 2**16 // (w.shape[1] * n_x))
+    for lo in range(0, w.shape[0], step):
+        hi = lo + step
+        by_col[lo:hi] = (w[lo:hi, None, :] @ np.cos(kd_ux[lo:hi, :, None] * p))[:, 0, :]
+    quadrant = np.cos(np.outer(np.arange(n_y), kd * np.sin(el_r[on_el]))) @ (by_col * fold_el[:, None])
+    # circular lag i of a 2n-point axis is min(i, 2n - i); lag n never occurs
+    padded = np.zeros((n_y + 1, n_x + 1))
+    padded[:n_y, :n_x] = quadrant
+    lag_y, lag_x = (np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n)) for n in (n_y, n_x))
+
+    # |F| is periodic in u with period 2 pi / kd per axis; n_fft samples
+    # per period, about four per beamwidth, at most 512
+    n_fft = min(512, max(32, 4 * 2 ** math.ceil(math.log2(max(n_x, n_y)))))
+    spacing = 2.0 * math.pi / (n_fft * kd)
+    nearest = []
+    for u in (np.outer(np.cos(el_r), np.sin(az_r)), np.sin(el_r)):
+        j = np.rint(u / spacing)
+        du = np.abs(u - j * spacing)
+        du_up = du.astype(np.float32)
+        du_up = np.where(du_up < du, np.nextafter(du_up, np.float32(np.inf)), du_up)
+        nearest.append((j.astype(np.intp) % n_fft, du_up))
+    (j_x, du_x), (j_y, du_y) = nearest
+    centred = [np.abs(np.arange(n) - 0.5 * (n - 1)) * period_mm for n in (n_x, n_y)]
+    return _CoarseTables(
+        az_deg=az, el_deg=el, az_factor=az_factor, el_factor=el_factor,
+        lags=padded[np.ix_(lag_y, lag_x)], n_fft=n_fft,
+        sample=(j_y[:, None] * n_fft + j_x).ravel(), du_x=du_x.ravel(), du_y=du_y,
+        x_mm=centred[0], y_mm=centred[1])
+
+
+def _grid_power(tables: _CoarseTables, coeffs: np.ndarray) -> float:
+    """The 1 deg grid sum of |F|^2 weights, from the autocorrelation of
+    the coefficients (one zero-padded FFT each way) dotted with the lag table."""
+    spectrum = np.fft.fft2(coeffs, s=tables.lags.shape)
+    autocorrelation = np.fft.ifft2(spectrum.real**2 + spectrum.imag**2).real
+    return float(np.vdot(autocorrelation, tables.lags))
+
+
+def _intensity(period_mm, coeffs, k, az_deg, el_deg, factor) -> np.ndarray:
+    """|F|^2 with the element factor on an (el, az) grid, as far_field gives it."""
+    field = _lattice_field(period_mm, coeffs, k, az_deg, el_deg)
+    field *= factor
+    return np.abs(field) ** 2
+
+
+def _coarse_peak(tables: _CoarseTables, period_mm, coeffs, k) -> tuple[int, int]:
+    """(el, az) index of the first maximum of the 1 deg grid intensity.
+
+    |F| is sampled on an n_fft x n_fft u-space lattice by one zero-padded
+    FFT.  For a grid point g with nearest sample s, |F(g)| <= |F(s)| +
+    k (X |ux_g - ux_s| + Y |uy_g - uy_s|), X = sum |c| |x| and Y = sum
+    |c| |y| over centred positions (each phase term moves by at most k
+    |x| |dux| + k |y| |duy|).  The point of largest bound is evaluated
+    exactly; every point whose bound reaches its intensity is then
+    evaluated exactly too, and the rest cannot hold the maximum.  A
+    pattern without a dominant lobe leaves most points as candidates:
+    the result stays exact, only slower.
+    """
+    n = tables.n_fft
+    n_y, n_x = coeffs.shape
+    # wrap a lattice wider than n_fft onto it: exp(j 2 pi m i / n) has period n
+    folded = np.zeros((n, n), dtype=complex)
+    for lo_y in range(0, n_y, n):
+        for lo_x in range(0, n_x, n):
+            block = coeffs[lo_y:lo_y + n, lo_x:lo_x + n]
+            folded[:block.shape[0], :block.shape[1]] += block
+    samples = np.abs(np.fft.ifft2(folded, norm="forward")).ravel()
+    mag = np.abs(coeffs)
+    bound = samples[tables.sample]
+    bound += np.multiply(tables.du_x, k * float(np.sum(mag @ tables.x_mm)), dtype=float)
+    bound = bound.reshape(tables.el_deg.size, tables.az_deg.size)
+    # the margin covers round-off in the samples and in the exact sums
+    row_slack = np.multiply(tables.du_y, k * float(np.sum(tables.y_mm @ mag)), dtype=float)
+    bound += (row_slack + 1e-9 * float(np.sum(mag)))[:, None]
+    bound *= tables.el_factor[:, None]
+    bound *= tables.az_factor
+    bound = bound.ravel()
+
+    def exact(points):
+        rows, cols = np.divmod(points, tables.az_deg.size)
+        r, c = np.unique(rows), np.unique(cols)
+        az, el = tables.az_deg[c], tables.el_deg[r]
+        block = _intensity(period_mm, coeffs, k, az, el, _element_factor(az, el))
+        return block[np.searchsorted(r, rows), np.searchsorted(c, cols)]
+
+    best = exact(np.array([np.argmax(bound)]))[0]
+    candidates = np.flatnonzero(bound * bound >= best)
+    peak = int(candidates[np.argmax(exact(candidates))])
+    return divmod(peak, tables.az_deg.size)
+
+
 def steered_gain(assembly: AntennaAssembly, mask, target: Direction) -> SteeredGain:
     """Realized gain and pointing of one mask, cheap two-pass evaluation.
 
-    A 1 deg hemisphere grid locates the global peak and supplies the
-    power normalization; a 0.1 deg window of +-3 deg around the coarse
-    peak refines the gain and the pointing error against ``target``.
+    The global peak of the 1 deg hemisphere grid, found without filling
+    the grid (see :func:`_coarse_peak`), centres a 0.1 deg window of
+    +-3 deg that refines the gain and the pointing error against
+    ``target``.  The power normalization is the 1 deg grid's power
+    integral, from the lag table (see :func:`_coarse_tables`).
     """
     window_deg, fine_step = 3.0, 0.1
-    coarse = far_field(assembly, mask, *direction_grid(1.0))
-    intensity = np.abs(coarse.co_pol) ** 2
-    i_el, i_az = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
-    az0 = float(coarse.az_deg[i_az])
-    el0 = float(coarse.el_deg[i_el])
+    array = assembly.array
+    k = assembly.k_per_mm
+    illum, coeffs = _coefficients(assembly, mask)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("pattern field must be finite")
+    tables = _coarse_tables(array.period_mm, k, array.n_y, array.n_x, ELEMENT_EXPONENT)
+    power = _grid_power(tables, coeffs) * _both_pols(assembly)
+    if power <= 0:
+        raise ValueError("integrated power must be positive")
+    i_el, i_az = _coarse_peak(tables, array.period_mm, coeffs, k)
+    az0 = float(tables.az_deg[i_az])
+    el0 = float(tables.el_deg[i_el])
     az = np.arange(max(az0 - window_deg, -90.0), min(az0 + window_deg, 90.0) + fine_step / 2, fine_step)
     el = np.arange(max(el0 - window_deg, -90.0), min(el0 + window_deg, 90.0) + fine_step / 2, fine_step)
-    fine = far_field(assembly, mask, az, el)
-    fi = np.abs(fine.co_pol) ** 2
+    fi = _intensity(array.period_mm, coeffs, k, az, el, _element_factor(az, el))
     j_el, j_az = np.unravel_index(int(np.argmax(fi)), fi.shape)
-    peak = Direction(float(fine.az_deg[j_az]), float(fine.el_deg[j_el]))
-    directivity = 4.0 * math.pi * fi[j_el, j_az] / coarse.power_total
+    peak = Direction(float(az[j_az]), float(el[j_el]))
+    directivity = 4.0 * math.pi * fi[j_el, j_az] / power
     return SteeredGain(
-        gain_dbi=float(db10(directivity) + coarse.gain_offset_db),
+        gain_dbi=float(db10(directivity) + _gain_offset_db(assembly, illum)),
         peak=peak,
         pointing_error_deg=peak.separation_deg(target),
     )

@@ -11,12 +11,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import risant
-from risant import __version__
+from risant import __version__, cli
 from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
 
 # overrides that keep each subcommand cheap without changing its shape
@@ -101,16 +102,26 @@ class TestParser:
 
 
 class TestImportPath:
-    def test_cli_import_loads_no_scipy(self):
-        # scipy costs over a second to import; only feed-opt's polish needs it
+    @staticmethod
+    def _fresh_import(code):
+        """stdout of ``code`` run in a new interpreter on this source tree."""
         src = os.path.dirname(os.path.dirname(risant.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        code = ("import sys, risant.cli; print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy costs over a second to import; only feed-opt's polish needs it
+        assert self._fresh_import(
+            "import sys, risant.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))") == "[]"
+
+    def test_import_builds_no_steered_gain_table(self):
+        # the lag table and nearest-sample map are built on the first call
+        assert self._fresh_import(
+            "import risant.cli; from risant.pattern import _coarse_tables; "
+            "print(_coarse_tables.cache_info().misses)") == "0"
 
 
 class TestClosure:
@@ -351,6 +362,42 @@ class TestFailureModes:
         assert rc == 2
         assert "scenario error" in err and flag in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides", [
+        ["--array.n_x", "1", "--array.n_y", "1", "--array.group_size", "1"],
+        ["--pattern.frequency_ghz", "0.001"],
+    ])
+    def test_pattern_whose_lobe_reaches_the_grid_edge_exits_0(self, overrides, tmp_path,
+                                                              capsys):
+        # no first null along either cut: the lobe is the whole grid
+        rc = main(["pattern", *overrides, "--out", str(tmp_path)])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert read_json(tmp_path, "pattern.json")["sll_db"] is None
+
+    def test_leaves_far_narrower_than_the_beam_exit_2_at_once(self, tmp_path, capsys):
+        # 4**9 leaves of 120 / 4**9 deg; building them would take minutes
+        started = time.perf_counter()
+        rc = main(["train", "--training.n_levels", "9", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error" in err and "training.n_levels" in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n_levels", ["3", "4"])
+    def test_leaf_bound_admits_the_default_and_four_levels(self, n_levels, tmp_path,
+                                                           monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def build_codebook(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "build_codebook", build_codebook)
+        with pytest.raises(Reached):
+            main(["train", "--training.n_levels", n_levels, "--out", str(tmp_path)])
 
     def test_steer_without_targets_exits_2(self, tmp_path, capsys):
         rc = main(["steer", "--pattern.scan_az_deg", "[]", "--pattern.scan_el_deg", "[]",

@@ -53,15 +53,18 @@ def _public_definitions(tree: ast.Module) -> set[str]:
     return {n for n in names if not n.startswith("_")}
 
 
-def _uses_outside_definition(tree: ast.Module, name: str) -> bool:
-    """Whether ``name`` is used in the module other than by its own top-level
+def _top_level_uses(tree: ast.Module) -> list[tuple[str | None, set[str]]]:
+    """(name a top-level function or class defines, or None; names its
+    node uses, ``from`` imports included) for each top-level node."""
+    return [(node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None,
+             _used_names(node, with_imports=True)) for node in tree.body]
+
+
+def _uses_outside_definition(uses: list[tuple[str | None, set[str]]], name: str) -> bool:
+    """Whether ``name`` is used in a module other than by its own top-level
     definition (a self-referencing body, such as a recursive call, does not
-    count)."""
-    for node in tree.body:
-        defines = (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
-        if not defines and name in _used_names(node, with_imports=True):
-            return True
-    return False
+    count); ``uses`` is the module's :func:`_top_level_uses`."""
+    return any(name in used for defines, used in uses if defines != name)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -73,9 +76,10 @@ def test_every_import_is_used(path):
 
 def test_every_public_name_has_a_user():
     trees = {p: _tree(p) for p in PACKAGE.glob("*.py")}
+    uses = [_top_level_uses(tree) for tree in trees.values()]
     orphans = []
     for path in MODULES:
         for name in sorted(_public_definitions(trees[path])):
-            if not any(_uses_outside_definition(tree, name) for tree in trees.values()):
+            if not any(_uses_outside_definition(module, name) for module in uses):
                 orphans.append(f"{path.name}:{name}")
     assert not orphans, f"public names nothing in src/ uses: {orphans}"

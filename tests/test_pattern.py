@@ -407,7 +407,9 @@ class TestPatternMetrics:
             math.degrees(0.886 * asm.wavelength_mm / d_mm), rel=0.02
         )
 
-    def test_monotone_lobe_asks_for_finer_grid(self):
+    def test_monotone_lobe_is_bounded_by_grid_edge(self):
+        # one element: the cos(theta) field falls from broadside to every
+        # edge, so the lobe fills the grid and nothing lies outside it
         asm = AntennaAssembly(
             array=RisArray(n_x=1, n_y=1, group_size=1),
             feed=FeedModel(position_mm=(0.0, 0.0, 1000.0)),
@@ -416,8 +418,12 @@ class TestPatternMetrics:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pat = far_field(asm, np.ones(1, dtype=complex), az, az.copy())
-        with pytest.raises(ValueError, match="finer grid"):
-            pattern_metrics(pat)
+        m = pattern_metrics(pat)
+        assert m.sll_db is None
+        assert m.peak_direction == Direction(0.0, 0.0)
+        # cos^2 halves at 45 deg
+        assert m.hpbw_az_deg == pytest.approx(90.0, abs=0.1)
+        assert m.hpbw_el_deg == pytest.approx(90.0, abs=0.1)
 
     def test_cross_pol_ratio_reported(self, small_assembly):
         gamma = np.exp(-1j * np.angle(illumination(small_assembly)))
