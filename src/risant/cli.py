@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
@@ -47,7 +46,6 @@ from .scenario import ScenarioError, Scenario, iter_leaf_paths, load_scenario
 from .synthesis import (
     beam_training,
     build_codebook,
-    estimate_hpbw_deg,
     scan_evaluation,
     synthesize_codeword,
     synthesize_wide_beam,
@@ -78,11 +76,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# the cell types the writers see most, formatted as _fmt does without its
+# isinstance chain; every other type goes through _fmt
+_FMT_BY_TYPE = {float: "{:.10g}".format, np.float64: "{:.10g}".format, int: str}
+
+
 def write_csv(path: str, header, rows) -> str:
+    fmt = _FMT_BY_TYPE.get
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join([fmt(type(v), _fmt)(v) for v in row]) + "\n")
     return path
 
 
@@ -152,7 +156,6 @@ def cmd_pattern(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     az, el = direction_grid(step)
     pat = far_field(asm, cw, az, el)
     metrics = pattern_metrics(pat)
-    gain = pat.gain_dbi()
 
     i_el = int(np.argmin(np.abs(pat.el_deg - metrics.peak_direction.el_deg)))
     i_az = int(np.argmin(np.abs(pat.az_deg - metrics.peak_direction.az_deg)))
@@ -170,10 +173,10 @@ def cmd_pattern(scn: Scenario, out: str, args) -> tuple[list[str], str]:
         }),
         write_csv(os.path.join(out, "pattern_cut_az.csv"),
                   ["az_deg", "gain_dbi"],
-                  zip(pat.az_deg, gain[i_el, :])),
+                  zip(pat.az_deg, pat.gain_dbi(np.s_[i_el, :]))),
         write_csv(os.path.join(out, "pattern_cut_el.csv"),
                   ["el_deg", "gain_dbi"],
-                  zip(pat.el_deg, gain[:, i_az])),
+                  zip(pat.el_deg, pat.gain_dbi(np.s_[:, i_az]))),
     ]
     sll = "n/a" if metrics.sll_db is None else f"{metrics.sll_db:.2f}"
     return outputs, (f"pattern: peak {metrics.peak_gain_dbi:.2f} dBi at "
@@ -360,19 +363,12 @@ def cmd_train(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     asm = scn.build_assembly()
     sector = scn.literal("training.sector_az_deg")
     el = scn.literal("training.el_deg")
-    n_levels = scn.literal("training.n_levels")
-    branching = scn.literal("training.branching")
-    # the codebook holds branching**n_levels leaves; leaves far narrower
-    # than the beam cost codewords without adding resolution.  Compared in
-    # logs, since a huge n_levels would make the integer power itself slow
-    hpbw = estimate_hpbw_deg(asm)
-    if n_levels * math.log(branching) > math.log(8.0 * (sector[1] - sector[0]) / hpbw):
-        raise ScenarioError(
-            f"training.n_levels: {n_levels} levels of {branching} (training.branching) "
-            f"split the {sector[1] - sector[0]:g} deg sector into leaves narrower than "
-            f"1/8 of the {hpbw:.2f} deg beamwidth")
-    codebook = build_codebook(asm, sector_az=sector, n_levels=n_levels,
-                              branching=branching, el_deg=el)
+    try:
+        codebook = build_codebook(asm, sector_az=sector,
+                                  n_levels=scn.literal("training.n_levels"),
+                                  branching=scn.literal("training.branching"), el_deg=el)
+    except ValueError as exc:
+        raise ScenarioError(f"training.n_levels (with training.branching): {exc}") from None
     n_trials = scn.literal("training.n_trials")
     snr = scn.literal("training.pilot_snr_db")
     threshold = scn.literal("training.accept_threshold_db")

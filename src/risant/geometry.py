@@ -85,6 +85,11 @@ class RisArray:
         grouping = np.asarray(self.grouping)
         if grouping.shape != (self.n_x * self.n_y,):
             raise ValueError("grouping must assign one group per element")
+        # n_groups counts 0 .. max, so every one of them needs an element
+        if (not np.issubdtype(grouping.dtype, np.integer) or grouping.min() < 0
+                or not np.all(np.bincount(grouping))):
+            raise ValueError("grouping must number its groups 0 .. n_groups - 1, "
+                             "each with at least one element")
 
     @property
     def n_elements(self) -> int:

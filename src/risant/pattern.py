@@ -20,7 +20,7 @@ import functools
 import math
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,12 @@ REFLECTION_EFFICIENCY = 0.23
 
 DEFAULT_GRID_STEP_DEG = 0.25
 
+# Finest grid step a scenario may ask for.  direction_grid(step) holds
+# (180 / step + 1)^2 directions and far_field keeps about 40 bytes a
+# direction (field, intensity and one temporary): the 0.1 deg hemisphere
+# is 1801 x 1801 = 3.2 M directions, about 130 MB.
+MIN_GRID_STEP_DEG = 0.1
+
 # Most directions per block of whole elevation rows in the lattice field
 # kernel (a row longer than this is one block).  Bounds the kernel's
 # temporaries and keeps a block's accumulator and z array (256 kB each)
@@ -63,10 +69,11 @@ def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG):
     return axis, axis.copy()
 
 
-# Assemblies are immutable value types, so the spillover integral can be
-# memoized per instance; repeated pattern evaluations on one assembly
-# (steering sweeps, beam training) would otherwise redo it every call.
-_spillover_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# Assemblies are immutable value types, so the spillover integral and the
+# illumination can be memoized per instance; repeated pattern evaluations
+# on one assembly (steering sweeps, beam training) would otherwise redo
+# them every call.  Each assembly maps to {(function name, argument): value}.
+_assembly_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _feed_rays(feed, xs, ys):
@@ -90,9 +97,10 @@ def spillover_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> float:
     hemisphere and integrated over the solid angle subtended by the
     aperture rectangle (midpoint rule on an n_grid x n_grid mesh).
     """
-    cached = _spillover_memo.setdefault(assembly, {})
-    if n_grid in cached:
-        return cached[n_grid]
+    cached = _assembly_memo.setdefault(assembly, {})
+    key = ("spillover", n_grid)
+    if key in cached:
+        return cached[key]
     feed = assembly.feed
     q = feed.pattern_exponent
     half_x = 0.5 * assembly.array.n_x * assembly.array.period_mm
@@ -106,8 +114,8 @@ def spillover_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> float:
     integrand /= r * r * r
     cell = (2 * half_x / n_grid) * (2 * half_y / n_grid)
     power = float(np.sum(integrand)) * (q + 1.0) / (2.0 * math.pi) * feed.position_mm[2] * cell
-    cached[n_grid] = min(power, 1.0)
-    return cached[n_grid]
+    cached[key] = min(power, 1.0)
+    return cached[key]
 
 
 def taper_efficiency(amplitudes: np.ndarray) -> float:
@@ -124,8 +132,13 @@ def illumination(assembly: AntennaAssembly, normalize: bool = True) -> np.ndarra
     Amplitude follows the cos^(q/2) field taper over spherical spreading
     1/r; phase is the feed-path delay -k*r.  When ``normalize`` is set
     the amplitudes are scaled so the total intercepted power equals the
-    spillover efficiency (and therefore never exceeds one).
+    spillover efficiency (and therefore never exceeds one).  The array is
+    memoized per assembly and read-only.
     """
+    cached = _assembly_memo.setdefault(assembly, {})
+    key = ("illumination", normalize)
+    if key in cached:
+        return cached[key]
     feed = assembly.feed
     xs, ys = ((np.arange(n) - 0.5 * (n - 1)) * assembly.array.period_mm
               for n in (assembly.array.n_x, assembly.array.n_y))
@@ -135,6 +148,8 @@ def illumination(assembly: AntennaAssembly, normalize: bool = True) -> np.ndarra
     a = (amp * np.exp(1j * phase)).ravel()
     if normalize:
         a *= math.sqrt(spillover_efficiency(assembly) / np.sum(amp**2))
+    a.flags.writeable = False
+    cached[key] = a
     return a
 
 
@@ -183,7 +198,8 @@ def resolve_reflections(assembly: AntennaAssembly, mask) -> np.ndarray:
 class FarFieldPattern:
     """Sampled co-polar field on a regular (az, el) grid; the cross-polar
     field is the co-polar one scaled by a constant, so only its ratio is
-    kept."""
+    kept.  ``intensity`` is |co_pol|^2, computed from ``co_pol`` when not
+    given."""
 
     az_deg: np.ndarray
     el_deg: np.ndarray
@@ -191,6 +207,7 @@ class FarFieldPattern:
     cross_pol_db: float       # cross-polar to co-polar field ratio, dB
     power_total: float        # hemisphere-integrated radiated power, both pols
     gain_offset_db: float     # 10*log10(eta_s * eta_i * reflection efficiency)
+    intensity: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         az = np.asarray(self.az_deg)
@@ -205,13 +222,39 @@ class FarFieldPattern:
             raise ValueError("pattern field must be finite")
         if self.power_total <= 0:
             raise ValueError("integrated power must be positive")
+        if self.intensity is None:
+            object.__setattr__(self, "intensity", _abs2(self.co_pol))
 
-    def gain_dbi(self) -> np.ndarray:
-        """Realized co-polar gain on the grid, dBi (zero field maps to -inf)."""
-        intensity = np.abs(self.co_pol) ** 2
+    def gain_dbi(self, index=...) -> np.ndarray:
+        """Realized co-polar gain, dBi (zero field maps to -inf), on the
+        grid or on the part of it that ``index`` selects."""
         with np.errstate(divide="ignore"):
-            return (10.0 * np.log10(4.0 * math.pi * intensity / self.power_total)
+            return (10.0 * np.log10(4.0 * math.pi * self.intensity[index] / self.power_total)
                     + self.gain_offset_db)
+
+
+def _abs2(values: np.ndarray) -> np.ndarray:
+    """|values|^2, as np.abs(values) ** 2 gives it, with one temporary."""
+    out = np.abs(values)
+    return np.square(out, out=out)
+
+
+def _mirror_half(axis: np.ndarray) -> int:
+    """Number of entries before the middle of an axis that is its own
+    mirror image (``axis == -axis[::-1]``), else 0."""
+    half = axis.size // 2
+    if half and axis[0] == -axis[-1] and np.all(axis == -axis[::-1]):
+        return half
+    return 0
+
+
+def _horner(acc, z, b, phase):
+    """acc = (sum_m b[:, m] z^m) * phase, row by row, in place."""
+    acc[...] = b[:, -1, None]
+    for m in range(b.shape[1] - 2, -1, -1):
+        acc *= z
+        acc += b[:, m, None]
+    acc *= phase
 
 
 def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
@@ -225,11 +268,18 @@ def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
     row is then the polynomial sum_m B[row, m] z^m in
     z = exp(j k period ux), times exp(j k x_0 ux), evaluated by Horner
     with n_x - 1 in-place multiply-adds over the row's directions.
-    Cost: O(directions * n_x + n_el * n_x * n_y), with no per-direction
-    exponential table.  No assumption is made on the axes, so scattered
-    directions are exact.  Rows are evaluated in blocks of at most
-    ``_CHUNK`` directions (at least one row); rows are independent, so
-    the blocking does not change a bit of the result.
+    Cost: O(directions * n_x + n_el * n_x * n_y).  No assumption is made
+    on the axes, so scattered directions are exact.
+
+    ux is odd in az and even in el.  On a grid larger than one block
+    whose axes are their own mirror images, the two phase tables z and
+    exp(j k x_0 ux) are computed for el >= 0 and az >= 0 only: the -az
+    columns are their complex conjugates (sin is odd and exp conjugate-
+    symmetric to the bit) and the -el rows are the +el rows, read
+    backwards.  On a smaller grid the tables cost less than that set-up.
+    Table rows go in blocks of at most ``_CHUNK`` directions (at least
+    one row); rows are independent, so neither the blocking nor the
+    mirroring changes a bit of the result.
     """
     n_y, n_x = coeffs_grid.shape
     az = np.radians(az_deg)
@@ -237,31 +287,42 @@ def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
     sin_az = np.sin(az)
     cos_el = np.cos(el)
     y_mm = (np.arange(n_y) - 0.5 * (n_y - 1)) * period_mm
-    rows_b = np.exp(1j * k * np.outer(np.sin(el), y_mm)) @ coeffs_grid
+    rows_b = np.exp(1j * k * (np.sin(el)[:, None] * y_mm)) @ coeffs_grid
     x0_mm = -0.5 * (n_x - 1) * period_mm
     out = np.empty((el.size, az.size), dtype=complex)
+    # rows below ``first`` and columns below ``n_neg`` take mirrored tables
+    first = n_neg = 0
+    if out.size > _CHUNK:
+        first, n_neg = _mirror_half(el), _mirror_half(az)
+        sin_az = sin_az[n_neg:]
     step = max(1, _CHUNK // max(az.size, 1))
-    for lo in range(0, el.size, step):
+    for lo in range(first, el.size, step):
         hi = min(lo + step, el.size)
-        k_ux = k * np.outer(cos_el[lo:hi], sin_az)
+        k_ux = k * (cos_el[lo:hi, None] * sin_az)
         z = np.exp(1j * period_mm * k_ux)
-        b = rows_b[lo:hi]
-        acc = out[lo:hi]
-        acc[...] = b[:, n_x - 1, None]
-        for m in range(n_x - 2, -1, -1):
-            acc *= z
-            acc += b[:, m, None]
-        acc *= np.exp(1j * x0_mm * k_ux)
+        phase = np.exp(1j * x0_mm * k_ux)
+        if n_neg:
+            z, phase = (np.concatenate((t[:, :-n_neg - 1:-1].conj(), t), axis=1)
+                        for t in (z, phase))
+        _horner(out[lo:hi], z, rows_b[lo:hi], phase)
+        if first:
+            # rows n_el - hi up to n_el - lo mirror rows hi - 1 down to lo;
+            # those below the middle take the same tables, read backwards
+            low, high = el.size - hi, min(el.size - lo, first)
+            if high > low:
+                count = high - low
+                _horner(out[low:high], z[::-1][:count], rows_b[low:high],
+                        phase[::-1][:count])
     return out
 
 
-def _integrate_power(az_deg, el_deg, field) -> float:
-    """Hemisphere power integral with the az-el Jacobian cos(el)."""
+def _integrate_power(az_deg, el_deg, intensity) -> float:
+    """Hemisphere power integral of |F|^2 with the az-el Jacobian cos(el)."""
     az = np.radians(np.asarray(az_deg))
     el = np.radians(np.asarray(el_deg))
     d_az = az[1] - az[0] if az.size > 1 else math.radians(1.0)
     d_el = el[1] - el[0] if el.size > 1 else math.radians(1.0)
-    return float(np.sum(np.abs(field) ** 2 * np.cos(el)[:, None]) * d_az * d_el)
+    return float(np.sum(intensity * np.cos(el)[:, None]) * d_az * d_el)
 
 
 def _coefficients(assembly: AntennaAssembly, mask):
@@ -280,9 +341,13 @@ def _gain_offset_db(assembly: AntennaAssembly, illum: np.ndarray) -> float:
 
 
 def _element_factor(az_deg, el_deg) -> np.ndarray:
-    """cos(theta)^qe towards each (el, az) grid direction, clipped at 0."""
-    uz = np.outer(np.cos(np.radians(el_deg)), np.cos(np.radians(az_deg)))
-    return np.clip(uz, 0.0, None) ** ELEMENT_EXPONENT
+    """cos(theta)^qe = (cos(el) cos(az))^qe towards each (el, az) grid
+    direction.  Inside +-90 deg on both axes, as :class:`Direction`
+    bounds them, both cosines are >= 0, so the power splits per axis;
+    outside, a cosine is clipped at 0."""
+    el_factor, az_factor = (np.maximum(np.cos(np.radians(a)), 0.0) ** ELEMENT_EXPONENT
+                            for a in (el_deg, az_deg))
+    return np.outer(el_factor, az_factor)
 
 
 def _both_pols(assembly: AntennaAssembly) -> float:
@@ -313,10 +378,12 @@ def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPatter
     illum, coeffs = _coefficients(assembly, mask)
     co = _lattice_field(assembly.array.period_mm, coeffs, assembly.k_per_mm, az_deg, el_deg)
     co *= _element_factor(az_deg, el_deg)
-    power = _integrate_power(az_deg, el_deg, co) * _both_pols(assembly)
+    intensity = _abs2(co)
+    power = _integrate_power(az_deg, el_deg, intensity) * _both_pols(assembly)
     return FarFieldPattern(
         az_deg=az_deg, el_deg=el_deg, co_pol=co, cross_pol_db=assembly.cross_pol_db,
         power_total=power, gain_offset_db=_gain_offset_db(assembly, illum),
+        intensity=intensity,
     )
 
 
@@ -368,7 +435,7 @@ def pattern_metrics(pattern: FarFieldPattern) -> PatternMetrics:
     outside that region.  A flat (structureless) pattern, or a lobe that
     fills the grid, reports no sidelobes.
     """
-    intensity = np.abs(pattern.co_pol) ** 2
+    intensity = pattern.intensity
     i_el, i_az = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
     peak = intensity[i_el, i_az]
     if peak <= 0:
@@ -384,10 +451,13 @@ def pattern_metrics(pattern: FarFieldPattern) -> PatternMetrics:
         el_cut = intensity[:, i_az]
         az_lo, az_hi = (_first_null(az_cut, i_az, step) for step in (-1, 1))
         el_lo, el_hi = (_first_null(el_cut, i_el, step) for step in (-1, 1))
-        outside = np.ones_like(intensity, dtype=bool)
-        outside[el_lo:el_hi + 1, az_lo:az_hi + 1] = False
-        if np.any(outside):
-            sll = float(db10(intensity[outside].max() / peak))
+        # the samples outside the lobe rectangle, as the slabs around it
+        lobe_rows = intensity[el_lo:el_hi + 1]
+        outside = (intensity[:el_lo], intensity[el_hi + 1:],
+                   lobe_rows[:, :az_lo], lobe_rows[:, az_hi + 1:])
+        side = [part.max() for part in outside if part.size]
+        if side:
+            sll = float(db10(max(side) / peak))
         hpbw_az = _hpbw(pattern.az_deg, az_cut, i_az)
         hpbw_el = _hpbw(pattern.el_deg, el_cut, i_el)
 
@@ -522,7 +592,7 @@ def _intensity(period_mm, coeffs, k, az_deg, el_deg, factor) -> np.ndarray:
     """|F|^2 with the element factor on an (el, az) grid, as far_field gives it."""
     field = _lattice_field(period_mm, coeffs, k, az_deg, el_deg)
     field *= factor
-    return np.abs(field) ** 2
+    return _abs2(field)
 
 
 def _coarse_peak(tables: _CoarseTables, period_mm, coeffs, k) -> tuple[int, int]:

@@ -41,6 +41,7 @@ from .geometry import (
     RisArray,
 )
 from .link import PRB_TABLE_120KHZ, FrameConfig, LinkScenario, PaModel, XpdModel
+from .pattern import MIN_GRID_STEP_DEG
 from .synthesis import SCAN_SECTOR
 
 
@@ -157,7 +158,9 @@ _LITERALS = {
     "element.max_rounds": (int, lambda v: v >= 0, "a non-negative integer"),
     "element.trace": (bool, _any, ""),
     "pattern.frequency_ghz": (float, lambda v: v > 0, "a positive number"),
-    "pattern.step_deg": (float, lambda v: v > 0, "a positive number"),
+    "pattern.step_deg": (float, lambda v: v >= MIN_GRID_STEP_DEG,
+                         f"a step of at least {MIN_GRID_STEP_DEG} deg (at most "
+                         f"{round(180 / MIN_GRID_STEP_DEG) + 1} directions an axis)"),
     "pattern.target.az_deg": (float, _inside(*_AZ), f"an azimuth in {list(_AZ)} deg"),
     "pattern.target.el_deg": (float, _inside(*_EL), f"an elevation in {list(_EL)} deg"),
     "pattern.scan_az_deg": (list[float], _inside(*_AZ),

@@ -295,10 +295,23 @@ class Codebook:
 def build_codebook(assembly: AntennaAssembly, sector_az=(-60.0, 60.0),
                    n_levels: int = 3, branching: int = 4,
                    quantize: bool = True, el_deg: float = 0.0) -> Codebook:
-    """Wide-to-narrow beam hierarchy; leaves are narrow beams."""
+    """Wide-to-narrow beam hierarchy; leaves are narrow beams.
+
+    The leaves, sector / branching**n_levels wide, may be no narrower than
+    1/8 of :func:`estimate_hpbw_deg`: narrower leaves cost codewords (the
+    count grows as branching**n_levels) without adding resolution.
+    """
     if n_levels < 1 or branching < 2:
         raise ValueError("codebook needs at least one level and branching >= 2")
     lo, hi = sector_az
+    if not lo < hi:
+        raise ValueError(f"sector bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    # compared in logs, since a huge n_levels would make the power itself slow
+    hpbw = estimate_hpbw_deg(assembly)
+    if n_levels * math.log(branching) > math.log(8.0 * (hi - lo) / hpbw):
+        raise ValueError(
+            f"{n_levels} levels of {branching} split the {hi - lo:g} deg sector into "
+            f"leaves narrower than 1/8 of the {hpbw:.2f} deg beamwidth")
     levels = []
     for level in range(n_levels):
         n = branching ** (level + 1)

@@ -8,6 +8,7 @@ promises byte-identical artifacts for identical scenario and seed.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,8 +18,10 @@ import numpy as np
 import pytest
 
 import risant
-from risant import __version__, cli
+from risant import __version__, cli, synthesis
 from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
+from risant.pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
+from risant.scenario import resolve_scenario
 
 # overrides that keep each subcommand cheap without changing its shape
 FAST_ARGS = {
@@ -279,6 +282,26 @@ class TestDeterminism:
 
 
 class TestCsvFormatting:
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        rows = [
+            (True, False, np.bool_(True), np.bool_(False)),
+            (0, -7, np.int64(12), np.int32(-3), 2**70),
+            (1.5, -0.0, 1e-320, 1 / 3, np.float64(2.0 / 3.0), np.float32(0.1)),
+            (-math.inf, math.inf, math.nan, np.float64(-np.inf), np.float64(np.nan)),
+            ("H", None, np.str_("V")),
+        ]
+        path = cli.write_csv(str(tmp_path / "cells.csv"), ["a", "b"], rows)
+        expected = "a,b\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n"
+                                     for row in rows)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
+        assert expected.splitlines()[1:5] == [
+            "true,false,true,false",
+            "0,-7,12,-3,1180591620717411303424",
+            "1.5,-0,9.999888672e-321,0.3333333333,0.6666666667,0.1000000015",
+            "-inf,inf,nan,-inf,nan",
+        ]
+
     def test_booleans_render_lowercase(self, tmp_path):
         assert run_cli("evm-sweep", tmp_path) == 0
         with open(tmp_path / "evm_sweep.csv", encoding="utf-8") as fh:
@@ -392,12 +415,34 @@ class TestFailureModes:
         class Reached(Exception):
             pass
 
-        def build_codebook(*args, **kwargs):
+        def synthesize_wide_beam(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(cli, "build_codebook", build_codebook)
+        # build_codebook checks its leaves before it synthesizes a beam
+        monkeypatch.setattr(synthesis, "synthesize_wide_beam", synthesize_wide_beam)
         with pytest.raises(Reached):
             main(["train", "--training.n_levels", n_levels, "--out", str(tmp_path)])
+
+    def test_grid_step_past_the_bound_exits_2_without_a_grid(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 0.001 deg would be 180001^2 directions; the literal check stops it
+        def direction_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(cli, "direction_grid", direction_grid)
+        started = time.perf_counter()
+        rc = main(["pattern", "--pattern.step_deg", "0.001", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error" in err and "pattern.step_deg" in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("step", [DEFAULT_GRID_STEP_DEG, 1.0, MIN_GRID_STEP_DEG])
+    def test_grid_step_bound_admits_steps_down_to_the_minimum(self, step):
+        scn = resolve_scenario(None, [("pattern.step_deg", step)])
+        assert scn.literal("pattern.step_deg") == step
 
     def test_steer_without_targets_exits_2(self, tmp_path, capsys):
         rc = main(["steer", "--pattern.scan_az_deg", "[]", "--pattern.scan_el_deg", "[]",

@@ -194,6 +194,20 @@ class TestRisArrayAndAssembly:
         with pytest.raises(ValueError):
             RisArray(n_x=4, n_y=4, grouping=np.zeros(7, dtype=np.int64))
 
+    @pytest.mark.parametrize("grouping", [
+        np.r_[-1, np.arange(15)],                 # a negative group
+        np.r_[np.arange(15), 16],                 # group 15 has no element
+        np.repeat([0, 2], 8),                     # group 1 has no element
+        np.arange(16) * 1.0,                      # not integer
+    ], ids=["negative", "gap-at-end", "gap-inside", "float"])
+    def test_explicit_grouping_must_be_dense(self, grouping):
+        with pytest.raises(ValueError, match="grouping"):
+            RisArray(n_x=4, n_y=4, group_size=1, grouping=grouping)
+
+    def test_dense_explicit_grouping_accepted(self):
+        arr = RisArray(n_x=4, n_y=4, group_size=1, grouping=np.arange(16)[::-1] // 3)
+        assert arr.n_groups == 6
+
     def test_assembly_checks_polarization_match(self):
         with pytest.raises(ValueError, match="polarization"):
             AntennaAssembly(

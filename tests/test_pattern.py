@@ -94,6 +94,29 @@ class TestIllumination:
         a = illumination(assembly)
         assert np.sum(np.abs(a) ** 2) == pytest.approx(spillover_efficiency(assembly), rel=1e-12)
 
+    def test_memoized_result_is_read_only(self, small_assembly):
+        a = illumination(small_assembly)
+        assert illumination(small_assembly) is a
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+
+    def test_moved_feed_gets_its_own_entry(self, small_assembly):
+        # feed-opt and steer move the feed on a copy of the assembly
+        moved = replace(small_assembly, feed=replace(small_assembly.feed,
+                                                     position_mm=(-10.0, 5.0, 70.0)))
+        for normalize in (True, False):
+            a = illumination(small_assembly, normalize=normalize)
+            b = illumination(moved, normalize=normalize)
+            assert b is not a
+            assert not np.allclose(a, b)
+            expected = _illumination_per_point(moved)
+            if normalize:
+                expected *= math.sqrt(spillover_efficiency(moved)
+                                      / np.sum(np.abs(expected) ** 2))
+            np.testing.assert_allclose(b, expected, rtol=1e-12)
+
     def test_isotropic_feed_amplitude_follows_inverse_distance(self, small_assembly):
         asm = replace(small_assembly, feed=FeedModel(position_mm=(-20.0, 0.0, 60.0),
                                                      pattern_exponent=0.0))

@@ -7,6 +7,7 @@ winner genuinely ambiguous (a 0.9 deg guard band).
 """
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +286,13 @@ class TestCodebook:
             build_codebook(assembly, n_levels=0)
         with pytest.raises(ValueError):
             build_codebook(assembly, branching=1)
+
+    def test_leaves_far_narrower_than_the_beam_raise_at_once(self, assembly):
+        # 4**9 leaves of 120 / 4**9 deg; building them would take minutes
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="narrower than 1/8"):
+            build_codebook(assembly, n_levels=9)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestBeamTraining:
