@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 computational failure
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -116,10 +115,13 @@ def _json_default(value):
 def cmd_element_opt(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     section = scn.section("element")
     freq = scn.literal("pattern.frequency_ghz")
-    result = optimize_structure(scn.build_start_circuit(), frequency_ghz=freq,
-                                targets=scn.build_targets(), sweeps=scn.build_sweeps(),
-                                max_rounds=scn.literal("element.max_rounds"),
-                                keep_trace=scn.literal("element.trace"))
+    try:
+        result = optimize_structure(scn.build_start_circuit(), frequency_ghz=freq,
+                                    targets=scn.build_targets(), sweeps=scn.build_sweeps(),
+                                    max_rounds=scn.literal("element.max_rounds"),
+                                    keep_trace=scn.literal("element.trace"))
+    except ValueError as exc:   # a sweep misses its start value or leaves the circuit's range
+        raise ScenarioError(f"element.sweeps, element.start or element.diode: {exc}") from None
     c = result.circuit
     payload = {
         "frequency_ghz": freq,
@@ -473,28 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the scenario rng_seed")
     parser.add_argument("--strict", action="store_true",
                         help="exit 3 when quality targets are missed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="limit numerical library threads (best effort)")
     parser.set_defaults(overrides=[])
     for dotted, _ in iter_leaf_paths():
         parser.add_argument(f"--{dotted}", action=_OverrideAction,
                             metavar="VALUE", dest="overrides",
                             help=argparse.SUPPRESS, default=argparse.SUPPRESS)
     return parser
-
-
-@contextlib.contextmanager
-def _thread_limit(n: int | None):
-    if n is None:
-        yield None
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        yield "threads flag ignored: threadpoolctl not installed"
-        return
-    with threadpool_limits(limits=n):
-        yield None
 
 
 def _resolve_out_dir(args) -> str:
@@ -517,8 +503,7 @@ def main(argv=None) -> int:
 
     started = time.time()
     try:
-        with _thread_limit(args.threads) as note:
-            outputs, summary = COMMANDS[args.command](scn, out_dir, args)
+        outputs, summary = COMMANDS[args.command](scn, out_dir, args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -534,8 +519,6 @@ def main(argv=None) -> int:
         "wall_clock_s": round(time.time() - started, 3),
         "outputs": [os.path.basename(p) for p in outputs],
     }
-    if note:
-        manifest["note"] = note
     manifest_path = os.path.join(out_dir, f"{args.command.replace('-', '_')}_manifest.json")
     write_json(manifest_path, manifest)
     print(summary)

@@ -173,6 +173,18 @@ class DesignTargets:
     phase_diff_target_deg: float = 180.0
     phase_tolerance_deg: float = 5.0
 
+    def __post_init__(self):
+        # a passive element reflects at most all of the incident wave
+        if not 0.0 < self.min_amplitude <= 1.0:
+            raise ValueError("minimum amplitude must lie in (0, 1]")
+        if self.phase_tolerance_deg < 0:
+            raise ValueError("phase tolerance must be non-negative")
+
+
+# Most points a sweep may hold (grid() holds round(span / step) + 1): each
+# costs one ~25 us circuit evaluation a round; the defaults hold 21 to 81.
+MAX_SWEEP_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class SweepRange:
@@ -183,6 +195,8 @@ class SweepRange:
     def __post_init__(self):
         if not (self.lo <= self.hi) or self.step <= 0:
             raise ValueError("sweep range must have lo <= hi and a positive step")
+        if (self.hi - self.lo) / self.step >= MAX_SWEEP_POINTS - 0.5:
+            raise ValueError(f"sweep range must hold at most {MAX_SWEEP_POINTS} points")
 
     def grid(self) -> np.ndarray:
         n = int(round((self.hi - self.lo) / self.step))

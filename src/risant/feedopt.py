@@ -44,6 +44,10 @@ DEFAULT_REFINE_OFFSETS_MM = (
 # The realized gain that stage two scores is the broadside beam's.
 _BROADSIDE = Direction(0.0, 0.0)
 
+# Most cells the coarse scan may visit, counting span / step + 2 points an
+# axis: each costs one ~0.5 ms efficiency evaluation; the default box holds 130.
+MAX_COARSE_CELLS = 10_000
+
 
 @dataclass(frozen=True)
 class FeedSearchSpace:
@@ -63,6 +67,10 @@ class FeedSearchSpace:
             raise ValueError("feed search must stay above the aperture (z > 0)")
         if self.coarse_step_mm <= 0:
             raise ValueError("coarse step must be positive")
+        cells = math.prod((hi - lo) / self.coarse_step_mm + 2 if hi > lo else 1
+                          for lo, hi in (self.x_mm, self.y_mm, self.z_mm))
+        if cells > MAX_COARSE_CELLS:
+            raise ValueError(f"coarse grid of {cells:.3g} cells, more than {MAX_COARSE_CELLS}")
         offsets = np.asarray(self.refine_offsets_mm, dtype=float)
         if offsets.ndim != 2 or offsets.shape[1] != 3:
             raise ValueError("refine offsets must be 3D deltas")

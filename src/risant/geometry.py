@@ -16,6 +16,7 @@ import numpy as np
 
 from .constants import wavelength_mm, wavenumber_per_mm
 from .element import DESIGN_CIRCUIT, ElementCircuit
+from .link import XpdModel
 
 
 def _check_lattice(n_x: int, n_y: int, period_mm: float) -> None:
@@ -69,7 +70,7 @@ class RisArray:
     n_x: int = 32
     n_y: int = 32
     period_mm: float = 5.0
-    polarization: str = "H"
+    polarization: str = "H"         # of the elements and of the feed that lights them
     group_size: int = 2
     group_axis: str = "y"
     grouping: np.ndarray = field(default=None, repr=False)  # element -> group
@@ -119,15 +120,12 @@ class FeedModel:
 
     position_mm: tuple[float, float, float] = (-82.0, 0.0, 150.0)
     pattern_exponent: float = 6.5
-    polarization: str = "H"
 
     def __post_init__(self):
         if self.position_mm[2] <= 0:
             raise ValueError("feed must sit above the aperture (z > 0)")
         if self.pattern_exponent < 0:
             raise ValueError("pattern exponent must be non-negative")
-        if self.polarization not in ("H", "V"):
-            raise ValueError(f"polarization must be 'H' or 'V', got {self.polarization!r}")
 
     def position(self) -> np.ndarray:
         return np.asarray(self.position_mm, dtype=float)
@@ -193,7 +191,7 @@ class AntennaAssembly:
     array: RisArray = field(default_factory=RisArray)
     feed: FeedModel = field(default_factory=FeedModel)
     frequency_ghz: float = 26.0
-    cross_pol_db: float = -15.19
+    cross_pol_db: float = XpdModel.h_antenna_db        # the default H array's leakage
     element_circuit: ElementCircuit = DESIGN_CIRCUIT
     incidence_model: IncidenceModel | None = None
 
@@ -202,11 +200,6 @@ class AntennaAssembly:
             raise ValueError("frequency must be positive")
         if self.cross_pol_db >= 0:
             raise ValueError("cross-pol level must be negative dB")
-        if self.array.polarization != self.feed.polarization:
-            raise ValueError(
-                f"array ({self.array.polarization}) and feed ({self.feed.polarization}) "
-                "polarizations must match"
-            )
 
     @property
     def wavelength_mm(self) -> float:

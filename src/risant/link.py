@@ -50,6 +50,8 @@ class LinkScenario:
     def __post_init__(self):
         if self.d_m <= 0:
             raise ValueError("distance must be positive")
+        if self.center_freq_ghz <= 0:
+            raise ValueError("centre frequency must be positive")
         if self.bandwidth_mhz <= 0:
             raise ValueError("bandwidth must be positive")
         if not 0.0 <= self.tx_evm_floor < 0.5:
@@ -406,19 +408,17 @@ class StreamSinr:
     v_db: float
 
 
-def dual_stream_sinr(stream_gains_dbi, xpd: XpdModel,
+def dual_stream_sinr(stream_gains_dbi: dict[str, float], xpd: XpdModel,
                      scenario: LinkScenario) -> StreamSinr:
     """Per-stream SINR for co-located H/V streams separated by polarization.
 
+    ``stream_gains_dbi`` maps "h" and "v" to each stream's antenna gain.
     Each stream's interference is the other stream's received power
     attenuated by the receiving antenna's own cross-pol leakage; both
     streams share the scenario's transmit power, distance, and noise
     chain.
     """
-    if isinstance(stream_gains_dbi, dict):
-        gain_h, gain_v = stream_gains_dbi["h"], stream_gains_dbi["v"]
-    else:
-        gain_h, gain_v = stream_gains_dbi
+    gain_h, gain_v = stream_gains_dbi["h"], stream_gains_dbi["v"]
     fspl = path_loss_fspl(scenario.d_m, scenario.center_freq_ghz)
     noise_mw = from_db10(noise_power_dbm(scenario.bandwidth_mhz,
                                          scenario.rx_noise_figure_db))

@@ -588,10 +588,10 @@ def _grid_power(tables: _CoarseTables, coeffs: np.ndarray) -> float:
     return float(np.vdot(autocorrelation, tables.lags))
 
 
-def _intensity(period_mm, coeffs, k, az_deg, el_deg, factor) -> np.ndarray:
+def _intensity(period_mm, coeffs, k, az_deg, el_deg) -> np.ndarray:
     """|F|^2 with the element factor on an (el, az) grid, as far_field gives it."""
     field = _lattice_field(period_mm, coeffs, k, az_deg, el_deg)
-    field *= factor
+    field *= _element_factor(az_deg, el_deg)
     return _abs2(field)
 
 
@@ -632,7 +632,7 @@ def _coarse_peak(tables: _CoarseTables, period_mm, coeffs, k) -> tuple[int, int]
         rows, cols = np.divmod(points, tables.az_deg.size)
         r, c = np.unique(rows), np.unique(cols)
         az, el = tables.az_deg[c], tables.el_deg[r]
-        block = _intensity(period_mm, coeffs, k, az, el, _element_factor(az, el))
+        block = _intensity(period_mm, coeffs, k, az, el)
         return block[np.searchsorted(r, rows), np.searchsorted(c, cols)]
 
     best = exact(np.array([np.argmax(bound)]))[0]
@@ -665,7 +665,7 @@ def steered_gain(assembly: AntennaAssembly, mask, target: Direction) -> SteeredG
     el0 = float(tables.el_deg[i_el])
     az = np.arange(max(az0 - window_deg, -90.0), min(az0 + window_deg, 90.0) + fine_step / 2, fine_step)
     el = np.arange(max(el0 - window_deg, -90.0), min(el0 + window_deg, 90.0) + fine_step / 2, fine_step)
-    fi = _intensity(array.period_mm, coeffs, k, az, el, _element_factor(az, el))
+    fi = _intensity(array.period_mm, coeffs, k, az, el)
     j_el, j_az = np.unravel_index(int(np.argmax(fi)), fi.shape)
     peak = Direction(float(az[j_az]), float(el[j_el]))
     directivity = 4.0 * math.pi * fi[j_el, j_az] / power

@@ -41,8 +41,8 @@ from .geometry import (
     RisArray,
 )
 from .link import PRB_TABLE_120KHZ, FrameConfig, LinkScenario, PaModel, XpdModel
-from .pattern import MIN_GRID_STEP_DEG
-from .synthesis import SCAN_SECTOR
+from .pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
+from .synthesis import DEFAULT_ACCEPT_THRESHOLD_DB, SCAN_SECTOR
 
 
 class ScenarioError(Exception):
@@ -85,9 +85,8 @@ DEFAULT_SCENARIO = {
         "search": _defaults(FeedSearchSpace, "refine_offsets_mm"),
     },
     "pattern": {
-        **_defaults(AntennaAssembly, "array", "feed", "element_circuit",
-                    "incidence_model"),
-        "step_deg": 0.25,
+        "frequency_ghz": AntennaAssembly.frequency_ghz,
+        "step_deg": DEFAULT_GRID_STEP_DEG,
         "target": {"az_deg": 0.0, "el_deg": 0.0},
         "scan_az_deg": [-60.0, -45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0, 60.0],
         "scan_el_deg": [-30.0, -10.0, 10.0, 30.0],
@@ -119,7 +118,7 @@ DEFAULT_SCENARIO = {
         "branching": 4,
         "pilot_snr_db": 5.0,
         "n_trials": 200,
-        "accept_threshold_db": -6.0,
+        "accept_threshold_db": DEFAULT_ACCEPT_THRESHOLD_DB,
         "sector_az_deg": [-60.0, 60.0],
         "el_deg": 0.0,
     },
@@ -334,7 +333,9 @@ class Scenario:
         p = self.data["pattern"]
         model = (_build(IncidenceModel, p["incidence"], "pattern.incidence")
                  if self.literal("pattern.incidence.enabled") else None)
-        return _build(AntennaAssembly, p, "pattern", array=self.build_array(),
+        array, xpd = self.build_array(), self.build_xpd()
+        cross_pol = xpd.h_antenna_db if array.polarization == "H" else xpd.v_antenna_db
+        return _build(AntennaAssembly, p, "pattern", array=array, cross_pol_db=cross_pol,
                       feed=self.build_feed(), incidence_model=model,
                       element_circuit=self.build_design_circuit())
 

@@ -151,7 +151,7 @@ class WideBeamResult:
     note: str = ""
 
 
-def _subaperture_direction_map(assembly: AntennaAssembly, sector_az, el_deg, n_sub):
+def _subaperture_direction_map(assembly: AntennaAssembly, sector_az, n_sub):
     """Per-element steering direction for column-strip sub-apertures."""
     lo, hi = sector_az
     n_x = assembly.array.n_x
@@ -200,7 +200,7 @@ def synthesize_wide_beam(assembly: AntennaAssembly, sector_az: tuple[float, floa
         n_subapertures = 1
         note = "sector within one beamwidth; narrow codeword at sector centre"
 
-    centers, strip = _subaperture_direction_map(assembly, sector_az, el_deg, n_subapertures)
+    centers, strip = _subaperture_direction_map(assembly, sector_az, n_subapertures)
     phases = np.empty(assembly.array.n_elements)
     for s, az_c in enumerate(centers):
         member = strip == s
@@ -288,7 +288,7 @@ class Codebook:
     def leaves(self) -> list:
         return self.levels[-1]
 
-    def children(self, level: int, parent_index: int) -> range:
+    def children(self, parent_index: int) -> range:
         return range(parent_index * self.branching, (parent_index + 1) * self.branching)
 
 
@@ -398,7 +398,7 @@ def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Directio
     parent_power = max(meas)
 
     for level in range(1, codebook.n_levels):
-        children = list(codebook.children(level, best))
+        children = list(codebook.children(best))
         meas = [_measure(row, codebook.levels[level][i], noise_scale, rng)
                 for i in children]
         pilots += len(children)

@@ -7,21 +7,28 @@ fast.  File contents are checked, not just exit codes: the CSV writer
 promises byte-identical artifacts for identical scenario and seed.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import risant
 from risant import __version__, cli, synthesis
 from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
+from risant.element import SweepRange
+from risant.feedopt import FeedSearchSpace
 from risant.pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
-from risant.scenario import resolve_scenario
+from risant.scenario import iter_leaf_paths, resolve_scenario
 
 # overrides that keep each subcommand cheap without changing its shape
 FAST_ARGS = {
@@ -258,6 +265,18 @@ class TestRateAndOverrides:
         assert run_cli("rate", tmp_path, "--seed", "7") == 0
         assert read_manifest(tmp_path, "rate")["seed"] == 7
 
+    @pytest.mark.parametrize("overrides, cross_pol_db", [
+        ([], -15.19),
+        (["--array.polarization", "V"], -10.16),
+        (["--array.polarization", "V", "--link.xpd_db.v", "-12.5"], -12.5),
+        (["--link.xpd_db.v", "-12.5"], -15.19),
+    ])
+    def test_array_polarization_picks_the_cross_pol(self, overrides, cross_pol_db,
+                                                    tmp_path):
+        # the assembly takes link.xpd_db of the array's polarization
+        assert run_cli("pattern", tmp_path, *overrides) == 0
+        assert read_json(tmp_path, "pattern.json")["cross_pol_db"] == cross_pol_db
+
 
 class TestDeterminism:
     def test_train_csv_is_byte_identical_across_runs(self, tmp_path):
@@ -351,6 +370,14 @@ class TestFailureModes:
         ("pattern", "pattern.frequency_ghz", ".nan"),
         ("geometry", "array.n_x", "0"),
         ("geometry", "array.period_mm", "-1"),
+        ("link", "link.center_freq_ghz", "0"),
+        ("link", "link.center_freq_ghz", "-1"),
+        ("dual-stream", "link.dual.center_freq_ghz", "0"),
+        ("dual-stream", "link.dual.center_freq_ghz", "-1"),
+        ("pattern", "link.xpd_db.v", "3"),
+        ("element-opt", "element.targets.phase_tolerance_deg", "-1"),
+        ("element-opt", "element.targets.min_amplitude", "0"),
+        ("element-opt", "element.targets.min_amplitude", "1.5"),
     ])
     def test_value_the_model_rejects_exits_2(self, command, flag, value, tmp_path,
                                              capsys):
@@ -444,6 +471,41 @@ class TestFailureModes:
         scn = resolve_scenario(None, [("pattern.step_deg", step)])
         assert scn.literal("pattern.step_deg") == step
 
+    @pytest.mark.parametrize("flag, value, parameter", [
+        ("element.start.l_g_nh", "0", "l_g_nh"),
+        ("element.start.l_v_nh", "0", "l_v_nh"),
+        ("element.diode.l_on_nh", "0", "l_diode_nh"),
+        ("element.sweeps.c_p_ff", "[60, 70, 0.5]", "c_p_ff"),
+    ])
+    def test_start_value_outside_its_sweep_exits_2(self, flag, value, parameter,
+                                                   tmp_path, capsys):
+        rc = main(["element-opt", f"--{flag}", value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error: element.sweeps" in err
+        assert f"sweep range for {parameter}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag, value, model, grid", [
+        # 4e10 sweep points; 4e10 feed cells at ~0.5 ms each
+        ("element-opt", "element.sweeps.c_p_ff", "[30, 70, 1e-9]", SweepRange, "grid"),
+        ("feed-opt", "feed.search.coarse_step_mm", "0.001", FeedSearchSpace, "axis_grid"),
+    ])
+    def test_grid_past_its_work_bound_exits_2_without_a_grid(
+            self, command, flag, value, model, grid, tmp_path, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(model, grid, no_grid)
+        started = time.perf_counter()
+        rc = main([command, f"--{flag}", value, "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error" in err and flag in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0
+
     def test_steer_without_targets_exits_2(self, tmp_path, capsys):
         rc = main(["steer", "--pattern.scan_az_deg", "[]", "--pattern.scan_el_deg", "[]",
                    "--out", str(tmp_path)])
@@ -461,3 +523,52 @@ class TestFailureModes:
         # artifacts from the completed sweep remain, but no manifest
         assert (tmp_path / "element_opt.json").is_file()
         assert not (tmp_path / "element_opt_manifest.json").exists()
+
+
+# The cheapest run that reads each scenario leaf, as (dotted prefix,
+# arguments); the first matching prefix wins.  The leaf's own flag comes
+# after the arguments, so it overrides them.
+_PATTERN_RUN = ("pattern", "--pattern.step_deg", "2")
+_CHEAPEST_READER = (
+    ("element.design.", _PATTERN_RUN),
+    ("element.", ("element-opt", "--element.max_rounds", "1")),
+    ("array.", ("geometry",)),
+    ("feed.search.", ("feed-opt", *FAST_ARGS["feed-opt"])),
+    ("feed.", _PATTERN_RUN),
+    ("pattern.scan_", ("steer", "--pattern.scan_az_deg", "[0.0]",
+                       "--pattern.scan_el_deg", "[10.0]")),
+    ("pattern.widebeam.", ("widebeam",)),
+    ("pattern.incidence.", (*_PATTERN_RUN, "--pattern.incidence.enabled", "true")),
+    ("pattern.", _PATTERN_RUN),
+    ("link.sweep_distances_m", ("evm-sweep",)),
+    ("link.pa.", ("aclr-sweep", "--link.aclr.n_symbols", "2")),
+    ("link.aclr.", ("aclr-sweep", "--link.aclr.n_symbols", "2")),
+    ("link.stream_gains_dbi.", ("dual-stream",)),
+    ("link.xpd_db.", ("dual-stream",)),
+    ("link.dual.", ("dual-stream",)),
+    ("link.", ("link", "--link.evm_symbols", "100")),
+    ("frame.", ("rate",)),
+    ("training.", ("train", "--training.n_trials", "2")),
+    ("rng_seed", ("rate",)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(leaf=st.sampled_from([leaf for leaf, _ in iter_leaf_paths()]),
+       value=st.sampled_from(["foo", "-1", "0", "[]", "true"]))
+@example(leaf="element.start.l_g_nh", value="0")
+@example(leaf="element.start.l_v_nh", value="0")
+@example(leaf="element.diode.l_on_nh", value="0")
+@example(leaf="element.sweeps.c_p_ff", value="[60, 70, 0.5]")
+@example(leaf="link.center_freq_ghz", value="0")
+@example(leaf="link.center_freq_ghz", value="-1")
+@example(leaf="link.dual.center_freq_ghz", value="0")
+@example(leaf="link.dual.center_freq_ghz", value="-1")
+def test_any_leaf_with_a_small_bad_value_exits_0_or_2(leaf, value):
+    args = next(run for prefix, run in _CHEAPEST_READER if leaf.startswith(prefix))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main([*args, f"--{leaf}", value, "--out", out])
+    assert rc in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -15,6 +15,7 @@ from risant.element import (
     DEFAULT_START_CIRCUIT,
     DEFAULT_SWEEPS,
     DESIGN_CIRCUIT,
+    MAX_SWEEP_POINTS,
     DesignTargets,
     DiodeModel,
     ElementCircuit,
@@ -247,6 +248,21 @@ class TestOptimizer:
         sweeps = {"c_p_ff": SweepRange(50.5, 70.0, 0.5)}
         with pytest.raises(ValueError, match="c_p_ff"):
             optimize_structure(DEFAULT_START_CIRCUIT, sweeps=sweeps)
+
+    @pytest.mark.parametrize("kwargs", [{"min_amplitude": 0.0}, {"min_amplitude": 1.01},
+                                        {"phase_tolerance_deg": -1.0}])
+    def test_targets_no_circuit_can_meet_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            DesignTargets(**kwargs)
+
+    def test_sweep_point_bound(self):
+        # grid() holds round((hi - lo) / step) + 1 points
+        assert SweepRange(0.0, MAX_SWEEP_POINTS - 1.0, 1.0).grid().size == MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match="points"):
+            SweepRange(0.0, float(MAX_SWEEP_POINTS), 1.0)
+        with pytest.raises(ValueError, match="points"):
+            SweepRange(30.0, 70.0, 1e-300)    # the quotient overflows to inf
+        assert all(r.grid().size <= MAX_SWEEP_POINTS for r in DEFAULT_SWEEPS.values())
 
     def test_trace_rows_have_documented_shape(self):
         res = optimize_structure(DEFAULT_START_CIRCUIT, keep_trace=True)

@@ -6,6 +6,7 @@ import pytest
 
 from risant.constants import db10
 from risant.feedopt import (
+    MAX_COARSE_CELLS,
     PREDICTED_LOSS_DB,
     FeedSearchSpace,
     aperture_efficiency,
@@ -55,6 +56,19 @@ class TestSearchSpace:
             FeedSearchSpace(coarse_step_mm=0.0)
         with pytest.raises(ValueError):
             FeedSearchSpace(refine_offsets_mm=((10.0, 0.0, 0.0),))
+
+    @pytest.mark.parametrize("step", [None, 10.0, 20.0])
+    def test_cell_bound_admits_the_searches_in_use(self, step):
+        # the default box, and criterion 11's widest box at its two steps
+        space = (FeedSearchSpace() if step is None else
+                 FeedSearchSpace(x_mm=(-120.0, -20.0), y_mm=(-20.0, 20.0),
+                                 z_mm=(90.0, 240.0), coarse_step_mm=step))
+        assert np.prod([space.axis_grid(axis).size for axis in range(3)]) <= MAX_COARSE_CELLS
+
+    @pytest.mark.parametrize("step", [0.001, 1e-300])
+    def test_cell_bound_rejects_a_fine_step(self, step):
+        with pytest.raises(ValueError, match="cells"):
+            FeedSearchSpace(coarse_step_mm=step)
 
 
 class TestApertureEfficiency:

@@ -174,8 +174,6 @@ class TestFeedModel:
             FeedModel(position_mm=(0.0, 0.0, -5.0))
         with pytest.raises(ValueError):
             FeedModel(pattern_exponent=-1.0)
-        with pytest.raises(ValueError):
-            FeedModel(polarization="X")
 
 
 class TestRisArrayAndAssembly:
@@ -207,13 +205,6 @@ class TestRisArrayAndAssembly:
     def test_dense_explicit_grouping_accepted(self):
         arr = RisArray(n_x=4, n_y=4, group_size=1, grouping=np.arange(16)[::-1] // 3)
         assert arr.n_groups == 6
-
-    def test_assembly_checks_polarization_match(self):
-        with pytest.raises(ValueError, match="polarization"):
-            AntennaAssembly(
-                array=RisArray(polarization="H"),
-                feed=FeedModel(polarization="V"),
-            )
 
     def test_assembly_validation(self):
         with pytest.raises(ValueError):

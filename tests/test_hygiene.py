@@ -1,14 +1,18 @@
-"""Source hygiene of the package, read with ``ast`` only: every import of a
+"""Source hygiene of the package, read with ``ast``: every import of a
 module is used in it, and every public top-level name is used somewhere in
 ``src/`` besides its own definition (an export from ``risant/__init__``
-counts as a use)."""
+counts as a use).  Also: README's common flags are the parser's."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+from risant.cli import build_parser
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "risant"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -83,3 +87,12 @@ def test_every_public_name_has_a_user():
             if not any(_uses_outside_definition(module, name) for module in uses):
                 orphans.append(f"{path.name}:{name}")
     assert not orphans, f"public names nothing in src/ uses: {orphans}"
+
+
+def test_readme_common_flags_are_the_parser_options():
+    # a deleted flag must not linger in the docs, nor a new one go unlisted
+    paragraph = README.read_text(encoding="utf-8").split("Common flags:", 1)[1]
+    documented = set(re.findall(r"--[a-z][\w-]*", paragraph.split("\n\n", 1)[0]))
+    options = {option for action in build_parser()._actions
+               if action.dest != "overrides" for option in action.option_strings}
+    assert documented == options - {"-h", "--help", "--version"}

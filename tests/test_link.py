@@ -281,7 +281,7 @@ class TestDualStream:
     def test_matches_linear_domain_oracle(self):
         sc = LinkScenario()
         xpd = XpdModel()
-        out = dual_stream_sinr((22.01, 22.11), xpd, sc)
+        out = dual_stream_sinr({"h": 22.01, "v": 22.11}, xpd, sc)
 
         fspl = path_loss_fspl(sc.d_m, sc.center_freq_ghz)
         noise_mw = from_db10(noise_power_dbm(sc.bandwidth_mhz, sc.rx_noise_figure_db))
@@ -294,7 +294,7 @@ class TestDualStream:
 
     def test_interference_limited_by_antenna_isolation(self):
         sc = LinkScenario(tx_power_dbm=120.0)  # drive thermal noise negligible
-        out = dual_stream_sinr((22.0, 22.0), XpdModel(), sc)
+        out = dual_stream_sinr({"h": 22.0, "v": 22.0}, XpdModel(), sc)
         assert out.h_db == pytest.approx(15.19, abs=1e-6)
         assert out.v_db == pytest.approx(10.16, abs=1e-6)
         assert out.v_db < out.h_db
@@ -302,14 +302,8 @@ class TestDualStream:
     def test_perfect_isolation_reduces_to_snr(self):
         sc = LinkScenario()
         xpd = XpdModel(h_antenna_db=-200.0, v_antenna_db=-200.0)
-        out = dual_stream_sinr((22.2, 22.2), xpd, sc)
+        out = dual_stream_sinr({"h": 22.2, "v": 22.2}, xpd, sc)
         assert out.h_db == pytest.approx(link_budget(sc), abs=1e-9)
-
-    def test_dict_and_tuple_inputs_agree(self):
-        sc = LinkScenario()
-        a = dual_stream_sinr({"h": 21.0, "v": 20.0}, XpdModel(), sc)
-        b = dual_stream_sinr((21.0, 20.0), XpdModel(), sc)
-        assert a == b
 
     def test_xpd_validation(self):
         with pytest.raises(ValueError):

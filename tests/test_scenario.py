@@ -210,17 +210,26 @@ class TestSingleSourceOfDefaults:
     def test_default_hash_is_pinned(self):
         # any moved default changes it, e.g. frame.overhead 0.18 for 0.14
         assert resolve_scenario(None).hash() == (
-            "40fb67fc303b1d6621491129e84592e8aabd483fce9e65b08b682bc6002e6255")
+            "9021d75cd2b7a31bde5cbef8358f5514f6ed25bb1907a5bc85cdad8258b48f54")
 
     def test_removed_link_aod_flag_is_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["rate", "--link.aod.az_deg", "1"])
         assert excinfo.value.code == 2
 
+    def test_removed_threads_flag_is_rejected(self):
+        # it only worked with threadpoolctl; the BLAS environment variables remain
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rate", "--threads", "1"])
+        assert excinfo.value.code == 2
+
     @pytest.mark.parametrize("section, key", [("feed", "gain_dbi"),
-                                              ("link", "lna_gain_db")])
+                                              ("link", "lna_gain_db"),
+                                              ("feed", "polarization"),
+                                              ("pattern", "cross_pol_db")])
     def test_removed_unread_key_is_rejected(self, section, key):
-        # the keys fed model fields that no output read
+        # the keys fed model fields that no output read, or that a second
+        # key already set (array.polarization, link.xpd_db)
         with pytest.raises(ScenarioError, match=f"unknown key '{section}.{key}'"):
             resolve_scenario({section: {key: 99.0}})
         with pytest.raises(SystemExit) as excinfo:

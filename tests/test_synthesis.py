@@ -272,8 +272,8 @@ class TestCodebook:
                 assert e.center.az_deg == pytest.approx(0.5 * (s_lo + s_hi))
 
     def test_children_index_blocks(self, onebit_codebook):
-        assert list(onebit_codebook.children(1, 2)) == [8, 9, 10, 11]
-        assert list(onebit_codebook.children(2, 5)) == [20, 21, 22, 23]
+        assert list(onebit_codebook.children(2)) == [8, 9, 10, 11]
+        assert list(onebit_codebook.children(5)) == [20, 21, 22, 23]
 
     def test_leaf_entries_expose_codewords(self, onebit_codebook, continuous_codebook):
         assert all(e.codeword is not None for e in onebit_codebook.leaves)
