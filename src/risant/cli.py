@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .element import optimize_structure
+from .element import SweepRangeError, optimize_structure
 from .feedopt import aperture_efficiency, optimize_feed
 from .geometry import Direction
 from .link import (
@@ -112,15 +112,16 @@ def _json_default(value):
 # subcommand implementations; each returns (output paths, summary line)
 
 
-def cmd_element_opt(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_element_opt(scn: Scenario, out: str, strict: bool = False) -> tuple[list[str], str]:
     section = scn.section("element")
     freq = scn.literal("pattern.frequency_ghz")
     try:
         result = optimize_structure(scn.build_start_circuit(), frequency_ghz=freq,
                                     targets=scn.build_targets(), sweeps=scn.build_sweeps(),
-                                    max_rounds=scn.literal("element.max_rounds"),
-                                    keep_trace=scn.literal("element.trace"))
-    except ValueError as exc:   # a sweep misses its start value or leaves the circuit's range
+                                    max_rounds=scn.literal("element.max_rounds"))
+    except SweepRangeError as exc:
+        raise ScenarioError(f"element.sweeps.{exc.parameter}: {exc}") from None
+    except ValueError as exc:   # a sweep misses its start value
         raise ScenarioError(f"element.sweeps, element.start or element.diode: {exc}") from None
     c = result.circuit
     payload = {
@@ -141,7 +142,7 @@ def cmd_element_opt(scn: Scenario, out: str, args) -> tuple[list[str], str]:
             ["round", "parameter", "value", "amp_on", "amp_off",
              "phase_diff_deg", "objective"],
             result.trace))
-    if args.strict and not result.targets_met:
+    if strict and not result.targets_met:
         raise ComputationError(
             f"element targets unmet: amp_on {result.amp_on:.4f}, "
             f"amp_off {result.amp_off:.4f}, phase diff {result.phase_diff_deg:.2f} deg")
@@ -150,7 +151,7 @@ def cmd_element_opt(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                      f"targets_met={result.targets_met}")
 
 
-def cmd_pattern(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_pattern(scn: Scenario, out: str) -> tuple[list[str], str]:
     asm = scn.build_assembly()
     target = scn.build_target_direction()
     cw = synthesize_codeword(asm, target, scn.literal("pattern.compensate_incidence"))
@@ -186,7 +187,7 @@ def cmd_pattern(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                      f"{metrics.peak_direction.el_deg:.2f}) deg, SLL {sll} dB")
 
 
-def cmd_steer(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_steer(scn: Scenario, out: str) -> tuple[list[str], str]:
     asm = scn.build_assembly()
     targets = [Direction(a, 0.0) for a in scn.literal("pattern.scan_az_deg")]
     targets += [Direction(0.0, e) for e in scn.literal("pattern.scan_el_deg")]
@@ -209,7 +210,7 @@ def cmd_steer(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                      f"{max(r[3] for r in rows):.2f} deg")
 
 
-def cmd_widebeam(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_widebeam(scn: Scenario, out: str) -> tuple[list[str], str]:
     asm = scn.build_assembly()
     sector = scn.literal("pattern.widebeam.sector_az_deg")
     el = scn.literal("pattern.widebeam.el_deg")
@@ -235,7 +236,7 @@ def cmd_widebeam(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                      f"{result.ripple_db:.2f} dB over [{sector[0]}, {sector[1]}] deg")
 
 
-def cmd_feed_opt(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_feed_opt(scn: Scenario, out: str) -> tuple[list[str], str]:
     asm = scn.build_assembly()
     result = optimize_feed(asm, scn.build_feed_space())
     nominal = aperture_efficiency(asm)
@@ -267,7 +268,7 @@ def cmd_feed_opt(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                      f"{result.refined.realized_gain_dbi:.2f} dBi realized")
 
 
-def cmd_link(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_link(scn: Scenario, out: str) -> tuple[list[str], str]:
     ls = scn.build_link()
     snr = link_budget(ls)
     evm_cf = evm_closed_form(snr, ls.tx_evm_floor)
@@ -286,7 +287,7 @@ def cmd_link(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                      f"(simulated {100 * evm_mc:.2f}%)")
 
 
-def cmd_evm_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_evm_sweep(scn: Scenario, out: str) -> tuple[list[str], str]:
     rows = evm_vs_distance(scn.build_link(), scn.literal("link.sweep_distances_m"))
     outputs = [
         write_csv(os.path.join(out, "evm_sweep.csv"),
@@ -302,7 +303,7 @@ def cmd_evm_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                      f"{all(r[3] for r in rows)}")
 
 
-def cmd_aclr_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_aclr_sweep(scn: Scenario, out: str) -> tuple[list[str], str]:
     pa = scn.build_pa()
     bw_mhz = scn.literal("link.aclr.channel_bandwidth_mhz")
     waveform = WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[round(bw_mhz)])
@@ -330,7 +331,7 @@ def cmd_aclr_sweep(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                      f"({pa.kind} PA), all_pass={max(values) <= ACLR_LIMIT_DBC}")
 
 
-def cmd_dual_stream(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_dual_stream(scn: Scenario, out: str) -> tuple[list[str], str]:
     ls = scn.build_link(dual=True)
     gains = {pol: scn.literal(f"link.stream_gains_dbi.{pol}") for pol in ("h", "v")}
     xpd = scn.build_xpd()
@@ -348,7 +349,7 @@ def cmd_dual_stream(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     return outputs, f"dual-stream: SINR H {sinr.h_db:.2f} dB, V {sinr.v_db:.2f} dB"
 
 
-def cmd_rate(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_rate(scn: Scenario, out: str) -> tuple[list[str], str]:
     frame = scn.build_frame()
     rate = peak_rate_3gpp(frame)
     payload = {
@@ -361,7 +362,7 @@ def cmd_rate(scn: Scenario, out: str, args) -> tuple[list[str], str]:
     return outputs, f"rate: {rate / 1e9:.4f} Gbps (duty {dl_duty(frame):.4f})"
 
 
-def cmd_train(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_train(scn: Scenario, out: str) -> tuple[list[str], str]:
     asm = scn.build_assembly()
     sector = scn.literal("training.sector_az_deg")
     el = scn.literal("training.el_deg")
@@ -410,7 +411,7 @@ def cmd_train(scn: Scenario, out: str, args) -> tuple[list[str], str]:
                      f"baseline over {n_trials} trials")
 
 
-def cmd_geometry(scn: Scenario, out: str, args) -> tuple[list[str], str]:
+def cmd_geometry(scn: Scenario, out: str) -> tuple[list[str], str]:
     array = scn.build_array()
     positions = array.positions_mm()
     rows = [(i, int(array.grouping[i]), positions[i, 0], positions[i, 1],
@@ -503,7 +504,9 @@ def main(argv=None) -> int:
 
     started = time.time()
     try:
-        outputs, summary = COMMANDS[args.command](scn, out_dir, args)
+        # element-opt is the one command with quality targets for --strict
+        extra = {"strict": args.strict} if args.command == "element-opt" else {}
+        outputs, summary = COMMANDS[args.command](scn, out_dir, **extra)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

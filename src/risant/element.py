@@ -235,6 +235,11 @@ def state_metrics(circuit: ElementCircuit, frequency_ghz: float):
     return on.amplitude, off.amplitude, float(wrap_deg(on.phase_deg - off.phase_deg))
 
 
+def _objective(amp_on: float, amp_off: float, dphi: float, targets: DesignTargets) -> float:
+    phase_err = float(wrap_deg(dphi - targets.phase_diff_target_deg))
+    return -min(amp_on, amp_off) + PHASE_PENALTY_PER_DEG2 * phase_err**2
+
+
 def design_objective(
     circuit: ElementCircuit, frequency_ghz: float, targets: DesignTargets
 ) -> float:
@@ -244,9 +249,7 @@ def design_objective(
     difference is within a few degrees of the target, after which the
     amplitude term takes over.
     """
-    amp_on, amp_off, dphi = state_metrics(circuit, frequency_ghz)
-    phase_err = float(wrap_deg(dphi - targets.phase_diff_target_deg))
-    return -min(amp_on, amp_off) + PHASE_PENALTY_PER_DEG2 * phase_err**2
+    return _objective(*state_metrics(circuit, frequency_ghz), targets)
 
 
 def targets_met(circuit: ElementCircuit, frequency_ghz: float, targets: DesignTargets) -> bool:
@@ -257,6 +260,15 @@ def targets_met(circuit: ElementCircuit, frequency_ghz: float, targets: DesignTa
 
 # Sweep order for the alternating one-dimensional scans.
 SWEEP_ORDER = ("c_p_ff", "l_g_nh", "l_v_nh", "l_diode_nh")
+
+
+class SweepRangeError(ValueError):
+    """A sweep range whose end makes a circuit the model rejects;
+    ``parameter`` names the sweep."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
 
 
 @dataclass
@@ -277,7 +289,6 @@ def optimize_structure(
     targets: DesignTargets = DesignTargets(),
     sweeps: dict[str, SweepRange] | None = None,
     max_rounds: int = 8,
-    keep_trace: bool = False,
 ) -> OptimizeResult:
     """Alternating one-parameter sweeps of the element structure.
 
@@ -287,7 +298,11 @@ def optimize_structure(
     ties between grid points resolve to the lowest index).  Stops when a
     full round changes nothing, when the design targets are met, or
     after ``max_rounds``.  An unmet target is reported through the
-    ``targets_met`` flag, never as an exception.
+    ``targets_met`` flag, never as an exception.  The trace holds one row
+    per evaluated candidate (none when the start meets the targets).
+    Before any round, a sweep that misses its start value raises
+    ValueError, and one whose end makes a circuit the model rejects raises
+    :class:`SweepRangeError`; both messages name the parameter.
     """
     if sweeps is None:
         sweeps = DEFAULT_SWEEPS
@@ -297,6 +312,12 @@ def optimize_structure(
             raise ValueError(
                 f"sweep range for {name} ({rng.lo}..{rng.hi}) does not contain the start value {value}"
             )
+        for end in (rng.lo, rng.hi):
+            try:
+                _apply_parameter(start, name, end)
+            except ValueError as exc:
+                raise SweepRangeError(name, f"sweep range for {name} ({rng.lo}..{rng.hi}) "
+                                            f"reaches {end}: {exc}") from None
 
     circuit = start
     best = design_objective(circuit, frequency_ghz, targets)
@@ -316,11 +337,10 @@ def optimize_structure(
             best_value = _get_parameter(circuit, name)
             best_obj = best
             for value in grid:
-                candidate = _apply_parameter(circuit, name, float(value))
-                obj = design_objective(candidate, frequency_ghz, targets)
-                if keep_trace:
-                    a_on, a_off, dphi = state_metrics(candidate, frequency_ghz)
-                    trace.append((rnd, name, float(value), a_on, a_off, dphi, obj))
+                metrics = state_metrics(_apply_parameter(circuit, name, float(value)),
+                                        frequency_ghz)
+                obj = _objective(*metrics, targets)
+                trace.append((rnd, name, float(value), *metrics, obj))
                 if obj < best_obj:
                     best_obj = obj
                     best_value = float(value)

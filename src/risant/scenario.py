@@ -77,7 +77,6 @@ DEFAULT_SCENARIO = {
         "sweeps": {name: [r.lo, r.hi, r.step] for name, r in DEFAULT_SWEEPS.items()},
         "targets": _defaults(DesignTargets, "phase_diff_target_deg"),
         "max_rounds": 8,
-        "trace": True,
     },
     "array": _defaults(RisArray, "grouping"),
     "feed": {
@@ -133,7 +132,7 @@ _FIELDS = {
 _AZ, _EL = SCAN_SECTOR
 
 
-def _any(value) -> bool:
+def _any(_) -> bool:
     """No test beyond the type hint's coercion."""
     return True
 
@@ -155,7 +154,6 @@ def _sector(lo, hi):
 _LITERALS = {
     "rng_seed": (int, lambda v: v >= 0, "a non-negative integer"),
     "element.max_rounds": (int, lambda v: v >= 0, "a non-negative integer"),
-    "element.trace": (bool, _any, ""),
     "pattern.frequency_ghz": (float, lambda v: v > 0, "a positive number"),
     "pattern.step_deg": (float, lambda v: v >= MIN_GRID_STEP_DEG,
                          f"a step of at least {MIN_GRID_STEP_DEG} deg (at most "

@@ -261,35 +261,27 @@ def _align_strip_phases(assembly: AntennaAssembly, phases: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class CodebookEntry:
-    reflections: np.ndarray          # resolved per-element coefficients
-    sector_az: tuple[float, float]
-    center: Direction
-    codeword: Codeword | None = None  # None in continuous-phase codebooks
-
-
-@dataclass(frozen=True, eq=False)
 class Codebook:
     """Hierarchical beam codebook over an azimuth sector.
 
-    Level l holds branching**(l+1) entries whose sectors partition the
-    parent sector; the last level's entries are narrow beams at the leaf
-    sector centres.
+    ``levels[l]`` is a (branching**(l+1), n_elements) matrix of resolved
+    per-element reflections, one row per entry.  The rows of a level
+    split the sector into equal azimuth slices in order, so the children
+    of entry ``i`` are rows ``i*branching`` to ``(i+1)*branching - 1`` of
+    the next level.  Rows of the last level are narrow beams at their
+    slice centres; the rows above are wide beams over their slices.
     """
 
     levels: list
     sector_az: tuple[float, float]
     branching: int
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
 
-    @property
-    def leaves(self) -> list:
-        return self.levels[-1]
-
-    def children(self, parent_index: int) -> range:
-        return range(parent_index * self.branching, (parent_index + 1) * self.branching)
+    def entry_sector(self, level: int, index: int) -> tuple[float, float]:
+        """Azimuth slice (lo, hi) of row ``index`` of ``levels[level]``, deg."""
+        lo, hi = self.sector_az
+        width = (hi - lo) / self.branching ** (level + 1)
+        s_lo = lo + index * width
+        return s_lo, s_lo + width
 
 
 def build_codebook(assembly: AntennaAssembly, sector_az=(-60.0, 60.0),
@@ -297,9 +289,13 @@ def build_codebook(assembly: AntennaAssembly, sector_az=(-60.0, 60.0),
                    quantize: bool = True, el_deg: float = 0.0) -> Codebook:
     """Wide-to-narrow beam hierarchy; leaves are narrow beams.
 
-    The leaves, sector / branching**n_levels wide, may be no narrower than
-    1/8 of :func:`estimate_hpbw_deg`: narrower leaves cost codewords (the
-    count grows as branching**n_levels) without adding resolution.
+    Each row is a wide beam (:func:`synthesize_wide_beam`) or, on the last
+    level, a narrow beam at the slice centre, resolved through the element
+    circuit when one-bit (``quantize``) and through
+    :func:`continuous_reflections` otherwise.  The leaves, sector /
+    branching**n_levels wide, may be no narrower than 1/8 of
+    :func:`estimate_hpbw_deg`: narrower leaves cost codewords (the count
+    grows as branching**n_levels) without adding resolution.
     """
     if n_levels < 1 or branching < 2:
         raise ValueError("codebook needs at least one level and branching >= 2")
@@ -312,53 +308,41 @@ def build_codebook(assembly: AntennaAssembly, sector_az=(-60.0, 60.0),
         raise ValueError(
             f"{n_levels} levels of {branching} split the {hi - lo:g} deg sector into "
             f"leaves narrower than 1/8 of the {hpbw:.2f} deg beamwidth")
-    levels = []
+    codebook = Codebook(levels=[], sector_az=(lo, hi), branching=branching)
+    resolve = resolve_reflections if quantize else continuous_reflections
     for level in range(n_levels):
-        n = branching ** (level + 1)
-        width = (hi - lo) / n
-        entries = []
-        for i in range(n):
-            s_lo = lo + i * width
-            s_hi = s_lo + width
-            center = Direction(0.5 * (s_lo + s_hi), el_deg)
-            cw = None
-            if level == n_levels - 1:
-                if quantize:
-                    cw = synthesize_codeword(assembly, center)
-                else:
-                    refl = continuous_reflections(assembly, required_phases(assembly, center))
-            else:
+        rows = []
+        for i in range(branching ** (level + 1)):
+            s_lo, s_hi = codebook.entry_sector(level, i)
+            if level < n_levels - 1:
                 wb = synthesize_wide_beam(assembly, (s_lo, s_hi), el_deg=el_deg,
                                           quantize=quantize, evaluate_ripple=False)
-                if quantize:
-                    cw = wb.codeword
-                else:
-                    refl = continuous_reflections(assembly, wb.phases_deg)
-            if cw is not None:
-                refl = resolve_reflections(assembly, cw)
-            entries.append(CodebookEntry(reflections=refl, sector_az=(s_lo, s_hi),
-                                         center=center, codeword=cw))
-        levels.append(entries)
-    return Codebook(levels=levels, sector_az=(lo, hi), branching=branching)
+                beam = wb.codeword if quantize else wb.phases_deg
+            else:
+                center = Direction(0.5 * (s_lo + s_hi), el_deg)
+                beam = (synthesize_codeword(assembly, center) if quantize
+                        else required_phases(assembly, center))
+            rows.append(resolve(assembly, beam))
+        codebook.levels.append(np.array(rows))
+    return codebook
 
 
 @dataclass(frozen=True)
 class TrainingResult:
     selected_leaf: int
-    selected_sector: tuple[float, float]
     pilots_used: int
     widenings: int
     success: bool
 
 
-def _measure(row: np.ndarray, entry: CodebookEntry, rel_noise: float, rng) -> float:
-    """One pilot: received power of a codeword with per-pilot AWGN.
+def _measure(row: np.ndarray, reflections: np.ndarray, rel_noise: float, rng) -> float:
+    """One pilot: received power of one codebook row with per-pilot AWGN.
 
     ``rel_noise`` is the noise amplitude relative to the pilot's own field
     magnitude, so every measurement sees the configured signal-to-noise
     ratio regardless of how wide (and hence weak) the beam is.
     """
-    g = row @ entry.reflections
+    g = row @ reflections
     if rel_noise > 0:
         n = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
         g = g + abs(g) * rel_noise * n
@@ -371,67 +355,51 @@ def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Directio
                   rng=None) -> TrainingResult:
     """Hierarchical descent with one optional widening retry per level.
 
-    Every pilot measurement is the received power of one codeword toward
-    the (unknown) true direction, corrupted by complex Gaussian noise
-    holding each pilot at ``pilot_snr_db`` (``None`` means noiseless).
-    Descent keeps the best child; when the best child falls more than
-    ``accept_threshold_db`` below its parent's measurement the search
-    widens once to all same-level descendants of the grandparent.
-    Success means the chosen leaf's sector contains the true azimuth.
+    Every pilot measurement is the received power of one codebook row
+    toward the (unknown) true direction, corrupted by complex Gaussian
+    noise holding each pilot at ``pilot_snr_db`` (``None`` means
+    noiseless).  Level 0 measures all its rows; each lower level measures
+    the ``branching`` children of the row kept above and keeps the
+    strongest.  When that falls more than ``accept_threshold_db`` below
+    its parent's measurement, the search widens once to all
+    ``branching**2`` rows of the level under the grandparent (at level 1
+    the root, whose grandchildren are the whole level).  Success means
+    the chosen leaf's :meth:`Codebook.entry_sector` contains the true
+    azimuth.
     """
     rng = np.random.default_rng(rng)
-    noise_scale = 0.0
-    if pilot_snr_db is not None:
-        noise_scale = 10.0 ** (-pilot_snr_db / 20.0)
+    noise_scale = 0.0 if pilot_snr_db is None else 10.0 ** (-pilot_snr_db / 20.0)
     row = steering_row(assembly, illumination(assembly), truth)
-
-    pilots = 0
-    widenings = 0
     threshold = 10.0 ** (accept_threshold_db / 10.0)
+    b = codebook.branching
+    pilots = 0
 
-    # Level 0: all children of the root.
-    candidates = list(range(len(codebook.levels[0])))
-    meas = [_measure(row, codebook.levels[0][i], noise_scale, rng)
-            for i in candidates]
-    pilots += len(candidates)
-    best = candidates[int(np.argmax(meas))]
-    parent_power = max(meas)
-
-    for level in range(1, codebook.n_levels):
-        children = list(codebook.children(best))
+    def strongest(level, first, count):
+        """(index, power) of the strongest of rows first .. first+count-1."""
+        nonlocal pilots
         meas = [_measure(row, codebook.levels[level][i], noise_scale, rng)
-                for i in children]
-        pilots += len(children)
+                for i in range(first, first + count)]
+        pilots += count
         top = int(np.argmax(meas))
-        if widening and meas[top] < parent_power * threshold:
-            # Suspicious drop: re-expand to every level entry under the
-            # grandparent (one retry per level; at level 1 the root, whose
-            # grandchildren are the whole level).
-            lo = best // codebook.branching * codebook.branching ** 2
-            wide = list(range(lo, lo + codebook.branching ** 2))
-            meas = [_measure(row, codebook.levels[level][i], noise_scale, rng)
-                    for i in wide]
-            pilots += len(wide)
-            children = wide
-            top = int(np.argmax(meas))
-            widenings += 1
-        best = children[top]
-        parent_power = meas[top]
+        return first + top, meas[top]
 
-    leaf = codebook.leaves[best]
-    lo, hi = leaf.sector_az
-    return TrainingResult(
-        selected_leaf=best,
-        selected_sector=(lo, hi),
-        pilots_used=pilots,
-        widenings=widenings,
-        success=bool(lo <= truth.az_deg <= hi),
-    )
+    best, parent_power = strongest(0, 0, b)
+    widenings = 0
+    for level in range(1, len(codebook.levels)):
+        child, power = strongest(level, best * b, b)
+        if widening and power < parent_power * threshold:
+            child, power = strongest(level, best // b * b * b, b * b)
+            widenings += 1
+        best, parent_power = child, power
+
+    lo, hi = codebook.entry_sector(len(codebook.levels) - 1, best)
+    return TrainingResult(selected_leaf=best, pilots_used=pilots, widenings=widenings,
+                          success=bool(lo <= truth.az_deg <= hi))
 
 
 def exhaustive_search(assembly: AntennaAssembly, codebook: Codebook,
                       truth: Direction) -> int:
     """Index of the leaf with the highest noiseless power toward ``truth``."""
     row = steering_row(assembly, illumination(assembly), truth)
-    powers = [abs(row @ e.reflections) ** 2 for e in codebook.leaves]
+    powers = [abs(row @ r) ** 2 for r in codebook.levels[-1]]
     return int(np.argmax(powers))

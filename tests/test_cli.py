@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import risant
-from risant import __version__, cli, synthesis
+from risant import __version__, cli, element, synthesis
 from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
 from risant.element import SweepRange
 from risant.feedopt import FeedSearchSpace
@@ -293,6 +293,17 @@ class TestDeterminism:
         assert run_cli("train", b, "--seed", "1") == 0
         assert (a / "train.csv").read_bytes() != (b / "train.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_seeded_artifacts_are_byte_identical_across_runs(self, command, tmp_path):
+        # every CSV and JSON artifact; the manifest holds the wall clock
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run_cli(command, out, "--seed", "7") == 0
+        names = read_manifest(a, command)["outputs"]
+        assert names == read_manifest(b, command)["outputs"]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_link_json_is_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -398,7 +409,6 @@ class TestFailureModes:
         ("widebeam", "pattern.widebeam.n_subapertures", "foo"),
         ("aclr-sweep", "link.aclr.n_symbols", "foo"),
         ("element-opt", "element.max_rounds", "foo"),
-        ("element-opt", "element.trace", "foo"),
         ("dual-stream", "link.stream_gains_dbi.h", "foo"),
         ("train", "training.branching", "0"),
         ("widebeam", "pattern.widebeam.sector_az_deg", "[10.0,-10.0]"),
@@ -484,6 +494,22 @@ class TestFailureModes:
         assert rc == 2
         assert "scenario error: element.sweeps" in err
         assert f"sweep range for {parameter}" in err
+        assert "Traceback" not in err
+
+    def test_sweep_reaching_an_invalid_circuit_exits_2_naming_it(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the start value 45 fF lies inside, but the sweep's low end 0 fF
+        # is no capacitor; caught before the first round evaluates anything
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("round evaluated")
+
+        monkeypatch.setattr(element, "state_metrics", no_rounds)
+        rc = main(["element-opt", "--element.sweeps.c_p_ff", "[0, 70, 0.5]",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error: element.sweeps.c_p_ff: sweep range for c_p_ff" in err
+        assert "patch capacitance must be positive" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag, value, model, grid", [

@@ -21,6 +21,7 @@ from risant.element import (
     ElementCircuit,
     ElementGeometry,
     SweepRange,
+    SweepRangeError,
     design_objective,
     element_impedance,
     geometry_to_circuit,
@@ -249,6 +250,18 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="c_p_ff"):
             optimize_structure(DEFAULT_START_CIRCUIT, sweeps=sweeps)
 
+    @pytest.mark.parametrize("name, sweep", [
+        ("c_p_ff", SweepRange(0.0, 70.0, 0.5)),
+        ("l_g_nh", SweepRange(-0.1, 1.4, 0.02)),
+        ("l_diode_nh", SweepRange(-0.01, 0.12, 0.005)),
+    ])
+    def test_sweep_reaching_an_invalid_circuit_rejected(self, name, sweep):
+        # the start value lies inside each range, the low end makes no circuit
+        sweeps = {name: sweep}
+        with pytest.raises(SweepRangeError, match=f"sweep range for {name}") as excinfo:
+            optimize_structure(DEFAULT_START_CIRCUIT, sweeps=sweeps)
+        assert excinfo.value.parameter == name
+
     @pytest.mark.parametrize("kwargs", [{"min_amplitude": 0.0}, {"min_amplitude": 1.01},
                                         {"phase_tolerance_deg": -1.0}])
     def test_targets_no_circuit_can_meet_rejected(self, kwargs):
@@ -265,8 +278,8 @@ class TestOptimizer:
         assert all(r.grid().size <= MAX_SWEEP_POINTS for r in DEFAULT_SWEEPS.values())
 
     def test_trace_rows_have_documented_shape(self):
-        res = optimize_structure(DEFAULT_START_CIRCUIT, keep_trace=True)
-        assert res.trace, "trace requested but empty"
+        res = optimize_structure(DEFAULT_START_CIRCUIT)
+        assert res.trace, "trace empty"
         rnd, name, value, amp_on, amp_off, dphi, obj = res.trace[0]
         assert rnd == 1
         assert name in DEFAULT_SWEEPS

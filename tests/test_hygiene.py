@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with ``ast``: every import of a
-module is used in it, and every public top-level name is used somewhere in
+module is used in it, every public top-level name is used somewhere in
 ``src/`` besides its own definition (an export from ``risant/__init__``
-counts as a use).  Also: README's common flags are the parser's."""
+counts as a use), and every parameter is read by its function.  Also:
+README's common flags are the parser's."""
 
 import ast
 import re
@@ -71,11 +72,36 @@ def _uses_outside_definition(uses: list[tuple[str | None, set[str]]], name: str)
     return any(name in used for defines, used in uses if defines != name)
 
 
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """``function(parameter)`` for each parameter of a function or lambda
+    that its body never reads; ``self``, ``cls`` and ``_`` are exempt."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", f"<lambda at line {node.lineno}>")
+        unread += [f"{name}({p})" for p in params
+                   if p not in read and p not in ("self", "cls", "_")]
+    return unread
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = _tree(path)
     unused = sorted(_imported_names(tree) - _used_names(tree))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.name}:{entry}" for path in MODULES
+              for entry in _unread_parameters(_tree(path))]
+    assert not unread, f"parameters their functions never read: {unread}"
 
 
 def test_every_public_name_has_a_user():

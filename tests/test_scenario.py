@@ -208,9 +208,10 @@ class TestSingleSourceOfDefaults:
             np.testing.assert_array_equal(getattr(built, f.name), getattr(default, f.name))
 
     def test_default_hash_is_pinned(self):
-        # any moved default changes it, e.g. frame.overhead 0.18 for 0.14
+        # any moved, added or removed default changes it, e.g. frame.overhead
+        # 0.18 for 0.14
         assert resolve_scenario(None).hash() == (
-            "9021d75cd2b7a31bde5cbef8358f5514f6ed25bb1907a5bc85cdad8258b48f54")
+            "291db16bd83b33bbc7a531fb44050f855ea7bfaf82401d71d3f5031af5b10f29")
 
     def test_removed_link_aod_flag_is_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -226,10 +227,12 @@ class TestSingleSourceOfDefaults:
     @pytest.mark.parametrize("section, key", [("feed", "gain_dbi"),
                                               ("link", "lna_gain_db"),
                                               ("feed", "polarization"),
-                                              ("pattern", "cross_pol_db")])
+                                              ("pattern", "cross_pol_db"),
+                                              ("element", "trace")])
     def test_removed_unread_key_is_rejected(self, section, key):
-        # the keys fed model fields that no output read, or that a second
-        # key already set (array.polarization, link.xpd_db)
+        # the keys fed model fields that no output read, that a second key
+        # already set (array.polarization, link.xpd_db), or that switched
+        # off a trace whose rows cost nothing extra
         with pytest.raises(ScenarioError, match=f"unknown key '{section}.{key}'"):
             resolve_scenario({section: {key: 99.0}})
         with pytest.raises(SystemExit) as excinfo:

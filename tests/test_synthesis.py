@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from risant import synthesis
 from risant.constants import db10
 from risant.geometry import AntennaAssembly, Direction, FeedModel, IncidenceModel, RisArray
-from risant.pattern import direction_grid, far_field, state_reflections, steered_gain
+from risant.pattern import (
+    direction_grid,
+    far_field,
+    resolve_reflections,
+    state_reflections,
+    steered_gain,
+)
 from risant.synthesis import (
     Codeword,
     build_codebook,
@@ -261,25 +267,49 @@ class TestWideBeam:
 class TestCodebook:
     def test_levels_tile_the_sector(self, onebit_codebook):
         lo, hi = onebit_codebook.sector_az
-        for level, entries in enumerate(onebit_codebook.levels):
-            assert len(entries) == 4 ** (level + 1)
-            assert entries[0].sector_az[0] == pytest.approx(lo)
-            assert entries[-1].sector_az[1] == pytest.approx(hi)
-            for a, b in zip(entries, entries[1:]):
-                assert a.sector_az[1] == pytest.approx(b.sector_az[0])
-            for e in entries:
-                s_lo, s_hi = e.sector_az
-                assert e.center.az_deg == pytest.approx(0.5 * (s_lo + s_hi))
+        for level, rows in enumerate(onebit_codebook.levels):
+            assert rows.shape == (4 ** (level + 1), 1024)
+            sectors = [onebit_codebook.entry_sector(level, i) for i in range(len(rows))]
+            assert sectors[0][0] == pytest.approx(lo)
+            assert sectors[-1][1] == pytest.approx(hi)
+            for a, b in zip(sectors, sectors[1:]):
+                assert a[1] == pytest.approx(b[0])
+                assert a[1] - a[0] == pytest.approx((hi - lo) / 4 ** (level + 1))
 
     def test_children_index_blocks(self, onebit_codebook):
-        assert list(onebit_codebook.children(2)) == [8, 9, 10, 11]
-        assert list(onebit_codebook.children(5)) == [20, 21, 22, 23]
+        # the children of row p are rows p*b .. p*b + b - 1 of the next
+        # level: their slices tile the parent's slice
+        for level, parent in ((0, 2), (1, 5)):
+            p_lo, p_hi = onebit_codebook.entry_sector(level, parent)
+            children = [onebit_codebook.entry_sector(level + 1, i)
+                        for i in range(4 * parent, 4 * parent + 4)]
+            assert children[0][0] == pytest.approx(p_lo)
+            assert children[-1][1] == pytest.approx(p_hi)
+            for a, b in zip(children, children[1:]):
+                assert a[1] == pytest.approx(b[0])
 
-    def test_leaf_entries_expose_codewords(self, onebit_codebook, continuous_codebook):
-        assert all(e.codeword is not None for e in onebit_codebook.leaves)
-        assert all(e.codeword is None for e in continuous_codebook.leaves)
-        for e in continuous_codebook.leaves[:4]:
-            np.testing.assert_allclose(np.abs(e.reflections), 1.0, atol=1e-12)
+    def test_rows_are_the_resolved_beams(self, assembly, onebit_codebook,
+                                         continuous_codebook):
+        # every row is the beam synthesized for its slice, resolved through
+        # the element circuit (one-bit) or at unit amplitude (continuous)
+        *wide_levels, leaves = onebit_codebook.levels
+        for level, rows in enumerate(wide_levels):
+            for i, row in enumerate(rows):
+                sector = onebit_codebook.entry_sector(level, i)
+                wb = synthesize_wide_beam(assembly, sector, evaluate_ripple=False)
+                np.testing.assert_array_equal(
+                    row, resolve_reflections(assembly, wb.codeword))
+        for i, row in enumerate(leaves):
+            s_lo, s_hi = onebit_codebook.entry_sector(len(wide_levels), i)
+            center = Direction(0.5 * (s_lo + s_hi), 0.0)
+            np.testing.assert_array_equal(
+                row, resolve_reflections(assembly, synthesize_codeword(assembly, center)))
+        for i, row in enumerate(continuous_codebook.levels[-1]):
+            s_lo, s_hi = continuous_codebook.entry_sector(len(wide_levels), i)
+            center = Direction(0.5 * (s_lo + s_hi), 0.0)
+            np.testing.assert_array_equal(
+                row, continuous_reflections(assembly, required_phases(assembly, center)))
+            np.testing.assert_allclose(np.abs(row), 1.0, atol=1e-12)
 
     def test_validation(self, assembly):
         with pytest.raises(ValueError):
@@ -323,7 +353,7 @@ class TestBeamTraining:
         for az in (-41.0, 3.7, 52.0):
             truth = Direction(az, 0.0)
             tr = beam_training(assembly, cb, truth, pilot_snr_db=None)
-            assert tr.pilots_used == len(cb.leaves)
+            assert tr.pilots_used == len(cb.levels[-1])
             assert tr.selected_leaf == exhaustive_search(assembly, cb, truth)
 
     def test_noiseless_widening_never_hurts(self, assembly, onebit_codebook):
