@@ -40,7 +40,7 @@ from .link import (
     peak_rate_3gpp,
     simulate_evm,
 )
-from .pattern import direction_grid, far_field, pattern_metrics
+from .pattern import far_field, pattern_metrics
 from .scenario import ScenarioError, Scenario, iter_leaf_paths, load_scenario
 from .synthesis import (
     beam_training,
@@ -156,12 +156,7 @@ def cmd_pattern(scn: Scenario, out: str) -> tuple[list[str], str]:
     target = scn.build_target_direction()
     cw = synthesize_codeword(asm, target, scn.literal("pattern.compensate_incidence"))
     step = scn.literal("pattern.step_deg")
-    az, el = direction_grid(step)
-    pat = far_field(asm, cw, az, el)
-    metrics = pattern_metrics(pat)
-
-    i_el = int(np.argmin(np.abs(pat.el_deg - metrics.peak_direction.el_deg)))
-    i_az = int(np.argmin(np.abs(pat.az_deg - metrics.peak_direction.az_deg)))
+    metrics = pattern_metrics(asm, cw, step)
     outputs = [
         write_json(os.path.join(out, "pattern.json"), {
             "target": {"az_deg": target.az_deg, "el_deg": target.el_deg},
@@ -175,11 +170,9 @@ def cmd_pattern(scn: Scenario, out: str) -> tuple[list[str], str]:
             "grid_step_deg": step,
         }),
         write_csv(os.path.join(out, "pattern_cut_az.csv"),
-                  ["az_deg", "gain_dbi"],
-                  zip(pat.az_deg, pat.gain_dbi(np.s_[i_el, :]))),
+                  ["az_deg", "gain_dbi"], zip(metrics.az_deg, metrics.az_cut_dbi)),
         write_csv(os.path.join(out, "pattern_cut_el.csv"),
-                  ["el_deg", "gain_dbi"],
-                  zip(pat.el_deg, pat.gain_dbi(np.s_[:, i_az]))),
+                  ["el_deg", "gain_dbi"], zip(metrics.el_deg, metrics.el_cut_dbi)),
     ]
     sll = "n/a" if metrics.sll_db is None else f"{metrics.sll_db:.2f}"
     return outputs, (f"pattern: peak {metrics.peak_gain_dbi:.2f} dBi at "

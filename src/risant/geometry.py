@@ -105,7 +105,14 @@ class RisArray:
         return (self.n_x * self.period_mm * 1e-3) * (self.n_y * self.period_mm * 1e-3)
 
     def positions_mm(self) -> np.ndarray:
-        return element_positions(self.n_x, self.n_y, self.period_mm)
+        """:func:`element_positions` of the lattice, built on the first call
+        and shared, read-only, by every later one."""
+        positions = self.__dict__.get("_positions_mm")
+        if positions is None:
+            positions = element_positions(self.n_x, self.n_y, self.period_mm)
+            positions.flags.writeable = False
+            object.__setattr__(self, "_positions_mm", positions)
+        return positions
 
 
 @dataclass(frozen=True)

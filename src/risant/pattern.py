@@ -44,15 +44,17 @@ REFLECTION_EFFICIENCY = 0.23
 DEFAULT_GRID_STEP_DEG = 0.25
 
 # Finest grid step a scenario may ask for.  direction_grid(step) holds
-# (180 / step + 1)^2 directions and far_field keeps about 40 bytes a
-# direction (field, intensity and one temporary): the 0.1 deg hemisphere
-# is 1801 x 1801 = 3.2 M directions, about 130 MB.
+# (180 / step + 1)^2 directions; pattern_metrics keeps a 4-byte bound a
+# direction and far_field about 40 bytes (field, intensity and one
+# temporary): the 0.1 deg hemisphere is 1801 x 1801 = 3.2 M directions,
+# about 13 MB in pattern_metrics and 130 MB in far_field.
 MIN_GRID_STEP_DEG = 0.1
 
 # Most directions per block of whole elevation rows in the lattice field
-# kernel (a row longer than this is one block).  Bounds the kernel's
-# temporaries and keeps a block's accumulator and z array (256 kB each)
-# in cache across the n_x - 1 Horner passes over them.
+# kernel and in the grid bound of pattern_metrics (a row longer than this
+# is one block).  Bounds their temporaries and keeps a block's
+# accumulator and z array (256 kB each) in cache across the n_x - 1
+# Horner passes over them.
 _CHUNK = 16384
 
 
@@ -248,13 +250,44 @@ def _mirror_half(axis: np.ndarray) -> int:
     return 0
 
 
-def _horner(acc, z, b, phase):
-    """acc = (sum_m b[:, m] z^m) * phase, row by row, in place."""
-    acc[...] = b[:, -1, None]
-    for m in range(b.shape[1] - 2, -1, -1):
+def _horner(acc, z, terms, phase):
+    """acc = (sum_m terms[m] z^m) * phase, in place; each term broadcasts
+    against acc."""
+    acc[...] = terms[-1]
+    for m in range(len(terms) - 2, -1, -1):
         acc *= z
-        acc += b[:, m, None]
+        acc += terms[m]
     acc *= phase
+
+
+class _Gathered:
+    """``terms[m][index]`` for each m, gathered when it is read: Horner
+    over scattered points then holds one gathered term at a time."""
+
+    def __init__(self, terms, index):
+        self.terms, self.index = terms, index
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __getitem__(self, m):
+        return self.terms[m][self.index]
+
+
+def _y_phases(period_mm, n_y, k, el):
+    """exp(j k uy y), one row per elevation (radians), one column per
+    lattice row.  Times the (n_y, n_x) coefficients it gives the kernel's
+    B in one matmul over the whole axis: a matmul over some of its rows
+    may round differently."""
+    y_mm = (np.arange(n_y) - 0.5 * (n_y - 1)) * period_mm
+    return np.exp(1j * k * (np.sin(el)[:, None] * y_mm))
+
+
+def _x_phases(period_mm, n_x, k_ux):
+    """The Horner variable z = exp(j k period ux) and the first column's
+    phase exp(j k x_0 ux) for the values k ux."""
+    x0_mm = -0.5 * (n_x - 1) * period_mm
+    return np.exp(1j * period_mm * k_ux), np.exp(1j * x0_mm * k_ux)
 
 
 def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
@@ -281,14 +314,13 @@ def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
     one row); rows are independent, so neither the blocking nor the
     mirroring changes a bit of the result.
     """
-    n_y, n_x = coeffs_grid.shape
+    n_x = coeffs_grid.shape[1]
     az = np.radians(az_deg)
     el = np.radians(el_deg)
     sin_az = np.sin(az)
     cos_el = np.cos(el)
-    y_mm = (np.arange(n_y) - 0.5 * (n_y - 1)) * period_mm
-    rows_b = np.exp(1j * k * (np.sin(el)[:, None] * y_mm)) @ coeffs_grid
-    x0_mm = -0.5 * (n_x - 1) * period_mm
+    # (n_x, n_el, 1): terms[m] is the column of row coefficients of z^m
+    terms = (_y_phases(period_mm, coeffs_grid.shape[0], k, el) @ coeffs_grid).T[:, :, None]
     out = np.empty((el.size, az.size), dtype=complex)
     # rows below ``first`` and columns below ``n_neg`` take mirrored tables
     first = n_neg = 0
@@ -298,20 +330,18 @@ def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
     step = max(1, _CHUNK // max(az.size, 1))
     for lo in range(first, el.size, step):
         hi = min(lo + step, el.size)
-        k_ux = k * (cos_el[lo:hi, None] * sin_az)
-        z = np.exp(1j * period_mm * k_ux)
-        phase = np.exp(1j * x0_mm * k_ux)
+        z, phase = _x_phases(period_mm, n_x, k * (cos_el[lo:hi, None] * sin_az))
         if n_neg:
             z, phase = (np.concatenate((t[:, :-n_neg - 1:-1].conj(), t), axis=1)
                         for t in (z, phase))
-        _horner(out[lo:hi], z, rows_b[lo:hi], phase)
+        _horner(out[lo:hi], z, terms[:, lo:hi], phase)
         if first:
             # rows n_el - hi up to n_el - lo mirror rows hi - 1 down to lo;
             # those below the middle take the same tables, read backwards
             low, high = el.size - hi, min(el.size - lo, first)
             if high > low:
                 count = high - low
-                _horner(out[low:high], z[::-1][:count], rows_b[low:high],
+                _horner(out[low:high], z[::-1][:count], terms[:, low:high],
                         phase[::-1][:count])
     return out
 
@@ -340,20 +370,27 @@ def _gain_offset_db(assembly: AntennaAssembly, illum: np.ndarray) -> float:
     return float(db10(eta_s * eta_i * REFLECTION_EFFICIENCY))
 
 
-def _element_factor(az_deg, el_deg) -> np.ndarray:
-    """cos(theta)^qe = (cos(el) cos(az))^qe towards each (el, az) grid
-    direction.  Inside +-90 deg on both axes, as :class:`Direction`
-    bounds them, both cosines are >= 0, so the power splits per axis;
-    outside, a cosine is clipped at 0."""
-    el_factor, az_factor = (np.maximum(np.cos(np.radians(a)), 0.0) ** ELEMENT_EXPONENT
-                            for a in (el_deg, az_deg))
-    return np.outer(el_factor, az_factor)
+def _axis_factor(angle_deg):
+    """One axis's factor of the element factor cos(theta)^qe =
+    (cos(el) cos(az))^qe.  Inside +-90 deg on both axes, as
+    :class:`Direction` bounds them, both cosines are >= 0, so the power
+    splits per axis; outside, a cosine is clipped at 0."""
+    return np.maximum(np.cos(np.radians(angle_deg)), 0.0) ** ELEMENT_EXPONENT
 
 
 def _both_pols(assembly: AntennaAssembly) -> float:
     """Total over co-polar power: the cross-polar field is a scaled copy."""
     xp_ratio = 10.0 ** (assembly.cross_pol_db / 20.0)
     return 1.0 + xp_ratio**2
+
+
+def _warn_undersampled(assembly: AntennaAssembly, step: float) -> None:
+    if step > 2.0:
+        warnings.warn(
+            f"grid step {step:.2f} deg may undersample the main lobe of a "
+            f"{assembly.array.n_x}x{assembly.array.n_y} array",
+            stacklevel=3,
+        )
 
 
 def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPattern:
@@ -365,19 +402,13 @@ def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPatter
     """
     az_deg = np.asarray(az_deg, dtype=float)
     el_deg = np.asarray(el_deg, dtype=float)
-    step = max(
+    _warn_undersampled(assembly, max(
         float(np.max(np.diff(az_deg))) if az_deg.size > 1 else 0.0,
         float(np.max(np.diff(el_deg))) if el_deg.size > 1 else 0.0,
-    )
-    if step > 2.0:
-        warnings.warn(
-            f"grid step {step:.2f} deg may undersample the main lobe of a "
-            f"{assembly.array.n_x}x{assembly.array.n_y} array",
-            stacklevel=2,
-        )
+    ))
     illum, coeffs = _coefficients(assembly, mask)
     co = _lattice_field(assembly.array.period_mm, coeffs, assembly.k_per_mm, az_deg, el_deg)
-    co *= _element_factor(az_deg, el_deg)
+    co *= np.outer(_axis_factor(el_deg), _axis_factor(az_deg))
     intensity = _abs2(co)
     power = _integrate_power(az_deg, el_deg, intensity) * _both_pols(assembly)
     return FarFieldPattern(
@@ -387,14 +418,278 @@ def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPatter
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _GridTables:
+    """What :func:`pattern_metrics` and :func:`steered_gain` need of one
+    ``direction_grid`` for one lattice, beyond the coefficients."""
+
+    axis_deg: np.ndarray    # the grid's az axis, and its el axis too
+    lags: np.ndarray        # (2 n_y, 2 n_x) grid power per coefficient lag
+    y_phases: np.ndarray    # (n_el, n_y) the kernel's row phases, see _y_phases
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_tables(period_mm: float, k: float, n_y: int, n_x: int, exponent: float,
+                 step_deg: float) -> _GridTables:
+    """Tables of the ``direction_grid(step_deg)`` hemisphere for one
+    lattice, built once per (period, k, n_y, n_x, ELEMENT_EXPONENT, step).
+
+    The lag table gives the grid power of :func:`_integrate_power`,
+    sum_g w_g |F(g)|^2 with w_g = uz^(2 qe) cos(el) dAz dEl.  It expands
+    over coefficient pairs into sum_{p,q} R(p, q) T(p, q): R is the
+    coefficients' autocorrelation at the lag of p columns and q rows, and
+    T(p, q) = sum_g w_g exp(j k period (p ux + q uy)) = conj T(-p, -q).
+    The az sums of cos(p t) and sin(p t) run the recurrence
+    f((p + 1) t) = 2 cos t f(p t) - f((p - 1) t) instead of one cos per
+    term.  When the axes are their own mirror images (a step that divides
+    180) the sines cancel, T is real and even in p and in q, and one
+    quadrant of the grid, folded, gives it.  It is stored in the circular
+    layout of a (2 n_y, 2 n_x) FFT, where the autocorrelation lands.
+    """
+    axis = direction_grid(step_deg)[0]
+    rad = np.radians(axis)
+    d = rad[1] - rad[0] if rad.size > 1 else math.radians(1.0)
+    half = _mirror_half(axis)
+    # each off-axis point of a mirrored axis stands for its mirror image too
+    fold = np.where(axis[half:] > 0, 2.0, 1.0) if half else 1.0
+    s = rad[half:]
+    # cos(az) and cos(el) are >= 0 on the axis, so uz^qe splits per axis
+    factor = np.cos(s) ** exponent
+    w_az = fold * factor**2
+    w_el = w_az * np.cos(s) * (d * d)
+    kd = k * period_mm
+    starts = [(np.ones_like, np.cos)] + ([] if half else [(np.zeros_like, np.sin)])
+    az_sums = np.empty((len(starts), s.size, n_x))
+    rows = max(1, _CHUNK // s.size)
+    for lo in range(0, s.size, rows):
+        t = kd * np.outer(np.cos(s[lo:lo + rows]), np.sin(s))
+        two_cos = 2.0 * np.cos(t)
+        for sums, (first, second) in zip(az_sums, starts):
+            prev, cur, nxt = first(t), second(t), np.empty_like(t)
+            sums[lo:lo + rows, 0] = prev @ w_az
+            for p in range(1, n_x):
+                sums[lo:lo + rows, p] = cur @ w_az
+                np.multiply(two_cos, cur, out=nxt)
+                nxt -= prev
+                prev, cur, nxt = cur, nxt, prev
+    q = np.arange(1 - n_y, n_y)
+    phi = np.outer(q, kd * np.sin(s))
+    by_el = az_sums[0] if half else az_sums[0] + 1j * az_sums[1]
+    table = (np.cos(phi) if half else np.exp(1j * phi)) @ (w_el[:, None] * by_el)
+    lags = np.zeros((2 * n_y, 2 * n_x), dtype=table.dtype)
+    p = np.arange(n_x)
+    lags[np.ix_(q % (2 * n_y), p)] = table
+    lags[np.ix_(-q % (2 * n_y), 2 * n_x - p[1:])] = table[:, 1:].conj()
+    y_phases = _y_phases(period_mm, n_y, k, rad)
+    for shared in (axis, lags, y_phases):
+        shared.flags.writeable = False
+    return _GridTables(axis_deg=axis, lags=lags, y_phases=y_phases)
+
+
+def _grid_power(lags: np.ndarray, coeffs: np.ndarray) -> float:
+    """The grid sum of |F|^2 weights that ``lags`` tabulates, from the
+    autocorrelation of the coefficients (one zero-padded FFT each way)."""
+    spectrum = np.fft.fft2(coeffs, s=lags.shape)
+    autocorrelation = np.fft.ifft2(spectrum.real**2 + spectrum.imag**2)
+    power = np.vdot(autocorrelation.real, lags.real)
+    if np.iscomplexobj(lags):
+        power -= np.vdot(autocorrelation.imag, lags.imag)
+    return float(power)
+
+
+class _GridField:
+    """|F|^2 of one coefficient lattice, element factor included, at any
+    points of a ``direction_grid``, and an upper bound on it at every point.
+
+    Points are flat indices ``el_index * n + az_index`` on the n x n grid.
+    uy is constant along an elevation row, so each row's field is the
+    polynomial P(z) = sum_m B[row, m] z^m of :func:`_lattice_field` in
+    z = exp(j k period ux).  ``exact`` runs the kernel's Horner steps on
+    each point's own phase tables, after the same one matmul over the
+    whole el axis, so its values are the full grid's to the bit.
+
+    ``bound`` samples each row's |P| at n_fft points per period of ux by a
+    zero-padded FFT.  For a point g with nearest sample s, |P(g)| <=
+    |P(s)| + k X_row |ux_g - ux_s|, X_row = sum_m |B[row, m]| |x_m| over
+    centred column positions (each term's phase moves by at most
+    k |x_m| |dux|); a margin covers round-off in the samples and in the
+    exact sums.  It is computed in row blocks of at most ``_CHUNK``
+    directions and kept squared as float32, rounded up.
+    """
+
+    def __init__(self, tables: _GridTables, period_mm, coeffs, k):
+        n_x = coeffs.shape[1]
+        self.coeffs = coeffs
+        self.axis_deg = tables.axis_deg
+        rad = np.radians(self.axis_deg)
+        self.period_mm, self.k, self.n_x = period_mm, k, n_x
+        # the kernel's sin(az) and cos(el), on the axis both share
+        self.sin, self.cos = np.sin(rad), np.cos(rad)
+        rows_b = tables.y_phases @ coeffs
+        self.terms = rows_b.T.copy()
+        self.factor = _axis_factor(self.axis_deg)
+
+        # Each row's polynomial is periodic in ux with period 2 pi / kd.
+        # n_fft samples per period: at least two per peak-to-first-null
+        # width of an n_x-column row, 2 pi / (n_x kd), and about one per two
+        # grid steps near broadside; at most 512
+        kd = k * period_mm
+        step = rad[1] - rad[0] if rad.size > 1 else 1.0
+        n = min(512, max(32, 2 * 2 ** math.ceil(math.log2(n_x)),
+                         2 ** round(math.log2(max(1.0, math.pi / (kd * step))))))
+        self.n_fft = n
+        # wrap a row wider than n onto it: exp(j 2 pi m i / n) has period n
+        self.folded = rows_b[:, :n].copy()
+        for lo_x in range(n, n_x, n):
+            width = min(n, n_x - lo_x)
+            self.folded[:, :width] += rows_b[:, lo_x:lo_x + width]
+        # ux in units of the sample spacing 2 pi / (n kd), and each row's
+        # slack per unit, times the row's element factor
+        spacing = 2.0 * math.pi / (n * kd)
+        mag = np.abs(rows_b)
+        x_mm = np.abs(np.arange(n_x) - 0.5 * (n_x - 1)) * period_mm
+        self.sin_units = self.sin / spacing
+        self.slack_x = k * spacing * (mag @ x_mm) * self.factor
+        self.margin = 1e-9 * np.sum(mag, axis=1) * self.factor
+
+        size = rad.size
+        self.rows = max(1, _CHUNK // size)
+        self.bound = np.empty(size * size, dtype=np.float32)
+        # rounding up to float32: the square of 1 + 2^-23 covers the relative
+        # rounding of a normal float32, 2^-149 the absolute one of a subnormal
+        factor_up = self.factor * (1.0 + 2.0**-23)
+        for lo in range(0, size, self.rows):
+            upper, slack = self._sampled(lo)
+            upper += slack
+            upper *= factor_up
+            upper *= upper
+            upper += 2.0**-149
+            self.bound[lo * size:lo * size + upper.size] = upper.ravel()
+
+    def _sampled(self, lo):
+        """(|P(s)|, slack), both times the row's element factor, on the
+        row block from ``lo``: P is the row's polynomial, s the sample
+        nearest ux."""
+        rows = slice(lo, lo + self.rows)
+        n = self.n_fft
+        samples = np.abs(np.fft.ifft(self.folded[rows], n, axis=1, norm="forward"))
+        samples *= self.factor[rows, None]
+        t = self.cos[rows, None] * self.sin_units
+        j = np.rint(t)
+        t -= j
+        slack = np.abs(t, out=t)
+        slack *= self.slack_x[rows, None]
+        slack += self.margin[rows, None]
+        index = j.astype(np.intp)
+        index &= n - 1
+        index += (np.arange(samples.shape[0]) * n)[:, None]
+        return np.take(samples, index), slack
+
+    def exact(self, points: np.ndarray) -> np.ndarray:
+        """|F|^2 at the flat indices ``points``."""
+        if points.size == 1 < self.bound.size:
+            # numpy's in-place complex multiply rounds a lone element
+            # differently from an element of a longer array
+            return self.exact(np.repeat(points, 2))[:1]
+        rows, cols = np.divmod(points, self.axis_deg.size)
+        z, phase = _x_phases(self.period_mm, self.n_x,
+                             self.k * (self.cos[rows] * self.sin[cols]))
+        acc = np.empty(points.size, dtype=complex)
+        _horner(acc, z, _Gathered(self.terms, rows), phase)
+        acc *= self.factor[rows] * self.factor[cols]
+        return _abs2(acc)
+
+    def falls_below(self, peak) -> bool:
+        """Whether some point's |F|^2 lies more than 1e-9 * peak below
+        ``peak``: the lower bound |P(s)| - slack rules out the rest."""
+        size = self.axis_deg.size
+        for lo in range(0, size, self.rows):
+            centre, slack = self._sampled(lo)
+            lower = np.maximum(centre - slack, 0.0)
+            lower *= self.factor
+            lower *= lower
+            maybe = np.flatnonzero(peak - lower > 1e-9 * peak) + lo * size
+            for start in range(0, maybe.size, _BATCH):
+                values = self.exact(maybe[start:start + _BATCH])
+                if np.any(peak - values > 1e-9 * peak):
+                    return True
+        return False
+
+
+def _grid_field(assembly: AntennaAssembly, mask, step_deg: float):
+    """(illumination, grid power with both pols, :class:`_GridField`) of one
+    mask on ``direction_grid(step_deg)``; raises where :func:`far_field`
+    on that grid would."""
+    array = assembly.array
+    illum, coeffs = _coefficients(assembly, mask)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("pattern field must be finite")
+    tables = _grid_tables(array.period_mm, assembly.k_per_mm, array.n_y, array.n_x,
+                          ELEMENT_EXPONENT, step_deg)
+    power = _grid_power(tables.lags, coeffs) * _both_pols(assembly)
+    if power <= 0:
+        raise ValueError("integrated power must be positive")
+    return illum, power, _GridField(tables, array.period_mm, coeffs, assembly.k_per_mm)
+
+
+# Most points one step of the best-first search evaluates; the first
+# step takes 64 and each next one four times as many, up to this.
+_BATCH = 4096
+
+
+def _first_max(grid: _GridField, seed=None, lobe=None):
+    """(value, flat index) of the first maximum of the grid's |F|^2.
+
+    ``seed`` is an exact (value, index) pair to start from, by default
+    the point of largest bound; with ``lobe``, a rectangle (el_lo, el_hi,
+    az_lo, az_hi) of inclusive indices, the search covers only the points
+    outside it, and the seed must be one of them.  Every point whose
+    bound reaches the best value so far is evaluated, best bound first,
+    in growing batches; the rest cannot beat or tie it.  Ties go to the
+    lowest flat index, as np.argmax gives them.  However many points a
+    loose bound leaves as candidates, the result stays exact, only slower.
+    """
+    bound = grid.bound
+    if seed is None:
+        start = int(np.argmax(bound))
+        seed = grid.exact(np.array([start]))[0], start
+    value, index = np.float64(seed[0]), int(seed[1])
+    pool = np.flatnonzero(bound >= value)
+    if lobe is not None:
+        el_lo, el_hi, az_lo, az_hi = lobe
+        rows, cols = np.divmod(pool, grid.axis_deg.size)
+        pool = pool[(rows < el_lo) | (rows > el_hi) | (cols < az_lo) | (cols > az_hi)]
+    pool = pool[np.argsort(-bound[pool], kind="stable")]
+    start, size = 0, 64
+    while start < pool.size and bound[pool[start]] >= value:
+        batch = pool[start:start + size]
+        batch = batch[bound[batch] >= value]
+        values = grid.exact(batch)
+        top = values.max()
+        if top >= value:
+            first = int(batch[values == top].min())
+            index = first if top > value else min(index, first)
+            value = top
+        start += size
+        size = min(4 * size, _BATCH)
+    return value, index
+
+
+@dataclass(frozen=True, eq=False)
 class PatternMetrics:
+    """Metrics of one mask's pattern on a ``direction_grid``, and the
+    realized gain along the two grid cuts through its peak."""
+
     peak_gain_dbi: float
     peak_direction: Direction
     sll_db: float | None
     hpbw_az_deg: float
     hpbw_el_deg: float
     cross_pol_db: float
+    az_deg: np.ndarray = field(repr=False)      # the grid's axes
+    el_deg: np.ndarray = field(repr=False)
+    az_cut_dbi: np.ndarray = field(repr=False)  # along az_deg at the peak's elevation
+    el_cut_dbi: np.ndarray = field(repr=False)  # along el_deg at the peak's azimuth
 
 
 def _first_null(values: np.ndarray, start: int, step: int) -> int:
@@ -426,48 +721,67 @@ def _hpbw(axis_deg: np.ndarray, cut: np.ndarray, peak_idx: int) -> float:
     return hi_deg - lo_deg
 
 
-def pattern_metrics(pattern: FarFieldPattern) -> PatternMetrics:
-    """Peak gain, sidelobe level, beamwidths and cross-pol ratio.
+def pattern_metrics(assembly: AntennaAssembly, mask,
+                    step_deg: float = DEFAULT_GRID_STEP_DEG) -> PatternMetrics:
+    """Peak gain, sidelobe level, beamwidths, cross-pol ratio and the two
+    cuts through the peak of one mask on the ``direction_grid(step_deg)``
+    hemisphere, the values :func:`far_field` on that grid gives, without
+    filling the grid.
 
-    The main lobe is bounded by the first nulls along the azimuth and
-    elevation cuts through the peak, or by the grid edge where a cut
-    falls all the way to it; the sidelobe level is the highest sample
-    outside that region.  A flat (structureless) pattern, or a lobe that
-    fills the grid, reports no sidelobes.
+    The peak is the grid's first maximum; the main lobe is bounded by
+    the first nulls along the azimuth and elevation cuts through it, or
+    by the grid edge where a cut falls all the way to it; the sidelobe
+    level is the highest point outside that rectangle.  A flat
+    (structureless) pattern, or a lobe that fills the grid, reports no
+    sidelobes.  The power normalization is the grid's power integral,
+    from the lag table (see :func:`_grid_tables`); the peak and the
+    sidelobe come from the bounded search of :func:`_first_max`, and the
+    cuts are exact to the bit.  Warns when the grid is too coarse to
+    resolve the main lobe.
     """
-    intensity = pattern.intensity
-    i_el, i_az = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
-    peak = intensity[i_el, i_az]
+    _warn_undersampled(assembly, step_deg)
+    illum, power, grid = _grid_field(assembly, mask, step_deg)
+    axis = grid.axis_deg
+    peak, index = _first_max(grid)
     if peak <= 0:
         raise ValueError("pattern has no radiated energy")
-    directivity = 4.0 * math.pi * peak / pattern.power_total
-    gain = db10(directivity) + pattern.gain_offset_db
+    n = axis.size
+    i_el, i_az = divmod(index, n)
+    az_points = i_el * n + np.arange(n)
+    el_points = np.arange(n) * n + i_az
+    az_cut, el_cut = grid.exact(az_points), grid.exact(el_points)
 
-    flat = (peak - intensity.min()) <= 1e-9 * peak
+    flat = ((peak - min(az_cut.min(), el_cut.min())) <= 1e-9 * peak
+            and not grid.falls_below(peak))
     sll = None
     hpbw_az = hpbw_el = math.nan
     if not flat:
-        az_cut = intensity[i_el, :]
-        el_cut = intensity[:, i_az]
         az_lo, az_hi = (_first_null(az_cut, i_az, step) for step in (-1, 1))
         el_lo, el_hi = (_first_null(el_cut, i_el, step) for step in (-1, 1))
-        # the samples outside the lobe rectangle, as the slabs around it
-        lobe_rows = intensity[el_lo:el_hi + 1]
-        outside = (intensity[:el_lo], intensity[el_hi + 1:],
-                   lobe_rows[:, :az_lo], lobe_rows[:, az_hi + 1:])
-        side = [part.max() for part in outside if part.size]
-        if side:
-            sll = float(db10(max(side) / peak))
-        hpbw_az = _hpbw(pattern.az_deg, az_cut, i_az)
-        hpbw_el = _hpbw(pattern.el_deg, el_cut, i_el)
+        # the cut samples outside the lobe rectangle seed the search there
+        outside = np.concatenate((az_points[:az_lo], az_points[az_hi + 1:],
+                                  el_points[:el_lo], el_points[el_hi + 1:]))
+        if outside.size:
+            values = np.concatenate((az_cut[:az_lo], az_cut[az_hi + 1:],
+                                     el_cut[:el_lo], el_cut[el_hi + 1:]))
+            i = int(np.argmax(values))
+            side, _ = _first_max(grid, (values[i], outside[i]), (el_lo, el_hi, az_lo, az_hi))
+            sll = float(db10(side / peak))
+        hpbw_az = _hpbw(axis, az_cut, i_az)
+        hpbw_el = _hpbw(axis, el_cut, i_el)
 
+    offset = _gain_offset_db(assembly, illum)
+    with np.errstate(divide="ignore"):
+        az_cut_dbi, el_cut_dbi = (10.0 * np.log10(4.0 * math.pi * cut / power) + offset
+                                  for cut in (az_cut, el_cut))
     return PatternMetrics(
-        peak_gain_dbi=float(gain),
-        peak_direction=Direction(float(pattern.az_deg[i_az]), float(pattern.el_deg[i_el])),
+        peak_gain_dbi=float(db10(4.0 * math.pi * peak / power) + offset),
+        peak_direction=Direction(float(axis[i_az]), float(axis[i_el])),
         sll_db=sll,
         hpbw_az_deg=float(hpbw_az),
         hpbw_el_deg=float(hpbw_el),
-        cross_pol_db=pattern.cross_pol_db,
+        cross_pol_db=assembly.cross_pol_db,
+        az_deg=axis, el_deg=axis, az_cut_dbi=az_cut_dbi, el_cut_dbi=el_cut_dbi,
     )
 
 
@@ -499,173 +813,30 @@ class SteeredGain:
     pointing_error_deg: float
 
 
-@dataclass(frozen=True, eq=False)
-class _CoarseTables:
-    """What :func:`steered_gain` needs of its 1 deg hemisphere grid for one
-    lattice, built once per (period, k, n_y, n_x, ELEMENT_EXPONENT).  It
-    stays in memory for the life of the process, so the distances are
-    float32, rounded up."""
-
-    az_deg: np.ndarray
-    el_deg: np.ndarray
-    az_factor: np.ndarray   # (n_az,) cos(az)^qe; times el_factor, the element factor
-    el_factor: np.ndarray   # (n_el,) cos(el)^qe
-    lags: np.ndarray        # (2 n_y, 2 n_x) grid power per coefficient lag
-    n_fft: int              # u-space samples per axis of the peak-locating FFT
-    sample: np.ndarray      # (n_el * n_az,) flat index of each point's nearest sample
-    du_x: np.ndarray        # (n_el * n_az,) |ux - ux of that sample|, at least
-    du_y: np.ndarray        # (n_el,) |uy - uy of that sample|, at least
-    x_mm: np.ndarray        # (n_x,) |x| of the centred element columns
-    y_mm: np.ndarray        # (n_y,) |y| of the centred element rows
-
-
-@functools.lru_cache(maxsize=8)
-def _coarse_tables(period_mm: float, k: float, n_y: int, n_x: int,
-                   exponent: float) -> _CoarseTables:
-    """Lag table and nearest-sample map of the 1 deg grid for one lattice.
-
-    The grid power of :func:`_integrate_power`, sum_g w_g |F(g)|^2 with
-    w_g = uz^(2 qe) cos(el) dAz dEl, expands over coefficient pairs into
-    sum_{p,q} R(p, q) T(p, q): R is the coefficients' autocorrelation at
-    the lag of p columns and q rows, and T(p, q) = sum_g w_g
-    exp(j k period (p ux + q uy)).  The grid is symmetric in az and in
-    el, so T is real and even in p and in q: one quadrant of the grid,
-    folded, gives T(|p|, |q|).  It is stored in the circular layout of a
-    (2 n_y, 2 n_x) FFT, where the autocorrelation lands.
-    """
-    az, el = direction_grid(1.0)
-    az_r, el_r = np.radians(az), np.radians(el)
-    # cos(az) and cos(el) are >= 0 on the grid, so uz^qe splits per axis
-    az_factor, el_factor = np.cos(az_r) ** exponent, np.cos(el_r) ** exponent
-    weight = np.outer(el_factor**2 * np.cos(el_r), az_factor**2)
-    weight *= (az_r[1] - az_r[0]) * (el_r[1] - el_r[0])
-    kd = k * period_mm
-
-    # T on the az >= 0, el >= 0 quadrant, each off-axis point standing for
-    # its mirror images; rows in chunks of about 0.5 MB of cosines
-    on_az, on_el = az >= 0, el >= 0
-    fold_az = np.where(az[on_az] > 0, 2.0, 1.0)
-    fold_el = np.where(el[on_el] > 0, 2.0, 1.0)
-    w = weight[np.ix_(on_el, on_az)] * fold_az
-    kd_ux = kd * np.outer(np.cos(el_r[on_el]), np.sin(az_r[on_az]))
-    p = np.arange(n_x)
-    by_col = np.empty((w.shape[0], n_x))
-    step = max(1, 2**16 // (w.shape[1] * n_x))
-    for lo in range(0, w.shape[0], step):
-        hi = lo + step
-        by_col[lo:hi] = (w[lo:hi, None, :] @ np.cos(kd_ux[lo:hi, :, None] * p))[:, 0, :]
-    quadrant = np.cos(np.outer(np.arange(n_y), kd * np.sin(el_r[on_el]))) @ (by_col * fold_el[:, None])
-    # circular lag i of a 2n-point axis is min(i, 2n - i); lag n never occurs
-    padded = np.zeros((n_y + 1, n_x + 1))
-    padded[:n_y, :n_x] = quadrant
-    lag_y, lag_x = (np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n)) for n in (n_y, n_x))
-
-    # |F| is periodic in u with period 2 pi / kd per axis; n_fft samples
-    # per period, about four per beamwidth, at most 512
-    n_fft = min(512, max(32, 4 * 2 ** math.ceil(math.log2(max(n_x, n_y)))))
-    spacing = 2.0 * math.pi / (n_fft * kd)
-    nearest = []
-    for u in (np.outer(np.cos(el_r), np.sin(az_r)), np.sin(el_r)):
-        j = np.rint(u / spacing)
-        du = np.abs(u - j * spacing)
-        du_up = du.astype(np.float32)
-        du_up = np.where(du_up < du, np.nextafter(du_up, np.float32(np.inf)), du_up)
-        nearest.append((j.astype(np.intp) % n_fft, du_up))
-    (j_x, du_x), (j_y, du_y) = nearest
-    centred = [np.abs(np.arange(n) - 0.5 * (n - 1)) * period_mm for n in (n_x, n_y)]
-    return _CoarseTables(
-        az_deg=az, el_deg=el, az_factor=az_factor, el_factor=el_factor,
-        lags=padded[np.ix_(lag_y, lag_x)], n_fft=n_fft,
-        sample=(j_y[:, None] * n_fft + j_x).ravel(), du_x=du_x.ravel(), du_y=du_y,
-        x_mm=centred[0], y_mm=centred[1])
-
-
-def _grid_power(tables: _CoarseTables, coeffs: np.ndarray) -> float:
-    """The 1 deg grid sum of |F|^2 weights, from the autocorrelation of
-    the coefficients (one zero-padded FFT each way) dotted with the lag table."""
-    spectrum = np.fft.fft2(coeffs, s=tables.lags.shape)
-    autocorrelation = np.fft.ifft2(spectrum.real**2 + spectrum.imag**2).real
-    return float(np.vdot(autocorrelation, tables.lags))
-
-
 def _intensity(period_mm, coeffs, k, az_deg, el_deg) -> np.ndarray:
     """|F|^2 with the element factor on an (el, az) grid, as far_field gives it."""
     field = _lattice_field(period_mm, coeffs, k, az_deg, el_deg)
-    field *= _element_factor(az_deg, el_deg)
+    field *= np.outer(_axis_factor(el_deg), _axis_factor(az_deg))
     return _abs2(field)
-
-
-def _coarse_peak(tables: _CoarseTables, period_mm, coeffs, k) -> tuple[int, int]:
-    """(el, az) index of the first maximum of the 1 deg grid intensity.
-
-    |F| is sampled on an n_fft x n_fft u-space lattice by one zero-padded
-    FFT.  For a grid point g with nearest sample s, |F(g)| <= |F(s)| +
-    k (X |ux_g - ux_s| + Y |uy_g - uy_s|), X = sum |c| |x| and Y = sum
-    |c| |y| over centred positions (each phase term moves by at most k
-    |x| |dux| + k |y| |duy|).  The point of largest bound is evaluated
-    exactly; every point whose bound reaches its intensity is then
-    evaluated exactly too, and the rest cannot hold the maximum.  A
-    pattern without a dominant lobe leaves most points as candidates:
-    the result stays exact, only slower.
-    """
-    n = tables.n_fft
-    n_y, n_x = coeffs.shape
-    # wrap a lattice wider than n_fft onto it: exp(j 2 pi m i / n) has period n
-    folded = np.zeros((n, n), dtype=complex)
-    for lo_y in range(0, n_y, n):
-        for lo_x in range(0, n_x, n):
-            block = coeffs[lo_y:lo_y + n, lo_x:lo_x + n]
-            folded[:block.shape[0], :block.shape[1]] += block
-    samples = np.abs(np.fft.ifft2(folded, norm="forward")).ravel()
-    mag = np.abs(coeffs)
-    bound = samples[tables.sample]
-    bound += np.multiply(tables.du_x, k * float(np.sum(mag @ tables.x_mm)), dtype=float)
-    bound = bound.reshape(tables.el_deg.size, tables.az_deg.size)
-    # the margin covers round-off in the samples and in the exact sums
-    row_slack = np.multiply(tables.du_y, k * float(np.sum(tables.y_mm @ mag)), dtype=float)
-    bound += (row_slack + 1e-9 * float(np.sum(mag)))[:, None]
-    bound *= tables.el_factor[:, None]
-    bound *= tables.az_factor
-    bound = bound.ravel()
-
-    def exact(points):
-        rows, cols = np.divmod(points, tables.az_deg.size)
-        r, c = np.unique(rows), np.unique(cols)
-        az, el = tables.az_deg[c], tables.el_deg[r]
-        block = _intensity(period_mm, coeffs, k, az, el)
-        return block[np.searchsorted(r, rows), np.searchsorted(c, cols)]
-
-    best = exact(np.array([np.argmax(bound)]))[0]
-    candidates = np.flatnonzero(bound * bound >= best)
-    peak = int(candidates[np.argmax(exact(candidates))])
-    return divmod(peak, tables.az_deg.size)
 
 
 def steered_gain(assembly: AntennaAssembly, mask, target: Direction) -> SteeredGain:
     """Realized gain and pointing of one mask, cheap two-pass evaluation.
 
-    The global peak of the 1 deg hemisphere grid, found without filling
-    the grid (see :func:`_coarse_peak`), centres a 0.1 deg window of
-    +-3 deg that refines the gain and the pointing error against
-    ``target``.  The power normalization is the 1 deg grid's power
-    integral, from the lag table (see :func:`_coarse_tables`).
+    The first maximum of the 1 deg hemisphere grid, found without filling
+    the grid (see :func:`_first_max`), centres a 0.1 deg window of +-3 deg
+    that refines the gain and the pointing error against ``target``.  The
+    power normalization is the 1 deg grid's power integral, from the lag
+    table (see :func:`_grid_tables`).
     """
     window_deg, fine_step = 3.0, 0.1
-    array = assembly.array
-    k = assembly.k_per_mm
-    illum, coeffs = _coefficients(assembly, mask)
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("pattern field must be finite")
-    tables = _coarse_tables(array.period_mm, k, array.n_y, array.n_x, ELEMENT_EXPONENT)
-    power = _grid_power(tables, coeffs) * _both_pols(assembly)
-    if power <= 0:
-        raise ValueError("integrated power must be positive")
-    i_el, i_az = _coarse_peak(tables, array.period_mm, coeffs, k)
-    az0 = float(tables.az_deg[i_az])
-    el0 = float(tables.el_deg[i_el])
+    illum, power, grid = _grid_field(assembly, mask, 1.0)
+    i_el, i_az = divmod(_first_max(grid)[1], grid.axis_deg.size)
+    az0 = float(grid.axis_deg[i_az])
+    el0 = float(grid.axis_deg[i_el])
     az = np.arange(max(az0 - window_deg, -90.0), min(az0 + window_deg, 90.0) + fine_step / 2, fine_step)
     el = np.arange(max(el0 - window_deg, -90.0), min(el0 + window_deg, 90.0) + fine_step / 2, fine_step)
-    fi = _intensity(array.period_mm, coeffs, k, az, el)
+    fi = _intensity(assembly.array.period_mm, grid.coeffs, assembly.k_per_mm, az, el)
     j_el, j_az = np.unravel_index(int(np.argmax(fi)), fi.shape)
     peak = Direction(float(az[j_az]), float(el[j_el]))
     directivity = 4.0 * math.pi * fi[j_el, j_az] / power

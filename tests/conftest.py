@@ -1,11 +1,24 @@
 """Shared fixtures: the prototype assembly and codebooks are expensive
 enough to build once per session."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from risant.geometry import AntennaAssembly, FeedModel, RisArray
 from risant.scenario import resolve_scenario
 from risant.synthesis import build_codebook
+
+
+@pytest.fixture(scope="session")
+def perfbench_jobs():
+    """The benchmark's seeded job lists (``perfbench/jobs.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return jobs
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import risant
-from risant import __version__, cli, element, synthesis
+from risant import __version__, cli, element, pattern, synthesis
 from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
 from risant.element import SweepRange
 from risant.feedopt import FeedSearchSpace
@@ -128,10 +128,11 @@ class TestImportPath:
             "if m == 'scipy' or m.startswith('scipy.')))") == "[]"
 
     def test_import_builds_no_steered_gain_table(self):
-        # the lag table and nearest-sample map are built on the first call
+        # the lag tables of steered_gain's 1 deg grid and of pattern's grid
+        # are built on the first call that needs them
         assert self._fresh_import(
-            "import risant.cli; from risant.pattern import _coarse_tables; "
-            "print(_coarse_tables.cache_info().misses)") == "0"
+            "import risant.cli; from risant.pattern import _grid_tables; "
+            "print(_grid_tables.cache_info().misses, _grid_tables.cache_info().currsize)") == "0 0"
 
 
 class TestClosure:
@@ -466,7 +467,7 @@ class TestFailureModes:
         def direction_grid(*args, **kwargs):
             raise AssertionError("grid built")
 
-        monkeypatch.setattr(cli, "direction_grid", direction_grid)
+        monkeypatch.setattr(pattern, "direction_grid", direction_grid)
         started = time.perf_counter()
         rc = main(["pattern", "--pattern.step_deg", "0.001", "--out", str(tmp_path)])
         elapsed = time.perf_counter() - started

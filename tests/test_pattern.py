@@ -1,6 +1,8 @@
 """Far-field synthesis machinery: illumination, the fast lattice path
 against a brute-force sum, pattern metrics and efficiency bookkeeping."""
 
+import contextlib
+import io
 import math
 import warnings
 from dataclasses import replace
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risant import pattern
+from risant.cli import main
 from risant.constants import db10
 from risant.element import reflection_coefficient
 from risant.feedopt import FeedSearchSpace
@@ -24,7 +27,7 @@ from risant.geometry import (
 from risant.pattern import (
     DEFAULT_GRID_STEP_DEG,
     ELEMENT_EXPONENT,
-    FarFieldPattern,
+    MIN_GRID_STEP_DEG,
     direction_grid,
     directivity_upper_bound,
     far_field,
@@ -37,6 +40,7 @@ from risant.pattern import (
     steering_row,
     taper_efficiency,
 )
+from risant.scenario import resolve_scenario
 from risant.synthesis import Codeword
 from risant.synthesis import synthesize_codeword
 
@@ -396,39 +400,34 @@ class TestFarField:
 
 
 class TestPatternMetrics:
-    def _flat_pattern(self):
-        az = np.linspace(-90, 90, 181)
-        el = np.linspace(-90, 90, 181)
-        co = np.ones((el.size, az.size), dtype=complex)
-        d_az = d_el = math.radians(1.0)
-        power = float(np.sum(np.cos(np.radians(el))[:, None] * np.ones_like(co.real))
-                      * d_az * d_el)
-        return FarFieldPattern(az_deg=az, el_deg=el, co_pol=co,
-                               cross_pol_db=-math.inf, power_total=power,
-                               gain_offset_db=0.0)
-
-    def test_flat_pattern_has_no_sidelobes(self):
-        m = pattern_metrics(self._flat_pattern())
+    def test_flat_pattern_has_no_sidelobes(self, monkeypatch):
+        # one element without an element factor radiates the same field
+        # everywhere, so every direction ties with the first one
+        monkeypatch.setattr(pattern, "ELEMENT_EXPONENT", 0.0)
+        asm = replace(_plane_wave_assembly(1, 1), cross_pol_db=-math.inf)
+        m = pattern_metrics(asm, np.ones(1, dtype=complex), 1.0)
         assert m.sll_db is None
         assert math.isnan(m.hpbw_az_deg)
+        assert m.peak_direction == Direction(-90.0, -90.0)
         # constant field over the az-el hemisphere concentrates a true
         # isotropic radiator's power into half the sphere: +3.01 dB
         # (rectangle-rule quadrature on the 1 deg grid costs a few hundredths)
-        assert m.peak_gain_dbi == pytest.approx(db10(2.0), abs=0.05)
+        offset = pattern._gain_offset_db(asm, illumination(asm))
+        assert m.peak_gain_dbi - offset == pytest.approx(db10(2.0), abs=0.05)
 
     def test_uniform_line_matches_dirichlet_sidelobe(self, monkeypatch):
-        asm = _plane_wave_assembly(32, 1)
-        az = np.arange(-90.0, 90.0 + 1e-9, 0.02)
+        # a uniform square lattice without an element factor: each cut
+        # through broadside is the array factor of a uniform 32-element line
+        asm = _plane_wave_assembly(32, 32)
         monkeypatch.setattr(pattern, "ELEMENT_EXPONENT", 0.0)
-        pat = far_field(asm, np.ones(32, dtype=complex), az, np.array([0.0]))
-        m = pattern_metrics(pat)
-        assert m.peak_direction.az_deg == pytest.approx(0.0, abs=0.02)
+        m = pattern_metrics(asm, np.ones(32 * 32, dtype=complex), MIN_GRID_STEP_DEG)
+        assert m.peak_direction == Direction(0.0, 0.0)
         assert m.sll_db == pytest.approx(-13.232886761906704, abs=0.05)
         # 0.886 lambda / D radians for a uniform aperture
         d_mm = 32 * asm.array.period_mm
-        assert m.hpbw_az_deg == pytest.approx(
-            math.degrees(0.886 * asm.wavelength_mm / d_mm), rel=0.02
-        )
+        for hpbw in (m.hpbw_az_deg, m.hpbw_el_deg):
+            assert hpbw == pytest.approx(math.degrees(0.886 * asm.wavelength_mm / d_mm),
+                                         rel=0.02)
 
     def test_monotone_lobe_is_bounded_by_grid_edge(self):
         # one element: the cos(theta) field falls from broadside to every
@@ -437,11 +436,7 @@ class TestPatternMetrics:
             array=RisArray(n_x=1, n_y=1, group_size=1),
             feed=FeedModel(position_mm=(0.0, 0.0, 1000.0)),
         )
-        az = np.linspace(-90, 90, 181)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pat = far_field(asm, np.ones(1, dtype=complex), az, az.copy())
-        m = pattern_metrics(pat)
+        m = pattern_metrics(asm, np.ones(1, dtype=complex), 1.0)
         assert m.sll_db is None
         assert m.peak_direction == Direction(0.0, 0.0)
         # cos^2 halves at 45 deg
@@ -450,10 +445,187 @@ class TestPatternMetrics:
 
     def test_cross_pol_ratio_reported(self, small_assembly):
         gamma = np.exp(-1j * np.angle(illumination(small_assembly)))
-        az = np.linspace(-90, 90, 721)
-        pat = far_field(small_assembly, gamma, az, az.copy())
-        m = pattern_metrics(pat)
+        m = pattern_metrics(small_assembly, gamma, 0.25)
         assert m.cross_pol_db == small_assembly.cross_pol_db
+
+
+def reference_pattern_metrics(assembly, mask, step_deg):
+    """The sampled-grid evaluation that pattern_metrics replaced, kept
+    here only as the reference: far_field fills the whole
+    direction_grid(step_deg), and the metrics and the cuts are read off it."""
+    pat = far_field(assembly, mask, *direction_grid(step_deg))
+    intensity = pat.intensity
+    i_el, i_az = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
+    peak = intensity[i_el, i_az]
+    flat = (peak - intensity.min()) <= 1e-9 * peak
+    sll = None
+    hpbw_az = hpbw_el = math.nan
+    if not flat:
+        az_cut = intensity[i_el, :]
+        el_cut = intensity[:, i_az]
+        az_lo, az_hi = (pattern._first_null(az_cut, i_az, step) for step in (-1, 1))
+        el_lo, el_hi = (pattern._first_null(el_cut, i_el, step) for step in (-1, 1))
+        outside = np.ones(intensity.shape, dtype=bool)
+        outside[el_lo:el_hi + 1, az_lo:az_hi + 1] = False
+        if outside.any():
+            sll = float(db10(intensity[outside].max() / peak))
+        hpbw_az = pattern._hpbw(pat.az_deg, az_cut, i_az)
+        hpbw_el = pattern._hpbw(pat.el_deg, el_cut, i_el)
+    return pattern.PatternMetrics(
+        peak_gain_dbi=float(db10(4.0 * math.pi * peak / pat.power_total) + pat.gain_offset_db),
+        peak_direction=Direction(float(pat.az_deg[i_az]), float(pat.el_deg[i_el])),
+        sll_db=sll, hpbw_az_deg=float(hpbw_az), hpbw_el_deg=float(hpbw_el),
+        cross_pol_db=pat.cross_pol_db, az_deg=pat.az_deg, el_deg=pat.el_deg,
+        az_cut_dbi=pat.gain_dbi(np.s_[i_el, :]), el_cut_dbi=pat.gain_dbi(np.s_[:, i_az]),
+    )
+
+
+def _assert_matches_full_grid(assembly, mask, step_deg=DEFAULT_GRID_STEP_DEG):
+    """The peak, the sidelobe level and the beamwidths exactly, the cuts
+    in the CSV's .10g, the peak gain to 1e-12 dB."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = pattern_metrics(assembly, mask, step_deg)
+        want = reference_pattern_metrics(assembly, mask, step_deg)
+    assert got.peak_direction == want.peak_direction
+    assert got.sll_db == want.sll_db
+    np.testing.assert_array_equal([got.hpbw_az_deg, got.hpbw_el_deg],
+                                  [want.hpbw_az_deg, want.hpbw_el_deg])
+    assert abs(got.peak_gain_dbi - want.peak_gain_dbi) <= 1e-12
+    assert got.cross_pol_db == want.cross_pol_db
+    for axis in ("az_deg", "el_deg"):
+        np.testing.assert_array_equal(getattr(got, axis), getattr(want, axis))
+    for cut in ("az_cut_dbi", "el_cut_dbi"):
+        assert ([f"{v:.10g}" for v in getattr(got, cut)]
+                == [f"{v:.10g}" for v in getattr(want, cut)])
+    return got
+
+
+def _benchmark_hemisphere_jobs(jobs):
+    """(assembly, codeword) of the seeded `hemisphere` benchmark jobs (seed 0)."""
+    cases = []
+    for job in jobs.make_jobs("hemisphere", jobs.DEFAULT_SEED):
+        args = job["args"]
+        scn = resolve_scenario(None, list(zip((a[2:] for a in args[1::2]), args[2::2])))
+        asm = scn.build_assembly()
+        cases.append((asm, synthesize_codeword(asm, scn.build_target_direction(),
+                                               scn.literal("pattern.compensate_incidence"))))
+    return cases
+
+
+class TestPatternMetricsMatchFullGrid:
+    def test_benchmark_hemisphere_jobs(self, perfbench_jobs):
+        cases = _benchmark_hemisphere_jobs(perfbench_jobs)
+        assert [asm.array.n_x for asm, _ in cases] == [32, 32, 48, 32]
+        for asm, cw in cases:
+            _assert_matches_full_grid(asm, cw)
+
+    @pytest.mark.parametrize("n_x, n_y", [(1, 1), (7, 5), (33, 17), (48, 48)])
+    def test_lattices(self, n_x, n_y):
+        asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, group_size=1))
+        rng = np.random.default_rng(n_x * n_y)
+        targets = [Direction(0.0, 0.0), Direction(float(rng.uniform(-60, 60)),
+                                                  float(rng.uniform(-30, 30)))]
+        for target in targets:
+            _assert_matches_full_grid(asm, synthesize_codeword(asm, target))
+
+    def test_random_states(self, assembly):
+        # no dominant lobe: most of the grid is left to the exact kernel
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            _assert_matches_full_grid(assembly, rng.integers(0, 2, assembly.array.n_groups))
+
+    def test_incidence_model(self, assembly):
+        modeled = replace(assembly, incidence_model=IncidenceModel())
+        for target in (Direction(0.0, 0.0), Direction(-41.0, 17.5)):
+            _assert_matches_full_grid(modeled, synthesize_codeword(modeled, target, True))
+
+    @pytest.mark.parametrize("step", [MIN_GRID_STEP_DEG, 0.25, 0.7, 1.0, 2.5])
+    def test_grid_steps(self, assembly, step):
+        # 0.7 does not divide 180: the axes stop at 89.6 and are not mirrored
+        target = Direction(27.0, -8.0)
+        _assert_matches_full_grid(assembly, synthesize_codeword(assembly, target), step)
+
+    def test_ties_in_the_first_row(self, monkeypatch):
+        # one row without an element factor: |F| depends on ux alone, and on
+        # the first row (el = -90) ux is within 1e-16 of 0, so the whole row
+        # ties up to round-off and its az cut is flat
+        monkeypatch.setattr(pattern, "ELEMENT_EXPONENT", 0.0)
+        line = _plane_wave_assembly(16, 1)
+        m = _assert_matches_full_grid(line, np.ones(16, dtype=complex), 1.0)
+        assert m.peak_direction.el_deg == -90.0
+        assert m.sll_db is not None
+
+    def test_the_flat_pattern(self, monkeypatch):
+        monkeypatch.setattr(pattern, "ELEMENT_EXPONENT", 0.0)
+        m = _assert_matches_full_grid(_plane_wave_assembly(1, 1),
+                                      np.ones(1, dtype=complex), 1.0)
+        assert m.sll_db is None
+
+
+@pytest.mark.parametrize("step", [1.0, 2.5])
+def test_falls_below_matches_the_grid(step):
+    # the flat test's search against the grid minimum, at thresholds just
+    # above and below 1e-9 of it and across the pattern's range
+    rng = np.random.default_rng(9)
+    coeffs = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+    az, el = direction_grid(step)
+    tables = pattern._grid_tables(5.0, 0.545, 5, 7, ELEMENT_EXPONENT, step)
+    grid = pattern._GridField(tables, 5.0, coeffs, 0.545)
+    intensity = pattern._intensity(5.0, coeffs, 0.545, az, el).ravel()
+    low = intensity.min()
+    for peak in (low, low * (1 + 5e-10), low * (1 + 2e-9), np.median(intensity),
+                 intensity.max()):
+        assert grid.falls_below(peak) == bool(np.any(peak - intensity > 1e-9 * peak))
+
+
+class TestLagTable:
+    @pytest.mark.parametrize("step", [MIN_GRID_STEP_DEG, 0.25, 0.7, 1.0, 2.5, 7.0])
+    @pytest.mark.parametrize("n_x, n_y", [(32, 32), (7, 5), (1, 1)])
+    def test_equals_the_grid_integral(self, n_x, n_y, step):
+        asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, group_size=1),
+                              incidence_model=IncidenceModel())
+        rng = np.random.default_rng(n_x + n_y)
+        mask = rng.integers(0, 2, asm.array.n_groups)
+        _, coeffs = pattern._coefficients(asm, mask)
+        az, el = direction_grid(step)
+        intensity = np.abs(pattern._intensity(asm.array.period_mm, coeffs, asm.k_per_mm, az, el))
+        lags = pattern._grid_tables(asm.array.period_mm, asm.k_per_mm, n_y, n_x,
+                                    ELEMENT_EXPONENT, step).lags
+        assert pattern._grid_power(lags, coeffs) == pytest.approx(
+            pattern._integrate_power(az, el, intensity), rel=1e-13, abs=0.0)
+
+    def test_mirrored_steps_give_a_real_table(self):
+        args = (5.0, 0.5, 4, 6, ELEMENT_EXPONENT)
+        assert not np.iscomplexobj(pattern._grid_tables(*args, 0.25).lags)
+        assert np.iscomplexobj(pattern._grid_tables(*args, 0.7).lags)
+
+
+class TestPatternJob:
+    def test_default_run_evaluates_few_directions(self, tmp_path, monkeypatch):
+        counted = []
+        exact, lattice_field = pattern._GridField.exact, pattern._lattice_field
+
+        def counting_exact(grid, points):
+            counted.append(points.size)
+            return exact(grid, points)
+
+        def counting_lattice_field(period_mm, coeffs, k, az, el):
+            counted.append(np.size(az) * np.size(el))
+            return lattice_field(period_mm, coeffs, k, az, el)
+
+        monkeypatch.setattr(pattern._GridField, "exact", counting_exact)
+        monkeypatch.setattr(pattern, "_lattice_field", counting_lattice_field)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["pattern", "--out", str(tmp_path)]) == 0
+        # the two cuts alone are 2 x 721 of the 721 x 721 directions
+        assert 2 * 721 <= sum(counted) < 0.05 * 721**2
+
+    def test_coarse_step_warns(self, tmp_path):
+        with pytest.warns(UserWarning, match="undersample"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["pattern", "--pattern.step_deg", "2.5",
+                             "--out", str(tmp_path)]) == 0
 
 
 class TestDirectivityBound:
@@ -475,11 +647,9 @@ class TestDirectivityBound:
 
     def test_focused_aperture_stays_under_bound(self, small_assembly):
         gamma = np.exp(-1j * np.angle(illumination(small_assembly)))
-        az = np.linspace(-90, 90, 721)
-        pat = far_field(small_assembly, gamma, az, az.copy())
         bound = directivity_upper_bound(small_assembly.array.aperture_m2,
                                         small_assembly.frequency_ghz)
-        assert pattern_metrics(pat).peak_gain_dbi < bound
+        assert pattern_metrics(small_assembly, gamma, 0.25).peak_gain_dbi < bound
 
 
 class TestSteeredGain:
@@ -501,7 +671,6 @@ class TestSteeredGain:
         gamma = np.exp(-1j * np.angle(illumination(small_assembly)))
         target = Direction(0.0, 0.0)
         sg = steered_gain(small_assembly, gamma, target)
-        az = np.linspace(-90, 90, 1441)
-        full = pattern_metrics(far_field(small_assembly, gamma, az, az.copy()))
+        full = pattern_metrics(small_assembly, gamma, 0.125)
         assert sg.gain_dbi == pytest.approx(full.peak_gain_dbi, abs=0.1)
         assert sg.pointing_error_deg < 1.0

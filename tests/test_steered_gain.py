@@ -8,11 +8,9 @@ fast path must pick the same coarse grid point, the same fine peak and
 the same gain to 1e-12 dB.
 """
 
-import importlib.util
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,13 +63,14 @@ def check(monkeypatch):
     """Assert steered_gain matches the reference; records the coarse index
     the fast path chose."""
     chosen = []
-    coarse_peak = pattern._coarse_peak
+    first_max = pattern._first_max
 
-    def recording(*args):
-        chosen.append(tuple(int(i) for i in coarse_peak(*args)))
-        return chosen[-1]
+    def recording(grid, *args):
+        value, index = first_max(grid, *args)
+        chosen.append(divmod(index, grid.axis_deg.size))
+        return value, index
 
-    monkeypatch.setattr(pattern, "_coarse_peak", recording)
+    monkeypatch.setattr(pattern, "_first_max", recording)
 
     def run(assembly, mask, target):
         got = steered_gain(assembly, mask, target)
@@ -85,12 +84,8 @@ def check(monkeypatch):
     return run
 
 
-def _benchmark_steer_targets():
+def _benchmark_steer_targets(jobs):
     """Targets of the seeded `steer` benchmark jobs (seed 0)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
-    jobs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(jobs)
     targets = []
     for job in jobs.make_jobs("steer", jobs.DEFAULT_SEED):
         if job["cmd"] != "steer":
@@ -107,11 +102,11 @@ def _random_targets(rng, n):
             zip(rng.uniform(az_lo, az_hi, n), rng.uniform(el_lo, el_hi, n))]
 
 
-def test_scenario_and_benchmark_steer_targets(assembly, scenario, check):
+def test_scenario_and_benchmark_steer_targets(assembly, scenario, check, perfbench_jobs):
     targets = [Direction(0.0, 0.0)]
     targets += [Direction(a, 0.0) for a in scenario.literal("pattern.scan_az_deg")]
     targets += [Direction(0.0, e) for e in scenario.literal("pattern.scan_el_deg")]
-    targets += _benchmark_steer_targets()
+    targets += _benchmark_steer_targets(perfbench_jobs)
     assert len(targets) == 1 + 13 + 18
     for target in targets:
         check(assembly, synthesize_codeword(assembly, target), target)
@@ -135,12 +130,12 @@ def test_continuous_phase_masks(assembly, check):
 def test_moved_feeds_share_one_lattice_table(assembly, check):
     rng = np.random.default_rng(7)
     check(assembly, synthesize_codeword(assembly, Direction(0.0, 0.0)), Direction(0.0, 0.0))
-    built = pattern._coarse_tables.cache_info().misses
+    built = pattern._grid_tables.cache_info().misses
     for x, z in zip(rng.uniform(-120.0, 120.0, 8), rng.uniform(80.0, 260.0, 8)):
         moved = replace(assembly, feed=replace(assembly.feed, position_mm=(x, 0.0, z)))
         for target in (Direction(0.0, 0.0), *_random_targets(rng, 1)):
             check(moved, synthesize_codeword(moved, target), target)
-    assert pattern._coarse_tables.cache_info().misses == built
+    assert pattern._grid_tables.cache_info().misses == built
 
 
 def test_incidence_model(assembly, check):
@@ -208,7 +203,7 @@ def test_lag_table_power_is_the_grid_power(n_x, n_y, incidence, exponent, monkey
         masks.append(synthesize_codeword(asm, Direction(35.0, -12.0)))
     for mask in masks:
         _, coeffs = pattern._coefficients(asm, mask)
-        tables = pattern._coarse_tables(asm.array.period_mm, asm.k_per_mm, n_y, n_x, exponent)
-        lag_power = pattern._grid_power(tables, coeffs) * pattern._both_pols(asm)
+        lags = pattern._grid_tables(asm.array.period_mm, asm.k_per_mm, n_y, n_x, exponent, 1.0).lags
+        lag_power = pattern._grid_power(lags, coeffs) * pattern._both_pols(asm)
         grid_power = far_field(asm, mask, *direction_grid(1.0)).power_total
         assert lag_power == pytest.approx(grid_power, rel=1e-12, abs=0.0)
