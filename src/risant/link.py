@@ -28,6 +28,18 @@ PRB_TABLE_120KHZ = {50: 32, 100: 66, 200: 132, 400: 264}
 
 _MU_BY_SCS_KHZ = {15: 0, 30: 1, 60: 2, 120: 3, 240: 4}
 
+# Work bounds on the record-length keys.  An ACLR symbol is 17536 complex
+# samples at the default numerology, so the longest record is 287 MB; the
+# longest EVM draw makes complex arrays of 160 MB.
+MAX_ACLR_SYMBOLS = 1024
+MAX_EVM_SYMBOLS = 10_000_000
+
+# Rows per pass of the blocked transforms.  A row block of np.fft.fft /
+# ifft gives the same values as the whole-array call; the link tests
+# compare both paths to the bit.
+_OFDM_BLOCK = 8
+_WELCH_BLOCK = 64
+
 
 # ---------------------------------------------------------------------------
 # scenario containers
@@ -297,6 +309,12 @@ def ofdm_waveform(config: WaveformConfig = WaveformConfig(), n_symbols: int = 64
     entirely inside the cyclic prefix of the following symbol, so the
     fft_size core samples of every symbol are untouched.  The two block
     edges (half-faded ramps) are trimmed.
+
+    Memory: the record itself, one float companion of its length for the
+    normalisation, the symbol indices, and one block of _OFDM_BLOCK
+    symbols on the FFT grid.  The symbols are drawn in one call and
+    transformed block by block; every value equals the whole-record
+    transform's.
     """
     if n_symbols < 1:
         raise ValueError("need at least one OFDM symbol")
@@ -305,31 +323,47 @@ def ofdm_waveform(config: WaveformConfig = WaveformConfig(), n_symbols: int = 64
     n_fft, cp, ov = config.fft_size, config.cp_samples, config.window_samples
     stride = n_fft + cp
     k = _subcarrier_indices(config)
-
-    spectrum = np.zeros((n_symbols, n_fft), dtype=complex)
-    spectrum[:, k % n_fft] = points[rng.integers(0, points.size, (n_symbols, k.size))]
-    body = np.fft.ifft(spectrum, axis=1) * math.sqrt(n_fft / k.size)
+    bins = k % n_fft
+    symbols = rng.integers(0, points.size, (n_symbols, k.size))
+    scale = math.sqrt(n_fft / k.size)
 
     if ov:
         ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
     out = np.zeros(n_symbols * stride + ov, dtype=complex)
-    for i, x in enumerate(body):
-        ext = np.concatenate([x[-cp:], x, x[:ov]])
-        if ov:
-            ext[:ov] *= ramp
-            ext[-ov:] *= ramp[::-1]
-        out[i * stride: i * stride + stride + ov] += ext
+    spectrum = np.zeros((min(_OFDM_BLOCK, n_symbols), n_fft), dtype=complex)
+    for lo in range(0, n_symbols, _OFDM_BLOCK):
+        block = spectrum[:min(_OFDM_BLOCK, n_symbols - lo)]
+        block[:, bins] = points[symbols[lo:lo + len(block)]]
+        body = np.fft.ifft(block, axis=1)
+        body *= scale
+        for i, x in enumerate(body, lo):
+            ext = np.concatenate([x[-cp:], x, x[:ov]])
+            if ov:
+                ext[:ov] *= ramp
+                ext[-ov:] *= ramp[::-1]
+            out[i * stride: i * stride + stride + ov] += ext
     out = out[ov: n_symbols * stride]
-    return out / np.sqrt(np.mean(np.abs(out) ** 2))
+    p = np.abs(out)
+    np.square(p, out=p)
+    out /= np.sqrt(np.mean(p))
+    return out
 
 
 def apply_pa(samples: np.ndarray, pa: PaModel) -> np.ndarray:
-    """Memoryless AM/AM: Rapp y = x / (1 + (|x|/sat)^(2p))^(1/(2p))."""
+    """Memoryless AM/AM: Rapp y = x / (1 + (|x|/sat)^(2p))^(1/(2p)).
+
+    Memory: the output record and one float companion of its length,
+    updated in place.
+    """
     x = np.asarray(samples, dtype=complex)
     if pa.kind == "ideal":
         return x.copy()
-    ratio = np.abs(x) / pa.saturation_level
-    return x / (1.0 + ratio ** (2.0 * pa.smoothness)) ** (1.0 / (2.0 * pa.smoothness))
+    t = np.abs(x)
+    t /= pa.saturation_level
+    t **= 2.0 * pa.smoothness
+    t += 1.0
+    t **= 1.0 / (2.0 * pa.smoothness)
+    return x / t
 
 
 def _band_power(freqs: np.ndarray, psd: np.ndarray, center_hz: float,
@@ -349,13 +383,21 @@ def _welch_psd(samples: np.ndarray, sample_rate_hz: float,
     1/sqrt(fs * sum w^2), and the periodograms are averaged along a
     contiguous axis. On scipy 1.17 the PSD is bit-identical, so ACLR
     artifacts keep their bytes.
+
+    Memory: one (nperseg, n_seg) periodogram table, filled _WELCH_BLOCK
+    segments at a time; it is the transposed periodogram stack whose
+    rows scipy averages, so the mean keeps its summation order.
     """
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
     win *= 1.0 / np.sqrt(sum(win ** 2) / (1.0 / sample_rate_hz))
-    step = nperseg - nperseg // 2
-    spec = np.fft.fft(sliding_window_view(samples, nperseg)[::step] * win)
-    periodograms = spec.real ** 2 + spec.imag ** 2
-    psd = np.ascontiguousarray(periodograms.T).mean(axis=1)
+    segments = sliding_window_view(samples, nperseg)[::nperseg - nperseg // 2]
+    table = np.empty((nperseg, len(segments)))
+    for lo in range(0, len(segments), _WELCH_BLOCK):
+        spec = np.fft.fft(segments[lo:lo + _WELCH_BLOCK] * win)
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        table[:, lo:lo + len(power)] = power.T
+    psd = table.mean(axis=1)
     return np.fft.fftfreq(nperseg, 1.0 / sample_rate_hz), psd
 
 

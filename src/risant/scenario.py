@@ -40,7 +40,15 @@ from .geometry import (
     IncidenceModel,
     RisArray,
 )
-from .link import PRB_TABLE_120KHZ, FrameConfig, LinkScenario, PaModel, XpdModel
+from .link import (
+    MAX_ACLR_SYMBOLS,
+    MAX_EVM_SYMBOLS,
+    PRB_TABLE_120KHZ,
+    FrameConfig,
+    LinkScenario,
+    PaModel,
+    XpdModel,
+)
 from .pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
 from .synthesis import DEFAULT_ACCEPT_THRESHOLD_DB, SCAN_SECTOR
 
@@ -171,13 +179,15 @@ _LITERALS = {
                                         "null or a positive integer"),
     "pattern.incidence.enabled": (bool, _any, ""),
     "pattern.compensate_incidence": (bool, _any, ""),
-    "link.evm_symbols": (int, lambda v: v >= 1, "a positive integer"),
+    "link.evm_symbols": (int, lambda v: 1 <= v <= MAX_EVM_SYMBOLS,
+                         f"an integer in [1, {MAX_EVM_SYMBOLS}]"),
     "link.sweep_distances_m": (list[float], lambda v: v and min(v) > 0 and v == sorted(v),
                                "a non-empty ascending list of positive numbers"),
     "link.aclr.centers_ghz": (list[float], _any, ""),
     "link.aclr.channel_bandwidth_mhz": (float, lambda v: round(v) in PRB_TABLE_120KHZ,
                                         f"one of {sorted(PRB_TABLE_120KHZ)} MHz"),
-    "link.aclr.n_symbols": (int, lambda v: v >= 1, "a positive integer"),
+    "link.aclr.n_symbols": (int, lambda v: 1 <= v <= MAX_ACLR_SYMBOLS,
+                            f"an integer in [1, {MAX_ACLR_SYMBOLS}]"),
     "link.aclr.aod_az_deg": (list[float], _any, ""),
     "link.stream_gains_dbi.h": (float, _any, ""),
     "link.stream_gains_dbi.v": (float, _any, ""),

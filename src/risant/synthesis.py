@@ -335,41 +335,35 @@ class TrainingResult:
     success: bool
 
 
-def _measure(row: np.ndarray, reflections: np.ndarray, rel_noise: float, rng) -> float:
-    """One pilot: received power of one codebook row with per-pilot AWGN.
-
-    ``rel_noise`` is the noise amplitude relative to the pilot's own field
-    magnitude, so every measurement sees the configured signal-to-noise
-    ratio regardless of how wide (and hence weak) the beam is.
-    """
-    g = row @ reflections
-    if rel_noise > 0:
-        n = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
-        g = g + abs(g) * rel_noise * n
-    return abs(g) ** 2
-
-
 def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Direction,
                   pilot_snr_db: float | None = None, widening: bool = True,
                   accept_threshold_db: float = DEFAULT_ACCEPT_THRESHOLD_DB,
-                  rng=None) -> TrainingResult:
+                  rng=None, row: np.ndarray | None = None) -> TrainingResult:
     """Hierarchical descent with one optional widening retry per level.
 
     Every pilot measurement is the received power of one codebook row
     toward the (unknown) true direction, corrupted by complex Gaussian
     noise holding each pilot at ``pilot_snr_db`` (``None`` means
-    noiseless).  Level 0 measures all its rows; each lower level measures
-    the ``branching`` children of the row kept above and keeps the
-    strongest.  When that falls more than ``accept_threshold_db`` below
-    its parent's measurement, the search widens once to all
-    ``branching**2`` rows of the level under the grandparent (at level 1
-    the root, whose grandchildren are the whole level).  Success means
-    the chosen leaf's :meth:`Codebook.entry_sector` contains the true
-    azimuth.
+    noiseless): the noise amplitude is relative to the pilot's own field
+    magnitude, so every measurement sees that signal-to-noise ratio
+    however wide (and hence weak) the beam is.  Level 0 measures all its
+    rows; each lower level measures the ``branching`` children of the row
+    kept above and keeps the strongest.  When that falls more than
+    ``accept_threshold_db`` below its parent's measurement, the search
+    widens once to all ``branching**2`` rows of the level under the
+    grandparent (at level 1 the root, whose grandchildren are the whole
+    level).  Success means the chosen leaf's :meth:`Codebook.entry_sector`
+    contains the true azimuth.
+
+    ``row`` is the truth's :func:`steering_row`; callers that train
+    several arms toward one truth pass it once.  Each descent step
+    measures its block of rows in one product and draws the block's
+    noise in one call, (re, im) for each pilot in turn.
     """
     rng = np.random.default_rng(rng)
     noise_scale = 0.0 if pilot_snr_db is None else 10.0 ** (-pilot_snr_db / 20.0)
-    row = steering_row(assembly, illumination(assembly), truth)
+    if row is None:
+        row = steering_row(assembly, illumination(assembly), truth)
     threshold = 10.0 ** (accept_threshold_db / 10.0)
     b = codebook.branching
     pilots = 0
@@ -377,8 +371,11 @@ def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Directio
     def strongest(level, first, count):
         """(index, power) of the strongest of rows first .. first+count-1."""
         nonlocal pilots
-        meas = [_measure(row, codebook.levels[level][i], noise_scale, rng)
-                for i in range(first, first + count)]
+        g = codebook.levels[level][first:first + count] @ row
+        if noise_scale > 0:
+            n = rng.standard_normal(2 * count)
+            g += np.abs(g) * noise_scale * ((n[0::2] + 1j * n[1::2]) / math.sqrt(2))
+        meas = np.abs(g) ** 2
         pilots += count
         top = int(np.argmax(meas))
         return first + top, meas[top]

@@ -43,6 +43,7 @@ from risant.pattern import (
     pattern_metrics,
     resolve_reflections,
     steered_gain,
+    steering_row,
 )
 from risant.synthesis import (
     beam_training,
@@ -342,17 +343,20 @@ def test_criterion_12_widened_training_wins(assembly, onebit_codebook, report):
     wins = {"widened": 0, "baseline": 0}
     pilots = {"widened": 0, "baseline": 0}
     n01 = n10 = 0
+    illum = illumination(assembly)
     for seq in root.spawn(1000):
         truth_seq, noise_seq = seq.spawn(2)
         truth_rng = np.random.default_rng(truth_seq)
         truth = Direction(float(truth_rng.uniform(-60.0, 60.0)), 0.0)
-        # paired arms replay the identical pilot noise stream
+        row = steering_row(assembly, illum, truth)
+        # paired arms share the truth's row and replay the identical pilot
+        # noise stream
         widened = beam_training(assembly, onebit_codebook, truth,
                                 pilot_snr_db=5.0, widening=True,
-                                rng=np.random.default_rng(noise_seq))
+                                rng=np.random.default_rng(noise_seq), row=row)
         baseline = beam_training(assembly, onebit_codebook, truth,
                                  pilot_snr_db=5.0, widening=False,
-                                 rng=np.random.default_rng(noise_seq))
+                                 rng=np.random.default_rng(noise_seq), row=row)
         wins["widened"] += widened.success
         wins["baseline"] += baseline.success
         pilots["widened"] += widened.pilots_used

@@ -27,6 +27,7 @@ from risant import __version__, cli, element, pattern, synthesis
 from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
 from risant.element import SweepRange
 from risant.feedopt import FeedSearchSpace
+from risant.link import MAX_ACLR_SYMBOLS, MAX_EVM_SYMBOLS
 from risant.pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
 from risant.scenario import iter_leaf_paths, resolve_scenario
 
@@ -481,6 +482,30 @@ class TestFailureModes:
     def test_grid_step_bound_admits_steps_down_to_the_minimum(self, step):
         scn = resolve_scenario(None, [("pattern.step_deg", step)])
         assert scn.literal("pattern.step_deg") == step
+
+    @pytest.mark.parametrize("command, flag, limit, measure", [
+        ("aclr-sweep", "link.aclr.n_symbols", MAX_ACLR_SYMBOLS, "measure_aclr"),
+        ("link", "link.evm_symbols", MAX_EVM_SYMBOLS, "simulate_evm"),
+    ])
+    def test_record_past_the_bound_exits_2_without_a_record(self, command, flag, limit,
+                                                            measure, tmp_path, capsys,
+                                                            monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("record built")
+
+        monkeypatch.setattr(cli, measure, unreachable)
+        rc = main([command, f"--{flag}", str(limit + 1), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error" in err and flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, limit", [
+        ("link.aclr.n_symbols", MAX_ACLR_SYMBOLS),
+        ("link.evm_symbols", MAX_EVM_SYMBOLS),
+    ])
+    def test_record_bound_admits_its_limit(self, flag, limit):
+        assert resolve_scenario(None, [(flag, limit)]).literal(flag) == limit
 
     @pytest.mark.parametrize("flag, value, parameter", [
         ("element.start.l_g_nh", "0", "l_g_nh"),

@@ -3,6 +3,7 @@ dual-stream SINR, frame throughput and the power figure."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from risant.link import (
     PaModel,
     WaveformConfig,
     XpdModel,
+    _OFDM_BLOCK,
+    _WELCH_BLOCK,
+    _subcarrier_indices,
     _welch_psd,
     aclr,
     apply_pa,
@@ -36,6 +40,8 @@ from risant.link import (
     simulate_evm,
     simulate_evm_at,
 )
+from numpy.lib.stride_tricks import sliding_window_view
+
 from risant.scenario import resolve_scenario
 
 
@@ -246,17 +252,65 @@ class TestAclr:
             aclr(np.zeros(8192, dtype=complex), 1e9, (0.0, 100e6), [(200e6, 100e6)])
 
 
+def _reference_waveform(config, n_symbols, rng_seed):
+    """`ofdm_waveform` on the whole record: one (n_symbols, fft_size) grid."""
+    rng = np.random.default_rng(rng_seed)
+    points = constellation(config.modulation)
+    n_fft, cp, ov = config.fft_size, config.cp_samples, config.window_samples
+    stride = n_fft + cp
+    k = _subcarrier_indices(config)
+    spectrum = np.zeros((n_symbols, n_fft), dtype=complex)
+    spectrum[:, k % n_fft] = points[rng.integers(0, points.size, (n_symbols, k.size))]
+    body = np.fft.ifft(spectrum, axis=1) * math.sqrt(n_fft / k.size)
+    if ov:
+        ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
+    out = np.zeros(n_symbols * stride + ov, dtype=complex)
+    for i, x in enumerate(body):
+        ext = np.concatenate([x[-cp:], x, x[:ov]])
+        if ov:
+            ext[:ov] *= ramp
+            ext[-ov:] *= ramp[::-1]
+        out[i * stride: i * stride + stride + ov] += ext
+    out = out[ov: n_symbols * stride]
+    return out / np.sqrt(np.mean(np.abs(out) ** 2))
+
+
+def _reference_pa(samples, pa):
+    """`apply_pa` with a fresh array for every step of the Rapp curve."""
+    x = np.asarray(samples, dtype=complex)
+    if pa.kind == "ideal":
+        return x.copy()
+    ratio = np.abs(x) / pa.saturation_level
+    return x / (1.0 + ratio ** (2.0 * pa.smoothness)) ** (1.0 / (2.0 * pa.smoothness))
+
+
+def _reference_welch(samples, sample_rate_hz, nperseg):
+    """`_welch_psd` with every segment windowed and transformed at once."""
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    win *= 1.0 / np.sqrt(sum(win ** 2) / (1.0 / sample_rate_hz))
+    step = nperseg - nperseg // 2
+    spec = np.fft.fft(sliding_window_view(samples, nperseg)[::step] * win)
+    periodograms = spec.real ** 2 + spec.imag ** 2
+    psd = np.ascontiguousarray(periodograms.T).mean(axis=1)
+    return np.fft.fftfreq(nperseg, 1.0 / sample_rate_hz), psd
+
+
+def _config(bw_mhz):
+    return WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[bw_mhz])
+
+
 @functools.cache
 def _aclr_sweep_samples(bw_mhz):
     """The amplified record that `aclr-sweep` measures at one channel bandwidth."""
     scn = resolve_scenario(None)
-    cfg = WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[bw_mhz])
+    cfg = _config(bw_mhz)
     w = ofdm_waveform(cfg, scn.literal("link.aclr.n_symbols"), scn.rng_seed)
     return apply_pa(w, scn.build_pa()), cfg.sample_rate_hz
 
 
 class TestWelch:
-    """The numpy Welch behind `aclr` against the scipy call it replaced."""
+    """The numpy Welch behind `aclr` against the scipy call it replaced, and
+    against its own whole-stack form to the bit."""
 
     @pytest.mark.parametrize("bw_mhz, record", [
         (400, slice(None)),
@@ -264,17 +318,70 @@ class TestWelch:
         (400, slice(3000)),           # shorter than a segment: one, the whole record
         (50, slice(123457)),          # odd length
         (50, slice(None, None, 3)),   # non-contiguous view
+        (50, slice(3000)),
+        (400, slice(None, None, 3)),
+        (400, slice(2048 * (_WELCH_BLOCK + 1))),   # exactly one block of segments
+        (50, slice(2048 * (_WELCH_BLOCK + 2))),    # one more segment than a block
     ])
     def test_matches_scipy_welch(self, bw_mhz, record):
         samples, rate = _aclr_sweep_samples(bw_mhz)
         x = samples[record]
         nperseg = min(4096, len(x))
         freqs, psd = _welch_psd(x, rate, nperseg)
+        assert np.array_equal(psd, _reference_welch(x, rate, nperseg)[1])
         ref_freqs, ref_psd = sp_signal.welch(x, fs=rate, window="hann", nperseg=nperseg,
                                              return_onesided=False, detrend=False)
         np.testing.assert_array_equal(freqs, ref_freqs)
         # far-out bins sit ~15 decades below the peak and hold round-off only
         np.testing.assert_allclose(psd, ref_psd, rtol=1e-12, atol=1e-12 * ref_psd.max())
+
+
+class TestStreamedLinkPath:
+    """The blocked waveform and the in-place amplifier against their
+    whole-record forms, every value equal to the bit (TestWelch checks the
+    Welch estimate the same way), and the measurement's memory bound."""
+
+    @pytest.mark.parametrize("bw_mhz", [50, 400])
+    @pytest.mark.parametrize("n_symbols", sorted({1, 2, _OFDM_BLOCK - 1, _OFDM_BLOCK,
+                                                  _OFDM_BLOCK + 1, 64}))
+    def test_waveform_matches_the_whole_record(self, bw_mhz, n_symbols):
+        cfg = _config(bw_mhz)
+        for seed in (0, 7):
+            got = ofdm_waveform(cfg, n_symbols, seed)
+            assert np.array_equal(got, _reference_waveform(cfg, n_symbols, seed))
+
+    def test_waveform_without_crossfade_matches(self):
+        cfg = WaveformConfig(fft_size=256, cp_samples=18, window_samples=0,
+                             occupied_subcarriers=48)
+        assert np.array_equal(ofdm_waveform(cfg, 19, 3), _reference_waveform(cfg, 19, 3))
+
+    @pytest.mark.parametrize("bw_mhz", [50, 400])
+    @pytest.mark.parametrize("pa", [
+        PaModel(kind="ideal"),
+        PaModel(),
+        PaModel(kind="rapp", saturation_level=0.5, smoothness=100.0),
+        PaModel(kind="rapp", saturation_level=1.3, smoothness=0.7),
+    ])
+    def test_amplifier_matches_the_fresh_array_form(self, bw_mhz, pa):
+        x = ofdm_waveform(_config(bw_mhz), 13, 1)
+        assert np.array_equal(apply_pa(x, pa), _reference_pa(x, pa))
+        assert np.array_equal(apply_pa(x[::3], pa), _reference_pa(x[::3], pa))
+
+    def test_measurement_peak_stays_within_three_records(self):
+        # numpy reports its buffers to tracemalloc, so the peak is exact
+        scn = resolve_scenario(None)
+        bw_mhz = scn.literal("link.aclr.channel_bandwidth_mhz")
+        cfg = _config(round(bw_mhz))
+        n_symbols = scn.literal("link.aclr.n_symbols")
+        record_bytes = n_symbols * (cfg.fft_size + cfg.cp_samples) * 16
+        tracemalloc.start()
+        try:
+            measure_aclr(scn.build_pa(), cfg, n_symbols, scn.rng_seed,
+                         channel_bandwidth_hz=bw_mhz * 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * record_bytes
 
 
 class TestDualStream:

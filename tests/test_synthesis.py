@@ -21,9 +21,11 @@ from risant.geometry import AntennaAssembly, Direction, FeedModel, IncidenceMode
 from risant.pattern import (
     direction_grid,
     far_field,
+    illumination,
     resolve_reflections,
     state_reflections,
     steered_gain,
+    steering_row,
 )
 from risant.synthesis import (
     Codeword,
@@ -325,7 +327,66 @@ class TestCodebook:
         assert time.perf_counter() - started < 1.0
 
 
+def _reference_training(assembly, codebook, truth, pilot_snr_db, widening, rng):
+    """`beam_training` one pilot at a time: a dot product and two scalar
+    noise draws, re then im, per pilot; returns the result's fields."""
+    noise_scale = 0.0 if pilot_snr_db is None else 10.0 ** (-pilot_snr_db / 20.0)
+    row = steering_row(assembly, illumination(assembly), truth)
+    threshold = 10.0 ** (synthesis.DEFAULT_ACCEPT_THRESHOLD_DB / 10.0)
+    b = codebook.branching
+    pilots = 0
+
+    def measure(reflections):
+        g = row @ reflections
+        if noise_scale > 0:
+            n = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
+            g = g + abs(g) * noise_scale * n
+        return abs(g) ** 2
+
+    def strongest(level, first, count):
+        nonlocal pilots
+        meas = [measure(codebook.levels[level][i]) for i in range(first, first + count)]
+        pilots += count
+        top = int(np.argmax(meas))
+        return first + top, meas[top]
+
+    best, parent_power = strongest(0, 0, b)
+    widenings = 0
+    for level in range(1, len(codebook.levels)):
+        child, power = strongest(level, best * b, b)
+        if widening and power < parent_power * threshold:
+            child, power = strongest(level, best // b * b * b, b * b)
+            widenings += 1
+        best, parent_power = child, power
+    lo, hi = codebook.entry_sector(len(codebook.levels) - 1, best)
+    return best, pilots, widenings, bool(lo <= truth.az_deg <= hi)
+
+
 class TestBeamTraining:
+    @pytest.mark.parametrize("snr_db", [5.0, 0.0, None])
+    def test_block_pilots_match_one_pilot_at_a_time(self, assembly, onebit_codebook,
+                                                    snr_db):
+        # pins the noise order: each pilot takes (re, im) from the stream in turn
+        for seq in np.random.SeedSequence(3).spawn(100):
+            truth_seq, noise_seq = seq.spawn(2)
+            truth = Direction(float(np.random.default_rng(truth_seq).uniform(-60, 60)), 0.0)
+            for widening in (True, False):
+                tr = beam_training(assembly, onebit_codebook, truth, pilot_snr_db=snr_db,
+                                   widening=widening, rng=np.random.default_rng(noise_seq))
+                ref = _reference_training(assembly, onebit_codebook, truth, snr_db,
+                                          widening, np.random.default_rng(noise_seq))
+                assert (tr.selected_leaf, tr.pilots_used, tr.widenings, tr.success) == ref
+
+    def test_given_row_is_the_truths_row(self, assembly, onebit_codebook):
+        truth = Direction(-23.0, 0.0)
+        row = steering_row(assembly, illumination(assembly), truth)
+        for widening in (True, False):
+            given_row = beam_training(assembly, onebit_codebook, truth, pilot_snr_db=5.0,
+                                      widening=widening, rng=11, row=row)
+            own_row = beam_training(assembly, onebit_codebook, truth, pilot_snr_db=5.0,
+                                    widening=widening, rng=11)
+            assert given_row == own_row
+
     def test_noiseless_descent_matches_exhaustive(self, assembly, continuous_codebook):
         lo, hi = continuous_codebook.sector_az
         for az in _guarded_truths(lo, hi, 25):
