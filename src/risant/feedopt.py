@@ -2,7 +2,8 @@
 
 Stage one scans a coarse grid of feed positions scoring the analytic
 spillover-times-illumination efficiency product, then polishes the best
-cell with a derivative-free simplex restricted to the search bounds.
+cell with a derivative-free simplex restricted to the search bounds
+(`_nelder_mead`, a port of scipy's bounded Nelder-Mead).
 Stage two re-evaluates a small set of candidate offsets through the
 full pattern engine (one-bit codeword, realized gain) and keeps the
 best, so model bias cannot move the feed somewhere the synthesized
@@ -115,6 +116,76 @@ def aperture_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> Efficie
     )
 
 
+# Nelder-Mead reflection, expansion, contraction and shrink coefficients
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+
+
+def _nelder_mead(cost, x0, lb, ub, xatol, fatol, maxiter):
+    """Minimize ``cost`` over the box [lb, ub] from ``x0``; returns (x, fun).
+
+    A step-for-step port of scipy 1.17's bounded ``_minimize_neldermead``
+    with ``maxiter`` given, so with no cap on evaluations: it calls
+    ``cost`` on the same points in the same order and returns the same
+    bits as ``scipy.optimize.minimize(cost, x0, method="Nelder-Mead",
+    bounds=list(zip(lb, ub)), options={"xatol": xatol, "fatol": fatol,
+    "maxiter": maxiter})``.  Keep its expressions as they are: each one
+    rounds as scipy's does.
+    """
+    lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+    x0 = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    # a vertex past the upper bound is reflected back inside, then all are clipped
+    sim = np.clip(np.where(sim > ub, 2 * ub - sim, sim), lb, ub)
+    fsim = np.array([cost(np.copy(v)) for v in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice here
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    def trial(a, b):  # the clipped point a * xbar - b * worst, and its cost
+        x = np.clip(a * xbar - b * sim[-1], lb, ub)
+        return x, cost(np.copy(x))
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr, fxr = trial(1 + _RHO, _RHO)  # reflect
+        shrink = False
+        if fxr < fsim[0]:  # expand
+            xe, fxe = trial(1 + _RHO * _CHI, _RHO * _CHI)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # contract outside
+            xc, fxc = trial(1 + _PSI * _RHO, _PSI * _RHO)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:  # contract inside, to (1 - psi) * xbar + psi * worst
+            xcc, fxcc = trial(1 - _PSI, -_PSI)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = np.clip(sim[0] + _SIGMA * (sim[j] - sim[0]), lb, ub)
+                fsim[j] = cost(np.copy(sim[j]))
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], np.min(fsim)
+
+
 @dataclass(frozen=True)
 class CoarseFeedResult:
     position_mm: tuple[float, float, float]
@@ -141,23 +212,18 @@ def coarse_optimize_feed(assembly: AntennaAssembly,
     free = [i for i in range(3) if space.axis_grid(i).size > 1]
     position = np.asarray(grid_best, dtype=float)
     if free:
-        # imported here: scipy.optimize costs ~0.7 s and only the polish needs it
-        from scipy import optimize as sp_optimize
-
-        bounds = [(space.x_mm, space.y_mm, space.z_mm)[i] for i in free]
+        box = np.array([(space.x_mm, space.y_mm, space.z_mm)[i] for i in free])
 
         def cost(v):
             p = position.copy()
             p[free] = v
             return -aperture_efficiency(_with_feed(assembly, p), n_grid=128).predicted_gain_dbi
 
-        res = sp_optimize.minimize(
-            cost, position[free], method="Nelder-Mead", bounds=bounds,
-            options={"xatol": 0.05, "fatol": 1e-6, "maxiter": 400},
-        )
-        if -res.fun >= grid_gain:
-            position[free] = res.x
-            grid_gain = -res.fun
+        x, fun = _nelder_mead(cost, position[free], box[:, 0], box[:, 1],
+                              xatol=0.05, fatol=1e-6, maxiter=400)
+        if -fun >= grid_gain:
+            position[free] = x
+            grid_gain = -fun
     return CoarseFeedResult(
         position_mm=tuple(float(v) for v in position),
         predicted_gain_dbi=float(grid_gain),

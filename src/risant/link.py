@@ -212,7 +212,8 @@ def simulate_evm_at(snr_db: float, tx_evm_floor: float, modulation: str,
     the seed, so two runs with the same seed see identical noise even
     when the modulation (and hence the symbol stream consumption)
     differs.  The reference power is the ensemble unit power of the
-    constellation, not the per-run sample power.
+    constellation, not the per-run sample power.  Memory: the symbols,
+    the error and one float buffer, about 2.5 complex records.
     """
     if n_symbols < 1:
         raise ValueError("need at least one symbol")
@@ -222,11 +223,21 @@ def simulate_evm_at(snr_db: float, tx_evm_floor: float, modulation: str,
     ref = points[sym_rng.integers(0, points.size, n_symbols)]
     scale = math.sqrt(0.5) * math.sqrt(from_db10(-snr_db)) if not math.isinf(snr_db) else 0.0
     floor_scale = math.sqrt(0.5) * tx_evm_floor
-    err = (err_rng.standard_normal(n_symbols) + 1j * err_rng.standard_normal(n_symbols)) * scale
-    err = err + (err_rng.standard_normal(n_symbols)
-                 + 1j * err_rng.standard_normal(n_symbols)) * floor_scale
-    received = ref + err
-    return float(np.sqrt(np.mean(np.abs(received - ref) ** 2)))
+    # err = (n1 + j n2) * scale + (n3 + j n4) * floor_scale, one part at a
+    # time through one float buffer: a complex product by a real scale
+    # rounds each part as the float product does
+    err = np.empty(n_symbols, dtype=complex)
+    draw = np.empty(n_symbols)
+    for part in (err.real, err.imag):
+        np.multiply(err_rng.standard_normal(out=draw), scale, out=part)
+    for part in (err.real, err.imag):
+        part += np.multiply(err_rng.standard_normal(out=draw), floor_scale, out=draw)
+    del draw
+    # received - ref, rounded as the whole-record form rounds it
+    err += ref
+    err -= ref
+    power = np.abs(err)
+    return float(np.sqrt(np.mean(np.square(power, out=power))))
 
 
 def simulate_evm(scenario: LinkScenario, n_symbols: int = 100_000,

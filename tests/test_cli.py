@@ -123,10 +123,23 @@ class TestImportPath:
                               capture_output=True, text=True).stdout.strip()
 
     def test_cli_import_loads_no_scipy(self):
-        # scipy costs over a second to import; only feed-opt's polish needs it
+        # scipy is a test dependency only, and costs over a second to import
         assert self._fresh_import(
             "import sys, risant.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))") == "[]"
+
+    def test_feed_opt_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes every `import scipy...` raise;
+        # feed-opt's polish is the last code path that once imported it
+        blocked, in_process = tmp_path / "blocked", tmp_path / "in_process"
+        args = ["feed-opt", "--out", str(blocked)]
+        out = self._fresh_import(
+            "import sys; sys.modules['scipy'] = None; from risant.cli import main; "
+            f"print('rc', main({args!r}))")
+        assert out.splitlines()[-1] == "rc 0"
+        assert main(["feed-opt", "--out", str(in_process)]) == 0
+        for name in ("feed_opt.json", "feed_scan.csv", "feed_refine.csv"):
+            assert (blocked / name).read_bytes() == (in_process / name).read_bytes()
 
     def test_import_builds_no_steered_gain_table(self):
         # the lag tables of steered_gain's 1 deg grid and of pattern's grid

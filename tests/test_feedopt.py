@@ -1,14 +1,19 @@
-"""Feed placement: analytic efficiency model, grid search and the
-pattern-engine refinement stage."""
+"""Feed placement: analytic efficiency model, grid search, the simplex
+polish and the pattern-engine refinement stage."""
+
+import inspect
+import sys
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from risant.constants import db10
 from risant.feedopt import (
     MAX_COARSE_CELLS,
     PREDICTED_LOSS_DB,
     FeedSearchSpace,
+    _nelder_mead,
     aperture_efficiency,
     coarse_optimize_feed,
     optimize_feed,
@@ -125,6 +130,132 @@ class TestCoarseOptimize:
         n = (small_space.axis_grid(0).size * small_space.axis_grid(1).size
              * small_space.axis_grid(2).size)
         assert len(coarse.evaluations) == n
+
+
+# where each simplex move happens in `_nelder_mead`, by a line of its source
+_MOVE_LINES = {
+    "reflect": "sim[-1], fsim[-1] = xr, fxr",
+    "expand": "xe, fxe = trial(",
+    "outside contraction": "xc, fxc = trial(",
+    "inside contraction": "xcc, fxcc = trial(",
+    "shrink": "sim[j] = np.clip(",
+}
+_OPTIONS = {"xatol": 0.05, "fatol": 1e-6, "maxiter": 400}
+
+
+def _move_lines():
+    lines, first = inspect.getsourcelines(_nelder_mead)
+    found = {}
+    for move, marker in _MOVE_LINES.items():
+        (index,) = [i for i, line in enumerate(lines) if marker in line]
+        found[first + index] = move
+    return found
+
+
+def _logged(cost, calls):
+    """``cost`` that records its arguments, then scribbles on them: the
+    simplex must not see a cost's writes."""
+    def logged(v):
+        calls.append(v.copy())
+        value = cost(v)
+        v[:] = np.nan
+        return value
+    return logged
+
+
+def _scipy_run(cost, x0, lb, ub, **options):
+    calls = []
+    res = optimize.minimize(_logged(cost, calls), x0, method="Nelder-Mead",
+                            bounds=list(zip(lb, ub)), options=options)
+    return res.x, res.fun, calls
+
+
+def _port_run(cost, x0, lb, ub, **options):
+    """The port's (x, fun, cost arguments, simplex moves made)."""
+    calls, moves = [], set()
+    lines = _move_lines()
+    code = _nelder_mead.__code__
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines:
+            moves.add(lines[frame.f_lineno])
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        x, fun = _nelder_mead(_logged(cost, calls), x0, lb, ub, **options)
+    finally:
+        sys.settrace(previous)
+    return x, fun, calls, moves
+
+
+def _feed_case(assembly, rng, n_free):
+    """The polish's own cost on a random box with ``n_free`` free axes."""
+    free = sorted(rng.choice(3, size=n_free, replace=False).tolist())
+    lo = np.array([rng.uniform(-120.0, -60.0), rng.uniform(-20.0, 0.0), rng.uniform(90.0, 140.0)])
+    hi = lo + np.array([rng.uniform(20.0, 80.0), rng.uniform(5.0, 20.0), rng.uniform(30.0, 100.0)])
+    position = rng.uniform(lo, hi)
+
+    def cost(v):
+        p = position.copy()
+        p[free] = v
+        moved = _with_feed(assembly, tuple(float(c) for c in p))
+        return -aperture_efficiency(moved, n_grid=128).predicted_gain_dbi
+    return cost, position[free], lo[free], hi[free]
+
+
+def _analytic_case(rng, n_free):
+    """A stepped bowl whose centre may sit outside the box: its flat steps
+    force shrinks, its outside centre clipped moves."""
+    lo = rng.uniform(-50.0, 50.0, n_free)
+    hi = lo + rng.uniform(1.0, 40.0, n_free)
+    centre = rng.uniform(lo - 20.0, hi + 20.0)
+    x0 = rng.uniform(lo, hi)
+    return (lambda v: float(np.floor(np.sum((v - centre) ** 2) / 4.0))), x0, lo, hi
+
+
+class TestNelderMeadPort:
+    """`_nelder_mead` takes scipy 1.17's bounded Nelder-Mead steps to the bit."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, assembly):
+        rng = np.random.default_rng(2030)
+        cases = [_feed_case(assembly, rng, n) for n in (1, 1, 2, 2, 3, 3)]
+        cases += [_analytic_case(rng, n) for n in (1, 2, 2, 3, 3)]
+        bowl = lambda v: float(np.sum((v - np.array([1.0, 40.0])[:v.size]) ** 2))
+        # a start near the upper bound, whose 5 % step leaves the box
+        cases.append((bowl, np.array([19.5]), np.array([0.0]), np.array([20.0])))
+        # a zero coordinate, which steps by 0.00025 instead of 5 %
+        cases.append((bowl, np.array([0.0, 3.0]), np.array([-5.0, -5.0]),
+                      np.array([5.0, 50.0])))
+        return cases
+
+    @pytest.mark.parametrize("maxiter", [400, 5])
+    def test_same_calls_and_bits_as_scipy(self, cases, maxiter):
+        options = dict(_OPTIONS, maxiter=maxiter)
+        for cost, x0, lb, ub in cases:
+            x_ref, fun_ref, calls_ref = _scipy_run(cost, x0, lb, ub, **options)
+            x, fun, calls, _ = _port_run(cost, x0, lb, ub, **options)
+            assert np.array_equal(x, x_ref) and fun == fun_ref
+            assert len(calls) == len(calls_ref)
+            assert all(np.array_equal(a, b) for a, b in zip(calls, calls_ref))
+            assert len(calls) <= (maxiter - 1) * (2 + x0.size) + x0.size + 1
+
+    def test_cases_reach_every_branch(self, cases):
+        moves, clipped, reflected, zero_step = set(), False, False, False
+        for cost, x0, lb, ub in cases:
+            _, _, calls, run_moves = _port_run(cost, x0, lb, ub, **_OPTIONS)
+            moves |= run_moves
+            n = x0.size
+            start, trials = np.array(calls[:n + 1]), np.array(calls[n + 1:]).reshape(-1, n)
+            clipped |= bool(((trials == lb) | (trials == ub)).any())
+            stepped = x0 * (1 + 0.05)
+            for k in range(n):
+                reflected |= bool(stepped[k] > ub[k] and 2 * ub[k] - stepped[k] in start[:, k])
+                zero_step |= bool(x0[k] == 0 and 0.00025 in start[:, k])
+        assert moves == set(_MOVE_LINES)
+        assert clipped and reflected and zero_step
 
 
 class TestRefine:

@@ -131,6 +131,30 @@ class TestEvm:
         with pytest.raises(ValueError):
             simulate_evm_at(20.0, 0.0, "QPSK", n_symbols=0)
 
+    @pytest.mark.parametrize("modulation", ["QPSK", "64QAM", "256QAM"])
+    @pytest.mark.parametrize("snr_db", [math.inf, 18.0, -3.0])
+    def test_in_place_error_matches_the_whole_record(self, modulation, snr_db):
+        for seed in (0, 7, 123):
+            for n_symbols in (1, 2, 17, 20_000):
+                for floor in (0.03, 0.0 if snr_db < math.inf else 0.1):
+                    assert simulate_evm_at(snr_db, floor, modulation, n_symbols, seed) == \
+                        _reference_evm(snr_db, floor, modulation, n_symbols, seed)
+
+    def test_error_record_peak_drops(self):
+        # numpy reports its buffers to tracemalloc, so the peak is exact
+        n_symbols = 100_000
+        record_bytes = 16 * n_symbols
+        peaks = []
+        for evm in (simulate_evm_at, _reference_evm):
+            tracemalloc.start()
+            try:
+                evm(20.0, 0.03, "64QAM", n_symbols, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the symbols, the error and one float buffer, against about 4.5 records
+        assert peaks[0] <= 2.6 * record_bytes < 0.6 * peaks[1]
+
     def test_distance_sweep_monotone_and_flagged(self):
         rows = evm_vs_distance(LinkScenario(), [1.0, 4.0, 10.0, 20.0])
         evms = [r[2] for r in rows]
@@ -293,6 +317,21 @@ def _reference_welch(samples, sample_rate_hz, nperseg):
     periodograms = spec.real ** 2 + spec.imag ** 2
     psd = np.ascontiguousarray(periodograms.T).mean(axis=1)
     return np.fft.fftfreq(nperseg, 1.0 / sample_rate_hz), psd
+
+
+def _reference_evm(snr_db, tx_evm_floor, modulation, n_symbols, rng_seed):
+    """`simulate_evm_at` with a fresh array for every step of the error."""
+    sym_rng, err_rng = [np.random.default_rng(s)
+                        for s in np.random.SeedSequence(rng_seed).spawn(2)]
+    points = constellation(modulation)
+    ref = points[sym_rng.integers(0, points.size, n_symbols)]
+    scale = math.sqrt(0.5) * math.sqrt(from_db10(-snr_db)) if not math.isinf(snr_db) else 0.0
+    floor_scale = math.sqrt(0.5) * tx_evm_floor
+    err = (err_rng.standard_normal(n_symbols) + 1j * err_rng.standard_normal(n_symbols)) * scale
+    err = err + (err_rng.standard_normal(n_symbols)
+                 + 1j * err_rng.standard_normal(n_symbols)) * floor_scale
+    received = ref + err
+    return float(np.sqrt(np.mean(np.abs(received - ref) ** 2)))
 
 
 def _config(bw_mhz):
