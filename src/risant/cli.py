@@ -40,7 +40,7 @@ from .link import (
     peak_rate_3gpp,
     simulate_evm,
 )
-from .pattern import far_field, illumination, pattern_metrics, steering_row
+from .pattern import far_field, pattern_metrics, steering_row
 from .scenario import ScenarioError, Scenario, iter_leaf_paths, load_scenario
 from .synthesis import (
     beam_training,
@@ -369,13 +369,12 @@ def cmd_train(scn: Scenario, out: str) -> tuple[list[str], str]:
     snr = scn.literal("training.pilot_snr_db")
     threshold = scn.literal("training.accept_threshold_db")
     seed_root = np.random.SeedSequence(scn.rng_seed)
-    illum = illumination(asm)
     rows = []
     for trial, seq in enumerate(seed_root.spawn(n_trials)):
         truth_seq, noise_seq = seq.spawn(2)
         truth_rng = np.random.default_rng(truth_seq)
         truth = Direction(float(truth_rng.uniform(sector[0], sector[1])), el)
-        row = steering_row(asm, illum, truth)
+        row = steering_row(asm, truth)
         # paired arms share the truth's row and the noise stream: identical
         # pilot noise up to the point where the widened search spends
         # extra measurements

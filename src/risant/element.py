@@ -203,29 +203,24 @@ class SweepRange:
         return self.lo + self.step * np.arange(n + 1)
 
 
-def _apply_parameter(circuit: ElementCircuit, name: str, value: float) -> ElementCircuit:
-    if name == "c_p_ff":
-        return replace(circuit, c_p_ff=value)
-    if name == "l_g_nh":
-        return replace(circuit, l_g_nh=value)
-    if name == "l_v_nh":
-        return replace(circuit, l_v_nh=value)
-    if name == "l_diode_nh":
-        # Package inductance is shared by both bias states.
-        return replace(circuit, diode=replace(circuit.diode, l_on_nh=value, l_off_nh=value))
-    raise ValueError(f"unknown sweep parameter {name!r}")
+# Sweep order for the alternating one-dimensional scans.  Each name is an
+# ElementCircuit field except l_diode_nh, the diode package inductance.
+SWEEP_ORDER = ("c_p_ff", "l_g_nh", "l_v_nh", "l_diode_nh")
 
 
 def _get_parameter(circuit: ElementCircuit, name: str) -> float:
-    if name == "c_p_ff":
-        return circuit.c_p_ff
-    if name == "l_g_nh":
-        return circuit.l_g_nh
-    if name == "l_v_nh":
-        return circuit.l_v_nh
+    """The swept value ``name`` of a circuit; the one check of a sweep name,
+    made before :func:`_apply_parameter` sees it."""
+    if name not in SWEEP_ORDER:
+        raise ValueError(f"unknown sweep parameter {name!r}")
+    return circuit.diode.l_on_nh if name == "l_diode_nh" else getattr(circuit, name)
+
+
+def _apply_parameter(circuit: ElementCircuit, name: str, value: float) -> ElementCircuit:
     if name == "l_diode_nh":
-        return circuit.diode.l_on_nh
-    raise ValueError(f"unknown sweep parameter {name!r}")
+        # Package inductance is shared by both bias states.
+        return replace(circuit, diode=replace(circuit.diode, l_on_nh=value, l_off_nh=value))
+    return replace(circuit, **{name: value})
 
 
 def state_metrics(circuit: ElementCircuit, frequency_ghz: float):
@@ -256,10 +251,6 @@ def targets_met(circuit: ElementCircuit, frequency_ghz: float, targets: DesignTa
     amp_on, amp_off, dphi = state_metrics(circuit, frequency_ghz)
     phase_err = abs(float(wrap_deg(dphi - targets.phase_diff_target_deg)))
     return min(amp_on, amp_off) >= targets.min_amplitude and phase_err <= targets.phase_tolerance_deg
-
-
-# Sweep order for the alternating one-dimensional scans.
-SWEEP_ORDER = ("c_p_ff", "l_g_nh", "l_v_nh", "l_diode_nh")
 
 
 class SweepRangeError(ValueError):

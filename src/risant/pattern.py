@@ -200,8 +200,7 @@ def resolve_reflections(assembly: AntennaAssembly, mask) -> np.ndarray:
 class FarFieldPattern:
     """Sampled co-polar field on a regular (az, el) grid; the cross-polar
     field is the co-polar one scaled by a constant, so only its ratio is
-    kept.  ``intensity`` is |co_pol|^2, computed from ``co_pol`` when not
-    given."""
+    kept.  ``intensity`` is |co_pol|^2."""
 
     az_deg: np.ndarray
     el_deg: np.ndarray
@@ -209,7 +208,7 @@ class FarFieldPattern:
     cross_pol_db: float       # cross-polar to co-polar field ratio, dB
     power_total: float        # hemisphere-integrated radiated power, both pols
     gain_offset_db: float     # 10*log10(eta_s * eta_i * reflection efficiency)
-    intensity: np.ndarray = field(default=None, repr=False)
+    intensity: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         az = np.asarray(self.az_deg)
@@ -224,14 +223,11 @@ class FarFieldPattern:
             raise ValueError("pattern field must be finite")
         if self.power_total <= 0:
             raise ValueError("integrated power must be positive")
-        if self.intensity is None:
-            object.__setattr__(self, "intensity", _abs2(self.co_pol))
 
-    def gain_dbi(self, index=...) -> np.ndarray:
-        """Realized co-polar gain, dBi (zero field maps to -inf), on the
-        grid or on the part of it that ``index`` selects."""
+    def gain_dbi(self) -> np.ndarray:
+        """Realized co-polar gain on the grid, dBi (zero field maps to -inf)."""
         with np.errstate(divide="ignore"):
-            return (10.0 * np.log10(4.0 * math.pi * self.intensity[index] / self.power_total)
+            return (10.0 * np.log10(4.0 * math.pi * self.intensity / self.power_total)
                     + self.gain_offset_db)
 
 
@@ -260,20 +256,6 @@ def _horner(acc, z, terms, phase):
     acc *= phase
 
 
-class _Gathered:
-    """``terms[m][index]`` for each m, gathered when it is read: Horner
-    over scattered points then holds one gathered term at a time."""
-
-    def __init__(self, terms, index):
-        self.terms, self.index = terms, index
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __getitem__(self, m):
-        return self.terms[m][self.index]
-
-
 def _y_phases(period_mm, n_y, k, el):
     """exp(j k uy y), one row per elevation (radians), one column per
     lattice row.  Times the (n_y, n_x) coefficients it gives the kernel's
@@ -291,7 +273,8 @@ def _x_phases(period_mm, n_x, k_ux):
 
 
 def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
-    """Phased sum over a centred uniform lattice on an (el, az) grid.
+    """Phased sum over a centred uniform lattice on an (el, az) grid,
+    element factor included.
 
     Exact reformulation of the per-element sum
     F(az, el) = sum_{y, m} C[y, m] exp(j k (x_m ux + y uy)), with
@@ -300,49 +283,28 @@ def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
     into B = exp(j k uy y) @ C, shape (n_el, n_x), once per call.  Each
     row is then the polynomial sum_m B[row, m] z^m in
     z = exp(j k period ux), times exp(j k x_0 ux), evaluated by Horner
-    with n_x - 1 in-place multiply-adds over the row's directions.
+    with n_x - 1 in-place multiply-adds over the row's directions, and
+    times the element factor of :func:`_axis_factor`.
     Cost: O(directions * n_x + n_el * n_x * n_y).  No assumption is made
-    on the axes, so scattered directions are exact.
-
-    ux is odd in az and even in el.  On a grid larger than one block
-    whose axes are their own mirror images, the two phase tables z and
-    exp(j k x_0 ux) are computed for el >= 0 and az >= 0 only: the -az
-    columns are their complex conjugates (sin is odd and exp conjugate-
-    symmetric to the bit) and the -el rows are the +el rows, read
-    backwards.  On a smaller grid the tables cost less than that set-up.
-    Table rows go in blocks of at most ``_CHUNK`` directions (at least
-    one row); rows are independent, so neither the blocking nor the
-    mirroring changes a bit of the result.
+    on the axes, so scattered directions are exact.  Rows go in blocks
+    of at most ``_CHUNK`` directions (at least one row); rows are
+    independent, so the blocking changes no bit of the result.
     """
     n_x = coeffs_grid.shape[1]
     az = np.radians(az_deg)
     el = np.radians(el_deg)
     sin_az = np.sin(az)
     cos_el = np.cos(el)
+    factor_az, factor_el = _axis_factor(az_deg), _axis_factor(el_deg)
     # (n_x, n_el, 1): terms[m] is the column of row coefficients of z^m
     terms = (_y_phases(period_mm, coeffs_grid.shape[0], k, el) @ coeffs_grid).T[:, :, None]
     out = np.empty((el.size, az.size), dtype=complex)
-    # rows below ``first`` and columns below ``n_neg`` take mirrored tables
-    first = n_neg = 0
-    if out.size > _CHUNK:
-        first, n_neg = _mirror_half(el), _mirror_half(az)
-        sin_az = sin_az[n_neg:]
     step = max(1, _CHUNK // max(az.size, 1))
-    for lo in range(first, el.size, step):
+    for lo in range(0, el.size, step):
         hi = min(lo + step, el.size)
         z, phase = _x_phases(period_mm, n_x, k * (cos_el[lo:hi, None] * sin_az))
-        if n_neg:
-            z, phase = (np.concatenate((t[:, :-n_neg - 1:-1].conj(), t), axis=1)
-                        for t in (z, phase))
         _horner(out[lo:hi], z, terms[:, lo:hi], phase)
-        if first:
-            # rows n_el - hi up to n_el - lo mirror rows hi - 1 down to lo;
-            # those below the middle take the same tables, read backwards
-            low, high = el.size - hi, min(el.size - lo, first)
-            if high > low:
-                count = high - low
-                _horner(out[low:high], z[::-1][:count], terms[:, low:high],
-                        phase[::-1][:count])
+        out[lo:hi] *= np.outer(factor_el[lo:hi], factor_az)
     return out
 
 
@@ -356,17 +318,17 @@ def _integrate_power(az_deg, el_deg, intensity) -> float:
 
 
 def _coefficients(assembly: AntennaAssembly, mask):
-    """Feed illumination and the (n_y, n_x) lattice of illumination times
-    reflection for a mask."""
-    illum = illumination(assembly)
-    coeffs = illum * resolve_reflections(assembly, mask)
-    return illum, coeffs.reshape(assembly.array.n_y, assembly.array.n_x)
+    """The (n_y, n_x) lattice of feed illumination times reflection for a
+    mask."""
+    coeffs = illumination(assembly) * resolve_reflections(assembly, mask)
+    return coeffs.reshape(assembly.array.n_y, assembly.array.n_x)
 
 
-def _gain_offset_db(assembly: AntennaAssembly, illum: np.ndarray) -> float:
-    """10*log10(eta_s * eta_i * reflection efficiency) of an illumination."""
+def _gain_offset_db(assembly: AntennaAssembly) -> float:
+    """10*log10(eta_s * eta_i * reflection efficiency) of the assembly's
+    illumination."""
     eta_s = spillover_efficiency(assembly)
-    eta_i = taper_efficiency(np.abs(illum))
+    eta_i = taper_efficiency(np.abs(illumination(assembly)))
     return float(db10(eta_s * eta_i * REFLECTION_EFFICIENCY))
 
 
@@ -406,14 +368,13 @@ def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPatter
         float(np.max(np.diff(az_deg))) if az_deg.size > 1 else 0.0,
         float(np.max(np.diff(el_deg))) if el_deg.size > 1 else 0.0,
     ))
-    illum, coeffs = _coefficients(assembly, mask)
+    coeffs = _coefficients(assembly, mask)
     co = _lattice_field(assembly.array.period_mm, coeffs, assembly.k_per_mm, az_deg, el_deg)
-    co *= np.outer(_axis_factor(el_deg), _axis_factor(az_deg))
     intensity = _abs2(co)
     power = _integrate_power(az_deg, el_deg, intensity) * _both_pols(assembly)
     return FarFieldPattern(
         az_deg=az_deg, el_deg=el_deg, co_pol=co, cross_pol_db=assembly.cross_pol_db,
-        power_total=power, gain_offset_db=_gain_offset_db(assembly, illum),
+        power_total=power, gain_offset_db=_gain_offset_db(assembly),
         intensity=intensity,
     )
 
@@ -504,9 +465,10 @@ class _GridField:
     Points are flat indices ``el_index * n + az_index`` on the n x n grid.
     uy is constant along an elevation row, so each row's field is the
     polynomial P(z) = sum_m B[row, m] z^m of :func:`_lattice_field` in
-    z = exp(j k period ux).  ``exact`` runs the kernel's Horner steps on
-    each point's own phase tables, after the same one matmul over the
-    whole el axis, so its values are the full grid's to the bit.
+    z = exp(j k period ux).  ``exact`` gathers its points' rows of B, the
+    kernel's one matmul over the whole el axis, and runs the kernel's
+    Horner steps and element factor on each point's own phase tables, so
+    its values are the full grid's to the bit.
 
     ``bound`` samples each row's |P| at n_fft points per period of ux by a
     zero-padded FFT.  For a point g with nearest sample s, |P(g)| <=
@@ -586,7 +548,8 @@ class _GridField:
         return np.take(samples, index), slack
 
     def exact(self, points: np.ndarray) -> np.ndarray:
-        """|F|^2 at the flat indices ``points``."""
+        """|F|^2 at the flat indices ``points``: a cut, or a batch of at
+        most ``_BATCH``, so the gathered (n_x, points) terms stay a few MB."""
         if points.size == 1 < self.bound.size:
             # numpy's in-place complex multiply rounds a lone element
             # differently from an element of a longer array
@@ -595,7 +558,7 @@ class _GridField:
         z, phase = _x_phases(self.period_mm, self.n_x,
                              self.k * (self.cos[rows] * self.sin[cols]))
         acc = np.empty(points.size, dtype=complex)
-        _horner(acc, z, _Gathered(self.terms, rows), phase)
+        _horner(acc, z, self.terms[:, rows], phase)
         acc *= self.factor[rows] * self.factor[cols]
         return _abs2(acc)
 
@@ -617,11 +580,11 @@ class _GridField:
 
 
 def _grid_field(assembly: AntennaAssembly, mask, step_deg: float):
-    """(illumination, grid power with both pols, :class:`_GridField`) of one
-    mask on ``direction_grid(step_deg)``; raises where :func:`far_field`
-    on that grid would."""
+    """(grid power with both pols, :class:`_GridField`) of one mask on
+    ``direction_grid(step_deg)``; raises where :func:`far_field` on that
+    grid would."""
     array = assembly.array
-    illum, coeffs = _coefficients(assembly, mask)
+    coeffs = _coefficients(assembly, mask)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("pattern field must be finite")
     tables = _grid_tables(array.period_mm, assembly.k_per_mm, array.n_y, array.n_x,
@@ -629,7 +592,7 @@ def _grid_field(assembly: AntennaAssembly, mask, step_deg: float):
     power = _grid_power(tables.lags, coeffs) * _both_pols(assembly)
     if power <= 0:
         raise ValueError("integrated power must be positive")
-    return illum, power, _GridField(tables, array.period_mm, coeffs, assembly.k_per_mm)
+    return power, _GridField(tables, array.period_mm, coeffs, assembly.k_per_mm)
 
 
 # Most points one step of the best-first search evaluates; the first
@@ -740,7 +703,7 @@ def pattern_metrics(assembly: AntennaAssembly, mask,
     resolve the main lobe.
     """
     _warn_undersampled(assembly, step_deg)
-    illum, power, grid = _grid_field(assembly, mask, step_deg)
+    power, grid = _grid_field(assembly, mask, step_deg)
     axis = grid.axis_deg
     peak, index = _first_max(grid)
     if peak <= 0:
@@ -770,7 +733,7 @@ def pattern_metrics(assembly: AntennaAssembly, mask,
         hpbw_az = _hpbw(axis, az_cut, i_az)
         hpbw_el = _hpbw(axis, el_cut, i_el)
 
-    offset = _gain_offset_db(assembly, illum)
+    offset = _gain_offset_db(assembly)
     with np.errstate(divide="ignore"):
         az_cut_dbi, el_cut_dbi = (10.0 * np.log10(4.0 * math.pi * cut / power) + offset
                                   for cut in (az_cut, el_cut))
@@ -793,17 +756,17 @@ def directivity_upper_bound(area_m2: float, frequency_ghz: float) -> float:
     return float(db10(4.0 * math.pi * area_m2 / lam**2))
 
 
-def steering_row(assembly: AntennaAssembly, illum: np.ndarray,
-                 direction: Direction) -> np.ndarray:
+def steering_row(assembly: AntennaAssembly, direction: Direction) -> np.ndarray:
     """Per-element weights so that the co-polar field toward ``direction``
     is ``row @ gamma`` for per-element reflections ``gamma``.
 
-    The single-direction form of :func:`far_field`'s sum, element factor
-    included; ``illum`` is the assembly's :func:`illumination`.
+    The single-direction form of :func:`far_field`'s sum: the assembly's
+    :func:`illumination` times each element's phase toward ``direction``,
+    element factor included.
     """
     u = direction.unit_vector()
     phase = assembly.k_per_mm * (assembly.array.positions_mm() @ u)
-    return illum * np.exp(1j * phase) * max(u[2], 0.0) ** ELEMENT_EXPONENT
+    return illumination(assembly) * np.exp(1j * phase) * max(u[2], 0.0) ** ELEMENT_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -813,35 +776,29 @@ class SteeredGain:
     pointing_error_deg: float
 
 
-def _intensity(period_mm, coeffs, k, az_deg, el_deg) -> np.ndarray:
-    """|F|^2 with the element factor on an (el, az) grid, as far_field gives it."""
-    field = _lattice_field(period_mm, coeffs, k, az_deg, el_deg)
-    field *= np.outer(_axis_factor(el_deg), _axis_factor(az_deg))
-    return _abs2(field)
-
-
 def steered_gain(assembly: AntennaAssembly, mask, target: Direction) -> SteeredGain:
     """Realized gain and pointing of one mask, cheap two-pass evaluation.
 
     The first maximum of the 1 deg hemisphere grid, found without filling
     the grid (see :func:`_first_max`), centres a 0.1 deg window of +-3 deg
-    that refines the gain and the pointing error against ``target``.  The
+    that refines the gain and the pointing error against ``target``; the
+    lattice kernel evaluates that window, element factor included.  The
     power normalization is the 1 deg grid's power integral, from the lag
     table (see :func:`_grid_tables`).
     """
     window_deg, fine_step = 3.0, 0.1
-    illum, power, grid = _grid_field(assembly, mask, 1.0)
+    power, grid = _grid_field(assembly, mask, 1.0)
     i_el, i_az = divmod(_first_max(grid)[1], grid.axis_deg.size)
     az0 = float(grid.axis_deg[i_az])
     el0 = float(grid.axis_deg[i_el])
     az = np.arange(max(az0 - window_deg, -90.0), min(az0 + window_deg, 90.0) + fine_step / 2, fine_step)
     el = np.arange(max(el0 - window_deg, -90.0), min(el0 + window_deg, 90.0) + fine_step / 2, fine_step)
-    fi = _intensity(assembly.array.period_mm, grid.coeffs, assembly.k_per_mm, az, el)
+    fi = _abs2(_lattice_field(assembly.array.period_mm, grid.coeffs, assembly.k_per_mm, az, el))
     j_el, j_az = np.unravel_index(int(np.argmax(fi)), fi.shape)
     peak = Direction(float(az[j_az]), float(el[j_el]))
     directivity = 4.0 * math.pi * fi[j_el, j_az] / power
     return SteeredGain(
-        gain_dbi=float(db10(directivity) + _gain_offset_db(assembly, illum)),
+        gain_dbi=float(db10(directivity) + _gain_offset_db(assembly)),
         peak=peak,
         pointing_error_deg=peak.separation_deg(target),
     )

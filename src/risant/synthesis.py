@@ -24,7 +24,6 @@ import numpy as np
 from .geometry import AntennaAssembly, Direction, incidence_angles
 from .pattern import (
     far_field,
-    illumination,
     resolve_reflections,
     state_reflections,
     steered_gain,
@@ -245,12 +244,11 @@ def _align_strip_phases(assembly: AntennaAssembly, phases: np.ndarray,
     lo, hi = sector_az
     n = int(strip.max()) + 1
     width = hi - lo
-    illum = illumination(assembly)
     refl = continuous_reflections(assembly, phases)
     shift = np.zeros(n)
     for s in range(n - 1):
         cross = Direction(lo + (s + 1) * width / n, el_deg)
-        row = steering_row(assembly, illum, cross)
+        row = steering_row(assembly, cross)
         f_here = row[strip == s] @ refl[strip == s]
         f_next = row[strip == s + 1] @ refl[strip == s + 1]
         shift[s + 1] = shift[s] + math.degrees(np.angle(f_here) - np.angle(f_next))
@@ -355,15 +353,16 @@ def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Directio
     level).  Success means the chosen leaf's :meth:`Codebook.entry_sector`
     contains the true azimuth.
 
-    ``row`` is the truth's :func:`steering_row`; callers that train
-    several arms toward one truth pass it once.  Each descent step
+    ``row`` is ``steering_row(assembly, truth)``, computed here when not
+    given; callers that train several arms toward one truth pass it
+    once.  Each descent step
     measures its block of rows in one product and draws the block's
     noise in one call, (re, im) for each pilot in turn.
     """
     rng = np.random.default_rng(rng)
     noise_scale = 0.0 if pilot_snr_db is None else 10.0 ** (-pilot_snr_db / 20.0)
     if row is None:
-        row = steering_row(assembly, illumination(assembly), truth)
+        row = steering_row(assembly, truth)
     threshold = 10.0 ** (accept_threshold_db / 10.0)
     b = codebook.branching
     pilots = 0
@@ -397,6 +396,6 @@ def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Directio
 def exhaustive_search(assembly: AntennaAssembly, codebook: Codebook,
                       truth: Direction) -> int:
     """Index of the leaf with the highest noiseless power toward ``truth``."""
-    row = steering_row(assembly, illumination(assembly), truth)
+    row = steering_row(assembly, truth)
     powers = [abs(row @ r) ** 2 for r in codebook.levels[-1]]
     return int(np.argmax(powers))

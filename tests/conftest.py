@@ -11,14 +11,25 @@ from risant.scenario import resolve_scenario
 from risant.synthesis import build_codebook
 
 
+def _perfbench_module(name):
+    """``perfbench/<name>.py``, loaded without putting perfbench on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def perfbench_jobs():
     """The benchmark's seeded job lists (``perfbench/jobs.py``)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
-    jobs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(jobs)
-    return jobs
+    return _perfbench_module("jobs")
+
+
+@pytest.fixture(scope="session")
+def perfbench_tracing():
+    """The benchmark's span tracer (``perfbench/tracing.py``)."""
+    return _perfbench_module("tracing")
 
 
 @pytest.fixture(scope="session")

@@ -343,12 +343,11 @@ def test_criterion_12_widened_training_wins(assembly, onebit_codebook, report):
     wins = {"widened": 0, "baseline": 0}
     pilots = {"widened": 0, "baseline": 0}
     n01 = n10 = 0
-    illum = illumination(assembly)
     for seq in root.spawn(1000):
         truth_seq, noise_seq = seq.spawn(2)
         truth_rng = np.random.default_rng(truth_seq)
         truth = Direction(float(truth_rng.uniform(-60.0, 60.0)), 0.0)
-        row = steering_row(assembly, illum, truth)
+        row = steering_row(assembly, truth)
         # paired arms share the truth's row and replay the identical pilot
         # noise stream
         widened = beam_training(assembly, onebit_codebook, truth,

@@ -3,7 +3,7 @@ coordinate-sweep structure optimization."""
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,12 +16,15 @@ from risant.element import (
     DEFAULT_SWEEPS,
     DESIGN_CIRCUIT,
     MAX_SWEEP_POINTS,
+    SWEEP_ORDER,
     DesignTargets,
     DiodeModel,
     ElementCircuit,
     ElementGeometry,
     SweepRange,
     SweepRangeError,
+    _apply_parameter,
+    _get_parameter,
     design_objective,
     element_impedance,
     geometry_to_circuit,
@@ -249,6 +252,22 @@ class TestOptimizer:
         sweeps = {"c_p_ff": SweepRange(50.5, 70.0, 0.5)}
         with pytest.raises(ValueError, match="c_p_ff"):
             optimize_structure(DEFAULT_START_CIRCUIT, sweeps=sweeps)
+
+    @pytest.mark.parametrize("name", ["l_p_nh", "diode", "bogus"])
+    def test_unknown_sweep_parameter_rejected(self, name):
+        # l_p_nh is a circuit field, but not one the sweeps move
+        with pytest.raises(ValueError, match=f"unknown sweep parameter '{name}'"):
+            optimize_structure(DEFAULT_START_CIRCUIT, sweeps={name: SweepRange(0.0, 1.0, 0.5)})
+
+    @pytest.mark.parametrize("name", SWEEP_ORDER)
+    def test_sweep_parameter_moves_only_its_field(self, name):
+        moved = _apply_parameter(DEFAULT_START_CIRCUIT, name, 0.0625)
+        assert _get_parameter(moved, name) == 0.0625
+        changed = [f.name for f in fields(moved)
+                   if getattr(moved, f.name) != getattr(DEFAULT_START_CIRCUIT, f.name)]
+        assert changed == ["diode" if name == "l_diode_nh" else name]
+        # the package inductance is shared by both bias states
+        assert moved.diode.l_off_nh == moved.diode.l_on_nh
 
     @pytest.mark.parametrize("name, sweep", [
         ("c_p_ff", SweepRange(0.0, 70.0, 0.5)),

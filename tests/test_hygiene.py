@@ -2,18 +2,25 @@
 module is used in it, every public top-level name is used somewhere in
 ``src/`` besides its own definition (an export from ``risant/__init__``
 counts as a use), and every parameter is read by its function.  Also:
-README's common flags are the parser's."""
+README's common flags are the parser's, README's library example runs,
+and every span name the benchmark traces names a public function."""
 
 import ast
+import contextlib
+import io
+import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from risant.cli import build_parser
+from risant.pattern import far_field
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "risant"
 README = PACKAGE.parent.parent / "README.md"
+BENCHMARK = PACKAGE.parent.parent / "BENCHMARK.json"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -122,3 +129,34 @@ def test_readme_common_flags_are_the_parser_options():
     options = {option for action in build_parser()._actions
                if action.dest != "overrides" for option in action.option_strings}
     assert documented == options - {"-h", "--help", "--version"}
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        exec(compile(code, "README.md#library", "exec"), namespace)
+    pat = namespace["pat"]
+    assert pat.co_pol.shape == (1, namespace["m"].az_deg.size)
+    assert len(printed.getvalue().split()) == 3
+
+
+def test_benchmark_span_names_are_public_functions(perfbench_tracing):
+    # Tracer.install(names) looks each name up in public_functions(): a
+    # renamed function would fail only in a benchmark run, with a KeyError
+    public = perfbench_tracing.public_functions()
+    per_layer = [entry["name"].split(".") for entry in
+                 json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]]
+    names = set(perfbench_tracing.RECORDERS) | {
+        ".".join(parts[:2]) for parts in per_layer
+        if parts[0] in perfbench_tracing.TRACED_MODULES}
+    assert len(names) >= 20
+    assert sorted(names - set(public)) == []
+
+
+def test_far_field_recorder_reads_a_far_field_result(perfbench_tracing, small_assembly):
+    az, el = np.linspace(-30.0, 30.0, 61), np.array([-1.0, 0.0, 1.0])
+    args = (small_assembly, np.ones(small_assembly.array.n_elements, dtype=complex), az, el)
+    counts = perfbench_tracing.RECORDERS["pattern.far_field"](args, {}, far_field(*args))
+    assert counts == {"directions": 183, "dir_elem": 183 * small_assembly.array.n_elements}

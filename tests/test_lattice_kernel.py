@@ -1,9 +1,9 @@
 """The lattice field kernel against its plain row-blocked Horner form.
 
-``_reference_field`` is the kernel as it was before the phase tables were
-shared between mirrored directions.  The mirrored tables change no
-arithmetic, only which values are computed and which are copied, so the
-fields must be equal to the bit on every kind of axis.
+``_reference_field`` spells out every row's polynomial and applies the
+element factor to the whole grid at once.  The kernel, which applies it
+block by block, must give the same field to the bit on every kind of
+axis.
 """
 
 import math
@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from risant import pattern
 from risant.pattern import _CHUNK, _lattice_field, _mirror_half, direction_grid
 
 PERIOD_MM = 5.0
@@ -18,7 +19,8 @@ K_PER_MM = 2.0 * math.pi * 26.0 / 299.792458  # 26 GHz
 
 
 def _reference_field(period_mm, coeffs_grid, k, az_deg, el_deg):
-    """Every row's polynomial by Horner, both phase tables on every direction."""
+    """Every row's polynomial by Horner, then the element factor
+    (cos(el) cos(az))^qe over the whole grid."""
     n_y, n_x = coeffs_grid.shape
     az = np.radians(az_deg)
     el = np.radians(el_deg)
@@ -40,6 +42,8 @@ def _reference_field(period_mm, coeffs_grid, k, az_deg, el_deg):
             acc *= z
             acc += b[:, m, None]
         acc *= np.exp(1j * x0_mm * k_ux)
+    out *= np.outer(np.maximum(np.cos(el), 0.0) ** pattern.ELEMENT_EXPONENT,
+                    np.maximum(np.cos(az), 0.0) ** pattern.ELEMENT_EXPONENT)
     return out
 
 
@@ -69,9 +73,9 @@ def test_quarter_degree_hemisphere(n_y, n_x):
 @pytest.mark.parametrize("az, el", [
     (ONE[89:92], ONE[89:92]),                   # 3x3 around broadside
     (ONE[86:95], ONE[88:93]),                   # 5 rows x 9 columns
-    (ONE[119:122], ONE[89:92]),                 # steered: only el mirrored
+    (ONE[119:122], ONE[89:92]),                 # steered 30 deg in az
     (ONE, ONE),                                 # the whole 1 deg grid
-    (WINDOW, WINDOW),                           # not mirrored to the bit
+    (WINDOW, WINDOW),                           # steered_gain's window
     (ONE[:1], ONE[:1]),
 ], ids=["3x3", "5x9", "steered-3x3", "1deg", "window", "point"])
 def test_coarse_and_fine_grids(az, el):
@@ -82,10 +86,10 @@ def test_coarse_and_fine_grids(az, el):
     (QUARTER, np.array([0.0])),                 # single row
     (np.array([0.0]), QUARTER),                 # single column
     (QUARTER, np.array([10.0])),
-    (NO_ZERO, NO_ZERO),                         # mirrored axes without 0
+    (NO_ZERO, NO_ZERO),                         # axes without 0
     (NO_ZERO, QUARTER),
-    (QUARTER + 0.1, QUARTER),                   # az shifted off its mirror
-    (QUARTER, QUARTER[1:]),                     # el not mirrored
+    (QUARTER + 0.1, QUARTER),                   # az shifted by 0.1 deg
+    (QUARTER, QUARTER[1:]),                     # el without its first row
 ], ids=["row", "column", "off-axis-row", "no-zero", "no-zero-az", "shifted-az",
         "one-sided-el"])
 def test_rows_columns_and_axes_with_and_without_zero(az, el):

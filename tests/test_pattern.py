@@ -337,7 +337,7 @@ class TestFarField:
             warnings.simplefilter("ignore")
             pat = far_field(small_assembly, gamma, np.array([12.0]),
                             np.array([-7.0]))
-        row = steering_row(small_assembly, illumination(small_assembly), d)
+        row = steering_row(small_assembly, d)
         assert complex(row @ gamma) == pytest.approx(complex(pat.co_pol[0, 0]), rel=1e-12)
 
     def test_two_coherent_elements_quadruple_the_power(self):
@@ -412,7 +412,7 @@ class TestPatternMetrics:
         # constant field over the az-el hemisphere concentrates a true
         # isotropic radiator's power into half the sphere: +3.01 dB
         # (rectangle-rule quadrature on the 1 deg grid costs a few hundredths)
-        offset = pattern._gain_offset_db(asm, illumination(asm))
+        offset = pattern._gain_offset_db(asm)
         assert m.peak_gain_dbi - offset == pytest.approx(db10(2.0), abs=0.05)
 
     def test_uniform_line_matches_dirichlet_sidelobe(self, monkeypatch):
@@ -471,12 +471,13 @@ def reference_pattern_metrics(assembly, mask, step_deg):
             sll = float(db10(intensity[outside].max() / peak))
         hpbw_az = pattern._hpbw(pat.az_deg, az_cut, i_az)
         hpbw_el = pattern._hpbw(pat.el_deg, el_cut, i_el)
+    gain = pat.gain_dbi()
     return pattern.PatternMetrics(
         peak_gain_dbi=float(db10(4.0 * math.pi * peak / pat.power_total) + pat.gain_offset_db),
         peak_direction=Direction(float(pat.az_deg[i_az]), float(pat.el_deg[i_el])),
         sll_db=sll, hpbw_az_deg=float(hpbw_az), hpbw_el_deg=float(hpbw_el),
         cross_pol_db=pat.cross_pol_db, az_deg=pat.az_deg, el_deg=pat.el_deg,
-        az_cut_dbi=pat.gain_dbi(np.s_[i_el, :]), el_cut_dbi=pat.gain_dbi(np.s_[:, i_az]),
+        az_cut_dbi=gain[i_el, :], el_cut_dbi=gain[:, i_az],
     )
 
 
@@ -572,7 +573,7 @@ def test_falls_below_matches_the_grid(step):
     az, el = direction_grid(step)
     tables = pattern._grid_tables(5.0, 0.545, 5, 7, ELEMENT_EXPONENT, step)
     grid = pattern._GridField(tables, 5.0, coeffs, 0.545)
-    intensity = pattern._intensity(5.0, coeffs, 0.545, az, el).ravel()
+    intensity = pattern._abs2(pattern._lattice_field(5.0, coeffs, 0.545, az, el)).ravel()
     low = intensity.min()
     for peak in (low, low * (1 + 5e-10), low * (1 + 2e-9), np.median(intensity),
                  intensity.max()):
@@ -587,9 +588,10 @@ class TestLagTable:
                               incidence_model=IncidenceModel())
         rng = np.random.default_rng(n_x + n_y)
         mask = rng.integers(0, 2, asm.array.n_groups)
-        _, coeffs = pattern._coefficients(asm, mask)
+        coeffs = pattern._coefficients(asm, mask)
         az, el = direction_grid(step)
-        intensity = np.abs(pattern._intensity(asm.array.period_mm, coeffs, asm.k_per_mm, az, el))
+        intensity = pattern._abs2(pattern._lattice_field(asm.array.period_mm, coeffs,
+                                                         asm.k_per_mm, az, el))
         lags = pattern._grid_tables(asm.array.period_mm, asm.k_per_mm, n_y, n_x,
                                     ELEMENT_EXPONENT, step).lags
         assert pattern._grid_power(lags, coeffs) == pytest.approx(

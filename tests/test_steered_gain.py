@@ -202,7 +202,7 @@ def test_lag_table_power_is_the_grid_power(n_x, n_y, incidence, exponent, monkey
     if n_x > 1:
         masks.append(synthesize_codeword(asm, Direction(35.0, -12.0)))
     for mask in masks:
-        _, coeffs = pattern._coefficients(asm, mask)
+        coeffs = pattern._coefficients(asm, mask)
         lags = pattern._grid_tables(asm.array.period_mm, asm.k_per_mm, n_y, n_x, exponent, 1.0).lags
         lag_power = pattern._grid_power(lags, coeffs) * pattern._both_pols(asm)
         grid_power = far_field(asm, mask, *direction_grid(1.0)).power_total

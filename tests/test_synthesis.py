@@ -21,7 +21,6 @@ from risant.geometry import AntennaAssembly, Direction, FeedModel, IncidenceMode
 from risant.pattern import (
     direction_grid,
     far_field,
-    illumination,
     resolve_reflections,
     state_reflections,
     steered_gain,
@@ -331,7 +330,7 @@ def _reference_training(assembly, codebook, truth, pilot_snr_db, widening, rng):
     """`beam_training` one pilot at a time: a dot product and two scalar
     noise draws, re then im, per pilot; returns the result's fields."""
     noise_scale = 0.0 if pilot_snr_db is None else 10.0 ** (-pilot_snr_db / 20.0)
-    row = steering_row(assembly, illumination(assembly), truth)
+    row = steering_row(assembly, truth)
     threshold = 10.0 ** (synthesis.DEFAULT_ACCEPT_THRESHOLD_DB / 10.0)
     b = codebook.branching
     pilots = 0
@@ -379,7 +378,7 @@ class TestBeamTraining:
 
     def test_given_row_is_the_truths_row(self, assembly, onebit_codebook):
         truth = Direction(-23.0, 0.0)
-        row = steering_row(assembly, illumination(assembly), truth)
+        row = steering_row(assembly, truth)
         for widening in (True, False):
             given_row = beam_training(assembly, onebit_codebook, truth, pilot_snr_db=5.0,
                                       widening=widening, rng=11, row=row)
