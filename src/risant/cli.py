@@ -52,10 +52,6 @@ from .synthesis import (
 
 OUTPUT_DIR_ENV = "RISANT_OUTPUT_DIR"
 
-SUBCOMMANDS = ("element-opt", "pattern", "steer", "widebeam", "feed-opt",
-               "link", "evm-sweep", "aclr-sweep", "dual-stream", "rate",
-               "train", "geometry")
-
 
 class ComputationError(Exception):
     """A run completed structurally but missed a required quality target."""
@@ -441,6 +437,8 @@ COMMANDS = {
     "geometry": cmd_geometry,
 }
 
+SUBCOMMANDS = tuple(COMMANDS)
+
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -454,7 +452,8 @@ class _OverrideAction(argparse.Action):
             parsed = yaml.safe_load(values)
         except yaml.YAMLError as exc:
             parser.error(f"cannot parse value for {option_string}: {exc}")
-        namespace.overrides.append((option_string.lstrip("-"), parsed))
+        # a new list: the parser's default one is shared by every parse
+        namespace.overrides = [*namespace.overrides, (option_string.lstrip("-"), parsed)]
 
 
 def build_parser() -> argparse.ArgumentParser:

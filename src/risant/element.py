@@ -35,6 +35,9 @@ PHASE_PENALTY_PER_DEG2 = 0.01
 
 REF_FREQUENCY_GHZ = 26.0
 
+# The two diode states of a one-bit element are meant to reflect 180 deg apart.
+PHASE_DIFF_TARGET_DEG = 180.0
+
 
 @dataclass(frozen=True)
 class DiodeModel:
@@ -73,7 +76,7 @@ class ElementCircuit:
 
     All three branches are in parallel as seen from free space.  The
     grounded substrate is a shorted stub described by its characteristic
-    impedance and its electrical length at ``line_ref_ghz``.
+    impedance and its electrical length at ``REF_FREQUENCY_GHZ``.
     """
 
     c_p_ff: float                 # patch gap capacitance
@@ -82,8 +85,7 @@ class ElementCircuit:
     l_v_nh: float                 # bias via inductance
     r_loss_ohm: float             # conductor loss in the patch branch
     line_z0_ohm: float            # substrate stub characteristic impedance
-    line_length_deg: float        # electrical length at line_ref_ghz
-    line_ref_ghz: float = REF_FREQUENCY_GHZ
+    line_length_deg: float        # electrical length at REF_FREQUENCY_GHZ
     line_loss_tan: float = 0.0    # dielectric loss tangent of the stub
     diode: DiodeModel = field(default_factory=DiodeModel)
 
@@ -96,8 +98,6 @@ class ElementCircuit:
             raise ValueError("loss terms must be non-negative")
         if self.line_z0_ohm <= 0 or self.line_length_deg < 0:
             raise ValueError("stub impedance must be positive and length non-negative")
-        if self.line_ref_ghz <= 0:
-            raise ValueError("stub reference frequency must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def _branch_impedances(circuit: ElementCircuit, state: str, frequency_ghz: float
         1j * w * (circuit.l_g_nh + circuit.l_v_nh) * 1e-9
         + circuit.diode.impedance(state, frequency_ghz)
     )
-    theta = math.radians(circuit.line_length_deg) * frequency_ghz / circuit.line_ref_ghz
+    theta = math.radians(circuit.line_length_deg) * frequency_ghz / REF_FREQUENCY_GHZ
     # tanh(j*theta) = j*tan(theta); the loss tangent makes the stub lossy.
     z_line = circuit.line_z0_ohm * cmath.tanh(theta * (0.5 * circuit.line_loss_tan + 1j))
     return z_patch, z_control, z_line
@@ -170,7 +170,6 @@ def reflection_coefficient(
 @dataclass(frozen=True)
 class DesignTargets:
     min_amplitude: float = 0.85
-    phase_diff_target_deg: float = 180.0
     phase_tolerance_deg: float = 5.0
 
     def __post_init__(self):
@@ -230,26 +229,24 @@ def state_metrics(circuit: ElementCircuit, frequency_ghz: float):
     return on.amplitude, off.amplitude, float(wrap_deg(on.phase_deg - off.phase_deg))
 
 
-def _objective(amp_on: float, amp_off: float, dphi: float, targets: DesignTargets) -> float:
-    phase_err = float(wrap_deg(dphi - targets.phase_diff_target_deg))
+def _objective(amp_on: float, amp_off: float, dphi: float) -> float:
+    phase_err = float(wrap_deg(dphi - PHASE_DIFF_TARGET_DEG))
     return -min(amp_on, amp_off) + PHASE_PENALTY_PER_DEG2 * phase_err**2
 
 
-def design_objective(
-    circuit: ElementCircuit, frequency_ghz: float, targets: DesignTargets
-) -> float:
+def design_objective(circuit: ElementCircuit, frequency_ghz: float) -> float:
     """Scalar cost: maximize the worse state amplitude, penalize phase error.
 
     Lower is better.  The quadratic phase penalty dominates until the
-    difference is within a few degrees of the target, after which the
-    amplitude term takes over.
+    difference is within a few degrees of 180, after which the amplitude
+    term takes over.
     """
-    return _objective(*state_metrics(circuit, frequency_ghz), targets)
+    return _objective(*state_metrics(circuit, frequency_ghz))
 
 
 def targets_met(circuit: ElementCircuit, frequency_ghz: float, targets: DesignTargets) -> bool:
     amp_on, amp_off, dphi = state_metrics(circuit, frequency_ghz)
-    phase_err = abs(float(wrap_deg(dphi - targets.phase_diff_target_deg)))
+    phase_err = abs(float(wrap_deg(dphi - PHASE_DIFF_TARGET_DEG)))
     return min(amp_on, amp_off) >= targets.min_amplitude and phase_err <= targets.phase_tolerance_deg
 
 
@@ -311,7 +308,7 @@ def optimize_structure(
                                             f"reaches {end}: {exc}") from None
 
     circuit = start
-    best = design_objective(circuit, frequency_ghz, targets)
+    best = design_objective(circuit, frequency_ghz)
     trace: list = []
     rounds_used = 0
     if targets_met(circuit, frequency_ghz, targets):
@@ -330,7 +327,7 @@ def optimize_structure(
             for value in grid:
                 metrics = state_metrics(_apply_parameter(circuit, name, float(value)),
                                         frequency_ghz)
-                obj = _objective(*metrics, targets)
+                obj = _objective(*metrics)
                 trace.append((rnd, name, float(value), *metrics, obj))
                 if obj < best_obj:
                     best_obj = obj

@@ -58,7 +58,6 @@ class FeedSearchSpace:
     y_mm: tuple[float, float] = (0.0, 0.0)
     z_mm: tuple[float, float] = (80.0, 260.0)
     coarse_step_mm: float = 20.0
-    refine_offsets_mm: tuple = DEFAULT_REFINE_OFFSETS_MM
 
     def __post_init__(self):
         for name, (lo, hi) in (("x", self.x_mm), ("y", self.y_mm), ("z", self.z_mm)):
@@ -72,11 +71,6 @@ class FeedSearchSpace:
                           for lo, hi in (self.x_mm, self.y_mm, self.z_mm))
         if cells > MAX_COARSE_CELLS:
             raise ValueError(f"coarse grid of {cells:.3g} cells, more than {MAX_COARSE_CELLS}")
-        offsets = np.asarray(self.refine_offsets_mm, dtype=float)
-        if offsets.ndim != 2 or offsets.shape[1] != 3:
-            raise ValueError("refine offsets must be 3D deltas")
-        if not (np.all(offsets == 0.0, axis=1)).any():
-            raise ValueError("refine offsets must include the zero offset")
 
     def axis_grid(self, axis: int) -> np.ndarray:
         lo, hi = (self.x_mm, self.y_mm, self.z_mm)[axis]
@@ -284,5 +278,5 @@ class FeedPlacementResult:
 def optimize_feed(assembly: AntennaAssembly,
                   space: FeedSearchSpace = FeedSearchSpace()) -> FeedPlacementResult:
     coarse = coarse_optimize_feed(assembly, space)
-    refined = refine_feed(assembly, coarse.position_mm, space.refine_offsets_mm)
+    refined = refine_feed(assembly, coarse.position_mm)
     return FeedPlacementResult(coarse=coarse, refined=refined)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import db10
+from .constants import db10, wavelength_m
 from .element import reflection_coefficient
 from .geometry import AntennaAssembly, Direction, incidence_angles
 
@@ -562,22 +562,6 @@ class _GridField:
         acc *= self.factor[rows] * self.factor[cols]
         return _abs2(acc)
 
-    def falls_below(self, peak) -> bool:
-        """Whether some point's |F|^2 lies more than 1e-9 * peak below
-        ``peak``: the lower bound |P(s)| - slack rules out the rest."""
-        size = self.axis_deg.size
-        for lo in range(0, size, self.rows):
-            centre, slack = self._sampled(lo)
-            lower = np.maximum(centre - slack, 0.0)
-            lower *= self.factor
-            lower *= lower
-            maybe = np.flatnonzero(peak - lower > 1e-9 * peak) + lo * size
-            for start in range(0, maybe.size, _BATCH):
-                values = self.exact(maybe[start:start + _BATCH])
-                if np.any(peak - values > 1e-9 * peak):
-                    return True
-        return False
-
 
 def _grid_field(assembly: AntennaAssembly, mask, step_deg: float):
     """(grid power with both pols, :class:`_GridField`) of one mask on
@@ -694,13 +678,13 @@ def pattern_metrics(assembly: AntennaAssembly, mask,
     The peak is the grid's first maximum; the main lobe is bounded by
     the first nulls along the azimuth and elevation cuts through it, or
     by the grid edge where a cut falls all the way to it; the sidelobe
-    level is the highest point outside that rectangle.  A flat
-    (structureless) pattern, or a lobe that fills the grid, reports no
-    sidelobes.  The power normalization is the grid's power integral,
-    from the lag table (see :func:`_grid_tables`); the peak and the
-    sidelobe come from the bounded search of :func:`_first_max`, and the
-    cuts are exact to the bit.  Warns when the grid is too coarse to
-    resolve the main lobe.
+    level is the highest point outside that rectangle, and a lobe that
+    fills the grid reports none.  No pattern is flat: every grid holds
+    az = -90 deg, where the element factor is about 6e-17.  The power
+    normalization is the grid's power integral, from the lag table (see
+    :func:`_grid_tables`); the peak and the sidelobe come from the
+    bounded search of :func:`_first_max`, and the cuts are exact to the
+    bit.  Warns when the grid is too coarse to resolve the main lobe.
     """
     _warn_undersampled(assembly, step_deg)
     power, grid = _grid_field(assembly, mask, step_deg)
@@ -714,24 +698,18 @@ def pattern_metrics(assembly: AntennaAssembly, mask,
     el_points = np.arange(n) * n + i_az
     az_cut, el_cut = grid.exact(az_points), grid.exact(el_points)
 
-    flat = ((peak - min(az_cut.min(), el_cut.min())) <= 1e-9 * peak
-            and not grid.falls_below(peak))
+    az_lo, az_hi = (_first_null(az_cut, i_az, step) for step in (-1, 1))
+    el_lo, el_hi = (_first_null(el_cut, i_el, step) for step in (-1, 1))
+    # the cut samples outside the lobe rectangle seed the search there
+    outside = np.concatenate((az_points[:az_lo], az_points[az_hi + 1:],
+                              el_points[:el_lo], el_points[el_hi + 1:]))
     sll = None
-    hpbw_az = hpbw_el = math.nan
-    if not flat:
-        az_lo, az_hi = (_first_null(az_cut, i_az, step) for step in (-1, 1))
-        el_lo, el_hi = (_first_null(el_cut, i_el, step) for step in (-1, 1))
-        # the cut samples outside the lobe rectangle seed the search there
-        outside = np.concatenate((az_points[:az_lo], az_points[az_hi + 1:],
-                                  el_points[:el_lo], el_points[el_hi + 1:]))
-        if outside.size:
-            values = np.concatenate((az_cut[:az_lo], az_cut[az_hi + 1:],
-                                     el_cut[:el_lo], el_cut[el_hi + 1:]))
-            i = int(np.argmax(values))
-            side, _ = _first_max(grid, (values[i], outside[i]), (el_lo, el_hi, az_lo, az_hi))
-            sll = float(db10(side / peak))
-        hpbw_az = _hpbw(axis, az_cut, i_az)
-        hpbw_el = _hpbw(axis, el_cut, i_el)
+    if outside.size:
+        values = np.concatenate((az_cut[:az_lo], az_cut[az_hi + 1:],
+                                 el_cut[:el_lo], el_cut[el_hi + 1:]))
+        i = int(np.argmax(values))
+        side, _ = _first_max(grid, (values[i], outside[i]), (el_lo, el_hi, az_lo, az_hi))
+        sll = float(db10(side / peak))
 
     offset = _gain_offset_db(assembly)
     with np.errstate(divide="ignore"):
@@ -741,8 +719,8 @@ def pattern_metrics(assembly: AntennaAssembly, mask,
         peak_gain_dbi=float(db10(4.0 * math.pi * peak / power) + offset),
         peak_direction=Direction(float(axis[i_az]), float(axis[i_el])),
         sll_db=sll,
-        hpbw_az_deg=float(hpbw_az),
-        hpbw_el_deg=float(hpbw_el),
+        hpbw_az_deg=float(_hpbw(axis, az_cut, i_az)),
+        hpbw_el_deg=float(_hpbw(axis, el_cut, i_el)),
         cross_pol_db=assembly.cross_pol_db,
         az_deg=axis, el_deg=axis, az_cut_dbi=az_cut_dbi, el_cut_dbi=el_cut_dbi,
     )
@@ -752,7 +730,7 @@ def directivity_upper_bound(area_m2: float, frequency_ghz: float) -> float:
     """Aperture directivity limit 10*log10(4*pi*A/lambda^2), dBi."""
     if area_m2 <= 0:
         raise ValueError("aperture area must be positive")
-    lam = 299792458.0 / (frequency_ghz * 1e9)
+    lam = wavelength_m(frequency_ghz)
     return float(db10(4.0 * math.pi * area_m2 / lam**2))
 
 

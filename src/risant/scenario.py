@@ -59,19 +59,19 @@ class ScenarioError(Exception):
 
 def _defaults(model, *skip) -> dict:
     """The scenario section of a model dataclass: the field defaults of a
-    class, or the field values of an instance, without ``skip``; tuples
-    become lists, as YAML gives them."""
+    class, or the field values of an instance, without ``skip`` and the
+    fields set after init; tuples become lists, as YAML gives them."""
     section = {}
     for f in fields(model):
-        if f.name not in skip:
+        if f.init and f.name not in skip:
             value = getattr(model, f.name)
             section[f.name] = list(value) if isinstance(value, tuple) else value
     return section
 
 
-# circuit fields with no scenario key: the stub keeps the model's
-# reference frequency and loss, and the diode has a section of its own
-_CIRCUIT_ONLY = ("line_ref_ghz", "line_loss_tan", "diode")
+# circuit fields with no scenario key: the stub loss is set only by
+# geometry_to_circuit, and the diode has a section of its own
+_CIRCUIT_ONLY = ("line_loss_tan", "diode")
 
 DEFAULT_SCENARIO = {
     "rng_seed": 0,
@@ -83,13 +83,13 @@ DEFAULT_SCENARIO = {
         "design": {**_defaults(DESIGN_CIRCUIT, *_CIRCUIT_ONLY),
                    "l_diode_nh": DESIGN_CIRCUIT.diode.l_on_nh},
         "sweeps": {name: [r.lo, r.hi, r.step] for name, r in DEFAULT_SWEEPS.items()},
-        "targets": _defaults(DesignTargets, "phase_diff_target_deg"),
+        "targets": _defaults(DesignTargets),
         "max_rounds": 8,
     },
-    "array": _defaults(RisArray, "grouping"),
+    "array": _defaults(RisArray),
     "feed": {
         **_defaults(FeedModel),
-        "search": _defaults(FeedSearchSpace, "refine_offsets_mm"),
+        "search": _defaults(FeedSearchSpace),
     },
     "pattern": {
         "frequency_ghz": AntennaAssembly.frequency_ghz,
@@ -114,12 +114,7 @@ DEFAULT_SCENARIO = {
         "xpd_db": {"h": XpdModel.h_antenna_db, "v": XpdModel.v_antenna_db},
         "dual": {"d_m": 3.0, "center_freq_ghz": 26.6},
     },
-    "frame": {
-        **_defaults(FrameConfig),
-        # calibrated so the prototype frame reproduces the published
-        # peak rate; the FrameConfig type itself defaults to 0.18
-        "overhead": 0.14,
-    },
+    "frame": _defaults(FrameConfig),
     "training": {
         "n_levels": 3,
         "branching": 4,

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import risant
-from risant import __version__, cli, element, pattern, synthesis
+from risant import __version__, cli, element, geometry, pattern, synthesis
 from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
 from risant.element import SweepRange
 from risant.feedopt import FeedSearchSpace
@@ -555,6 +555,8 @@ class TestFailureModes:
         # 4e10 sweep points; 4e10 feed cells at ~0.5 ms each
         ("element-opt", "element.sweeps.c_p_ff", "[30, 70, 1e-9]", SweepRange, "grid"),
         ("feed-opt", "feed.search.coarse_step_mm", "0.001", FeedSearchSpace, "axis_grid"),
+        # a 100000-column lattice; its grouping is the first array built
+        ("pattern", "array.n_x", "100000", geometry, "group_map"),
     ])
     def test_grid_past_its_work_bound_exits_2_without_a_grid(
             self, command, flag, value, model, grid, tmp_path, capsys, monkeypatch):

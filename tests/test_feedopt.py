@@ -59,8 +59,6 @@ class TestSearchSpace:
             FeedSearchSpace(z_mm=(0.0, 100.0))
         with pytest.raises(ValueError):
             FeedSearchSpace(coarse_step_mm=0.0)
-        with pytest.raises(ValueError):
-            FeedSearchSpace(refine_offsets_mm=((10.0, 0.0, 0.0),))
 
     @pytest.mark.parametrize("step", [None, 10.0, 20.0])
     def test_cell_bound_admits_the_searches_in_use(self, step):
@@ -292,7 +290,6 @@ class TestEndToEnd:
         space = FeedSearchSpace(
             x_mm=(-100.0, -60.0), y_mm=(0.0, 0.0), z_mm=(130.0, 170.0),
             coarse_step_mm=20.0,
-            refine_offsets_mm=((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 0.0, 10.0)),
         )
         result = optimize_feed(assembly, space)
         zero_row = [r for r in result.refined.evaluations if r[:3] == (0.0, 0.0, 0.0)][0]

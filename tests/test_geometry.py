@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risant.geometry import (
+    MAX_ARRAY_SIDE,
     AntennaAssembly,
     Direction,
     FeedModel,
@@ -188,23 +189,11 @@ class TestRisArrayAndAssembly:
         with pytest.raises(ValueError):
             RisArray(polarization="L")
 
-    def test_explicit_grouping_shape_checked(self):
-        with pytest.raises(ValueError):
-            RisArray(n_x=4, n_y=4, grouping=np.zeros(7, dtype=np.int64))
-
-    @pytest.mark.parametrize("grouping", [
-        np.r_[-1, np.arange(15)],                 # a negative group
-        np.r_[np.arange(15), 16],                 # group 15 has no element
-        np.repeat([0, 2], 8),                     # group 1 has no element
-        np.arange(16) * 1.0,                      # not integer
-    ], ids=["negative", "gap-at-end", "gap-inside", "float"])
-    def test_explicit_grouping_must_be_dense(self, grouping):
-        with pytest.raises(ValueError, match="grouping"):
-            RisArray(n_x=4, n_y=4, group_size=1, grouping=grouping)
-
-    def test_dense_explicit_grouping_accepted(self):
-        arr = RisArray(n_x=4, n_y=4, group_size=1, grouping=np.arange(16)[::-1] // 3)
-        assert arr.n_groups == 6
+    def test_side_bound_admits_its_limit(self):
+        assert RisArray(n_x=MAX_ARRAY_SIDE, n_y=MAX_ARRAY_SIDE).n_elements == MAX_ARRAY_SIDE**2
+        for n_x, n_y in ((MAX_ARRAY_SIDE + 1, 1), (1, MAX_ARRAY_SIDE + 1)):
+            with pytest.raises(ValueError, match=f"at most {MAX_ARRAY_SIDE}"):
+                RisArray(n_x=n_x, n_y=n_y, group_size=1)
 
     def test_assembly_validation(self):
         with pytest.raises(ValueError):

@@ -463,15 +463,16 @@ class TestFrame:
         assert dl_duty(FrameConfig(slot_pattern="DSU")) == pytest.approx(24.0 / 42.0)
 
     def test_peak_rate_frozen_values(self):
-        assert peak_rate_3gpp(FrameConfig()) == pytest.approx(4802219136.0, rel=1e-12)
-        assert peak_rate_3gpp(FrameConfig(overhead=0.14)) == pytest.approx(
-            5036473728.0, rel=1e-12
+        assert peak_rate_3gpp(FrameConfig()) == pytest.approx(5036473728.0, rel=1e-12)
+        # TS 38.306's FR2 downlink overhead
+        assert peak_rate_3gpp(FrameConfig(overhead=0.18)) == pytest.approx(
+            4802219136.0, rel=1e-12
         )
 
     def test_peak_rate_formula_identity(self):
         frame = FrameConfig()
         t_symbol = 1e-3 / (14 * 2**3)
-        per_cc = (2 * 6 * 1.0 * (948 / 1024) * (12 * 132 / t_symbol) * (1 - 0.18))
+        per_cc = (2 * 6 * 1.0 * (948 / 1024) * (12 * 132 / t_symbol) * (1 - 0.14))
         assert peak_rate_3gpp(frame) == pytest.approx(4 * per_cc * 52 / 70, rel=1e-12)
 
     def test_rate_linear_in_carriers_and_layers(self):

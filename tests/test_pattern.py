@@ -406,7 +406,6 @@ class TestPatternMetrics:
         monkeypatch.setattr(pattern, "ELEMENT_EXPONENT", 0.0)
         asm = replace(_plane_wave_assembly(1, 1), cross_pol_db=-math.inf)
         m = pattern_metrics(asm, np.ones(1, dtype=complex), 1.0)
-        assert m.sll_db is None
         assert math.isnan(m.hpbw_az_deg)
         assert m.peak_direction == Direction(-90.0, -90.0)
         # constant field over the az-el hemisphere concentrates a true
@@ -449,6 +448,35 @@ class TestPatternMetrics:
         assert m.cross_pol_db == small_assembly.cross_pol_db
 
 
+class TestCutWalks:
+    """The lobe edge and the half-power width on cuts with exact ties."""
+
+    @pytest.mark.parametrize("values, start, step, null", [
+        ([3.0, 2.0, 2.0, 1.0, 5.0], 0, 1, 1),      # a plateau stops the walk
+        ([5.0, 1.0, 2.0, 2.0, 3.0], 4, -1, 3),
+        ([4.0, 4.0, 4.0, 4.0, 4.0], 2, 1, 2),      # a flat cut is a one-point lobe
+        ([4.0, 4.0, 4.0, 4.0, 4.0], 2, -1, 2),
+        ([4.0, 3.0, 2.0, 1.0, 0.5], 0, 1, 4),      # the edge bounds a falling lobe
+    ])
+    def test_first_null_stops_at_the_first_tie(self, values, start, step, null):
+        assert pattern._first_null(np.array(values), start, step) == null
+
+    @pytest.mark.parametrize("cut, peak, width", [
+        # samples at exactly half power: the crossing is the first of them
+        ([0.0, 1.0, 2.0, 4.0, 2.0, 1.0, 0.0], 3, 2.0),
+        ([0.0, 2.0, 2.0, 4.0, 2.0, 2.0, 0.0], 3, 2.0),
+        ([2.0, 2.0, 4.0, 2.0, 2.0, 0.0, 0.0], 2, 2.0),
+        # a plateau at the peak, entered from its first sample
+        ([0.0, 4.0, 4.0, 4.0, 0.0, 0.0, 0.0], 1, 3.0),
+        # no sample below half power on one side
+        ([3.0, 3.0, 4.0, 3.0, 0.0, 0.0, 0.0], 2, math.nan),
+    ])
+    def test_hpbw_crosses_at_the_first_half_power_sample(self, cut, peak, width):
+        axis = np.arange(7.0) - 3.0
+        got = pattern._hpbw(axis, np.array(cut), peak)
+        assert got == width or (math.isnan(width) and math.isnan(got))
+
+
 def reference_pattern_metrics(assembly, mask, step_deg):
     """The sampled-grid evaluation that pattern_metrics replaced, kept
     here only as the reference: far_field fills the whole
@@ -457,20 +485,15 @@ def reference_pattern_metrics(assembly, mask, step_deg):
     intensity = pat.intensity
     i_el, i_az = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
     peak = intensity[i_el, i_az]
-    flat = (peak - intensity.min()) <= 1e-9 * peak
-    sll = None
-    hpbw_az = hpbw_el = math.nan
-    if not flat:
-        az_cut = intensity[i_el, :]
-        el_cut = intensity[:, i_az]
-        az_lo, az_hi = (pattern._first_null(az_cut, i_az, step) for step in (-1, 1))
-        el_lo, el_hi = (pattern._first_null(el_cut, i_el, step) for step in (-1, 1))
-        outside = np.ones(intensity.shape, dtype=bool)
-        outside[el_lo:el_hi + 1, az_lo:az_hi + 1] = False
-        if outside.any():
-            sll = float(db10(intensity[outside].max() / peak))
-        hpbw_az = pattern._hpbw(pat.az_deg, az_cut, i_az)
-        hpbw_el = pattern._hpbw(pat.el_deg, el_cut, i_el)
+    az_cut = intensity[i_el, :]
+    el_cut = intensity[:, i_az]
+    az_lo, az_hi = (pattern._first_null(az_cut, i_az, step) for step in (-1, 1))
+    el_lo, el_hi = (pattern._first_null(el_cut, i_el, step) for step in (-1, 1))
+    outside = np.ones(intensity.shape, dtype=bool)
+    outside[el_lo:el_hi + 1, az_lo:az_hi + 1] = False
+    sll = float(db10(intensity[outside].max() / peak)) if outside.any() else None
+    hpbw_az = pattern._hpbw(pat.az_deg, az_cut, i_az)
+    hpbw_el = pattern._hpbw(pat.el_deg, el_cut, i_el)
     gain = pat.gain_dbi()
     return pattern.PatternMetrics(
         peak_gain_dbi=float(db10(4.0 * math.pi * peak / pat.power_total) + pat.gain_offset_db),
@@ -559,25 +582,7 @@ class TestPatternMetricsMatchFullGrid:
 
     def test_the_flat_pattern(self, monkeypatch):
         monkeypatch.setattr(pattern, "ELEMENT_EXPONENT", 0.0)
-        m = _assert_matches_full_grid(_plane_wave_assembly(1, 1),
-                                      np.ones(1, dtype=complex), 1.0)
-        assert m.sll_db is None
-
-
-@pytest.mark.parametrize("step", [1.0, 2.5])
-def test_falls_below_matches_the_grid(step):
-    # the flat test's search against the grid minimum, at thresholds just
-    # above and below 1e-9 of it and across the pattern's range
-    rng = np.random.default_rng(9)
-    coeffs = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-    az, el = direction_grid(step)
-    tables = pattern._grid_tables(5.0, 0.545, 5, 7, ELEMENT_EXPONENT, step)
-    grid = pattern._GridField(tables, 5.0, coeffs, 0.545)
-    intensity = pattern._abs2(pattern._lattice_field(5.0, coeffs, 0.545, az, el)).ravel()
-    low = intensity.min()
-    for peak in (low, low * (1 + 5e-10), low * (1 + 2e-9), np.median(intensity),
-                 intensity.max()):
-        assert grid.falls_below(peak) == bool(np.any(peak - intensity > 1e-9 * peak))
+        _assert_matches_full_grid(_plane_wave_assembly(1, 1), np.ones(1, dtype=complex), 1.0)
 
 
 class TestLagTable:

@@ -1,17 +1,25 @@
 """Scenario resolution: defaults, merging, overrides, and the builders
 that turn the plain mapping into typed model objects."""
 
+import functools
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from risant.cli import build_parser, main
-from risant.element import DEFAULT_START_CIRCUIT, DESIGN_CIRCUIT, DesignTargets, DiodeModel
+from risant.element import (
+    DEFAULT_START_CIRCUIT,
+    DESIGN_CIRCUIT,
+    DesignTargets,
+    DiodeModel,
+    ElementCircuit,
+)
 from risant.feedopt import FeedSearchSpace
-from risant.geometry import FeedModel, IncidenceModel, RisArray
+from risant.geometry import Direction, FeedModel, IncidenceModel, RisArray
 from risant.link import FrameConfig, LinkScenario, PaModel, XpdModel
 from risant.scenario import (
+    _FIELDS,
     DEFAULT_SCENARIO,
     Scenario,
     ScenarioError,
@@ -76,6 +84,12 @@ class TestParseOverride:
         assert parsed("feed.position_mm", "[0, 0, 100]") == [
             ("feed.position_mm", [0, 0, 100])]
         assert parsed("link.modulation", "QPSK") == [("link.modulation", "QPSK")]
+
+    def test_a_reused_parser_starts_each_parse_without_overrides(self):
+        parser = build_parser()
+        assert parser.parse_args(["rate", "--frame.layers", "1"]).overrides == [
+            ("frame.layers", 1)]
+        assert parser.parse_args(["rate"]).overrides == []
 
 
 class TestLoad:
@@ -192,11 +206,34 @@ class TestSingleSourceOfDefaults:
         ("build_link", LinkScenario()),
         ("build_pa", PaModel()),
         ("build_xpd", XpdModel()),
-        # the one calibrated deviation from the class default
-        ("build_frame", FrameConfig(overhead=0.14)),
+        ("build_frame", FrameConfig()),
     ])
     def test_section_builds_class_default(self, scenario, build, expected):
         assert getattr(scenario, build)() == expected
+
+    @pytest.mark.parametrize("model, path, unset", [
+        (RisArray, "array", ()),
+        (FeedModel, "feed", ()),
+        (FeedSearchSpace, "feed.search", ()),
+        (IncidenceModel, "pattern.incidence", ()),
+        (Direction, "pattern.target", ()),
+        (DiodeModel, "element.diode", ()),
+        # the diode has a section of its own, and only geometry_to_circuit
+        # sets the stub loss
+        (ElementCircuit, "element.start", ("diode", "line_loss_tan")),
+        (ElementCircuit, "element.design", ("diode", "line_loss_tan")),
+        (DesignTargets, "element.targets", ()),
+        (LinkScenario, "link", ()),
+        (PaModel, "link.pa", ()),
+        (XpdModel, "link.xpd_db", ()),
+        (FrameConfig, "frame", ()),
+    ])
+    def test_every_init_field_has_a_key(self, model, path, unset):
+        # a field no key sets holds one value that no scenario can change
+        section = functools.reduce(dict.__getitem__, path.split("."), DEFAULT_SCENARIO)
+        named = {name for key in section for name in _FIELDS.get(model, {}).get(key, (key,))}
+        init = {f.name for f in fields(model) if f.init}
+        assert init - named == set(unset)
 
     def test_incidence_section_builds_class_default(self):
         sc = resolve_scenario({"pattern": {"incidence": {"enabled": True}}})

@@ -155,11 +155,23 @@ def test_odd_and_non_square_lattices(n_x, n_y, check):
         check(asm, rng.integers(0, 2, asm.array.n_groups), Direction(0.0, 0.0))
 
 
-def test_lattice_wider_than_the_peak_fft(check):
-    # 600 columns wrap onto the 512 u-space samples per axis
-    asm = AntennaAssembly(array=RisArray(n_x=600, n_y=1, group_size=1))
-    for target in (Direction(0.0, 0.0), Direction(-20.0, 0.0)):
-        check(asm, synthesize_codeword(asm, target), target)
+def test_lattice_wider_than_the_peak_fft():
+    # 600 columns wrap onto the 512 u-space samples per axis.  A RisArray
+    # side holds at most 256, so the grid field is built from one-bit
+    # rows steered to az0 directly: its bound covers the exact field,
+    # and the search finds the full 1 deg grid's first maximum
+    period, k = 5.0, 0.545
+    x_mm = (np.arange(600) - 299.5) * period
+    tables = pattern._grid_tables(period, k, 1, 600, pattern.ELEMENT_EXPONENT, 1.0)
+    for az0 in (0.0, -20.0):
+        row = np.where(np.cos(k * x_mm * math.sin(math.radians(az0))) >= 0, 1.0, -1.0)
+        coeffs = row[None, :].astype(complex)
+        grid = pattern._GridField(tables, period, coeffs, k)
+        assert grid.n_fft < 600
+        intensity = pattern._abs2(pattern._lattice_field(period, coeffs, k,
+                                                         *direction_grid(1.0))).ravel()
+        assert np.all(grid.bound >= intensity)
+        assert pattern._first_max(grid) == (intensity.max(), int(np.argmax(intensity)))
 
 
 def test_random_masks(assembly, check):
