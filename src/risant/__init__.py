@@ -15,11 +15,9 @@ from .element import (
     DesignTargets,
     DiodeModel,
     ElementCircuit,
-    ElementGeometry,
     OptimizeResult,
     SweepRange,
     element_impedance,
-    geometry_to_circuit,
     optimize_structure,
     reflection_coefficient,
     state_metrics,

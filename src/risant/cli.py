@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 computational failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -478,6 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses: no parse changes it."""
+    return build_parser()
+
+
 def _resolve_out_dir(args) -> str:
     out = args.out or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
     os.makedirs(out, exist_ok=True)
@@ -485,7 +492,7 @@ def _resolve_out_dir(args) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(("rng_seed", int(args.seed)))

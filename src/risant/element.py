@@ -75,8 +75,10 @@ class ElementCircuit:
     """Lumped shunt network of one element.
 
     All three branches are in parallel as seen from free space.  The
-    grounded substrate is a shorted stub described by its characteristic
-    impedance and its electrical length at ``REF_FREQUENCY_GHZ``.
+    grounded substrate is a lossless shorted stub described by its
+    characteristic impedance and its electrical length at
+    ``REF_FREQUENCY_GHZ``; the element's loss is lumped in ``r_loss_ohm``
+    and the diode's resistances.
     """
 
     c_p_ff: float                 # patch gap capacitance
@@ -86,7 +88,6 @@ class ElementCircuit:
     r_loss_ohm: float             # conductor loss in the patch branch
     line_z0_ohm: float            # substrate stub characteristic impedance
     line_length_deg: float        # electrical length at REF_FREQUENCY_GHZ
-    line_loss_tan: float = 0.0    # dielectric loss tangent of the stub
     diode: DiodeModel = field(default_factory=DiodeModel)
 
     def __post_init__(self):
@@ -94,8 +95,8 @@ class ElementCircuit:
             raise ValueError("patch capacitance must be positive")
         if min(self.l_p_nh, self.l_g_nh, self.l_v_nh) < 0:
             raise ValueError("inductances must be non-negative")
-        if self.r_loss_ohm < 0 or self.line_loss_tan < 0:
-            raise ValueError("loss terms must be non-negative")
+        if self.r_loss_ohm < 0:
+            raise ValueError("patch loss must be non-negative")
         if self.line_z0_ohm <= 0 or self.line_length_deg < 0:
             raise ValueError("stub impedance must be positive and length non-negative")
 
@@ -128,8 +129,8 @@ def _branch_impedances(circuit: ElementCircuit, state: str, frequency_ghz: float
         + circuit.diode.impedance(state, frequency_ghz)
     )
     theta = math.radians(circuit.line_length_deg) * frequency_ghz / REF_FREQUENCY_GHZ
-    # tanh(j*theta) = j*tan(theta); the loss tangent makes the stub lossy.
-    z_line = circuit.line_z0_ohm * cmath.tanh(theta * (0.5 * circuit.line_loss_tan + 1j))
+    # a lossless shorted stub: tanh(j*theta) = j*tan(theta)
+    z_line = circuit.line_z0_ohm * cmath.tanh(theta * 1j)
     return z_patch, z_control, z_line
 
 
@@ -349,68 +350,6 @@ def optimize_structure(
         rounds_used=rounds_used,
         targets_met=targets_met(circuit, frequency_ghz, targets),
         trace=trace,
-    )
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Printed geometry of one element, dimensions in millimetres."""
-
-    period_mm: float = 5.0
-    patch_l_mm: float = 2.68
-    patch_w_mm: float = 1.92
-    groove_l_mm: float = 0.74
-    groove_w_mm: float = 0.86
-    substrate_h_mm: float = 0.508
-    eps_r: float = 3.66
-    tan_delta: float = 0.0037
-
-    def __post_init__(self):
-        if min(self.period_mm, self.patch_l_mm, self.patch_w_mm,
-               self.groove_l_mm, self.groove_w_mm, self.substrate_h_mm) <= 0:
-            raise ValueError("geometry dimensions must be positive")
-        if self.patch_l_mm >= self.period_mm or self.patch_w_mm >= self.period_mm:
-            raise ValueError("patch must be smaller than the element period")
-        if self.groove_l_mm >= self.patch_l_mm or self.groove_w_mm >= self.patch_w_mm:
-            raise ValueError("groove must fit inside the patch")
-        if self.eps_r < 1 or self.tan_delta < 0:
-            raise ValueError("substrate parameters out of range")
-
-
-# Closed-form surrogate coefficients mapping printed dimensions to the
-# lumped circuit.  Calibrated so the nominal geometry above lands on the
-# calibrated design circuit; they are engineering fits, not exact
-# electromagnetics.
-PATCH_CAP_FF_MM = 9.675          # C_p = K * eps_eff * area / gap
-PATCH_IND_NH_PER_MM = 0.112      # L_p = K * patch length
-GROOVE_IND_NH_PER_MM = 1.486     # L_g = K * groove length
-VIA_IND_NH_PER_MM = 0.984        # L_v = K * substrate height
-LOSS_OHM_PER_TAN = 135.0         # R_loss = K * tan_delta
-
-
-def geometry_to_circuit(geometry: ElementGeometry, diode: DiodeModel | None = None) -> ElementCircuit:
-    """Map printed dimensions to the lumped equivalent circuit.
-
-    The patch capacitance scales with patch area over the gap to the
-    neighbouring element, inductances scale with their current-path
-    lengths, and the grounded substrate becomes a shorted stub with the
-    dielectric's wave impedance and electrical thickness.
-    """
-    gap_mm = geometry.period_mm - geometry.patch_l_mm
-    eps_eff = 0.5 * (geometry.eps_r + 1.0)
-    area_mm2 = geometry.patch_l_mm * geometry.patch_w_mm
-    k0 = 2.0 * math.pi * REF_FREQUENCY_GHZ / 299.792458  # rad/mm at the reference
-    length_deg = math.degrees(math.sqrt(geometry.eps_r) * k0 * geometry.substrate_h_mm)
-    return ElementCircuit(
-        c_p_ff=PATCH_CAP_FF_MM * eps_eff * area_mm2 / gap_mm,
-        l_p_nh=PATCH_IND_NH_PER_MM * geometry.patch_l_mm,
-        l_g_nh=GROOVE_IND_NH_PER_MM * geometry.groove_l_mm,
-        l_v_nh=VIA_IND_NH_PER_MM * geometry.substrate_h_mm,
-        r_loss_ohm=LOSS_OHM_PER_TAN * geometry.tan_delta,
-        line_z0_ohm=ETA0_OHM / math.sqrt(geometry.eps_r),
-        line_length_deg=length_deg,
-        line_loss_tan=geometry.tan_delta,
-        diode=diode if diode is not None else DiodeModel(),
     )
 
 

@@ -35,7 +35,9 @@ from .synthesis import synthesize_codeword
 # nominal feed position.
 PREDICTED_LOSS_DB = -8.75
 
-DEFAULT_REFINE_OFFSETS_MM = (
+# Stage two's candidate offsets from the coarse position; the first is zero,
+# so the refined gain never falls below the candidate's
+REFINE_OFFSETS_MM = (
     (0.0, 0.0, 0.0),
     (40.0, 0.0, 0.0), (-40.0, 0.0, 0.0),
     (80.0, 0.0, 0.0), (-80.0, 0.0, 0.0),
@@ -240,19 +242,14 @@ def realized_feed_gain(assembly: AntennaAssembly, position_mm) -> float:
     return steered_gain(moved, codeword, _BROADSIDE).gain_dbi
 
 
-def refine_feed(assembly: AntennaAssembly, candidate_mm,
-                offsets_mm=DEFAULT_REFINE_OFFSETS_MM) -> RefinedFeedResult:
-    """Re-score candidate offsets with the full pattern engine.
+def refine_feed(assembly: AntennaAssembly, candidate_mm) -> RefinedFeedResult:
+    """Re-score the candidate moved by each of ``REFINE_OFFSETS_MM`` with
+    the full pattern engine.
 
-    The zero offset must be part of the offset list so the refined
-    result can never fall below the candidate's realized gain; ties keep
-    the earliest offset.
+    The first offset is zero, so the refined result never falls below the
+    candidate's realized gain; ties keep the earliest offset.
     """
-    offsets = np.asarray(offsets_mm, dtype=float)
-    if offsets.ndim != 2 or offsets.shape[1] != 3:
-        raise ValueError("offsets must be an iterable of 3D deltas")
-    if not (np.all(offsets == 0.0, axis=1)).any():
-        raise ValueError("offset list must include the zero offset")
+    offsets = np.asarray(REFINE_OFFSETS_MM, dtype=float)
     candidate = np.asarray(candidate_mm, dtype=float)
     rows = []
     best_idx = 0

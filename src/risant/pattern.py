@@ -471,11 +471,13 @@ class _GridField:
     its values are the full grid's to the bit.
 
     ``bound`` samples each row's |P| at n_fft points per period of ux by a
-    zero-padded FFT.  For a point g with nearest sample s, |P(g)| <=
-    |P(s)| + k X_row |ux_g - ux_s|, X_row = sum_m |B[row, m]| |x_m| over
-    centred column positions (each term's phase moves by at most
-    k |x_m| |dux|); a margin covers round-off in the samples and in the
-    exact sums.  It is computed in row blocks of at most ``_CHUNK``
+    zero-padded FFT.  n_fft >= n_x: it is at least min(512, 2 n_x), and a
+    ``RisArray`` side holds at most ``geometry.MAX_ARRAY_SIDE`` (256)
+    columns, so the FFT never cuts a row short.  For a point g with
+    nearest sample s, |P(g)| <= |P(s)| + k X_row |ux_g - ux_s|,
+    X_row = sum_m |B[row, m]| |x_m| over centred column positions (each
+    term's phase moves by at most k |x_m| |dux|); a margin covers
+    round-off in the samples and in the exact sums.  It is computed in row blocks of at most ``_CHUNK``
     directions and kept squared as float32, rounded up.
     """
 
@@ -500,11 +502,7 @@ class _GridField:
         n = min(512, max(32, 2 * 2 ** math.ceil(math.log2(n_x)),
                          2 ** round(math.log2(max(1.0, math.pi / (kd * step))))))
         self.n_fft = n
-        # wrap a row wider than n onto it: exp(j 2 pi m i / n) has period n
-        self.folded = rows_b[:, :n].copy()
-        for lo_x in range(n, n_x, n):
-            width = min(n, n_x - lo_x)
-            self.folded[:, :width] += rows_b[:, lo_x:lo_x + width]
+        self.rows_b = rows_b
         # ux in units of the sample spacing 2 pi / (n kd), and each row's
         # slack per unit, times the row's element factor
         spacing = 2.0 * math.pi / (n * kd)
@@ -534,7 +532,7 @@ class _GridField:
         nearest ux."""
         rows = slice(lo, lo + self.rows)
         n = self.n_fft
-        samples = np.abs(np.fft.ifft(self.folded[rows], n, axis=1, norm="forward"))
+        samples = np.abs(np.fft.ifft(self.rows_b[rows], n, axis=1, norm="forward"))
         samples *= self.factor[rows, None]
         t = self.cos[rows, None] * self.sin_units
         j = np.rint(t)

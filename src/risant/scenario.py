@@ -69,18 +69,15 @@ def _defaults(model, *skip) -> dict:
     return section
 
 
-# circuit fields with no scenario key: the stub loss is set only by
-# geometry_to_circuit, and the diode has a section of its own
-_CIRCUIT_ONLY = ("line_loss_tan", "diode")
-
 DEFAULT_SCENARIO = {
     "rng_seed": 0,
     "element": {
-        "start": _defaults(DEFAULT_START_CIRCUIT, *_CIRCUIT_ONLY),
+        # a circuit's diode has a section of its own
+        "start": _defaults(DEFAULT_START_CIRCUIT, "diode"),
         "diode": _defaults(DiodeModel),
         # tuned element used by every pattern-level subcommand; matches
         # the frozen output of element-opt from the start values above
-        "design": {**_defaults(DESIGN_CIRCUIT, *_CIRCUIT_ONLY),
+        "design": {**_defaults(DESIGN_CIRCUIT, "diode"),
                    "l_diode_nh": DESIGN_CIRCUIT.diode.l_on_nh},
         "sweeps": {name: [r.lo, r.hi, r.step] for name, r in DEFAULT_SWEEPS.items()},
         "targets": _defaults(DesignTargets),

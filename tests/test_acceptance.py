@@ -20,7 +20,7 @@ from scipy.stats import binomtest
 
 from risant.constants import db10, from_db10, wrap_deg
 from risant.element import DEFAULT_START_CIRCUIT, optimize_structure
-from risant.feedopt import FeedSearchSpace, optimize_feed, refine_feed
+from risant.feedopt import FeedSearchSpace, optimize_feed, realized_feed_gain
 from risant.geometry import Direction
 from risant.link import (
     ACLR_LIMIT_DBC,
@@ -313,14 +313,13 @@ def test_criterion_11_feed_placement(scenario, assembly, report):
         y_offsets.append(abs(result.coarse.position_mm[1]) / space.coarse_step_mm)
 
     default_run = optimize_feed(assembly, scenario.build_feed_space())
-    nominal = refine_feed(assembly, assembly.feed.position_mm,
-                          ((0.0, 0.0, 0.0),))
+    nominal_gain = realized_feed_gain(assembly, assembly.feed.position_mm)
     refined_gain = default_run.refined.realized_gain_dbi
     z_found = default_run.refined.position_mm[2]
     elapsed = time.perf_counter() - t0
 
     ok = (refine_regressions == 0 and max(y_offsets) <= 1.0
-          and refined_gain >= nominal.realized_gain_dbi - 1e-9
+          and refined_gain >= nominal_gain - 1e-9
           and elapsed < 600.0)
     # the height is reported but not gated: the surrogate trades spillover
     # against taper differently from the built unit, and its optimum sits
@@ -328,12 +327,12 @@ def test_criterion_11_feed_placement(scenario, assembly, report):
     report(11, ok, f"feed search: refinement never regressed on 5 random "
                     f"boxes, symmetry kept |y*| within one step; full box "
                     f"{refined_gain:.2f} dBi >= nominal "
-                    f"{nominal.realized_gain_dbi:.2f} dBi; z* {z_found:.1f} mm "
+                    f"{nominal_gain:.2f} dBi; z* {z_found:.1f} mm "
                     f"({abs(z_found - 150.0):.1f} mm from nominal, 40 mm "
                     f"envelope reported only)", elapsed)
     assert refine_regressions == 0
     assert max(y_offsets) <= 1.0
-    assert refined_gain >= nominal.realized_gain_dbi - 1e-9
+    assert refined_gain >= nominal_gain - 1e-9
     assert elapsed < 600.0
 
 

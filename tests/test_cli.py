@@ -111,6 +111,21 @@ class TestParser:
             main(["rate", "--link.bogus", "1", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
 
+    def test_two_runs_build_one_parser(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert main(["rate", "--frame.overhead", "0.18", "--out", str(tmp_path)]) == 0
+            assert main(["rate", "--out", str(tmp_path)]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+        # the second run starts from the defaults, not the first's override
+        assert read_json(tmp_path, "rate.json")["rate_bps"] == pytest.approx(
+            RATE_DEFAULT_BPS, rel=1e-12)
+
 
 class TestImportPath:
     @staticmethod

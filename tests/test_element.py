@@ -1,7 +1,6 @@
 """Element circuit model: impedance analysis, reflection states, and the
 coordinate-sweep structure optimization."""
 
-import cmath
 import math
 from dataclasses import fields, replace
 
@@ -20,14 +19,12 @@ from risant.element import (
     DesignTargets,
     DiodeModel,
     ElementCircuit,
-    ElementGeometry,
     SweepRange,
     SweepRangeError,
     _apply_parameter,
     _get_parameter,
     design_objective,
     element_impedance,
-    geometry_to_circuit,
     optimize_structure,
     reflection_coefficient,
     state_metrics,
@@ -45,7 +42,6 @@ def _random_circuit(rng) -> ElementCircuit:
         r_loss_ohm=rng.uniform(0.0, 2.0),
         line_z0_ohm=rng.uniform(100.0, 300.0),
         line_length_deg=rng.uniform(10.0, 80.0),
-        line_loss_tan=rng.uniform(0.0, 0.01),
         diode=DiodeModel(
             r_on_ohm=rng.uniform(1.0, 10.0),
             l_on_nh=rng.uniform(0.02, 0.1),
@@ -68,7 +64,7 @@ def _oracle_impedance(c: ElementCircuit, state: str, f_ghz: float) -> complex:
     z1 = c.r_loss_ohm + 1j * (w * c.l_p_nh * 1e-9 - 1.0 / (w * c.c_p_ff * 1e-15))
     z2 = 1j * w * (c.l_g_nh + c.l_v_nh) * 1e-9 + z_diode
     theta = math.radians(c.line_length_deg) * f_ghz / REF_GHZ  # length given at 26 GHz
-    z3 = c.line_z0_ohm * cmath.tanh(complex(0.5 * c.line_loss_tan * theta, theta))
+    z3 = 1j * c.line_z0_ohm * math.tan(theta)  # lossless shorted stub
     y = 1.0 / z1 + 1.0 / z2 + 1.0 / z3
     return 1.0 / y
 
@@ -92,7 +88,6 @@ class TestElementImpedance:
         circuit = ElementCircuit(
             c_p_ff=50.0, l_p_nh=1e-6, l_g_nh=0.5, l_v_nh=0.5,
             r_loss_ohm=0.0, line_z0_ohm=200.0, line_length_deg=90.0,
-            line_loss_tan=0.0,
             diode=DiodeModel(r_on_ohm=0.0, l_on_nh=1e-6, r_off_ohm=1e12,
                              l_off_nh=1e-6, c_off_ff=1e-6),
         )
@@ -107,7 +102,6 @@ class TestElementImpedance:
         circuit = ElementCircuit(
             c_p_ff=1e12, l_p_nh=1e-9, l_g_nh=1e-9, l_v_nh=1e-9,
             r_loss_ohm=0.0, line_z0_ohm=200.0, line_length_deg=1e-9,
-            line_loss_tan=0.0,
             diode=DiodeModel(r_on_ohm=0.0, l_on_nh=1e-9),
         )
         z = element_impedance(circuit, "on", REF_GHZ)
@@ -129,7 +123,7 @@ class TestReflection:
             lossless = ElementCircuit(
                 c_p_ff=c.c_p_ff, l_p_nh=c.l_p_nh, l_g_nh=c.l_g_nh,
                 l_v_nh=c.l_v_nh, r_loss_ohm=0.0, line_z0_ohm=c.line_z0_ohm,
-                line_length_deg=c.line_length_deg, line_loss_tan=0.0,
+                line_length_deg=c.line_length_deg,
                 diode=DiodeModel(r_on_ohm=0.0, l_on_nh=c.diode.l_on_nh,
                                  r_off_ohm=1e30, l_off_nh=c.diode.l_off_nh,
                                  c_off_ff=c.diode.c_off_ff),
@@ -211,7 +205,6 @@ class TestOptimizer:
                 r_loss_ohm=DEFAULT_START_CIRCUIT.r_loss_ohm,
                 line_z0_ohm=DEFAULT_START_CIRCUIT.line_z0_ohm,
                 line_length_deg=DEFAULT_START_CIRCUIT.line_length_deg,
-                line_loss_tan=DEFAULT_START_CIRCUIT.line_loss_tan,
                 diode=DEFAULT_START_CIRCUIT.diode,
             )
             objectives.append(design_objective(candidate, REF_GHZ))
@@ -303,31 +296,3 @@ class TestOptimizer:
         assert rnd == 1
         assert name in DEFAULT_SWEEPS
         assert all(isinstance(v, float) for v in (value, amp_on, amp_off, dphi, obj))
-
-
-class TestGeometrySurrogate:
-    def test_doubling_patch_area_doubles_capacitance(self):
-        base = ElementGeometry()
-        wider = ElementGeometry(patch_w_mm=2.0 * base.patch_w_mm)
-        c_base = geometry_to_circuit(base).c_p_ff
-        c_wide = geometry_to_circuit(wider).c_p_ff
-        assert c_wide == pytest.approx(2.0 * c_base, rel=1e-12)
-
-    def test_zero_groove_limit_kills_groove_inductance(self):
-        geom = ElementGeometry(groove_l_mm=1e-9)
-        assert geometry_to_circuit(geom).l_g_nh == pytest.approx(0.0, abs=1e-8)
-
-    def test_nominal_geometry_is_evaluable(self):
-        circuit = geometry_to_circuit(ElementGeometry())
-        for state in ("on", "off"):
-            refl = reflection_coefficient(circuit, state, REF_GHZ)
-            assert 0.0 <= refl.amplitude <= 1.0
-            assert -180.0 < refl.phase_deg <= 180.0
-
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            ElementGeometry(patch_l_mm=6.0)  # larger than the period
-        with pytest.raises(ValueError):
-            ElementGeometry(groove_l_mm=3.0)  # larger than the patch
-        with pytest.raises(ValueError):
-            ElementGeometry(eps_r=0.5)

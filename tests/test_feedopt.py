@@ -12,6 +12,7 @@ from risant.constants import db10
 from risant.feedopt import (
     MAX_COARSE_CELLS,
     PREDICTED_LOSS_DB,
+    REFINE_OFFSETS_MM,
     FeedSearchSpace,
     _nelder_mead,
     aperture_efficiency,
@@ -258,25 +259,18 @@ class TestNelderMeadPort:
 
 class TestRefine:
     def test_zero_offset_identity(self, assembly):
-        res = refine_feed(assembly, (-82.0, 0.0, 150.0), offsets_mm=((0.0, 0.0, 0.0),))
-        assert res.position_mm == (-82.0, 0.0, 150.0)
-        assert res.realized_gain_dbi == pytest.approx(
-            realized_feed_gain(assembly, (-82.0, 0.0, 150.0))
-        )
+        assert REFINE_OFFSETS_MM[0] == (0.0, 0.0, 0.0)
+        res = refine_feed(assembly, (-82.0, 0.0, 150.0))
+        assert res.evaluations[0] == (0.0, 0.0, 0.0, realized_feed_gain(
+            assembly, (-82.0, 0.0, 150.0)))
 
     def test_never_below_candidate(self, assembly):
-        offsets = ((0.0, 0.0, 0.0), (20.0, 0.0, 0.0), (-20.0, 0.0, 0.0),
-                   (0.0, 0.0, 20.0))
-        res = refine_feed(assembly, (-82.0, 0.0, 150.0), offsets_mm=offsets)
-        zero_row = [r for r in res.evaluations if r[:3] == (0.0, 0.0, 0.0)][0]
-        assert res.realized_gain_dbi >= zero_row[3]
-        assert len(res.evaluations) == len(offsets)
-
-    def test_offset_list_must_include_zero(self, assembly):
-        with pytest.raises(ValueError, match="zero offset"):
-            refine_feed(assembly, (-82.0, 0.0, 150.0), offsets_mm=((5.0, 0.0, 0.0),))
-        with pytest.raises(ValueError):
-            refine_feed(assembly, (-82.0, 0.0, 150.0), offsets_mm=((0.0, 0.0),))
+        res = refine_feed(assembly, (-82.0, 0.0, 150.0))
+        assert [row[:3] for row in res.evaluations] == list(REFINE_OFFSETS_MM)
+        assert res.realized_gain_dbi == max(row[3] for row in res.evaluations)
+        assert res.realized_gain_dbi >= res.evaluations[0][3]
+        best = next(row for row in res.evaluations if row[3] == res.realized_gain_dbi)
+        assert res.position_mm == (-82.0 + best[0], best[1], 150.0 + best[2])
 
     def test_nominal_position_realized_gain(self, assembly):
         # frozen realized broadside gain of the prototype feed placement

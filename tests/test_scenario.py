@@ -218,10 +218,9 @@ class TestSingleSourceOfDefaults:
         (IncidenceModel, "pattern.incidence", ()),
         (Direction, "pattern.target", ()),
         (DiodeModel, "element.diode", ()),
-        # the diode has a section of its own, and only geometry_to_circuit
-        # sets the stub loss
-        (ElementCircuit, "element.start", ("diode", "line_loss_tan")),
-        (ElementCircuit, "element.design", ("diode", "line_loss_tan")),
+        # the diode has a section of its own
+        (ElementCircuit, "element.start", ("diode",)),
+        (ElementCircuit, "element.design", ("diode",)),
         (DesignTargets, "element.targets", ()),
         (LinkScenario, "link", ()),
         (PaModel, "link.pa", ()),

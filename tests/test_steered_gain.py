@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from risant import pattern
-from risant.constants import db10
+from risant.constants import db10, wavenumber_per_mm
 from risant.geometry import (
+    MAX_ARRAY_SIDE,
     AntennaAssembly,
     Direction,
     FeedModel,
@@ -155,19 +156,29 @@ def test_odd_and_non_square_lattices(n_x, n_y, check):
         check(asm, rng.integers(0, 2, asm.array.n_groups), Direction(0.0, 0.0))
 
 
-def test_lattice_wider_than_the_peak_fft():
-    # 600 columns wrap onto the 512 u-space samples per axis.  A RisArray
-    # side holds at most 256, so the grid field is built from one-bit
-    # rows steered to az0 directly: its bound covers the exact field,
-    # and the search finds the full 1 deg grid's first maximum
+@pytest.mark.parametrize("frequency_ghz, step, period", [(0.001, 0.1, 1.0), (26.0, 1.0, 5.0)])
+def test_the_peak_fft_holds_the_widest_row(frequency_ghz, step, period):
+    # the bound's FFT samples a row without cutting it short for any side
+    # a RisArray may hold, at the lowest tested k and the finest step
+    k = wavenumber_per_mm(frequency_ghz)
+    axis = direction_grid(step)[0]
+    tables = pattern._GridTables(axis_deg=axis, lags=None,
+                                 y_phases=pattern._y_phases(period, 1, k, np.radians(axis)))
+    coeffs = np.ones((1, MAX_ARRAY_SIDE), dtype=complex)
+    assert pattern._GridField(tables, period, coeffs, k).n_fft >= MAX_ARRAY_SIDE
+
+
+def test_the_widest_one_bit_row_is_bounded():
+    # one-bit rows of the widest side steered to az0: the bound covers
+    # the exact field, and the search finds the full 1 deg grid's first
+    # maximum
     period, k = 5.0, 0.545
-    x_mm = (np.arange(600) - 299.5) * period
-    tables = pattern._grid_tables(period, k, 1, 600, pattern.ELEMENT_EXPONENT, 1.0)
+    x_mm = (np.arange(MAX_ARRAY_SIDE) - 0.5 * (MAX_ARRAY_SIDE - 1)) * period
+    tables = pattern._grid_tables(period, k, 1, MAX_ARRAY_SIDE, pattern.ELEMENT_EXPONENT, 1.0)
     for az0 in (0.0, -20.0):
         row = np.where(np.cos(k * x_mm * math.sin(math.radians(az0))) >= 0, 1.0, -1.0)
         coeffs = row[None, :].astype(complex)
         grid = pattern._GridField(tables, period, coeffs, k)
-        assert grid.n_fft < 600
         intensity = pattern._abs2(pattern._lattice_field(period, coeffs, k,
                                                          *direction_grid(1.0))).ravel()
         assert np.all(grid.bound >= intensity)
