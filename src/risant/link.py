@@ -29,16 +29,17 @@ PRB_TABLE_120KHZ = {50: 32, 100: 66, 200: 132, 400: 264}
 _MU_BY_SCS_KHZ = {15: 0, 30: 1, 60: 2, 120: 3, 240: 4}
 
 # Work bounds on the record-length keys.  An ACLR symbol is 17536 complex
-# samples at the default numerology, so the longest record is 287 MB; the
-# longest EVM draw makes complex arrays of 160 MB.
+# samples at the default numerology, so the longest record is 287 MB, which
+# measure_aclr streams in 1.1 records of memory; the longest EVM draw makes
+# complex arrays of 160 MB.
 MAX_ACLR_SYMBOLS = 1024
 MAX_EVM_SYMBOLS = 10_000_000
 
 # Rows per pass of the blocked transforms.  A row block of np.fft.fft /
 # ifft gives the same values as the whole-array call; the link tests
 # compare both paths to the bit.
-_OFDM_BLOCK = 8
-_WELCH_BLOCK = 64
+_OFDM_BLOCK = 2
+_WELCH_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +309,50 @@ class WaveformConfig:
         return self.occupied_subcarriers * self.scs_khz * 1e3
 
 
-def _subcarrier_indices(config: WaveformConfig) -> np.ndarray:
-    # symmetric around the carrier with the DC bin left empty
-    k = np.arange(config.occupied_subcarriers) - config.occupied_subcarriers // 2
-    k[k >= 0] += 1
-    return k
+def _ofdm_pieces(config: WaveformConfig, n_symbols: int, rng_seed: int):
+    """Yield ofdm_waveform's record before its unit-power scale, in pieces
+    of _OFDM_BLOCK symbols: one row-blocked IFFT per block, prefixes and
+    ramps set by slicing its (symbols, fft_size + cp_samples) rows, and
+    the last suffix ramp carried into the next block.  Every sample
+    equals the whole-record overlap-add's."""
+    rng = np.random.default_rng(rng_seed)
+    points = constellation(config.modulation)
+    n_fft, cp, ov = config.fft_size, config.cp_samples, config.window_samples
+    n_occ = config.occupied_subcarriers
+    symbols = rng.integers(0, points.size, (n_symbols, n_occ))
+    scale = math.sqrt(n_fft / n_occ)
+    ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
+    spectrum = np.zeros((min(_OFDM_BLOCK, n_symbols), n_fft), dtype=complex)
+    tail = np.zeros(ov, dtype=complex)
+    for lo in range(0, n_symbols, _OFDM_BLOCK):
+        block = spectrum[:min(_OFDM_BLOCK, n_symbols - lo)]
+        # symmetric around the carrier with the DC bin left empty
+        values = points[symbols[lo:lo + len(block)]]
+        block[:, n_fft - n_occ // 2:] = values[:, :n_occ // 2]
+        block[:, 1:n_occ - n_occ // 2 + 1] = values[:, n_occ // 2:]
+        rows = np.empty((len(block), n_fft + cp), dtype=complex)
+        np.multiply(np.fft.ifft(block, axis=1), scale, out=rows[:, cp:])
+        rows[:, :cp] = rows[:, n_fft:]
+        rows[:, :ov] *= ramp
+        rows[0, :ov] += tail
+        rows[1:, :ov] += rows[:-1, cp:cp + ov] * ramp[::-1]
+        tail = rows[-1, cp:cp + ov] * ramp[::-1]
+        # the record starts past the first half ramp and ends before the last
+        yield rows.ravel()[ov if lo == 0 else 0:]
+
+
+def _record_rms(config: WaveformConfig, n_symbols: int, rng_seed: int) -> tuple[int, float]:
+    """(length, RMS) of the _ofdm_pieces record, from a pass that fills
+    only its float |x|^2 companion, whose mean is the whole record's."""
+    if n_symbols < 1:
+        raise ValueError("need at least one OFDM symbol")
+    power = np.empty(n_symbols * (config.fft_size + config.cp_samples)
+                     - config.window_samples)
+    at = 0
+    for piece in _ofdm_pieces(config, n_symbols, rng_seed):
+        np.abs(piece, out=power[at:at + len(piece)])
+        at += len(piece)
+    return len(power), np.sqrt(np.mean(np.square(power, out=power)))
 
 
 def ofdm_waveform(config: WaveformConfig = WaveformConfig(), n_symbols: int = 64,
@@ -325,42 +365,15 @@ def ofdm_waveform(config: WaveformConfig = WaveformConfig(), n_symbols: int = 64
     fft_size core samples of every symbol are untouched.  The two block
     edges (half-faded ramps) are trimmed.
 
-    Memory: the record itself, one float companion of its length for the
-    normalisation, the symbol indices, and one block of _OFDM_BLOCK
-    symbols on the FFT grid.  The symbols are drawn in one call and
-    transformed block by block; every value equals the whole-record
-    transform's.
+    Memory: one float companion of the record for the scale, freed before
+    the record is filled from a second pass of _ofdm_pieces.
     """
-    if n_symbols < 1:
-        raise ValueError("need at least one OFDM symbol")
-    rng = np.random.default_rng(rng_seed)
-    points = constellation(config.modulation)
-    n_fft, cp, ov = config.fft_size, config.cp_samples, config.window_samples
-    stride = n_fft + cp
-    k = _subcarrier_indices(config)
-    bins = k % n_fft
-    symbols = rng.integers(0, points.size, (n_symbols, k.size))
-    scale = math.sqrt(n_fft / k.size)
-
-    if ov:
-        ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
-    out = np.zeros(n_symbols * stride + ov, dtype=complex)
-    spectrum = np.zeros((min(_OFDM_BLOCK, n_symbols), n_fft), dtype=complex)
-    for lo in range(0, n_symbols, _OFDM_BLOCK):
-        block = spectrum[:min(_OFDM_BLOCK, n_symbols - lo)]
-        block[:, bins] = points[symbols[lo:lo + len(block)]]
-        body = np.fft.ifft(block, axis=1)
-        body *= scale
-        for i, x in enumerate(body, lo):
-            ext = np.concatenate([x[-cp:], x, x[:ov]])
-            if ov:
-                ext[:ov] *= ramp
-                ext[-ov:] *= ramp[::-1]
-            out[i * stride: i * stride + stride + ov] += ext
-    out = out[ov: n_symbols * stride]
-    p = np.abs(out)
-    np.square(p, out=p)
-    out /= np.sqrt(np.mean(p))
+    n_samples, rms = _record_rms(config, n_symbols, rng_seed)
+    out = np.empty(n_samples, dtype=complex)
+    at = 0
+    for piece in _ofdm_pieces(config, n_symbols, rng_seed):
+        np.divide(piece, rms, out=out[at:at + len(piece)])
+        at += len(piece)
     return out
 
 
@@ -387,33 +400,64 @@ def _band_power(freqs: np.ndarray, psd: np.ndarray, center_hz: float,
     return float(np.sum(psd[mask]))
 
 
-def _welch_psd(samples: np.ndarray, sample_rate_hz: float,
-               nperseg: int) -> tuple[np.ndarray, np.ndarray]:
+def _welch_psd(pieces, n_samples: int,
+               sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided Welch PSD: periodic Hann segments at 50 % overlap, no detrend.
 
-    Returns (fftfreq axis, mean of the density-scaled periodograms). The
-    arithmetic follows scipy.signal.welch(..., window="hann",
-    return_onesided=False, detrend=False) step for step: the window is
-    built on the symmetric linspace and carries the density scale
-    1/sqrt(fs * sum w^2), and the periodograms are averaged along a
-    contiguous axis. On scipy 1.17 the PSD is bit-identical, so ACLR
-    artifacts keep their bytes.
+    ``pieces`` make one record of ``n_samples``; segments are 4096
+    samples, or the whole record if shorter.  Returns (fftfreq axis,
+    mean of the density-scaled periodograms).  The arithmetic follows
+    scipy.signal.welch(..., window="hann", return_onesided=False,
+    detrend=False) step for step: the window is built on the symmetric
+    linspace and carries the density scale 1/sqrt(fs * sum w^2), and the
+    periodograms are averaged along a contiguous axis.  On scipy 1.17 the
+    PSD is bit-identical, so ACLR artifacts keep their bytes.
 
-    Memory: one (nperseg, n_seg) periodogram table, filled _WELCH_BLOCK
-    segments at a time; it is the transposed periodogram stack whose
-    rows scipy averages, so the mean keeps its summation order.
+    Memory: one (nperseg, n_seg) periodogram table, filled at most
+    _WELCH_BLOCK segments at a time; it is the transposed periodogram
+    stack whose rows scipy averages, so the mean keeps its summation
+    order.  The samples past a piece's last whole segment carry over.
     """
+    nperseg = min(4096, n_samples)
+    step = nperseg - nperseg // 2
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
     win *= 1.0 / np.sqrt(sum(win ** 2) / (1.0 / sample_rate_hz))
-    segments = sliding_window_view(samples, nperseg)[::nperseg - nperseg // 2]
-    table = np.empty((nperseg, len(segments)))
-    for lo in range(0, len(segments), _WELCH_BLOCK):
-        spec = np.fft.fft(segments[lo:lo + _WELCH_BLOCK] * win)
-        power = np.square(spec.real)
-        power += np.square(spec.imag)
-        table[:, lo:lo + len(power)] = power.T
+    table = np.empty((nperseg, (n_samples - nperseg) // step + 1))
+    col, carry = 0, ()
+    for piece in pieces:
+        carry = np.concatenate([carry, piece]) if len(carry) else piece
+        if len(carry) < nperseg:
+            continue
+        segments = sliding_window_view(carry, nperseg)[::step]
+        for lo in range(0, len(segments), _WELCH_BLOCK):
+            spec = np.fft.fft(segments[lo:lo + _WELCH_BLOCK] * win)
+            power = np.square(spec.real)
+            power += np.square(spec.imag)
+            table[:, col:col + len(power)] = power.T
+            col += len(power)
+        carry = carry[len(segments) * step:]
     psd = table.mean(axis=1)
     return np.fft.fftfreq(nperseg, 1.0 / sample_rate_hz), psd
+
+
+def _aclr(pieces, n_samples: int, sample_rate_hz: float,
+          designated: tuple[float, float],
+          adjacent: list[tuple[float, float]]) -> list[float]:
+    nyquist = sample_rate_hz / 2.0
+    for name, (center, bw) in [("designated", designated)] + [
+            (f"adjacent[{i}]", ch) for i, ch in enumerate(adjacent)]:
+        if bw <= 0:
+            raise ValueError(f"{name} channel bandwidth must be positive")
+        if abs(center) + bw / 2.0 > nyquist:
+            raise ValueError(
+                f"{name} channel [{(center - bw / 2) / 1e6:.1f}, "
+                f"{(center + bw / 2) / 1e6:.1f}] MHz extends past the Nyquist "
+                f"band of +-{nyquist / 1e6:.1f} MHz")
+    freqs, psd = _welch_psd(pieces, n_samples, sample_rate_hz)
+    p_designated = _band_power(freqs, psd, *designated)
+    if p_designated <= 0:
+        raise ValueError("designated channel carries no power")
+    return [db10(_band_power(freqs, psd, *ch) / p_designated) for ch in adjacent]
 
 
 def aclr(samples: np.ndarray, sample_rate_hz: float,
@@ -427,32 +471,27 @@ def aclr(samples: np.ndarray, sample_rate_hz: float,
     each channel; results are 10 log10(P_adjacent / P_designated), so
     compliant amplifiers give values well below 0.
     """
-    nyquist = sample_rate_hz / 2.0
-    for name, (center, bw) in [("designated", designated)] + [
-            (f"adjacent[{i}]", ch) for i, ch in enumerate(adjacent)]:
-        if bw <= 0:
-            raise ValueError(f"{name} channel bandwidth must be positive")
-        if abs(center) + bw / 2.0 > nyquist:
-            raise ValueError(
-                f"{name} channel [{(center - bw / 2) / 1e6:.1f}, "
-                f"{(center + bw / 2) / 1e6:.1f}] MHz extends past the Nyquist "
-                f"band of +-{nyquist / 1e6:.1f} MHz")
-    freqs, psd = _welch_psd(samples, sample_rate_hz, min(4096, len(samples)))
-    p_designated = _band_power(freqs, psd, *designated)
-    if p_designated <= 0:
-        raise ValueError("designated channel carries no power")
-    return [db10(_band_power(freqs, psd, *ch) / p_designated) for ch in adjacent]
+    return _aclr([samples], len(samples), sample_rate_hz, designated, adjacent)
 
 
 def measure_aclr(pa: PaModel, config: WaveformConfig = WaveformConfig(),
                  n_symbols: int = 64, rng_seed: int = 0,
                  channel_bandwidth_hz: float = 400e6) -> list[float]:
-    """ACLR of the amplified default waveform at +-1 channel offsets."""
-    samples = apply_pa(ofdm_waveform(config, n_symbols, rng_seed), pa)
+    """ACLR of the amplified default waveform at +-1 channel offsets.
+
+    The values equal aclr(apply_pa(ofdm_waveform(...), pa), ...) to the
+    bit, but the record never exists whole.  Memory: _record_rms's half-record
+    companion, freed before a second pass of _ofdm_pieces scales and
+    amplifies each piece into the Welch table (one record of floats);
+    about 1.4 records at the defaults.
+    """
+    n_samples, rms = _record_rms(config, n_symbols, rng_seed)
+    amplified = (apply_pa(np.divide(piece, rms, out=piece), pa)
+                 for piece in _ofdm_pieces(config, n_symbols, rng_seed))
     designated = (0.0, channel_bandwidth_hz)
     adjacent = [(-channel_bandwidth_hz, channel_bandwidth_hz),
                 (channel_bandwidth_hz, channel_bandwidth_hz)]
-    return aclr(samples, config.sample_rate_hz, designated, adjacent)
+    return _aclr(amplified, n_samples, config.sample_rate_hz, designated, adjacent)
 
 
 # ---------------------------------------------------------------------------

@@ -228,9 +228,13 @@ class TestNelderMeadPort:
         # a zero coordinate, which steps by 0.00025 instead of 5 %
         cases.append((bowl, np.array([0.0, 3.0]), np.array([-5.0, -5.0]),
                       np.array([5.0, 50.0])))
+        # a start past both bounds, which both clip into the box
+        cases.append((bowl, np.array([25.0, -7.0]), np.array([0.0, -5.0]),
+                      np.array([20.0, 50.0])))
         return cases
 
     @pytest.mark.parametrize("maxiter", [400, 5])
+    @pytest.mark.filterwarnings("ignore:Initial guess is not within the specified bounds")
     def test_same_calls_and_bits_as_scipy(self, cases, maxiter):
         options = dict(_OPTIONS, maxiter=maxiter)
         for cost, x0, lb, ub in cases:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from risant.constants import from_db10
+from risant import link
+from risant.constants import db10, from_db10
 from risant.link import (
     ACLR_LIMIT_DBC,
     EVM_LIMIT,
@@ -21,7 +22,6 @@ from risant.link import (
     XpdModel,
     _OFDM_BLOCK,
     _WELCH_BLOCK,
-    _subcarrier_indices,
     _welch_psd,
     aclr,
     apply_pa,
@@ -194,6 +194,17 @@ class TestWaveform:
         assert np.ptp(np.abs(tone)) < 1e-12
         assert len(tone) == cfg.fft_size + cfg.cp_samples
 
+    def test_no_prefix_leaves_the_bare_symbols(self):
+        # each fft_size run is one symbol: its bins outside the occupied
+        # block, DC included, hold only round-off
+        cfg = WaveformConfig(fft_size=256, cp_samples=0, window_samples=0,
+                             occupied_subcarriers=48)
+        w = ofdm_waveform(cfg, n_symbols=3)
+        assert len(w) == 3 * cfg.fft_size
+        spectra = np.abs(np.fft.fft(w.reshape(3, cfg.fft_size), axis=1))
+        occupied = np.r_[1:25, 256 - 24:256]
+        assert np.delete(spectra, occupied, axis=1).max() < 1e-12 * spectra.max()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WaveformConfig(occupied_subcarriers=16384)
@@ -282,7 +293,9 @@ def _reference_waveform(config, n_symbols, rng_seed):
     points = constellation(config.modulation)
     n_fft, cp, ov = config.fft_size, config.cp_samples, config.window_samples
     stride = n_fft + cp
-    k = _subcarrier_indices(config)
+    # symmetric around the carrier with the DC bin left empty
+    k = np.arange(config.occupied_subcarriers) - config.occupied_subcarriers // 2
+    k[k >= 0] += 1
     spectrum = np.zeros((n_symbols, n_fft), dtype=complex)
     spectrum[:, k % n_fft] = points[rng.integers(0, points.size, (n_symbols, k.size))]
     body = np.fft.ifft(spectrum, axis=1) * math.sqrt(n_fft / k.size)
@@ -338,6 +351,25 @@ def _config(bw_mhz):
     return WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[bw_mhz])
 
 
+_cached_reference_waveform = functools.cache(_reference_waveform)
+
+_AMPLIFIERS = [
+    PaModel(kind="ideal"),
+    PaModel(),
+    PaModel(kind="rapp", saturation_level=0.5, smoothness=100.0),
+    PaModel(kind="rapp", saturation_level=1.3, smoothness=0.7),
+]
+
+# 274-sample symbols at 30.72 MS/s: records of a few segments, or of less than one
+_SMALL = WaveformConfig(fft_size=256, cp_samples=18, window_samples=8,
+                        occupied_subcarriers=48)
+_SMALL_NO_WINDOW = WaveformConfig(fft_size=256, cp_samples=18, window_samples=0,
+                                  occupied_subcarriers=48)
+# the fewest _SMALL symbols whose record holds _WELCH_BLOCK + 1 segments of 4096
+_SEGMENTS_PAST_A_BLOCK = -(-(4096 + 2048 * _WELCH_BLOCK + _SMALL.window_samples)
+                           // (_SMALL.fft_size + _SMALL.cp_samples))
+
+
 @functools.cache
 def _aclr_sweep_samples(bw_mhz):
     """The amplified record that `aclr-sweep` measures at one channel bandwidth."""
@@ -366,7 +398,7 @@ class TestWelch:
         samples, rate = _aclr_sweep_samples(bw_mhz)
         x = samples[record]
         nperseg = min(4096, len(x))
-        freqs, psd = _welch_psd(x, rate, nperseg)
+        freqs, psd = _welch_psd([x], len(x), rate)
         assert np.array_equal(psd, _reference_welch(x, rate, nperseg)[1])
         ref_freqs, ref_psd = sp_signal.welch(x, fs=rate, window="hann", nperseg=nperseg,
                                              return_onesided=False, detrend=False)
@@ -376,13 +408,15 @@ class TestWelch:
 
 
 class TestStreamedLinkPath:
-    """The blocked waveform and the in-place amplifier against their
-    whole-record forms, every value equal to the bit (TestWelch checks the
-    Welch estimate the same way), and the measurement's memory bound."""
+    """The blocked waveform, the in-place amplifier and the two-pass
+    measurement against their whole-record forms, every value equal to the
+    bit (TestWelch checks the Welch estimate the same way), and the
+    measurement's memory bound."""
 
+    # the block edges, and counts that end a block early after full ones
     @pytest.mark.parametrize("bw_mhz", [50, 400])
-    @pytest.mark.parametrize("n_symbols", sorted({1, 2, _OFDM_BLOCK - 1, _OFDM_BLOCK,
-                                                  _OFDM_BLOCK + 1, 64}))
+    @pytest.mark.parametrize("n_symbols", sorted({1, 2, 7, 8, 9, 64, _OFDM_BLOCK - 1,
+                                                  _OFDM_BLOCK, _OFDM_BLOCK + 1}))
     def test_waveform_matches_the_whole_record(self, bw_mhz, n_symbols):
         cfg = _config(bw_mhz)
         for seed in (0, 7):
@@ -390,28 +424,62 @@ class TestStreamedLinkPath:
             assert np.array_equal(got, _reference_waveform(cfg, n_symbols, seed))
 
     def test_waveform_without_crossfade_matches(self):
-        cfg = WaveformConfig(fft_size=256, cp_samples=18, window_samples=0,
-                             occupied_subcarriers=48)
-        assert np.array_equal(ofdm_waveform(cfg, 19, 3), _reference_waveform(cfg, 19, 3))
+        assert np.array_equal(ofdm_waveform(_SMALL_NO_WINDOW, 19, 3),
+                              _reference_waveform(_SMALL_NO_WINDOW, 19, 3))
 
     @pytest.mark.parametrize("bw_mhz", [50, 400])
-    @pytest.mark.parametrize("pa", [
-        PaModel(kind="ideal"),
-        PaModel(),
-        PaModel(kind="rapp", saturation_level=0.5, smoothness=100.0),
-        PaModel(kind="rapp", saturation_level=1.3, smoothness=0.7),
-    ])
+    @pytest.mark.parametrize("pa", _AMPLIFIERS)
     def test_amplifier_matches_the_fresh_array_form(self, bw_mhz, pa):
         x = ofdm_waveform(_config(bw_mhz), 13, 1)
         assert np.array_equal(apply_pa(x, pa), _reference_pa(x, pa))
         assert np.array_equal(apply_pa(x[::3], pa), _reference_pa(x[::3], pa))
 
-    def test_measurement_peak_stays_within_three_records(self):
+    @pytest.mark.parametrize("size", [1, 1000, 2047, 2048, 2049, 4095, 4096, 4097,
+                                      2 * 17536])
+    def test_welch_over_pieces_matches_the_whole_record(self, size):
+        # every cut leaves a different carry: shorter than a segment, one
+        # step, one sample either side of a step or a segment
+        samples, rate = _aclr_sweep_samples(400)
+        x = samples[:2048 * (_WELCH_BLOCK + 2) + 777]
+        pieces = [x[lo:lo + size] for lo in range(0, len(x), size)]
+        freqs, psd = _welch_psd(iter(pieces), len(x), rate)
+        assert np.array_equal(psd, _reference_welch(x, rate, 4096)[1])
+
+    @pytest.mark.parametrize("pa", _AMPLIFIERS)
+    @pytest.mark.parametrize("config, n_symbols, channel_hz", [
+        *[(_config(bw), n, bw * 1e6) for bw in (50, 400)
+          for n in sorted({1, _OFDM_BLOCK - 1, _OFDM_BLOCK + 1})],
+        (_config(400), 64, 400e6),          # the default record
+        (_SMALL_NO_WINDOW, 19, 6e6),
+        (_SMALL, 1, 6e6),                   # shorter than one segment
+        (_SMALL, _SEGMENTS_PAST_A_BLOCK, 6e6),
+    ], ids=lambda v: f"{v.fft_size}x{v.occupied_subcarriers}-ov{v.window_samples}"
+        if isinstance(v, WaveformConfig) else None)
+    def test_measurement_matches_the_whole_record(self, pa, config, n_symbols,
+                                                  channel_hz, monkeypatch):
+        psds, welch = [], link._welch_psd
+
+        def recorded_welch(*args):
+            psds.append(welch(*args))
+            return psds[-1]
+
+        monkeypatch.setattr(link, "_welch_psd", recorded_welch)
+        got = measure_aclr(pa, config, n_symbols, 5, channel_hz)
+        x = _reference_pa(_cached_reference_waveform(config, n_symbols, 5), pa)
+        rate = config.sample_rate_hz
+        freqs, psd = _reference_welch(x, rate, min(4096, len(x)))
+        assert np.array_equal(psds[0][1], psd)
+        p_designated = link._band_power(freqs, psd, 0.0, channel_hz)
+        assert got == [db10(link._band_power(freqs, psd, c, channel_hz) / p_designated)
+                       for c in (-channel_hz, channel_hz)]
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_measurement_peak_stays_within_1_6_records(self, scale):
         # numpy reports its buffers to tracemalloc, so the peak is exact
         scn = resolve_scenario(None)
         bw_mhz = scn.literal("link.aclr.channel_bandwidth_mhz")
         cfg = _config(round(bw_mhz))
-        n_symbols = scn.literal("link.aclr.n_symbols")
+        n_symbols = scale * scn.literal("link.aclr.n_symbols")
         record_bytes = n_symbols * (cfg.fft_size + cfg.cp_samples) * 16
         tracemalloc.start()
         try:
@@ -420,7 +488,7 @@ class TestStreamedLinkPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * record_bytes
+        assert peak <= 1.6 * record_bytes
 
 
 class TestDualStream:

@@ -674,6 +674,26 @@ class TestSteeredGain:
         assert sg_up.gain_dbi == pytest.approx(sg_down.gain_dbi, abs=1e-9)
         assert sg_up.pointing_error_deg == pytest.approx(sg_down.pointing_error_deg, abs=1e-9)
 
+    @given(st.floats(min_value=0.0, max_value=60.0),
+           st.floats(min_value=-30.0, max_value=30.0))
+    @settings(max_examples=6, deadline=None)
+    def test_az_mirror_with_the_feed_on_x_zero(self, assembly, az, el):
+        # the lattice is centred and bias groups run along y, so with the feed
+        # on x = 0 (and off y = 0, which breaks the el mirror) the codeword
+        # for (-az, el) is the x-mirror of the one for (az, el)
+        centred = replace(assembly, feed=replace(assembly.feed, position_mm=(0.0, 20.0, 150.0)))
+        array = centred.array
+        assert array.group_axis == "y"
+        rows = (array.n_y // array.group_size, array.n_x)
+        right, left = Direction(az, el), Direction(-az, el)
+        cw_right = synthesize_codeword(centred, right)
+        cw_left = synthesize_codeword(centred, left)
+        assert np.array_equal(cw_left.states.reshape(rows),
+                              cw_right.states.reshape(rows)[:, ::-1])
+        gain_right = steered_gain(centred, cw_right, right).gain_dbi
+        assert steered_gain(centred, cw_left, left).gain_dbi == pytest.approx(gain_right,
+                                                                               rel=1e-12)
+
     def test_consistent_with_full_metrics(self, small_assembly):
         gamma = np.exp(-1j * np.angle(illumination(small_assembly)))
         target = Direction(0.0, 0.0)
