@@ -43,11 +43,12 @@ REFLECTION_EFFICIENCY = 0.23
 
 DEFAULT_GRID_STEP_DEG = 0.25
 
-# Finest grid step a scenario may ask for.  direction_grid(step) holds
-# (180 / step + 1)^2 directions; pattern_metrics keeps a 4-byte bound a
-# direction and far_field about 40 bytes (field, intensity and one
-# temporary): the 0.1 deg hemisphere is 1801 x 1801 = 3.2 M directions,
-# about 13 MB in pattern_metrics and 130 MB in far_field.
+# Finest grid step a scenario may ask for (the coarsest is 90 deg, the
+# grid -90, 0, 90).  direction_grid(step) holds (2 floor(90 / step) + 1)^2
+# directions; pattern_metrics keeps a 4-byte bound a direction and
+# far_field about 40 bytes (field, intensity and one temporary): the
+# 0.1 deg hemisphere is 1801 x 1801 = 3.2 M directions, about 13 MB in
+# pattern_metrics and 130 MB in far_field.
 MIN_GRID_STEP_DEG = 0.1
 
 # Most directions per block of whole elevation rows in the lattice field
@@ -59,15 +60,15 @@ _CHUNK = 16384
 
 
 def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG):
-    """Regular (az, el) axes from -90 deg in steps of ``step_deg``, ending
-    at the last point that does not pass +90 deg."""
-    if step_deg <= 0:
-        raise ValueError("grid step must be positive")
-    # floor, not round: a step that does not divide 180 must stop short of
-    # +90; the tolerance keeps the endpoint of a step that does, and the
-    # clip keeps that endpoint from rounding one ulp past +90
-    n = int(math.floor(180.0 / step_deg + 1e-9))
-    axis = np.minimum(-90.0 + step_deg * np.arange(n + 1), 90.0)
+    """Regular (az, el) axes through boresight: 0 deg and every whole
+    multiple of ``step_deg`` within +-90 deg, so each axis is its own
+    mirror image and holds (2 floor(90 / step) + 1) points."""
+    if not 0 < step_deg <= 90:
+        raise ValueError("grid step must be in (0, 90] deg")
+    # the tolerance keeps +-90 on a step that divides 90, and the clip keeps
+    # that endpoint from rounding one ulp past it
+    n = int(math.floor(90.0 / step_deg + 1e-9))
+    axis = np.clip(step_deg * np.arange(-n, n + 1), -90.0, 90.0)
     return axis, axis.copy()
 
 
@@ -237,15 +238,6 @@ def _abs2(values: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
-def _mirror_half(axis: np.ndarray) -> int:
-    """Number of entries before the middle of an axis that is its own
-    mirror image (``axis == -axis[::-1]``), else 0."""
-    half = axis.size // 2
-    if half and axis[0] == -axis[-1] and np.all(axis == -axis[::-1]):
-        return half
-    return 0
-
-
 def _horner(acc, z, terms, phase):
     """acc = (sum_m terms[m] z^m) * phase, in place; each term broadcasts
     against acc."""
@@ -399,48 +391,43 @@ def _grid_tables(period_mm: float, k: float, n_y: int, n_x: int, exponent: float
     sum_g w_g |F(g)|^2 with w_g = uz^(2 qe) cos(el) dAz dEl.  It expands
     over coefficient pairs into sum_{p,q} R(p, q) T(p, q): R is the
     coefficients' autocorrelation at the lag of p columns and q rows, and
-    T(p, q) = sum_g w_g exp(j k period (p ux + q uy)) = conj T(-p, -q).
-    The az sums of cos(p t) and sin(p t) run the recurrence
-    f((p + 1) t) = 2 cos t f(p t) - f((p - 1) t) instead of one cos per
-    term.  When the axes are their own mirror images (a step that divides
-    180) the sines cancel, T is real and even in p and in q, and one
-    quadrant of the grid, folded, gives it.  It is stored in the circular
-    layout of a (2 n_y, 2 n_x) FFT, where the autocorrelation lands.
+    T(p, q) = sum_g w_g exp(j k period (p ux + q uy)).  The axes are their
+    own mirror images, so the sines cancel, T is real and even in p and
+    in q, and one quadrant of the grid, folded, gives it.  The az sums of
+    cos(p t) run the recurrence f((p + 1) t) = 2 cos t f(p t) - f((p - 1) t)
+    instead of one cos per term.  T is stored in the circular layout of a
+    (2 n_y, 2 n_x) FFT, where the autocorrelation lands.
     """
     axis = direction_grid(step_deg)[0]
     rad = np.radians(axis)
-    d = rad[1] - rad[0] if rad.size > 1 else math.radians(1.0)
-    half = _mirror_half(axis)
-    # each off-axis point of a mirrored axis stands for its mirror image too
-    fold = np.where(axis[half:] > 0, 2.0, 1.0) if half else 1.0
+    d = rad[1] - rad[0]
+    half = axis.size // 2
+    # each off-axis point of the quadrant stands for its mirror image too
+    fold = np.where(axis[half:] > 0, 2.0, 1.0)
     s = rad[half:]
     # cos(az) and cos(el) are >= 0 on the axis, so uz^qe splits per axis
     factor = np.cos(s) ** exponent
     w_az = fold * factor**2
     w_el = w_az * np.cos(s) * (d * d)
     kd = k * period_mm
-    starts = [(np.ones_like, np.cos)] + ([] if half else [(np.zeros_like, np.sin)])
-    az_sums = np.empty((len(starts), s.size, n_x))
+    az_sums = np.empty((s.size, n_x))
     rows = max(1, _CHUNK // s.size)
     for lo in range(0, s.size, rows):
         t = kd * np.outer(np.cos(s[lo:lo + rows]), np.sin(s))
         two_cos = 2.0 * np.cos(t)
-        for sums, (first, second) in zip(az_sums, starts):
-            prev, cur, nxt = first(t), second(t), np.empty_like(t)
-            sums[lo:lo + rows, 0] = prev @ w_az
-            for p in range(1, n_x):
-                sums[lo:lo + rows, p] = cur @ w_az
-                np.multiply(two_cos, cur, out=nxt)
-                nxt -= prev
-                prev, cur, nxt = cur, nxt, prev
+        prev, cur, nxt = np.ones_like(t), np.cos(t), np.empty_like(t)
+        az_sums[lo:lo + rows, 0] = prev @ w_az
+        for p in range(1, n_x):
+            az_sums[lo:lo + rows, p] = cur @ w_az
+            np.multiply(two_cos, cur, out=nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
     q = np.arange(1 - n_y, n_y)
-    phi = np.outer(q, kd * np.sin(s))
-    by_el = az_sums[0] if half else az_sums[0] + 1j * az_sums[1]
-    table = (np.cos(phi) if half else np.exp(1j * phi)) @ (w_el[:, None] * by_el)
-    lags = np.zeros((2 * n_y, 2 * n_x), dtype=table.dtype)
+    table = np.cos(np.outer(q, kd * np.sin(s))) @ (w_el[:, None] * az_sums)
+    lags = np.zeros((2 * n_y, 2 * n_x))
     p = np.arange(n_x)
     lags[np.ix_(q % (2 * n_y), p)] = table
-    lags[np.ix_(-q % (2 * n_y), 2 * n_x - p[1:])] = table[:, 1:].conj()
+    lags[np.ix_(-q % (2 * n_y), 2 * n_x - p[1:])] = table[:, 1:]
     y_phases = _y_phases(period_mm, n_y, k, rad)
     for shared in (axis, lags, y_phases):
         shared.flags.writeable = False
@@ -452,10 +439,7 @@ def _grid_power(lags: np.ndarray, coeffs: np.ndarray) -> float:
     autocorrelation of the coefficients (one zero-padded FFT each way)."""
     spectrum = np.fft.fft2(coeffs, s=lags.shape)
     autocorrelation = np.fft.ifft2(spectrum.real**2 + spectrum.imag**2)
-    power = np.vdot(autocorrelation.real, lags.real)
-    if np.iscomplexobj(lags):
-        power -= np.vdot(autocorrelation.imag, lags.imag)
-    return float(power)
+    return float(np.vdot(autocorrelation.real, lags))
 
 
 class _GridField:
@@ -498,7 +482,7 @@ class _GridField:
         # width of an n_x-column row, 2 pi / (n_x kd), and about one per two
         # grid steps near broadside; at most 512
         kd = k * period_mm
-        step = rad[1] - rad[0] if rad.size > 1 else 1.0
+        step = rad[1] - rad[0]
         n = min(512, max(32, 2 * 2 ** math.ceil(math.log2(n_x)),
                          2 ** round(math.log2(max(1.0, math.pi / (kd * step))))))
         self.n_fft = n
@@ -548,7 +532,7 @@ class _GridField:
     def exact(self, points: np.ndarray) -> np.ndarray:
         """|F|^2 at the flat indices ``points``: a cut, or a batch of at
         most ``_BATCH``, so the gathered (n_x, points) terms stay a few MB."""
-        if points.size == 1 < self.bound.size:
+        if points.size == 1:
             # numpy's in-place complex multiply rounds a lone element
             # differently from an element of a longer array
             return self.exact(np.repeat(points, 2))[:1]
@@ -677,8 +661,9 @@ def pattern_metrics(assembly: AntennaAssembly, mask,
     the first nulls along the azimuth and elevation cuts through it, or
     by the grid edge where a cut falls all the way to it; the sidelobe
     level is the highest point outside that rectangle, and a lobe that
-    fills the grid reports none.  No pattern is flat: every grid holds
-    az = -90 deg, where the element factor is about 6e-17.  The power
+    fills the grid reports none.  A flat pattern (one element without an
+    element factor) peaks at the grid's first point, its lobe is that
+    point alone, and its sidelobe level reads 0 dB.  The power
     normalization is the grid's power integral, from the lag table (see
     :func:`_grid_tables`); the peak and the sidelobe come from the
     bounded search of :func:`_first_max`, and the cuts are exact to the

@@ -155,9 +155,9 @@ _LITERALS = {
     "rng_seed": (int, lambda v: v >= 0, "a non-negative integer"),
     "element.max_rounds": (int, lambda v: v >= 0, "a non-negative integer"),
     "pattern.frequency_ghz": (float, lambda v: v > 0, "a positive number"),
-    "pattern.step_deg": (float, lambda v: v >= MIN_GRID_STEP_DEG,
-                         f"a step of at least {MIN_GRID_STEP_DEG} deg (at most "
-                         f"{round(180 / MIN_GRID_STEP_DEG) + 1} directions an axis)"),
+    "pattern.step_deg": (float, _inside(MIN_GRID_STEP_DEG, 90.0),
+                         f"a step in [{MIN_GRID_STEP_DEG}, 90] deg (at most "
+                         f"{2 * round(90 / MIN_GRID_STEP_DEG) + 1} directions an axis)"),
     "pattern.target.az_deg": (float, _inside(*_AZ), f"an azimuth in {list(_AZ)} deg"),
     "pattern.target.el_deg": (float, _inside(*_EL), f"an elevation in {list(_EL)} deg"),
     "pattern.scan_az_deg": (list[float], _inside(*_AZ),

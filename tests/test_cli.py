@@ -434,6 +434,7 @@ class TestFailureModes:
         ("link", "link.evm_symbols", "foo"),
         ("train", "training.n_trials", "0"),
         ("pattern", "pattern.step_deg", "0"),
+        ("pattern", "pattern.step_deg", "200"),
         ("evm-sweep", "link.sweep_distances_m", "[]"),
         ("evm-sweep", "link.sweep_distances_m", "[4.0, 2.0]"),
         ("widebeam", "pattern.widebeam.n_subapertures", "foo"),
@@ -506,10 +507,23 @@ class TestFailureModes:
         assert "Traceback" not in err
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("step", [DEFAULT_GRID_STEP_DEG, 1.0, MIN_GRID_STEP_DEG])
+    @pytest.mark.parametrize("step", [DEFAULT_GRID_STEP_DEG, 1.0, MIN_GRID_STEP_DEG, 90.0])
     def test_grid_step_bound_admits_steps_down_to_the_minimum(self, step):
         scn = resolve_scenario(None, [("pattern.step_deg", step)])
         assert scn.literal("pattern.step_deg") == step
+
+    def test_coarsest_grid_step_runs(self, tmp_path):
+        # 90 deg is the grid -90, 0, 90: the peak is broadside, under the
+        # aperture bound, and the lobe fills the grid
+        with pytest.warns(UserWarning, match="undersample"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["pattern", "--pattern.step_deg", "90", "--out", str(tmp_path)]) == 0
+        report = read_json(tmp_path, "pattern.json")
+        asm = resolve_scenario(None).build_assembly()
+        assert report["peak_direction"] == {"az_deg": 0.0, "el_deg": 0.0}
+        assert report["peak_gain_dbi"] < pattern.directivity_upper_bound(
+            asm.array.aperture_m2, asm.frequency_ghz)
+        assert report["sll_db"] is None
 
     @pytest.mark.parametrize("command, flag, limit, measure", [
         ("aclr-sweep", "link.aclr.n_symbols", MAX_ACLR_SYMBOLS, "measure_aclr"),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from risant import pattern
-from risant.pattern import _CHUNK, _lattice_field, _mirror_half, direction_grid
+from risant.pattern import _CHUNK, _lattice_field, direction_grid
 
 PERIOD_MM = 5.0
 K_PER_MM = 2.0 * math.pi * 26.0 / 299.792458  # 26 GHz
@@ -101,13 +101,3 @@ def test_scattered_axes():
     az = np.sort(rng.uniform(-90.0, 90.0, 300))
     el = np.sort(rng.uniform(-90.0, 90.0, 200))
     _assert_same_field(_coeffs(32, 32, seed=4), az, el)
-
-
-def test_mirror_half_counts_the_mirrored_prefix():
-    assert _mirror_half(QUARTER) == 360
-    assert _mirror_half(NO_ZERO) == 360
-    assert _mirror_half(ONE[89:92]) == 1
-    assert _mirror_half(WINDOW) == 0
-    assert _mirror_half(QUARTER[1:]) == 0
-    assert _mirror_half(np.array([0.0])) == 0
-    assert _mirror_half(np.array([-1.0, 0.5, 1.0])) == 0

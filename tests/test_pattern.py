@@ -61,17 +61,20 @@ class TestDirectionGrid:
         assert az.size == el.size == int(180 / 0.25) + 1
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            direction_grid(0.0)
+        for step in (0.0, -1.0, 90.5, 200.0):
+            with pytest.raises(ValueError):
+                direction_grid(step)
 
-    @given(st.floats(min_value=0.01, max_value=2.0))
+    @given(st.floats(min_value=0.01, max_value=90.0))
     @settings(max_examples=200, deadline=None)
-    def test_axes_stop_at_plus_ninety(self, step):
-        # a step that does not divide 180 (0.38, say) ends short of +90
+    def test_axes_are_mirrored_through_boresight(self, step):
+        # a step that does not divide 90 (0.38, say) ends short of +-90
         for axis in direction_grid(step):
-            assert axis[0] == -90.0
+            assert np.array_equal(axis, -axis[::-1])
+            assert axis[axis.size // 2] == 0.0
             np.testing.assert_allclose(np.diff(axis), step, rtol=1e-9)
             assert 90.0 - step < axis[-1] <= 90.0
+            assert axis.size == 2 * math.floor(90.0 / step + 1e-9) + 1
 
 
 class TestIllumination:
@@ -566,7 +569,7 @@ class TestPatternMetricsMatchFullGrid:
 
     @pytest.mark.parametrize("step", [MIN_GRID_STEP_DEG, 0.25, 0.7, 1.0, 2.5])
     def test_grid_steps(self, assembly, step):
-        # 0.7 does not divide 180: the axes stop at 89.6 and are not mirrored
+        # 0.7 does not divide 90: the axes stop at +-89.6
         target = Direction(27.0, -8.0)
         _assert_matches_full_grid(assembly, synthesize_codeword(assembly, target), step)
 
@@ -583,6 +586,26 @@ class TestPatternMetricsMatchFullGrid:
     def test_the_flat_pattern(self, monkeypatch):
         monkeypatch.setattr(pattern, "ELEMENT_EXPONENT", 0.0)
         _assert_matches_full_grid(_plane_wave_assembly(1, 1), np.ones(1, dtype=complex), 1.0)
+
+
+def _closed_form_power(period_mm, k, coeffs):
+    """The hemisphere integral of |F|^2 for the cos^1 element factor,
+    sum_{m,n} c_m c_n* K(|r_m - r_n|): over the forward hemisphere,
+    cos^2(theta) exp(j k d . u) integrates to K(d) = 2 pi (sin a - a cos a) / a^3
+    with a = k d (Sonine's integral with nu = 1/2), and K(0) = 2 pi / 3."""
+    assert ELEMENT_EXPONENT == 1.0
+    n_y, n_x = coeffs.shape
+    # K of every (row, column) lag, then of every element pair
+    a = k * period_mm * np.hypot(*np.ogrid[:n_y, :n_x])
+    a2 = a * a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lag_kernel = np.where(a < 0.1,
+                              1 / 3 - a2 / 30 + a2 * a2 / 840 - a2 * a2 * a2 / 45360,
+                              (np.sin(a) - a * np.cos(a)) / (a2 * a))
+    row, col = np.divmod(np.arange(n_y * n_x), n_x)
+    kernel = lag_kernel[np.abs(row[:, None] - row), np.abs(col[:, None] - col)]
+    c = coeffs.ravel()
+    return 2 * math.pi * float(np.real(c @ (kernel @ c.conj())))
 
 
 class TestLagTable:
@@ -602,10 +625,26 @@ class TestLagTable:
         assert pattern._grid_power(lags, coeffs) == pytest.approx(
             pattern._integrate_power(az, el, intensity), rel=1e-13, abs=0.0)
 
-    def test_mirrored_steps_give_a_real_table(self):
-        args = (5.0, 0.5, 4, 6, ELEMENT_EXPONENT)
-        assert not np.iscomplexobj(pattern._grid_tables(*args, 0.25).lags)
-        assert np.iscomplexobj(pattern._grid_tables(*args, 0.7).lags)
+    @pytest.mark.parametrize("step, rel", [(MIN_GRID_STEP_DEG, 5e-13), (0.25, 5e-11),
+                                           (0.7, 1e-7), (1.0, 1e-8), (2.0, 1e-7)])
+    @pytest.mark.parametrize("n_x, n_y", [(32, 32), (7, 5), (33, 17), (48, 1), (1, 1)])
+    def test_matches_the_closed_form(self, n_x, n_y, step, rel):
+        asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, group_size=1),
+                              incidence_model=IncidenceModel())
+        rng = np.random.default_rng(3 * n_x + n_y)
+        shape = (n_y, n_x)
+        lags = pattern._grid_tables(asm.array.period_mm, asm.k_per_mm, n_y, n_x,
+                                    ELEMENT_EXPONENT, step).lags
+        for coeffs in (pattern._coefficients(asm, rng.integers(0, 2, asm.array.n_groups)),
+                       rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+            assert pattern._grid_power(lags, coeffs) == pytest.approx(
+                _closed_form_power(asm.array.period_mm, asm.k_per_mm, coeffs),
+                rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("step", [MIN_GRID_STEP_DEG, 0.25, 0.7, 7.0, 90.0])
+    def test_every_step_gives_a_real_table(self, step):
+        lags = pattern._grid_tables(5.0, 0.5, 4, 6, ELEMENT_EXPONENT, step).lags
+        assert lags.dtype == np.float64
 
 
 class TestPatternJob:

@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from risant import pattern
 from risant.constants import db10, wavenumber_per_mm
@@ -183,6 +185,39 @@ def test_the_widest_one_bit_row_is_bounded():
                                                          *direction_grid(1.0))).ravel()
         assert np.all(grid.bound >= intensity)
         assert pattern._first_max(grid) == (intensity.max(), int(np.argmax(intensity)))
+
+
+_SIDES = st.integers(min_value=1, max_value=48)
+
+
+@given(
+    shape=st.one_of(st.tuples(st.just(1), _SIDES), st.tuples(_SIDES, st.just(1)),
+                    st.tuples(_SIDES, _SIDES)),
+    kind=st.sampled_from(["codeword", "complex"]),
+    incidence=st.booleans(),
+    step=st.sampled_from([0.5, 0.7, 1.0, 2.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(shape=(32, 32), kind="codeword", incidence=False, step=1.0, seed=0)
+@example(shape=(17, 33), kind="complex", incidence=True, step=0.7, seed=1)
+@settings(max_examples=25, deadline=None)
+def test_the_bound_covers_the_field_at_every_grid_point(shape, kind, incidence, step,
+                                                         seed):
+    # the bounded search is exact only while bound >= |F|^2 everywhere
+    n_y, n_x = shape
+    asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, group_size=1),
+                          incidence_model=IncidenceModel() if incidence else None)
+    rng = np.random.default_rng(seed)
+    if kind == "codeword":
+        (az_lo, az_hi), (el_lo, el_hi) = SCAN_SECTOR
+        mask = synthesize_codeword(asm, Direction(rng.uniform(az_lo, az_hi),
+                                                  rng.uniform(el_lo, el_hi)))
+    else:
+        mask = rng.standard_normal(n_x * n_y) + 1j * rng.standard_normal(n_x * n_y)
+    _, grid = pattern._grid_field(asm, mask, step)
+    intensity = pattern._abs2(pattern._lattice_field(
+        asm.array.period_mm, grid.coeffs, asm.k_per_mm, *direction_grid(step)))
+    assert np.all(grid.bound >= intensity.ravel())
 
 
 def test_random_masks(assembly, check):
