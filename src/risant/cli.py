@@ -94,13 +94,8 @@ def write_json(path: str, payload: dict) -> str:
 
 
 def _json_default(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
+    """numpy scalars and arrays as the Python values they hold."""
+    if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -125,7 +120,7 @@ def cmd_element_opt(scn: Scenario, out: str, strict: bool = False) -> tuple[list
         "frequency_ghz": freq,
         # the tuned values under the scenario's circuit keys
         "circuit": {**{key: getattr(c, key) for key in section["start"]},
-                    "diode_l_nh": c.diode.l_on_nh},
+                    "diode_l_nh": c.diode.l_diode_nh},
         "amp_on": result.amp_on, "amp_off": result.amp_off,
         "phase_diff_deg": result.phase_diff_deg,
         "objective": result.objective,
@@ -204,9 +199,12 @@ def cmd_widebeam(scn: Scenario, out: str) -> tuple[list[str], str]:
     asm = scn.build_assembly()
     sector = scn.literal("pattern.widebeam.sector_az_deg")
     el = scn.literal("pattern.widebeam.el_deg")
-    result = synthesize_wide_beam(
-        asm, sector, el_deg=el,
-        n_subapertures=scn.literal("pattern.widebeam.n_subapertures"))
+    try:
+        result = synthesize_wide_beam(
+            asm, sector, el_deg=el,
+            n_subapertures=scn.literal("pattern.widebeam.n_subapertures"))
+    except ValueError as exc:   # the scenario checks the sector and the elevation
+        raise ScenarioError(f"pattern.widebeam.n_subapertures: {exc}") from None
     az = np.arange(sector[0] - 10.0, sector[1] + 10.0 + 1e-9, 0.25)
     pat = far_field(asm, result.codeword, az, np.array([el]))
     gain = pat.gain_dbi()[0]
@@ -297,8 +295,11 @@ def cmd_aclr_sweep(scn: Scenario, out: str) -> tuple[list[str], str]:
     pa = scn.build_pa()
     bw_mhz = scn.literal("link.aclr.channel_bandwidth_mhz")
     waveform = WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[round(bw_mhz)])
-    values = measure_aclr(pa, waveform, scn.literal("link.aclr.n_symbols"), scn.rng_seed,
-                          channel_bandwidth_hz=bw_mhz * 1e6)
+    try:
+        values = measure_aclr(pa, waveform, scn.literal("link.aclr.n_symbols"), scn.rng_seed,
+                              channel_bandwidth_hz=bw_mhz * 1e6)
+    except ValueError as exc:   # the amplifier drives every sample to 0
+        raise ScenarioError(f"link.pa.saturation_level or link.pa.smoothness: {exc}") from None
     # the amplifier operating point is independent of carrier and beam
     # direction here, so the measured leakage repeats across the sweep
     rows = [(center, aod, values[0], values[1], max(values) <= ACLR_LIMIT_DBC)
@@ -445,6 +446,20 @@ SUBCOMMANDS = tuple(COMMANDS)
 # argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its ``leaf_flags`` take the next token as their value unless it is a
+    long flag, so -1.5e1 too: argparse alone takes only plain negative numbers."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in self.leaf_flags and not token.startswith("--"):
+                joined[-1] += f"={token}"
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
 class _OverrideAction(argparse.Action):
     """Collect --dotted.name VALUE flags as scenario overrides."""
 
@@ -458,7 +473,7 @@ class _OverrideAction(argparse.Action):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="risant", allow_abbrev=False,
         description="One-bit reflectarray antenna and link simulator.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -472,8 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strict", action="store_true",
                         help="exit 3 when quality targets are missed")
     parser.set_defaults(overrides=[])
-    for dotted, _ in iter_leaf_paths():
-        parser.add_argument(f"--{dotted}", action=_OverrideAction,
+    parser.leaf_flags = frozenset(f"--{dotted}" for dotted, _ in iter_leaf_paths())
+    for flag in sorted(parser.leaf_flags):
+        parser.add_argument(flag, action=_OverrideAction,
                             metavar="VALUE", dest="overrides",
                             help=argparse.SUPPRESS, default=argparse.SUPPRESS)
     return parser

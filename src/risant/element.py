@@ -44,29 +44,28 @@ class DiodeModel:
     """PIN diode small-signal parameters for both bias states.
 
     ON is a series R-L, OFF is the junction capacitance shunted by a
-    large leakage resistance, in series with the same package
-    inductance.
+    large leakage resistance; both states are in series with the one
+    package inductance ``l_diode_nh``.
     """
 
     r_on_ohm: float = 5.0
-    l_on_nh: float = 0.05
+    l_diode_nh: float = 0.05
     r_off_ohm: float = 10e3
-    l_off_nh: float = 0.05
     c_off_ff: float = 35.0
 
     def __post_init__(self):
         if self.r_on_ohm < 0 or self.r_off_ohm <= 0:
             raise ValueError("diode resistances must be non-negative (R_off > 0)")
-        if self.l_on_nh < 0 or self.l_off_nh < 0 or self.c_off_ff <= 0:
+        if self.l_diode_nh < 0 or self.c_off_ff <= 0:
             raise ValueError("diode reactive values must be positive")
 
     def impedance(self, state: str, frequency_ghz: float) -> complex:
         w = 2.0 * math.pi * frequency_ghz * 1e9
         if state == "on":
-            return self.r_on_ohm + 1j * w * self.l_on_nh * 1e-9
+            return self.r_on_ohm + 1j * w * self.l_diode_nh * 1e-9
         if state == "off":
             y_junction = 1.0 / self.r_off_ohm + 1j * w * self.c_off_ff * 1e-15
-            return 1j * w * self.l_off_nh * 1e-9 + 1.0 / y_junction
+            return 1j * w * self.l_diode_nh * 1e-9 + 1.0 / y_junction
         raise ValueError(f"diode state must be 'on' or 'off', got {state!r}")
 
 
@@ -213,13 +212,12 @@ def _get_parameter(circuit: ElementCircuit, name: str) -> float:
     made before :func:`_apply_parameter` sees it."""
     if name not in SWEEP_ORDER:
         raise ValueError(f"unknown sweep parameter {name!r}")
-    return circuit.diode.l_on_nh if name == "l_diode_nh" else getattr(circuit, name)
+    return circuit.diode.l_diode_nh if name == "l_diode_nh" else getattr(circuit, name)
 
 
 def _apply_parameter(circuit: ElementCircuit, name: str, value: float) -> ElementCircuit:
     if name == "l_diode_nh":
-        # Package inductance is shared by both bias states.
-        return replace(circuit, diode=replace(circuit.diode, l_on_nh=value, l_off_nh=value))
+        return replace(circuit, diode=replace(circuit.diode, l_diode_nh=value))
     return replace(circuit, **{name: value})
 
 
@@ -383,5 +381,5 @@ DESIGN_CIRCUIT = ElementCircuit(
     r_loss_ohm=0.5,
     line_z0_ohm=196.9,
     line_length_deg=30.35,
-    diode=DiodeModel(l_on_nh=0.045, l_off_nh=0.045),
+    diode=DiodeModel(l_diode_nh=0.045),
 )

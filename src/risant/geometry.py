@@ -26,17 +26,19 @@ def _check_lattice(n_x: int, n_y: int, period_mm: float) -> None:
         raise ValueError("element period must be positive")
 
 
+def lattice_axis(n: int, period_mm: float) -> np.ndarray:
+    """Centred coordinates (i - (n-1)/2) * period of n elements in a row."""
+    return (np.arange(n) - 0.5 * (n - 1)) * period_mm
+
+
 def element_positions(n_x: int, n_y: int, period_mm: float) -> np.ndarray:
     """Centred lattice positions, shape (n_x*n_y, 3), row-major in y.
 
-    Element (ix, iy) sits at ((ix - (n_x-1)/2) * period,
-    (iy - (n_y-1)/2) * period, 0) and occupies row iy, i.e. linear index
-    iy * n_x + ix.
+    Element (ix, iy) sits at (:func:`lattice_axis` of n_x at ix, of n_y
+    at iy, 0) and occupies row iy, i.e. linear index iy * n_x + ix.
     """
     _check_lattice(n_x, n_y, period_mm)
-    ix = np.arange(n_x) - 0.5 * (n_x - 1)
-    iy = np.arange(n_y) - 0.5 * (n_y - 1)
-    gx, gy = np.meshgrid(ix * period_mm, iy * period_mm)  # row-major: y outer
+    gx, gy = np.meshgrid(lattice_axis(n_x, period_mm), lattice_axis(n_y, period_mm))
     return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n_x * n_y)])
 
 

@@ -387,10 +387,16 @@ def apply_pa(samples: np.ndarray, pa: PaModel) -> np.ndarray:
     if pa.kind == "ideal":
         return x.copy()
     t = np.abs(x)
-    t /= pa.saturation_level
-    t **= 2.0 * pa.smoothness
-    t += 1.0
-    t **= 1.0 / (2.0 * pa.smoothness)
+    with np.errstate(over="ignore"):
+        t /= pa.saturation_level
+        t **= 2.0 * pa.smoothness
+        t += 1.0
+        t **= 1.0 / (2.0 * pa.smoothness)
+        # past the float range, (1 + r^2p)^(1/2p) = r (1 + r^-2p)^(1/2p), r = |x| / sat:
+        # a hard limiter holds r > 1 at sat; where that is inf too, the sample is 0
+        over = np.flatnonzero(np.isinf(t))
+        r = np.abs(x[over]) / pa.saturation_level
+        t[over] = r * (1.0 + r ** (-2.0 * pa.smoothness)) ** (1.0 / (2.0 * pa.smoothness))
     return x / t
 
 

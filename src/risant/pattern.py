@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import db10, wavelength_m
 from .element import reflection_coefficient
-from .geometry import AntennaAssembly, Direction, incidence_angles
+from .geometry import AntennaAssembly, Direction, incidence_angles, lattice_axis
 
 # Element power-pattern exponent (field factor cos^qe towards the
 # observation direction).
@@ -143,7 +143,7 @@ def illumination(assembly: AntennaAssembly, normalize: bool = True) -> np.ndarra
     if key in cached:
         return cached[key]
     feed = assembly.feed
-    xs, ys = ((np.arange(n) - 0.5 * (n - 1)) * assembly.array.period_mm
+    xs, ys = (lattice_axis(n, assembly.array.period_mm)
               for n in (assembly.array.n_x, assembly.array.n_y))
     r, cos_feed = _feed_rays(feed, xs, ys)
     amp = cos_feed ** (0.5 * feed.pattern_exponent) / r
@@ -238,30 +238,27 @@ def _abs2(values: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
-def _horner(acc, z, terms, phase):
-    """acc = (sum_m terms[m] z^m) * phase, in place; each term broadcasts
-    against acc."""
-    acc[...] = terms[-1]
-    for m in range(len(terms) - 2, -1, -1):
-        acc *= z
-        acc += terms[m]
-    acc *= phase
-
-
 def _y_phases(period_mm, n_y, k, el):
     """exp(j k uy y), one row per elevation (radians), one column per
     lattice row.  Times the (n_y, n_x) coefficients it gives the kernel's
     B in one matmul over the whole axis: a matmul over some of its rows
     may round differently."""
-    y_mm = (np.arange(n_y) - 0.5 * (n_y - 1)) * period_mm
-    return np.exp(1j * k * (np.sin(el)[:, None] * y_mm))
+    return np.exp(1j * k * (np.sin(el)[:, None] * lattice_axis(n_y, period_mm)))
 
 
-def _x_phases(period_mm, n_x, k_ux):
-    """The Horner variable z = exp(j k period ux) and the first column's
-    phase exp(j k x_0 ux) for the values k ux."""
-    x0_mm = -0.5 * (n_x - 1) * period_mm
-    return np.exp(1j * period_mm * k_ux), np.exp(1j * x0_mm * k_ux)
+def _row_field(out, terms, period_mm, k_ux, factor):
+    """The lattice field kernel, in place: out = sum_m terms[m] z^m in
+    z = exp(j k period ux), times the first column's phase exp(j k x_0 ux)
+    and the element ``factor``, at the values ``k_ux`` of k ux.  Each
+    term broadcasts against ``out``; Horner takes n_x - 1 in-place
+    multiply-adds over its directions."""
+    out[...] = terms[-1]
+    z = np.exp(1j * period_mm * k_ux)
+    for m in range(len(terms) - 2, -1, -1):
+        out *= z
+        out += terms[m]
+    out *= np.exp(1j * lattice_axis(len(terms), period_mm)[0] * k_ux)
+    out *= factor
 
 
 def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
@@ -273,30 +270,27 @@ def _lattice_field(period_mm, coeffs_grid, k, az_deg, el_deg):
     ux = sin(az) cos(el), uy = sin(el) and x_m = x_0 + m * period.
     uy is constant along an elevation row, so the y sum collapses first
     into B = exp(j k uy y) @ C, shape (n_el, n_x), once per call.  Each
-    row is then the polynomial sum_m B[row, m] z^m in
-    z = exp(j k period ux), times exp(j k x_0 ux), evaluated by Horner
-    with n_x - 1 in-place multiply-adds over the row's directions, and
-    times the element factor of :func:`_axis_factor`.
+    row is then the polynomial sum_m B[row, m] z^m that :func:`_row_field`
+    evaluates, with the element factor of :func:`_axis_factor`; the
+    bounded search's :meth:`_GridField.exact` runs the same kernel.
     Cost: O(directions * n_x + n_el * n_x * n_y).  No assumption is made
     on the axes, so scattered directions are exact.  Rows go in blocks
     of at most ``_CHUNK`` directions (at least one row); rows are
     independent, so the blocking changes no bit of the result.
     """
-    n_x = coeffs_grid.shape[1]
     az = np.radians(az_deg)
     el = np.radians(el_deg)
     sin_az = np.sin(az)
     cos_el = np.cos(el)
-    factor_az, factor_el = _axis_factor(az_deg), _axis_factor(el_deg)
+    factor_az, factor_el = (_axis_factor(a, ELEMENT_EXPONENT) for a in (az_deg, el_deg))
     # (n_x, n_el, 1): terms[m] is the column of row coefficients of z^m
     terms = (_y_phases(period_mm, coeffs_grid.shape[0], k, el) @ coeffs_grid).T[:, :, None]
     out = np.empty((el.size, az.size), dtype=complex)
     step = max(1, _CHUNK // max(az.size, 1))
     for lo in range(0, el.size, step):
-        hi = min(lo + step, el.size)
-        z, phase = _x_phases(period_mm, n_x, k * (cos_el[lo:hi, None] * sin_az))
-        _horner(out[lo:hi], z, terms[:, lo:hi], phase)
-        out[lo:hi] *= np.outer(factor_el[lo:hi], factor_az)
+        rows = slice(lo, lo + step)
+        _row_field(out[rows], terms[:, rows], period_mm, k * (cos_el[rows, None] * sin_az),
+                   np.outer(factor_el[rows], factor_az))
     return out
 
 
@@ -324,12 +318,12 @@ def _gain_offset_db(assembly: AntennaAssembly) -> float:
     return float(db10(eta_s * eta_i * REFLECTION_EFFICIENCY))
 
 
-def _axis_factor(angle_deg):
+def _axis_factor(angle_deg, exponent):
     """One axis's factor of the element factor cos(theta)^qe =
-    (cos(el) cos(az))^qe.  Inside +-90 deg on both axes, as
+    (cos(el) cos(az))^qe, qe = ``exponent``.  Inside +-90 deg on both axes, as
     :class:`Direction` bounds them, both cosines are >= 0, so the power
     splits per axis; outside, a cosine is clipped at 0."""
-    return np.maximum(np.cos(np.radians(angle_deg)), 0.0) ** ELEMENT_EXPONENT
+    return np.maximum(np.cos(np.radians(angle_deg)), 0.0) ** exponent
 
 
 def _both_pols(assembly: AntennaAssembly) -> float:
@@ -374,11 +368,29 @@ def far_field(assembly: AntennaAssembly, mask, az_deg, el_deg) -> FarFieldPatter
 @dataclass(frozen=True, eq=False)
 class _GridTables:
     """What :func:`pattern_metrics` and :func:`steered_gain` need of one
-    ``direction_grid`` for one lattice, beyond the coefficients."""
+    ``direction_grid`` for one lattice, beyond the coefficients: the
+    kernel's inputs on the axis, the power's lag table, the bound's sampling."""
 
+    period_mm: float
+    k: float
     axis_deg: np.ndarray    # the grid's az axis, and its el axis too
+    sin: np.ndarray         # the kernel's sin(az) on the axis
+    cos: np.ndarray         # the kernel's cos(el) on the axis
+    factor: np.ndarray      # the element factor's _axis_factor on the axis
     lags: np.ndarray        # (2 n_y, 2 n_x) grid power per coefficient lag
     y_phases: np.ndarray    # (n_el, n_y) the kernel's row phases, see _y_phases
+    n_fft: int              # bound samples per period of ux, see _samples_per_period
+    sin_units: np.ndarray   # sin over the sample spacing 2 pi / (n_fft k period)
+    k_spacing: float        # k times that spacing
+    x_abs_mm: np.ndarray    # |x_m| of the lattice's columns
+
+
+def _samples_per_period(n_x: int, kd: float, step: float) -> int:
+    """Bound samples per period 2 pi / kd of ux on a grid of ``step`` radians:
+    at least two per peak-to-first-null width 2 pi / (n_x kd) of an n_x-column
+    row, and about one per two steps near broadside; at most 512."""
+    return min(512, max(32, 2 * 2 ** math.ceil(math.log2(n_x)),
+                        2 ** round(math.log2(max(1.0, math.pi / (kd * step))))))
 
 
 @functools.lru_cache(maxsize=8)
@@ -428,10 +440,18 @@ def _grid_tables(period_mm: float, k: float, n_y: int, n_x: int, exponent: float
     p = np.arange(n_x)
     lags[np.ix_(q % (2 * n_y), p)] = table
     lags[np.ix_(-q % (2 * n_y), 2 * n_x - p[1:])] = table[:, 1:]
-    y_phases = _y_phases(period_mm, n_y, k, rad)
-    for shared in (axis, lags, y_phases):
-        shared.flags.writeable = False
-    return _GridTables(axis_deg=axis, lags=lags, y_phases=y_phases)
+    n_fft = _samples_per_period(n_x, kd, d)
+    spacing = 2.0 * math.pi / (n_fft * kd)
+    sin = np.sin(rad)
+    tables = _GridTables(
+        period_mm=period_mm, k=k, axis_deg=axis, sin=sin, cos=np.cos(rad),
+        factor=_axis_factor(axis, exponent), lags=lags, y_phases=_y_phases(period_mm, n_y, k, rad),
+        n_fft=n_fft, sin_units=sin / spacing, k_spacing=k * spacing,
+        x_abs_mm=np.abs(lattice_axis(n_x, period_mm)))
+    for shared in vars(tables).values():
+        if isinstance(shared, np.ndarray):
+            shared.flags.writeable = False
+    return tables
 
 
 def _grid_power(lags: np.ndarray, coeffs: np.ndarray) -> float:
@@ -444,15 +464,16 @@ def _grid_power(lags: np.ndarray, coeffs: np.ndarray) -> float:
 
 class _GridField:
     """|F|^2 of one coefficient lattice, element factor included, at any
-    points of a ``direction_grid``, and an upper bound on it at every point.
+    points of a ``direction_grid``, and an upper bound on it at every point;
+    the grid and lattice parts come from the :class:`_GridTables`.
 
     Points are flat indices ``el_index * n + az_index`` on the n x n grid.
     uy is constant along an elevation row, so each row's field is the
     polynomial P(z) = sum_m B[row, m] z^m of :func:`_lattice_field` in
     z = exp(j k period ux).  ``exact`` gathers its points' rows of B, the
-    kernel's one matmul over the whole el axis, and runs the kernel's
-    Horner steps and element factor on each point's own phase tables, so
-    its values are the full grid's to the bit.
+    kernel's one matmul over the whole el axis, and runs the one kernel,
+    :func:`_row_field`, on them with each point's own k ux and element
+    factor, so its values are the full grid's to the bit.
 
     ``bound`` samples each row's |P| at n_fft points per period of ux by a
     zero-padded FFT.  n_fft >= n_x: it is at least min(512, 2 n_x), and a
@@ -461,73 +482,47 @@ class _GridField:
     nearest sample s, |P(g)| <= |P(s)| + k X_row |ux_g - ux_s|,
     X_row = sum_m |B[row, m]| |x_m| over centred column positions (each
     term's phase moves by at most k |x_m| |dux|); a margin covers
-    round-off in the samples and in the exact sums.  It is computed in row blocks of at most ``_CHUNK``
-    directions and kept squared as float32, rounded up.
+    round-off in the samples and in the exact sums.  It is computed in
+    row blocks of at most ``_CHUNK`` directions and kept squared as
+    float32, rounded up.
     """
 
-    def __init__(self, tables: _GridTables, period_mm, coeffs, k):
-        n_x = coeffs.shape[1]
-        self.coeffs = coeffs
-        self.axis_deg = tables.axis_deg
-        rad = np.radians(self.axis_deg)
-        self.period_mm, self.k, self.n_x = period_mm, k, n_x
-        # the kernel's sin(az) and cos(el), on the axis both share
-        self.sin, self.cos = np.sin(rad), np.cos(rad)
+    def __init__(self, tables: _GridTables, coeffs):
+        self.tables, self.coeffs = tables, coeffs
         rows_b = tables.y_phases @ coeffs
         self.terms = rows_b.T.copy()
-        self.factor = _axis_factor(self.axis_deg)
-
-        # Each row's polynomial is periodic in ux with period 2 pi / kd.
-        # n_fft samples per period: at least two per peak-to-first-null
-        # width of an n_x-column row, 2 pi / (n_x kd), and about one per two
-        # grid steps near broadside; at most 512
-        kd = k * period_mm
-        step = rad[1] - rad[0]
-        n = min(512, max(32, 2 * 2 ** math.ceil(math.log2(n_x)),
-                         2 ** round(math.log2(max(1.0, math.pi / (kd * step))))))
-        self.n_fft = n
-        self.rows_b = rows_b
-        # ux in units of the sample spacing 2 pi / (n kd), and each row's
-        # slack per unit, times the row's element factor
-        spacing = 2.0 * math.pi / (n * kd)
+        # each row's slack per unit of ux / spacing, and its round-off
+        # margin, times the row's element factor
         mag = np.abs(rows_b)
-        x_mm = np.abs(np.arange(n_x) - 0.5 * (n_x - 1)) * period_mm
-        self.sin_units = self.sin / spacing
-        self.slack_x = k * spacing * (mag @ x_mm) * self.factor
-        self.margin = 1e-9 * np.sum(mag, axis=1) * self.factor
+        slack_x = tables.k_spacing * (mag @ tables.x_abs_mm) * tables.factor
+        margin = 1e-9 * np.sum(mag, axis=1) * tables.factor
 
-        size = rad.size
-        self.rows = max(1, _CHUNK // size)
+        n, size = tables.n_fft, tables.axis_deg.size
         self.bound = np.empty(size * size, dtype=np.float32)
         # rounding up to float32: the square of 1 + 2^-23 covers the relative
         # rounding of a normal float32, 2^-149 the absolute one of a subnormal
-        factor_up = self.factor * (1.0 + 2.0**-23)
-        for lo in range(0, size, self.rows):
-            upper, slack = self._sampled(lo)
+        factor_up = tables.factor * (1.0 + 2.0**-23)
+        step = max(1, _CHUNK // size)
+        for lo in range(0, size, step):
+            rows = slice(lo, lo + step)
+            # |P(s)| times the row's element factor at the sample s nearest ux
+            samples = np.abs(np.fft.ifft(rows_b[rows], n, axis=1, norm="forward"))
+            samples *= tables.factor[rows, None]
+            t = tables.cos[rows, None] * tables.sin_units
+            j = np.rint(t)
+            t -= j
+            slack = np.abs(t, out=t)
+            slack *= slack_x[rows, None]
+            slack += margin[rows, None]
+            index = j.astype(np.intp)
+            index &= n - 1
+            index += (np.arange(samples.shape[0]) * n)[:, None]
+            upper = np.take(samples, index)
             upper += slack
             upper *= factor_up
             upper *= upper
             upper += 2.0**-149
             self.bound[lo * size:lo * size + upper.size] = upper.ravel()
-
-    def _sampled(self, lo):
-        """(|P(s)|, slack), both times the row's element factor, on the
-        row block from ``lo``: P is the row's polynomial, s the sample
-        nearest ux."""
-        rows = slice(lo, lo + self.rows)
-        n = self.n_fft
-        samples = np.abs(np.fft.ifft(self.rows_b[rows], n, axis=1, norm="forward"))
-        samples *= self.factor[rows, None]
-        t = self.cos[rows, None] * self.sin_units
-        j = np.rint(t)
-        t -= j
-        slack = np.abs(t, out=t)
-        slack *= self.slack_x[rows, None]
-        slack += self.margin[rows, None]
-        index = j.astype(np.intp)
-        index &= n - 1
-        index += (np.arange(samples.shape[0]) * n)[:, None]
-        return np.take(samples, index), slack
 
     def exact(self, points: np.ndarray) -> np.ndarray:
         """|F|^2 at the flat indices ``points``: a cut, or a batch of at
@@ -536,12 +531,11 @@ class _GridField:
             # numpy's in-place complex multiply rounds a lone element
             # differently from an element of a longer array
             return self.exact(np.repeat(points, 2))[:1]
-        rows, cols = np.divmod(points, self.axis_deg.size)
-        z, phase = _x_phases(self.period_mm, self.n_x,
-                             self.k * (self.cos[rows] * self.sin[cols]))
+        t = self.tables
+        rows, cols = np.divmod(points, t.axis_deg.size)
         acc = np.empty(points.size, dtype=complex)
-        _horner(acc, z, self.terms[:, rows], phase)
-        acc *= self.factor[rows] * self.factor[cols]
+        _row_field(acc, self.terms[:, rows], t.period_mm, t.k * (t.cos[rows] * t.sin[cols]),
+                   t.factor[rows] * t.factor[cols])
         return _abs2(acc)
 
 
@@ -558,7 +552,7 @@ def _grid_field(assembly: AntennaAssembly, mask, step_deg: float):
     power = _grid_power(tables.lags, coeffs) * _both_pols(assembly)
     if power <= 0:
         raise ValueError("integrated power must be positive")
-    return power, _GridField(tables, array.period_mm, coeffs, assembly.k_per_mm)
+    return power, _GridField(tables, coeffs)
 
 
 # Most points one step of the best-first search evaluates; the first
@@ -586,7 +580,7 @@ def _first_max(grid: _GridField, seed=None, lobe=None):
     pool = np.flatnonzero(bound >= value)
     if lobe is not None:
         el_lo, el_hi, az_lo, az_hi = lobe
-        rows, cols = np.divmod(pool, grid.axis_deg.size)
+        rows, cols = np.divmod(pool, grid.tables.axis_deg.size)
         pool = pool[(rows < el_lo) | (rows > el_hi) | (cols < az_lo) | (cols > az_hi)]
     pool = pool[np.argsort(-bound[pool], kind="stable")]
     start, size = 0, 64
@@ -671,7 +665,7 @@ def pattern_metrics(assembly: AntennaAssembly, mask,
     """
     _warn_undersampled(assembly, step_deg)
     power, grid = _grid_field(assembly, mask, step_deg)
-    axis = grid.axis_deg
+    axis = grid.tables.axis_deg
     peak, index = _first_max(grid)
     if peak <= 0:
         raise ValueError("pattern has no radiated energy")
@@ -749,11 +743,11 @@ def steered_gain(assembly: AntennaAssembly, mask, target: Direction) -> SteeredG
     """
     window_deg, fine_step = 3.0, 0.1
     power, grid = _grid_field(assembly, mask, 1.0)
-    i_el, i_az = divmod(_first_max(grid)[1], grid.axis_deg.size)
-    az0 = float(grid.axis_deg[i_az])
-    el0 = float(grid.axis_deg[i_el])
-    az = np.arange(max(az0 - window_deg, -90.0), min(az0 + window_deg, 90.0) + fine_step / 2, fine_step)
-    el = np.arange(max(el0 - window_deg, -90.0), min(el0 + window_deg, 90.0) + fine_step / 2, fine_step)
+    axis = grid.tables.axis_deg
+    i_el, i_az = divmod(_first_max(grid)[1], axis.size)
+    az, el = (np.arange(max(axis[i] - window_deg, -90.0),
+                        min(axis[i] + window_deg, 90.0) + fine_step / 2, fine_step)
+              for i in (i_az, i_el))
     fi = _abs2(_lattice_field(assembly.array.period_mm, grid.coeffs, assembly.k_per_mm, az, el))
     j_el, j_az = np.unravel_index(int(np.argmax(fi)), fi.shape)
     peak = Direction(float(az[j_az]), float(el[j_el]))

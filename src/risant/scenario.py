@@ -78,7 +78,7 @@ DEFAULT_SCENARIO = {
         # tuned element used by every pattern-level subcommand; matches
         # the frozen output of element-opt from the start values above
         "design": {**_defaults(DESIGN_CIRCUIT, "diode"),
-                   "l_diode_nh": DESIGN_CIRCUIT.diode.l_on_nh},
+                   "l_diode_nh": DESIGN_CIRCUIT.diode.l_diode_nh},
         "sweeps": {name: [r.lo, r.hi, r.step] for name, r in DEFAULT_SWEEPS.items()},
         "targets": _defaults(DesignTargets),
         "max_rounds": 8,
@@ -124,10 +124,7 @@ DEFAULT_SCENARIO = {
 }
 
 # scenario keys that feed model fields of another name
-_FIELDS = {
-    DiodeModel: {"l_diode_nh": ("l_on_nh", "l_off_nh")},   # element.design
-    XpdModel: {"h": ("h_antenna_db",), "v": ("v_antenna_db",)},
-}
+_FIELDS = {XpdModel: {"h": "h_antenna_db", "v": "v_antenna_db"}}
 
 _AZ, _EL = SCAN_SECTOR
 
@@ -240,10 +237,10 @@ def _build(cls, section: dict, dotted: str, **given):
     hints = _hints(cls)
     kwargs, used = dict(given), {}
     for key, raw in section.items():
-        for name in _FIELDS.get(cls, {}).get(key, (key,)):
-            if name in hints:
-                kwargs[name] = _coerce(raw, hints[name], f"{dotted}.{key}")
-                used[key] = raw
+        name = _FIELDS.get(cls, {}).get(key, key)
+        if name in hints:
+            kwargs[name] = _coerce(raw, hints[name], f"{dotted}.{key}")
+            used[key] = raw
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -272,17 +269,14 @@ def _merge(defaults, user, path=""):
 
 def _set_dotted(data: dict, dotted: str, value):
     parts = dotted.split(".")
-    node = data
-    for i, part in enumerate(parts[:-1]):
+    parent = node = data
+    for i, part in enumerate(parts):
         if not isinstance(node, dict) or part not in node:
             raise ScenarioError(f"unknown key '{'.'.join(parts[:i + 1])}'")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ScenarioError(f"unknown key '{dotted}'")
-    if isinstance(node[leaf], dict):
+        parent, node = node, node[part]
+    if isinstance(node, dict):
         raise ScenarioError(f"'{dotted}' is a section, not a value")
-    node[leaf] = value
+    parent[parts[-1]] = value
 
 
 def _literal(data: dict, dotted: str):

@@ -151,14 +151,13 @@ class WideBeamResult:
 
 
 def _subaperture_direction_map(assembly: AntennaAssembly, sector_az, n_sub):
-    """Per-element steering direction for column-strip sub-apertures."""
+    """Strip centre azimuths and each element's strip; n_sub <= n_x leaves no strip empty."""
     lo, hi = sector_az
     n_x = assembly.array.n_x
     edges = np.linspace(0, n_x, n_sub + 1).astype(int)
     centers = lo + (np.arange(n_sub) + 0.5) * (hi - lo) / n_sub
     ix = np.arange(assembly.array.n_elements) % n_x
-    strip = np.searchsorted(edges, ix, side="right") - 1
-    return centers, np.clip(strip, 0, n_sub - 1)
+    return centers, np.searchsorted(edges, ix, side="right") - 1
 
 
 def estimate_hpbw_deg(assembly: AntennaAssembly) -> float:
@@ -187,6 +186,9 @@ def synthesize_wide_beam(assembly: AntennaAssembly, sector_az: tuple[float, floa
     width = hi - lo
     hpbw = estimate_hpbw_deg(assembly)
     note = ""
+    if n_subapertures is not None and not 1 <= n_subapertures <= assembly.array.n_x:
+        raise ValueError(f"n_subapertures must be in [1, {assembly.array.n_x}] "
+                         f"(at most one strip per column), got {n_subapertures}")
     if n_subapertures is None:
         # Scalloping-optimal strip count: sub-beams (width ~ M*hpbw) cross
         # over near their -3 dB points when M ~ sqrt(width / hpbw).  More

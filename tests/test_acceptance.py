@@ -252,11 +252,12 @@ def test_criterion_09_spectral_compliance(scenario, report):
     t0 = time.perf_counter()
     prb = PRB_TABLE_120KHZ[400]
     waveform = WaveformConfig(occupied_subcarriers=12 * prb)
-    compliant = {}
-    for center_ghz in (25.2, 26.8):
-        values = measure_aclr(scenario.build_pa(), waveform, 64, 0)
-        compliant[center_ghz] = max(values) <= ACLR_LIMIT_DBC
-        worst_rapp = max(values)
+    # the amplifier operating point does not depend on the carrier, so one
+    # measurement gives the verdict of both carrier rows, as in aclr-sweep
+    values = measure_aclr(scenario.build_pa(), waveform, 64, 0)
+    worst_rapp = max(values)
+    compliant = {center_ghz: worst_rapp <= ACLR_LIMIT_DBC
+                 for center_ghz in scenario.literal("link.aclr.centers_ghz")}
     clipping = PaModel(kind="rapp", saturation_level=0.5, smoothness=100.0)
     clipped = measure_aclr(clipping, waveform, 64, 0)
     # the streamed measurement is the whole-record chain's, to the bit

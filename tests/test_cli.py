@@ -111,6 +111,28 @@ class TestParser:
             main(["rate", "--link.bogus", "1", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
 
+    def test_leaf_flag_takes_a_value_that_starts_with_a_dash(self):
+        # argparse alone reads -1.5e1 as a flag: only plain negative numbers
+        # such as -3 and -0.5 look like values to it
+        args = cli.build_parser().parse_args(
+            ["pattern", "--pattern.target.az_deg", "-1.5e1", "--pattern.target.el_deg",
+             "-0.5", "--array.n_x", "-3", "--seed", "1"])
+        assert args.overrides == [("pattern.target.az_deg", "-1.5e1"),
+                                  ("pattern.target.el_deg", -0.5), ("array.n_x", -3)]
+        assert args.seed == 1
+
+    def test_leaf_flag_before_a_long_flag_has_no_value(self):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(["pattern", "--pattern.target.az_deg", "--seed", "1"])
+        assert excinfo.value.code == 2
+
+    def test_exponent_form_writes_the_plain_value_pattern(self, tmp_path):
+        a, b = tmp_path / "exponent", tmp_path / "plain"
+        assert main(["pattern", "--pattern.target.az_deg", "-1.5e1", "--out", str(a)]) == 0
+        assert main(["pattern", "--pattern.target.az_deg", "-15", "--out", str(b)]) == 0
+        assert (a / "pattern.json").read_bytes() == (b / "pattern.json").read_bytes()
+        assert read_json(a, "pattern.json")["target"]["az_deg"] == -15.0
+
     def test_two_runs_build_one_parser(self, tmp_path, monkeypatch):
         builds = []
         build = cli.build_parser
@@ -455,6 +477,28 @@ class TestFailureModes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("overrides", [
+        ["--pattern.widebeam.n_subapertures", "33"],
+        ["--pattern.widebeam.n_subapertures", "1000"],
+        ["--array.n_x", "8", "--pattern.widebeam.n_subapertures", "9"],
+    ])
+    def test_more_subapertures_than_columns_exits_2(self, overrides, tmp_path, capsys):
+        # a strip holds at least one column: the automatic count stops at n_x
+        rc = main(["widebeam", *overrides, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error: pattern.widebeam.n_subapertures" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["link.pa.smoothness", "link.pa.saturation_level"])
+    def test_amplifier_that_passes_no_power_exits_2(self, flag, tmp_path, capsys):
+        rc = main(["aclr-sweep", f"--{flag}", "1e-300", "--link.aclr.n_symbols", "2",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error: link.pa." in err and flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides", [
         ["--array.n_x", "1", "--array.n_y", "1", "--array.group_size", "1"],
         ["--pattern.frequency_ghz", "0.001"],
     ])
@@ -552,7 +596,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("flag, value, parameter", [
         ("element.start.l_g_nh", "0", "l_g_nh"),
         ("element.start.l_v_nh", "0", "l_v_nh"),
-        ("element.diode.l_on_nh", "0", "l_diode_nh"),
+        ("element.diode.l_diode_nh", "0", "l_diode_nh"),
         ("element.sweeps.c_p_ff", "[60, 70, 0.5]", "c_p_ff"),
     ])
     def test_start_value_outside_its_sweep_exits_2(self, flag, value, parameter,
@@ -654,12 +698,14 @@ _CHEAPEST_READER = (
        value=st.sampled_from(["foo", "-1", "0", "[]", "true"]))
 @example(leaf="element.start.l_g_nh", value="0")
 @example(leaf="element.start.l_v_nh", value="0")
-@example(leaf="element.diode.l_on_nh", value="0")
+@example(leaf="element.diode.l_diode_nh", value="0")
 @example(leaf="element.sweeps.c_p_ff", value="[60, 70, 0.5]")
 @example(leaf="link.center_freq_ghz", value="0")
 @example(leaf="link.center_freq_ghz", value="-1")
 @example(leaf="link.dual.center_freq_ghz", value="0")
 @example(leaf="link.dual.center_freq_ghz", value="-1")
+@example(leaf="link.pa.smoothness", value="1e-300")
+@example(leaf="link.pa.saturation_level", value="1e-300")
 def test_any_leaf_with_a_small_bad_value_exits_0_or_2(leaf, value):
     args = next(run for prefix, run in _CHEAPEST_READER if leaf.startswith(prefix))
     err = io.StringIO()

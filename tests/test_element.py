@@ -44,9 +44,8 @@ def _random_circuit(rng) -> ElementCircuit:
         line_length_deg=rng.uniform(10.0, 80.0),
         diode=DiodeModel(
             r_on_ohm=rng.uniform(1.0, 10.0),
-            l_on_nh=rng.uniform(0.02, 0.1),
+            l_diode_nh=rng.uniform(0.02, 0.1),
             r_off_ohm=rng.uniform(1e3, 1e5),
-            l_off_nh=rng.uniform(0.02, 0.1),
             c_off_ff=rng.uniform(20.0, 60.0),
         ),
     )
@@ -57,10 +56,10 @@ def _oracle_impedance(c: ElementCircuit, state: str, f_ghz: float) -> complex:
     ground, so the node admittance is the sum of branch admittances."""
     w = 2.0 * math.pi * f_ghz * 1e9
     if state == "on":
-        z_diode = c.diode.r_on_ohm + 1j * w * c.diode.l_on_nh * 1e-9
+        z_diode = c.diode.r_on_ohm + 1j * w * c.diode.l_diode_nh * 1e-9
     else:
         y_rc = 1.0 / c.diode.r_off_ohm + 1j * w * c.diode.c_off_ff * 1e-15
-        z_diode = 1.0 / y_rc + 1j * w * c.diode.l_off_nh * 1e-9
+        z_diode = 1.0 / y_rc + 1j * w * c.diode.l_diode_nh * 1e-9
     z1 = c.r_loss_ohm + 1j * (w * c.l_p_nh * 1e-9 - 1.0 / (w * c.c_p_ff * 1e-15))
     z2 = 1j * w * (c.l_g_nh + c.l_v_nh) * 1e-9 + z_diode
     theta = math.radians(c.line_length_deg) * f_ghz / REF_GHZ  # length given at 26 GHz
@@ -88,8 +87,7 @@ class TestElementImpedance:
         circuit = ElementCircuit(
             c_p_ff=50.0, l_p_nh=1e-6, l_g_nh=0.5, l_v_nh=0.5,
             r_loss_ohm=0.0, line_z0_ohm=200.0, line_length_deg=90.0,
-            diode=DiodeModel(r_on_ohm=0.0, l_on_nh=1e-6, r_off_ohm=1e12,
-                             l_off_nh=1e-6, c_off_ff=1e-6),
+            diode=DiodeModel(r_on_ohm=0.0, l_diode_nh=1e-6, r_off_ohm=1e12, c_off_ff=1e-6),
         )
         freqs = np.linspace(20.0, 32.0, 20001)
         mags = [abs(element_impedance(circuit, "on", float(f))) for f in freqs]
@@ -102,7 +100,7 @@ class TestElementImpedance:
         circuit = ElementCircuit(
             c_p_ff=1e12, l_p_nh=1e-9, l_g_nh=1e-9, l_v_nh=1e-9,
             r_loss_ohm=0.0, line_z0_ohm=200.0, line_length_deg=1e-9,
-            diode=DiodeModel(r_on_ohm=0.0, l_on_nh=1e-9),
+            diode=DiodeModel(r_on_ohm=0.0, l_diode_nh=1e-9),
         )
         z = element_impedance(circuit, "on", REF_GHZ)
         assert abs(z) < 1e-3
@@ -124,9 +122,8 @@ class TestReflection:
                 c_p_ff=c.c_p_ff, l_p_nh=c.l_p_nh, l_g_nh=c.l_g_nh,
                 l_v_nh=c.l_v_nh, r_loss_ohm=0.0, line_z0_ohm=c.line_z0_ohm,
                 line_length_deg=c.line_length_deg,
-                diode=DiodeModel(r_on_ohm=0.0, l_on_nh=c.diode.l_on_nh,
-                                 r_off_ohm=1e30, l_off_nh=c.diode.l_off_nh,
-                                 c_off_ff=c.diode.c_off_ff),
+                diode=DiodeModel(r_on_ohm=0.0, l_diode_nh=c.diode.l_diode_nh,
+                                 r_off_ohm=1e30, c_off_ff=c.diode.c_off_ff),
             )
             for state in ("on", "off"):
                 amp = reflection_coefficient(lossless, state, REF_GHZ).amplitude
@@ -151,8 +148,7 @@ class TestReflection:
 
 class TestPhaseDifference:
     def test_identical_states_give_zero(self):
-        diode = DiodeModel(r_on_ohm=5.0, l_on_nh=0.05, r_off_ohm=5.0,
-                           l_off_nh=0.05, c_off_ff=1e-6)
+        diode = DiodeModel(r_on_ohm=5.0, l_diode_nh=0.05, r_off_ohm=5.0, c_off_ff=1e-6)
         # A vanishing C_off reduces the OFF junction to R_off alone, so
         # both states see the same series impedance.
         circuit = replace(DESIGN_CIRCUIT, diode=diode)
@@ -224,8 +220,7 @@ class TestOptimizer:
         assert res.circuit.c_p_ff == pytest.approx(DESIGN_CIRCUIT.c_p_ff)
         assert res.circuit.l_g_nh == pytest.approx(DESIGN_CIRCUIT.l_g_nh)
         assert res.circuit.l_v_nh == pytest.approx(DESIGN_CIRCUIT.l_v_nh)
-        assert res.circuit.diode.l_on_nh == pytest.approx(DESIGN_CIRCUIT.diode.l_on_nh)
-        assert res.circuit.diode.l_off_nh == pytest.approx(DESIGN_CIRCUIT.diode.l_off_nh)
+        assert res.circuit.diode.l_diode_nh == pytest.approx(DESIGN_CIRCUIT.diode.l_diode_nh)
 
     def test_never_worse_than_start_and_monotone_in_rounds(self):
         targets = DesignTargets(min_amplitude=0.999)  # infeasible, keep sweeping
@@ -259,8 +254,8 @@ class TestOptimizer:
         changed = [f.name for f in fields(moved)
                    if getattr(moved, f.name) != getattr(DEFAULT_START_CIRCUIT, f.name)]
         assert changed == ["diode" if name == "l_diode_nh" else name]
-        # the package inductance is shared by both bias states
-        assert moved.diode.l_off_nh == moved.diode.l_on_nh
+        if name == "l_diode_nh":
+            assert moved.diode == replace(DEFAULT_START_CIRCUIT.diode, l_diode_nh=0.0625)
 
     @pytest.mark.parametrize("name, sweep", [
         ("c_p_ff", SweepRange(0.0, 70.0, 0.5)),

@@ -239,6 +239,21 @@ class TestPa:
         assert abs(y[0]) == pytest.approx(1.0, rel=1e-3)
         assert abs(y[1]) == pytest.approx(0.5, rel=1e-3)
 
+    @pytest.mark.parametrize("smoothness", [300.0, 1e4, 1e300])
+    def test_hard_limiter_past_the_float_range_clips(self, smoothness):
+        # (|x| / sat)^(2p) overflows: the limiter holds the sample at sat
+        # instead of dropping it to 0
+        pa = PaModel(kind="rapp", saturation_level=0.5, smoothness=smoothness)
+        y = apply_pa(np.array([2.0 + 0.0j, -5.0j, 0.3 + 0.0j, 0.0j]), pa)
+        np.testing.assert_allclose(np.abs(y), [0.5, 0.5, 0.3, 0.0], rtol=1e-12)
+        np.testing.assert_allclose(np.angle(y[:2]), [0.0, -np.pi / 2], atol=1e-15)
+
+    @pytest.mark.parametrize("pa", [PaModel(kind="rapp", saturation_level=1e-300),
+                                    PaModel(kind="rapp", smoothness=1e-300)])
+    def test_amplifier_that_passes_nothing_gives_zeros(self, pa):
+        y = apply_pa(np.array([2.0 + 0.0j, -0.5j]), pa)
+        assert np.all(np.abs(y) < 1e-290)
+
     def test_am_am_preserves_phase(self):
         pa = PaModel(kind="rapp", saturation_level=1.0, smoothness=2.0)
         x = 3.0 * np.exp(1j * np.linspace(0, 6, 7))

@@ -230,7 +230,7 @@ class TestSingleSourceOfDefaults:
     def test_every_init_field_has_a_key(self, model, path, unset):
         # a field no key sets holds one value that no scenario can change
         section = functools.reduce(dict.__getitem__, path.split("."), DEFAULT_SCENARIO)
-        named = {name for key in section for name in _FIELDS.get(model, {}).get(key, (key,))}
+        named = {_FIELDS.get(model, {}).get(key, key) for key in section}
         init = {f.name for f in fields(model) if f.init}
         assert init - named == set(unset)
 
@@ -247,7 +247,7 @@ class TestSingleSourceOfDefaults:
         # any moved, added or removed default changes it, e.g. frame.overhead
         # 0.18 for 0.14
         assert resolve_scenario(None).hash() == (
-            "291db16bd83b33bbc7a531fb44050f855ea7bfaf82401d71d3f5031af5b10f29")
+            "8388fb92a851ad8737c513c0537bcdceda6e9e3d174c2a5bbd691d627f92b65d")
 
     def test_removed_link_aod_flag_is_rejected(self):
         with pytest.raises(SystemExit) as excinfo:

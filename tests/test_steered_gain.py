@@ -70,7 +70,7 @@ def check(monkeypatch):
 
     def recording(grid, *args):
         value, index = first_max(grid, *args)
-        chosen.append(divmod(index, grid.axis_deg.size))
+        chosen.append(divmod(index, grid.tables.axis_deg.size))
         return value, index
 
     monkeypatch.setattr(pattern, "_first_max", recording)
@@ -161,13 +161,11 @@ def test_odd_and_non_square_lattices(n_x, n_y, check):
 @pytest.mark.parametrize("frequency_ghz, step, period", [(0.001, 0.1, 1.0), (26.0, 1.0, 5.0)])
 def test_the_peak_fft_holds_the_widest_row(frequency_ghz, step, period):
     # the bound's FFT samples a row without cutting it short for any side
-    # a RisArray may hold, at the lowest tested k and the finest step
-    k = wavenumber_per_mm(frequency_ghz)
-    axis = direction_grid(step)[0]
-    tables = pattern._GridTables(axis_deg=axis, lags=None,
-                                 y_phases=pattern._y_phases(period, 1, k, np.radians(axis)))
-    coeffs = np.ones((1, MAX_ARRAY_SIDE), dtype=complex)
-    assert pattern._GridField(tables, period, coeffs, k).n_fft >= MAX_ARRAY_SIDE
+    # a RisArray may hold, at the lowest tested k and the finest step; the
+    # rule alone, so the finest step's lag table is never built
+    kd = wavenumber_per_mm(frequency_ghz) * period
+    rad = np.radians(direction_grid(step)[0])
+    assert pattern._samples_per_period(MAX_ARRAY_SIDE, kd, rad[1] - rad[0]) >= MAX_ARRAY_SIDE
 
 
 def test_the_widest_one_bit_row_is_bounded():
@@ -177,10 +175,11 @@ def test_the_widest_one_bit_row_is_bounded():
     period, k = 5.0, 0.545
     x_mm = (np.arange(MAX_ARRAY_SIDE) - 0.5 * (MAX_ARRAY_SIDE - 1)) * period
     tables = pattern._grid_tables(period, k, 1, MAX_ARRAY_SIDE, pattern.ELEMENT_EXPONENT, 1.0)
+    assert tables.n_fft >= MAX_ARRAY_SIDE
     for az0 in (0.0, -20.0):
         row = np.where(np.cos(k * x_mm * math.sin(math.radians(az0))) >= 0, 1.0, -1.0)
         coeffs = row[None, :].astype(complex)
-        grid = pattern._GridField(tables, period, coeffs, k)
+        grid = pattern._GridField(tables, coeffs)
         intensity = pattern._abs2(pattern._lattice_field(period, coeffs, k,
                                                          *direction_grid(1.0))).ravel()
         assert np.all(grid.bound >= intensity)

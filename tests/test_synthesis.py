@@ -230,6 +230,18 @@ class TestWideBeam:
         expected = quantize_one_bit(group_circular_mean(assembly, phases))
         np.testing.assert_array_equal(wb.codeword.states, expected)
 
+    @pytest.mark.parametrize("n_sub", [0, 33, 1000])
+    def test_strip_count_outside_the_columns_rejected(self, assembly, n_sub):
+        # a strip holds at least one of the 32 columns
+        with pytest.raises(ValueError, match=r"n_subapertures must be in \[1, 32\]"):
+            synthesize_wide_beam(assembly, (-15.0, 15.0), n_subapertures=n_sub,
+                                 evaluate_ripple=False)
+
+    def test_one_strip_a_column(self, assembly):
+        wb = synthesize_wide_beam(assembly, (-15.0, 15.0), n_subapertures=32,
+                                  evaluate_ripple=False)
+        assert wb.n_subapertures == 32
+
     def test_continuous_variant_returns_phases(self, assembly):
         wb = synthesize_wide_beam(assembly, (0.0, 30.0), quantize=False,
                                   evaluate_ripple=False)
