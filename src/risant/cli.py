@@ -72,17 +72,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# the cell types the writers see most, formatted as _fmt does without its
-# isinstance chain; every other type goes through _fmt
-_FMT_BY_TYPE = {float: "{:.10g}".format, np.float64: "{:.10g}".format, int: str}
+# %-conversions of the cell types the writers see most, giving what _fmt
+# gives without its isinstance chain; every other type goes in as %s of _fmt
+_CONVERSION = {float: "%.10g", np.float64: "%.10g", int: "%d"}
+
+
+def _row_format(types):
+    """(%-template of a CSV line, indices of the cells that go through
+    _fmt) for rows of the cell ``types``."""
+    conversions = [_CONVERSION.get(t) for t in types]
+    template = ",".join(c or "%s" for c in conversions) + "\n"
+    return template, [i for i, c in enumerate(conversions) if c is None]
 
 
 def write_csv(path: str, header, rows) -> str:
-    fmt = _FMT_BY_TYPE.get
+    formats = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join([fmt(type(v), _fmt)(v) for v in row]) + "\n")
+            cells = tuple(row)
+            types = tuple(map(type, cells))
+            if types not in formats:
+                formats[types] = _row_format(types)
+            template, slow = formats[types]
+            if slow:
+                cells = tuple(_fmt(v) if i in slow else v for i, v in enumerate(cells))
+            fh.write(template % cells)
     return path
 
 

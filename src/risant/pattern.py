@@ -36,23 +36,24 @@ ELEMENT_EXPONENT = 1.0
 # efficiencies when converting directivity to gain.  Bundles reflection
 # loss with fabrication, bias-line and measurement losses that the
 # idealized pattern sum does not see; calibrated so the nominal
-# assembly's one-bit broadside beam lands on the measured 22.2 dBi
-# (reflection loss alone, ~0.8, leaves the idealized model several dB
-# hot).
+# assembly's one-bit broadside beam lands at 22.48 dBi on the 0.25 deg
+# grid, 0.3 dB above the measured 22.2 dBi (reflection loss alone, ~0.8,
+# leaves the idealized model several dB hot).
 REFLECTION_EFFICIENCY = 0.23
 
 DEFAULT_GRID_STEP_DEG = 0.25
 
 # Finest grid step a scenario may ask for (the coarsest is 90 deg, the
 # grid -90, 0, 90).  direction_grid(step) holds (2 floor(90 / step) + 1)^2
-# directions; pattern_metrics keeps a 4-byte bound a direction and
-# far_field about 40 bytes (field, intensity and one temporary): the
-# 0.1 deg hemisphere is 1801 x 1801 = 3.2 M directions, about 13 MB in
-# pattern_metrics and 130 MB in far_field.
+# directions; pattern_metrics keeps at most a 4-byte bound a direction,
+# on the elevation rows it fills, and far_field about 40 bytes (field,
+# intensity and one temporary): the 0.1 deg hemisphere is 1801 x 1801 =
+# 3.2 M directions, at most 13 MB in pattern_metrics and 130 MB in
+# far_field.
 MIN_GRID_STEP_DEG = 0.1
 
 # Most directions per block of whole elevation rows in the lattice field
-# kernel and in the grid bound of pattern_metrics (a row longer than this
+# kernel and in the bounds of the bounded search (a row longer than this
 # is one block).  Bounds their temporaries and keeps a block's
 # accumulator and z array (256 kB each) in cache across the n_x - 1
 # Horner passes over them.
@@ -464,8 +465,9 @@ def _grid_power(lags: np.ndarray, coeffs: np.ndarray) -> float:
 
 class _GridField:
     """|F|^2 of one coefficient lattice, element factor included, at any
-    points of a ``direction_grid``, and an upper bound on it at every point;
-    the grid and lattice parts come from the :class:`_GridTables`.
+    points of a ``direction_grid``, and upper bounds on it per elevation row
+    and per point; the grid and lattice parts come from the
+    :class:`_GridTables`.
 
     Points are flat indices ``el_index * n + az_index`` on the n x n grid.
     uy is constant along an elevation row, so each row's field is the
@@ -475,16 +477,23 @@ class _GridField:
     :func:`_row_field`, on them with each point's own k ux and element
     factor, so its values are the full grid's to the bit.
 
-    ``bound`` samples each row's |P| at n_fft points per period of ux by a
-    zero-padded FFT.  n_fft >= n_x: it is at least min(512, 2 n_x), and a
-    ``RisArray`` side holds at most ``geometry.MAX_ARRAY_SIDE`` (256)
-    columns, so the FFT never cuts a row short.  For a point g with
-    nearest sample s, |P(g)| <= |P(s)| + k X_row |ux_g - ux_s|,
+    ``row_bound`` bounds |F|^2 along each row.  It starts at the triangle
+    bound |P| <= sum_m |B[row, m]|, with no FFT.  ``fill(value)`` samples
+    each row whose bound reaches ``value`` at n_fft points per period of
+    ux by a zero-padded FFT.  n_fft >= n_x: it is at least min(512, 2 n_x),
+    and a ``RisArray`` side holds at most ``geometry.MAX_ARRAY_SIDE`` (256)
+    columns, so the FFT never cuts a row short.  For a point g with nearest
+    sample s, |P(g)| <= |P(s)| + k X_row |ux_g - ux_s|,
     X_row = sum_m |B[row, m]| |x_m| over centred column positions (each
-    term's phase moves by at most k |x_m| |dux|); a margin covers
-    round-off in the samples and in the exact sums.  It is computed in
-    row blocks of at most ``_CHUNK`` directions and kept squared as
-    float32, rounded up.
+    term's phase moves by at most k |x_m| |dux|).  |ux_g - ux_s| is at most
+    half a sample spacing, so the largest sample plus half the spacing's
+    slack tightens the row bound.  On the rows whose tightened bound still
+    reaches ``value``, ``fill`` writes ``bound``, the Lipschitz bound at
+    each of the row's points, and marks the row ``filled``; a filled row
+    stays filled, and ``bound`` is unset on the rest.  A margin covers
+    round-off in the samples and in the exact sums.  Rows go in blocks of
+    at most ``_CHUNK`` directions, and no row's samples outlive its block.
+    The bounds are kept squared and rounded up, the point bound as float32.
     """
 
     def __init__(self, tables: _GridTables, coeffs):
@@ -494,35 +503,78 @@ class _GridField:
         # each row's slack per unit of ux / spacing, and its round-off
         # margin, times the row's element factor
         mag = np.abs(rows_b)
-        slack_x = tables.k_spacing * (mag @ tables.x_abs_mm) * tables.factor
-        margin = 1e-9 * np.sum(mag, axis=1) * tables.factor
-
-        n, size = tables.n_fft, tables.axis_deg.size
+        total = np.sum(mag, axis=1)
+        self.slack_x = tables.k_spacing * (mag @ tables.x_abs_mm) * tables.factor
+        self.margin = 1e-9 * total * tables.factor
+        self.row_bound = self._row_squared(total * tables.factor + self.margin)
+        size = tables.axis_deg.size
         self.bound = np.empty(size * size, dtype=np.float32)
+        self.filled = np.zeros(size, dtype=bool)
+
+    def _row_squared(self, peak):
+        """Row bounds from bounds ``peak`` on |P| times the element factor
+        of each row, margin included: times the largest az factor, squared
+        and rounded up as the point bound is."""
+        up = peak * (np.max(self.tables.factor) * (1.0 + 2.0**-23))
+        return up * up + 2.0**-149
+
+    def fill(self, value) -> None:
+        """Tighten the row bound, and fill the point bound, on the rows
+        whose bound reaches ``value`` and that are not filled yet."""
+        t = self.tables
+        n, size = t.n_fft, t.axis_deg.size
+        todo = np.flatnonzero(~self.filled & (self.row_bound >= value))
+        step = max(1, _CHUNK // size)
+        for lo in range(0, todo.size, step):
+            rows = todo[lo:lo + step]
+            # |P(s)| times the row's element factor at every sample s
+            samples = np.abs(np.fft.ifft(self.terms[:, rows].T, n, axis=1, norm="forward"))
+            samples *= t.factor[rows, None]
+            tight = self._row_squared(np.max(samples, axis=1) + 0.5 * self.slack_x[rows]
+                                      + self.margin[rows])
+            self.row_bound[rows] = np.minimum(self.row_bound[rows], tight)
+            keep = tight >= value
+            if keep.any():
+                self._fill_rows(rows[keep], samples[keep])
+
+    def _fill_rows(self, rows, samples) -> None:
+        """The point bound on ``rows`` from their ``samples``."""
+        t = self.tables
+        n, size = t.n_fft, t.axis_deg.size
+        # |P(s)| plus the slack at the sample s nearest each point's ux
+        t_units = t.cos[rows, None] * t.sin_units
+        j = np.rint(t_units)
+        t_units -= j
+        slack = np.abs(t_units, out=t_units)
+        slack *= self.slack_x[rows, None]
+        slack += self.margin[rows, None]
+        index = j.astype(np.intp)
+        index &= n - 1
+        index += (np.arange(rows.size) * n)[:, None]
+        upper = np.take(samples, index)
+        upper += slack
         # rounding up to float32: the square of 1 + 2^-23 covers the relative
         # rounding of a normal float32, 2^-149 the absolute one of a subnormal
-        factor_up = tables.factor * (1.0 + 2.0**-23)
+        upper *= t.factor * (1.0 + 2.0**-23)
+        upper *= upper
+        upper += 2.0**-149
+        self.bound.reshape(size, size)[rows] = upper
+        self.filled[rows] = True
+
+    def candidates(self, value) -> np.ndarray:
+        """Flat indices of the points whose bound reaches ``value``, every
+        row that can hold one filled first, in increasing order."""
+        self.fill(value)
+        size = self.tables.axis_deg.size
+        rows = np.flatnonzero(self.filled & (self.row_bound >= value))
+        grid = self.bound.reshape(size, size)
         step = max(1, _CHUNK // size)
-        for lo in range(0, size, step):
-            rows = slice(lo, lo + step)
-            # |P(s)| times the row's element factor at the sample s nearest ux
-            samples = np.abs(np.fft.ifft(rows_b[rows], n, axis=1, norm="forward"))
-            samples *= tables.factor[rows, None]
-            t = tables.cos[rows, None] * tables.sin_units
-            j = np.rint(t)
-            t -= j
-            slack = np.abs(t, out=t)
-            slack *= slack_x[rows, None]
-            slack += margin[rows, None]
-            index = j.astype(np.intp)
-            index &= n - 1
-            index += (np.arange(samples.shape[0]) * n)[:, None]
-            upper = np.take(samples, index)
-            upper += slack
-            upper *= factor_up
-            upper *= upper
-            upper += 2.0**-149
-            self.bound[lo * size:lo * size + upper.size] = upper.ravel()
+        parts = []
+        for lo in range(0, rows.size, step):
+            block = rows[lo:lo + step]
+            r, c = np.nonzero(grid[block] >= value)
+            parts.append(block[r] * size + c)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
 
     def exact(self, points: np.ndarray) -> np.ndarray:
         """|F|^2 at the flat indices ``points``: a cut, or a batch of at
@@ -564,20 +616,25 @@ def _first_max(grid: _GridField, seed=None, lobe=None):
     """(value, flat index) of the first maximum of the grid's |F|^2.
 
     ``seed`` is an exact (value, index) pair to start from, by default
-    the point of largest bound; with ``lobe``, a rectangle (el_lo, el_hi,
-    az_lo, az_hi) of inclusive indices, the search covers only the points
-    outside it, and the seed must be one of them.  Every point whose
-    bound reaches the best value so far is evaluated, best bound first,
+    the first maximum of the row of largest row bound; with ``lobe``, a
+    rectangle (el_lo, el_hi, az_lo, az_hi) of inclusive indices, the
+    search covers only the points outside it, and the seed must be one of
+    them.  Every point whose bound reaches the seed's value is a
+    candidate (see :meth:`_GridField.candidates`); the candidates whose
+    bound reaches the best value so far are evaluated, best bound first,
     in growing batches; the rest cannot beat or tie it.  Ties go to the
-    lowest flat index, as np.argmax gives them.  However many points a
-    loose bound leaves as candidates, the result stays exact, only slower.
+    lowest flat index, as np.argmax gives them.  However loose the bounds
+    or poor the seed, the result stays exact, only slower.
     """
-    bound = grid.bound
     if seed is None:
-        start = int(np.argmax(bound))
-        seed = grid.exact(np.array([start]))[0], start
+        n = grid.tables.axis_deg.size
+        row = int(np.argmax(grid.row_bound)) * n + np.arange(n)
+        values = grid.exact(row)
+        best = int(np.argmax(values))
+        seed = values[best], row[best]
     value, index = np.float64(seed[0]), int(seed[1])
-    pool = np.flatnonzero(bound >= value)
+    pool = grid.candidates(value)
+    bound = grid.bound
     if lobe is not None:
         el_lo, el_hi, az_lo, az_hi = lobe
         rows, cols = np.divmod(pool, grid.tables.axis_deg.size)
@@ -657,7 +714,11 @@ def pattern_metrics(assembly: AntennaAssembly, mask,
     level is the highest point outside that rectangle, and a lobe that
     fills the grid reports none.  A flat pattern (one element without an
     element factor) peaks at the grid's first point, its lobe is that
-    point alone, and its sidelobe level reads 0 dB.  The power
+    point alone, and its sidelobe level reads 0 dB.  The rectangle cannot
+    hold a beam that is no rectangle: a line array steered off broadside
+    radiates a cone, ux = const, that curves across the (az, el) grid, so
+    the cone's own points at other elevations count as sidelobes (a
+    32 x 1 line steered to az 30 deg reads -1.77 dB).  The power
     normalization is the grid's power integral, from the lag table (see
     :func:`_grid_tables`); the peak and the sidelobe come from the
     bounded search of :func:`_first_max`, and the cuts are exact to the

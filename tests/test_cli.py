@@ -384,6 +384,18 @@ class TestCsvFormatting:
             "-inf,inf,nan,-inf,nan",
         ]
 
+    @pytest.mark.parametrize("rows", [
+        # all-float rows, as a cut writes them, then a row of other types
+        [(-90.0 + i, -12.5 / (i + 1), np.float64(i) / 7.0) for i in range(5)] + [("x",)],
+        # mixed int/float rows, one template each, then an empty row
+        [(i, 0.1 * i, np.float64(-i), i * 1.0) for i in range(4)] + [(1.0, 2, "3"), ()],
+    ])
+    def test_row_templates_match_per_value_formatting(self, tmp_path, rows):
+        path = cli.write_csv(str(tmp_path / "rows.csv"), ["a"], rows)
+        expected = "a\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
+
     def test_booleans_render_lowercase(self, tmp_path):
         assert run_cli("evm-sweep", tmp_path) == 0
         with open(tmp_path / "evm_sweep.csv", encoding="utf-8") as fh:

@@ -667,6 +667,20 @@ class TestPatternJob:
         # the two cuts alone are 2 x 721 of the 721 x 721 directions
         assert 2 * 721 <= sum(counted) < 0.05 * 721**2
 
+    def test_default_run_fills_the_point_bound_on_few_rows(self, tmp_path, monkeypatch):
+        filled = []
+        fill_rows = pattern._GridField._fill_rows
+
+        def counting_fill_rows(grid, rows, samples):
+            filled.append(rows.size)
+            return fill_rows(grid, rows, samples)
+
+        monkeypatch.setattr(pattern._GridField, "_fill_rows", counting_fill_rows)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["pattern", "--out", str(tmp_path)]) == 0
+        # the peak's rows, then the rows that can reach the sidelobe level
+        assert 0 < sum(filled) < 0.25 * 721
+
     def test_coarse_step_warns(self, tmp_path):
         with pytest.warns(UserWarning, match="undersample"):
             with contextlib.redirect_stdout(io.StringIO()):

@@ -168,8 +168,24 @@ def test_the_peak_fft_holds_the_widest_row(frequency_ghz, step, period):
     assert pattern._samples_per_period(MAX_ARRAY_SIDE, kd, rad[1] - rad[0]) >= MAX_ARRAY_SIDE
 
 
+def _assert_both_bounds_cover(grid, intensity):
+    """Every row bound, before and after the FFT tightens it, covers its
+    row's largest |F|^2; with every row filled, the point bound covers
+    |F|^2 at every grid point."""
+    row_max = intensity.max(axis=1)
+    assert np.all(grid.row_bound >= row_max)
+    grid.fill(0.0)
+    assert grid.filled.all()
+    assert np.all(grid.row_bound >= row_max)
+    assert np.all(grid.bound >= intensity.ravel())
+
+
+def _assert_first_max_is_argmax(grid, intensity):
+    assert pattern._first_max(grid) == (intensity.max(), int(np.argmax(intensity)))
+
+
 def test_the_widest_one_bit_row_is_bounded():
-    # one-bit rows of the widest side steered to az0: the bound covers
+    # one-bit rows of the widest side steered to az0: both bounds cover
     # the exact field, and the search finds the full 1 deg grid's first
     # maximum
     period, k = 5.0, 0.545
@@ -179,11 +195,25 @@ def test_the_widest_one_bit_row_is_bounded():
     for az0 in (0.0, -20.0):
         row = np.where(np.cos(k * x_mm * math.sin(math.radians(az0))) >= 0, 1.0, -1.0)
         coeffs = row[None, :].astype(complex)
-        grid = pattern._GridField(tables, coeffs)
         intensity = pattern._abs2(pattern._lattice_field(period, coeffs, k,
-                                                         *direction_grid(1.0))).ravel()
-        assert np.all(grid.bound >= intensity)
-        assert pattern._first_max(grid) == (intensity.max(), int(np.argmax(intensity)))
+                                                         *direction_grid(1.0)))
+        _assert_both_bounds_cover(pattern._GridField(tables, coeffs), intensity)
+        _assert_first_max_is_argmax(pattern._GridField(tables, coeffs), intensity)
+
+
+def test_a_line_with_no_pruned_row_finds_the_first_maximum(monkeypatch):
+    # a uniform line with no element factor peaks at ux = 0, which every
+    # elevation row holds: no row bound falls below the peak, every row is
+    # filled, and the first row wins the tie
+    monkeypatch.setattr(pattern, "ELEMENT_EXPONENT", 0.0)
+    period, k, n_x = 5.0, 0.545, 64
+    tables = pattern._grid_tables(period, k, 1, n_x, 0.0, 1.0)
+    coeffs = np.ones((1, n_x), dtype=complex)
+    intensity = pattern._abs2(pattern._lattice_field(period, coeffs, k, *direction_grid(1.0)))
+    grid = pattern._GridField(tables, coeffs)
+    _assert_first_max_is_argmax(grid, intensity)
+    assert grid.filled.all()
+    _assert_both_bounds_cover(grid, intensity)
 
 
 _SIDES = st.integers(min_value=1, max_value=48)
@@ -202,7 +232,7 @@ _SIDES = st.integers(min_value=1, max_value=48)
 @settings(max_examples=25, deadline=None)
 def test_the_bound_covers_the_field_at_every_grid_point(shape, kind, incidence, step,
                                                          seed):
-    # the bounded search is exact only while bound >= |F|^2 everywhere
+    # the bounded search is exact only while both bounds cover |F|^2
     n_y, n_x = shape
     asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, group_size=1),
                           incidence_model=IncidenceModel() if incidence else None)
@@ -216,7 +246,8 @@ def test_the_bound_covers_the_field_at_every_grid_point(shape, kind, incidence, 
     _, grid = pattern._grid_field(asm, mask, step)
     intensity = pattern._abs2(pattern._lattice_field(
         asm.array.period_mm, grid.coeffs, asm.k_per_mm, *direction_grid(step)))
-    assert np.all(grid.bound >= intensity.ravel())
+    _assert_both_bounds_cover(grid, intensity)
+    _assert_first_max_is_argmax(pattern._grid_field(asm, mask, step)[1], intensity)
 
 
 def test_random_masks(assembly, check):
