@@ -20,9 +20,9 @@ import numpy as np
 from .constants import db10
 from .geometry import AntennaAssembly, Direction
 from .pattern import (
+    _illumination,
+    _spillover,
     directivity_upper_bound,
-    illumination,
-    spillover_efficiency,
     steered_gain,
     taper_efficiency,
 )
@@ -48,8 +48,15 @@ REFINE_OFFSETS_MM = (
 _BROADSIDE = Direction(0.0, 0.0)
 
 # Most cells the coarse scan may visit, counting span / step + 2 points an
-# axis: each costs one ~0.5 ms efficiency evaluation; the default box holds 130.
+# axis: each costs about 0.2 ms of efficiency evaluation on the feed's
+# y = 0 plane, 0.3 ms off it; the default box holds 130.
 MAX_COARSE_CELLS = 10_000
+
+# Feed positions the coarse scan evaluates in one array pass.  Two keep a
+# pass's float64 temporaries on the 128 x 128 spillover mesh at 128 kB (half
+# the mesh, on the y = 0 plane) or 256 kB (the whole mesh); three or four
+# measured slower off the plane, and four slower in whole `steer` passes.
+_SCAN_CHUNK = 2
 
 
 @dataclass(frozen=True)
@@ -98,18 +105,24 @@ def _with_feed(assembly: AntennaAssembly, position_mm) -> AntennaAssembly:
     return replace(assembly, feed=feed)
 
 
+def _efficiencies(assembly: AntennaAssembly, feeds, n_grid: int) -> list:
+    """`aperture_efficiency` of the assembly lit by each of ``feeds``,
+    ``_SCAN_CHUNK`` feeds to one array pass."""
+    d_max = directivity_upper_bound(assembly.array.aperture_m2, assembly.frequency_ghz)
+    out = []
+    for start in range(0, len(feeds), _SCAN_CHUNK):
+        chunk = feeds[start:start + _SCAN_CHUNK]
+        amplitudes = np.abs(_illumination(assembly, chunk)[1]).reshape(len(chunk), -1)
+        for eta_s, amp in zip(_spillover(assembly.array, chunk, n_grid), amplitudes):
+            eta_i = taper_efficiency(amp)
+            predicted = d_max + db10(eta_s * eta_i) + PREDICTED_LOSS_DB
+            out.append(EfficiencyBreakdown(eta_s, eta_i, d_max, float(predicted)))
+    return out
+
+
 def aperture_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> EfficiencyBreakdown:
     """Analytic spillover / illumination figures for one feed position."""
-    eta_s = spillover_efficiency(assembly, n_grid=n_grid)
-    eta_i = taper_efficiency(np.abs(illumination(assembly, normalize=False)))
-    d_max = directivity_upper_bound(assembly.array.aperture_m2, assembly.frequency_ghz)
-    predicted = d_max + db10(eta_s * eta_i) + PREDICTED_LOSS_DB
-    return EfficiencyBreakdown(
-        eta_spillover=eta_s,
-        eta_illumination=eta_i,
-        directivity_dbi=d_max,
-        predicted_gain_dbi=float(predicted),
-    )
+    return _efficiencies(assembly, [assembly.feed], n_grid)[0]
 
 
 # Nelder-Mead reflection, expansion, contraction and shrink coefficients
@@ -193,17 +206,14 @@ class CoarseFeedResult:
 def coarse_optimize_feed(assembly: AntennaAssembly,
                          space: FeedSearchSpace = FeedSearchSpace()) -> CoarseFeedResult:
     """Grid scan of the analytic model followed by a simplex polish."""
-    rows = []
-    best = None
-    for x in space.axis_grid(0):
-        for y in space.axis_grid(1):
-            for z in space.axis_grid(2):
-                br = aperture_efficiency(_with_feed(assembly, (x, y, z)), n_grid=128)
-                rows.append((float(x), float(y), float(z),
-                             br.eta_spillover, br.eta_illumination, br.predicted_gain_dbi))
-                if best is None or br.predicted_gain_dbi > best[1]:
-                    best = ((float(x), float(y), float(z)), br.predicted_gain_dbi)
-    grid_best, grid_gain = best
+    cells = [(float(x), float(y), float(z)) for x in space.axis_grid(0)
+             for y in space.axis_grid(1) for z in space.axis_grid(2)]
+    feeds = [replace(assembly.feed, position_mm=cell) for cell in cells]
+    rows = [(*cell, br.eta_spillover, br.eta_illumination, br.predicted_gain_dbi)
+            for cell, br in zip(cells, _efficiencies(assembly, feeds, 128))]
+    # the first of equal gains, as a strict > over the rows in scan order
+    best = max(rows, key=lambda row: row[5])
+    grid_best, grid_gain = best[:3], best[5]
 
     free = [i for i in range(3) if space.axis_grid(i).size > 1]
     position = np.asarray(grid_best, dtype=float)

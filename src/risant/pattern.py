@@ -80,18 +80,52 @@ def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG):
 _assembly_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _feed_rays(feed, xs, ys):
-    """Distance and clipped cosine off the feed boresight from the feed to
-    the z = 0 points on the axes ``xs`` and ``ys``, shape (ys.size, xs.size).
-    r^2 and the ray's dot product with the boresight split into a y term
-    plus an x term, so no per-point 3-vector is formed."""
-    fx, fy, fz = feed.position_mm
-    bx, by, bz = feed.boresight()
-    dx, dy = xs - fx, ys - fy
-    r = np.sqrt((dy * dy)[:, None] + (dx * dx + fz * fz))
-    cos_feed = (dy * by)[:, None] + (dx * bx - fz * bz)
+def _feed_rays(feeds, xs, ys):
+    """Distance and clipped cosine off the boresight from each of ``feeds``
+    to the z = 0 points on the axes ``xs`` and ``ys``, (len(feeds), rows,
+    xs.size).  r^2 and the ray's dot product with the boresight split into
+    a y term plus an x term, so no per-point 3-vector is formed.  When every
+    feed's y is 0 and ``ys`` is its own mirror image, rows i and n - 1 - i
+    are equal to the bit (dy^2 is the same and dy * by is +-0), so only
+    rows = ceil(n / 2) are formed, for `_unfold`; otherwise rows = n."""
+    fx, fy, fz = np.array([f.position_mm for f in feeds]).T[:, :, None]
+    bx, by, bz = np.array([f.boresight() for f in feeds]).T[:, :, None]
+    n = ys.size
+    rows = (n + 1) // 2 if not fy.any() and np.array_equal(ys, -ys[::-1]) else n
+    dx, dy = xs - fx, ys[:rows] - fy
+    r = np.sqrt((dy * dy)[:, :, None] + (dx * dx + fz * fz)[:, None])
+    cos_feed = (dy * by)[:, :, None] + (dx * bx - fz * bz)[:, None]
     cos_feed /= r
     return r, np.clip(cos_feed, 0.0, 1.0, out=cos_feed)
+
+
+def _unfold(half, n):
+    """The n rows (axis -2) whose first are ``half``'s and whose last
+    mirror them, row n - 1 - i equal to row i: ``half`` itself when it
+    holds all n."""
+    rows = half.shape[-2]
+    if rows == n:
+        return half
+    return np.concatenate((half, half[..., n - rows - 1::-1, :]), axis=-2)
+
+
+def _spillover(array, feeds, n_grid: int) -> list[float]:
+    """`spillover_efficiency` of each of ``feeds`` (of one pattern exponent)
+    in front of ``array``."""
+    q = feeds[0].pattern_exponent
+    half_x = 0.5 * array.n_x * array.period_mm
+    half_y = 0.5 * array.n_y * array.period_mm
+    xs = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_x - half_x
+    ys = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_y - half_y
+    r, cos_feed = _feed_rays(feeds, xs, ys)
+    # normalized cos^q intensity over a hemisphere, (q + 1) / (2 pi) cos^q,
+    # times a cell's solid angle: obliquity fz / r over r^2
+    integrand = np.power(cos_feed, q, out=cos_feed)
+    integrand /= r * r * r
+    sums = _unfold(integrand, n_grid).reshape(len(feeds), -1).sum(axis=1)
+    cell = (2 * half_x / n_grid) * (2 * half_y / n_grid)
+    return [min(float(s) * (q + 1.0) / (2.0 * math.pi) * f.position_mm[2] * cell, 1.0)
+            for s, f in zip(sums, feeds)]
 
 
 def spillover_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> float:
@@ -99,26 +133,16 @@ def spillover_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> float:
 
     The cos^q power pattern is normalized over the feed's forward
     hemisphere and integrated over the solid angle subtended by the
-    aperture rectangle (midpoint rule on an n_grid x n_grid mesh).
+    aperture rectangle (midpoint rule on an n_grid x n_grid mesh).  With
+    the feed on the y = 0 plane and a mesh whose y axis is its own mirror
+    image (any period whose midpoints are exact, e.g. 5 mm), the integrand
+    is formed on the first ceil(n_grid / 2) rows and mirrored, with the
+    same bits as the full mesh.
     """
     cached = _assembly_memo.setdefault(assembly, {})
     key = ("spillover", n_grid)
-    if key in cached:
-        return cached[key]
-    feed = assembly.feed
-    q = feed.pattern_exponent
-    half_x = 0.5 * assembly.array.n_x * assembly.array.period_mm
-    half_y = 0.5 * assembly.array.n_y * assembly.array.period_mm
-    xs = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_x - half_x
-    ys = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_y - half_y
-    r, cos_feed = _feed_rays(feed, xs, ys)
-    # normalized cos^q intensity over a hemisphere, (q + 1) / (2 pi) cos^q,
-    # times a cell's solid angle: obliquity fz / r over r^2
-    integrand = np.power(cos_feed, q, out=cos_feed)
-    integrand /= r * r * r
-    cell = (2 * half_x / n_grid) * (2 * half_y / n_grid)
-    power = float(np.sum(integrand)) * (q + 1.0) / (2.0 * math.pi) * feed.position_mm[2] * cell
-    cached[key] = min(power, 1.0)
+    if key not in cached:
+        cached[key] = _spillover(assembly.array, [assembly.feed], n_grid)[0]
     return cached[key]
 
 
@@ -128,6 +152,17 @@ def taper_efficiency(amplitudes: np.ndarray) -> float:
     if a.size == 0 or np.all(a == 0):
         raise ValueError("amplitude set must contain energy")
     return float(np.sum(a) ** 2 / (a.size * np.sum(a**2)))
+
+
+def _illumination(assembly: AntennaAssembly, feeds):
+    """Amplitude and complex un-normalized illumination of each of ``feeds``
+    (of one pattern exponent), each of shape (len(feeds), n_y, n_x)."""
+    xs, ys = (lattice_axis(n, assembly.array.period_mm)
+              for n in (assembly.array.n_x, assembly.array.n_y))
+    r, cos_feed = _feed_rays(feeds, xs, ys)
+    amp = cos_feed ** (0.5 * feeds[0].pattern_exponent) / r
+    phase = -assembly.k_per_mm * r
+    return _unfold(amp, ys.size), _unfold(amp * np.exp(1j * phase), ys.size)
 
 
 def illumination(assembly: AntennaAssembly, normalize: bool = True) -> np.ndarray:
@@ -143,13 +178,8 @@ def illumination(assembly: AntennaAssembly, normalize: bool = True) -> np.ndarra
     key = ("illumination", normalize)
     if key in cached:
         return cached[key]
-    feed = assembly.feed
-    xs, ys = (lattice_axis(n, assembly.array.period_mm)
-              for n in (assembly.array.n_x, assembly.array.n_y))
-    r, cos_feed = _feed_rays(feed, xs, ys)
-    amp = cos_feed ** (0.5 * feed.pattern_exponent) / r
-    phase = -assembly.k_per_mm * r
-    a = (amp * np.exp(1j * phase)).ravel()
+    amp, a = _illumination(assembly, [assembly.feed])
+    a = a.ravel()
     if normalize:
         a *= math.sqrt(spillover_efficiency(assembly) / np.sum(amp**2))
     a.flags.writeable = False

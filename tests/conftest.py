@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from risant import pattern
 from risant.geometry import AntennaAssembly, FeedModel, RisArray
 from risant.scenario import resolve_scenario
 from risant.synthesis import build_codebook
@@ -50,6 +51,20 @@ def small_assembly():
         array=RisArray(n_x=8, n_y=8, period_mm=5.0),
         feed=FeedModel(position_mm=(-20.0, 0.0, 60.0), pattern_exponent=6.5),
     )
+
+
+@pytest.fixture
+def mesh_rows(monkeypatch):
+    """(mesh rows, rows formed) of every feed-ray mesh, call by call."""
+    seen = []
+    rays = pattern._feed_rays
+
+    def counted(feeds, xs, ys):
+        r, cos_feed = rays(feeds, xs, ys)
+        seen.append((ys.size, r.shape[1]))
+        return r, cos_feed
+    monkeypatch.setattr(pattern, "_feed_rays", counted)
+    return seen
 
 
 @pytest.fixture(scope="session")

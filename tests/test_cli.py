@@ -339,6 +339,18 @@ class TestDeterminism:
         assert bytes_a == (b / "train.csv").read_bytes()
         assert len(bytes_a.strip().splitlines()) == 5  # header + 4 trials
 
+    @pytest.mark.parametrize("flags", [["--rng_seed", "3", "--seed", "7"],
+                                       ["--seed", "7", "--rng_seed", "3"]])
+    def test_seed_flag_wins_over_the_rng_seed_key(self, flags, tmp_path):
+        both, key, other = tmp_path / "both", tmp_path / "key", tmp_path / "other"
+        assert run_cli("train", both, *flags) == 0
+        assert run_cli("train", key, "--rng_seed", "7") == 0
+        assert run_cli("train", other, "--rng_seed", "3") == 0
+        written = (both / "train.csv").read_bytes()
+        assert written == (key / "train.csv").read_bytes()
+        assert written != (other / "train.csv").read_bytes()
+        assert read_manifest(both, "train")["seed"] == 7
+
     def test_seed_changes_train_draws(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli("train", a) == 0
@@ -443,6 +455,7 @@ class TestFailureModes:
         ("aclr-sweep", "link.pa.kind", "foo"),
         ("dual-stream", "link.xpd_db.h", "3"),
         ("pattern", "pattern.frequency_ghz", ".nan"),
+        ("pattern", "pattern.frequency_ghz", ".inf"),
         ("geometry", "array.n_x", "0"),
         ("geometry", "array.period_mm", "-1"),
         ("link", "link.center_freq_ghz", "0"),
@@ -453,6 +466,7 @@ class TestFailureModes:
         ("element-opt", "element.targets.phase_tolerance_deg", "-1"),
         ("element-opt", "element.targets.min_amplitude", "0"),
         ("element-opt", "element.targets.min_amplitude", "1.5"),
+        ("pattern", "element.diode.c_off_ff", "0"),
     ])
     def test_value_the_model_rejects_exits_2(self, command, flag, value, tmp_path,
                                              capsys):
@@ -471,6 +485,9 @@ class TestFailureModes:
         ("pattern", "pattern.step_deg", "200"),
         ("evm-sweep", "link.sweep_distances_m", "[]"),
         ("evm-sweep", "link.sweep_distances_m", "[4.0, 2.0]"),
+        ("evm-sweep", "link.sweep_distances_m", "[0, 1]"),
+        ("train", "training.n_trials", "true"),
+        ("train", "training.sector_az_deg", "[10, 10]"),
         ("widebeam", "pattern.widebeam.n_subapertures", "foo"),
         ("aclr-sweep", "link.aclr.n_symbols", "foo"),
         ("element-opt", "element.max_rounds", "foo"),

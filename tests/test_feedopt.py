@@ -2,12 +2,14 @@
 polish and the pattern-engine refinement stage."""
 
 import inspect
+import math
 import sys
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+from risant.cli import main
 from risant.constants import db10
 from risant.feedopt import (
     MAX_COARSE_CELLS,
@@ -129,6 +131,34 @@ class TestCoarseOptimize:
         n = (small_space.axis_grid(0).size * small_space.axis_grid(1).size
              * small_space.axis_grid(2).size)
         assert len(coarse.evaluations) == n
+
+
+class TestScanBatches:
+    """The coarse scan evaluates its cells a few to one array pass; each
+    row keeps the bits of the one-position call."""
+
+    @pytest.mark.parametrize("space", [
+        FeedSearchSpace(),
+        # 13 x 11 cells: the last batch is short
+        FeedSearchSpace(x_mm=(-102.0, 102.0), z_mm=(85.0, 255.0), coarse_step_mm=17.0),
+        FeedSearchSpace(x_mm=(-82.0, -82.0), z_mm=(150.0, 150.0)),
+        # y = -20, 0, 20 under each x: batches that mix cells on and off
+        # the y = 0 plane
+        FeedSearchSpace(x_mm=(-100.0, -60.0), y_mm=(-20.0, 20.0), z_mm=(130.0, 170.0)),
+    ], ids=["default", "odd", "single-cell", "y-range"])
+    def test_each_row_equals_the_one_position_call(self, assembly, space):
+        rows = coarse_optimize_feed(assembly, space).evaluations
+        assert len(rows) == math.prod(space.axis_grid(axis).size for axis in range(3))
+        for row in rows:
+            br = aperture_efficiency(_with_feed(assembly, row[:3]), n_grid=128)
+            assert row[3:] == (br.eta_spillover, br.eta_illumination, br.predicted_gain_dbi)
+
+    def test_default_feed_opt_forms_half_the_mesh_rows(self, mesh_rows, tmp_path):
+        # the default feed sits on the y = 0 plane and so does the search box:
+        # a fall-back to the full mesh fails here, not only in the timings
+        assert main(["feed-opt", "--out", str(tmp_path)]) == 0
+        assert {n for n, _ in mesh_rows} == {32, 128, 256}
+        assert all(rows == (n + 1) // 2 for n, rows in mesh_rows)
 
 
 # where each simplex move happens in `_nelder_mead`, by a line of its source

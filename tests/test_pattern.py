@@ -23,6 +23,7 @@ from risant.geometry import (
     FeedModel,
     IncidenceModel,
     RisArray,
+    lattice_axis,
 )
 from risant.pattern import (
     DEFAULT_GRID_STEP_DEG,
@@ -212,6 +213,75 @@ class TestFeedIntegralsMatchPerPointReference:
         asm = AntennaAssembly(feed=FeedModel(position_mm=(x, y, z)))
         for n_grid in (128, 256):
             assert 0.0 < spillover_efficiency(asm, n_grid) <= 1.0
+
+
+def _full_mesh_rays(feed, xs, ys):
+    """Every row of the feed rays, in the order of operations of the
+    feed integrals before they formed half the rows."""
+    fx, fy, fz = feed.position_mm
+    bx, by, bz = feed.boresight()
+    dx, dy = xs - fx, ys - fy
+    r = np.sqrt((dy * dy)[:, None] + (dx * dx + fz * fz))
+    cos_feed = (dy * by)[:, None] + (dx * bx - fz * bz)
+    cos_feed /= r
+    return r, np.clip(cos_feed, 0.0, 1.0, out=cos_feed)
+
+
+def _full_mesh_spillover(assembly, n_grid):
+    feed = assembly.feed
+    q = feed.pattern_exponent
+    half_x = 0.5 * assembly.array.n_x * assembly.array.period_mm
+    half_y = 0.5 * assembly.array.n_y * assembly.array.period_mm
+    xs = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_x - half_x
+    ys = (np.arange(n_grid) + 0.5) / n_grid * 2 * half_y - half_y
+    r, cos_feed = _full_mesh_rays(feed, xs, ys)
+    integrand = np.power(cos_feed, q, out=cos_feed)
+    integrand /= r * r * r
+    cell = (2 * half_x / n_grid) * (2 * half_y / n_grid)
+    power = float(np.sum(integrand)) * (q + 1.0) / (2.0 * math.pi) * feed.position_mm[2] * cell
+    return min(power, 1.0)
+
+
+def _full_mesh_illumination(assembly, normalize):
+    feed = assembly.feed
+    xs, ys = (lattice_axis(n, assembly.array.period_mm)
+              for n in (assembly.array.n_x, assembly.array.n_y))
+    r, cos_feed = _full_mesh_rays(feed, xs, ys)
+    amp = cos_feed ** (0.5 * feed.pattern_exponent) / r
+    phase = -assembly.k_per_mm * r
+    a = (amp * np.exp(1j * phase)).ravel()
+    if normalize:
+        a *= math.sqrt(_full_mesh_spillover(assembly, 256) / np.sum(amp**2))
+    return a
+
+
+class TestFeedIntegralsOnHalfTheMesh:
+    """With the feed on y = 0 the integrals form half the mesh rows and
+    mirror them; the result keeps the bits of the full mesh."""
+
+    @pytest.mark.parametrize("n_x, n_y", [(32, 32), (31, 17), (6, 9), (5, 1)])
+    @pytest.mark.parametrize("period_mm", [5.0, 5.77])
+    @pytest.mark.parametrize("position", [(-82.0, 0.0, 150.0), (40.0, -0.0, 85.0),
+                                          (-37.0, 12.5, 60.0)])
+    def test_bits_of_the_full_mesh(self, n_x, n_y, period_mm, position, mesh_rows):
+        asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, period_mm=period_mm,
+                                             group_size=1),
+                              feed=FeedModel(position_mm=position))
+        on_plane = position[1] == 0.0
+        for n_grid in (17, 128, 256):
+            mesh_rows.clear()
+            assert spillover_efficiency(asm, n_grid) == _full_mesh_spillover(asm, n_grid)
+            # the midpoint mesh mirrors itself when its arithmetic is exact,
+            # as at 5 mm on 128 and 256 points (not on 17)
+            if n_grid != 17:
+                half = on_plane and period_mm == 5.0
+                assert mesh_rows == [(n_grid, (n_grid + 1) // 2 if half else n_grid)]
+        for normalize in (False, True):
+            mesh_rows.clear()
+            assert np.array_equal(illumination(asm, normalize=normalize),
+                                  _full_mesh_illumination(asm, normalize))
+            # the lattice axis always mirrors itself
+            assert mesh_rows == [(n_y, (n_y + 1) // 2 if on_plane else n_y)]
 
 
 class TestTaperEfficiency:
