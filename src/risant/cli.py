@@ -6,6 +6,10 @@ writes CSV/JSON artifacts plus a run manifest into the output
 directory.  Artifacts are deterministic: identical scenario and seed
 produce byte-identical CSV files.
 
+Every scenario leaf is also a flag, ``--dotted.leaf VALUE`` or
+``--dotted.leaf=VALUE`` with a YAML value; one argv scan collects these
+overrides in order, and argparse parses the rest.
+
 Exit codes: 0 success, 2 configuration error, 3 computational failure
 (currently: element-opt quality targets missed under --strict).
 """
@@ -462,29 +466,27 @@ SUBCOMMANDS = tuple(COMMANDS)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Its ``leaf_flags`` take the next token as their value unless it is a
-    long flag, so -1.5e1 too: argparse alone takes only plain negative numbers."""
+    """Takes each of its ``leaf_flags``, as ``--k v`` or ``--k=v``, out of
+    argv as an override, its value parsed as YAML: ``v`` is the next token
+    unless that is a long flag, so -1.5e1 too.  A bare ``--`` ends them."""
 
     def parse_known_args(self, args=None, namespace=None):
-        joined = []
-        for token in sys.argv[1:] if args is None else args:
-            if joined and joined[-1] in self.leaf_flags and not token.startswith("--"):
-                joined[-1] += f"={token}"
+        tokens = iter(sys.argv[1:] if args is None else args)
+        rest, overrides = [], []
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            if flag not in self.leaf_flags:
+                rest += [token, *tokens] if token == "--" else [token]
+            elif not eq and (value := next(tokens, "--")).startswith("--"):
+                self.error(f"argument {flag}: expected one argument")
             else:
-                joined.append(token)
-        return super().parse_known_args(joined, namespace)
-
-
-class _OverrideAction(argparse.Action):
-    """Collect --dotted.name VALUE flags as scenario overrides."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        try:
-            parsed = yaml.safe_load(values)
-        except yaml.YAMLError as exc:
-            parser.error(f"cannot parse value for {option_string}: {exc}")
-        # a new list: the parser's default one is shared by every parse
-        namespace.overrides = [*namespace.overrides, (option_string.lstrip("-"), parsed)]
+                try:
+                    overrides.append((flag[2:], yaml.safe_load(value)))
+                except yaml.YAMLError as exc:
+                    self.error(f"cannot parse value for {flag}: {exc}")
+        namespace, extras = super().parse_known_args(rest, namespace)
+        namespace.overrides = overrides
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,12 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the scenario rng_seed")
     parser.add_argument("--strict", action="store_true",
                         help="exit 3 when quality targets are missed")
-    parser.set_defaults(overrides=[])
     parser.leaf_flags = frozenset(f"--{dotted}" for dotted, _ in iter_leaf_paths())
-    for flag in sorted(parser.leaf_flags):
-        parser.add_argument(flag, action=_OverrideAction,
-                            metavar="VALUE", dest="overrides",
-                            help=argparse.SUPPRESS, default=argparse.SUPPRESS)
     return parser
 
 
@@ -524,11 +521,10 @@ def _resolve_out_dir(args) -> str:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(("rng_seed", int(args.seed)))
+    if args.seed is not None:   # after every leaf flag: each parse makes a new list
+        args.overrides.append(("rng_seed", args.seed))
     try:
-        scn = load_scenario(args.scenario, overrides)
+        scn = load_scenario(args.scenario, args.overrides)
         out_dir = _resolve_out_dir(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -206,6 +206,8 @@ class SweepRange:
 # ElementCircuit field except l_diode_nh, the diode package inductance.
 SWEEP_ORDER = ("c_p_ff", "l_g_nh", "l_v_nh", "l_diode_nh")
 
+DEFAULT_MAX_ROUNDS = 8
+
 
 def _get_parameter(circuit: ElementCircuit, name: str) -> float:
     """The swept value ``name`` of a circuit; the one check of a sweep name,
@@ -275,7 +277,7 @@ def optimize_structure(
     frequency_ghz: float = REF_FREQUENCY_GHZ,
     targets: DesignTargets = DesignTargets(),
     sweeps: dict[str, SweepRange] | None = None,
-    max_rounds: int = 8,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> OptimizeResult:
     """Alternating one-parameter sweeps of the element structure.
 

@@ -35,6 +35,10 @@ _MU_BY_SCS_KHZ = {15: 0, 30: 1, 60: 2, 120: 3, 240: 4}
 MAX_ACLR_SYMBOLS = 1024
 MAX_EVM_SYMBOLS = 10_000_000
 
+DEFAULT_ACLR_SYMBOLS = 64
+DEFAULT_EVM_SYMBOLS = 100_000
+DEFAULT_CHANNEL_BANDWIDTH_MHZ = 400.0
+
 # Rows per pass of the blocked transforms.  A row block of np.fft.fft /
 # ifft gives the same values as the whole-array call; the link tests
 # compare both paths to the bit.
@@ -52,7 +56,7 @@ class LinkScenario:
 
     d_m: float = 4.0
     center_freq_ghz: float = 26.0
-    bandwidth_mhz: float = 400.0
+    bandwidth_mhz: float = DEFAULT_CHANNEL_BANDWIDTH_MHZ
     tx_power_dbm: float = 1.0
     tx_antenna_gain_dbi: float = 22.2
     rx_antenna_gain_dbi: float = 22.0
@@ -210,7 +214,7 @@ def constellation(modulation: str) -> np.ndarray:
 
 
 def simulate_evm_at(snr_db: float, tx_evm_floor: float, modulation: str,
-                    n_symbols: int = 100_000, rng_seed: int = 0) -> float:
+                    n_symbols: int = DEFAULT_EVM_SYMBOLS, rng_seed: int = 0) -> float:
     """Monte Carlo EVM at an explicit SNR.
 
     The symbol draw and the error draw use independent child streams of
@@ -245,7 +249,7 @@ def simulate_evm_at(snr_db: float, tx_evm_floor: float, modulation: str,
     return float(np.sqrt(np.mean(np.square(power, out=power))))
 
 
-def simulate_evm(scenario: LinkScenario, n_symbols: int = 100_000,
+def simulate_evm(scenario: LinkScenario, n_symbols: int = DEFAULT_EVM_SYMBOLS,
                  rng_seed: int = 0) -> float:
     return simulate_evm_at(link_budget(scenario), scenario.tx_evm_floor,
                            scenario.modulation, n_symbols, rng_seed)
@@ -284,7 +288,7 @@ class WaveformConfig:
     fft_size: int = 16384
     cp_samples: int = 1152
     window_samples: int = 512
-    occupied_subcarriers: int = 3168
+    occupied_subcarriers: int = 12 * PRB_TABLE_120KHZ[round(DEFAULT_CHANNEL_BANDWIDTH_MHZ)]
     scs_khz: float = 120.0
     modulation: str = "64QAM"
 
@@ -303,10 +307,6 @@ class WaveformConfig:
     @property
     def sample_rate_hz(self) -> float:
         return self.fft_size * self.scs_khz * 1e3
-
-    @property
-    def occupied_bandwidth_hz(self) -> float:
-        return self.occupied_subcarriers * self.scs_khz * 1e3
 
 
 def _ofdm_pieces(config: WaveformConfig, n_symbols: int, rng_seed: int):
@@ -355,7 +355,8 @@ def _record_rms(config: WaveformConfig, n_symbols: int, rng_seed: int) -> tuple[
     return len(power), np.sqrt(np.mean(np.square(power, out=power)))
 
 
-def ofdm_waveform(config: WaveformConfig = WaveformConfig(), n_symbols: int = 64,
+def ofdm_waveform(config: WaveformConfig = WaveformConfig(),
+                  n_symbols: int = DEFAULT_ACLR_SYMBOLS,
                   rng_seed: int = 0) -> np.ndarray:
     """Windowed CP-OFDM block, unit average power.
 
@@ -481,8 +482,9 @@ def aclr(samples: np.ndarray, sample_rate_hz: float,
 
 
 def measure_aclr(pa: PaModel, config: WaveformConfig = WaveformConfig(),
-                 n_symbols: int = 64, rng_seed: int = 0,
-                 channel_bandwidth_hz: float = 400e6) -> list[float]:
+                 n_symbols: int = DEFAULT_ACLR_SYMBOLS, rng_seed: int = 0,
+                 channel_bandwidth_hz: float = DEFAULT_CHANNEL_BANDWIDTH_MHZ * 1e6
+                 ) -> list[float]:
     """ACLR of the amplified default waveform at +-1 channel offsets.
 
     The values equal aclr(apply_pa(ofdm_waveform(...), pa), ...) to the

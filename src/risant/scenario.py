@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 import yaml
 
 from .element import (
+    DEFAULT_MAX_ROUNDS,
     DEFAULT_START_CIRCUIT,
     DEFAULT_SWEEPS,
     DESIGN_CIRCUIT,
@@ -41,6 +42,9 @@ from .geometry import (
     RisArray,
 )
 from .link import (
+    DEFAULT_ACLR_SYMBOLS,
+    DEFAULT_CHANNEL_BANDWIDTH_MHZ,
+    DEFAULT_EVM_SYMBOLS,
     MAX_ACLR_SYMBOLS,
     MAX_EVM_SYMBOLS,
     PRB_TABLE_120KHZ,
@@ -50,7 +54,12 @@ from .link import (
     XpdModel,
 )
 from .pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
-from .synthesis import DEFAULT_ACCEPT_THRESHOLD_DB, SCAN_SECTOR
+from .synthesis import (
+    DEFAULT_ACCEPT_THRESHOLD_DB,
+    DEFAULT_CODEBOOK_BRANCHING,
+    DEFAULT_CODEBOOK_LEVELS,
+    SCAN_SECTOR,
+)
 
 
 class ScenarioError(Exception):
@@ -81,7 +90,7 @@ DEFAULT_SCENARIO = {
                    "l_diode_nh": DESIGN_CIRCUIT.diode.l_diode_nh},
         "sweeps": {name: [r.lo, r.hi, r.step] for name, r in DEFAULT_SWEEPS.items()},
         "targets": _defaults(DesignTargets),
-        "max_rounds": 8,
+        "max_rounds": DEFAULT_MAX_ROUNDS,
     },
     "array": _defaults(RisArray),
     "feed": {
@@ -101,24 +110,26 @@ DEFAULT_SCENARIO = {
     },
     "link": {
         **_defaults(LinkScenario),
-        "evm_symbols": 100000,
+        "evm_symbols": DEFAULT_EVM_SYMBOLS,
         "sweep_distances_m": [1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0,
                               14.0, 16.0, 18.0, 20.0],
         "pa": _defaults(PaModel),
-        "aclr": {"centers_ghz": [25.2, 26.8], "channel_bandwidth_mhz": 400.0,
-                 "n_symbols": 64, "aod_az_deg": [-60.0, -30.0, 0.0, 30.0, 60.0]},
+        "aclr": {"centers_ghz": [25.2, 26.8],
+                 "channel_bandwidth_mhz": DEFAULT_CHANNEL_BANDWIDTH_MHZ,
+                 "n_symbols": DEFAULT_ACLR_SYMBOLS,
+                 "aod_az_deg": [-60.0, -30.0, 0.0, 30.0, 60.0]},
         "stream_gains_dbi": {"h": 22.01, "v": 22.11},
         "xpd_db": {"h": XpdModel.h_antenna_db, "v": XpdModel.v_antenna_db},
         "dual": {"d_m": 3.0, "center_freq_ghz": 26.6},
     },
     "frame": _defaults(FrameConfig),
     "training": {
-        "n_levels": 3,
-        "branching": 4,
+        "n_levels": DEFAULT_CODEBOOK_LEVELS,
+        "branching": DEFAULT_CODEBOOK_BRANCHING,
         "pilot_snr_db": 5.0,
         "n_trials": 200,
         "accept_threshold_db": DEFAULT_ACCEPT_THRESHOLD_DB,
-        "sector_az_deg": [-60.0, 60.0],
+        "sector_az_deg": list(SCAN_SECTOR[0]),
         "el_deg": 0.0,
     },
 }

@@ -34,6 +34,8 @@ from .pattern import (
 SCAN_SECTOR = ((-60.0, 60.0), (-30.0, 30.0))
 
 DEFAULT_ACCEPT_THRESHOLD_DB = -6.0
+DEFAULT_CODEBOOK_LEVELS = 3
+DEFAULT_CODEBOOK_BRANCHING = 4
 
 
 def required_phases(assembly: AntennaAssembly, target: Direction,
@@ -284,8 +286,9 @@ class Codebook:
         return s_lo, s_lo + width
 
 
-def build_codebook(assembly: AntennaAssembly, sector_az=(-60.0, 60.0),
-                   n_levels: int = 3, branching: int = 4,
+def build_codebook(assembly: AntennaAssembly, sector_az=SCAN_SECTOR[0],
+                   n_levels: int = DEFAULT_CODEBOOK_LEVELS,
+                   branching: int = DEFAULT_CODEBOOK_BRANCHING,
                    quantize: bool = True, el_deg: float = 0.0) -> Codebook:
     """Wide-to-narrow beam hierarchy; leaves are narrow beams.
 

@@ -29,7 +29,7 @@ from risant.element import SweepRange
 from risant.feedopt import FeedSearchSpace
 from risant.link import MAX_ACLR_SYMBOLS, MAX_EVM_SYMBOLS
 from risant.pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
-from risant.scenario import iter_leaf_paths, resolve_scenario
+from risant.scenario import _LITERALS, iter_leaf_paths, resolve_scenario
 
 # overrides that keep each subcommand cheap without changing its shape
 FAST_ARGS = {
@@ -125,6 +125,44 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             cli.build_parser().parse_args(["pattern", "--pattern.target.az_deg", "--seed", "1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv, command, overrides, seed", [
+        (["rate", "--frame.overhead", "0.18"], "rate", [("frame.overhead", 0.18)], None),
+        (["rate", "--frame.overhead=0.18"], "rate", [("frame.overhead", 0.18)], None),
+        (["rate", "--frame.overhead", "0.1", "--frame.overhead=0.2"], "rate",
+         [("frame.overhead", 0.1), ("frame.overhead", 0.2)], None),
+        (["--frame.overhead", "0.18", "rate"], "rate", [("frame.overhead", 0.18)], None),
+        (["pattern", "--pattern.target.az_deg", "-1.5e1"], "pattern",
+         [("pattern.target.az_deg", "-1.5e1")], None),
+        (["pattern", "--pattern.target.az_deg=-1.5e1"], "pattern",
+         [("pattern.target.az_deg", "-1.5e1")], None),
+        (["geometry", "--array.n_x", "-3"], "geometry", [("array.n_x", -3)], None),
+        (["pattern", "--pattern.target.el_deg", "-0.5"], "pattern",
+         [("pattern.target.el_deg", -0.5)], None),
+        (["steer", "--pattern.scan_az_deg", "[-30.0, 0, 30]"], "steer",
+         [("pattern.scan_az_deg", [-30.0, 0, 30])], None),
+        (["rate", "--frame.overhead="], "rate", [("frame.overhead", None)], None),
+        (["rate", "--rng_seed", "3", "--seed", "7"], "rate", [("rng_seed", 3)], 7),
+    ])
+    def test_leaf_flags_give_the_overrides_in_argv_order(self, argv, command, overrides,
+                                                         seed):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.command, args.overrides, args.seed) == (command, overrides, seed)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rate", "--frame.overhead"], "argument --frame.overhead: expected one argument"),
+        (["rate", "--frame.overhead", "--seed", "7"],
+         "argument --frame.overhead: expected one argument"),
+        (["rate", "--link.bogus", "1"], "--link.bogus"),
+        (["rate", "--frame.over", "0.1"], "--frame.over"),
+        (["pattern", "--feed.position_mm", "[1, 2"], "cannot parse value for --feed.position_mm"),
+        (["rate", "--", "--frame.overhead", "0.1"], "--frame.overhead"),
+    ])
+    def test_bad_leaf_flag_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_exponent_form_writes_the_plain_value_pattern(self, tmp_path):
         a, b = tmp_path / "exponent", tmp_path / "plain"
@@ -417,6 +455,92 @@ class TestCsvFormatting:
         assert "true" in flags
 
 
+# each _LITERALS key with a value just outside its check, .inf where a
+# number is read and true where an integer is read; every key resolves when
+# the scenario loads, so the cheapest command serves all of the new rows
+_BAD_LITERAL_VALUES = [
+        ("rate", "rng_seed", "foo"),
+        ("rate", "rng_seed", "1.5"),
+        ("link", "link.evm_symbols", "foo"),
+        ("train", "training.n_trials", "0"),
+        ("pattern", "pattern.step_deg", "0"),
+        ("pattern", "pattern.step_deg", "200"),
+        ("evm-sweep", "link.sweep_distances_m", "[]"),
+        ("evm-sweep", "link.sweep_distances_m", "[4.0, 2.0]"),
+        ("evm-sweep", "link.sweep_distances_m", "[0, 1]"),
+        ("train", "training.n_trials", "true"),
+        ("train", "training.sector_az_deg", "[10, 10]"),
+        ("widebeam", "pattern.widebeam.n_subapertures", "foo"),
+        ("aclr-sweep", "link.aclr.n_symbols", "foo"),
+        ("element-opt", "element.max_rounds", "foo"),
+        ("dual-stream", "link.stream_gains_dbi.h", "foo"),
+        ("train", "training.branching", "0"),
+        ("widebeam", "pattern.widebeam.sector_az_deg", "[10.0,-10.0]"),
+        ("pattern", "pattern.target.az_deg", "80"),
+        ("steer", "pattern.scan_az_deg", "[80.0]"),
+        ("train", "training.sector_az_deg", "[-80.0,80.0]"),
+        ("rate", "rng_seed", "-1"),
+    ("rate", "rng_seed", ".inf"),
+    ("rate", "rng_seed", "true"),
+    ("rate", "element.max_rounds", "-1"),
+    ("rate", "element.max_rounds", ".inf"),
+    ("rate", "element.max_rounds", "true"),
+    ("rate", "pattern.frequency_ghz", "0"),
+    ("rate", "pattern.step_deg", "90.01"),
+    ("rate", "pattern.step_deg", "0.099"),
+    ("rate", "pattern.step_deg", ".inf"),
+    ("rate", "pattern.target.az_deg", "-60.01"),
+    ("rate", "pattern.target.az_deg", ".inf"),
+    ("rate", "pattern.target.el_deg", "30.01"),
+    ("rate", "pattern.target.el_deg", "-30.01"),
+    ("rate", "pattern.target.el_deg", ".inf"),
+    ("rate", "pattern.scan_az_deg", "[0.0, 60.01]"),
+    ("rate", "pattern.scan_az_deg", "[-.inf]"),
+    ("rate", "pattern.scan_el_deg", "[-30.01]"),
+    ("rate", "pattern.scan_el_deg", "[.inf]"),
+    ("rate", "pattern.widebeam.sector_az_deg", "[-60.01, 0.0]"),
+    ("rate", "pattern.widebeam.sector_az_deg", "[0.0, 0.0]"),
+    ("rate", "pattern.widebeam.sector_az_deg", "[0.0, .inf]"),
+    ("rate", "pattern.widebeam.el_deg", "30.01"),
+    ("rate", "pattern.widebeam.el_deg", ".inf"),
+    ("rate", "pattern.widebeam.n_subapertures", "0"),
+    ("rate", "pattern.widebeam.n_subapertures", ".inf"),
+    ("rate", "pattern.widebeam.n_subapertures", "true"),
+    ("rate", "pattern.incidence.enabled", "1"),
+    ("rate", "pattern.compensate_incidence", "1"),
+    ("rate", "link.evm_symbols", "0"),
+    ("rate", "link.evm_symbols", str(MAX_EVM_SYMBOLS + 1)),
+    ("rate", "link.evm_symbols", ".inf"),
+    ("rate", "link.evm_symbols", "true"),
+    ("rate", "link.sweep_distances_m", "[-0.01, 1.0]"),
+    ("rate", "link.sweep_distances_m", "[1.0, .inf]"),
+    ("rate", "link.aclr.centers_ghz", "[.inf]"),
+    ("rate", "link.aclr.channel_bandwidth_mhz", "401"),
+    ("rate", "link.aclr.channel_bandwidth_mhz", "300"),
+    ("rate", "link.aclr.channel_bandwidth_mhz", ".inf"),
+    ("rate", "link.aclr.n_symbols", "0"),
+    ("rate", "link.aclr.n_symbols", str(MAX_ACLR_SYMBOLS + 1)),
+    ("rate", "link.aclr.n_symbols", ".inf"),
+    ("rate", "link.aclr.n_symbols", "true"),
+    ("rate", "link.aclr.aod_az_deg", "[-.inf]"),
+    ("rate", "link.stream_gains_dbi.h", ".inf"),
+    ("rate", "link.stream_gains_dbi.v", "-.inf"),
+    ("rate", "training.n_levels", "0"),
+    ("rate", "training.n_levels", ".inf"),
+    ("rate", "training.n_levels", "true"),
+    ("rate", "training.branching", "1"),
+    ("rate", "training.branching", ".inf"),
+    ("rate", "training.branching", "true"),
+    ("rate", "training.pilot_snr_db", ".inf"),
+    ("rate", "training.n_trials", ".inf"),
+    ("rate", "training.accept_threshold_db", "-.inf"),
+    ("rate", "training.sector_az_deg", "[0.0, 60.01]"),
+    ("rate", "training.sector_az_deg", "[.inf, 0.0]"),
+    ("rate", "training.el_deg", "-30.01"),
+    ("rate", "training.el_deg", ".inf"),
+]
+
+
 class TestFailureModes:
     def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
         rc = main(["rate", "--scenario", str(tmp_path / "absent.yaml"),
@@ -476,34 +600,16 @@ class TestFailureModes:
         assert "scenario error" in err and flag in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command, flag, value", [
-        ("rate", "rng_seed", "foo"),
-        ("rate", "rng_seed", "1.5"),
-        ("link", "link.evm_symbols", "foo"),
-        ("train", "training.n_trials", "0"),
-        ("pattern", "pattern.step_deg", "0"),
-        ("pattern", "pattern.step_deg", "200"),
-        ("evm-sweep", "link.sweep_distances_m", "[]"),
-        ("evm-sweep", "link.sweep_distances_m", "[4.0, 2.0]"),
-        ("evm-sweep", "link.sweep_distances_m", "[0, 1]"),
-        ("train", "training.n_trials", "true"),
-        ("train", "training.sector_az_deg", "[10, 10]"),
-        ("widebeam", "pattern.widebeam.n_subapertures", "foo"),
-        ("aclr-sweep", "link.aclr.n_symbols", "foo"),
-        ("element-opt", "element.max_rounds", "foo"),
-        ("dual-stream", "link.stream_gains_dbi.h", "foo"),
-        ("train", "training.branching", "0"),
-        ("widebeam", "pattern.widebeam.sector_az_deg", "[10.0,-10.0]"),
-        ("pattern", "pattern.target.az_deg", "80"),
-        ("steer", "pattern.scan_az_deg", "[80.0]"),
-        ("train", "training.sector_az_deg", "[-80.0,80.0]"),
-    ])
+    @pytest.mark.parametrize("command, flag, value", _BAD_LITERAL_VALUES)
     def test_bad_literal_value_exits_2(self, command, flag, value, tmp_path, capsys):
         rc = main([command, f"--{flag}", value, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "scenario error" in err and flag in err
+        assert f"scenario error: {flag} must be" in err
         assert "Traceback" not in err
+
+    def test_every_literal_key_has_a_bad_value(self):
+        assert {flag for _, flag, _ in _BAD_LITERAL_VALUES} == set(_LITERALS)
 
     @pytest.mark.parametrize("overrides", [
         ["--pattern.widebeam.n_subapertures", "33"],

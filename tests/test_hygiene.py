@@ -131,7 +131,7 @@ def test_readme_common_flags_are_the_parser_options():
     paragraph = README.read_text(encoding="utf-8").split("Common flags:", 1)[1]
     documented = set(re.findall(r"--[a-z][\w-]*", paragraph.split("\n\n", 1)[0]))
     options = {option for action in build_parser()._actions
-               if action.dest != "overrides" for option in action.option_strings}
+               for option in action.option_strings}
     assert documented == options - {"-h", "--help", "--version"}
 
 

@@ -183,8 +183,9 @@ class TestWaveform:
         freqs, psd = sp_signal.welch(w, fs=cfg.sample_rate_hz, window="hann",
                                      nperseg=4096, return_onesided=False,
                                      detrend=False)
-        inband = np.abs(freqs) <= 0.45 * cfg.occupied_bandwidth_hz
-        outband = np.abs(freqs) >= 0.65 * cfg.occupied_bandwidth_hz
+        occupied_hz = cfg.occupied_subcarriers * cfg.scs_khz * 1e3
+        inband = np.abs(freqs) <= 0.45 * occupied_hz
+        outband = np.abs(freqs) >= 0.65 * occupied_hz
         skirt = 10 * np.log10(psd[inband].mean() / psd[outband].max())
         assert skirt > 40.0
 
