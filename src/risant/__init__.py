@@ -24,11 +24,9 @@ from .element import (
 )
 from .feedopt import (
     EfficiencyBreakdown,
-    FeedPlacementResult,
     FeedSearchSpace,
     aperture_efficiency,
     coarse_optimize_feed,
-    optimize_feed,
     refine_feed,
 )
 from .geometry import (

@@ -29,7 +29,7 @@ import yaml
 
 from . import __version__
 from .element import SweepRangeError, optimize_structure
-from .feedopt import aperture_efficiency, optimize_feed
+from .feedopt import aperture_efficiency, coarse_optimize_feed, refine_feed
 from .geometry import Direction
 from .link import (
     EVM_LIMIT,
@@ -245,18 +245,18 @@ def cmd_widebeam(scn: Scenario, out: str) -> tuple[list[str], str]:
 
 def cmd_feed_opt(scn: Scenario, out: str) -> tuple[list[str], str]:
     asm = scn.build_assembly()
-    result = optimize_feed(asm, scn.build_feed_space())
+    coarse = coarse_optimize_feed(asm, scn.build_feed_space())
+    refined = refine_feed(asm, coarse.position_mm)
     nominal = aperture_efficiency(asm)
     refined_breakdown = aperture_efficiency(
-        replace(asm, feed=replace(asm.feed,
-                                  position_mm=result.refined.position_mm)))
+        replace(asm, feed=replace(asm.feed, position_mm=refined.position_mm)))
     payload = {
         "nominal_position_mm": list(asm.feed.position_mm),
         "nominal_predicted_gain_dbi": nominal.predicted_gain_dbi,
-        "coarse_position_mm": list(result.coarse.position_mm),
-        "coarse_predicted_gain_dbi": result.coarse.predicted_gain_dbi,
-        "refined_position_mm": list(result.refined.position_mm),
-        "refined_realized_gain_dbi": result.refined.realized_gain_dbi,
+        "coarse_position_mm": list(coarse.position_mm),
+        "coarse_predicted_gain_dbi": coarse.predicted_gain_dbi,
+        "refined_position_mm": list(refined.position_mm),
+        "refined_realized_gain_dbi": refined.realized_gain_dbi,
         "refined_predicted_gain_dbi": refined_breakdown.predicted_gain_dbi,
         "eta_spillover": refined_breakdown.eta_spillover,
         "eta_illumination": refined_breakdown.eta_illumination,
@@ -265,21 +265,21 @@ def cmd_feed_opt(scn: Scenario, out: str) -> tuple[list[str], str]:
         write_json(os.path.join(out, "feed_opt.json"), payload),
         write_csv(os.path.join(out, "feed_scan.csv"),
                   ["x_mm", "y_mm", "z_mm", "eta_spillover", "eta_illumination",
-                   "predicted_gain_dbi"], result.coarse.evaluations),
+                   "predicted_gain_dbi"], coarse.evaluations),
         write_csv(os.path.join(out, "feed_refine.csv"),
-                  ["dx_mm", "dy_mm", "dz_mm", "realized_gain_dbi"],
-                  result.refined.evaluations),
+                  ["dx_mm", "dy_mm", "dz_mm", "realized_gain_dbi"], refined.evaluations),
     ]
-    x, y, z = result.refined.position_mm
+    x, y, z = refined.position_mm
     return outputs, (f"feed-opt: refined ({x:.1f}, {y:.1f}, {z:.1f}) mm, "
-                     f"{result.refined.realized_gain_dbi:.2f} dBi realized")
+                     f"{refined.realized_gain_dbi:.2f} dBi realized")
 
 
 def cmd_link(scn: Scenario, out: str) -> tuple[list[str], str]:
     ls = scn.build_link()
     snr = link_budget(ls)
     evm_cf = evm_closed_form(snr, ls.tx_evm_floor)
-    evm_mc = simulate_evm(ls, scn.literal("link.evm_symbols"), scn.rng_seed)
+    evm_mc = simulate_evm(snr, ls.tx_evm_floor, ls.modulation,
+                          scn.literal("link.evm_symbols"), scn.rng_seed)
     payload = {
         "d_m": ls.d_m, "center_freq_ghz": ls.center_freq_ghz,
         "bandwidth_mhz": ls.bandwidth_mhz, "modulation": ls.modulation,

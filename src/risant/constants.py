@@ -6,11 +6,17 @@ C_MPS = 299792458.0          # speed of light, m/s
 ETA0_OHM = 376.730313668     # free-space wave impedance, ohm
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
+# Highest carrier the models take: 10 THz, the top of the terahertz band
+# (the element circuit and the NR numerology are radio models).  Far past it
+# the wavelength underflows, to 0 above about 1.8e299 GHz.
+MAX_FREQUENCY_GHZ = 1e4
+
 
 def wavelength_m(frequency_ghz: float) -> float:
-    """Free-space wavelength in metres."""
-    if frequency_ghz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency_ghz} GHz")
+    """Free-space wavelength in metres, of a frequency in (0, MAX_FREQUENCY_GHZ]."""
+    if not 0.0 < frequency_ghz <= MAX_FREQUENCY_GHZ:
+        raise ValueError(f"frequency must be in (0, {MAX_FREQUENCY_GHZ:g}] GHz, "
+                         f"got {frequency_ghz} GHz")
     return C_MPS / (frequency_ghz * 1e9)
 
 

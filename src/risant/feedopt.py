@@ -96,7 +96,6 @@ class FeedSearchSpace:
 class EfficiencyBreakdown:
     eta_spillover: float
     eta_illumination: float
-    directivity_dbi: float       # aperture upper bound
     predicted_gain_dbi: float
 
 
@@ -116,7 +115,7 @@ def _efficiencies(assembly: AntennaAssembly, feeds, n_grid: int) -> list:
         for eta_s, amp in zip(_spillover(assembly.array, chunk, n_grid), amplitudes):
             eta_i = taper_efficiency(amp)
             predicted = d_max + db10(eta_s * eta_i) + PREDICTED_LOSS_DB
-            out.append(EfficiencyBreakdown(eta_s, eta_i, d_max, float(predicted)))
+            out.append(EfficiencyBreakdown(eta_s, eta_i, float(predicted)))
     return out
 
 
@@ -199,7 +198,6 @@ def _nelder_mead(cost, x0, lb, ub, xatol, fatol, maxiter):
 class CoarseFeedResult:
     position_mm: tuple[float, float, float]
     predicted_gain_dbi: float
-    grid_best_mm: tuple[float, float, float]
     evaluations: list  # rows: (x, y, z, eta_s, eta_i, predicted_gain)
 
 
@@ -233,7 +231,6 @@ def coarse_optimize_feed(assembly: AntennaAssembly,
     return CoarseFeedResult(
         position_mm=tuple(float(v) for v in position),
         predicted_gain_dbi=float(grid_gain),
-        grid_best_mm=grid_best,
         evaluations=rows,
     )
 
@@ -257,33 +254,17 @@ def refine_feed(assembly: AntennaAssembly, candidate_mm) -> RefinedFeedResult:
     the full pattern engine.
 
     The first offset is zero, so the refined result never falls below the
-    candidate's realized gain; ties keep the earliest offset.
+    candidate's realized gain; ties keep the earliest offset.  An offset
+    that would put the feed on or behind the aperture (z <= 0) is skipped
+    and has no row.
     """
-    offsets = np.asarray(REFINE_OFFSETS_MM, dtype=float)
     candidate = np.asarray(candidate_mm, dtype=float)
-    rows = []
-    best_idx = 0
-    for i, delta in enumerate(offsets):
-        gain = realized_feed_gain(assembly, candidate + delta)
-        rows.append((float(delta[0]), float(delta[1]), float(delta[2]), float(gain)))
-        if gain > rows[best_idx][3]:
-            best_idx = i
-    chosen = candidate + offsets[best_idx]
+    rows = [(*delta, realized_feed_gain(assembly, candidate + delta))
+            for delta in REFINE_OFFSETS_MM if candidate[2] + delta[2] > 0]
+    # the first of equal gains, as a strict > over the rows in offset order
+    best = max(rows, key=lambda row: row[3])
     return RefinedFeedResult(
-        position_mm=tuple(float(v) for v in chosen),
-        realized_gain_dbi=rows[best_idx][3],
+        position_mm=tuple(float(v) for v in candidate + best[:3]),
+        realized_gain_dbi=best[3],
         evaluations=rows,
     )
-
-
-@dataclass(frozen=True)
-class FeedPlacementResult:
-    coarse: CoarseFeedResult
-    refined: RefinedFeedResult
-
-
-def optimize_feed(assembly: AntennaAssembly,
-                  space: FeedSearchSpace = FeedSearchSpace()) -> FeedPlacementResult:
-    coarse = coarse_optimize_feed(assembly, space)
-    refined = refine_feed(assembly, coarse.position_mm)
-    return FeedPlacementResult(coarse=coarse, refined=refined)

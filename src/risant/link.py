@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constants import C_MPS, THERMAL_NOISE_DBM_PER_HZ, db10, from_db10
+from .constants import THERMAL_NOISE_DBM_PER_HZ, db10, from_db10, wavelength_m
 
 EVM_LIMIT = 0.08                  # transmit quality bound for 64QAM downlink
 ACLR_LIMIT_DBC = -28.0            # adjacent-channel leakage compliance bound
@@ -67,8 +67,7 @@ class LinkScenario:
     def __post_init__(self):
         if self.d_m <= 0:
             raise ValueError("distance must be positive")
-        if self.center_freq_ghz <= 0:
-            raise ValueError("centre frequency must be positive")
+        wavelength_m(self.center_freq_ghz)   # checks the frequency
         if self.bandwidth_mhz <= 0:
             raise ValueError("bandwidth must be positive")
         if not 0.0 <= self.tx_evm_floor < 0.5:
@@ -162,10 +161,9 @@ class XpdModel:
 
 def path_loss_fspl(d_m: float, frequency_ghz: float) -> float:
     """Free-space path loss 20 log10(4 pi d / lambda), dB."""
-    if d_m <= 0 or frequency_ghz <= 0:
-        raise ValueError("distance and frequency must be positive")
-    lam = C_MPS / (frequency_ghz * 1e9)
-    return 20.0 * math.log10(4.0 * math.pi * d_m / lam)
+    if d_m <= 0:
+        raise ValueError("distance must be positive")
+    return 20.0 * math.log10(4.0 * math.pi * d_m / wavelength_m(frequency_ghz))
 
 
 def noise_power_dbm(bandwidth_mhz: float, noise_figure_db: float) -> float:
@@ -213,8 +211,8 @@ def constellation(modulation: str) -> np.ndarray:
     return points / math.sqrt(2.0 * (order - 1) / 3.0)
 
 
-def simulate_evm_at(snr_db: float, tx_evm_floor: float, modulation: str,
-                    n_symbols: int = DEFAULT_EVM_SYMBOLS, rng_seed: int = 0) -> float:
+def simulate_evm(snr_db: float, tx_evm_floor: float, modulation: str,
+                 n_symbols: int = DEFAULT_EVM_SYMBOLS, rng_seed: int = 0) -> float:
     """Monte Carlo EVM at an explicit SNR.
 
     The symbol draw and the error draw use independent child streams of
@@ -247,12 +245,6 @@ def simulate_evm_at(snr_db: float, tx_evm_floor: float, modulation: str,
     err -= ref
     power = np.abs(err)
     return float(np.sqrt(np.mean(np.square(power, out=power))))
-
-
-def simulate_evm(scenario: LinkScenario, n_symbols: int = DEFAULT_EVM_SYMBOLS,
-                 rng_seed: int = 0) -> float:
-    return simulate_evm_at(link_budget(scenario), scenario.tx_evm_floor,
-                           scenario.modulation, n_symbols, rng_seed)
 
 
 def evm_vs_distance(scenario: LinkScenario,

@@ -76,7 +76,7 @@ def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG):
 # Assemblies are immutable value types, so the spillover integral and the
 # illumination can be memoized per instance; repeated pattern evaluations
 # on one assembly (steering sweeps, beam training) would otherwise redo
-# them every call.  Each assembly maps to {(function name, argument): value}.
+# them every call.  Each assembly maps to {"spillover": float, "illumination": array}.
 _assembly_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -128,22 +128,21 @@ def _spillover(array, feeds, n_grid: int) -> list[float]:
             for s, f in zip(sums, feeds)]
 
 
-def spillover_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> float:
+def spillover_efficiency(assembly: AntennaAssembly) -> float:
     """Fraction of the feed's radiated power intercepted by the aperture.
 
     The cos^q power pattern is normalized over the feed's forward
     hemisphere and integrated over the solid angle subtended by the
-    aperture rectangle (midpoint rule on an n_grid x n_grid mesh).  With
-    the feed on the y = 0 plane and a mesh whose y axis is its own mirror
-    image (any period whose midpoints are exact, e.g. 5 mm), the integrand
-    is formed on the first ceil(n_grid / 2) rows and mirrored, with the
-    same bits as the full mesh.
+    aperture rectangle (midpoint rule on a 256 x 256 mesh).  With the feed
+    on the y = 0 plane and a mesh whose y axis is its own mirror image (any
+    period whose midpoints are exact, e.g. 5 mm), the integrand is formed
+    on the first 128 rows and mirrored, with the same bits as the full
+    mesh.
     """
     cached = _assembly_memo.setdefault(assembly, {})
-    key = ("spillover", n_grid)
-    if key not in cached:
-        cached[key] = _spillover(assembly.array, [assembly.feed], n_grid)[0]
-    return cached[key]
+    if "spillover" not in cached:
+        cached["spillover"] = _spillover(assembly.array, [assembly.feed], 256)[0]
+    return cached["spillover"]
 
 
 def taper_efficiency(amplitudes: np.ndarray) -> float:
@@ -165,26 +164,23 @@ def _illumination(assembly: AntennaAssembly, feeds):
     return _unfold(amp, ys.size), _unfold(amp * np.exp(1j * phase), ys.size)
 
 
-def illumination(assembly: AntennaAssembly, normalize: bool = True) -> np.ndarray:
+def illumination(assembly: AntennaAssembly) -> np.ndarray:
     """Complex feed illumination per element.
 
     Amplitude follows the cos^(q/2) field taper over spherical spreading
-    1/r; phase is the feed-path delay -k*r.  When ``normalize`` is set
-    the amplitudes are scaled so the total intercepted power equals the
-    spillover efficiency (and therefore never exceeds one).  The array is
-    memoized per assembly and read-only.
+    1/r; phase is the feed-path delay -k*r.  The amplitudes are scaled so
+    the total intercepted power equals the spillover efficiency (and
+    therefore never exceeds one).  The array is memoized per assembly and
+    read-only.
     """
     cached = _assembly_memo.setdefault(assembly, {})
-    key = ("illumination", normalize)
-    if key in cached:
-        return cached[key]
-    amp, a = _illumination(assembly, [assembly.feed])
-    a = a.ravel()
-    if normalize:
+    if "illumination" not in cached:
+        amp, a = _illumination(assembly, [assembly.feed])
+        a = a.ravel()
         a *= math.sqrt(spillover_efficiency(assembly) / np.sum(amp**2))
-    a.flags.writeable = False
-    cached[key] = a
-    return a
+        a.flags.writeable = False
+        cached["illumination"] = a
+    return cached["illumination"]
 
 
 def state_reflections(assembly: AntennaAssembly):

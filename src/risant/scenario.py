@@ -21,8 +21,10 @@ import math
 import typing
 from dataclasses import dataclass, fields
 
+import numpy as np
 import yaml
 
+from .constants import MAX_FREQUENCY_GHZ
 from .element import (
     DEFAULT_MAX_ROUNDS,
     DEFAULT_START_CIRCUIT,
@@ -53,7 +55,7 @@ from .link import (
     PaModel,
     XpdModel,
 )
-from .pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
+from .pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG, spillover_efficiency
 from .synthesis import (
     DEFAULT_ACCEPT_THRESHOLD_DB,
     DEFAULT_CODEBOOK_BRANCHING,
@@ -162,7 +164,8 @@ def _sector(lo, hi):
 _LITERALS = {
     "rng_seed": (int, lambda v: v >= 0, "a non-negative integer"),
     "element.max_rounds": (int, lambda v: v >= 0, "a non-negative integer"),
-    "pattern.frequency_ghz": (float, lambda v: v > 0, "a positive number"),
+    "pattern.frequency_ghz": (float, lambda v: 0 < v <= MAX_FREQUENCY_GHZ,
+                              f"a frequency in (0, {MAX_FREQUENCY_GHZ:g}] GHz"),
     "pattern.step_deg": (float, _inside(MIN_GRID_STEP_DEG, 90.0),
                          f"a step in [{MIN_GRID_STEP_DEG}, 90] deg (at most "
                          f"{2 * round(90 / MIN_GRID_STEP_DEG) + 1} directions an axis)"),
@@ -255,10 +258,15 @@ def _build(cls, section: dict, dotted: str, **given):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        defaults = dict(iter_leaf_paths())
-        changed = [f"{dotted}.{key}" for key, raw in used.items()
-                   if raw != defaults.get(f"{dotted}.{key}")]
-        raise ScenarioError(f"{', '.join(changed) or dotted}: {exc}") from None
+        raise ScenarioError(f"{', '.join(_changed(used, dotted)) or dotted}: {exc}") from None
+
+
+def _changed(section: dict, dotted: str) -> list[str]:
+    """Dotted names of the values of ``section`` (subsections aside) that
+    differ from their defaults."""
+    defaults = dict(iter_leaf_paths())
+    return [f"{dotted}.{key}" for key, raw in section.items()
+            if not isinstance(raw, dict) and raw != defaults.get(f"{dotted}.{key}")]
 
 
 def _merge(defaults, user, path=""):
@@ -340,9 +348,18 @@ class Scenario:
                  if self.literal("pattern.incidence.enabled") else None)
         array, xpd = self.build_array(), self.build_xpd()
         cross_pol = xpd.h_antenna_db if array.polarization == "H" else xpd.v_antenna_db
-        return _build(AntennaAssembly, p, "pattern", array=array, cross_pol_db=cross_pol,
-                      feed=self.build_feed(), incidence_model=model,
-                      element_circuit=self.build_design_circuit())
+        assembly = _build(AntennaAssembly, p, "pattern", array=array, cross_pol_db=cross_pol,
+                          feed=self.build_feed(), incidence_model=model,
+                          element_circuit=self.build_design_circuit())
+        # a lattice or a feed far out of scale underflows the integral to 0,
+        # or overflows it to nan
+        with np.errstate(all="ignore"):
+            spillover = spillover_efficiency(assembly)
+        if not spillover > 0:
+            keys = _changed(self.data["array"], "array") + _changed(self.data["feed"], "feed")
+            raise ScenarioError(f"{', '.join(keys) or 'array, feed'}: the aperture "
+                                f"intercepts none of the feed's power (spillover {spillover})")
+        return assembly
 
     def build_diode(self) -> DiodeModel:
         return _build(DiodeModel, self.data["element"]["diode"], "element.diode")

@@ -20,7 +20,12 @@ from scipy.stats import binomtest
 
 from risant.constants import db10, from_db10, wrap_deg
 from risant.element import DEFAULT_START_CIRCUIT, optimize_structure
-from risant.feedopt import FeedSearchSpace, optimize_feed, realized_feed_gain
+from risant.feedopt import (
+    FeedSearchSpace,
+    coarse_optimize_feed,
+    realized_feed_gain,
+    refine_feed,
+)
 from risant.geometry import Direction
 from risant.link import (
     ACLR_LIMIT_DBC,
@@ -37,7 +42,7 @@ from risant.link import (
     path_loss_fspl,
     peak_rate_3gpp,
     power_saving,
-    simulate_evm_at,
+    simulate_evm,
 )
 from risant.pattern import (
     ELEMENT_EXPONENT,
@@ -228,8 +233,7 @@ def test_criterion_08_evm_chain(scenario, report):
     rel_errors = []
     for snr_db in (10.0, 15.0, 20.0, 30.0):
         closed = evm_closed_form(snr_db, link.tx_evm_floor)
-        simulated = simulate_evm_at(snr_db, link.tx_evm_floor,
-                                    link.modulation, 200_000, 11)
+        simulated = simulate_evm(snr_db, link.tx_evm_floor, link.modulation, 200_000, 11)
         rel_errors.append(abs(simulated - closed) / closed)
     distances = scenario.section("link")["sweep_distances_m"]
     rows = evm_vs_distance(link, distances)
@@ -315,17 +319,18 @@ def test_criterion_11_feed_placement(scenario, assembly, report):
             y_mm=(-20.0, 20.0),
             z_mm=(float(rng.uniform(90.0, 120.0)), float(rng.uniform(170.0, 240.0))),
             coarse_step_mm=float(rng.choice([10.0, 20.0])))
-        result = optimize_feed(assembly, space)
-        zero_row = next(r for r in result.refined.evaluations
-                        if r[0] == r[1] == r[2] == 0.0)
-        if result.refined.realized_gain_dbi < zero_row[3] - 1e-12:
+        coarse = coarse_optimize_feed(assembly, space)
+        refined = refine_feed(assembly, coarse.position_mm)
+        zero_row = next(r for r in refined.evaluations if r[0] == r[1] == r[2] == 0.0)
+        if refined.realized_gain_dbi < zero_row[3] - 1e-12:
             refine_regressions += 1
-        y_offsets.append(abs(result.coarse.position_mm[1]) / space.coarse_step_mm)
+        y_offsets.append(abs(coarse.position_mm[1]) / space.coarse_step_mm)
 
-    default_run = optimize_feed(assembly, scenario.build_feed_space())
+    default_coarse = coarse_optimize_feed(assembly, scenario.build_feed_space())
+    default_run = refine_feed(assembly, default_coarse.position_mm)
     nominal_gain = realized_feed_gain(assembly, assembly.feed.position_mm)
-    refined_gain = default_run.refined.realized_gain_dbi
-    z_found = default_run.refined.position_mm[2]
+    refined_gain = default_run.realized_gain_dbi
+    z_found = default_run.position_mm[2]
     elapsed = time.perf_counter() - t0
 
     ok = (refine_regressions == 0 and max(y_offsets) <= 1.0

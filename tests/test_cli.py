@@ -486,6 +486,10 @@ _BAD_LITERAL_VALUES = [
     ("rate", "element.max_rounds", ".inf"),
     ("rate", "element.max_rounds", "true"),
     ("rate", "pattern.frequency_ghz", "0"),
+    ("rate", "pattern.frequency_ghz", "10000.01"),
+    ("pattern", "pattern.frequency_ghz", "1e300"),
+    ("widebeam", "pattern.frequency_ghz", "1e300"),
+    ("train", "pattern.frequency_ghz", "1e300"),
     ("rate", "pattern.step_deg", "90.01"),
     ("rate", "pattern.step_deg", "0.099"),
     ("rate", "pattern.step_deg", ".inf"),
@@ -541,6 +545,93 @@ _BAD_LITERAL_VALUES = [
 ]
 
 
+# each check of a model class that the scenario builds, by a key that breaks
+# it, on the cheapest command that builds the class; the class's message
+# follows the key
+_BAD_MODEL_VALUES = [
+    ("geometry", "array.n_x", "foo"),
+    ("geometry", "array.n_x", "0"),
+    ("geometry", "array.n_y", "0"),
+    ("geometry", "array.n_x", "257"),
+    ("geometry", "array.period_mm", "-1"),
+    ("geometry", "array.period_mm", "0"),
+    ("geometry", "array.polarization", "X"),
+    ("geometry", "array.group_size", "3"),
+    ("geometry", "array.group_size", "0"),
+    ("geometry", "array.group_axis", "z"),
+    ("pattern", "feed.position_mm", "[0,0]"),
+    ("pattern", "feed.position_mm", "[-82, 0, 0]"),
+    ("pattern", "feed.pattern_exponent", "-1"),
+    ("feed-opt", "feed.search.x_mm", "[10, -10]"),
+    ("feed-opt", "feed.search.y_mm", "[1, -1]"),
+    ("feed-opt", "feed.search.z_mm", "[200, 100]"),
+    ("feed-opt", "feed.search.z_mm", "[0, 100]"),
+    ("feed-opt", "feed.search.coarse_step_mm", "0"),
+    ("feed-opt", "feed.search.coarse_step_mm", "0.001"),
+    ("pattern", "pattern.frequency_ghz", ".nan"),
+    ("pattern", "pattern.frequency_ghz", ".inf"),
+    ("pattern", "link.xpd_db.v", "3"),
+    ("dual-stream", "link.xpd_db.h", "3"),
+    ("pattern", "element.diode.r_on_ohm", "-1"),
+    ("pattern", "element.diode.r_off_ohm", "0"),
+    ("pattern", "element.diode.l_diode_nh", "-1"),
+    ("pattern", "element.diode.c_off_ff", "0"),
+    ("pattern", "element.design.c_p_ff", "0"),
+    ("pattern", "element.design.l_p_nh", "-1"),
+    ("pattern", "element.design.l_g_nh", "-1"),
+    ("pattern", "element.design.l_v_nh", "-1"),
+    ("pattern", "element.design.r_loss_ohm", "-1"),
+    ("pattern", "element.design.line_z0_ohm", "0"),
+    ("pattern", "element.design.line_length_deg", "-1"),
+    ("pattern", "element.design.l_diode_nh", "-1"),
+    ("element-opt", "element.start.c_p_ff", "0"),
+    ("element-opt", "element.start.l_g_nh", "-1"),
+    ("element-opt", "element.start.r_loss_ohm", "-1"),
+    ("element-opt", "element.start.line_z0_ohm", "0"),
+    ("element-opt", "element.start.line_length_deg", "-1"),
+    ("element-opt", "element.targets.phase_tolerance_deg", "-1"),
+    ("element-opt", "element.targets.min_amplitude", "0"),
+    ("element-opt", "element.targets.min_amplitude", "1.5"),
+    ("element-opt", "element.sweeps.c_p_ff", "[70, 30, 0.5]"),
+    ("element-opt", "element.sweeps.c_p_ff", "[30, 70, 0]"),
+    ("element-opt", "element.sweeps.c_p_ff", "[30, 70, 0.001]"),
+    ("link", "link.d_m", "0"),
+    ("link", "link.center_freq_ghz", "0"),
+    ("link", "link.center_freq_ghz", "-1"),
+    ("link", "link.center_freq_ghz", "10000.01"),
+    ("link", "link.center_freq_ghz", "1e300"),
+    ("link", "link.bandwidth_mhz", "0"),
+    ("link", "link.tx_evm_floor", "0.5"),
+    ("link", "link.tx_evm_floor", "-0.01"),
+    ("link", "link.modulation", "8PSK"),
+    ("dual-stream", "link.dual.d_m", "0"),
+    ("dual-stream", "link.dual.center_freq_ghz", "0"),
+    ("dual-stream", "link.dual.center_freq_ghz", "-1"),
+    ("dual-stream", "link.dual.center_freq_ghz", "1e300"),
+    ("rate", "frame.slot_pattern", "XYZ"),
+    ("rate", "frame.slot_pattern", "''"),
+    ("rate", "frame.s_slot_split", "[10,2]"),
+    ("rate", "frame.s_slot_split", "[10, 2, 1]"),
+    ("rate", "frame.s_slot_split", "[16, -1, -1]"),
+    ("rate", "frame.scs_khz", "100"),
+    ("rate", "frame.layers", "-1"),
+    ("rate", "frame.overhead", "1"),
+    ("rate", "frame.overhead", "-0.01"),
+    ("rate", "frame.cc_count", "-1"),
+    ("rate", "frame.prb_per_cc", "-1"),
+    ("rate", "frame.modulation_order", "-1"),
+    ("aclr-sweep", "link.pa.kind", "foo"),
+    ("aclr-sweep", "link.pa.saturation_level", "0"),
+    ("aclr-sweep", "link.pa.smoothness", "0"),
+    # a lattice or a feed so far out of scale that the feed integrals
+    # underflow to 0 or overflow to nan
+    ("pattern", "array.period_mm", "1e300"),
+    ("pattern", "array.period_mm", "1e-300"),
+    ("steer", "feed.position_mm", "[0, 0, 1e-300]"),
+    ("pattern", "feed.pattern_exponent", "1e300"),
+]
+
+
 class TestFailureModes:
     def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
         rc = main(["rate", "--scenario", str(tmp_path / "absent.yaml"),
@@ -569,35 +660,14 @@ class TestFailureModes:
         assert rc == 2
         assert "unknown key 'link.bogus'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag, value", [
-        ("geometry", "array.n_x", "foo"),
-        ("geometry", "array.group_size", "3"),
-        ("pattern", "feed.position_mm", "[0,0]"),
-        ("rate", "frame.s_slot_split", "[10,2]"),
-        ("rate", "frame.slot_pattern", "XYZ"),
-        ("link", "link.modulation", "8PSK"),
-        ("aclr-sweep", "link.pa.kind", "foo"),
-        ("dual-stream", "link.xpd_db.h", "3"),
-        ("pattern", "pattern.frequency_ghz", ".nan"),
-        ("pattern", "pattern.frequency_ghz", ".inf"),
-        ("geometry", "array.n_x", "0"),
-        ("geometry", "array.period_mm", "-1"),
-        ("link", "link.center_freq_ghz", "0"),
-        ("link", "link.center_freq_ghz", "-1"),
-        ("dual-stream", "link.dual.center_freq_ghz", "0"),
-        ("dual-stream", "link.dual.center_freq_ghz", "-1"),
-        ("pattern", "link.xpd_db.v", "3"),
-        ("element-opt", "element.targets.phase_tolerance_deg", "-1"),
-        ("element-opt", "element.targets.min_amplitude", "0"),
-        ("element-opt", "element.targets.min_amplitude", "1.5"),
-        ("pattern", "element.diode.c_off_ff", "0"),
-    ])
+    @pytest.mark.parametrize("command, flag, value", _BAD_MODEL_VALUES)
     def test_value_the_model_rejects_exits_2(self, command, flag, value, tmp_path,
                                              capsys):
         rc = main([command, f"--{flag}", value, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "scenario error" in err and flag in err
+        # the key is named alone: the keys left at their defaults are not
+        assert f"scenario error: {flag}: " in err or f"scenario error: {flag} must be" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag, value", _BAD_LITERAL_VALUES)

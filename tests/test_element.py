@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risant import element
 from risant.constants import ETA0_OHM, wrap_deg
 from risant.element import (
     DEFAULT_START_CIRCUIT,
@@ -176,6 +177,12 @@ def test_wrap_deg_range_and_congruence(angle):
     assert min(residue, 360.0 - residue) < 1e-6
 
 
+def _flat_bottom_metrics(circuit, frequency_ghz):
+    """`state_metrics` stand-in: amplitudes 0.9, and a phase difference off
+    180 deg by how far c_p_ff lies outside [48, 52]."""
+    return 0.9, 0.9, 180.0 + max(0.0, abs(circuit.c_p_ff - 50.0) - 2.0)
+
+
 class TestOptimizer:
     def test_fixed_point_when_targets_already_met(self):
         res = optimize_structure(DESIGN_CIRCUIT)
@@ -229,6 +236,31 @@ class TestOptimizer:
         two = optimize_structure(DEFAULT_START_CIRCUIT, targets=targets, max_rounds=2)
         assert one.objective <= start_obj
         assert two.objective <= one.objective
+
+    @pytest.mark.parametrize("start, expected", [(45.0, 48.0), (50.0, 50.0)])
+    def test_ties_keep_the_current_value_then_the_lowest_index(self, start, expected,
+                                                              monkeypatch):
+        # a phase error flat at 0 over c_p_ff in [48, 52] and amplitudes below
+        # the target: round 1 moves to the first tied grid point (from 45) or
+        # stays (from 50, already tied), and the next round changes nothing
+        monkeypatch.setattr(element, "state_metrics", _flat_bottom_metrics)
+        res = optimize_structure(replace(DEFAULT_START_CIRCUIT, c_p_ff=start),
+                                 sweeps={"c_p_ff": SweepRange(40.0, 60.0, 1.0)},
+                                 targets=DesignTargets(min_amplitude=0.95))
+        assert res.circuit.c_p_ff == expected
+        assert res.rounds_used == (2 if start != expected else 1)
+        assert not res.targets_met
+
+    def test_stops_in_the_round_that_meets_the_targets(self, monkeypatch):
+        # the move to 48 meets a 0 deg tolerance; a second round would find
+        # nothing to change either, but it is not run
+        monkeypatch.setattr(element, "state_metrics", _flat_bottom_metrics)
+        res = optimize_structure(DEFAULT_START_CIRCUIT,
+                                 sweeps={"c_p_ff": SweepRange(40.0, 60.0, 1.0)},
+                                 targets=DesignTargets(phase_tolerance_deg=0.0))
+        assert res.circuit.c_p_ff == 48.0
+        assert res.rounds_used == 1 and res.targets_met
+        assert len(res.trace) == 21
 
     def test_infeasible_targets_flagged_not_raised(self):
         targets = DesignTargets(min_amplitude=0.9999, phase_tolerance_deg=0.001)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risant.constants import MAX_FREQUENCY_GHZ
 from risant.geometry import (
     MAX_ARRAY_SIDE,
     AntennaAssembly,
@@ -198,6 +199,10 @@ class TestRisArrayAndAssembly:
     def test_assembly_validation(self):
         with pytest.raises(ValueError):
             AntennaAssembly(frequency_ghz=0.0)
+        with pytest.raises(ValueError, match="frequency must be in"):
+            AntennaAssembly(frequency_ghz=math.nextafter(MAX_FREQUENCY_GHZ, math.inf))
+        # the bound itself is a frequency the models take
+        assert AntennaAssembly(frequency_ghz=MAX_FREQUENCY_GHZ).wavelength_mm > 0
         with pytest.raises(ValueError):
             AntennaAssembly(cross_pol_db=3.0)
 

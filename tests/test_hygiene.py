@@ -1,7 +1,9 @@
 """Source hygiene of the package, read with ``ast``: every import of a
 module is used in it, every public top-level name is used somewhere in
 ``src/`` outside ``risant/__init__`` besides its own definition, or by the
-acceptance suite, and every parameter is read by its function.  Also:
+acceptance suite, every parameter is read by its function, and every
+defaulted parameter of a model module's public function is set by one of
+those users.  Also:
 README's common flags are the parser's, README's library example runs,
 and every span name the benchmark traces names a public function."""
 
@@ -9,6 +11,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -24,6 +27,8 @@ BENCHMARK = PACKAGE.parent.parent / "BENCHMARK.json"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # the release gate and its fixtures: a name they use has a user
 ACCEPTANCE = [Path(__file__).with_name(n) for n in ("test_acceptance.py", "conftest.py")]
+# modules whose public functions may not carry a knob that only tests turn
+MODEL_MODULES = ("element", "geometry", "pattern", "synthesis", "feedopt", "link")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -100,6 +105,41 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
     return unread
 
 
+def _defaulted_parameters(tree: ast.Module) -> dict[str, list[tuple[int | None, str]]]:
+    """{public top-level function: its parameters that have a default, as
+    (position, name)}; a keyword-only parameter has position None."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        params += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None]
+        if params:
+            found[node.name] = params
+    return found
+
+
+def _arguments_given(trees) -> dict[str, list[tuple[float, set]]]:
+    """{called name: [(positional arguments, keyword names)]} of every call
+    in ``trees``, by the called name or attribute; a ``*args`` counts as
+    every position, a ``**kwargs`` as the keyword None."""
+    given = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            given.setdefault(name, []).append(
+                (math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
+    return given
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = _tree(path)
@@ -124,6 +164,20 @@ def test_every_public_name_has_a_user():
             if not any(_uses_outside_definition(module, name) for module in uses):
                 orphans.append(f"{path.name}:{name}")
     assert not orphans, f"public names nothing in src/ or the acceptance suite uses: {orphans}"
+
+
+def test_every_default_is_overridden_by_a_user():
+    # a parameter that only tests set is a knob the program does not have
+    given = _arguments_given(_tree(p) for p in (*MODULES, *ACCEPTANCE))
+    unset = []
+    for module in MODEL_MODULES:
+        for function, params in _defaulted_parameters(_tree(PACKAGE / f"{module}.py")).items():
+            calls = given.get(function, [])
+            unset += [f"{module}.{function}({name})" for position, name in params
+                      if not any((position is not None and n_args > position)
+                                 or name in keywords or None in keywords
+                                 for n_args, keywords in calls)]
+    assert not unset, f"defaulted parameters no call in src/ or the acceptance suite sets: {unset}"
 
 
 def test_readme_common_flags_are_the_parser_options():

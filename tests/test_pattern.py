@@ -43,7 +43,17 @@ from risant.pattern import (
 )
 from risant.scenario import resolve_scenario
 from risant.synthesis import Codeword
-from risant.synthesis import synthesize_codeword
+from risant.synthesis import continuous_reflections, required_phases, synthesize_codeword
+
+
+def _spillover_on(assembly, n_grid):
+    """`spillover_efficiency` on an n_grid x n_grid mesh (it uses 256)."""
+    return pattern._spillover(assembly.array, [assembly.feed], n_grid)[0]
+
+
+def _unnormalized_illumination(assembly):
+    """`illumination` before its power is scaled to the spillover."""
+    return pattern._illumination(assembly, [assembly.feed])[1].ravel()
 
 
 def _plane_wave_assembly(n_x=32, n_y=1):
@@ -92,7 +102,7 @@ class TestIllumination:
 
     def test_plane_wave_limit_is_uniform(self):
         asm = _plane_wave_assembly(8, 8)
-        a = illumination(asm, normalize=False)
+        a = _unnormalized_illumination(asm)
         mags = np.abs(a)
         assert np.ptp(mags) / mags.mean() < 1e-6
         phases = np.angle(a * np.exp(1j * asm.k_per_mm * 1e7))
@@ -114,13 +124,13 @@ class TestIllumination:
         # feed-opt and steer move the feed on a copy of the assembly
         moved = replace(small_assembly, feed=replace(small_assembly.feed,
                                                      position_mm=(-10.0, 5.0, 70.0)))
-        for normalize in (True, False):
-            a = illumination(small_assembly, normalize=normalize)
-            b = illumination(moved, normalize=normalize)
+        for illuminate in (illumination, _unnormalized_illumination):
+            a = illuminate(small_assembly)
+            b = illuminate(moved)
             assert b is not a
             assert not np.allclose(a, b)
             expected = _illumination_per_point(moved)
-            if normalize:
+            if illuminate is illumination:
                 expected *= math.sqrt(spillover_efficiency(moved)
                                       / np.sum(np.abs(expected) ** 2))
             np.testing.assert_allclose(b, expected, rtol=1e-12)
@@ -128,7 +138,7 @@ class TestIllumination:
     def test_isotropic_feed_amplitude_follows_inverse_distance(self, small_assembly):
         asm = replace(small_assembly, feed=FeedModel(position_mm=(-20.0, 0.0, 60.0),
                                                      pattern_exponent=0.0))
-        a = illumination(asm, normalize=False)
+        a = _unnormalized_illumination(asm)
         pos = asm.array.positions_mm()
         r = np.linalg.norm(pos - asm.feed.position(), axis=1)
         np.testing.assert_allclose(np.abs(a) * r, 1.0, rtol=1e-12)
@@ -146,8 +156,8 @@ class TestSpillover:
         assert spillover_efficiency(asm) < 1e-6
 
     def test_grid_refinement_is_converged(self, assembly):
-        coarse = spillover_efficiency(assembly, n_grid=128)
-        fine = spillover_efficiency(assembly, n_grid=512)
+        coarse = _spillover_on(assembly, 128)
+        fine = _spillover_on(assembly, 512)
         assert coarse == pytest.approx(fine, rel=1e-3)
 
 
@@ -192,7 +202,7 @@ class TestFeedIntegralsMatchPerPointReference:
     def test_spillover(self, n_x, n_y, position, n_grid):
         asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, group_size=1),
                               feed=FeedModel(position_mm=position))
-        assert spillover_efficiency(asm, n_grid) == pytest.approx(
+        assert _spillover_on(asm, n_grid) == pytest.approx(
             _spillover_per_point(asm, n_grid), rel=1e-12)
 
     @pytest.mark.parametrize("n_x, n_y", NON_SQUARE)
@@ -201,8 +211,7 @@ class TestFeedIntegralsMatchPerPointReference:
         asm = AntennaAssembly(array=RisArray(n_x=n_x, n_y=n_y, group_size=1),
                               feed=FeedModel(position_mm=position))
         expected = _illumination_per_point(asm)
-        np.testing.assert_allclose(illumination(asm, normalize=False), expected,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(_unnormalized_illumination(asm), expected, rtol=1e-12)
         expected *= math.sqrt(_spillover_per_point(asm, 256) / np.sum(np.abs(expected) ** 2))
         np.testing.assert_allclose(illumination(asm), expected, rtol=1e-12)
 
@@ -212,7 +221,7 @@ class TestFeedIntegralsMatchPerPointReference:
     def test_spillover_in_unit_interval_over_the_search_box(self, x, y, z):
         asm = AntennaAssembly(feed=FeedModel(position_mm=(x, y, z)))
         for n_grid in (128, 256):
-            assert 0.0 < spillover_efficiency(asm, n_grid) <= 1.0
+            assert 0.0 < _spillover_on(asm, n_grid) <= 1.0
 
 
 def _full_mesh_rays(feed, xs, ys):
@@ -270,16 +279,19 @@ class TestFeedIntegralsOnHalfTheMesh:
         on_plane = position[1] == 0.0
         for n_grid in (17, 128, 256):
             mesh_rows.clear()
-            assert spillover_efficiency(asm, n_grid) == _full_mesh_spillover(asm, n_grid)
+            # the public 256 mesh is memoized, so illumination below reuses it
+            spillover = (spillover_efficiency(asm) if n_grid == 256
+                         else _spillover_on(asm, n_grid))
+            assert spillover == _full_mesh_spillover(asm, n_grid)
             # the midpoint mesh mirrors itself when its arithmetic is exact,
             # as at 5 mm on 128 and 256 points (not on 17)
             if n_grid != 17:
                 half = on_plane and period_mm == 5.0
                 assert mesh_rows == [(n_grid, (n_grid + 1) // 2 if half else n_grid)]
-        for normalize in (False, True):
+        for normalize, illuminate in ((False, _unnormalized_illumination),
+                                      (True, illumination)):
             mesh_rows.clear()
-            assert np.array_equal(illumination(asm, normalize=normalize),
-                                  _full_mesh_illumination(asm, normalize))
+            assert np.array_equal(illuminate(asm), _full_mesh_illumination(asm, normalize))
             # the lattice axis always mirrors itself
             assert mesh_rows == [(n_y, (n_y + 1) // 2 if on_plane else n_y)]
 
@@ -756,6 +768,62 @@ class TestPatternJob:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["pattern", "--pattern.step_deg", "2.5",
                              "--out", str(tmp_path)]) == 0
+
+
+def _electrically_scaled(assembly, a):
+    """The assembly with every length over ``a`` and the frequency times ``a``."""
+    return replace(assembly,
+                   array=replace(assembly.array, period_mm=assembly.array.period_mm / a),
+                   feed=replace(assembly.feed,
+                                position_mm=tuple(v / a for v in assembly.feed.position_mm)),
+                   frequency_ghz=assembly.frequency_ghz * a)
+
+
+class TestElectricalScaleInvariance:
+    """Lengths over a and the frequency times a leave every angle-domain
+    figure as it was: a mm/m or GHz/Hz slip in any layer breaks this.  With
+    a = 2 every scaled product is exact, so the figures keep their bits."""
+
+    GAIN_DB = 5e-14         # measured at most 2.0e-14 dB
+    EFFICIENCY = 2e-15      # measured at most 5.6e-16
+    CUT_OF_PEAK = 5e-14     # linear cut intensity over the peak's; measured 7.2e-15
+
+    @pytest.fixture(scope="class")
+    def masks(self, assembly):
+        # explicit complex masks: the element circuit's reflections move with
+        # the frequency
+        steered = continuous_reflections(assembly, required_phases(assembly, Direction(20.0, 10.0)))
+        return [_random_reflections(np.random.default_rng(5), assembly.array.n_elements),
+                steered]
+
+    @pytest.mark.parametrize("a", [0.37, 2.0, 3.0])
+    def test_feed_efficiencies(self, assembly, a):
+        scaled = _electrically_scaled(assembly, a)
+        pairs = [(spillover_efficiency(asm), taper_efficiency(np.abs(illumination(asm))))
+                 for asm in (assembly, scaled)]
+        tolerance = 0.0 if a == 2.0 else self.EFFICIENCY
+        np.testing.assert_allclose(pairs[1], pairs[0], rtol=0, atol=tolerance)
+
+    @pytest.mark.parametrize("a", [0.37, 2.0, 3.0])
+    def test_steered_gain_and_pattern_metrics(self, assembly, masks, a):
+        scaled = _electrically_scaled(assembly, a)
+        exact = a == 2.0
+        for mask in masks:
+            base, moved = (steered_gain(asm, mask, Direction(0.0, 0.0))
+                           for asm in (assembly, scaled))
+            assert moved.peak == base.peak
+            assert moved.gain_dbi == pytest.approx(base.gain_dbi, rel=0,
+                                                   abs=0 if exact else self.GAIN_DB)
+            base, moved = (pattern_metrics(asm, mask, 0.5) for asm in (assembly, scaled))
+            assert moved.peak_direction == base.peak_direction
+            for name in ("peak_gain_dbi", "sll_db"):
+                assert getattr(moved, name) == pytest.approx(
+                    getattr(base, name), rel=0, abs=0 if exact else self.GAIN_DB)
+            for cut in ("az_cut_dbi", "el_cut_dbi"):
+                linear = [10.0 ** (getattr(m, cut) / 10.0) for m in (base, moved)]
+                np.testing.assert_allclose(
+                    linear[1], linear[0], rtol=0,
+                    atol=0 if exact else self.CUT_OF_PEAK * linear[0].max())
 
 
 class TestDirectivityBound:

@@ -330,6 +330,18 @@ class TestCodebook:
         with pytest.raises(ValueError):
             build_codebook(assembly, branching=1)
 
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
+    def test_leaf_limit_is_an_eighth_of_the_beamwidth(self, assembly, scale):
+        # one level of two leaves, each a hair wider or narrower than 1/8 of
+        # the beamwidth
+        half = scale * estimate_hpbw_deg(assembly) / 8.0
+        if scale > 1.0:
+            codebook = build_codebook(assembly, (-half, half), n_levels=1, branching=2)
+            assert [len(rows) for rows in codebook.levels] == [2]
+        else:
+            with pytest.raises(ValueError, match="narrower than 1/8"):
+                build_codebook(assembly, (-half, half), n_levels=1, branching=2)
+
     def test_leaves_far_narrower_than_the_beam_raise_at_once(self, assembly):
         # 4**9 leaves of 120 / 4**9 deg; building them would take minutes
         started = time.perf_counter()
