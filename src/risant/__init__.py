@@ -42,7 +42,6 @@ from .link import (
     FrameConfig,
     LinkScenario,
     PaModel,
-    StreamSinr,
     WaveformConfig,
     XpdModel,
     aclr,
@@ -75,7 +74,6 @@ from .scenario import Scenario, ScenarioError, load_scenario, resolve_scenario
 from .synthesis import (
     Codebook,
     Codeword,
-    ScanPoint,
     TrainingResult,
     WideBeamResult,
     beam_training,

@@ -1,17 +1,19 @@
 """Batch command-line front-end.
 
 Every subcommand loads one scenario file (all keys optional; an empty
-or absent file runs the prototype defaults), executes one module, and
-writes CSV/JSON artifacts plus a run manifest into the output
-directory.  Artifacts are deterministic: identical scenario and seed
-produce byte-identical CSV files.
+or absent file runs the prototype defaults) and runs one module; its
+command function returns the CSV/JSON artifacts, and ``main`` alone
+writes them plus a run manifest into the output directory.  Artifacts
+are deterministic: identical scenario and seed produce byte-identical
+CSV files.
 
 Every scenario leaf is also a flag, ``--dotted.leaf VALUE`` or
 ``--dotted.leaf=VALUE`` with a YAML value; one argv scan collects these
 overrides in order, and argparse parses the rest.
 
-Exit codes: 0 success, 2 configuration error, 3 computational failure
-(currently: element-opt quality targets missed under --strict).
+Exit codes: 0 success, 2 configuration error, 3 a quality target the
+command reports missed, under --strict (currently only element-opt has
+targets); its artifacts are written, its manifest is not.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ from .synthesis import (
 )
 
 OUTPUT_DIR_ENV = "RISANT_OUTPUT_DIR"
-
-
-class ComputationError(Exception):
-    """A run completed structurally but missed a required quality target."""
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +118,14 @@ def _json_default(value):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (output paths, summary line)
+# subcommand implementations.  Each is a function of the scenario alone and
+# returns (artifacts, summary line, missed): artifacts maps each file name,
+# in write order, to a JSON payload or a CSV (header, rows) pair, whose rows
+# may be an iterator that the writer reads once; missed is None or the
+# quality target the run did not meet.
 
 
-def cmd_element_opt(scn: Scenario, out: str, strict: bool = False) -> tuple[list[str], str]:
-    section = scn.section("element")
+def cmd_element_opt(scn: Scenario):
     freq = scn.literal("pattern.frequency_ghz")
     try:
         result = optimize_structure(scn.build_start_circuit(), frequency_ghz=freq,
@@ -135,86 +136,63 @@ def cmd_element_opt(scn: Scenario, out: str, strict: bool = False) -> tuple[list
     except ValueError as exc:   # a sweep misses its start value
         raise ScenarioError(f"element.sweeps, element.start or element.diode: {exc}") from None
     c = result.circuit
-    payload = {
+    states = (f"|G_on| {result.amp_on:.4f} |G_off| {result.amp_off:.4f} "
+              f"dphi {result.phase_diff_deg:.2f} deg")
+    artifacts = {"element_opt.json": {
         "frequency_ghz": freq,
         # the tuned values under the scenario's circuit keys
-        "circuit": {**{key: getattr(c, key) for key in section["start"]},
+        "circuit": {**{key: getattr(c, key) for key in scn.section("element")["start"]},
                     "diode_l_nh": c.diode.l_diode_nh},
         "amp_on": result.amp_on, "amp_off": result.amp_off,
-        "phase_diff_deg": result.phase_diff_deg,
-        "objective": result.objective,
-        "rounds_used": result.rounds_used,
-        "targets_met": result.targets_met,
-    }
-    outputs = [write_json(os.path.join(out, "element_opt.json"), payload)]
+        "phase_diff_deg": result.phase_diff_deg, "objective": result.objective,
+        "rounds_used": result.rounds_used, "targets_met": result.targets_met,
+    }}
     if result.trace:
-        outputs.append(write_csv(
-            os.path.join(out, "element_trace.csv"),
-            ["round", "parameter", "value", "amp_on", "amp_off",
-             "phase_diff_deg", "objective"],
-            result.trace))
-    if strict and not result.targets_met:
-        raise ComputationError(
-            f"element targets unmet: amp_on {result.amp_on:.4f}, "
-            f"amp_off {result.amp_off:.4f}, phase diff {result.phase_diff_deg:.2f} deg")
-    return outputs, (f"element-opt: |G_on| {result.amp_on:.4f} |G_off| "
-                     f"{result.amp_off:.4f} dphi {result.phase_diff_deg:.2f} deg "
-                     f"targets_met={result.targets_met}")
+        artifacts["element_trace.csv"] = (["round", "parameter", "value", "amp_on", "amp_off",
+                                           "phase_diff_deg", "objective"], result.trace)
+    return (artifacts, f"element-opt: {states} targets_met={result.targets_met}",
+            None if result.targets_met else f"element targets unmet: {states}")
 
 
-def cmd_pattern(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_pattern(scn: Scenario):
     asm = scn.build_assembly()
     target = scn.build_target_direction()
     cw = synthesize_codeword(asm, target, scn.literal("pattern.compensate_incidence"))
     step = scn.literal("pattern.step_deg")
-    metrics = pattern_metrics(asm, cw, step)
-    outputs = [
-        write_json(os.path.join(out, "pattern.json"), {
+    m = pattern_metrics(asm, cw, step)
+    peak = m.peak_direction
+    sll = "n/a" if m.sll_db is None else f"{m.sll_db:.2f}"
+    return {
+        "pattern.json": {
             "target": {"az_deg": target.az_deg, "el_deg": target.el_deg},
-            "peak_gain_dbi": metrics.peak_gain_dbi,
-            "peak_direction": {"az_deg": metrics.peak_direction.az_deg,
-                               "el_deg": metrics.peak_direction.el_deg},
-            "sll_db": metrics.sll_db,
-            "hpbw_az_deg": metrics.hpbw_az_deg,
-            "hpbw_el_deg": metrics.hpbw_el_deg,
-            "cross_pol_db": metrics.cross_pol_db,
-            "grid_step_deg": step,
-        }),
-        write_csv(os.path.join(out, "pattern_cut_az.csv"),
-                  ["az_deg", "gain_dbi"], zip(metrics.az_deg, metrics.az_cut_dbi)),
-        write_csv(os.path.join(out, "pattern_cut_el.csv"),
-                  ["el_deg", "gain_dbi"], zip(metrics.el_deg, metrics.el_cut_dbi)),
-    ]
-    sll = "n/a" if metrics.sll_db is None else f"{metrics.sll_db:.2f}"
-    return outputs, (f"pattern: peak {metrics.peak_gain_dbi:.2f} dBi at "
-                     f"({metrics.peak_direction.az_deg:.2f}, "
-                     f"{metrics.peak_direction.el_deg:.2f}) deg, SLL {sll} dB")
+            "peak_gain_dbi": m.peak_gain_dbi,
+            "peak_direction": {"az_deg": peak.az_deg, "el_deg": peak.el_deg},
+            "sll_db": m.sll_db, "hpbw_az_deg": m.hpbw_az_deg, "hpbw_el_deg": m.hpbw_el_deg,
+            "cross_pol_db": m.cross_pol_db, "grid_step_deg": step,
+        },
+        "pattern_cut_az.csv": (["az_deg", "gain_dbi"], zip(m.az_deg, m.az_cut_dbi)),
+        "pattern_cut_el.csv": (["el_deg", "gain_dbi"], zip(m.el_deg, m.el_cut_dbi)),
+    }, (f"pattern: peak {m.peak_gain_dbi:.2f} dBi at ({peak.az_deg:.2f}, "
+        f"{peak.el_deg:.2f}) deg, SLL {sll} dB"), None
 
 
-def cmd_steer(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_steer(scn: Scenario):
     asm = scn.build_assembly()
     targets = [Direction(a, 0.0) for a in scn.literal("pattern.scan_az_deg")]
     targets += [Direction(0.0, e) for e in scn.literal("pattern.scan_el_deg")]
     if not targets:
         raise ScenarioError("pattern.scan_az_deg and pattern.scan_el_deg are both empty")
-    points = scan_evaluation(asm, targets, scn.literal("pattern.compensate_incidence"))
-    rows = [(pt.target.az_deg, pt.target.el_deg, pt.gain_dbi,
-             pt.pointing_error_deg, pt.loss_vs_broadside_db) for pt in points]
-    outputs = [
-        write_csv(os.path.join(out, "steer.csv"),
-                  ["az_deg", "el_deg", "gain_dbi", "pointing_error_deg",
-                   "loss_vs_broadside_db"], rows),
-        write_json(os.path.join(out, "steer.json"), {
-            "n_directions": len(rows),
-            "max_pointing_error_deg": max(r[3] for r in rows),
-            "max_loss_vs_broadside_db": max(r[4] for r in rows),
-        }),
-    ]
-    return outputs, (f"steer: {len(rows)} directions, worst pointing error "
-                     f"{max(r[3] for r in rows):.2f} deg")
+    rows = scan_evaluation(asm, targets, scn.literal("pattern.compensate_incidence"))
+    worst = max(r[3] for r in rows)
+    return {
+        "steer.csv": (["az_deg", "el_deg", "gain_dbi", "pointing_error_deg",
+                       "loss_vs_broadside_db"], rows),
+        "steer.json": {"n_directions": len(rows), "max_pointing_error_deg": worst,
+                       "max_loss_vs_broadside_db": max(r[4] for r in rows)},
+    }, f"steer: {len(rows)} directions, worst pointing error {worst:.2f} deg", None
 
 
-def cmd_widebeam(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_widebeam(scn: Scenario):
     asm = scn.build_assembly()
     sector = scn.literal("pattern.widebeam.sector_az_deg")
     el = scn.literal("pattern.widebeam.el_deg")
@@ -226,153 +204,120 @@ def cmd_widebeam(scn: Scenario, out: str) -> tuple[list[str], str]:
         raise ScenarioError(f"pattern.widebeam.n_subapertures: {exc}") from None
     az = np.arange(sector[0] - 10.0, sector[1] + 10.0 + 1e-9, 0.25)
     pat = far_field(asm, result.codeword, az, np.array([el]))
-    gain = pat.gain_dbi()[0]
-    outputs = [
-        write_json(os.path.join(out, "widebeam.json"), {
-            "sector_az_deg": list(sector), "el_deg": el,
-            "n_subapertures": result.n_subapertures,
-            "ripple_db": result.ripple_db,
-            "note": result.note,
-        }),
-        write_csv(os.path.join(out, "widebeam_cut.csv"), ["az_deg", "gain_dbi"],
-                  zip(az, gain)),
-        write_csv(os.path.join(out, "widebeam_states.csv"), ["group", "state"],
-                  enumerate(np.asarray(result.codeword.states, dtype=int))),
-    ]
-    return outputs, (f"widebeam: {result.n_subapertures} subapertures, ripple "
-                     f"{result.ripple_db:.2f} dB over [{sector[0]}, {sector[1]}] deg")
+    return {
+        "widebeam.json": {"sector_az_deg": list(sector), "el_deg": el,
+                          "n_subapertures": result.n_subapertures,
+                          "ripple_db": result.ripple_db, "note": result.note},
+        "widebeam_cut.csv": (["az_deg", "gain_dbi"], zip(az, pat.gain_dbi()[0])),
+        "widebeam_states.csv": (["group", "state"],
+                                enumerate(np.asarray(result.codeword.states, dtype=int))),
+    }, (f"widebeam: {result.n_subapertures} subapertures, ripple "
+        f"{result.ripple_db:.2f} dB over [{sector[0]}, {sector[1]}] deg"), None
 
 
-def cmd_feed_opt(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_feed_opt(scn: Scenario):
     asm = scn.build_assembly()
-    coarse = coarse_optimize_feed(asm, scn.build_feed_space())
+    try:
+        coarse = coarse_optimize_feed(asm, scn.build_feed_space())
+    except ValueError as exc:   # a cell so low that the feed's pattern lights no element
+        raise ScenarioError(f"feed.search.z_mm, feed.pattern_exponent: {exc}") from None
     refined = refine_feed(asm, coarse.position_mm)
-    nominal = aperture_efficiency(asm)
     refined_breakdown = aperture_efficiency(
         replace(asm, feed=replace(asm.feed, position_mm=refined.position_mm)))
-    payload = {
-        "nominal_position_mm": list(asm.feed.position_mm),
-        "nominal_predicted_gain_dbi": nominal.predicted_gain_dbi,
-        "coarse_position_mm": list(coarse.position_mm),
-        "coarse_predicted_gain_dbi": coarse.predicted_gain_dbi,
-        "refined_position_mm": list(refined.position_mm),
-        "refined_realized_gain_dbi": refined.realized_gain_dbi,
-        "refined_predicted_gain_dbi": refined_breakdown.predicted_gain_dbi,
-        "eta_spillover": refined_breakdown.eta_spillover,
-        "eta_illumination": refined_breakdown.eta_illumination,
-    }
-    outputs = [
-        write_json(os.path.join(out, "feed_opt.json"), payload),
-        write_csv(os.path.join(out, "feed_scan.csv"),
-                  ["x_mm", "y_mm", "z_mm", "eta_spillover", "eta_illumination",
-                   "predicted_gain_dbi"], coarse.evaluations),
-        write_csv(os.path.join(out, "feed_refine.csv"),
-                  ["dx_mm", "dy_mm", "dz_mm", "realized_gain_dbi"], refined.evaluations),
-    ]
     x, y, z = refined.position_mm
-    return outputs, (f"feed-opt: refined ({x:.1f}, {y:.1f}, {z:.1f}) mm, "
-                     f"{refined.realized_gain_dbi:.2f} dBi realized")
+    return {
+        "feed_opt.json": {
+            "nominal_position_mm": list(asm.feed.position_mm),
+            "nominal_predicted_gain_dbi": aperture_efficiency(asm).predicted_gain_dbi,
+            "coarse_position_mm": list(coarse.position_mm),
+            "coarse_predicted_gain_dbi": coarse.predicted_gain_dbi,
+            "refined_position_mm": list(refined.position_mm),
+            "refined_realized_gain_dbi": refined.realized_gain_dbi,
+            "refined_predicted_gain_dbi": refined_breakdown.predicted_gain_dbi,
+            "eta_spillover": refined_breakdown.eta_spillover,
+            "eta_illumination": refined_breakdown.eta_illumination,
+        },
+        "feed_scan.csv": (["x_mm", "y_mm", "z_mm", "eta_spillover", "eta_illumination",
+                           "predicted_gain_dbi"], coarse.evaluations),
+        "feed_refine.csv": (["dx_mm", "dy_mm", "dz_mm", "realized_gain_dbi"],
+                            refined.evaluations),
+    }, (f"feed-opt: refined ({x:.1f}, {y:.1f}, {z:.1f}) mm, "
+        f"{refined.realized_gain_dbi:.2f} dBi realized"), None
 
 
-def cmd_link(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_link(scn: Scenario):
     ls = scn.build_link()
     snr = link_budget(ls)
     evm_cf = evm_closed_form(snr, ls.tx_evm_floor)
     evm_mc = simulate_evm(snr, ls.tx_evm_floor, ls.modulation,
                           scn.literal("link.evm_symbols"), scn.rng_seed)
-    payload = {
+    return {"link.json": {
         "d_m": ls.d_m, "center_freq_ghz": ls.center_freq_ghz,
-        "bandwidth_mhz": ls.bandwidth_mhz, "modulation": ls.modulation,
-        "snr_db": snr,
-        "evm_closed_form_pct": 100.0 * evm_cf,
-        "evm_simulated_pct": 100.0 * evm_mc,
-        "evm_limit_pct": 100.0 * EVM_LIMIT,
-        "pass_evm": evm_cf <= EVM_LIMIT,
-    }
-    outputs = [write_json(os.path.join(out, "link.json"), payload)]
-    return outputs, (f"link: snr {snr:.2f} dB, EVM {100 * evm_cf:.2f}% "
-                     f"(simulated {100 * evm_mc:.2f}%)")
+        "bandwidth_mhz": ls.bandwidth_mhz, "modulation": ls.modulation, "snr_db": snr,
+        "evm_closed_form_pct": 100.0 * evm_cf, "evm_simulated_pct": 100.0 * evm_mc,
+        "evm_limit_pct": 100.0 * EVM_LIMIT, "pass_evm": evm_cf <= EVM_LIMIT,
+    }}, (f"link: snr {snr:.2f} dB, EVM {100 * evm_cf:.2f}% "
+         f"(simulated {100 * evm_mc:.2f}%)"), None
 
 
-def cmd_evm_sweep(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_evm_sweep(scn: Scenario):
     rows = evm_vs_distance(scn.build_link(), scn.literal("link.sweep_distances_m"))
-    outputs = [
-        write_csv(os.path.join(out, "evm_sweep.csv"),
-                  ["d_m", "snr_db", "evm_pct", "pass_8pct"], rows),
-        write_json(os.path.join(out, "evm_sweep.json"), {
-            "n_points": len(rows),
-            "all_pass": all(r[3] for r in rows),
-            "worst_evm_pct": max(r[2] for r in rows),
-        }),
-    ]
-    return outputs, (f"evm-sweep: {len(rows)} distances, worst EVM "
-                     f"{max(r[2] for r in rows):.2f}%, all_pass="
-                     f"{all(r[3] for r in rows)}")
+    worst, all_pass = max(r[2] for r in rows), all(r[3] for r in rows)
+    return {
+        "evm_sweep.csv": (["d_m", "snr_db", "evm_pct", "pass_8pct"], rows),
+        "evm_sweep.json": {"n_points": len(rows), "all_pass": all_pass,
+                           "worst_evm_pct": worst},
+    }, (f"evm-sweep: {len(rows)} distances, worst EVM {worst:.2f}%, "
+        f"all_pass={all_pass}"), None
 
 
-def cmd_aclr_sweep(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_aclr_sweep(scn: Scenario):
     pa = scn.build_pa()
     bw_mhz = scn.literal("link.aclr.channel_bandwidth_mhz")
     waveform = WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[round(bw_mhz)])
     try:
-        values = measure_aclr(pa, waveform, scn.literal("link.aclr.n_symbols"), scn.rng_seed,
-                              channel_bandwidth_hz=bw_mhz * 1e6)
+        lower, upper = measure_aclr(pa, waveform, scn.literal("link.aclr.n_symbols"),
+                                    scn.rng_seed, channel_bandwidth_hz=bw_mhz * 1e6)
     except ValueError as exc:   # the amplifier drives every sample to 0
         raise ScenarioError(f"link.pa.saturation_level or link.pa.smoothness: {exc}") from None
+    passed = max(lower, upper) <= ACLR_LIMIT_DBC
     # the amplifier operating point is independent of carrier and beam
     # direction here, so the measured leakage repeats across the sweep
-    rows = [(center, aod, values[0], values[1], max(values) <= ACLR_LIMIT_DBC)
+    rows = [(center, aod, lower, upper, passed)
             for center in scn.literal("link.aclr.centers_ghz")
             for aod in scn.literal("link.aclr.aod_az_deg")]
-    outputs = [
-        write_csv(os.path.join(out, "aclr_sweep.csv"),
-                  ["center_freq_ghz", "aod_az_deg", "aclr_lower_dbc",
-                   "aclr_upper_dbc", "pass_28dbc"], rows),
-        write_json(os.path.join(out, "aclr_sweep.json"), {
-            "pa": asdict(pa),
-            "channel_bandwidth_mhz": bw_mhz,
-            "aclr_lower_dbc": values[0],
-            "aclr_upper_dbc": values[1],
-            "limit_dbc": ACLR_LIMIT_DBC,
-            "all_pass": max(values) <= ACLR_LIMIT_DBC,
-        }),
-    ]
-    return outputs, (f"aclr-sweep: {values[0]:.1f} / {values[1]:.1f} dBc "
-                     f"({pa.kind} PA), all_pass={max(values) <= ACLR_LIMIT_DBC}")
+    return {
+        "aclr_sweep.csv": (["center_freq_ghz", "aod_az_deg", "aclr_lower_dbc",
+                            "aclr_upper_dbc", "pass_28dbc"], rows),
+        "aclr_sweep.json": {"pa": asdict(pa), "channel_bandwidth_mhz": bw_mhz,
+                            "aclr_lower_dbc": lower, "aclr_upper_dbc": upper,
+                            "limit_dbc": ACLR_LIMIT_DBC, "all_pass": passed},
+    }, f"aclr-sweep: {lower:.1f} / {upper:.1f} dBc ({pa.kind} PA), all_pass={passed}", None
 
 
-def cmd_dual_stream(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_dual_stream(scn: Scenario):
     ls = scn.build_link(dual=True)
     gains = {pol: scn.literal(f"link.stream_gains_dbi.{pol}") for pol in ("h", "v")}
     xpd = scn.build_xpd()
     sinr = dual_stream_sinr(gains, xpd, ls)
-    rows = [("H", gains["h"], xpd.h_antenna_db, sinr.h_db),
-            ("V", gains["v"], xpd.v_antenna_db, sinr.v_db)]
-    outputs = [
-        write_csv(os.path.join(out, "dual_stream.csv"),
-                  ["stream", "gain_dbi", "leakage_db", "sinr_db"], rows),
-        write_json(os.path.join(out, "dual_stream.json"), {
-            "d_m": ls.d_m, "center_freq_ghz": ls.center_freq_ghz,
-            "sinr_h_db": sinr.h_db, "sinr_v_db": sinr.v_db,
-        }),
-    ]
-    return outputs, f"dual-stream: SINR H {sinr.h_db:.2f} dB, V {sinr.v_db:.2f} dB"
+    return {
+        "dual_stream.csv": (["stream", "gain_dbi", "leakage_db", "sinr_db"],
+                            [("H", gains["h"], xpd.h_antenna_db, sinr["h"]),
+                             ("V", gains["v"], xpd.v_antenna_db, sinr["v"])]),
+        "dual_stream.json": {"d_m": ls.d_m, "center_freq_ghz": ls.center_freq_ghz,
+                             "sinr_h_db": sinr["h"], "sinr_v_db": sinr["v"]},
+    }, f"dual-stream: SINR H {sinr['h']:.2f} dB, V {sinr['v']:.2f} dB", None
 
 
-def cmd_rate(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_rate(scn: Scenario):
     frame = scn.build_frame()
-    rate = peak_rate_3gpp(frame)
-    payload = {
-        "rate_bps": rate,
-        "rate_gbps": rate / 1e9,
-        "dl_duty": dl_duty(frame),
-        "frame": asdict(frame),
-    }
-    outputs = [write_json(os.path.join(out, "rate.json"), payload)]
-    return outputs, f"rate: {rate / 1e9:.4f} Gbps (duty {dl_duty(frame):.4f})"
+    rate, duty = peak_rate_3gpp(frame), dl_duty(frame)
+    return ({"rate.json": {"rate_bps": rate, "rate_gbps": rate / 1e9, "dl_duty": duty,
+                           "frame": asdict(frame)}},
+            f"rate: {rate / 1e9:.4f} Gbps (duty {duty:.4f})", None)
 
 
-def cmd_train(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_train(scn: Scenario):
     asm = scn.build_assembly()
     sector = scn.literal("training.sector_az_deg")
     el = scn.literal("training.el_deg")
@@ -406,41 +351,33 @@ def cmd_train(scn: Scenario, out: str) -> tuple[list[str], str]:
                      widened.widenings))
     rate_w = sum(r[2] for r in rows) / n_trials
     rate_b = sum(r[3] for r in rows) / n_trials
-    outputs = [
-        write_csv(os.path.join(out, "train.csv"),
-                  ["trial", "truth_az_deg", "success_widened", "success_baseline",
-                   "pilots_widened", "pilots_baseline", "widenings"], rows),
-        write_json(os.path.join(out, "train.json"), {
-            "n_trials": n_trials,
-            "pilot_snr_db": snr,
-            "success_rate_widened": rate_w,
-            "success_rate_baseline": rate_b,
+    return {
+        "train.csv": (["trial", "truth_az_deg", "success_widened", "success_baseline",
+                       "pilots_widened", "pilots_baseline", "widenings"], rows),
+        "train.json": {
+            "n_trials": n_trials, "pilot_snr_db": snr,
+            "success_rate_widened": rate_w, "success_rate_baseline": rate_b,
             "mean_pilots_widened": sum(r[4] for r in rows) / n_trials,
             "mean_pilots_baseline": sum(r[5] for r in rows) / n_trials,
-        }),
-    ]
-    return outputs, (f"train: success {rate_w:.3f} widened vs {rate_b:.3f} "
-                     f"baseline over {n_trials} trials")
+        },
+    }, (f"train: success {rate_w:.3f} widened vs {rate_b:.3f} "
+        f"baseline over {n_trials} trials"), None
 
 
-def cmd_geometry(scn: Scenario, out: str) -> tuple[list[str], str]:
+def cmd_geometry(scn: Scenario):
     array = scn.build_array()
     positions = array.positions_mm()
     rows = [(i, int(array.grouping[i]), positions[i, 0], positions[i, 1],
              positions[i, 2]) for i in range(array.n_elements)]
-    outputs = [
-        write_csv(os.path.join(out, "geometry.csv"),
-                  ["index", "group", "x_mm", "y_mm", "z_mm"], rows),
-        write_json(os.path.join(out, "geometry.json"), {
-            "n_elements": array.n_elements,
-            "n_groups": array.n_groups,
+    return {
+        "geometry.csv": (["index", "group", "x_mm", "y_mm", "z_mm"], rows),
+        "geometry.json": {
+            "n_elements": array.n_elements, "n_groups": array.n_groups,
             "aperture_m2": array.aperture_m2,
             "extent_x_mm": [float(positions[:, 0].min()), float(positions[:, 0].max())],
             "extent_y_mm": [float(positions[:, 1].min()), float(positions[:, 1].max())],
-        }),
-    ]
-    return outputs, (f"geometry: {array.n_elements} elements in "
-                     f"{array.n_groups} groups")
+        },
+    }, f"geometry: {array.n_elements} elements in {array.n_groups} groups", None
 
 
 COMMANDS = {
@@ -513,33 +450,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _resolve_out_dir(args) -> str:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.seed is not None:   # after every leaf flag: each parse makes a new list
         args.overrides.append(("rng_seed", args.seed))
     try:
         scn = load_scenario(args.scenario, args.overrides)
-        out_dir = _resolve_out_dir(args)
+        out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
+        os.makedirs(out_dir, exist_ok=True)
+        started = time.time()
+        artifacts, summary, missed = COMMANDS[args.command](scn)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-
-    started = time.time()
-    try:
-        # element-opt is the one command with quality targets for --strict
-        extra = {"strict": args.strict} if args.command == "element-opt" else {}
-        outputs, summary = COMMANDS[args.command](scn, out_dir, **extra)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except ComputationError as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
+    paths = []
+    for name, content in artifacts.items():   # a JSON payload or a CSV (header, rows)
+        path = os.path.join(out_dir, name)
+        paths.append(write_json(path, content) if isinstance(content, dict)
+                     else write_csv(path, *content))
+    if args.strict and missed:
+        print(f"computation failed: {missed}", file=sys.stderr)
         return 3
 
     manifest = {
@@ -548,12 +478,12 @@ def main(argv=None) -> int:
         "scenario_hash": scn.hash(),
         "seed": scn.rng_seed,
         "wall_clock_s": round(time.time() - started, 3),
-        "outputs": [os.path.basename(p) for p in outputs],
+        "outputs": list(artifacts),
     }
     manifest_path = os.path.join(out_dir, f"{args.command.replace('-', '_')}_manifest.json")
     write_json(manifest_path, manifest)
     print(summary)
-    for path in outputs + [manifest_path]:
+    for path in paths + [manifest_path]:
         print(f"  wrote {path}")
     return 0
 

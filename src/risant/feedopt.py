@@ -52,6 +52,12 @@ _BROADSIDE = Direction(0.0, 0.0)
 # y = 0 plane, 0.3 ms off it; the default box holds 130.
 MAX_COARSE_CELLS = 10_000
 
+# Lowest height of the search box: no horn's phase centre sits within a
+# micrometre of the aperture.  Far below it the cosines from a feed over
+# the centre to the elements underflow (the illumination is 0 at 1e-100 mm),
+# and at 1e-300 mm so does the length of the feed's own position vector.
+MIN_SEARCH_HEIGHT_MM = 1e-3
+
 # Feed positions the coarse scan evaluates in one array pass.  Two keep a
 # pass's float64 temporaries on the 128 x 128 spillover mesh at 128 kB (half
 # the mesh, on the y = 0 plane) or 256 kB (the whole mesh); three or four
@@ -72,8 +78,9 @@ class FeedSearchSpace:
         for name, (lo, hi) in (("x", self.x_mm), ("y", self.y_mm), ("z", self.z_mm)):
             if lo > hi:
                 raise ValueError(f"{name} bounds must satisfy lo <= hi, got ({lo}, {hi})")
-        if self.z_mm[0] <= 0:
-            raise ValueError("feed search must stay above the aperture (z > 0)")
+        if not self.z_mm[0] >= MIN_SEARCH_HEIGHT_MM:
+            raise ValueError(f"feed search must stay at least {MIN_SEARCH_HEIGHT_MM:g} mm "
+                             f"above the aperture")
         if self.coarse_step_mm <= 0:
             raise ValueError("coarse step must be positive")
         cells = math.prod((hi - lo) / self.coarse_step_mm + 2 if hi > lo else 1

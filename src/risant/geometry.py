@@ -72,6 +72,14 @@ def group_map(n_x: int, n_y: int, group_size: int, axis: str = "y") -> np.ndarra
 # and 73 MB; steer and feed-opt at 256 x 256 1.1 s and 1.3 s, 62 MB each.
 MAX_ARRAY_SIDE = 256
 
+# Longest lattice period, in wavelengths (the default 5 mm at 26 GHz is 0.43).
+# The lattice kernel's phases k x u reach pi (MAX_ARRAY_SIDE - 1) period /
+# wavelength, 8e8 rad at this bound, where float64 still resolves 1e-6 rad
+# (its spacing there is 1.2e-7 rad).  Far past it the phases lose every
+# digit: at 1e17 mm the pattern is noise, at 1e20 mm the kernel's sample
+# indices overflow.
+MAX_PERIOD_WAVELENGTHS = 1e6
+
 
 @dataclass(frozen=True, eq=False)
 class RisArray:
@@ -206,7 +214,10 @@ class AntennaAssembly:
     incidence_model: IncidenceModel | None = None
 
     def __post_init__(self):
-        wavelength_mm(self.frequency_ghz)   # checks the frequency
+        wavelength = wavelength_mm(self.frequency_ghz)   # checks the frequency
+        if not self.array.period_mm <= MAX_PERIOD_WAVELENGTHS * wavelength:
+            raise ValueError(f"lattice period of {self.array.period_mm / wavelength:.3g} "
+                             f"wavelengths, more than {MAX_PERIOD_WAVELENGTHS:g}")
         if self.cross_pol_db >= 0:
             raise ValueError("cross-pol level must be negative dB")
 

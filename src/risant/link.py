@@ -498,17 +498,12 @@ def measure_aclr(pa: PaModel, config: WaveformConfig = WaveformConfig(),
 # dual stream
 
 
-@dataclass(frozen=True)
-class StreamSinr:
-    h_db: float
-    v_db: float
-
-
 def dual_stream_sinr(stream_gains_dbi: dict[str, float], xpd: XpdModel,
-                     scenario: LinkScenario) -> StreamSinr:
+                     scenario: LinkScenario) -> dict[str, float]:
     """Per-stream SINR for co-located H/V streams separated by polarization.
 
-    ``stream_gains_dbi`` maps "h" and "v" to each stream's antenna gain.
+    ``stream_gains_dbi`` maps "h" and "v" to each stream's antenna gain;
+    the result maps them to each stream's SINR, dB.
     Each stream's interference is the other stream's received power
     attenuated by the receiving antenna's own cross-pol leakage; both
     streams share the scenario's transmit power, distance, and noise
@@ -522,7 +517,7 @@ def dual_stream_sinr(stream_gains_dbi: dict[str, float], xpd: XpdModel,
     rx_h_mw, rx_v_mw = from_db10(base + gain_h), from_db10(base + gain_v)
     sinr_h = rx_h_mw / (rx_v_mw * from_db10(xpd.h_antenna_db) + noise_mw)
     sinr_v = rx_v_mw / (rx_h_mw * from_db10(xpd.v_antenna_db) + noise_mw)
-    return StreamSinr(h_db=db10(sinr_h), v_db=db10(sinr_v))
+    return {"h": db10(sinr_h), "v": db10(sinr_v)}
 
 
 # ---------------------------------------------------------------------------

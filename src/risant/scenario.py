@@ -240,13 +240,14 @@ def _coerce(raw, hint, dotted: str):
     raise ScenarioError(f"{dotted} must be {_KINDS[hint]}, got {raw!r}")
 
 
-def _build(cls, section: dict, dotted: str, **given):
+def _build(cls, section: dict, dotted: str, blame=None, **given):
     """Build ``cls`` from the keys of ``section`` that name its fields.
 
     Each key is coerced by the class's type hints and wins over ``given``,
     which holds finished values for the other fields.  A value the model
     rejects becomes a ScenarioError naming the keys set away from their
-    defaults (or the section, if none is).
+    defaults (or the section, if none is), after those of ``blame``, a
+    (section, dotted name) pair behind ``given``.
     """
     hints = _hints(cls)
     kwargs, used = dict(given), {}
@@ -258,7 +259,8 @@ def _build(cls, section: dict, dotted: str, **given):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{', '.join(_changed(used, dotted)) or dotted}: {exc}") from None
+        keys = (_changed(*blame) if blame else []) + _changed(used, dotted)
+        raise ScenarioError(f"{', '.join(keys) or dotted}: {exc}") from None
 
 
 def _changed(section: dict, dotted: str) -> list[str]:
@@ -348,9 +350,10 @@ class Scenario:
                  if self.literal("pattern.incidence.enabled") else None)
         array, xpd = self.build_array(), self.build_xpd()
         cross_pol = xpd.h_antenna_db if array.polarization == "H" else xpd.v_antenna_db
-        assembly = _build(AntennaAssembly, p, "pattern", array=array, cross_pol_db=cross_pol,
-                          feed=self.build_feed(), incidence_model=model,
-                          element_circuit=self.build_design_circuit())
+        # of the assembly's own checks only the period in wavelengths can fail here
+        assembly = _build(AntennaAssembly, p, "pattern", (self.data["array"], "array"),
+                          array=array, cross_pol_db=cross_pol, feed=self.build_feed(),
+                          incidence_model=model, element_circuit=self.build_design_circuit())
         # a lattice or a feed far out of scale underflows the integral to 0,
         # or overflows it to nan
         with np.errstate(all="ignore"):

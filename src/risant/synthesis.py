@@ -117,30 +117,22 @@ def continuous_reflections(assembly: AntennaAssembly, phases_deg: np.ndarray,
     return float(amplitude) * np.exp(1j * np.radians(np.asarray(phases_deg, dtype=float)))
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    target: Direction
-    pointing_error_deg: float
-    gain_dbi: float
-    loss_vs_broadside_db: float
-
-
 def scan_evaluation(assembly: AntennaAssembly, targets,
-                    compensate_incidence: bool = False) -> list[ScanPoint]:
-    """Synthesize and evaluate one-bit beams for a list of directions."""
+                    compensate_incidence: bool = False) -> list[tuple]:
+    """Synthesize and evaluate one-bit beams for a list of directions.
+
+    One row per target: (az_deg, el_deg, gain_dbi, pointing_error_deg,
+    loss_vs_broadside_db).
+    """
     broadside = synthesize_codeword(assembly, Direction(0.0, 0.0), compensate_incidence)
     g0 = steered_gain(assembly, broadside, Direction(0.0, 0.0)).gain_dbi
-    points = []
+    rows = []
     for target in targets:
         cw = synthesize_codeword(assembly, target, compensate_incidence)
         sg = steered_gain(assembly, cw, target)
-        points.append(ScanPoint(
-            target=target,
-            pointing_error_deg=sg.pointing_error_deg,
-            gain_dbi=sg.gain_dbi,
-            loss_vs_broadside_db=g0 - sg.gain_dbi,
-        ))
-    return points
+        rows.append((target.az_deg, target.el_deg, sg.gain_dbi, sg.pointing_error_deg,
+                     g0 - sg.gain_dbi))
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

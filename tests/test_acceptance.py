@@ -137,11 +137,12 @@ def test_criterion_05_steering_envelope(assembly, report):
     az_targets = [Direction(a, 0.0) for a in
                   (-60.0, -45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0, 60.0)]
     el_targets = [Direction(0.0, e) for e in (-30.0, -10.0, 10.0, 30.0)]
-    points = scan_evaluation(assembly, az_targets + el_targets, False)
+    rows = scan_evaluation(assembly, az_targets + el_targets, False)
     elapsed = time.perf_counter() - t0
 
-    worst_err = max(p.pointing_error_deg for p in points[:9])
-    el_loss = {p.target.el_deg: p.loss_vs_broadside_db for p in points[9:]}
+    # rows: (az_deg, el_deg, gain_dbi, pointing_error_deg, loss_vs_broadside_db)
+    worst_err = max(row[3] for row in rows[:9])
+    el_loss = {row[1]: row[4] for row in rows[9:]}
     near_ok = max(el_loss[-10.0], el_loss[10.0]) <= 3.0
     far_ok = min(el_loss[-30.0], el_loss[30.0]) > 3.0
     ok = worst_err <= 2.0 and near_ok and far_ok and elapsed < 600.0
@@ -299,12 +300,12 @@ def test_criterion_10_dual_stream(scenario, report):
     oracle_h = db10(rx_h / (rx_v * from_db10(xpd.h_antenna_db) + noise_mw))
     oracle_v = db10(rx_v / (rx_h * from_db10(xpd.v_antenna_db) + noise_mw))
     elapsed = time.perf_counter() - t0
-    err = max(abs(sinr.h_db - oracle_h), abs(sinr.v_db - oracle_v))
-    ok = err <= 0.01 and sinr.v_db < sinr.h_db and elapsed < 1.0
-    report(10, ok, f"dual stream SINR H {sinr.h_db:.2f} / V {sinr.v_db:.2f} dB, "
+    err = max(abs(sinr["h"] - oracle_h), abs(sinr["v"] - oracle_v))
+    ok = err <= 0.01 and sinr["v"] < sinr["h"] and elapsed < 1.0
+    report(10, ok, f"dual stream SINR H {sinr['h']:.2f} / V {sinr['v']:.2f} dB, "
                     f"oracle error {err:.1e} dB (<=0.01), V below H", elapsed)
     assert err <= 0.01
-    assert sinr.v_db < sinr.h_db
+    assert sinr["v"] < sinr["h"]
     assert elapsed < 1.0
 
 

@@ -26,7 +26,8 @@ import risant
 from risant import __version__, cli, element, geometry, pattern, synthesis
 from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
 from risant.element import SweepRange
-from risant.feedopt import FeedSearchSpace
+from risant.constants import wavelength_mm
+from risant.feedopt import MIN_SEARCH_HEIGHT_MM, FeedSearchSpace
 from risant.link import MAX_ACLR_SYMBOLS, MAX_EVM_SYMBOLS
 from risant.pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
 from risant.scenario import _LITERALS, iter_leaf_paths, resolve_scenario
@@ -247,6 +248,29 @@ class TestClosure:
         assert lines[0].startswith(command + ":")
         wrote = [ln for ln in lines if ln.startswith("  wrote ")]
         assert len(wrote) == len(manifest["outputs"]) + 1  # plus the manifest
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_command_writes_nothing_and_returns_the_manifest_outputs(
+            self, command, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        args = cli.build_parser().parse_args([command, *FAST_ARGS[command]])
+        artifacts, summary, missed = COMMANDS[command](
+            resolve_scenario(None, args.overrides))
+        assert list(work.iterdir()) == []
+        assert summary.startswith(command + ":")
+        assert missed is None
+        assert run_cli(command, tmp_path / "out") == 0
+        assert list(artifacts) == read_manifest(tmp_path / "out", command)["outputs"]
+
+    def test_missed_target_without_strict_exits_0_with_its_manifest(self, tmp_path):
+        assert main(["element-opt", "--out", str(tmp_path),
+                     "--element.targets.min_amplitude", "0.999",
+                     "--element.max_rounds", "2"]) == 0
+        assert read_manifest(tmp_path, "element-opt")["outputs"] == [
+            "element_opt.json", "element_trace.csv"]
 
 
 class TestOutputDirectory:
@@ -629,6 +653,13 @@ _BAD_MODEL_VALUES = [
     ("pattern", "array.period_mm", "1e-300"),
     ("steer", "feed.position_mm", "[0, 0, 1e-300]"),
     ("pattern", "feed.pattern_exponent", "1e300"),
+    # a lattice period past geometry.MAX_PERIOD_WAVELENGTHS, where the field
+    # kernel's phases lose their digits, and a search box so low that the
+    # feed-to-element cosines underflow
+    ("pattern", "array.period_mm", "1e20"),
+    ("steer", "array.period_mm", "1e17"),
+    ("feed-opt", "feed.search.z_mm", "[1e-300, 1e-300]"),
+    ("feed-opt", "feed.search.z_mm", "[1e-100, 1e-100]"),
 ]
 
 
@@ -798,6 +829,16 @@ class TestFailureModes:
     def test_record_bound_admits_its_limit(self, flag, limit):
         assert resolve_scenario(None, [(flag, limit)]).literal(flag) == limit
 
+    def test_period_and_search_height_bounds_admit_their_limits(self):
+        period = geometry.MAX_PERIOD_WAVELENGTHS * wavelength_mm(26.0)
+        scn = resolve_scenario(None, [("array.period_mm", period),
+                                      ("feed.search.z_mm", [MIN_SEARCH_HEIGHT_MM, 1.0])])
+        assert scn.build_assembly().array.period_mm == period
+        assert scn.build_feed_space().z_mm[0] == MIN_SEARCH_HEIGHT_MM
+        with pytest.raises(ValueError, match="wavelengths"):
+            geometry.AntennaAssembly(array=geometry.RisArray(
+                period_mm=math.nextafter(period, math.inf)))
+
     @pytest.mark.parametrize("flag, value, parameter", [
         ("element.start.l_g_nh", "0", "l_g_nh"),
         ("element.start.l_v_nh", "0", "l_v_nh"),
@@ -850,6 +891,16 @@ class TestFailureModes:
         assert "scenario error" in err and flag in err
         assert "Traceback" not in err
         assert elapsed < 1.0
+
+    def test_steep_feed_over_a_low_box_exits_2_naming_both_keys(self, tmp_path, capsys):
+        # the search height passes its bound, but cos^100 of the angles from
+        # a feed 1e-3 mm over the centre to the elements underflows to 0
+        rc = main(["feed-opt", "--feed.pattern_exponent", "200",
+                   "--feed.search.z_mm", "[1e-3, 1e-3]", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error: feed.search.z_mm, feed.pattern_exponent: " in err
+        assert "Traceback" not in err
 
     def test_steer_without_targets_exits_2(self, tmp_path, capsys):
         rc = main(["steer", "--pattern.scan_az_deg", "[]", "--pattern.scan_el_deg", "[]",

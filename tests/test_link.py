@@ -519,21 +519,21 @@ class TestDualStream:
         rx_v = from_db10(sc.tx_power_dbm - fspl + sc.rx_antenna_gain_dbi + 22.11)
         want_h = 10 * math.log10(rx_h / (rx_v * from_db10(xpd.h_antenna_db) + noise_mw))
         want_v = 10 * math.log10(rx_v / (rx_h * from_db10(xpd.v_antenna_db) + noise_mw))
-        assert out.h_db == pytest.approx(want_h, abs=1e-9)
-        assert out.v_db == pytest.approx(want_v, abs=1e-9)
+        assert out["h"] == pytest.approx(want_h, abs=1e-9)
+        assert out["v"] == pytest.approx(want_v, abs=1e-9)
 
     def test_interference_limited_by_antenna_isolation(self):
         sc = LinkScenario(tx_power_dbm=120.0)  # drive thermal noise negligible
         out = dual_stream_sinr({"h": 22.0, "v": 22.0}, XpdModel(), sc)
-        assert out.h_db == pytest.approx(15.19, abs=1e-6)
-        assert out.v_db == pytest.approx(10.16, abs=1e-6)
-        assert out.v_db < out.h_db
+        assert out["h"] == pytest.approx(15.19, abs=1e-6)
+        assert out["v"] == pytest.approx(10.16, abs=1e-6)
+        assert out["v"] < out["h"]
 
     def test_perfect_isolation_reduces_to_snr(self):
         sc = LinkScenario()
         xpd = XpdModel(h_antenna_db=-200.0, v_antenna_db=-200.0)
         out = dual_stream_sinr({"h": 22.2, "v": 22.2}, xpd, sc)
-        assert out.h_db == pytest.approx(link_budget(sc), abs=1e-9)
+        assert out["h"] == pytest.approx(link_budget(sc), abs=1e-9)
 
     def test_xpd_validation(self):
         with pytest.raises(ValueError):

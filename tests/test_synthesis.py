@@ -472,11 +472,13 @@ class TestBeamTraining:
 
 class TestScanEvaluation:
     def test_reports_loss_relative_to_broadside(self, assembly):
-        points = scan_evaluation(assembly, [Direction(0.0, 0.0), Direction(30.0, 0.0)])
-        assert len(points) == 2
-        assert points[0].loss_vs_broadside_db == pytest.approx(0.0, abs=1e-9)
-        assert points[1].loss_vs_broadside_db > 0.0
-        assert points[1].pointing_error_deg <= 2.0
+        rows = scan_evaluation(assembly, [Direction(0.0, 0.0), Direction(30.0, 0.0)])
+        assert len(rows) == 2
+        # (az_deg, el_deg, gain_dbi, pointing_error_deg, loss_vs_broadside_db)
+        assert [row[:2] for row in rows] == [(0.0, 0.0), (30.0, 0.0)]
+        assert rows[0][4] == pytest.approx(0.0, abs=1e-9)
+        assert rows[1][4] > 0.0
+        assert rows[1][3] <= 2.0
 
 
 class TestIncidenceCompensation:
