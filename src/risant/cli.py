@@ -11,9 +11,11 @@ Every scenario leaf is also a flag, ``--dotted.leaf VALUE`` or
 ``--dotted.leaf=VALUE`` with a YAML value; one argv scan collects these
 overrides in order, and argparse parses the rest.
 
-Exit codes: 0 success, 2 configuration error, 3 a quality target the
-command reports missed, under --strict (currently only element-opt has
-targets); its artifacts are written, its manifest is not.
+Besides the leaf flags a run takes two options: ``--scenario FILE``
+and ``--out DIR`` (default the working directory).
+
+Exit codes: 0 success (a quality target the command reports missed, such
+as element-opt's, included), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ from .synthesis import (
     synthesize_codeword,
     synthesize_wide_beam,
 )
-
-OUTPUT_DIR_ENV = "RISANT_OUTPUT_DIR"
-
 
 # ---------------------------------------------------------------------------
 # deterministic artifact writers
@@ -119,10 +118,9 @@ def _json_default(value):
 
 # ---------------------------------------------------------------------------
 # subcommand implementations.  Each is a function of the scenario alone and
-# returns (artifacts, summary line, missed): artifacts maps each file name,
-# in write order, to a JSON payload or a CSV (header, rows) pair, whose rows
-# may be an iterator that the writer reads once; missed is None or the
-# quality target the run did not meet.
+# returns (artifacts, summary line): artifacts maps each file name, in write
+# order, to a JSON payload or a CSV (header, rows) pair, whose rows may be an
+# iterator that the writer reads once.
 
 
 def cmd_element_opt(scn: Scenario):
@@ -136,8 +134,6 @@ def cmd_element_opt(scn: Scenario):
     except ValueError as exc:   # a sweep misses its start value
         raise ScenarioError(f"element.sweeps, element.start or element.diode: {exc}") from None
     c = result.circuit
-    states = (f"|G_on| {result.amp_on:.4f} |G_off| {result.amp_off:.4f} "
-              f"dphi {result.phase_diff_deg:.2f} deg")
     artifacts = {"element_opt.json": {
         "frequency_ghz": freq,
         # the tuned values under the scenario's circuit keys
@@ -150,8 +146,9 @@ def cmd_element_opt(scn: Scenario):
     if result.trace:
         artifacts["element_trace.csv"] = (["round", "parameter", "value", "amp_on", "amp_off",
                                            "phase_diff_deg", "objective"], result.trace)
-    return (artifacts, f"element-opt: {states} targets_met={result.targets_met}",
-            None if result.targets_met else f"element targets unmet: {states}")
+    return artifacts, (f"element-opt: |G_on| {result.amp_on:.4f} |G_off| "
+                       f"{result.amp_off:.4f} dphi {result.phase_diff_deg:.2f} deg "
+                       f"targets_met={result.targets_met}")
 
 
 def cmd_pattern(scn: Scenario):
@@ -173,7 +170,7 @@ def cmd_pattern(scn: Scenario):
         "pattern_cut_az.csv": (["az_deg", "gain_dbi"], zip(m.az_deg, m.az_cut_dbi)),
         "pattern_cut_el.csv": (["el_deg", "gain_dbi"], zip(m.el_deg, m.el_cut_dbi)),
     }, (f"pattern: peak {m.peak_gain_dbi:.2f} dBi at ({peak.az_deg:.2f}, "
-        f"{peak.el_deg:.2f}) deg, SLL {sll} dB"), None
+        f"{peak.el_deg:.2f}) deg, SLL {sll} dB")
 
 
 def cmd_steer(scn: Scenario):
@@ -189,7 +186,7 @@ def cmd_steer(scn: Scenario):
                        "loss_vs_broadside_db"], rows),
         "steer.json": {"n_directions": len(rows), "max_pointing_error_deg": worst,
                        "max_loss_vs_broadside_db": max(r[4] for r in rows)},
-    }, f"steer: {len(rows)} directions, worst pointing error {worst:.2f} deg", None
+    }, f"steer: {len(rows)} directions, worst pointing error {worst:.2f} deg"
 
 
 def cmd_widebeam(scn: Scenario):
@@ -212,18 +209,18 @@ def cmd_widebeam(scn: Scenario):
         "widebeam_states.csv": (["group", "state"],
                                 enumerate(np.asarray(result.codeword.states, dtype=int))),
     }, (f"widebeam: {result.n_subapertures} subapertures, ripple "
-        f"{result.ripple_db:.2f} dB over [{sector[0]}, {sector[1]}] deg"), None
+        f"{result.ripple_db:.2f} dB over [{sector[0]}, {sector[1]}] deg")
 
 
 def cmd_feed_opt(scn: Scenario):
     asm = scn.build_assembly()
     try:
         coarse = coarse_optimize_feed(asm, scn.build_feed_space())
-    except ValueError as exc:   # a cell so low that the feed's pattern lights no element
+        refined = refine_feed(asm, coarse.position_mm)
+        refined_breakdown = aperture_efficiency(
+            replace(asm, feed=replace(asm.feed, position_mm=refined.position_mm)))
+    except ValueError as exc:   # a feed position whose pattern lights no element
         raise ScenarioError(f"feed.search.z_mm, feed.pattern_exponent: {exc}") from None
-    refined = refine_feed(asm, coarse.position_mm)
-    refined_breakdown = aperture_efficiency(
-        replace(asm, feed=replace(asm.feed, position_mm=refined.position_mm)))
     x, y, z = refined.position_mm
     return {
         "feed_opt.json": {
@@ -242,7 +239,7 @@ def cmd_feed_opt(scn: Scenario):
         "feed_refine.csv": (["dx_mm", "dy_mm", "dz_mm", "realized_gain_dbi"],
                             refined.evaluations),
     }, (f"feed-opt: refined ({x:.1f}, {y:.1f}, {z:.1f}) mm, "
-        f"{refined.realized_gain_dbi:.2f} dBi realized"), None
+        f"{refined.realized_gain_dbi:.2f} dBi realized")
 
 
 def cmd_link(scn: Scenario):
@@ -250,14 +247,14 @@ def cmd_link(scn: Scenario):
     snr = link_budget(ls)
     evm_cf = evm_closed_form(snr, ls.tx_evm_floor)
     evm_mc = simulate_evm(snr, ls.tx_evm_floor, ls.modulation,
-                          scn.literal("link.evm_symbols"), scn.rng_seed)
+                          scn.literal("link.evm_symbols"), scn.literal("rng_seed"))
     return {"link.json": {
         "d_m": ls.d_m, "center_freq_ghz": ls.center_freq_ghz,
         "bandwidth_mhz": ls.bandwidth_mhz, "modulation": ls.modulation, "snr_db": snr,
         "evm_closed_form_pct": 100.0 * evm_cf, "evm_simulated_pct": 100.0 * evm_mc,
         "evm_limit_pct": 100.0 * EVM_LIMIT, "pass_evm": evm_cf <= EVM_LIMIT,
     }}, (f"link: snr {snr:.2f} dB, EVM {100 * evm_cf:.2f}% "
-         f"(simulated {100 * evm_mc:.2f}%)"), None
+         f"(simulated {100 * evm_mc:.2f}%)")
 
 
 def cmd_evm_sweep(scn: Scenario):
@@ -268,7 +265,7 @@ def cmd_evm_sweep(scn: Scenario):
         "evm_sweep.json": {"n_points": len(rows), "all_pass": all_pass,
                            "worst_evm_pct": worst},
     }, (f"evm-sweep: {len(rows)} distances, worst EVM {worst:.2f}%, "
-        f"all_pass={all_pass}"), None
+        f"all_pass={all_pass}")
 
 
 def cmd_aclr_sweep(scn: Scenario):
@@ -277,7 +274,7 @@ def cmd_aclr_sweep(scn: Scenario):
     waveform = WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[round(bw_mhz)])
     try:
         lower, upper = measure_aclr(pa, waveform, scn.literal("link.aclr.n_symbols"),
-                                    scn.rng_seed, channel_bandwidth_hz=bw_mhz * 1e6)
+                                    scn.literal("rng_seed"), channel_bandwidth_hz=bw_mhz * 1e6)
     except ValueError as exc:   # the amplifier drives every sample to 0
         raise ScenarioError(f"link.pa.saturation_level or link.pa.smoothness: {exc}") from None
     passed = max(lower, upper) <= ACLR_LIMIT_DBC
@@ -292,7 +289,7 @@ def cmd_aclr_sweep(scn: Scenario):
         "aclr_sweep.json": {"pa": asdict(pa), "channel_bandwidth_mhz": bw_mhz,
                             "aclr_lower_dbc": lower, "aclr_upper_dbc": upper,
                             "limit_dbc": ACLR_LIMIT_DBC, "all_pass": passed},
-    }, f"aclr-sweep: {lower:.1f} / {upper:.1f} dBc ({pa.kind} PA), all_pass={passed}", None
+    }, f"aclr-sweep: {lower:.1f} / {upper:.1f} dBc ({pa.kind} PA), all_pass={passed}"
 
 
 def cmd_dual_stream(scn: Scenario):
@@ -306,7 +303,7 @@ def cmd_dual_stream(scn: Scenario):
                              ("V", gains["v"], xpd.v_antenna_db, sinr["v"])]),
         "dual_stream.json": {"d_m": ls.d_m, "center_freq_ghz": ls.center_freq_ghz,
                              "sinr_h_db": sinr["h"], "sinr_v_db": sinr["v"]},
-    }, f"dual-stream: SINR H {sinr['h']:.2f} dB, V {sinr['v']:.2f} dB", None
+    }, f"dual-stream: SINR H {sinr['h']:.2f} dB, V {sinr['v']:.2f} dB"
 
 
 def cmd_rate(scn: Scenario):
@@ -314,7 +311,7 @@ def cmd_rate(scn: Scenario):
     rate, duty = peak_rate_3gpp(frame), dl_duty(frame)
     return ({"rate.json": {"rate_bps": rate, "rate_gbps": rate / 1e9, "dl_duty": duty,
                            "frame": asdict(frame)}},
-            f"rate: {rate / 1e9:.4f} Gbps (duty {duty:.4f})", None)
+            f"rate: {rate / 1e9:.4f} Gbps (duty {duty:.4f})")
 
 
 def cmd_train(scn: Scenario):
@@ -330,7 +327,7 @@ def cmd_train(scn: Scenario):
     n_trials = scn.literal("training.n_trials")
     snr = scn.literal("training.pilot_snr_db")
     threshold = scn.literal("training.accept_threshold_db")
-    seed_root = np.random.SeedSequence(scn.rng_seed)
+    seed_root = np.random.SeedSequence(scn.literal("rng_seed"))
     rows = []
     for trial, seq in enumerate(seed_root.spawn(n_trials)):
         truth_seq, noise_seq = seq.spawn(2)
@@ -361,7 +358,7 @@ def cmd_train(scn: Scenario):
             "mean_pilots_baseline": sum(r[5] for r in rows) / n_trials,
         },
     }, (f"train: success {rate_w:.3f} widened vs {rate_b:.3f} "
-        f"baseline over {n_trials} trials"), None
+        f"baseline over {n_trials} trials")
 
 
 def cmd_geometry(scn: Scenario):
@@ -377,7 +374,7 @@ def cmd_geometry(scn: Scenario):
             "extent_x_mm": [float(positions[:, 0].min()), float(positions[:, 0].max())],
             "extent_y_mm": [float(positions[:, 1].min()), float(positions[:, 1].max())],
         },
-    }, f"geometry: {array.n_elements} elements in {array.n_groups} groups", None
+    }, f"geometry: {array.n_elements} elements in {array.n_groups} groups"
 
 
 COMMANDS = {
@@ -394,8 +391,6 @@ COMMANDS = {
     "train": cmd_train,
     "geometry": cmd_geometry,
 }
-
-SUBCOMMANDS = tuple(COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="risant", allow_abbrev=False,
         description="One-bit reflectarray antenna and link simulator.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("command", choices=SUBCOMMANDS, help="pipeline to run")
+    parser.add_argument("command", choices=COMMANDS, help="pipeline to run")
     parser.add_argument("--scenario", metavar="FILE", default=None,
                         help="YAML scenario file (omitted = prototype defaults)")
     parser.add_argument("--out", metavar="DIR", default=None,
-                        help=f"output directory (default ${OUTPUT_DIR_ENV} or cwd)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario rng_seed")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 3 when quality targets are missed")
+                        help="output directory (default the working directory)")
     parser.leaf_flags = frozenset(f"--{dotted}" for dotted, _ in iter_leaf_paths())
     return parser
 
@@ -452,14 +443,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.seed is not None:   # after every leaf flag: each parse makes a new list
-        args.overrides.append(("rng_seed", args.seed))
     try:
         scn = load_scenario(args.scenario, args.overrides)
-        out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
+        out_dir = args.out or os.getcwd()
         os.makedirs(out_dir, exist_ok=True)
         started = time.time()
-        artifacts, summary, missed = COMMANDS[args.command](scn)
+        artifacts, summary = COMMANDS[args.command](scn)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -468,22 +457,13 @@ def main(argv=None) -> int:
         path = os.path.join(out_dir, name)
         paths.append(write_json(path, content) if isinstance(content, dict)
                      else write_csv(path, *content))
-    if args.strict and missed:
-        print(f"computation failed: {missed}", file=sys.stderr)
-        return 3
-
-    manifest = {
-        "tool_version": __version__,
-        "subcommand": args.command,
-        "scenario_hash": scn.hash(),
-        "seed": scn.rng_seed,
-        "wall_clock_s": round(time.time() - started, 3),
-        "outputs": list(artifacts),
-    }
-    manifest_path = os.path.join(out_dir, f"{args.command.replace('-', '_')}_manifest.json")
-    write_json(manifest_path, manifest)
+    manifest = {"tool_version": __version__, "subcommand": args.command,
+                "scenario_hash": scn.hash(), "seed": scn.literal("rng_seed"),
+                "wall_clock_s": round(time.time() - started, 3), "outputs": list(artifacts)}
+    paths.append(write_json(os.path.join(
+        out_dir, f"{args.command.replace('-', '_')}_manifest.json"), manifest))
     print(summary)
-    for path in paths + [manifest_path]:
+    for path in paths:
         print(f"  wrote {path}")
     return 0
 

@@ -58,6 +58,12 @@ MAX_COARSE_CELLS = 10_000
 # and at 1e-300 mm so does the length of the feed's own position vector.
 MIN_SEARCH_HEIGHT_MM = 1e-3
 
+# Largest |x|, |y| and z of the search box, a kilometre: a horn sits within a
+# few apertures of the array (the prototype's 150 mm over a 160 mm side), and
+# out to here the feed distances, their cubes and the path phase k*r (5e5 rad
+# at 26 GHz) stay finite and exact.  At 1e300 mm the squared distance overflows.
+MAX_SEARCH_EXTENT_MM = 1e6
+
 # Feed positions the coarse scan evaluates in one array pass.  Two keep a
 # pass's float64 temporaries on the 128 x 128 spillover mesh at 128 kB (half
 # the mesh, on the y = 0 plane) or 256 kB (the whole mesh); three or four
@@ -81,6 +87,9 @@ class FeedSearchSpace:
         if not self.z_mm[0] >= MIN_SEARCH_HEIGHT_MM:
             raise ValueError(f"feed search must stay at least {MIN_SEARCH_HEIGHT_MM:g} mm "
                              f"above the aperture")
+        if not max(map(abs, (*self.x_mm, *self.y_mm, self.z_mm[1]))) <= MAX_SEARCH_EXTENT_MM:
+            raise ValueError(f"feed search must stay within {MAX_SEARCH_EXTENT_MM:g} mm "
+                             f"of the aperture centre on each axis")
         if self.coarse_step_mm <= 0:
             raise ValueError("coarse step must be positive")
         cells = math.prod((hi - lo) / self.coarse_step_mm + 2 if hi > lo else 1

@@ -148,9 +148,10 @@ def spillover_efficiency(assembly: AntennaAssembly) -> float:
 def taper_efficiency(amplitudes: np.ndarray) -> float:
     """Aperture illumination (taper) efficiency of an amplitude set."""
     a = np.abs(np.asarray(amplitudes, dtype=float))
-    if a.size == 0 or np.all(a == 0):
-        raise ValueError("amplitude set must contain energy")
-    return float(np.sum(a) ** 2 / (a.size * np.sum(a**2)))
+    total_sq, power = np.sum(a) ** 2, np.sum(a**2)
+    if not (0 < total_sq < math.inf and 0 < power < math.inf):   # 0 / 0 if squares underflow
+        raise ValueError("amplitude sums must be positive and finite")
+    return float(total_sq / (a.size * power))
 
 
 def _illumination(assembly: AntennaAssembly, feeds):
@@ -177,7 +178,10 @@ def illumination(assembly: AntennaAssembly) -> np.ndarray:
     if "illumination" not in cached:
         amp, a = _illumination(assembly, [assembly.feed])
         a = a.ravel()
-        a *= math.sqrt(spillover_efficiency(assembly) / np.sum(amp**2))
+        power = np.sum(amp**2)   # checked before the division, as in taper_efficiency
+        if not 0 < power < math.inf:
+            raise ValueError(f"illumination power must be positive and finite, got {power:g}")
+        a *= math.sqrt(spillover_efficiency(assembly) / power)
         a.flags.writeable = False
         cached["illumination"] = a
     return cached["illumination"]

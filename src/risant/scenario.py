@@ -55,7 +55,7 @@ from .link import (
     PaModel,
     XpdModel,
 )
-from .pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG, spillover_efficiency
+from .pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG, illumination, spillover_efficiency
 from .synthesis import (
     DEFAULT_ACCEPT_THRESHOLD_DB,
     DEFAULT_CODEBOOK_BRANCHING,
@@ -157,6 +157,12 @@ def _sector(lo, hi):
     return lambda v: v[0] < v[1] and _inside(lo, hi)(v)
 
 
+# Range of the dB keys read as plain values: a pilot 100 dB under its noise
+# carries nothing, a widening threshold 100 dB off widens always or never,
+# and 100 dBi is 66 dB past the prototype aperture's directivity bound.  The
+# ratios 10**(x/10) stay far inside float64 here; at 1e15 dB they overflow.
+_DB = (-100.0, 100.0)
+
 # keys that commands read as plain values, checked when the scenario
 # resolves: dotted key -> (type hint, test the coerced value must pass,
 # what the test asks for).  Directions and sectors must lie in the scan
@@ -192,13 +198,13 @@ _LITERALS = {
     "link.aclr.n_symbols": (int, lambda v: 1 <= v <= MAX_ACLR_SYMBOLS,
                             f"an integer in [1, {MAX_ACLR_SYMBOLS}]"),
     "link.aclr.aod_az_deg": (list[float], _any, ""),
-    "link.stream_gains_dbi.h": (float, _any, ""),
-    "link.stream_gains_dbi.v": (float, _any, ""),
+    "link.stream_gains_dbi.h": (float, _inside(*_DB), f"a gain in {list(_DB)} dBi"),
+    "link.stream_gains_dbi.v": (float, _inside(*_DB), f"a gain in {list(_DB)} dBi"),
     "training.n_levels": (int, lambda v: v >= 1, "a positive integer"),
     "training.branching": (int, lambda v: v >= 2, "an integer of at least 2"),
-    "training.pilot_snr_db": (float, _any, ""),
+    "training.pilot_snr_db": (float, _inside(*_DB), f"an SNR in {list(_DB)} dB"),
     "training.n_trials": (int, lambda v: v >= 1, "a positive integer"),
-    "training.accept_threshold_db": (float, _any, ""),
+    "training.accept_threshold_db": (float, _inside(*_DB), f"a threshold in {list(_DB)} dB"),
     "training.sector_az_deg": (tuple[float, float], _sector(*_AZ),
                                f"[lo, hi] with lo < hi in {list(_AZ)} deg"),
     "training.el_deg": (float, _inside(*_EL), f"an elevation in {list(_EL)} deg"),
@@ -320,10 +326,6 @@ class Scenario:
 
     # -- access -----------------------------------------------------------
 
-    @property
-    def rng_seed(self) -> int:
-        return self.literal("rng_seed")
-
     def literal(self, dotted: str):
         """The checked value of a key of ``_LITERALS``."""
         return self.literals[dotted]
@@ -355,13 +357,18 @@ class Scenario:
                           array=array, cross_pol_db=cross_pol, feed=self.build_feed(),
                           incidence_model=model, element_circuit=self.build_design_circuit())
         # a lattice or a feed far out of scale underflows the integral to 0,
-        # or overflows it to nan
+        # or overflows it to nan; a feed pattern too steep for every element
+        # squares the illumination to 0.  Both are memoized for the command.
         with np.errstate(all="ignore"):
             spillover = spillover_efficiency(assembly)
-        if not spillover > 0:
+        try:
+            if not spillover > 0:
+                raise ValueError(f"the aperture intercepts none of the feed's power "
+                                 f"(spillover {spillover})")
+            illumination(assembly)
+        except ValueError as exc:
             keys = _changed(self.data["array"], "array") + _changed(self.data["feed"], "feed")
-            raise ScenarioError(f"{', '.join(keys) or 'array, feed'}: the aperture "
-                                f"intercepts none of the feed's power (spillover {spillover})")
+            raise ScenarioError(f"{', '.join(keys) or 'array, feed'}: {exc}") from None
         return assembly
 
     def build_diode(self) -> DiodeModel:

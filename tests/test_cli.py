@@ -24,10 +24,10 @@ from hypothesis import strategies as st
 
 import risant
 from risant import __version__, cli, element, geometry, pattern, synthesis
-from risant.cli import COMMANDS, OUTPUT_DIR_ENV, SUBCOMMANDS, main
+from risant.cli import COMMANDS, main
 from risant.element import SweepRange
 from risant.constants import wavelength_mm
-from risant.feedopt import MIN_SEARCH_HEIGHT_MM, FeedSearchSpace
+from risant.feedopt import MAX_SEARCH_EXTENT_MM, MIN_SEARCH_HEIGHT_MM, FeedSearchSpace
 from risant.link import MAX_ACLR_SYMBOLS, MAX_EVM_SYMBOLS
 from risant.pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
 from risant.scenario import _LITERALS, iter_leaf_paths, resolve_scenario
@@ -87,8 +87,24 @@ def read_manifest(out_dir, command):
 
 class TestParser:
     def test_registry_matches_dispatch_table(self):
-        assert set(SUBCOMMANDS) == set(COMMANDS)
-        assert len(SUBCOMMANDS) == 12
+        (command,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        assert list(command.choices) == list(COMMANDS)
+        assert len(COMMANDS) == 12
+
+    def test_scenario_and_out_are_the_only_run_options(self):
+        options = {s for a in cli.build_parser()._actions for s in a.option_strings}
+        assert options == {"-h", "--help", "--version", "--scenario", "--out"}
+
+    @pytest.mark.parametrize("argv, option", [
+        (["rate", "--seed", "7"], "--seed"),
+        (["element-opt", "--strict"], "--strict"),
+    ])
+    def test_removed_run_options_are_unrecognized(self, argv, option, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -117,42 +133,41 @@ class TestParser:
         # such as -3 and -0.5 look like values to it
         args = cli.build_parser().parse_args(
             ["pattern", "--pattern.target.az_deg", "-1.5e1", "--pattern.target.el_deg",
-             "-0.5", "--array.n_x", "-3", "--seed", "1"])
+             "-0.5", "--array.n_x", "-3", "--out", "x"])
         assert args.overrides == [("pattern.target.az_deg", "-1.5e1"),
                                   ("pattern.target.el_deg", -0.5), ("array.n_x", -3)]
-        assert args.seed == 1
+        assert args.out == "x"
 
     def test_leaf_flag_before_a_long_flag_has_no_value(self):
         with pytest.raises(SystemExit) as excinfo:
-            cli.build_parser().parse_args(["pattern", "--pattern.target.az_deg", "--seed", "1"])
+            cli.build_parser().parse_args(["pattern", "--pattern.target.az_deg", "--out", "x"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("argv, command, overrides, seed", [
-        (["rate", "--frame.overhead", "0.18"], "rate", [("frame.overhead", 0.18)], None),
-        (["rate", "--frame.overhead=0.18"], "rate", [("frame.overhead", 0.18)], None),
+    @pytest.mark.parametrize("argv, command, overrides", [
+        (["rate", "--frame.overhead", "0.18"], "rate", [("frame.overhead", 0.18)]),
+        (["rate", "--frame.overhead=0.18"], "rate", [("frame.overhead", 0.18)]),
         (["rate", "--frame.overhead", "0.1", "--frame.overhead=0.2"], "rate",
-         [("frame.overhead", 0.1), ("frame.overhead", 0.2)], None),
-        (["--frame.overhead", "0.18", "rate"], "rate", [("frame.overhead", 0.18)], None),
+         [("frame.overhead", 0.1), ("frame.overhead", 0.2)]),
+        (["--frame.overhead", "0.18", "rate"], "rate", [("frame.overhead", 0.18)]),
         (["pattern", "--pattern.target.az_deg", "-1.5e1"], "pattern",
-         [("pattern.target.az_deg", "-1.5e1")], None),
+         [("pattern.target.az_deg", "-1.5e1")]),
         (["pattern", "--pattern.target.az_deg=-1.5e1"], "pattern",
-         [("pattern.target.az_deg", "-1.5e1")], None),
-        (["geometry", "--array.n_x", "-3"], "geometry", [("array.n_x", -3)], None),
+         [("pattern.target.az_deg", "-1.5e1")]),
+        (["geometry", "--array.n_x", "-3"], "geometry", [("array.n_x", -3)]),
         (["pattern", "--pattern.target.el_deg", "-0.5"], "pattern",
-         [("pattern.target.el_deg", -0.5)], None),
+         [("pattern.target.el_deg", -0.5)]),
         (["steer", "--pattern.scan_az_deg", "[-30.0, 0, 30]"], "steer",
-         [("pattern.scan_az_deg", [-30.0, 0, 30])], None),
-        (["rate", "--frame.overhead="], "rate", [("frame.overhead", None)], None),
-        (["rate", "--rng_seed", "3", "--seed", "7"], "rate", [("rng_seed", 3)], 7),
+         [("pattern.scan_az_deg", [-30.0, 0, 30])]),
+        (["rate", "--frame.overhead="], "rate", [("frame.overhead", None)]),
+        (["rate", "--rng_seed", "3"], "rate", [("rng_seed", 3)]),
     ])
-    def test_leaf_flags_give_the_overrides_in_argv_order(self, argv, command, overrides,
-                                                         seed):
+    def test_leaf_flags_give_the_overrides_in_argv_order(self, argv, command, overrides):
         args = cli.build_parser().parse_args(argv)
-        assert (args.command, args.overrides, args.seed) == (command, overrides, seed)
+        assert (args.command, args.overrides) == (command, overrides)
 
     @pytest.mark.parametrize("argv, message", [
         (["rate", "--frame.overhead"], "argument --frame.overhead: expected one argument"),
-        (["rate", "--frame.overhead", "--seed", "7"],
+        (["rate", "--frame.overhead", "--out", "x"],
          "argument --frame.overhead: expected one argument"),
         (["rate", "--link.bogus", "1"], "--link.bogus"),
         (["rate", "--frame.over", "0.1"], "--frame.over"),
@@ -228,7 +243,7 @@ class TestImportPath:
 class TestClosure:
     """Every subcommand runs to completion on the default scenario."""
 
-    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_subcommand_runs_clean(self, command, tmp_path, capsys):
         rc = run_cli(command, tmp_path)
         assert rc == 0
@@ -249,19 +264,16 @@ class TestClosure:
         wrote = [ln for ln in lines if ln.startswith("  wrote ")]
         assert len(wrote) == len(manifest["outputs"]) + 1  # plus the manifest
 
-    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_writes_nothing_and_returns_the_manifest_outputs(
             self, command, tmp_path, monkeypatch):
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
-        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
         args = cli.build_parser().parse_args([command, *FAST_ARGS[command]])
-        artifacts, summary, missed = COMMANDS[command](
-            resolve_scenario(None, args.overrides))
+        artifacts, summary = COMMANDS[command](resolve_scenario(None, args.overrides))
         assert list(work.iterdir()) == []
         assert summary.startswith(command + ":")
-        assert missed is None
         assert run_cli(command, tmp_path / "out") == 0
         assert list(artifacts) == read_manifest(tmp_path / "out", command)["outputs"]
 
@@ -279,25 +291,17 @@ class TestOutputDirectory:
         assert main(["rate", "--out", str(nested)]) == 0
         assert (nested / "rate.json").is_file()
 
-    def test_environment_variable_is_honored(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))
-        assert main(["rate"]) == 0
-        assert (env_dir / "rate.json").is_file()
-
-    def test_out_flag_wins_over_environment(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from_env"
-        out_dir = tmp_path / "from_flag"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))
-        assert main(["rate", "--out", str(out_dir)]) == 0
-        assert (out_dir / "rate.json").is_file()
-        assert not env_dir.exists()
-
     def test_default_is_working_directory(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
         monkeypatch.chdir(tmp_path)
         assert main(["rate"]) == 0
         assert (tmp_path / "rate.json").is_file()
+
+    def test_no_environment_variable_moves_the_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RISANT_OUTPUT_DIR", str(tmp_path / "env"))
+        assert main(["rate"]) == 0
+        assert (tmp_path / "rate.json").is_file()
+        assert not (tmp_path / "env").exists()
 
 
 @pytest.fixture(scope="module")
@@ -376,7 +380,7 @@ class TestRateAndOverrides:
             RATE_DEFAULT_BPS, rel=1e-12)
 
     def test_seed_flag_recorded_in_manifest(self, tmp_path):
-        assert run_cli("rate", tmp_path, "--seed", "7") == 0
+        assert run_cli("rate", tmp_path, "--rng_seed", "7") == 0
         assert read_manifest(tmp_path, "rate")["seed"] == 7
 
     @pytest.mark.parametrize("overrides, cross_pol_db", [
@@ -401,30 +405,18 @@ class TestDeterminism:
         assert bytes_a == (b / "train.csv").read_bytes()
         assert len(bytes_a.strip().splitlines()) == 5  # header + 4 trials
 
-    @pytest.mark.parametrize("flags", [["--rng_seed", "3", "--seed", "7"],
-                                       ["--seed", "7", "--rng_seed", "3"]])
-    def test_seed_flag_wins_over_the_rng_seed_key(self, flags, tmp_path):
-        both, key, other = tmp_path / "both", tmp_path / "key", tmp_path / "other"
-        assert run_cli("train", both, *flags) == 0
-        assert run_cli("train", key, "--rng_seed", "7") == 0
-        assert run_cli("train", other, "--rng_seed", "3") == 0
-        written = (both / "train.csv").read_bytes()
-        assert written == (key / "train.csv").read_bytes()
-        assert written != (other / "train.csv").read_bytes()
-        assert read_manifest(both, "train")["seed"] == 7
-
     def test_seed_changes_train_draws(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli("train", a) == 0
-        assert run_cli("train", b, "--seed", "1") == 0
+        assert run_cli("train", b, "--rng_seed", "1") == 0
         assert (a / "train.csv").read_bytes() != (b / "train.csv").read_bytes()
 
-    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_seeded_artifacts_are_byte_identical_across_runs(self, command, tmp_path):
         # every CSV and JSON artifact; the manifest holds the wall clock
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run_cli(command, out, "--seed", "7") == 0
+            assert run_cli(command, out, "--rng_seed", "7") == 0
         names = read_manifest(a, command)["outputs"]
         assert names == read_manifest(b, command)["outputs"]
         for name in names:
@@ -566,6 +558,17 @@ _BAD_LITERAL_VALUES = [
     ("rate", "training.sector_az_deg", "[.inf, 0.0]"),
     ("rate", "training.el_deg", "-30.01"),
     ("rate", "training.el_deg", ".inf"),
+    # dB values whose ratios 10**(x/10) overflow, or underflow to a log of 0,
+    # in the command that reads them
+    ("train", "training.pilot_snr_db", "-1e300"),
+    ("train", "training.accept_threshold_db", "1e300"),
+    ("train", "training.accept_threshold_db", "1e15"),
+    ("dual-stream", "link.stream_gains_dbi.h", "1e300"),
+    ("dual-stream", "link.stream_gains_dbi.h", "-1e300"),
+    ("dual-stream", "link.stream_gains_dbi.h", "1e15"),
+    ("dual-stream", "link.stream_gains_dbi.v", "1e300"),
+    ("dual-stream", "link.stream_gains_dbi.v", "-1e300"),
+    ("dual-stream", "link.stream_gains_dbi.v", "1e15"),
 ]
 
 
@@ -653,6 +656,8 @@ _BAD_MODEL_VALUES = [
     ("pattern", "array.period_mm", "1e-300"),
     ("steer", "feed.position_mm", "[0, 0, 1e-300]"),
     ("pattern", "feed.pattern_exponent", "1e300"),
+    # a feed pattern steep enough that the illumination's squares underflow
+    ("pattern", "feed.pattern_exponent", "1e7"),
     # a lattice period past geometry.MAX_PERIOD_WAVELENGTHS, where the field
     # kernel's phases lose their digits, and a search box so low that the
     # feed-to-element cosines underflow
@@ -660,6 +665,13 @@ _BAD_MODEL_VALUES = [
     ("steer", "array.period_mm", "1e17"),
     ("feed-opt", "feed.search.z_mm", "[1e-300, 1e-300]"),
     ("feed-opt", "feed.search.z_mm", "[1e-100, 1e-100]"),
+    # a search box past feedopt.MAX_SEARCH_EXTENT_MM, where a cell's
+    # distances overflow and the feed's pattern is not finite
+    ("feed-opt", "feed.search.x_mm", "[-1e300, -1e300]"),
+    ("feed-opt", "feed.search.x_mm", "[1e300, 1e300]"),
+    ("feed-opt", "feed.search.y_mm", "[-1e300, -1e300]"),
+    ("feed-opt", "feed.search.y_mm", "[1e300, 1e300]"),
+    ("feed-opt", "feed.search.z_mm", "[1e300, 1e300]"),
 ]
 
 
@@ -902,23 +914,63 @@ class TestFailureModes:
         assert "scenario error: feed.search.z_mm, feed.pattern_exponent: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        # a cell of the default box whose amplitudes all square to 0: its
+        # taper would be 0 / 0
+        (["--feed.pattern_exponent", "1e6"], "amplitude sums must be positive and finite"),
+        # the one cell passes the coarse scan; the refinement's -80 mm offset
+        # is oblique enough that cos^50 of every element's angle underflows
+        (["--feed.pattern_exponent", "100", "--feed.search.x_mm", "[40, 40]",
+          "--feed.search.z_mm", "[1e-3, 1e-3]"], "illumination power must be positive"),
+    ])
+    def test_feed_that_lights_no_element_exits_2_naming_both_keys(self, argv, message,
+                                                                   tmp_path, capsys):
+        rc = main(["feed-opt", *argv, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"scenario error: feed.search.z_mm, feed.pattern_exponent: {message}" in err
+        assert "Traceback" not in err
+
+    def test_search_box_out_to_1e300_mm_exits_2_naming_its_keys(self, tmp_path, capsys):
+        # three cells along y, two of them 1e300 mm out
+        rc = main(["feed-opt", "--feed.search.y_mm", "[-1e300, 1e300]",
+                   "--feed.search.coarse_step_mm", "1e300", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert ("scenario error: feed.search.y_mm, feed.search.coarse_step_mm: feed search "
+                "must stay within") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("corner", [-MAX_SEARCH_EXTENT_MM, MAX_SEARCH_EXTENT_MM])
+    def test_search_extent_bound_admits_its_limit(self, corner, tmp_path):
+        with pytest.raises(ValueError, match="within"):
+            FeedSearchSpace(z_mm=(80.0, math.nextafter(MAX_SEARCH_EXTENT_MM, math.inf)))
+        # a box of one cell at a corner of the bound, and its refinement, run clean
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["feed-opt", "--feed.search.x_mm", f"[{corner}, {corner}]",
+                         "--feed.search.y_mm", f"[{corner}, {corner}]",
+                         "--feed.search.z_mm", f"[{MAX_SEARCH_EXTENT_MM}, "
+                         f"{MAX_SEARCH_EXTENT_MM}]", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path, "feed_opt.json")["coarse_position_mm"] == [
+            corner, corner, MAX_SEARCH_EXTENT_MM]
+
+    @pytest.mark.parametrize("value", ["-100", "100"])
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["training.pilot_snr_db"]),
+        ("train", ["training.accept_threshold_db"]),
+        ("dual-stream", ["link.stream_gains_dbi.h", "link.stream_gains_dbi.v"]),
+    ])
+    def test_db_bounds_admit_their_limits(self, command, flags, value, tmp_path):
+        # the ratios stay finite: no RuntimeWarning, which the suite makes an error
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(command, tmp_path, *[a for f in flags for a in (f"--{f}", value)]) == 0
+
     def test_steer_without_targets_exits_2(self, tmp_path, capsys):
         rc = main(["steer", "--pattern.scan_az_deg", "[]", "--pattern.scan_el_deg", "[]",
                    "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
         assert "pattern.scan_az_deg" in err and "Traceback" not in err
-
-    def test_strict_element_opt_exits_3_on_unreachable_target(self, tmp_path,
-                                                              capsys):
-        rc = main(["element-opt", "--strict", "--out", str(tmp_path),
-                   "--element.targets.min_amplitude", "0.999",
-                   "--element.max_rounds", "2"])
-        assert rc == 3
-        assert "computation failed" in capsys.readouterr().err
-        # artifacts from the completed sweep remain, but no manifest
-        assert (tmp_path / "element_opt.json").is_file()
-        assert not (tmp_path / "element_opt_manifest.json").exists()
 
 
 # The cheapest run that reads each scenario leaf, as (dotted prefix,

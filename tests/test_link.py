@@ -391,7 +391,7 @@ def _aclr_sweep_samples(bw_mhz):
     """The amplified record that `aclr-sweep` measures at one channel bandwidth."""
     scn = resolve_scenario(None)
     cfg = _config(bw_mhz)
-    w = ofdm_waveform(cfg, scn.literal("link.aclr.n_symbols"), scn.rng_seed)
+    w = ofdm_waveform(cfg, scn.literal("link.aclr.n_symbols"), scn.literal("rng_seed"))
     return apply_pa(w, scn.build_pa()), cfg.sample_rate_hz
 
 
@@ -499,7 +499,7 @@ class TestStreamedLinkPath:
         record_bytes = n_symbols * (cfg.fft_size + cfg.cp_samples) * 16
         tracemalloc.start()
         try:
-            measure_aclr(scn.build_pa(), cfg, n_symbols, scn.rng_seed,
+            measure_aclr(scn.build_pa(), cfg, n_symbols, scn.literal("rng_seed"),
                          channel_bandwidth_hz=bw_mhz * 1e6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -34,7 +34,7 @@ class TestResolve:
         sc = resolve_scenario(None)
         assert sc.data == DEFAULT_SCENARIO
         assert sc.data is not DEFAULT_SCENARIO  # deep copied
-        assert sc.rng_seed == 0
+        assert sc.literal("rng_seed") == 0
 
     def test_deep_merge_keeps_siblings(self):
         sc = resolve_scenario({"link": {"d_m": 9.0}})
