@@ -50,7 +50,7 @@ from .link import (
     simulate_evm,
 )
 from .pattern import far_field, pattern_metrics, steering_row
-from .scenario import ScenarioError, Scenario, iter_leaf_paths, load_scenario
+from .scenario import ScenarioError, Scenario, _changed, iter_leaf_paths, load_scenario
 from .synthesis import (
     beam_training,
     build_codebook,
@@ -220,7 +220,10 @@ def cmd_feed_opt(scn: Scenario):
         refined_breakdown = aperture_efficiency(
             replace(asm, feed=replace(asm.feed, position_mm=refined.position_mm)))
     except ValueError as exc:   # a feed position whose pattern lights no element
-        raise ScenarioError(f"feed.search.z_mm, feed.pattern_exponent: {exc}") from None
+        keys = (_changed(scn.data["feed"], "feed")
+                + _changed(scn.data["feed"]["search"], "feed.search"))
+        raise ScenarioError(f"{', '.join(keys) or 'feed.search.z_mm, feed.pattern_exponent'}"
+                            f": {exc}") from None
     x, y, z = refined.position_mm
     return {
         "feed_opt.json": {

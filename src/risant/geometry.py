@@ -80,6 +80,15 @@ MAX_ARRAY_SIDE = 256
 # indices overflow.
 MAX_PERIOD_WAVELENGTHS = 1e6
 
+# Steepest incidence roll-off cos^a of an element's amplitude.  A negative
+# exponent would make an oblique element reflect more than one at normal
+# incidence, more than a passive cell can; cos^100 is already -13 dB at
+# 10 deg and -600 dB at 60 deg, far steeper than any printed cell.  Past a
+# thousand the roll-off underflows to 0 for every element beyond 60 deg
+# (cos^a of 60 deg is below 1e-308 from a = 1024), and the default feed's
+# nearest element, at 2 deg, goes dark from about 1e6.
+MAX_INCIDENCE_EXPONENT = 100.0
+
 
 @dataclass(frozen=True, eq=False)
 class RisArray:
@@ -200,6 +209,11 @@ class IncidenceModel:
 
     beta_deg_per_deg2: float = 0.004
     amplitude_exponent: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 <= self.amplitude_exponent <= MAX_INCIDENCE_EXPONENT:
+            raise ValueError(f"amplitude exponent {self.amplitude_exponent:g} outside "
+                             f"[0, {MAX_INCIDENCE_EXPONENT:g}]")
 
 
 @dataclass(frozen=True, eq=False)

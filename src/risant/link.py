@@ -30,8 +30,10 @@ _MU_BY_SCS_KHZ = {15: 0, 30: 1, 60: 2, 120: 3, 240: 4}
 
 # Work bounds on the record-length keys.  An ACLR symbol is 17536 complex
 # samples at the default numerology, so the longest record is 287 MB, which
-# measure_aclr streams in 1.1 records of memory; the longest EVM draw makes
-# complex arrays of 160 MB.
+# measure_aclr streams in 33 MB (0.11 records), most of it the 26 MB int64
+# table of symbol indices that _ofdm_pieces draws in one call (drawing it in
+# chunks would change the Generator.integers stream); the longest EVM draw
+# makes complex arrays of 160 MB.
 MAX_ACLR_SYMBOLS = 1024
 MAX_EVM_SYMBOLS = 10_000_000
 
@@ -44,6 +46,12 @@ DEFAULT_CHANNEL_BANDWIDTH_MHZ = 400.0
 # compare both paths to the bit.
 _OFDM_BLOCK = 2
 _WELCH_BLOCK = 16
+
+# numpy's pairwise summation (PW_BLOCKSIZE in its loops_utils.h): a run of
+# at most this many terms is a leaf, summed in 8 lanes
+_PAIRWISE_LEAF = 128
+# Scalar terms go to np.add.reduce in runs of at most this many (256 kB)
+_PAIRWISE_RUN = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +341,88 @@ def _ofdm_pieces(config: WaveformConfig, n_symbols: int, rng_seed: int):
         yield rows.ravel()[ov if lo == 0 else 0:]
 
 
+class _PairwiseSum:
+    """The sum of a stream of terms, added in numpy's pairwise order, from
+    one run of terms at a time.
+
+    numpy adds a contiguous run of n terms so: fewer than 8 in order from
+    0.0; at most _PAIRWISE_LEAF (a leaf) in 8 lanes seeded with the first
+    8 terms, every later whole group of 8 added lane by lane, the lanes
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rest added in
+    order; more than that split at n/2 rounded down to a multiple of 8,
+    each part summed so and the two sums added.  np.add.reduce returns
+    0.0 + that sum.  So every leaf starts on a multiple of 8, and only the
+    last can end off one.  The blocks stack the terms along axis 0: a term
+    is an element of 1-D blocks, or a row, added elementwise, so that rows
+    are summed as numpy sums each column of their contiguous transpose.
+    A block's buffer may be refilled once the next block is drawn.
+    """
+
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
+        self._block = next(self._blocks)
+        self._at = 0
+
+    def _take(self, m: int) -> np.ndarray:
+        run = self._block[self._at:self._at + m]
+        self._at += len(run)
+        if len(run) == m:
+            return run
+        # copied as it comes: a block may be refilled once the next one is drawn
+        out = np.empty((m, *run.shape[1:]), dtype=run.dtype)
+        at = len(run)
+        out[:at] = run
+        while at < m:
+            self._block = next(self._blocks)
+            self._at = min(m - at, len(self._block))
+            out[at:at + self._at] = self._block[:self._at]
+            at += self._at
+        return out
+
+    def sum(self, n: int):
+        """The next n terms, added as numpy adds a run of n."""
+        if self._block.ndim == 1 and n <= _PAIRWISE_RUN:
+            # the split depends on the run length alone, so a run's own
+            # reduce is its subtree of the whole tree, behind a 0.0 + that
+            # only turns -0.0 into 0.0: no sum of a nonzero value changes
+            return np.add.reduce(self._take(n))
+        if n > _PAIRWISE_LEAF:
+            half = n // 2 - n // 2 % 8
+            return self.sum(half) + self.sum(n - half)
+        total = 0.0
+        if n >= 8:
+            r = self._take(8).copy()
+            for _ in range(n // 8 - 1):
+                r += self._take(8)
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in self._take(n % 8):
+            total = total + term
+        return total
+
+
+def _pairwise_mean(blocks, n: int):
+    """The mean of the n terms that ``blocks`` stack, to the bit as np.mean
+    takes it along a contiguous axis: np.mean(x) of 1-D blocks x, and
+    np.ascontiguousarray(rows.T).mean(axis=1) of blocks of rows."""
+    return (0.0 + _PairwiseSum(blocks).sum(n)) / n
+
+
 def _record_rms(config: WaveformConfig, n_symbols: int, rng_seed: int) -> tuple[int, float]:
-    """(length, RMS) of the _ofdm_pieces record, from a pass that fills
-    only its float |x|^2 companion, whose mean is the whole record's."""
+    """(length, RMS) of the _ofdm_pieces record: np.sqrt(np.mean(|x|^2)) of
+    the whole record to the bit, from a pass that holds one piece's |x|^2,
+    in one buffer, and one _PAIRWISE_RUN at a time."""
     if n_symbols < 1:
         raise ValueError("need at least one OFDM symbol")
-    power = np.empty(n_symbols * (config.fft_size + config.cp_samples)
-                     - config.window_samples)
-    at = 0
-    for piece in _ofdm_pieces(config, n_symbols, rng_seed):
-        np.abs(piece, out=power[at:at + len(piece)])
-        at += len(piece)
-    return len(power), np.sqrt(np.mean(np.square(power, out=power)))
+    n_samples = (n_symbols * (config.fft_size + config.cp_samples)
+                 - config.window_samples)
+
+    def powers():
+        buf = np.empty(min(_OFDM_BLOCK, n_symbols) * (config.fft_size + config.cp_samples))
+        for piece in _ofdm_pieces(config, n_symbols, rng_seed):
+            power = np.abs(piece, out=buf[:len(piece)])
+            yield np.square(power, out=power)
+
+    return n_samples, np.sqrt(_pairwise_mean(powers(), n_samples))
 
 
 def ofdm_waveform(config: WaveformConfig = WaveformConfig(),
@@ -358,8 +436,8 @@ def ofdm_waveform(config: WaveformConfig = WaveformConfig(),
     fft_size core samples of every symbol are untouched.  The two block
     edges (half-faded ramps) are trimmed.
 
-    Memory: one float companion of the record for the scale, freed before
-    the record is filled from a second pass of _ofdm_pieces.
+    Memory: the record, filled from a second pass of _ofdm_pieces after
+    _record_rms's pass, which holds a piece at a time.
     """
     n_samples, rms = _record_rms(config, n_symbols, rng_seed)
     out = np.empty(n_samples, dtype=complex)
@@ -412,30 +490,36 @@ def _welch_psd(pieces, n_samples: int,
     periodograms are averaged along a contiguous axis.  On scipy 1.17 the
     PSD is bit-identical, so ACLR artifacts keep their bytes.
 
-    Memory: one (nperseg, n_seg) periodogram table, filled at most
-    _WELCH_BLOCK segments at a time; it is the transposed periodogram
-    stack whose rows scipy averages, so the mean keeps its summation
-    order.  The samples past a piece's last whole segment carry over.
+    Memory: one block of _WELCH_BLOCK windowed segments and their
+    periodograms, in buffers that every block reuses, averaged as they
+    come by _pairwise_mean, which keeps the 8 lanes of numpy's pairwise
+    sum, a periodogram each, instead of the (nperseg, n_seg) table:
+    256 kB in place of 18 MB at the defaults and of 287 MB at
+    MAX_ACLR_SYMBOLS.  The samples past a piece's last whole segment
+    carry over.
     """
     nperseg = min(4096, n_samples)
     step = nperseg - nperseg // 2
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
     win *= 1.0 / np.sqrt(sum(win ** 2) / (1.0 / sample_rate_hz))
-    table = np.empty((nperseg, (n_samples - nperseg) // step + 1))
-    col, carry = 0, ()
-    for piece in pieces:
-        carry = np.concatenate([carry, piece]) if len(carry) else piece
-        if len(carry) < nperseg:
-            continue
-        segments = sliding_window_view(carry, nperseg)[::step]
-        for lo in range(0, len(segments), _WELCH_BLOCK):
-            spec = np.fft.fft(segments[lo:lo + _WELCH_BLOCK] * win)
-            power = np.square(spec.real)
-            power += np.square(spec.imag)
-            table[:, col:col + len(power)] = power.T
-            col += len(power)
-        carry = carry[len(segments) * step:]
-    psd = table.mean(axis=1)
+
+    def periodograms():
+        windowed = np.empty((_WELCH_BLOCK, nperseg), dtype=complex)
+        power = np.empty((_WELCH_BLOCK, nperseg))
+        carry = ()
+        for piece in pieces:
+            carry = np.concatenate([carry, piece]) if len(carry) else piece
+            if len(carry) < nperseg:
+                continue
+            segments = sliding_window_view(carry, nperseg)[::step]
+            for lo in range(0, len(segments), _WELCH_BLOCK):
+                k = min(_WELCH_BLOCK, len(segments) - lo)
+                spec = np.fft.fft(np.multiply(segments[lo:lo + k], win, out=windowed[:k]))
+                re, im = spec.real, spec.imag
+                yield np.add(np.square(re, out=re), np.square(im, out=im), out=power[:k])
+            carry = carry[len(segments) * step:]
+
+    psd = _pairwise_mean(periodograms(), (n_samples - nperseg) // step + 1)
     return np.fft.fftfreq(nperseg, 1.0 / sample_rate_hz), psd
 
 
@@ -480,10 +564,11 @@ def measure_aclr(pa: PaModel, config: WaveformConfig = WaveformConfig(),
     """ACLR of the amplified default waveform at +-1 channel offsets.
 
     The values equal aclr(apply_pa(ofdm_waveform(...), pa), ...) to the
-    bit, but the record never exists whole.  Memory: _record_rms's half-record
-    companion, freed before a second pass of _ofdm_pieces scales and
-    amplifies each piece into the Welch table (one record of floats);
-    about 1.4 records at the defaults.
+    bit, but the record never exists whole.  Memory: _record_rms's pass,
+    then a second pass of _ofdm_pieces that scales and amplifies each
+    piece into the streamed Welch average; each holds a few pieces and
+    the symbol-index table, 8.2 MB (0.46 records) at the defaults and
+    33 MB (0.11 records) at MAX_ACLR_SYMBOLS (tracemalloc).
     """
     n_samples, rms = _record_rms(config, n_symbols, rng_seed)
     amplified = (apply_pa(np.divide(piece, rms, out=piece), pa)

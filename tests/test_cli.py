@@ -573,8 +573,8 @@ _BAD_LITERAL_VALUES = [
 
 
 # each check of a model class that the scenario builds, by a key that breaks
-# it, on the cheapest command that builds the class; the class's message
-# follows the key
+# it, on the cheapest command (with the flags it needs) that builds the
+# class; the class's message follows the key
 _BAD_MODEL_VALUES = [
     ("geometry", "array.n_x", "foo"),
     ("geometry", "array.n_x", "0"),
@@ -672,6 +672,14 @@ _BAD_MODEL_VALUES = [
     ("feed-opt", "feed.search.y_mm", "[-1e300, -1e300]"),
     ("feed-opt", "feed.search.y_mm", "[1e300, 1e300]"),
     ("feed-opt", "feed.search.z_mm", "[1e300, 1e300]"),
+    # an incidence roll-off outside geometry.MAX_INCIDENCE_EXPONENT's range,
+    # which would empty the aperture or fill it with inf
+    ("pattern --pattern.incidence.enabled true", "pattern.incidence.amplitude_exponent",
+     "-1e300"),
+    ("pattern --pattern.incidence.enabled true", "pattern.incidence.amplitude_exponent",
+     "1e300"),
+    ("pattern --pattern.incidence.enabled true", "pattern.incidence.amplitude_exponent",
+     "1e15"),
 ]
 
 
@@ -706,7 +714,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("command, flag, value", _BAD_MODEL_VALUES)
     def test_value_the_model_rejects_exits_2(self, command, flag, value, tmp_path,
                                              capsys):
-        rc = main([command, f"--{flag}", value, "--out", str(tmp_path)])
+        rc = main([*command.split(), f"--{flag}", value, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
         # the key is named alone: the keys left at their defaults are not
@@ -911,24 +919,28 @@ class TestFailureModes:
                    "--feed.search.z_mm", "[1e-3, 1e-3]", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "scenario error: feed.search.z_mm, feed.pattern_exponent: " in err
+        assert "scenario error: feed.pattern_exponent, feed.search.z_mm: " in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv, message", [
+    @pytest.mark.parametrize("argv, keys, message", [
         # a cell of the default box whose amplitudes all square to 0: its
-        # taper would be 0 / 0
-        (["--feed.pattern_exponent", "1e6"], "amplitude sums must be positive and finite"),
+        # taper would be 0 / 0; the box is the default one
+        (["--feed.pattern_exponent", "1e6"], "feed.pattern_exponent",
+         "amplitude sums must be positive and finite"),
         # the one cell passes the coarse scan; the refinement's -80 mm offset
-        # is oblique enough that cos^50 of every element's angle underflows
+        # from x = 40 mm is oblique enough that cos^50 of every element's
+        # angle underflows
         (["--feed.pattern_exponent", "100", "--feed.search.x_mm", "[40, 40]",
-          "--feed.search.z_mm", "[1e-3, 1e-3]"], "illumination power must be positive"),
+          "--feed.search.z_mm", "[1e-3, 1e-3]"],
+         "feed.pattern_exponent, feed.search.x_mm, feed.search.z_mm",
+         "illumination power must be positive"),
     ])
-    def test_feed_that_lights_no_element_exits_2_naming_both_keys(self, argv, message,
-                                                                   tmp_path, capsys):
+    def test_feed_that_lights_no_element_exits_2_naming_the_keys_set(
+            self, argv, keys, message, tmp_path, capsys):
         rc = main(["feed-opt", *argv, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"scenario error: feed.search.z_mm, feed.pattern_exponent: {message}" in err
+        assert f"scenario error: {keys}: {message}" in err
         assert "Traceback" not in err
 
     def test_search_box_out_to_1e300_mm_exits_2_naming_its_keys(self, tmp_path, capsys):
