@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .element import SweepRangeError, optimize_structure
+from .element import optimize_structure
 from .feedopt import aperture_efficiency, coarse_optimize_feed, refine_feed
 from .geometry import Direction
 from .link import (
@@ -50,7 +50,7 @@ from .link import (
     simulate_evm,
 )
 from .pattern import far_field, pattern_metrics, steering_row
-from .scenario import ScenarioError, Scenario, _changed, iter_leaf_paths, load_scenario
+from .scenario import ScenarioError, Scenario, iter_leaf_paths, load_scenario
 from .synthesis import (
     beam_training,
     build_codebook,
@@ -125,14 +125,10 @@ def _json_default(value):
 
 def cmd_element_opt(scn: Scenario):
     freq = scn.literal("pattern.frequency_ghz")
-    try:
+    with scn.blame("element.sweeps", "element.start", "element.diode"):
         result = optimize_structure(scn.build_start_circuit(), frequency_ghz=freq,
                                     targets=scn.build_targets(), sweeps=scn.build_sweeps(),
                                     max_rounds=scn.literal("element.max_rounds"))
-    except SweepRangeError as exc:
-        raise ScenarioError(f"element.sweeps.{exc.parameter}: {exc}") from None
-    except ValueError as exc:   # a sweep misses its start value
-        raise ScenarioError(f"element.sweeps, element.start or element.diode: {exc}") from None
     c = result.circuit
     artifacts = {"element_opt.json": {
         "frequency_ghz": freq,
@@ -193,12 +189,10 @@ def cmd_widebeam(scn: Scenario):
     asm = scn.build_assembly()
     sector = scn.literal("pattern.widebeam.sector_az_deg")
     el = scn.literal("pattern.widebeam.el_deg")
-    try:
+    with scn.blame("pattern.widebeam", "array"):   # more strips than columns
         result = synthesize_wide_beam(
             asm, sector, el_deg=el,
             n_subapertures=scn.literal("pattern.widebeam.n_subapertures"))
-    except ValueError as exc:   # the scenario checks the sector and the elevation
-        raise ScenarioError(f"pattern.widebeam.n_subapertures: {exc}") from None
     az = np.arange(sector[0] - 10.0, sector[1] + 10.0 + 1e-9, 0.25)
     pat = far_field(asm, result.codeword, az, np.array([el]))
     return {
@@ -214,16 +208,11 @@ def cmd_widebeam(scn: Scenario):
 
 def cmd_feed_opt(scn: Scenario):
     asm = scn.build_assembly()
-    try:
+    with scn.blame("feed", "feed.search"):   # a feed position that lights no element
         coarse = coarse_optimize_feed(asm, scn.build_feed_space())
         refined = refine_feed(asm, coarse.position_mm)
         refined_breakdown = aperture_efficiency(
             replace(asm, feed=replace(asm.feed, position_mm=refined.position_mm)))
-    except ValueError as exc:   # a feed position whose pattern lights no element
-        keys = (_changed(scn.data["feed"], "feed")
-                + _changed(scn.data["feed"]["search"], "feed.search"))
-        raise ScenarioError(f"{', '.join(keys) or 'feed.search.z_mm, feed.pattern_exponent'}"
-                            f": {exc}") from None
     x, y, z = refined.position_mm
     return {
         "feed_opt.json": {
@@ -275,11 +264,9 @@ def cmd_aclr_sweep(scn: Scenario):
     pa = scn.build_pa()
     bw_mhz = scn.literal("link.aclr.channel_bandwidth_mhz")
     waveform = WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[round(bw_mhz)])
-    try:
+    with scn.blame("link.pa"):   # the amplifier drives every sample to 0
         lower, upper = measure_aclr(pa, waveform, scn.literal("link.aclr.n_symbols"),
                                     scn.literal("rng_seed"), channel_bandwidth_hz=bw_mhz * 1e6)
-    except ValueError as exc:   # the amplifier drives every sample to 0
-        raise ScenarioError(f"link.pa.saturation_level or link.pa.smoothness: {exc}") from None
     passed = max(lower, upper) <= ACLR_LIMIT_DBC
     # the amplifier operating point is independent of carrier and beam
     # direction here, so the measured leakage repeats across the sweep
@@ -321,12 +308,10 @@ def cmd_train(scn: Scenario):
     asm = scn.build_assembly()
     sector = scn.literal("training.sector_az_deg")
     el = scn.literal("training.el_deg")
-    try:
+    with scn.blame("training", "array"):   # leaves far narrower than the beam
         codebook = build_codebook(asm, sector_az=sector,
                                   n_levels=scn.literal("training.n_levels"),
                                   branching=scn.literal("training.branching"), el_deg=el)
-    except ValueError as exc:
-        raise ScenarioError(f"training.n_levels (with training.branching): {exc}") from None
     n_trials = scn.literal("training.n_trials")
     snr = scn.literal("training.pilot_snr_db")
     threshold = scn.literal("training.accept_threshold_db")

@@ -251,15 +251,6 @@ def targets_met(circuit: ElementCircuit, frequency_ghz: float, targets: DesignTa
     return min(amp_on, amp_off) >= targets.min_amplitude and phase_err <= targets.phase_tolerance_deg
 
 
-class SweepRangeError(ValueError):
-    """A sweep range whose end makes a circuit the model rejects;
-    ``parameter`` names the sweep."""
-
-    def __init__(self, parameter: str, message: str):
-        super().__init__(message)
-        self.parameter = parameter
-
-
 @dataclass
 class OptimizeResult:
     circuit: ElementCircuit
@@ -289,9 +280,9 @@ def optimize_structure(
     after ``max_rounds``.  An unmet target is reported through the
     ``targets_met`` flag, never as an exception.  The trace holds one row
     per evaluated candidate (none when the start meets the targets).
-    Before any round, a sweep that misses its start value raises
-    ValueError, and one whose end makes a circuit the model rejects raises
-    :class:`SweepRangeError`; both messages name the parameter.
+    Before any round, a sweep that misses its start value, or whose end
+    makes a circuit the model rejects, raises ValueError; the message
+    names the parameter.
     """
     if sweeps is None:
         sweeps = DEFAULT_SWEEPS
@@ -305,8 +296,8 @@ def optimize_structure(
             try:
                 _apply_parameter(start, name, end)
             except ValueError as exc:
-                raise SweepRangeError(name, f"sweep range for {name} ({rng.lo}..{rng.hi}) "
-                                            f"reaches {end}: {exc}") from None
+                raise ValueError(f"sweep range for {name} ({rng.lo}..{rng.hi}) "
+                                 f"reaches {end}: {exc}") from None
 
     circuit = start
     best = design_objective(circuit, frequency_ghz)

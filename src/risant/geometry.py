@@ -89,6 +89,14 @@ MAX_PERIOD_WAVELENGTHS = 1e6
 # nearest element, at 2 deg, goes dark from about 1e6.
 MAX_INCIDENCE_EXPONENT = 100.0
 
+# Steepest incidence phase drift |beta| of an element, in deg per deg^2 of
+# incidence.  The default 0.004 drifts a cell 32 deg at 90 deg; at 1 the
+# drift is 100 deg at 10 deg of incidence, steeper than any printed cell, and
+# beta 90^2 is 8100 deg (141 rad), where float64 resolves 3e-14 rad.  Far
+# past it neighbouring cells' phases differ by whole turns, and from about
+# 1e12 float64 no longer resolves the phase at 90 deg to a degree.
+MAX_INCIDENCE_PHASE_DRIFT = 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class RisArray:
@@ -211,6 +219,9 @@ class IncidenceModel:
     amplitude_exponent: float = 0.5
 
     def __post_init__(self):
+        if not abs(self.beta_deg_per_deg2) <= MAX_INCIDENCE_PHASE_DRIFT:
+            raise ValueError(f"phase drift {self.beta_deg_per_deg2:g} deg/deg^2 outside "
+                             f"[-{MAX_INCIDENCE_PHASE_DRIFT:g}, {MAX_INCIDENCE_PHASE_DRIFT:g}]")
         if not 0.0 <= self.amplitude_exponent <= MAX_INCIDENCE_EXPONENT:
             raise ValueError(f"amplitude exponent {self.amplitude_exponent:g} outside "
                              f"[0, {MAX_INCIDENCE_EXPONENT:g}]")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constants import THERMAL_NOISE_DBM_PER_HZ, db10, from_db10, wavelength_m
+from .constants import MAX_FREQUENCY_GHZ, THERMAL_NOISE_DBM_PER_HZ, db10, from_db10, wavelength_m
 
 EVM_LIMIT = 0.08                  # transmit quality bound for 64QAM downlink
 ACLR_LIMIT_DBC = -28.0            # adjacent-channel leakage compliance bound
@@ -36,6 +36,20 @@ _MU_BY_SCS_KHZ = {15: 0, 30: 1, 60: 2, 120: 3, 240: 4}
 # makes complex arrays of 160 MB.
 MAX_ACLR_SYMBOLS = 1024
 MAX_EVM_SYMBOLS = 10_000_000
+
+# Range of a link's distance: a millimetre to 10^9 m (past the Moon), decades
+# either side of the prototype's 1-20 m sweep.  Its lowest carrier is 1 MHz,
+# the medium-wave band; its highest MAX_FREQUENCY_GHZ.  Over both ranges the
+# free-space loss stays within [-88, 293] dB; far past them the budget's
+# ratios 10**(x/10) over- or underflow (1e300 m is a 6000 dB loss).
+LINK_DISTANCE_M = (1e-3, 1e9)
+MIN_LINK_FREQUENCY_GHZ = 1e-3
+
+# Largest magnitude of the budget's own dB terms: the transmit power (dBm),
+# the antenna gains (dBi) and the noise figure (dB), which is also at least
+# 0, as a receiver adds noise and never takes it away.  200 is twice what
+# radios reach (a 10 MW transmitter is 100 dBm); at 1e15 dB the ratios overflow.
+MAX_BUDGET_DB = 200.0
 
 DEFAULT_ACLR_SYMBOLS = 64
 DEFAULT_EVM_SYMBOLS = 100_000
@@ -73,9 +87,17 @@ class LinkScenario:
     modulation: str = "64QAM"
 
     def __post_init__(self):
-        if self.d_m <= 0:
-            raise ValueError("distance must be positive")
-        wavelength_m(self.center_freq_ghz)   # checks the frequency
+        lo, hi = LINK_DISTANCE_M
+        if not lo <= self.d_m <= hi:
+            raise ValueError(f"distance must be in [{lo:g}, {hi:g}] m")
+        if not MIN_LINK_FREQUENCY_GHZ <= self.center_freq_ghz <= MAX_FREQUENCY_GHZ:
+            raise ValueError(f"carrier must be in [{MIN_LINK_FREQUENCY_GHZ:g}, "
+                             f"{MAX_FREQUENCY_GHZ:g}] GHz")
+        for name in ("tx_power_dbm", "tx_antenna_gain_dbi", "rx_antenna_gain_dbi"):
+            if not abs(getattr(self, name)) <= MAX_BUDGET_DB:
+                raise ValueError(f"{name} must be in [-{MAX_BUDGET_DB:g}, {MAX_BUDGET_DB:g}]")
+        if not 0.0 <= self.rx_noise_figure_db <= MAX_BUDGET_DB:
+            raise ValueError(f"noise figure must be in [0, {MAX_BUDGET_DB:g}] dB")
         if self.bandwidth_mhz <= 0:
             raise ValueError("bandwidth must be positive")
         if not 0.0 <= self.tx_evm_floor < 0.5:

@@ -47,6 +47,7 @@ from .link import (
     DEFAULT_ACLR_SYMBOLS,
     DEFAULT_CHANNEL_BANDWIDTH_MHZ,
     DEFAULT_EVM_SYMBOLS,
+    LINK_DISTANCE_M,
     MAX_ACLR_SYMBOLS,
     MAX_EVM_SYMBOLS,
     PRB_TABLE_120KHZ,
@@ -190,8 +191,10 @@ _LITERALS = {
     "pattern.compensate_incidence": (bool, _any, ""),
     "link.evm_symbols": (int, lambda v: 1 <= v <= MAX_EVM_SYMBOLS,
                          f"an integer in [1, {MAX_EVM_SYMBOLS}]"),
-    "link.sweep_distances_m": (list[float], lambda v: v and min(v) > 0 and v == sorted(v),
-                               "a non-empty ascending list of positive numbers"),
+    "link.sweep_distances_m": (list[float], lambda v: v and v == sorted(v)
+                               and _inside(*LINK_DISTANCE_M)(v),
+                               "a non-empty ascending list of distances in [%g, %g] m"
+                               % LINK_DISTANCE_M),
     "link.aclr.centers_ghz": (list[float], _any, ""),
     "link.aclr.channel_bandwidth_mhz": (float, lambda v: round(v) in PRB_TABLE_120KHZ,
                                         f"one of {sorted(PRB_TABLE_120KHZ)} MHz"),
@@ -246,14 +249,13 @@ def _coerce(raw, hint, dotted: str):
     raise ScenarioError(f"{dotted} must be {_KINDS[hint]}, got {raw!r}")
 
 
-def _build(cls, section: dict, dotted: str, blame=None, **given):
+def _build(cls, section: dict, dotted: str, **given):
     """Build ``cls`` from the keys of ``section`` that name its fields.
 
     Each key is coerced by the class's type hints and wins over ``given``,
     which holds finished values for the other fields.  A value the model
     rejects becomes a ScenarioError naming the keys set away from their
-    defaults (or the section, if none is), after those of ``blame``, a
-    (section, dotted name) pair behind ``given``.
+    defaults (or the section, if none is).
     """
     hints = _hints(cls)
     kwargs, used = dict(given), {}
@@ -265,16 +267,15 @@ def _build(cls, section: dict, dotted: str, blame=None, **given):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        keys = (_changed(*blame) if blame else []) + _changed(used, dotted)
+        keys = _changed(iter_leaf_paths(used, dotted))
         raise ScenarioError(f"{', '.join(keys) or dotted}: {exc}") from None
 
 
-def _changed(section: dict, dotted: str) -> list[str]:
-    """Dotted names of the values of ``section`` (subsections aside) that
-    differ from their defaults."""
+def _changed(leaves) -> list[str]:
+    """The dotted names of the (dotted name, value) pairs ``leaves`` whose
+    value differs from the key's default."""
     defaults = dict(iter_leaf_paths())
-    return [f"{dotted}.{key}" for key, raw in section.items()
-            if not isinstance(raw, dict) and raw != defaults.get(f"{dotted}.{key}")]
+    return [dotted for dotted, value in leaves if value != defaults.get(dotted)]
 
 
 def _merge(defaults, user, path=""):
@@ -333,6 +334,20 @@ class Scenario:
     def section(self, name: str) -> dict:
         return self.data[name]
 
+    @contextlib.contextmanager
+    def blame(self, *names: str):
+        """Turn a ValueError raised in the block into a ScenarioError naming
+        the keys among ``names`` set away from their defaults, a dotted
+        section standing for its own keys (subsections aside), or naming
+        ``names`` themselves if none is."""
+        try:
+            yield
+        except ValueError as exc:
+            keys = _changed((dotted, value) for name in names
+                            for dotted, value in iter_leaf_paths(self.data)
+                            if name in (dotted, dotted.rpartition(".")[0]))
+            raise ScenarioError(f"{', '.join(keys or names)}: {exc}") from None
+
     def hash(self) -> str:
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"),
                                default=str)
@@ -347,28 +362,26 @@ class Scenario:
         return _build(FeedModel, self.data["feed"], "feed")
 
     def build_assembly(self) -> AntennaAssembly:
-        p = self.data["pattern"]
-        model = (_build(IncidenceModel, p["incidence"], "pattern.incidence")
+        model = (_build(IncidenceModel, self.data["pattern"]["incidence"], "pattern.incidence")
                  if self.literal("pattern.incidence.enabled") else None)
         array, xpd = self.build_array(), self.build_xpd()
         cross_pol = xpd.h_antenna_db if array.polarization == "H" else xpd.v_antenna_db
+        feed, circuit = self.build_feed(), self.build_design_circuit()
         # of the assembly's own checks only the period in wavelengths can fail here
-        assembly = _build(AntennaAssembly, p, "pattern", (self.data["array"], "array"),
-                          array=array, cross_pol_db=cross_pol, feed=self.build_feed(),
-                          incidence_model=model, element_circuit=self.build_design_circuit())
+        with self.blame("array", "pattern.frequency_ghz"):
+            assembly = AntennaAssembly(
+                array=array, feed=feed, frequency_ghz=self.literal("pattern.frequency_ghz"),
+                cross_pol_db=cross_pol, element_circuit=circuit, incidence_model=model)
         # a lattice or a feed far out of scale underflows the integral to 0,
         # or overflows it to nan; a feed pattern too steep for every element
         # squares the illumination to 0.  Both are memoized for the command.
         with np.errstate(all="ignore"):
             spillover = spillover_efficiency(assembly)
-        try:
+        with self.blame("array", "feed"):
             if not spillover > 0:
                 raise ValueError(f"the aperture intercepts none of the feed's power "
                                  f"(spillover {spillover})")
             illumination(assembly)
-        except ValueError as exc:
-            keys = _changed(self.data["array"], "array") + _changed(self.data["feed"], "feed")
-            raise ScenarioError(f"{', '.join(keys) or 'array, feed'}: {exc}") from None
         return assembly
 
     def build_diode(self) -> DiodeModel:

@@ -171,6 +171,7 @@ class TestParser:
          "argument --frame.overhead: expected one argument"),
         (["rate", "--link.bogus", "1"], "--link.bogus"),
         (["rate", "--frame.over", "0.1"], "--frame.over"),
+        (["rate", "--frame.overheads", "0.1"], "--frame.overheads"),
         (["pattern", "--feed.position_mm", "[1, 2"], "cannot parse value for --feed.position_mm"),
         (["rate", "--", "--frame.overhead", "0.1"], "--frame.overhead"),
     ])
@@ -276,6 +277,18 @@ class TestClosure:
         assert summary.startswith(command + ":")
         assert run_cli(command, tmp_path / "out") == 0
         assert list(artifacts) == read_manifest(tmp_path / "out", command)["outputs"]
+
+    @pytest.mark.parametrize("argv", [
+        # the finest grid (3.2 M directions), and a step that does not divide 90
+        ["pattern", "--pattern.step_deg", "0.1"],
+        ["pattern", "--pattern.step_deg", "0.7"],
+        ["rate", "--frame.overhead=0.18"],
+    ])
+    def test_finest_and_odd_steps_and_a_joined_value_run_clean(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        if argv[0] == "rate":
+            assert read_json(tmp_path, "rate.json")["frame"]["overhead"] == 0.18
 
     def test_missed_target_without_strict_exits_0_with_its_manifest(self, tmp_path):
         assert main(["element-opt", "--out", str(tmp_path),
@@ -569,6 +582,8 @@ _BAD_LITERAL_VALUES = [
     ("dual-stream", "link.stream_gains_dbi.v", "1e300"),
     ("dual-stream", "link.stream_gains_dbi.v", "-1e300"),
     ("dual-stream", "link.stream_gains_dbi.v", "1e15"),
+    # a distance past link.LINK_DISTANCE_M, whose path loss overflows its ratio
+    ("evm-sweep", "link.sweep_distances_m", "[1e300]"),
 ]
 
 
@@ -680,6 +695,25 @@ _BAD_MODEL_VALUES = [
      "1e300"),
     ("pattern --pattern.incidence.enabled true", "pattern.incidence.amplitude_exponent",
      "1e15"),
+    # an incidence phase drift past geometry.MAX_INCIDENCE_PHASE_DRIFT, where
+    # the cells' phases are noise
+    ("pattern --pattern.incidence.enabled true", "pattern.incidence.beta_deg_per_deg2",
+     "1e300"),
+    ("pattern --pattern.incidence.enabled true", "pattern.incidence.beta_deg_per_deg2",
+     "-1e300"),
+    ("pattern --pattern.incidence.enabled true", "pattern.incidence.beta_deg_per_deg2",
+     "1e10"),
+    # budget terms past link.LINK_DISTANCE_M, MIN_LINK_FREQUENCY_GHZ and
+    # MAX_BUDGET_DB, whose ratios 10**(x/10) overflow
+    ("link", "link.d_m", "1e300"),
+    ("link", "link.tx_power_dbm", "-1e300"),
+    ("link", "link.tx_antenna_gain_dbi", "-1e300"),
+    ("link", "link.rx_antenna_gain_dbi", "-1e300"),
+    ("link", "link.rx_noise_figure_db", "1e300"),
+    ("link", "link.rx_noise_figure_db", "1e15"),
+    ("dual-stream", "link.dual.d_m", "1e300"),
+    ("dual-stream", "link.dual.d_m", "1e-300"),
+    ("dual-stream", "link.dual.center_freq_ghz", "1e-300"),
 ]
 
 
@@ -732,17 +766,18 @@ class TestFailureModes:
     def test_every_literal_key_has_a_bad_value(self):
         assert {flag for _, flag, _ in _BAD_LITERAL_VALUES} == set(_LITERALS)
 
-    @pytest.mark.parametrize("overrides", [
-        ["--pattern.widebeam.n_subapertures", "33"],
-        ["--pattern.widebeam.n_subapertures", "1000"],
-        ["--array.n_x", "8", "--pattern.widebeam.n_subapertures", "9"],
+    @pytest.mark.parametrize("overrides, keys", [
+        (["--pattern.widebeam.n_subapertures", "33"], "pattern.widebeam.n_subapertures"),
+        (["--pattern.widebeam.n_subapertures", "1000"], "pattern.widebeam.n_subapertures"),
+        (["--array.n_x", "8", "--pattern.widebeam.n_subapertures", "9"],
+         "pattern.widebeam.n_subapertures, array.n_x"),
     ])
-    def test_more_subapertures_than_columns_exits_2(self, overrides, tmp_path, capsys):
+    def test_more_subapertures_than_columns_exits_2(self, overrides, keys, tmp_path, capsys):
         # a strip holds at least one column: the automatic count stops at n_x
         rc = main(["widebeam", *overrides, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "scenario error: pattern.widebeam.n_subapertures" in err
+        assert f"scenario error: {keys}: n_subapertures must be in" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["link.pa.smoothness", "link.pa.saturation_level"])
@@ -751,7 +786,8 @@ class TestFailureModes:
                    "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "scenario error: link.pa." in err and flag in err
+        # the key that was set alone, not its sibling left at its default
+        assert f"scenario error: {flag}: designated channel carries no power" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("overrides", [
@@ -776,6 +812,16 @@ class TestFailureModes:
         assert "scenario error" in err and "training.n_levels" in err
         assert "Traceback" not in err
         assert elapsed < 1.0
+
+    def test_beam_wider_than_the_codebook_names_the_array_keys_set(self, tmp_path, capsys):
+        # a 2x2 array's 59 deg beam is far wider than the default codebook's
+        # leaves: the array keys set are named, not the training keys left alone
+        rc = main(["train", "--array.n_x", "2", "--array.n_y", "2", "--array.group_size", "1",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "scenario error: array.n_x, array.n_y, array.group_size: 3 levels of 4" in err
+        assert "training" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n_levels", ["3", "4"])
     def test_leaf_bound_admits_the_default_and_four_levels(self, n_levels, tmp_path,
@@ -870,8 +916,8 @@ class TestFailureModes:
         rc = main(["element-opt", f"--{flag}", value, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "scenario error: element.sweeps" in err
-        assert f"sweep range for {parameter}" in err
+        # the key that was set is named, not the sections it might lie in
+        assert f"scenario error: {flag}: sweep range for {parameter}" in err
         assert "Traceback" not in err
 
     def test_sweep_reaching_an_invalid_circuit_exits_2_naming_it(self, tmp_path, capsys,
@@ -976,6 +1022,21 @@ class TestFailureModes:
         # the ratios stay finite: no RuntimeWarning, which the suite makes an error
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_cli(command, tmp_path, *[a for f in flags for a in (f"--{f}", value)]) == 0
+
+    @pytest.mark.parametrize("command", ["link", "evm-sweep", "dual-stream"])
+    @pytest.mark.parametrize("d_m, ghz, db, nf", [
+        ("1e9", "1e4", "-200", "200"),      # the weakest budget in range
+        ("1e-3", "1e-3", "200", "0"),       # and the strongest
+    ])
+    def test_budget_bounds_admit_their_limits(self, command, d_m, ghz, db, nf, tmp_path):
+        # every ratio stays finite: no RuntimeWarning, which the suite makes an error
+        flags = {"link.d_m": d_m, "link.dual.d_m": d_m, "link.sweep_distances_m": f"[{d_m}]",
+                 "link.center_freq_ghz": ghz, "link.dual.center_freq_ghz": ghz,
+                 "link.tx_power_dbm": db, "link.tx_antenna_gain_dbi": db,
+                 "link.rx_antenna_gain_dbi": db, "link.rx_noise_figure_db": nf}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(command, tmp_path, *[a for f, v in flags.items()
+                                                for a in (f"--{f}", v)]) == 0
 
     def test_steer_without_targets_exits_2(self, tmp_path, capsys):
         rc = main(["steer", "--pattern.scan_az_deg", "[]", "--pattern.scan_el_deg", "[]",

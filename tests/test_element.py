@@ -21,7 +21,6 @@ from risant.element import (
     DiodeModel,
     ElementCircuit,
     SweepRange,
-    SweepRangeError,
     _apply_parameter,
     _get_parameter,
     design_objective,
@@ -297,9 +296,8 @@ class TestOptimizer:
     def test_sweep_reaching_an_invalid_circuit_rejected(self, name, sweep):
         # the start value lies inside each range, the low end makes no circuit
         sweeps = {name: sweep}
-        with pytest.raises(SweepRangeError, match=f"sweep range for {name}") as excinfo:
+        with pytest.raises(ValueError, match=f"sweep range for {name}"):
             optimize_structure(DEFAULT_START_CIRCUIT, sweeps=sweeps)
-        assert excinfo.value.parameter == name
 
     @pytest.mark.parametrize("kwargs", [{"min_amplitude": 0.0}, {"min_amplitude": 1.01},
                                         {"phase_tolerance_deg": -1.0}])

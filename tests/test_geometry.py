@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from risant.constants import MAX_FREQUENCY_GHZ
 from risant.geometry import (
     MAX_ARRAY_SIDE,
+    MAX_INCIDENCE_PHASE_DRIFT,
     AntennaAssembly,
     Direction,
     FeedModel,
@@ -215,3 +216,10 @@ class TestRisArrayAndAssembly:
         m = IncidenceModel()
         assert m.beta_deg_per_deg2 == pytest.approx(0.004)
         assert m.amplitude_exponent == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_incidence_phase_drift_bound_admits_its_limit(self, sign):
+        limit = sign * MAX_INCIDENCE_PHASE_DRIFT
+        assert IncidenceModel(beta_deg_per_deg2=limit).beta_deg_per_deg2 == limit
+        with pytest.raises(ValueError, match="phase drift"):
+            IncidenceModel(beta_deg_per_deg2=math.nextafter(limit, sign * math.inf))

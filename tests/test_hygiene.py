@@ -5,7 +5,8 @@ acceptance suite, every parameter is read by its function, and every
 defaulted parameter of a model module's public function is set by one of
 those users.  Also:
 README's common flags are the parser's, README's library example runs,
-and every span name the benchmark traces names a public function."""
+every span name the benchmark traces names a public function, and no
+subcommand catches an exception itself."""
 
 import ast
 import contextlib
@@ -178,6 +179,18 @@ def test_every_default_is_overridden_by_a_user():
                                  or name in keywords or None in keywords
                                  for n_args, keywords in calls)]
     assert not unset, f"defaulted parameters no call in src/ or the acceptance suite sets: {unset}"
+
+
+def test_no_command_catches_an_exception():
+    # a model error reaches the user through Scenario.blame, which names the
+    # keys set; a command's own except would name a list of its own
+    try_nodes = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    commands = [node for node in _tree(PACKAGE / "cli.py").body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 12
+    catching = [node.name for node in commands
+                if any(isinstance(n, try_nodes) for n in ast.walk(node))]
+    assert catching == []
 
 
 def test_readme_common_flags_are_the_parser_options():

@@ -10,10 +10,13 @@ import pytest
 from scipy import signal as sp_signal
 
 from risant import link
-from risant.constants import db10, from_db10
+from risant.constants import MAX_FREQUENCY_GHZ, db10, from_db10
 from risant.link import (
     ACLR_LIMIT_DBC,
     EVM_LIMIT,
+    LINK_DISTANCE_M,
+    MAX_BUDGET_DB,
+    MIN_LINK_FREQUENCY_GHZ,
     FrameConfig,
     LinkScenario,
     PRB_TABLE_120KHZ,
@@ -86,6 +89,20 @@ class TestBudget:
             LinkScenario(tx_evm_floor=0.6)
         with pytest.raises(ValueError):
             LinkScenario(modulation="8PSK")
+
+    @pytest.mark.parametrize("field, lo, hi", [
+        ("d_m", *LINK_DISTANCE_M),
+        ("center_freq_ghz", MIN_LINK_FREQUENCY_GHZ, MAX_FREQUENCY_GHZ),
+        ("tx_power_dbm", -MAX_BUDGET_DB, MAX_BUDGET_DB),
+        ("tx_antenna_gain_dbi", -MAX_BUDGET_DB, MAX_BUDGET_DB),
+        ("rx_antenna_gain_dbi", -MAX_BUDGET_DB, MAX_BUDGET_DB),
+        ("rx_noise_figure_db", 0.0, MAX_BUDGET_DB),
+    ])
+    def test_budget_ranges_admit_their_limits(self, field, lo, hi):
+        for value, outward in ((lo, -math.inf), (hi, math.inf)):
+            assert getattr(LinkScenario(**{field: value}), field) == value
+            with pytest.raises(ValueError, match="must be in"):
+                LinkScenario(**{field: math.nextafter(value, outward)})
 
 
 class TestEvm:

@@ -194,6 +194,42 @@ class TestLeafPaths:
         assert sc.data == DEFAULT_SCENARIO
 
 
+class TestBlame:
+    """``Scenario.blame`` names the keys set away from their defaults."""
+
+    @staticmethod
+    def _message(overrides, *names):
+        with pytest.raises(ScenarioError) as excinfo:
+            with resolve_scenario(None, overrides).blame(*names):
+                raise ValueError("boom")
+        return str(excinfo.value)
+
+    def test_names_the_keys_set_in_the_order_of_the_sections(self):
+        overrides = [("array.n_y", 4), ("link.pa.smoothness", 3.0), ("array.n_x", 4)]
+        assert self._message(overrides, "link.pa", "array") == (
+            "link.pa.smoothness, array.n_x, array.n_y: boom")
+
+    def test_names_the_sections_when_no_key_is_set(self):
+        # a key written back at its default is not set away from it
+        assert self._message([("array.n_x", 32)], "link.pa", "array") == "link.pa, array: boom"
+
+    def test_a_section_leaves_out_its_subsections(self):
+        assert self._message([("feed.search.z_mm", [100.0, 120.0])], "feed") == "feed: boom"
+
+    def test_a_key_stands_for_itself_alone(self):
+        assert self._message([("pattern.step_deg", 1.0)], "pattern.frequency_ghz") == (
+            "pattern.frequency_ghz: boom")
+        assert self._message([("pattern.frequency_ghz", 28.0), ("pattern.step_deg", 1.0)],
+                             "array", "pattern.frequency_ghz") == "pattern.frequency_ghz: boom"
+
+    @pytest.mark.parametrize("exc", [TypeError("boom"), ScenarioError("boom")])
+    def test_other_errors_pass_through(self, exc):
+        with pytest.raises(type(exc)) as excinfo:
+            with resolve_scenario(None).blame("array"):
+                raise exc
+        assert excinfo.value is exc
+
+
 class TestSingleSourceOfDefaults:
     """The default tree takes each model section from the model class, so
     building a default section gives the class's own default."""
