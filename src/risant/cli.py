@@ -2,14 +2,16 @@
 
 Every subcommand loads one scenario file (all keys optional; an empty
 or absent file runs the prototype defaults) and runs one module; its
-command function returns the CSV/JSON artifacts, and ``main`` alone
-writes them plus a run manifest into the output directory.  Artifacts
-are deterministic: identical scenario and seed produce byte-identical
-CSV files.
+command function returns the artifacts, a JSON payload or a CSV
+(header, columns) pair of equal-length 1-D columns each, and ``main``
+alone writes them plus a run manifest into the output directory.
+Artifacts are deterministic: identical scenario and seed produce
+byte-identical CSV files.
 
 Every scenario leaf is also a flag, ``--dotted.leaf VALUE`` or
-``--dotted.leaf=VALUE`` with a YAML value; one argv scan collects these
-overrides in order, and argparse parses the rest.
+``--dotted.leaf=VALUE`` with a YAML value (read by libyaml where PyYAML
+has it); one argv scan collects these overrides in order, and argparse
+parses the rest.
 
 Besides the leaf flags a run takes two options: ``--scenario FILE``
 and ``--out DIR`` (default the working directory).
@@ -73,32 +75,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# %-conversions of the cell types the writers see most, giving what _fmt
-# gives without its isinstance chain; every other type goes in as %s of _fmt
-_CONVERSION = {float: "%.10g", np.float64: "%.10g", int: "%d"}
+# Rows formatted and written per block: the text of a block, not of the
+# file, is held at once, whatever the lattice size.
+_CSV_BLOCK_ROWS = 4096
 
 
-def _row_format(types):
-    """(%-template of a CSV line, indices of the cells that go through
-    _fmt) for rows of the cell ``types``."""
-    conversions = [_CONVERSION.get(t) for t in types]
-    template = ",".join(c or "%s" for c in conversions) + "\n"
-    return template, [i for i, c in enumerate(conversions) if c is None]
+def _column(values):
+    """(%-conversion, array) of one CSV column, whose slices' ``tolist()``
+    formatted by the conversion give each cell the text ``_fmt`` gives it."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    # a sequence that mixes types (True and 2, or 1 and 2.5) is promoted to
+    # one dtype, whose conversion would not be _fmt's for every cell
+    if kind in "biuf" and not isinstance(values, np.ndarray) and len(set(map(type, values))) > 1:
+        kind = "O"
+    if kind == "b":
+        return "%s", np.where(array, "true", "false")
+    if kind in "iu":
+        return "%d", array
+    if kind == "f":
+        return "%.10g", array
+    return "%s", np.array([_fmt(v) for v in values], dtype=object)
 
 
-def write_csv(path: str, header, rows) -> str:
-    formats = {}
+def write_csv(path: str, header, columns) -> str:
+    """Write equal-length 1-D ``columns`` under ``header``; returns ``path``."""
+    columns = [_column(values) for values in columns]
+    lengths = [len(array) for _, array in columns]
+    if len(set(lengths)) > 1:
+        # zip would drop the rows past the shortest column
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    template = ",".join(conversion for conversion, _ in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = tuple(row)
-            types = tuple(map(type, cells))
-            if types not in formats:
-                formats[types] = _row_format(types)
-            template, slow = formats[types]
-            if slow:
-                cells = tuple(_fmt(v) if i in slow else v for i, v in enumerate(cells))
-            fh.write(template % cells)
+        for start in range(0, max(lengths, default=0), _CSV_BLOCK_ROWS):
+            block = [array[start:start + _CSV_BLOCK_ROWS].tolist() for _, array in columns]
+            cells = [None] * (len(block[0]) * len(block))
+            for j, column in enumerate(block):
+                cells[j::len(block)] = column
+            fh.write(template * len(block[0]) % tuple(cells))
     return path
 
 
@@ -119,8 +134,8 @@ def _json_default(value):
 # ---------------------------------------------------------------------------
 # subcommand implementations.  Each is a function of the scenario alone and
 # returns (artifacts, summary line): artifacts maps each file name, in write
-# order, to a JSON payload or a CSV (header, rows) pair, whose rows may be an
-# iterator that the writer reads once.
+# order, to a JSON payload or a CSV (header, columns) pair of equal-length
+# 1-D columns.
 
 
 def cmd_element_opt(scn: Scenario):
@@ -141,7 +156,7 @@ def cmd_element_opt(scn: Scenario):
     }}
     if result.trace:
         artifacts["element_trace.csv"] = (["round", "parameter", "value", "amp_on", "amp_off",
-                                           "phase_diff_deg", "objective"], result.trace)
+                                           "phase_diff_deg", "objective"], zip(*result.trace))
     return artifacts, (f"element-opt: |G_on| {result.amp_on:.4f} |G_off| "
                        f"{result.amp_off:.4f} dphi {result.phase_diff_deg:.2f} deg "
                        f"targets_met={result.targets_met}")
@@ -163,8 +178,8 @@ def cmd_pattern(scn: Scenario):
             "sll_db": m.sll_db, "hpbw_az_deg": m.hpbw_az_deg, "hpbw_el_deg": m.hpbw_el_deg,
             "cross_pol_db": m.cross_pol_db, "grid_step_deg": step,
         },
-        "pattern_cut_az.csv": (["az_deg", "gain_dbi"], zip(m.az_deg, m.az_cut_dbi)),
-        "pattern_cut_el.csv": (["el_deg", "gain_dbi"], zip(m.el_deg, m.el_cut_dbi)),
+        "pattern_cut_az.csv": (["az_deg", "gain_dbi"], (m.az_deg, m.az_cut_dbi)),
+        "pattern_cut_el.csv": (["el_deg", "gain_dbi"], (m.el_deg, m.el_cut_dbi)),
     }, (f"pattern: peak {m.peak_gain_dbi:.2f} dBi at ({peak.az_deg:.2f}, "
         f"{peak.el_deg:.2f}) deg, SLL {sll} dB")
 
@@ -179,7 +194,7 @@ def cmd_steer(scn: Scenario):
     worst = max(r[3] for r in rows)
     return {
         "steer.csv": (["az_deg", "el_deg", "gain_dbi", "pointing_error_deg",
-                       "loss_vs_broadside_db"], rows),
+                       "loss_vs_broadside_db"], zip(*rows)),
         "steer.json": {"n_directions": len(rows), "max_pointing_error_deg": worst,
                        "max_loss_vs_broadside_db": max(r[4] for r in rows)},
     }, f"steer: {len(rows)} directions, worst pointing error {worst:.2f} deg"
@@ -195,13 +210,14 @@ def cmd_widebeam(scn: Scenario):
             n_subapertures=scn.literal("pattern.widebeam.n_subapertures"))
     az = np.arange(sector[0] - 10.0, sector[1] + 10.0 + 1e-9, 0.25)
     pat = far_field(asm, result.codeword, az, np.array([el]))
+    states = np.asarray(result.codeword.states, dtype=int)
     return {
         "widebeam.json": {"sector_az_deg": list(sector), "el_deg": el,
                           "n_subapertures": result.n_subapertures,
                           "ripple_db": result.ripple_db, "note": result.note},
-        "widebeam_cut.csv": (["az_deg", "gain_dbi"], zip(az, pat.gain_dbi()[0])),
+        "widebeam_cut.csv": (["az_deg", "gain_dbi"], (az, pat.gain_dbi()[0])),
         "widebeam_states.csv": (["group", "state"],
-                                enumerate(np.asarray(result.codeword.states, dtype=int))),
+                                (np.arange(states.size), states)),
     }, (f"widebeam: {result.n_subapertures} subapertures, ripple "
         f"{result.ripple_db:.2f} dB over [{sector[0]}, {sector[1]}] deg")
 
@@ -227,9 +243,9 @@ def cmd_feed_opt(scn: Scenario):
             "eta_illumination": refined_breakdown.eta_illumination,
         },
         "feed_scan.csv": (["x_mm", "y_mm", "z_mm", "eta_spillover", "eta_illumination",
-                           "predicted_gain_dbi"], coarse.evaluations),
+                           "predicted_gain_dbi"], zip(*coarse.evaluations)),
         "feed_refine.csv": (["dx_mm", "dy_mm", "dz_mm", "realized_gain_dbi"],
-                            refined.evaluations),
+                            zip(*refined.evaluations)),
     }, (f"feed-opt: refined ({x:.1f}, {y:.1f}, {z:.1f}) mm, "
         f"{refined.realized_gain_dbi:.2f} dBi realized")
 
@@ -253,7 +269,7 @@ def cmd_evm_sweep(scn: Scenario):
     rows = evm_vs_distance(scn.build_link(), scn.literal("link.sweep_distances_m"))
     worst, all_pass = max(r[2] for r in rows), all(r[3] for r in rows)
     return {
-        "evm_sweep.csv": (["d_m", "snr_db", "evm_pct", "pass_8pct"], rows),
+        "evm_sweep.csv": (["d_m", "snr_db", "evm_pct", "pass_8pct"], zip(*rows)),
         "evm_sweep.json": {"n_points": len(rows), "all_pass": all_pass,
                            "worst_evm_pct": worst},
     }, (f"evm-sweep: {len(rows)} distances, worst EVM {worst:.2f}%, "
@@ -275,7 +291,7 @@ def cmd_aclr_sweep(scn: Scenario):
             for aod in scn.literal("link.aclr.aod_az_deg")]
     return {
         "aclr_sweep.csv": (["center_freq_ghz", "aod_az_deg", "aclr_lower_dbc",
-                            "aclr_upper_dbc", "pass_28dbc"], rows),
+                            "aclr_upper_dbc", "pass_28dbc"], zip(*rows)),
         "aclr_sweep.json": {"pa": asdict(pa), "channel_bandwidth_mhz": bw_mhz,
                             "aclr_lower_dbc": lower, "aclr_upper_dbc": upper,
                             "limit_dbc": ACLR_LIMIT_DBC, "all_pass": passed},
@@ -289,8 +305,8 @@ def cmd_dual_stream(scn: Scenario):
     sinr = dual_stream_sinr(gains, xpd, ls)
     return {
         "dual_stream.csv": (["stream", "gain_dbi", "leakage_db", "sinr_db"],
-                            [("H", gains["h"], xpd.h_antenna_db, sinr["h"]),
-                             ("V", gains["v"], xpd.v_antenna_db, sinr["v"])]),
+                            (["H", "V"], [gains["h"], gains["v"]],
+                             [xpd.h_antenna_db, xpd.v_antenna_db], [sinr["h"], sinr["v"]])),
         "dual_stream.json": {"d_m": ls.d_m, "center_freq_ghz": ls.center_freq_ghz,
                              "sinr_h_db": sinr["h"], "sinr_v_db": sinr["v"]},
     }, f"dual-stream: SINR H {sinr['h']:.2f} dB, V {sinr['v']:.2f} dB"
@@ -338,7 +354,7 @@ def cmd_train(scn: Scenario):
     rate_b = sum(r[3] for r in rows) / n_trials
     return {
         "train.csv": (["trial", "truth_az_deg", "success_widened", "success_baseline",
-                       "pilots_widened", "pilots_baseline", "widenings"], rows),
+                       "pilots_widened", "pilots_baseline", "widenings"], zip(*rows)),
         "train.json": {
             "n_trials": n_trials, "pilot_snr_db": snr,
             "success_rate_widened": rate_w, "success_rate_baseline": rate_b,
@@ -352,10 +368,9 @@ def cmd_train(scn: Scenario):
 def cmd_geometry(scn: Scenario):
     array = scn.build_array()
     positions = array.positions_mm()
-    rows = [(i, int(array.grouping[i]), positions[i, 0], positions[i, 1],
-             positions[i, 2]) for i in range(array.n_elements)]
     return {
-        "geometry.csv": (["index", "group", "x_mm", "y_mm", "z_mm"], rows),
+        "geometry.csv": (["index", "group", "x_mm", "y_mm", "z_mm"],
+                         (np.arange(array.n_elements), array.grouping, *positions.T)),
         "geometry.json": {
             "n_elements": array.n_elements, "n_groups": array.n_groups,
             "aperture_m2": array.aperture_m2,
@@ -385,6 +400,11 @@ COMMANDS = {
 # argument plumbing
 
 
+# libyaml's loader where PyYAML was built with it: the same resolver as
+# yaml.SafeLoader, about 7x faster on a short list
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class _Parser(argparse.ArgumentParser):
     """Takes each of its ``leaf_flags``, as ``--k v`` or ``--k=v``, out of
     argv as an override, its value parsed as YAML: ``v`` is the next token
@@ -401,7 +421,7 @@ class _Parser(argparse.ArgumentParser):
                 self.error(f"argument {flag}: expected one argument")
             else:
                 try:
-                    overrides.append((flag[2:], yaml.safe_load(value)))
+                    overrides.append((flag[2:], yaml.load(value, Loader=_YAML_LOADER)))
                 except yaml.YAMLError as exc:
                     self.error(f"cannot parse value for {flag}: {exc}")
         namespace, extras = super().parse_known_args(rest, namespace)
@@ -441,7 +461,7 @@ def main(argv=None) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     paths = []
-    for name, content in artifacts.items():   # a JSON payload or a CSV (header, rows)
+    for name, content in artifacts.items():   # a JSON payload or a CSV (header, columns)
         path = os.path.join(out_dir, name)
         paths.append(write_json(path, content) if isinstance(content, dict)
                      else write_csv(path, *content))

@@ -51,6 +51,11 @@ MIN_LINK_FREQUENCY_GHZ = 1e-3
 # radios reach (a 10 MW transmitter is 100 dBm); at 1e15 dB the ratios overflow.
 MAX_BUDGET_DB = 200.0
 
+# Widest channel a link may have: 10^4 MHz, five times the widest NR carrier
+# (2000 MHz in FR2-2).  Its noise power, with the noise figure at
+# MAX_BUDGET_DB, stays within 126 dBm; at 1e300 MHz the budget's ratios overflow.
+MAX_BANDWIDTH_MHZ = 1e4
+
 DEFAULT_ACLR_SYMBOLS = 64
 DEFAULT_EVM_SYMBOLS = 100_000
 DEFAULT_CHANNEL_BANDWIDTH_MHZ = 400.0
@@ -98,8 +103,8 @@ class LinkScenario:
                 raise ValueError(f"{name} must be in [-{MAX_BUDGET_DB:g}, {MAX_BUDGET_DB:g}]")
         if not 0.0 <= self.rx_noise_figure_db <= MAX_BUDGET_DB:
             raise ValueError(f"noise figure must be in [0, {MAX_BUDGET_DB:g}] dB")
-        if self.bandwidth_mhz <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 < self.bandwidth_mhz <= MAX_BANDWIDTH_MHZ:
+            raise ValueError(f"bandwidth must be in (0, {MAX_BANDWIDTH_MHZ:g}] MHz")
         if not 0.0 <= self.tx_evm_floor < 0.5:
             raise ValueError("tx EVM floor must lie in [0, 0.5)")
         if self.modulation not in MODULATION_ORDERS:

@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -180,6 +181,20 @@ class TestParser:
             cli.build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_reads_every_value_as_the_python_loader(self, perfbench_jobs):
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+        tokens = {token for workload in perfbench_jobs.WORKLOADS for seed in range(8)
+                  for job in perfbench_jobs.make_jobs(workload, seed)
+                  for token in job["args"][2::2]}
+        tokens |= {"1e5", "-1.5e1", "true", ".inf"}
+        tokens |= {value for *_, value in _BAD_LITERAL_VALUES + _BAD_MODEL_VALUES}
+        for token in tokens:
+            fast = yaml.load(token, Loader=yaml.CSafeLoader)
+            slow = yaml.load(token, Loader=yaml.SafeLoader)
+            # repr tells 1 from 1.0, True and "1e5", and reads nan as nan
+            assert (type(fast), repr(fast)) == (type(slow), repr(slow)), token
 
     def test_exponent_form_writes_the_plain_value_pattern(self, tmp_path):
         a, b = tmp_path / "exponent", tmp_path / "plain"
@@ -442,38 +457,82 @@ class TestDeterminism:
         assert (a / "link.json").read_bytes() == (b / "link.json").read_bytes()
 
 
-class TestCsvFormatting:
-    def test_bytes_match_per_value_formatting(self, tmp_path):
-        rows = [
-            (True, False, np.bool_(True), np.bool_(False)),
-            (0, -7, np.int64(12), np.int32(-3), 2**70),
-            (1.5, -0.0, 1e-320, 1 / 3, np.float64(2.0 / 3.0), np.float32(0.1)),
-            (-math.inf, math.inf, math.nan, np.float64(-np.inf), np.float64(np.nan)),
-            ("H", None, np.str_("V")),
-        ]
-        path = cli.write_csv(str(tmp_path / "cells.csv"), ["a", "b"], rows)
-        expected = "a,b\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n"
-                                     for row in rows)
-        with open(path, "rb") as fh:
-            assert fh.read() == expected.encode("utf-8")
-        assert expected.splitlines()[1:5] == [
-            "true,false,true,false",
-            "0,-7,12,-3,1180591620717411303424",
-            "1.5,-0,9.999888672e-321,0.3333333333,0.6666666667,0.1000000015",
-            "-inf,inf,nan,-inf,nan",
-        ]
+# one column per kind of value, and the text of its cells; a list that mixes
+# kinds is promoted to one dtype by numpy, and each cell still gets _fmt's text
+_KIND_COLUMNS = [
+    ([True, False], ["true", "false"]),
+    (np.array([True, False]), ["true", "false"]),
+    ([0, -7], ["0", "-7"]),
+    (np.array([12, -3], dtype=np.int64), ["12", "-3"]),
+    (np.array([-3, 5], dtype=np.int32), ["-3", "5"]),
+    ([2**70, -2**70], ["1180591620717411303424", "-1180591620717411303424"]),
+    ([1.5, -0.0, 1e-320, 1 / 3], ["1.5", "-0", "9.999888672e-321", "0.3333333333"]),
+    (np.array([2.0 / 3.0, -0.0, np.nan]), ["0.6666666667", "-0", "nan"]),
+    (np.array([0.1], dtype=np.float32), ["0.1000000015"]),
+    ([-math.inf, math.inf, math.nan], ["-inf", "inf", "nan"]),
+    (np.array([-np.inf, np.inf]), ["-inf", "inf"]),
+    (["H", None], ["H", "None"]),
+    (np.array(["V", "H"]), ["V", "H"]),
+    # lists of numpy scalars, as zip(*rows) gives a row-built table's columns
+    ([np.bool_(True), np.bool_(False)], ["true", "false"]),
+    ([np.int64(12), np.int32(-3)], ["12", "-3"]),
+    ([np.float64(2.0 / 3.0), np.float64(-np.inf)], ["0.6666666667", "-inf"]),
+    ([np.str_("V"), "H"], ["V", "H"]),
+    # mixed kinds: numpy makes [True, 2] integers and [12345678901, 0.5] floats
+    ([True, 2], ["true", "2"]),
+    ([12345678901, 0.5], ["12345678901", "0.5"]),
+    ([True, 2, 2.5, 2**70, np.float32(0.1), "x", None],
+     ["true", "2", "2.5", "1180591620717411303424", "0.1000000015", "x", "None"]),
+]
 
-    @pytest.mark.parametrize("rows", [
-        # all-float rows, as a cut writes them, then a row of other types
-        [(-90.0 + i, -12.5 / (i + 1), np.float64(i) / 7.0) for i in range(5)] + [("x",)],
-        # mixed int/float rows, one template each, then an empty row
-        [(i, 0.1 * i, np.float64(-i), i * 1.0) for i in range(4)] + [(1.0, 2, "3"), ()],
-    ])
-    def test_row_templates_match_per_value_formatting(self, tmp_path, rows):
-        path = cli.write_csv(str(tmp_path / "rows.csv"), ["a"], rows)
-        expected = "a\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+
+def _fmt_rows(header, columns) -> bytes:
+    """The CSV text of ``columns``, each cell by ``cli._fmt``."""
+    lines = [",".join(header)] + [",".join(map(cli._fmt, row)) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestCsvFormatting:
+    @pytest.mark.parametrize("column, cells", _KIND_COLUMNS)
+    def test_each_kind_of_cell_has_its_per_value_text(self, column, cells, tmp_path):
+        path = cli.write_csv(str(tmp_path / "cells.csv"), ["v"], [column])
         with open(path, "rb") as fh:
-            assert fh.read() == expected.encode("utf-8")
+            text = fh.read()
+        assert text == _fmt_rows(["v"], [column])
+        assert text.decode("utf-8").splitlines() == ["v", *cells]
+
+    def test_columns_interleave_into_rows(self, tmp_path):
+        columns = [[True, False], np.array([12, -3]), [1.5, -0.0], ["H", None],
+                   np.array([0.1, np.nan], dtype=np.float32)]
+        path = cli.write_csv(str(tmp_path / "rows.csv"), list("abcde"), columns)
+        with open(path, "rb") as fh:
+            assert fh.read() == b"a,b,c,d,e\ntrue,12,1.5,H,0.1000000015\nfalse,-3,-0,None,nan\n"
+
+    @pytest.mark.parametrize("columns", [[], zip(*[]), [np.array([]), np.array([], dtype=int)]])
+    def test_no_rows_write_the_header_alone(self, columns, tmp_path):
+        path = cli.write_csv(str(tmp_path / "empty.csv"), ["a", "b"], columns)
+        with open(path, "rb") as fh:
+            assert fh.read() == b"a,b\n"
+
+    # either side of the first block's end, and one row into a third block
+    @pytest.mark.parametrize("n_rows", [cli._CSV_BLOCK_ROWS + d for d in (-1, 0, 1)]
+                             + [2 * cli._CSV_BLOCK_ROWS + 1])
+    def test_rows_across_write_blocks_match_per_value_formatting(self, n_rows, tmp_path):
+        rng = np.random.default_rng(n_rows)
+        floats = rng.normal(scale=1e3, size=n_rows)
+        floats[::97] = np.resize([np.nan, -0.0, np.inf, -np.inf, 1e-320], floats[::97].size)
+        columns = [np.arange(n_rows), rng.integers(-2**62, 2**62, n_rows), floats,
+                   floats.astype(np.float32), np.arange(n_rows) % 3 == 0,
+                   (floats * 10).tolist(), [f"s{i}" for i in range(n_rows)]]
+        path = cli.write_csv(str(tmp_path / "blocks.csv"), list("abcdefg"), columns)
+        with open(path, "rb") as fh:
+            assert fh.read() == _fmt_rows(list("abcdefg"), columns)
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match=r"differ in length: \[3, 2\]"):
+            cli.write_csv(str(path), ["a", "b"], [np.arange(3), [1.0, 2.0]])
+        assert not path.exists()
 
     def test_booleans_render_lowercase(self, tmp_path):
         assert run_cli("evm-sweep", tmp_path) == 0
@@ -714,6 +773,12 @@ _BAD_MODEL_VALUES = [
     ("dual-stream", "link.dual.d_m", "1e300"),
     ("dual-stream", "link.dual.d_m", "1e-300"),
     ("dual-stream", "link.dual.center_freq_ghz", "1e-300"),
+    # a channel wider than link.MAX_BANDWIDTH_MHZ, whose noise power
+    # overflows with the noise figure at its bound; link.dual inherits it
+    ("link", "link.bandwidth_mhz", "1e300"),
+    ("link --link.rx_noise_figure_db 200", "link.bandwidth_mhz", "1e300"),
+    ("evm-sweep --link.rx_noise_figure_db 200", "link.bandwidth_mhz", "1e300"),
+    ("dual-stream --link.rx_noise_figure_db 200", "link.bandwidth_mhz", "1e300"),
 ]
 
 
@@ -751,8 +816,11 @@ class TestFailureModes:
         rc = main([*command.split(), f"--{flag}", value, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        # the key is named alone: the keys left at their defaults are not
-        assert f"scenario error: {flag}: " in err or f"scenario error: {flag} must be" in err
+        # the keys the row sets are named, in scenario order, and the keys
+        # left at their defaults are not; a literal key is no model's
+        keys = {flag} | {t[2:] for t in command.split() if t.startswith("--")} - set(_LITERALS)
+        named = ", ".join(dotted for dotted, _ in iter_leaf_paths() if dotted in keys)
+        assert f"scenario error: {named}: " in err or f"scenario error: {named} must be" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag, value", _BAD_LITERAL_VALUES)
@@ -1024,16 +1092,17 @@ class TestFailureModes:
             assert run_cli(command, tmp_path, *[a for f in flags for a in (f"--{f}", value)]) == 0
 
     @pytest.mark.parametrize("command", ["link", "evm-sweep", "dual-stream"])
-    @pytest.mark.parametrize("d_m, ghz, db, nf", [
-        ("1e9", "1e4", "-200", "200"),      # the weakest budget in range
-        ("1e-3", "1e-3", "200", "0"),       # and the strongest
+    @pytest.mark.parametrize("d_m, ghz, db, nf, mhz", [
+        ("1e9", "1e4", "-200", "200", "1e4"),      # the weakest budget in range
+        ("1e-3", "1e-3", "200", "0", "400"),       # and the strongest
     ])
-    def test_budget_bounds_admit_their_limits(self, command, d_m, ghz, db, nf, tmp_path):
+    def test_budget_bounds_admit_their_limits(self, command, d_m, ghz, db, nf, mhz, tmp_path):
         # every ratio stays finite: no RuntimeWarning, which the suite makes an error
         flags = {"link.d_m": d_m, "link.dual.d_m": d_m, "link.sweep_distances_m": f"[{d_m}]",
                  "link.center_freq_ghz": ghz, "link.dual.center_freq_ghz": ghz,
                  "link.tx_power_dbm": db, "link.tx_antenna_gain_dbi": db,
-                 "link.rx_antenna_gain_dbi": db, "link.rx_noise_figure_db": nf}
+                 "link.rx_antenna_gain_dbi": db, "link.rx_noise_figure_db": nf,
+                 "link.bandwidth_mhz": mhz}
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_cli(command, tmp_path, *[a for f, v in flags.items()
                                                 for a in (f"--{f}", v)]) == 0
