@@ -42,7 +42,6 @@ from .link import (
     FrameConfig,
     LinkScenario,
     PaModel,
-    WaveformConfig,
     XpdModel,
     aclr,
     apply_pa,

@@ -40,8 +40,6 @@ from .geometry import Direction
 from .link import (
     EVM_LIMIT,
     ACLR_LIMIT_DBC,
-    PRB_TABLE_120KHZ,
-    WaveformConfig,
     dl_duty,
     dual_stream_sinr,
     evm_closed_form,
@@ -279,10 +277,9 @@ def cmd_evm_sweep(scn: Scenario):
 def cmd_aclr_sweep(scn: Scenario):
     pa = scn.build_pa()
     bw_mhz = scn.literal("link.aclr.channel_bandwidth_mhz")
-    waveform = WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[round(bw_mhz)])
     with scn.blame("link.pa"):   # the amplifier drives every sample to 0
-        lower, upper = measure_aclr(pa, waveform, scn.literal("link.aclr.n_symbols"),
-                                    scn.literal("rng_seed"), channel_bandwidth_hz=bw_mhz * 1e6)
+        lower, upper = measure_aclr(pa, scn.literal("link.aclr.n_symbols"),
+                                    scn.literal("rng_seed"), bw_mhz)
     passed = max(lower, upper) <= ACLR_LIMIT_DBC
     # the amplifier operating point is independent of carrier and beam
     # direction here, so the measured leakage repeats across the sweep

@@ -29,11 +29,11 @@ PRB_TABLE_120KHZ = {50: 32, 100: 66, 200: 132, 400: 264}
 _MU_BY_SCS_KHZ = {15: 0, 30: 1, 60: 2, 120: 3, 240: 4}
 
 # Work bounds on the record-length keys.  An ACLR symbol is 17536 complex
-# samples at the default numerology, so the longest record is 287 MB, which
-# measure_aclr streams in 33 MB (0.11 records), most of it the 26 MB int64
-# table of symbol indices that _ofdm_pieces draws in one call (drawing it in
-# chunks would change the Generator.integers stream); the longest EVM draw
-# makes complex arrays of 160 MB.
+# samples (the 16384-point grid and its prefix), so the longest record is
+# 287 MB, which measure_aclr streams in 33 MB (0.11 records), most of it the
+# 26 MB int64 table of symbol indices that _ofdm_pieces draws in one call
+# (drawing it in chunks would change the Generator.integers stream); the
+# longest EVM draw makes complex arrays of 160 MB.
 MAX_ACLR_SYMBOLS = 1024
 MAX_EVM_SYMBOLS = 10_000_000
 
@@ -51,9 +51,14 @@ MIN_LINK_FREQUENCY_GHZ = 1e-3
 # radios reach (a 10 MW transmitter is 100 dBm); at 1e15 dB the ratios overflow.
 MAX_BUDGET_DB = 200.0
 
-# Widest channel a link may have: 10^4 MHz, five times the widest NR carrier
-# (2000 MHz in FR2-2).  Its noise power, with the noise figure at
-# MAX_BUDGET_DB, stays within 126 dBm; at 1e300 MHz the budget's ratios overflow.
+# Range of a link's channel.  The widest is 10^4 MHz, five times the widest
+# NR carrier (2000 MHz in FR2-2): its noise power, with the noise figure at
+# MAX_BUDGET_DB, stays within 126 dBm; at 1e300 MHz the budget's ratios
+# overflow.  The narrowest is 10^-3 MHz (1 kHz, a thermal floor of -144 dBm),
+# under the channel of any data link: a narrower one only lowers the noise
+# power until the SNR means nothing a receiver sees (the default link at
+# 1e-300 MHz reads 3081 dB).
+MIN_BANDWIDTH_MHZ = 1e-3
 MAX_BANDWIDTH_MHZ = 1e4
 
 DEFAULT_ACLR_SYMBOLS = 64
@@ -103,8 +108,9 @@ class LinkScenario:
                 raise ValueError(f"{name} must be in [-{MAX_BUDGET_DB:g}, {MAX_BUDGET_DB:g}]")
         if not 0.0 <= self.rx_noise_figure_db <= MAX_BUDGET_DB:
             raise ValueError(f"noise figure must be in [0, {MAX_BUDGET_DB:g}] dB")
-        if not 0.0 < self.bandwidth_mhz <= MAX_BANDWIDTH_MHZ:
-            raise ValueError(f"bandwidth must be in (0, {MAX_BANDWIDTH_MHZ:g}] MHz")
+        if not MIN_BANDWIDTH_MHZ <= self.bandwidth_mhz <= MAX_BANDWIDTH_MHZ:
+            raise ValueError(f"bandwidth must be in [{MIN_BANDWIDTH_MHZ:g}, "
+                             f"{MAX_BANDWIDTH_MHZ:g}] MHz")
         if not 0.0 <= self.tx_evm_floor < 0.5:
             raise ValueError("tx EVM floor must lie in [0, 0.5)")
         if self.modulation not in MODULATION_ORDERS:
@@ -158,10 +164,10 @@ class FrameConfig:
 class PaModel:
     """Memoryless amplifier: ideal passthrough or Rapp AM/AM compression.
 
-    saturation_level is an absolute output amplitude; waveforms from
-    ofdm_waveform are unit average power, so saturation_level = 4.0
-    means 12 dB between RMS and saturation.  Large smoothness turns the
-    Rapp curve into a hard limiter.
+    saturation_level is an absolute output amplitude; the OFDM record
+    that measure_aclr amplifies is unit average power, so a
+    saturation_level of 4.0 means 12 dB between RMS and saturation.
+    Large smoothness turns the Rapp curve into a hard limiter.
     """
 
     kind: str = "rapp"
@@ -301,52 +307,35 @@ def evm_vs_distance(scenario: LinkScenario,
 # OFDM waveform, amplifier, spectral leakage
 
 
-@dataclass(frozen=True)
-class WaveformConfig:
-    """CP-OFDM numerology for the spectral measurements.
-
-    Defaults model one 400 MHz channel at 120 kHz spacing (264 resource
-    blocks = 3168 subcarriers) on a 16384-point grid.  window_samples
-    raised-cosine samples crossfade adjacent symbols inside the cyclic
-    prefix, which keeps the occupied block orthogonal while pulling the
-    out-of-band skirt far below the amplifier distortion under test.
-    """
-
-    fft_size: int = 16384
-    cp_samples: int = 1152
-    window_samples: int = 512
-    occupied_subcarriers: int = 12 * PRB_TABLE_120KHZ[round(DEFAULT_CHANNEL_BANDWIDTH_MHZ)]
-    scs_khz: float = 120.0
-    modulation: str = "64QAM"
-
-    def __post_init__(self):
-        if self.fft_size < 2:
-            raise ValueError("FFT size must be at least 2")
-        if not 0 < self.occupied_subcarriers < self.fft_size:
-            raise ValueError("occupied subcarriers must fit inside the FFT grid")
-        if self.cp_samples < 0 or self.cp_samples >= self.fft_size:
-            raise ValueError("cyclic prefix must be shorter than the FFT")
-        if not 0 <= self.window_samples <= self.cp_samples:
-            raise ValueError("window must fit inside the cyclic prefix")
-        if self.scs_khz <= 0:
-            raise ValueError("subcarrier spacing must be positive")
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.fft_size * self.scs_khz * 1e3
+# The one CP-OFDM numerology of the spectral measurements: NR FR2 at 120 kHz
+# subcarrier spacing on a 16384-point grid, the occupied block set by the
+# channel bandwidth through PRB_TABLE_120KHZ.  _WINDOW_SAMPLES raised-cosine
+# samples crossfade adjacent symbols inside the cyclic prefix, which keeps
+# the occupied block orthogonal while pulling the out-of-band skirt far
+# below the amplifier distortion under test.
+_FFT_SIZE = 16384
+_CP_SAMPLES = 1152
+_WINDOW_SAMPLES = 512
+_POINTS = constellation("64QAM")
+SAMPLE_RATE_HZ = _FFT_SIZE * 120.0 * 1e3     # 120 kHz subcarriers
 
 
-def _ofdm_pieces(config: WaveformConfig, n_symbols: int, rng_seed: int):
-    """Yield ofdm_waveform's record before its unit-power scale, in pieces
-    of _OFDM_BLOCK symbols: one row-blocked IFFT per block, prefixes and
-    ramps set by slicing its (symbols, fft_size + cp_samples) rows, and
-    the last suffix ramp carried into the next block.  Every sample
-    equals the whole-record overlap-add's."""
+def _occupied_subcarriers(channel_bandwidth_mhz: float) -> int:
+    """Subcarriers of a channel of PRB_TABLE_120KHZ, 12 per resource block."""
+    if channel_bandwidth_mhz not in PRB_TABLE_120KHZ:
+        raise ValueError(f"channel bandwidth must be one of {sorted(PRB_TABLE_120KHZ)} MHz")
+    return 12 * PRB_TABLE_120KHZ[channel_bandwidth_mhz]
+
+
+def _ofdm_pieces(n_occ: int, n_symbols: int, rng_seed: int):
+    """Yield ofdm_waveform's record of n_occ occupied subcarriers before its
+    unit-power scale, in pieces of _OFDM_BLOCK symbols: one row-blocked
+    IFFT per block, prefixes and ramps set by slicing its (symbols,
+    _FFT_SIZE + _CP_SAMPLES) rows, and the last suffix ramp carried into
+    the next block.  Every sample equals the whole-record overlap-add's."""
     rng = np.random.default_rng(rng_seed)
-    points = constellation(config.modulation)
-    n_fft, cp, ov = config.fft_size, config.cp_samples, config.window_samples
-    n_occ = config.occupied_subcarriers
-    symbols = rng.integers(0, points.size, (n_symbols, n_occ))
+    n_fft, cp, ov = _FFT_SIZE, _CP_SAMPLES, _WINDOW_SAMPLES
+    symbols = rng.integers(0, _POINTS.size, (n_symbols, n_occ))
     scale = math.sqrt(n_fft / n_occ)
     ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
     spectrum = np.zeros((min(_OFDM_BLOCK, n_symbols), n_fft), dtype=complex)
@@ -354,7 +343,7 @@ def _ofdm_pieces(config: WaveformConfig, n_symbols: int, rng_seed: int):
     for lo in range(0, n_symbols, _OFDM_BLOCK):
         block = spectrum[:min(_OFDM_BLOCK, n_symbols - lo)]
         # symmetric around the carrier with the DC bin left empty
-        values = points[symbols[lo:lo + len(block)]]
+        values = _POINTS[symbols[lo:lo + len(block)]]
         block[:, n_fft - n_occ // 2:] = values[:, :n_occ // 2]
         block[:, 1:n_occ - n_occ // 2 + 1] = values[:, n_occ // 2:]
         rows = np.empty((len(block), n_fft + cp), dtype=complex)
@@ -434,42 +423,41 @@ def _pairwise_mean(blocks, n: int):
     return (0.0 + _PairwiseSum(blocks).sum(n)) / n
 
 
-def _record_rms(config: WaveformConfig, n_symbols: int, rng_seed: int) -> tuple[int, float]:
+def _record_rms(n_occ: int, n_symbols: int, rng_seed: int) -> tuple[int, float]:
     """(length, RMS) of the _ofdm_pieces record: np.sqrt(np.mean(|x|^2)) of
     the whole record to the bit, from a pass that holds one piece's |x|^2,
     in one buffer, and one _PAIRWISE_RUN at a time."""
     if n_symbols < 1:
         raise ValueError("need at least one OFDM symbol")
-    n_samples = (n_symbols * (config.fft_size + config.cp_samples)
-                 - config.window_samples)
+    n_samples = n_symbols * (_FFT_SIZE + _CP_SAMPLES) - _WINDOW_SAMPLES
 
     def powers():
-        buf = np.empty(min(_OFDM_BLOCK, n_symbols) * (config.fft_size + config.cp_samples))
-        for piece in _ofdm_pieces(config, n_symbols, rng_seed):
+        buf = np.empty(min(_OFDM_BLOCK, n_symbols) * (_FFT_SIZE + _CP_SAMPLES))
+        for piece in _ofdm_pieces(n_occ, n_symbols, rng_seed):
             power = np.abs(piece, out=buf[:len(piece)])
             yield np.square(power, out=power)
 
     return n_samples, np.sqrt(_pairwise_mean(powers(), n_samples))
 
 
-def ofdm_waveform(config: WaveformConfig = WaveformConfig(),
-                  n_symbols: int = DEFAULT_ACLR_SYMBOLS,
-                  rng_seed: int = 0) -> np.ndarray:
-    """Windowed CP-OFDM block, unit average power.
+def ofdm_waveform(n_symbols: int, rng_seed: int, channel_bandwidth_mhz: float) -> np.ndarray:
+    """Windowed CP-OFDM block of one channel of PRB_TABLE_120KHZ, unit
+    average power, sampled at SAMPLE_RATE_HZ.
 
-    Each symbol is extended by window_samples of cyclic suffix and
+    Each symbol is extended by _WINDOW_SAMPLES of cyclic suffix and
     crossfaded (raised cosine) with its neighbors; the crossfade lives
     entirely inside the cyclic prefix of the following symbol, so the
-    fft_size core samples of every symbol are untouched.  The two block
+    _FFT_SIZE core samples of every symbol are untouched.  The two block
     edges (half-faded ramps) are trimmed.
 
     Memory: the record, filled from a second pass of _ofdm_pieces after
     _record_rms's pass, which holds a piece at a time.
     """
-    n_samples, rms = _record_rms(config, n_symbols, rng_seed)
+    n_occ = _occupied_subcarriers(channel_bandwidth_mhz)
+    n_samples, rms = _record_rms(n_occ, n_symbols, rng_seed)
     out = np.empty(n_samples, dtype=complex)
     at = 0
-    for piece in _ofdm_pieces(config, n_symbols, rng_seed):
+    for piece in _ofdm_pieces(n_occ, n_symbols, rng_seed):
         np.divide(piece, rms, out=out[at:at + len(piece)])
         at += len(piece)
     return out
@@ -584,26 +572,27 @@ def aclr(samples: np.ndarray, sample_rate_hz: float,
     return _aclr([samples], len(samples), sample_rate_hz, designated, adjacent)
 
 
-def measure_aclr(pa: PaModel, config: WaveformConfig = WaveformConfig(),
-                 n_symbols: int = DEFAULT_ACLR_SYMBOLS, rng_seed: int = 0,
-                 channel_bandwidth_hz: float = DEFAULT_CHANNEL_BANDWIDTH_MHZ * 1e6
-                 ) -> list[float]:
-    """ACLR of the amplified default waveform at +-1 channel offsets.
+def measure_aclr(pa: PaModel, n_symbols: int, rng_seed: int,
+                 channel_bandwidth_mhz: float) -> list[float]:
+    """ACLR of the amplified ofdm_waveform at +-1 channel offsets.
 
-    The values equal aclr(apply_pa(ofdm_waveform(...), pa), ...) to the
-    bit, but the record never exists whole.  Memory: _record_rms's pass,
-    then a second pass of _ofdm_pieces that scales and amplifies each
-    piece into the streamed Welch average; each holds a few pieces and
-    the symbol-index table, 8.2 MB (0.46 records) at the defaults and
-    33 MB (0.11 records) at MAX_ACLR_SYMBOLS (tracemalloc).
+    The values equal aclr(apply_pa(ofdm_waveform(...), pa), SAMPLE_RATE_HZ,
+    ...) to the bit, but the record never exists whole.  Memory:
+    _record_rms's pass, then a second pass of _ofdm_pieces that scales and
+    amplifies each piece into the streamed Welch average; each holds a few
+    pieces and the symbol-index table, 8.2 MB (0.46 records) at the
+    defaults (400 MHz, 64 symbols) and 33 MB (0.11 records) at
+    MAX_ACLR_SYMBOLS (tracemalloc).
     """
-    n_samples, rms = _record_rms(config, n_symbols, rng_seed)
+    n_occ = _occupied_subcarriers(channel_bandwidth_mhz)
+    n_samples, rms = _record_rms(n_occ, n_symbols, rng_seed)
     amplified = (apply_pa(np.divide(piece, rms, out=piece), pa)
-                 for piece in _ofdm_pieces(config, n_symbols, rng_seed))
+                 for piece in _ofdm_pieces(n_occ, n_symbols, rng_seed))
+    channel_bandwidth_hz = channel_bandwidth_mhz * 1e6
     designated = (0.0, channel_bandwidth_hz)
     adjacent = [(-channel_bandwidth_hz, channel_bandwidth_hz),
                 (channel_bandwidth_hz, channel_bandwidth_hz)]
-    return _aclr(amplified, n_samples, config.sample_rate_hz, designated, adjacent)
+    return _aclr(amplified, n_samples, SAMPLE_RATE_HZ, designated, adjacent)
 
 
 # ---------------------------------------------------------------------------

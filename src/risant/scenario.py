@@ -61,6 +61,7 @@ from .synthesis import (
     DEFAULT_ACCEPT_THRESHOLD_DB,
     DEFAULT_CODEBOOK_BRANCHING,
     DEFAULT_CODEBOOK_LEVELS,
+    MAX_TRAINING_TRIALS,
     SCAN_SECTOR,
 )
 
@@ -196,7 +197,7 @@ _LITERALS = {
                                "a non-empty ascending list of distances in [%g, %g] m"
                                % LINK_DISTANCE_M),
     "link.aclr.centers_ghz": (list[float], _any, ""),
-    "link.aclr.channel_bandwidth_mhz": (float, lambda v: round(v) in PRB_TABLE_120KHZ,
+    "link.aclr.channel_bandwidth_mhz": (float, lambda v: v in PRB_TABLE_120KHZ,
                                         f"one of {sorted(PRB_TABLE_120KHZ)} MHz"),
     "link.aclr.n_symbols": (int, lambda v: 1 <= v <= MAX_ACLR_SYMBOLS,
                             f"an integer in [1, {MAX_ACLR_SYMBOLS}]"),
@@ -206,7 +207,8 @@ _LITERALS = {
     "training.n_levels": (int, lambda v: v >= 1, "a positive integer"),
     "training.branching": (int, lambda v: v >= 2, "an integer of at least 2"),
     "training.pilot_snr_db": (float, _inside(*_DB), f"an SNR in {list(_DB)} dB"),
-    "training.n_trials": (int, lambda v: v >= 1, "a positive integer"),
+    "training.n_trials": (int, lambda v: 1 <= v <= MAX_TRAINING_TRIALS,
+                          f"an integer in [1, {MAX_TRAINING_TRIALS}]"),
     "training.accept_threshold_db": (float, _inside(*_DB), f"a threshold in {list(_DB)} dB"),
     "training.sector_az_deg": (tuple[float, float], _sector(*_AZ),
                                f"[lo, hi] with lo < hi in {list(_AZ)} deg"),

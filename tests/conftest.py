@@ -12,6 +12,12 @@ from risant.scenario import resolve_scenario
 from risant.synthesis import build_codebook
 
 
+def pytest_addoption(parser):
+    parser.addoption("--full-float-sweep", action="store_true",
+                     help="run every float leaf at every extreme value, "
+                          "not one extreme a leaf element")
+
+
 def _perfbench_module(name):
     """``perfbench/<name>.py``, loaded without putting perfbench on sys.path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

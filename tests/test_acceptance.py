@@ -30,9 +30,8 @@ from risant.feedopt import (
 from risant.geometry import Direction
 from risant.link import (
     ACLR_LIMIT_DBC,
-    PRB_TABLE_120KHZ,
+    SAMPLE_RATE_HZ,
     PaModel,
-    WaveformConfig,
     aclr,
     apply_pa,
     dual_stream_sinr,
@@ -256,20 +255,18 @@ def test_criterion_08_evm_chain(scenario, report):
 
 def test_criterion_09_spectral_compliance(scenario, report):
     t0 = time.perf_counter()
-    prb = PRB_TABLE_120KHZ[400]
-    waveform = WaveformConfig(occupied_subcarriers=12 * prb)
     # the amplifier operating point does not depend on the carrier, so one
     # measurement gives the verdict of both carrier rows, as in aclr-sweep
-    values = measure_aclr(scenario.build_pa(), waveform, 64, 0)
+    values = measure_aclr(scenario.build_pa(), 64, 0, 400.0)
     worst_rapp = max(values)
     compliant = {center_ghz: worst_rapp <= ACLR_LIMIT_DBC
                  for center_ghz in scenario.literal("link.aclr.centers_ghz")}
     clipping = PaModel(kind="rapp", saturation_level=0.5, smoothness=100.0)
-    clipped = measure_aclr(clipping, waveform, 64, 0)
+    clipped = measure_aclr(clipping, 64, 0, 400.0)
     # the streamed measurement is the whole-record chain's, to the bit
     bw_hz = 400e6
-    record = apply_pa(ofdm_waveform(waveform, 64, 0), scenario.build_pa())
-    rate = waveform.sample_rate_hz
+    record = apply_pa(ofdm_waveform(64, 0, 400.0), scenario.build_pa())
+    rate = SAMPLE_RATE_HZ
     whole_record = aclr(record, rate, (0.0, bw_hz), [(-bw_hz, bw_hz), (bw_hz, bw_hz)])
     # and both equal an independent Welch estimate: every Hann-windowed
     # periodogram in one contiguous table, averaged by np.mean

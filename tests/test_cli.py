@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from risant.feedopt import MAX_SEARCH_EXTENT_MM, MIN_SEARCH_HEIGHT_MM, FeedSearc
 from risant.link import MAX_ACLR_SYMBOLS, MAX_EVM_SYMBOLS
 from risant.pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
 from risant.scenario import _LITERALS, iter_leaf_paths, resolve_scenario
+from risant.synthesis import MAX_TRAINING_TRIALS
 
 # overrides that keep each subcommand cheap without changing its shape
 FAST_ARGS = {
@@ -610,6 +612,9 @@ _BAD_LITERAL_VALUES = [
     ("rate", "link.aclr.channel_bandwidth_mhz", "401"),
     ("rate", "link.aclr.channel_bandwidth_mhz", "300"),
     ("rate", "link.aclr.channel_bandwidth_mhz", ".inf"),
+    # a channel near a table entry, which the measurement would take for it
+    ("rate", "link.aclr.channel_bandwidth_mhz", "399.6"),
+    ("rate", "link.aclr.channel_bandwidth_mhz", "400.4"),
     ("rate", "link.aclr.n_symbols", "0"),
     ("rate", "link.aclr.n_symbols", str(MAX_ACLR_SYMBOLS + 1)),
     ("rate", "link.aclr.n_symbols", ".inf"),
@@ -625,6 +630,7 @@ _BAD_LITERAL_VALUES = [
     ("rate", "training.branching", "true"),
     ("rate", "training.pilot_snr_db", ".inf"),
     ("rate", "training.n_trials", ".inf"),
+    ("rate", "training.n_trials", str(MAX_TRAINING_TRIALS + 1)),
     ("rate", "training.accept_threshold_db", "-.inf"),
     ("rate", "training.sector_az_deg", "[0.0, 60.01]"),
     ("rate", "training.sector_az_deg", "[.inf, 0.0]"),
@@ -779,6 +785,11 @@ _BAD_MODEL_VALUES = [
     ("link --link.rx_noise_figure_db 200", "link.bandwidth_mhz", "1e300"),
     ("evm-sweep --link.rx_noise_figure_db 200", "link.bandwidth_mhz", "1e300"),
     ("dual-stream --link.rx_noise_figure_db 200", "link.bandwidth_mhz", "1e300"),
+    # a channel narrower than link.MIN_BANDWIDTH_MHZ, whose SNR means nothing
+    ("link", "link.bandwidth_mhz", "1e-300"),
+    ("link", "link.bandwidth_mhz", "0.00099"),
+    ("evm-sweep", "link.bandwidth_mhz", "1e-300"),
+    ("dual-stream", "link.bandwidth_mhz", "1e-300"),
 ]
 
 
@@ -942,6 +953,8 @@ class TestFailureModes:
     @pytest.mark.parametrize("command, flag, limit, measure", [
         ("aclr-sweep", "link.aclr.n_symbols", MAX_ACLR_SYMBOLS, "measure_aclr"),
         ("link", "link.evm_symbols", MAX_EVM_SYMBOLS, "simulate_evm"),
+        # the codebook comes before the trials' seed sequences are spawned
+        ("train", "training.n_trials", MAX_TRAINING_TRIALS, "build_codebook"),
     ])
     def test_record_past_the_bound_exits_2_without_a_record(self, command, flag, limit,
                                                             measure, tmp_path, capsys,
@@ -959,6 +972,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("flag, limit", [
         ("link.aclr.n_symbols", MAX_ACLR_SYMBOLS),
         ("link.evm_symbols", MAX_EVM_SYMBOLS),
+        ("training.n_trials", MAX_TRAINING_TRIALS),
     ])
     def test_record_bound_admits_its_limit(self, flag, limit):
         assert resolve_scenario(None, [(flag, limit)]).literal(flag) == limit
@@ -1094,7 +1108,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("command", ["link", "evm-sweep", "dual-stream"])
     @pytest.mark.parametrize("d_m, ghz, db, nf, mhz", [
         ("1e9", "1e4", "-200", "200", "1e4"),      # the weakest budget in range
-        ("1e-3", "1e-3", "200", "0", "400"),       # and the strongest
+        ("1e-3", "1e-3", "200", "0", "1e-3"),      # and the strongest
     ])
     def test_budget_bounds_admit_their_limits(self, command, d_m, ghz, db, nf, mhz, tmp_path):
         # every ratio stays finite: no RuntimeWarning, which the suite makes an error
@@ -1164,3 +1178,46 @@ def test_any_leaf_with_a_small_bad_value_exits_0_or_2(leaf, value):
         rc = main([*args, f"--{leaf}", value, "--out", out])
     assert rc in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# Extreme finite values of a float: huge and tiny of either sign, and 1e15,
+# where a dB value's ratio 10**(x/10) overflows
+_EXTREMES = ("1e300", "-1e300", "1e-300", "-1e-300", "1e15")
+
+
+def _float_overrides(full: bool) -> list[tuple[str, str]]:
+    """(leaf, value) for every float leaf, and for each element of every
+    float-list leaf with the other elements at their defaults: at each of
+    _EXTREMES if ``full``, else at one of them, taken in turn."""
+    slots = []
+    for leaf, default in iter_leaf_paths():
+        if isinstance(default, float):
+            slots.append((leaf, "{}"))
+        elif isinstance(default, list) and default and all(isinstance(v, float)
+                                                            for v in default):
+            for i in range(len(default)):
+                cells = [repr(v) for v in default]
+                cells[i] = "{}"
+                slots.append((leaf, f"[{', '.join(cells)}]"))
+    return [(leaf, form.format(value)) for k, (leaf, form) in enumerate(slots)
+            for value in (_EXTREMES if full else [_EXTREMES[k % len(_EXTREMES)]])]
+
+
+def pytest_generate_tests(metafunc):
+    # the whole product (555 runs) with --full-float-sweep, as CI runs it
+    if metafunc.function.__name__ == "test_float_leaf_at_an_extreme_exits_0_or_2":
+        full = metafunc.config.getoption("--full-float-sweep")
+        metafunc.parametrize("leaf, value", _float_overrides(full))
+
+
+def test_float_leaf_at_an_extreme_exits_0_or_2(leaf, value):
+    args = next(run for prefix, run in _CHEAPEST_READER if leaf.startswith(prefix))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*args, f"--{leaf}", value, "--out", out])
+    assert rc in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

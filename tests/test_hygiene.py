@@ -2,14 +2,17 @@
 module is used in it, every public top-level name is used somewhere in
 ``src/`` outside ``risant/__init__`` besides its own definition, or by the
 acceptance suite, every parameter is read by its function, and every
-defaulted parameter of a model module's public function is set by one of
-those users.  Also:
+defaulted parameter of a model module's public function, and every
+defaulted field of a model module's dataclass that is no scenario key, is
+set by one of those users.  Also:
 README's common flags are the parser's, README's library example runs,
 every span name the benchmark traces names a public function, and no
 subcommand catches an exception itself."""
 
 import ast
 import contextlib
+import dataclasses
+import importlib
 import io
 import json
 import math
@@ -21,6 +24,7 @@ import pytest
 
 from risant.cli import build_parser
 from risant.pattern import far_field
+from risant.scenario import _FIELDS, iter_leaf_paths
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "risant"
 README = PACKAGE.parent.parent / "README.md"
@@ -167,9 +171,41 @@ def test_every_public_name_has_a_user():
     assert not orphans, f"public names nothing in src/ or the acceptance suite uses: {orphans}"
 
 
+def _scenario_built(trees) -> dict[str, set]:
+    """{class: the keywords given} of every ``_build(class, section, dotted,
+    **given)`` call in ``trees``: the scenario builds the class from a
+    section, a ``**kwargs`` counting as the keyword None."""
+    built = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_build"
+                    and isinstance(node.args[0], ast.Name)):
+                built.setdefault(node.args[0].id, set()).update(
+                    k.arg for k in node.keywords)
+    return built
+
+
+def _defaulted_fields(module: str) -> dict[type, list[tuple[int, str]]]:
+    """{dataclass a model module defines: its init fields that have a
+    default, as (position, name)}."""
+    found = {}
+    for cls in vars(importlib.import_module(f"risant.{module}")).values():
+        if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                and cls.__module__ == f"risant.{module}"):
+            init = [f for f in dataclasses.fields(cls) if f.init]
+            params = [(i, f.name) for i, f in enumerate(init)
+                      if f.default is not dataclasses.MISSING
+                      or f.default_factory is not dataclasses.MISSING]
+            if params:
+                found[cls] = params
+    return found
+
+
 def test_every_default_is_overridden_by_a_user():
-    # a parameter that only tests set is a knob the program does not have
-    given = _arguments_given(_tree(p) for p in (*MODULES, *ACCEPTANCE))
+    # a parameter or a model field that only tests set is a knob the
+    # program does not have
+    trees = [_tree(p) for p in (*MODULES, *ACCEPTANCE)]
+    given = _arguments_given(trees)
     unset = []
     for module in MODEL_MODULES:
         for function, params in _defaulted_parameters(_tree(PACKAGE / f"{module}.py")).items():
@@ -178,7 +214,21 @@ def test_every_default_is_overridden_by_a_user():
                       if not any((position is not None and n_args > position)
                                  or name in keywords or None in keywords
                                  for n_args, keywords in calls)]
-    assert not unset, f"defaulted parameters no call in src/ or the acceptance suite sets: {unset}"
+    # a field is a scenario key when the scenario builds its class from a
+    # section that holds it, or else a call sets it
+    built, leaves = _scenario_built(trees), {d.rpartition(".")[2] for d, _ in iter_leaf_paths()}
+    for module in MODEL_MODULES:
+        for cls, params in _defaulted_fields(module).items():
+            keys = set()
+            if cls.__name__ in built:
+                keys = {_FIELDS.get(cls, {}).get(k, k) for k in leaves} | built[cls.__name__]
+            calls = given.get(cls.__name__, [])
+            unset += [f"{module}.{cls.__name__}.{name}" for position, name in params
+                      if name not in keys and None not in keys
+                      and not any(n_args > position or name in keywords or None in keywords
+                                  for n_args, keywords in calls)]
+    assert not unset, (f"defaulted parameters and fields no call in src/ or the "
+                       f"acceptance suite sets: {unset}")
 
 
 def test_no_command_catches_an_exception():

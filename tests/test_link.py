@@ -20,8 +20,8 @@ from risant.link import (
     FrameConfig,
     LinkScenario,
     PRB_TABLE_120KHZ,
+    SAMPLE_RATE_HZ,
     PaModel,
-    WaveformConfig,
     XpdModel,
     _OFDM_BLOCK,
     _PAIRWISE_RUN,
@@ -194,47 +194,36 @@ class TestEvm:
 
 class TestWaveform:
     def test_unit_average_power(self):
-        w = ofdm_waveform(n_symbols=8)
+        w = ofdm_waveform(8, 0, 400.0)
         assert np.sqrt(np.mean(np.abs(w) ** 2)) == pytest.approx(1.0, rel=1e-12)
 
-    def test_spectrum_confined_to_occupied_band(self):
-        cfg = WaveformConfig()
-        w = ofdm_waveform(cfg, n_symbols=16)
-        freqs, psd = sp_signal.welch(w, fs=cfg.sample_rate_hz, window="hann",
+    def test_numerology(self):
+        # 120 kHz subcarriers on a 16384-point grid; a symbol and its prefix
+        # are 17536 samples, less one crossfade of 512 over the record
+        assert SAMPLE_RATE_HZ == 1966.08e6
+        assert len(ofdm_waveform(3, 0, 50.0)) == 3 * 17536 - 512
+
+    @pytest.mark.parametrize("bw_mhz", [50.0, 400.0])
+    def test_spectrum_confined_to_occupied_band(self, bw_mhz):
+        w = ofdm_waveform(16, 0, bw_mhz)
+        freqs, psd = sp_signal.welch(w, fs=SAMPLE_RATE_HZ, window="hann",
                                      nperseg=4096, return_onesided=False,
                                      detrend=False)
-        occupied_hz = cfg.occupied_subcarriers * cfg.scs_khz * 1e3
+        occupied_hz = 12 * PRB_TABLE_120KHZ[bw_mhz] * 120e3
         inband = np.abs(freqs) <= 0.45 * occupied_hz
         outband = np.abs(freqs) >= 0.65 * occupied_hz
         skirt = 10 * np.log10(psd[inband].mean() / psd[outband].max())
         assert skirt > 40.0
 
-    def test_single_subcarrier_is_constant_envelope(self):
-        cfg = WaveformConfig(occupied_subcarriers=1, window_samples=0)
-        tone = ofdm_waveform(cfg, n_symbols=1)
-        assert np.ptp(np.abs(tone)) < 1e-12
-        assert len(tone) == cfg.fft_size + cfg.cp_samples
-
-    def test_no_prefix_leaves_the_bare_symbols(self):
-        # each fft_size run is one symbol: its bins outside the occupied
-        # block, DC included, hold only round-off
-        cfg = WaveformConfig(fft_size=256, cp_samples=0, window_samples=0,
-                             occupied_subcarriers=48)
-        w = ofdm_waveform(cfg, n_symbols=3)
-        assert len(w) == 3 * cfg.fft_size
-        spectra = np.abs(np.fft.fft(w.reshape(3, cfg.fft_size), axis=1))
-        occupied = np.r_[1:25, 256 - 24:256]
-        assert np.delete(spectra, occupied, axis=1).max() < 1e-12 * spectra.max()
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            WaveformConfig(occupied_subcarriers=16384)
-        with pytest.raises(ValueError):
-            WaveformConfig(cp_samples=16384)
-        with pytest.raises(ValueError):
-            WaveformConfig(window_samples=2000)  # larger than the prefix
-        with pytest.raises(ValueError):
-            ofdm_waveform(n_symbols=0)
+    def test_validation(self):
+        with pytest.raises(ValueError, match="symbol"):
+            ofdm_waveform(0, 0, 400.0)
+        # only the channels of the NR table, at the one numerology
+        for bw_mhz in (399.6, 300.0, 800.0):
+            with pytest.raises(ValueError, match=r"one of \[50, 100, 200, 400\] MHz"):
+                ofdm_waveform(1, 0, bw_mhz)
+            with pytest.raises(ValueError, match=r"one of \[50, 100, 200, 400\] MHz"):
+                measure_aclr(PaModel(), 1, 0, bw_mhz)
 
 
 class TestPa:
@@ -292,25 +281,25 @@ class TestPa:
 
 class TestAclr:
     def test_ideal_amplifier_leaks_nothing(self):
-        values = measure_aclr(PaModel(kind="ideal"))
+        values = measure_aclr(PaModel(kind="ideal"), 64, 0, 400.0)
         assert len(values) == 2
         assert all(v < -60.0 for v in values)
 
     def test_moderate_backoff_compliant(self):
         values = measure_aclr(PaModel(kind="rapp", saturation_level=4.0,
-                                      smoothness=2.0))
+                                      smoothness=2.0), 64, 0, 400.0)
         assert all(v < ACLR_LIMIT_DBC for v in values)
         assert all(-55.0 < v < -40.0 for v in values)
         assert abs(values[0] - values[1]) <= 0.5  # symmetric distortion
 
     def test_deep_clipping_violates_the_limit(self):
         values = measure_aclr(PaModel(kind="rapp", saturation_level=0.5,
-                                      smoothness=100.0))
+                                      smoothness=100.0), 64, 0, 400.0)
         assert all(v > ACLR_LIMIT_DBC for v in values)
 
     def test_channel_must_fit_nyquist(self):
-        w = ofdm_waveform(n_symbols=2)
-        rate = WaveformConfig().sample_rate_hz
+        w = ofdm_waveform(2, 0, 400.0)
+        rate = SAMPLE_RATE_HZ
         with pytest.raises(ValueError, match="designated"):
             aclr(w, rate, (0.0, 3e9), [(400e6, 400e6)])
         with pytest.raises(ValueError, match=r"adjacent\[0\]"):
@@ -323,26 +312,26 @@ class TestAclr:
             aclr(np.zeros(8192, dtype=complex), 1e9, (0.0, 100e6), [(200e6, 100e6)])
 
 
-def _reference_waveform(config, n_symbols, rng_seed):
-    """`ofdm_waveform` on the whole record: one (n_symbols, fft_size) grid."""
+def _reference_waveform(bw_mhz, n_symbols, rng_seed):
+    """`ofdm_waveform` on the whole record: one (n_symbols, 16384) grid of
+    64QAM, each symbol with a 1152-sample prefix and a 512-sample crossfade."""
     rng = np.random.default_rng(rng_seed)
-    points = constellation(config.modulation)
-    n_fft, cp, ov = config.fft_size, config.cp_samples, config.window_samples
+    points = constellation("64QAM")
+    n_fft, cp, ov = 16384, 1152, 512
     stride = n_fft + cp
     # symmetric around the carrier with the DC bin left empty
-    k = np.arange(config.occupied_subcarriers) - config.occupied_subcarriers // 2
+    n_occ = 12 * PRB_TABLE_120KHZ[bw_mhz]
+    k = np.arange(n_occ) - n_occ // 2
     k[k >= 0] += 1
     spectrum = np.zeros((n_symbols, n_fft), dtype=complex)
     spectrum[:, k % n_fft] = points[rng.integers(0, points.size, (n_symbols, k.size))]
     body = np.fft.ifft(spectrum, axis=1) * math.sqrt(n_fft / k.size)
-    if ov:
-        ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
+    ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
     out = np.zeros(n_symbols * stride + ov, dtype=complex)
     for i, x in enumerate(body):
         ext = np.concatenate([x[-cp:], x, x[:ov]])
-        if ov:
-            ext[:ov] *= ramp
-            ext[-ov:] *= ramp[::-1]
+        ext[:ov] *= ramp
+        ext[-ov:] *= ramp[::-1]
         out[i * stride: i * stride + stride + ov] += ext
     out = out[ov: n_symbols * stride]
     return out / np.sqrt(np.mean(np.abs(out) ** 2))
@@ -383,10 +372,6 @@ def _reference_evm(snr_db, tx_evm_floor, modulation, n_symbols, rng_seed):
     return float(np.sqrt(np.mean(np.abs(received - ref) ** 2)))
 
 
-def _config(bw_mhz):
-    return WaveformConfig(occupied_subcarriers=12 * PRB_TABLE_120KHZ[bw_mhz])
-
-
 _cached_reference_waveform = functools.cache(_reference_waveform)
 
 _AMPLIFIERS = [
@@ -396,23 +381,16 @@ _AMPLIFIERS = [
     PaModel(kind="rapp", saturation_level=1.3, smoothness=0.7),
 ]
 
-# 274-sample symbols at 30.72 MS/s: records of a few segments, or of less than one
-_SMALL = WaveformConfig(fft_size=256, cp_samples=18, window_samples=8,
-                        occupied_subcarriers=48)
-_SMALL_NO_WINDOW = WaveformConfig(fft_size=256, cp_samples=18, window_samples=0,
-                                  occupied_subcarriers=48)
-# the fewest _SMALL symbols whose record holds _WELCH_BLOCK + 1 segments of 4096
-_SEGMENTS_PAST_A_BLOCK = -(-(4096 + 2048 * _WELCH_BLOCK + _SMALL.window_samples)
-                           // (_SMALL.fft_size + _SMALL.cp_samples))
+# the fewest symbols whose record holds more than _WELCH_BLOCK segments of 4096
+_SYMBOLS_PAST_A_BLOCK = -(-(4096 + 2048 * _WELCH_BLOCK + 512) // 17536)
 
 
 @functools.cache
 def _aclr_sweep_samples(bw_mhz):
     """The amplified record that `aclr-sweep` measures at one channel bandwidth."""
     scn = resolve_scenario(None)
-    cfg = _config(bw_mhz)
-    w = ofdm_waveform(cfg, scn.literal("link.aclr.n_symbols"), scn.literal("rng_seed"))
-    return apply_pa(w, scn.build_pa()), cfg.sample_rate_hz
+    w = ofdm_waveform(scn.literal("link.aclr.n_symbols"), scn.literal("rng_seed"), bw_mhz)
+    return apply_pa(w, scn.build_pa()), SAMPLE_RATE_HZ
 
 
 class TestWelch:
@@ -454,19 +432,14 @@ class TestStreamedLinkPath:
     @pytest.mark.parametrize("n_symbols", sorted({1, 2, 7, 8, 9, 64, _OFDM_BLOCK - 1,
                                                   _OFDM_BLOCK, _OFDM_BLOCK + 1}))
     def test_waveform_matches_the_whole_record(self, bw_mhz, n_symbols):
-        cfg = _config(bw_mhz)
         for seed in (0, 7):
-            got = ofdm_waveform(cfg, n_symbols, seed)
-            assert np.array_equal(got, _reference_waveform(cfg, n_symbols, seed))
-
-    def test_waveform_without_crossfade_matches(self):
-        assert np.array_equal(ofdm_waveform(_SMALL_NO_WINDOW, 19, 3),
-                              _reference_waveform(_SMALL_NO_WINDOW, 19, 3))
+            got = ofdm_waveform(n_symbols, seed, bw_mhz)
+            assert np.array_equal(got, _reference_waveform(bw_mhz, n_symbols, seed))
 
     @pytest.mark.parametrize("bw_mhz", [50, 400])
     @pytest.mark.parametrize("pa", _AMPLIFIERS)
     def test_amplifier_matches_the_fresh_array_form(self, bw_mhz, pa):
-        x = ofdm_waveform(_config(bw_mhz), 13, 1)
+        x = ofdm_waveform(13, 1, bw_mhz)
         assert np.array_equal(apply_pa(x, pa), _reference_pa(x, pa))
         assert np.array_equal(apply_pa(x[::3], pa), _reference_pa(x[::3], pa))
 
@@ -482,17 +455,12 @@ class TestStreamedLinkPath:
         assert np.array_equal(psd, _reference_welch(x, rate, 4096)[1])
 
     @pytest.mark.parametrize("pa", _AMPLIFIERS)
-    @pytest.mark.parametrize("config, n_symbols, channel_hz", [
-        *[(_config(bw), n, bw * 1e6) for bw in (50, 400)
-          for n in sorted({1, _OFDM_BLOCK - 1, _OFDM_BLOCK + 1})],
-        (_config(400), 64, 400e6),          # the default record
-        (_SMALL_NO_WINDOW, 19, 6e6),
-        (_SMALL, 1, 6e6),                   # shorter than one segment
-        (_SMALL, _SEGMENTS_PAST_A_BLOCK, 6e6),
-    ], ids=lambda v: f"{v.fft_size}x{v.occupied_subcarriers}-ov{v.window_samples}"
-        if isinstance(v, WaveformConfig) else None)
-    def test_measurement_matches_the_whole_record(self, pa, config, n_symbols,
-                                                  channel_hz, monkeypatch):
+    @pytest.mark.parametrize("bw_mhz, n_symbols", [
+        *[(bw, n) for bw in (50.0, 400.0)
+          for n in sorted({1, _OFDM_BLOCK - 1, _OFDM_BLOCK + 1, _SYMBOLS_PAST_A_BLOCK})],
+        (400.0, 64),                        # the default record
+    ])
+    def test_measurement_matches_the_whole_record(self, pa, bw_mhz, n_symbols, monkeypatch):
         psds, welch = [], link._welch_psd
 
         def recorded_welch(*args):
@@ -500,10 +468,10 @@ class TestStreamedLinkPath:
             return psds[-1]
 
         monkeypatch.setattr(link, "_welch_psd", recorded_welch)
-        got = measure_aclr(pa, config, n_symbols, 5, channel_hz)
-        x = _reference_pa(_cached_reference_waveform(config, n_symbols, 5), pa)
-        rate = config.sample_rate_hz
-        freqs, psd = _reference_welch(x, rate, min(4096, len(x)))
+        got = measure_aclr(pa, n_symbols, 5, bw_mhz)
+        x = _reference_pa(_cached_reference_waveform(bw_mhz, n_symbols, 5), pa)
+        freqs, psd = _reference_welch(x, SAMPLE_RATE_HZ, 4096)
+        channel_hz = bw_mhz * 1e6
         assert np.array_equal(psds[0][1], psd)
         p_designated = link._band_power(freqs, psd, 0.0, channel_hz)
         assert got == [db10(link._band_power(freqs, psd, c, channel_hz) / p_designated)
@@ -513,23 +481,21 @@ class TestStreamedLinkPath:
         # numpy reports its buffers to tracemalloc, so the peak is exact
         scn = resolve_scenario(None)
         bw_mhz = scn.literal("link.aclr.channel_bandwidth_mhz")
-        cfg = _config(round(bw_mhz))
         n_symbols = scn.literal("link.aclr.n_symbols")
-        measure_aclr(scn.build_pa(), cfg, 1, 0)     # numpy's first-call allocations
+        measure_aclr(scn.build_pa(), 1, 0, bw_mhz)     # numpy's first-call allocations
         peaks = []
         for n in (n_symbols, 2 * n_symbols):
             tracemalloc.start()
             try:
-                measure_aclr(scn.build_pa(), cfg, n, scn.literal("rng_seed"),
-                             channel_bandwidth_hz=bw_mhz * 1e6)
+                measure_aclr(scn.build_pa(), n, scn.literal("rng_seed"), bw_mhz)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        record_bytes = n_symbols * (cfg.fft_size + cfg.cp_samples) * 16
+        record_bytes = n_symbols * 17536 * 16
         assert peaks[0] <= 0.5 * record_bytes
         # the one record-sized buffer left: _ofdm_pieces draws every symbol's
         # indices (int64) in one call; 64 kB covers the longer loops' objects
-        index_growth = n_symbols * cfg.occupied_subcarriers * 8
+        index_growth = n_symbols * 12 * PRB_TABLE_120KHZ[bw_mhz] * 8
         assert peaks[1] - peaks[0] <= index_growth + 64 * 1024
 
 
