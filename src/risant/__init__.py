@@ -78,6 +78,7 @@ from .synthesis import (
     beam_training,
     build_codebook,
     exhaustive_search,
+    paired_training,
     quantize_one_bit,
     required_phases,
     scan_evaluation,

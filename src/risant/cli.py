@@ -49,11 +49,11 @@ from .link import (
     peak_rate_3gpp,
     simulate_evm,
 )
-from .pattern import far_field, pattern_metrics, steering_row
+from .pattern import far_field, pattern_metrics
 from .scenario import ScenarioError, Scenario, iter_leaf_paths, load_scenario
 from .synthesis import (
-    beam_training,
     build_codebook,
+    paired_training,
     scan_evaluation,
     synthesize_codeword,
     synthesize_wide_beam,
@@ -327,36 +327,22 @@ def cmd_train(scn: Scenario):
                                   branching=scn.literal("training.branching"), el_deg=el)
     n_trials = scn.literal("training.n_trials")
     snr = scn.literal("training.pilot_snr_db")
-    threshold = scn.literal("training.accept_threshold_db")
-    seed_root = np.random.SeedSequence(scn.literal("rng_seed"))
-    rows = []
-    for trial, seq in enumerate(seed_root.spawn(n_trials)):
-        truth_seq, noise_seq = seq.spawn(2)
-        truth_rng = np.random.default_rng(truth_seq)
-        truth = Direction(float(truth_rng.uniform(sector[0], sector[1])), el)
-        row = steering_row(asm, truth)
-        # paired arms share the truth's row and the noise stream: identical
-        # pilot noise up to the point where the widened search spends
-        # extra measurements
-        widened = beam_training(asm, codebook, truth, pilot_snr_db=snr,
-                                widening=True, accept_threshold_db=threshold,
-                                rng=np.random.default_rng(noise_seq), row=row)
-        baseline = beam_training(asm, codebook, truth, pilot_snr_db=snr,
-                                 widening=False, accept_threshold_db=threshold,
-                                 rng=np.random.default_rng(noise_seq), row=row)
-        rows.append((trial, truth.az_deg, widened.success, baseline.success,
-                     widened.pilots_used, baseline.pilots_used,
-                     widened.widenings))
-    rate_w = sum(r[2] for r in rows) / n_trials
-    rate_b = sum(r[3] for r in rows) / n_trials
+    # paired arms: identical pilot noise until the widened search retries
+    truth_az, widened, baseline = paired_training(
+        asm, codebook, scn.literal("rng_seed"), n_trials, el_deg=el, pilot_snr_db=snr,
+        accept_threshold_db=scn.literal("training.accept_threshold_db"))
+    rate_w = np.count_nonzero(widened.success) / n_trials
+    rate_b = np.count_nonzero(baseline.success) / n_trials
     return {
         "train.csv": (["trial", "truth_az_deg", "success_widened", "success_baseline",
-                       "pilots_widened", "pilots_baseline", "widenings"], zip(*rows)),
+                       "pilots_widened", "pilots_baseline", "widenings"],
+                      (np.arange(n_trials), truth_az, widened.success, baseline.success,
+                       widened.pilots_used, baseline.pilots_used, widened.widenings)),
         "train.json": {
             "n_trials": n_trials, "pilot_snr_db": snr,
             "success_rate_widened": rate_w, "success_rate_baseline": rate_b,
-            "mean_pilots_widened": sum(r[4] for r in rows) / n_trials,
-            "mean_pilots_baseline": sum(r[5] for r in rows) / n_trials,
+            "mean_pilots_widened": int(widened.pilots_used.sum()) / n_trials,
+            "mean_pilots_baseline": int(baseline.pilots_used.sum()) / n_trials,
         },
     }, (f"train: success {rate_w:.3f} widened vs {rate_b:.3f} "
         f"baseline over {n_trials} trials")

@@ -76,7 +76,8 @@ def direction_grid(step_deg: float = DEFAULT_GRID_STEP_DEG):
 # Assemblies are immutable value types, so the spillover integral and the
 # illumination can be memoized per instance; repeated pattern evaluations
 # on one assembly (steering sweeps, beam training) would otherwise redo
-# them every call.  Each assembly maps to {"spillover": float, "illumination": array}.
+# them every call, as would the element circuit's two state reflections.
+# Each assembly maps to {"spillover": float, "illumination": array, "states": pair}.
 _assembly_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -189,19 +190,22 @@ def illumination(assembly: AntennaAssembly) -> np.ndarray:
 
 def state_reflections(assembly: AntennaAssembly):
     """(Gamma_off, Gamma_on) of the element circuit at the assembly frequency."""
-    off = reflection_coefficient(assembly.element_circuit, "off", assembly.frequency_ghz)
-    on = reflection_coefficient(assembly.element_circuit, "on", assembly.frequency_ghz)
-    return off.value, on.value
+    cached = _assembly_memo.setdefault(assembly, {})
+    if "states" not in cached:
+        cached["states"] = tuple(reflection_coefficient(
+            assembly.element_circuit, state, assembly.frequency_ghz).value for state in ("off", "on"))
+    return cached["states"]
 
 
 def resolve_reflections(assembly: AntennaAssembly, mask) -> np.ndarray:
     """Per-element complex reflection coefficients for a mask.
 
     ``mask`` may be a codeword (anything with 0/1 group ``states``), the
-    group states themselves, or an explicit per-element complex array
-    which is passed through.  The assembly's incidence model, when present,
-    applies its quadratic phase shift and cosine amplitude roll-off
-    using each element's angle seen from the feed.
+    group states themselves (or a stack of state rows, one row each), or
+    an explicit per-element complex array which is passed through.  The
+    assembly's incidence model, when present, applies its quadratic phase
+    shift and cosine amplitude roll-off using each element's angle seen
+    from the feed.
     """
     if isinstance(mask, np.ndarray) and np.iscomplexobj(mask):
         gamma = np.asarray(mask, dtype=complex)
@@ -209,14 +213,14 @@ def resolve_reflections(assembly: AntennaAssembly, mask) -> np.ndarray:
             raise ValueError("reflection array must have one entry per element")
     else:
         states = np.asarray(getattr(mask, "states", mask))
-        if states.shape != (assembly.array.n_groups,):
+        if states.shape[-1:] != (assembly.array.n_groups,):
             raise ValueError(
                 f"mask has {states.shape} states, array has {assembly.array.n_groups} groups"
             )
         if not np.all((states == 0) | (states == 1)):
             raise ValueError("group states must be 0 or 1")
         g_off, g_on = state_reflections(assembly)
-        per_element = states[assembly.array.grouping]
+        per_element = states[..., assembly.array.grouping]
         gamma = np.where(per_element == 1, g_on, g_off)
     model = assembly.incidence_model
     if model is not None:

@@ -37,17 +37,22 @@ DEFAULT_ACCEPT_THRESHOLD_DB = -6.0
 DEFAULT_CODEBOOK_LEVELS = 3
 DEFAULT_CODEBOOK_BRANCHING = 4
 
-# Work bound on the training command's trial count.  A trial takes 0.2-0.3 ms
-# and holds its row (about 0.5 kB) until the CSV is written: 20 000 trials
-# ran in 3.4-5.4 s with peak RSS 40 -> 50 MB (2-core x86 host), so 10^5 take
-# about 30 s and 90 MB, by extrapolation.  The standard error of a success
-# rate is then under 0.2 %, finer than any comparison the command makes.
+# Work bound on the training command's trial count.  A trial takes about
+# 0.12 ms and keeps about 60 bytes of results: on a shared 2-core x86 host
+# 20 000 trials ran in 2.6 s at 44 MB of peak RSS, 10^5 in 11.8 s at 62 MB.
+# The standard error of a success rate is then under 0.2 %, finer than any
+# comparison the command makes.
 MAX_TRAINING_TRIALS = 100_000
 
+# Per-element rows (trials' steering rows, leaves' phases) go in blocks of
+# at most 1 MB (64 rows of 32x32) but at least 4 rows (1 MB each at 256x256).
+_BLOCK_BYTES = 1 << 20
 
-def required_phases(assembly: AntennaAssembly, target: Direction,
+
+def required_phases(assembly: AntennaAssembly, target: Direction | list[Direction],
                     compensate_incidence: bool = False) -> np.ndarray:
-    """Required added phase per element, degrees in [0, 360).
+    """Required added phase per element, degrees in [0, 360); for a list of
+    targets one row each, with the bits of that target's own call.
 
     With ``compensate_incidence`` the quadratic incidence-angle phase
     shift of the assembly's incidence model is subtracted so the
@@ -55,13 +60,15 @@ def required_phases(assembly: AntennaAssembly, target: Direction,
     """
     positions = assembly.array.positions_mm()
     r_feed = np.linalg.norm(positions - assembly.feed.position(), axis=1)
-    u = target.unit_vector()
-    phase = np.degrees(assembly.k_per_mm * (r_feed - positions @ u))
+    # one matrix-vector product a target: a matrix product rounds differently
+    along = np.array([positions @ t.unit_vector() for t in np.atleast_1d(target)])
+    phase = np.degrees(assembly.k_per_mm * (r_feed - along))
     if compensate_incidence and assembly.incidence_model is not None:
         theta = incidence_angles(assembly.feed, positions)
         phase = phase - assembly.incidence_model.beta_deg_per_deg2 * theta**2
     # double mod: a tiny negative input rounds to exactly 360.0 otherwise
-    return np.mod(np.mod(phase, 360.0), 360.0)
+    phase = np.mod(np.mod(phase, 360.0), 360.0)
+    return phase if isinstance(target, list) else phase[0]
 
 
 def quantize_one_bit(phase_deg) -> np.ndarray:
@@ -71,11 +78,14 @@ def quantize_one_bit(phase_deg) -> np.ndarray:
 
 
 def group_circular_mean(assembly: AntennaAssembly, phases_deg: np.ndarray) -> np.ndarray:
-    """Circular mean of the member phases per bias group, degrees [0, 360)."""
-    grouping = assembly.array.grouping
+    """Circular mean of the member phases per bias group, degrees [0, 360),
+    of one phase row or of each row of a stack."""
     vectors = np.exp(1j * np.radians(phases_deg))
-    sums = np.zeros(assembly.array.n_groups, dtype=complex)
-    np.add.at(sums, grouping, vectors)
+    n_groups = assembly.array.n_groups
+    sums = np.zeros(vectors.shape[:-1] + (n_groups,), dtype=complex)
+    # one add.at over (row, group) on a flat index, numpy's fast path
+    index = np.arange(sums.size // n_groups)[:, None] * n_groups + assembly.array.grouping
+    np.add.at(sums.reshape(-1), index.ravel(), vectors.ravel())
     # double mod: a tiny negative mean rounds to exactly 360.0 otherwise
     return np.mod(np.mod(np.degrees(np.angle(sums)), 360.0), 360.0)
 
@@ -203,10 +213,9 @@ def synthesize_wide_beam(assembly: AntennaAssembly, sector_az: tuple[float, floa
         note = "sector within one beamwidth; narrow codeword at sector centre"
 
     centers, strip = _subaperture_direction_map(assembly, sector_az, n_subapertures)
-    phases = np.empty(assembly.array.n_elements)
-    for s, az_c in enumerate(centers):
-        member = strip == s
-        phases[member] = required_phases(assembly, Direction(float(az_c), el_deg))[member]
+    # each element takes the phase toward its strip's centre
+    phases = required_phases(assembly, [Direction(float(c), el_deg) for c in centers])
+    phases = phases[strip, np.arange(assembly.array.n_elements)]
 
     codeword = None
     phases_out = None
@@ -311,36 +320,39 @@ def build_codebook(assembly: AntennaAssembly, sector_az=SCAN_SECTOR[0],
             f"{n_levels} levels of {branching} split the {hi - lo:g} deg sector into "
             f"leaves narrower than 1/8 of the {hpbw:.2f} deg beamwidth")
     codebook = Codebook(levels=[], sector_az=(lo, hi), branching=branching)
-    resolve = resolve_reflections if quantize else continuous_reflections
-    for level in range(n_levels):
-        rows = []
-        for i in range(branching ** (level + 1)):
-            s_lo, s_hi = codebook.entry_sector(level, i)
-            if level < n_levels - 1:
-                wb = synthesize_wide_beam(assembly, (s_lo, s_hi), el_deg=el_deg,
-                                          quantize=quantize, evaluate_ripple=False)
-                beam = wb.codeword if quantize else wb.phases_deg
-            else:
-                center = Direction(0.5 * (s_lo + s_hi), el_deg)
-                beam = (synthesize_codeword(assembly, center) if quantize
-                        else required_phases(assembly, center))
-            rows.append(resolve(assembly, beam))
-        codebook.levels.append(np.array(rows))
+    beams = [synthesize_wide_beam(assembly, codebook.entry_sector(level, i), el_deg=el_deg,
+                                  quantize=quantize, evaluate_ripple=False)
+             for level in range(n_levels - 1) for i in range(branching ** (level + 1))]
+    beams = [wb.codeword.states if quantize else wb.phases_deg for wb in beams]
+    centers = [Direction(0.5 * (s_lo + s_hi), el_deg) for s_lo, s_hi in (
+        codebook.entry_sector(n_levels - 1, i) for i in range(branching ** n_levels))]
+    if quantize:   # as synthesize_codeword checks its target
+        for center in centers:
+            _check_sector(center)
+    # the leaves' phases in blocks, each fused and quantized at once
+    block = max(4, _BLOCK_BYTES // (16 * assembly.array.n_elements))
+    for first in range(0, len(centers), block):
+        phases = required_phases(assembly, centers[first:first + block])
+        beams.extend(quantize_one_bit(group_circular_mean(assembly, phases)) if quantize
+                     else phases)
+    rows = (resolve_reflections if quantize else continuous_reflections)(assembly, beams)
+    codebook.levels.extend(np.split(rows, np.cumsum(branching ** np.arange(1, n_levels))))
     return codebook
 
 
 @dataclass(frozen=True)
 class TrainingResult:
+    """One descent's outcome, or per-trial arrays of a batch of trials."""
+
     selected_leaf: int
     pilots_used: int
     widenings: int
     success: bool
 
 
-def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Direction,
-                  pilot_snr_db: float | None = None, widening: bool = True,
-                  accept_threshold_db: float = DEFAULT_ACCEPT_THRESHOLD_DB,
-                  rng=None, row: np.ndarray | None = None) -> TrainingResult:
+def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth,
+                  pilot_snr_db: float | None = None, widening=True,
+                  accept_threshold_db: float = DEFAULT_ACCEPT_THRESHOLD_DB, rng=None):
     """Hierarchical descent with one optional widening retry per level.
 
     Every pilot measurement is the received power of one codebook row
@@ -355,46 +367,99 @@ def beam_training(assembly: AntennaAssembly, codebook: Codebook, truth: Directio
     widens once to all ``branching**2`` rows of the level under the
     grandparent (at level 1 the root, whose grandchildren are the whole
     level).  Success means the chosen leaf's :meth:`Codebook.entry_sector`
-    contains the true azimuth.
+    contains the true azimuth.  The noise is one draw from ``rng`` of as
+    many values as a widened descent can spend, read (re, im) for each
+    pilot in turn.
 
-    ``row`` is ``steering_row(assembly, truth)``, computed here when not
-    given; callers that train several arms toward one truth pass it
-    once.  Each descent step
-    measures its block of rows in one product and draws the block's
-    noise in one call, (re, im) for each pilot in turn.
+    ``truth`` may also be a sequence of directions, one trial each, with
+    ``rng`` a sequence of as many generators or seeds: the result's fields
+    are then per-trial arrays.  ``widening`` may be a tuple of flags, one
+    arm each, reading the same noise: the result is then a tuple.  Each
+    level's rows are measured for every trial in one product, and the
+    descent runs as array operations over the trials.
     """
-    rng = np.random.default_rng(rng)
-    noise_scale = 0.0 if pilot_snr_db is None else 10.0 ** (-pilot_snr_db / 20.0)
-    if row is None:
-        row = steering_row(assembly, truth)
+    single = isinstance(truth, Direction)
+    results = _train(assembly, codebook, [truth] if single else truth, [rng] if single else rng,
+                     pilot_snr_db, accept_threshold_db,
+                     widening if isinstance(widening, tuple) else (widening,))
+    if single:
+        results = [TrainingResult(*(v[0].item() for v in vars(r).values())) for r in results]
+    return tuple(results) if isinstance(widening, tuple) else results[0]
+
+
+def _train(assembly, codebook, truths, rngs, pilot_snr_db, accept_threshold_db, arms):
+    """:func:`beam_training` of each widening flag in ``arms``, a
+    :class:`TrainingResult` of per-trial arrays each."""
+    b, n_levels = codebook.branching, len(codebook.levels)
+    scale = 0.0 if pilot_snr_db is None else 10.0 ** (-pilot_snr_db / 20.0)
+    budget = 2 * (b + (n_levels - 1) * (b + b * b))   # (re, im) of a widened descent's pilots
+    noise = (np.array([np.random.default_rng(r).standard_normal(budget) for r in rngs])
+             if scale > 0 else None)
+    rows = np.fromiter((steering_row(assembly, t) for t in truths),
+                       np.dtype((complex, assembly.array.n_elements)), len(truths))
+    fields = [rows @ level.T for level in codebook.levels]
+    truth_az = np.array([t.az_deg for t in truths])
     threshold = 10.0 ** (accept_threshold_db / 10.0)
-    b = codebook.branching
-    pilots = 0
+    every = np.arange(len(truths))
 
-    def strongest(level, first, count):
-        """(index, power) of the strongest of rows first .. first+count-1."""
-        nonlocal pilots
-        g = codebook.levels[level][first:first + count] @ row
-        if noise_scale > 0:
-            n = rng.standard_normal(2 * count)
-            g += np.abs(g) * noise_scale * ((n[0::2] + 1j * n[1::2]) / math.sqrt(2))
+    def strongest(level, trials, first, count, read):
+        """(index, power) of the strongest of rows first .. first+count-1 of
+        each of ``trials``, past the ``read`` noise values it has read."""
+        g = fields[level][trials[:, None], first[:, None] + np.arange(count)]
+        if noise is not None:
+            n = noise[trials[:, None], read[trials, None] + np.arange(2 * count)]
+            g += np.abs(g) * scale * ((n[:, 0::2] + 1j * n[:, 1::2]) / math.sqrt(2))
+            read[trials] += 2 * count
         meas = np.abs(g) ** 2
-        pilots += count
-        top = int(np.argmax(meas))
-        return first + top, meas[top]
+        top = np.argmax(meas, axis=1)
+        return first + top, meas[np.arange(len(trials)), top]
 
-    best, parent_power = strongest(0, 0, b)
-    widenings = 0
-    for level in range(1, len(codebook.levels)):
-        child, power = strongest(level, best * b, b)
-        if widening and power < parent_power * threshold:
-            child, power = strongest(level, best // b * b * b, b * b)
-            widenings += 1
-        best, parent_power = child, power
+    results = []
+    for arm in arms:
+        read, widenings = np.zeros_like(every), np.zeros_like(every)
+        best, parent_power = strongest(0, every, np.zeros_like(every), b, read)
+        for level in range(1, n_levels):
+            child, power = strongest(level, every, best * b, b, read)
+            if arm:
+                retry = np.flatnonzero(power < parent_power * threshold)
+                child[retry], power[retry] = strongest(level, retry, best[retry] // b * b * b,
+                                                       b * b, read)
+                widenings[retry] += 1
+            best, parent_power = child, power
+        lo, hi = codebook.entry_sector(n_levels - 1, best)
+        results.append(TrainingResult(best, b * n_levels + b * b * widenings, widenings,
+                                      (lo <= truth_az) & (truth_az <= hi)))
+    return results
 
-    lo, hi = codebook.entry_sector(len(codebook.levels) - 1, best)
-    return TrainingResult(selected_leaf=best, pilots_used=pilots, widenings=widenings,
-                          success=bool(lo <= truth.az_deg <= hi))
+
+def paired_training(assembly: AntennaAssembly, codebook: Codebook, seed, n_trials: int,
+                    el_deg: float = 0.0, pilot_snr_db: float | None = None,
+                    accept_threshold_db: float = DEFAULT_ACCEPT_THRESHOLD_DB):
+    """Widened and baseline :func:`beam_training` arms over seeded trials,
+    in blocks of at most ``_BLOCK_BYTES`` of steering rows.
+
+    Child t of ``SeedSequence(seed)`` spawns trial t's (truth, noise)
+    streams; the truth is uniform over the codebook's sector at
+    ``el_deg``.  Returns the truth azimuths and each arm's
+    :class:`TrainingResult` of per-trial arrays.
+    """
+    entropy = np.random.SeedSequence(seed).entropy
+    block = max(4, _BLOCK_BYTES // (16 * assembly.array.n_elements))
+    truth_az, arms = [], []
+    for first in range(0, n_trials, block):
+        # SeedSequence(seed).spawn(n)[t].spawn(2), without forming the parents
+        streams = [[np.random.SeedSequence(entropy, spawn_key=(t, j)) for j in (0, 1)]
+                   for t in range(first, min(first + block, n_trials))]
+        truths = [Direction(float(np.random.default_rng(truth_seq).uniform(*codebook.sector_az)),
+                            el_deg) for truth_seq, _ in streams]
+        truth_az.append([truth.az_deg for truth in truths])
+        # the private descent: perfbench's span recorder reads each
+        # beam_training result as one trial's
+        arms.append(_train(assembly, codebook, truths, [noise_seq for _, noise_seq in streams],
+                           pilot_snr_db, accept_threshold_db, (True, False)))
+    return (np.concatenate(truth_az),
+            *(TrainingResult(*map(np.concatenate, zip(*(vars(r).values() for r in arm))))
+              for arm in zip(*arms)))
 
 
 def exhaustive_search(assembly: AntennaAssembly, codebook: Codebook,

@@ -2,6 +2,7 @@
 enough to build once per session."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,9 @@ def pytest_addoption(parser):
     parser.addoption("--full-float-sweep", action="store_true",
                      help="run every float leaf at every extreme value, "
                           "not one extreme a leaf element")
+    parser.addoption("--write-reference-outputs", action="store_true",
+                     help="rewrite tests/reference_outputs.json from this tree's "
+                          "artifacts (list each fingerprint that moved)")
 
 
 def _perfbench_module(name):
@@ -31,6 +35,18 @@ def _perfbench_module(name):
 def perfbench_jobs():
     """The benchmark's seeded job lists (``perfbench/jobs.py``)."""
     return _perfbench_module("jobs")
+
+
+@pytest.fixture(scope="session")
+def perfbench_check(perfbench_jobs):
+    """The benchmark's output check (``perfbench/check.py``).  It imports
+    its sibling ``jobs`` by bare name, as perfbench/run.py puts perfbench
+    on sys.path, so that name is bound while it loads."""
+    sys.modules["jobs"] = perfbench_jobs
+    try:
+        return _perfbench_module("check")
+    finally:
+        del sys.modules["jobs"]
 
 
 @pytest.fixture(scope="session")

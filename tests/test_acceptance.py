@@ -51,7 +51,6 @@ from risant.pattern import (
     pattern_metrics,
     resolve_reflections,
     steered_gain,
-    steering_row,
 )
 from risant.synthesis import (
     beam_training,
@@ -360,31 +359,26 @@ def test_criterion_11_feed_placement(scenario, assembly, report):
     assert elapsed < 600.0
 
 
-def test_criterion_12_widened_training_wins(assembly, onebit_codebook, report):
+def test_criterion_12_widened_training_wins(scenario, assembly, onebit_codebook, report):
     t0 = time.perf_counter()
-    root = np.random.SeedSequence(0)
-    wins = {"widened": 0, "baseline": 0}
-    pilots = {"widened": 0, "baseline": 0}
-    n01 = n10 = 0
-    for seq in root.spawn(1000):
+    truths, noise = [], []
+    for seq in np.random.SeedSequence(0).spawn(1000):
         truth_seq, noise_seq = seq.spawn(2)
-        truth_rng = np.random.default_rng(truth_seq)
-        truth = Direction(float(truth_rng.uniform(-60.0, 60.0)), 0.0)
-        row = steering_row(assembly, truth)
-        # paired arms share the truth's row and replay the identical pilot
-        # noise stream
-        widened = beam_training(assembly, onebit_codebook, truth,
-                                pilot_snr_db=5.0, widening=True,
-                                rng=np.random.default_rng(noise_seq), row=row)
-        baseline = beam_training(assembly, onebit_codebook, truth,
-                                 pilot_snr_db=5.0, widening=False,
-                                 rng=np.random.default_rng(noise_seq), row=row)
-        wins["widened"] += widened.success
-        wins["baseline"] += baseline.success
-        pilots["widened"] += widened.pilots_used
-        pilots["baseline"] += baseline.pilots_used
-        n01 += widened.success and not baseline.success
-        n10 += baseline.success and not widened.success
+        truths.append(Direction(float(np.random.default_rng(truth_seq).uniform(-60.0, 60.0)),
+                                0.0))
+        noise.append(noise_seq)
+    # the training command's pilot SNR (5 dB) and threshold; one batched
+    # call, whose paired arms read the identical pilot noise of each trial
+    widened, baseline = beam_training(
+        assembly, onebit_codebook, truths,
+        pilot_snr_db=scenario.literal("training.pilot_snr_db"), widening=(True, False),
+        accept_threshold_db=scenario.literal("training.accept_threshold_db"), rng=noise)
+    wins = {"widened": int(np.count_nonzero(widened.success)),
+            "baseline": int(np.count_nonzero(baseline.success))}
+    pilots = {"widened": int(widened.pilots_used.sum()),
+              "baseline": int(baseline.pilots_used.sum())}
+    n01 = int(np.count_nonzero(widened.success & ~baseline.success))
+    n10 = int(np.count_nonzero(baseline.success & ~widened.success))
     elapsed = time.perf_counter() - t0
 
     p_value = binomtest(n01, n01 + n10, 0.5, alternative="greater").pvalue

@@ -362,6 +362,37 @@ class TestResolveReflections:
         assert abs(g_off) == pytest.approx(off.amplitude)
         assert abs(g_on) == pytest.approx(on.amplitude)
 
+    def test_state_reflections_solve_the_circuit_once_per_assembly(self, small_assembly,
+                                                                  monkeypatch):
+        solves = []
+
+        def counted(circuit, state, frequency_ghz):
+            solves.append(state)
+            return reflection_coefficient(circuit, state, frequency_ghz)
+        monkeypatch.setattr(pattern, "reflection_coefficient", counted)
+        fresh = replace(small_assembly)   # a new instance: nothing memoized yet
+        first = state_reflections(fresh)
+        states = np.arange(fresh.array.n_groups) % 2
+        resolve_reflections(fresh, states)
+        resolve_reflections(fresh, states[::-1])
+        assert state_reflections(fresh) == first
+        assert solves == ["off", "on"]
+        off = reflection_coefficient(fresh.element_circuit, "off", fresh.frequency_ghz)
+        on = reflection_coefficient(fresh.element_circuit, "on", fresh.frequency_ghz)
+        assert first == (off.value, on.value)
+
+    @pytest.mark.parametrize("incidence", [None, IncidenceModel(beta_deg_per_deg2=0.004,
+                                                                amplitude_exponent=0.5)])
+    def test_stacked_states_resolve_row_by_row(self, small_assembly, incidence):
+        asm = replace(small_assembly, incidence_model=incidence)
+        stack = np.random.default_rng(4).integers(0, 2, (5, asm.array.n_groups))
+        rows = resolve_reflections(asm, stack)
+        assert rows.shape == (5, asm.array.n_elements)
+        for states, row in zip(stack, rows):
+            np.testing.assert_array_equal(row, resolve_reflections(asm, states))
+        with pytest.raises(ValueError, match="groups"):
+            resolve_reflections(asm, stack[:, :-1])
+
 
 def _random_reflections(rng, n):
     return rng.uniform(0.5, 1.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))

@@ -147,6 +147,13 @@ class TestGroupCircularMean:
         mean = group_circular_mean(assembly, np.full(1024, 123.4))
         np.testing.assert_allclose(mean, 123.4, atol=1e-9)
 
+    def test_stack_gives_each_rows_own_bits(self, assembly):
+        stack = np.random.default_rng(8).uniform(0.0, 360.0, (6, 1024))
+        means = group_circular_mean(assembly, stack)
+        assert means.shape == (6, assembly.array.n_groups)
+        for phases, mean in zip(stack, means):
+            np.testing.assert_array_equal(mean, group_circular_mean(assembly, phases))
+
 
 class TestCodewordSynthesis:
     def test_shape_and_dtype(self, assembly):
@@ -324,6 +331,35 @@ class TestCodebook:
                 row, continuous_reflections(assembly, required_phases(assembly, center)))
             np.testing.assert_allclose(np.abs(row), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("el_deg", [0.0, 12.5])
+    def test_every_row_has_its_own_beams_bits(self, assembly, el_deg):
+        # one-bit and continuous wide rows are synthesize_wide_beam's, and
+        # leaves the slice centre's codeword or phases, off the el = 0
+        # plane too, where one matrix product would round differently
+        for quantize in (True, False):
+            codebook = build_codebook(assembly, (-40.0, 50.0), n_levels=2, el_deg=el_deg,
+                                      quantize=quantize)
+            wide, leaves = codebook.levels
+            for i, row in enumerate(wide):
+                wb = synthesize_wide_beam(assembly, codebook.entry_sector(0, i), el_deg,
+                                          quantize=quantize, evaluate_ripple=False)
+                np.testing.assert_array_equal(row, resolve_reflections(assembly, wb.codeword)
+                                              if quantize else
+                                              continuous_reflections(assembly, wb.phases_deg))
+            for i, row in enumerate(leaves):
+                s_lo, s_hi = codebook.entry_sector(1, i)
+                center = Direction(0.5 * (s_lo + s_hi), el_deg)
+                np.testing.assert_array_equal(row, resolve_reflections(
+                    assembly, synthesize_codeword(assembly, center)) if quantize else
+                    continuous_reflections(assembly, required_phases(assembly, center)))
+
+    def test_blocks_change_no_row(self, assembly, onebit_codebook, monkeypatch):
+        # the smallest blocks, 4 rows, against the fixture's 64
+        monkeypatch.setattr(synthesis, "_BLOCK_BYTES", 1)
+        blocked = build_codebook(assembly, sector_az=(-60.0, 60.0), n_levels=3, branching=4)
+        for rows, reference in zip(blocked.levels, onebit_codebook.levels, strict=True):
+            np.testing.assert_array_equal(rows, reference)
+
     def test_validation(self, assembly):
         with pytest.raises(ValueError):
             build_codebook(assembly, n_levels=0)
@@ -400,15 +436,23 @@ class TestBeamTraining:
                                           widening, np.random.default_rng(noise_seq))
                 assert (tr.selected_leaf, tr.pilots_used, tr.widenings, tr.success) == ref
 
-    def test_given_row_is_the_truths_row(self, assembly, onebit_codebook):
+    def test_arms_of_one_call_read_the_same_noise(self, assembly, onebit_codebook):
         truth = Direction(-23.0, 0.0)
-        row = steering_row(assembly, truth)
-        for widening in (True, False):
-            given_row = beam_training(assembly, onebit_codebook, truth, pilot_snr_db=5.0,
-                                      widening=widening, rng=11, row=row)
-            own_row = beam_training(assembly, onebit_codebook, truth, pilot_snr_db=5.0,
+        paired = beam_training(assembly, onebit_codebook, truth, pilot_snr_db=0.0,
+                               widening=(True, False, True), rng=11)
+        alone = tuple(beam_training(assembly, onebit_codebook, truth, pilot_snr_db=0.0,
                                     widening=widening, rng=11)
-            assert given_row == own_row
+                      for widening in (True, False, True))
+        assert paired == alone
+
+    def test_a_sequence_of_truths_gives_per_trial_arrays(self, assembly, onebit_codebook):
+        truths = [Direction(az, el) for az, el in ((-41.0, 0.0), (12.5, 7.0), (55.0, -3.0))]
+        batch = beam_training(assembly, onebit_codebook, truths, pilot_snr_db=2.0,
+                              rng=[4, 5, 6])
+        for t, (truth, seed) in enumerate(zip(truths, (4, 5, 6))):
+            single = beam_training(assembly, onebit_codebook, truth, pilot_snr_db=2.0, rng=seed)
+            assert single == synthesis.TrainingResult(
+                *(values[t].item() for values in vars(batch).values()))
 
     def test_noiseless_descent_matches_exhaustive(self, assembly, continuous_codebook):
         lo, hi = continuous_codebook.sector_az
@@ -468,6 +512,104 @@ class TestBeamTraining:
                                pilot_snr_db=20.0, rng=rng)
             hits += tr.success
         assert hits / trials > 0.5
+
+
+def _reference_pairs(assembly, codebook, seed, n_trials, snr_db):
+    """Per trial of ``paired_training``: its truth azimuth and
+    `_reference_training`'s widened and baseline results, each arm on a
+    fresh generator of the trial's noise stream."""
+    out = []
+    for seq in np.random.SeedSequence(seed).spawn(n_trials):
+        truth_seq, noise_seq = seq.spawn(2)
+        truth = Direction(float(np.random.default_rng(truth_seq).uniform(*codebook.sector_az)),
+                          0.0)
+        out.append((truth.az_deg, *(
+            _reference_training(assembly, codebook, truth, snr_db, widening,
+                                np.random.default_rng(noise_seq))
+            for widening in (True, False))))
+    return out
+
+
+def _paired_rows(assembly, codebook, seed, n_trials, snr_db):
+    """``paired_training``'s results in `_reference_pairs`' layout."""
+    truth_az, *arms = synthesis.paired_training(assembly, codebook, seed, n_trials,
+                                                pilot_snr_db=snr_db)
+    for arm in arms:
+        assert all(len(values) == n_trials for values in vars(arm).values())
+    return [(az, *(tuple(v.item() for v in fields) for fields in trial))
+            for az, *trial in zip(truth_az.tolist(),
+                                  *(zip(*vars(arm).values()) for arm in arms))]
+
+
+def _record_blocks(monkeypatch):
+    """The trial count of each block ``paired_training`` descends, call by
+    call."""
+    sizes = []
+    train = synthesis._train
+
+    def recorded(assembly, codebook, truths, *args):
+        sizes.append(len(truths))
+        return train(assembly, codebook, truths, *args)
+    monkeypatch.setattr(synthesis, "_train", recorded)
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def line_assembly():
+    """64 x 1 line of ungrouped elements: the beamwidth of a 64-column
+    aperture, so 8**3 leaves of the 120 deg sector are allowed."""
+    return AntennaAssembly(array=RisArray(n_x=64, n_y=1, group_size=1),
+                           feed=FeedModel(position_mm=(-80.0, 0.0, 150.0)))
+
+
+class TestPairedTraining:
+    # every trial against `_reference_training`: the same truth, and the
+    # same pilot noise, drawn one scalar at a time
+    @pytest.mark.parametrize("branching, n_levels", [
+        (2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3)])
+    def test_matches_one_pilot_at_a_time(self, assembly, line_assembly, branching,
+                                         n_levels):
+        asm = assembly if branching ** n_levels <= 64 else line_assembly
+        codebook = build_codebook(asm, n_levels=n_levels, branching=branching)
+        for snr_db in (5.0, 0.0, None):
+            assert _paired_rows(asm, codebook, 17, 40, snr_db) == \
+                _reference_pairs(asm, codebook, 17, 40, snr_db)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_trials_around_the_block_size(self, assembly, onebit_codebook, monkeypatch,
+                                          offset):
+        blocks = _record_blocks(monkeypatch)
+        block = synthesis._BLOCK_BYTES // (16 * assembly.array.n_elements)
+        n_trials = block + offset
+        got = _paired_rows(assembly, onebit_codebook, 5, n_trials, 5.0)
+        assert got == _reference_pairs(assembly, onebit_codebook, 5, n_trials, 5.0)
+        assert sum(trial[1][2] for trial in got) > 0   # some trials widened
+        # steering rows of at most _BLOCK_BYTES a block
+        assert blocks == ([block, 1] if offset > 0 else [n_trials])
+
+    def test_blocks_hold_at_least_four_trials(self, assembly, onebit_codebook, monkeypatch):
+        whole = _paired_rows(assembly, onebit_codebook, 2, 9, 5.0)
+        sizes = _record_blocks(monkeypatch)
+        monkeypatch.setattr(synthesis, "_BLOCK_BYTES", 1)
+        assert _paired_rows(assembly, onebit_codebook, 2, 9, 5.0) == whole
+        assert sizes == [4, 4, 1]
+
+    def test_paired_arms_are_beam_training_on_the_trials_streams(self, assembly,
+                                                                 onebit_codebook):
+        truth_az, widened, baseline = synthesis.paired_training(
+            assembly, onebit_codebook, 9, 20, el_deg=4.0, pilot_snr_db=3.0,
+            accept_threshold_db=-4.0)
+        for t, seq in enumerate(np.random.SeedSequence(9).spawn(20)):
+            truth_seq, noise_seq = seq.spawn(2)
+            truth = Direction(float(np.random.default_rng(truth_seq).uniform(-60.0, 60.0)),
+                              4.0)
+            assert truth_az[t] == truth.az_deg
+            for arm, widening in ((widened, True), (baseline, False)):
+                single = beam_training(assembly, onebit_codebook, truth, pilot_snr_db=3.0,
+                                       widening=widening, accept_threshold_db=-4.0,
+                                       rng=np.random.default_rng(noise_seq))
+                assert single == synthesis.TrainingResult(
+                    *(values[t].item() for values in vars(arm).values()))
 
 
 class TestScanEvaluation:
