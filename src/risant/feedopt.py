@@ -23,6 +23,7 @@ from .pattern import (
     _illumination,
     _spillover,
     directivity_upper_bound,
+    spillover_efficiency,
     steered_gain,
     taper_efficiency,
 )
@@ -48,8 +49,8 @@ REFINE_OFFSETS_MM = (
 _BROADSIDE = Direction(0.0, 0.0)
 
 # Most cells the coarse scan may visit, counting span / step + 2 points an
-# axis: each costs about 0.2 ms of efficiency evaluation on the feed's
-# y = 0 plane, 0.3 ms off it; the default box holds 130.
+# axis: each costs about 0.17 ms of efficiency evaluation on the feed's
+# y = 0 plane, 0.28 ms off it; the default box holds 130.
 MAX_COARSE_CELLS = 10_000
 
 # Lowest height of the search box: no horn's phase centre sits within a
@@ -64,11 +65,11 @@ MIN_SEARCH_HEIGHT_MM = 1e-3
 # at 26 GHz) stay finite and exact.  At 1e300 mm the squared distance overflows.
 MAX_SEARCH_EXTENT_MM = 1e6
 
-# Feed positions the coarse scan evaluates in one array pass.  Two keep a
-# pass's float64 temporaries on the 128 x 128 spillover mesh at 128 kB (half
-# the mesh, on the y = 0 plane) or 256 kB (the whole mesh); three or four
-# measured slower off the plane, and four slower in whole `steer` passes.
-_SCAN_CHUNK = 2
+# Feed positions the coarse scan evaluates in one array pass, whose three
+# 128 x 128 mesh buffers take 768 kB on the y = 0 plane (half the mesh) and
+# 1.5 MB off it.  The default box's 130 cells took 21.5 ms on the plane (24.4
+# at two, 20-21 at six or eight) and 36 ms off it (39 at two, 36-38 at 3-8).
+_SCAN_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,9 @@ def _efficiencies(assembly: AntennaAssembly, feeds, n_grid: int) -> list:
     for start in range(0, len(feeds), _SCAN_CHUNK):
         chunk = feeds[start:start + _SCAN_CHUNK]
         amplitudes = np.abs(_illumination(assembly, chunk)[1]).reshape(len(chunk), -1)
-        for eta_s, amp in zip(_spillover(assembly.array, chunk, n_grid), amplitudes):
+        etas = ([spillover_efficiency(assembly)] if n_grid == 256 and chunk == [assembly.feed]
+                else _spillover(assembly.array, chunk, n_grid))
+        for eta_s, amp in zip(etas, amplitudes):
             eta_i = taper_efficiency(amp)
             predicted = d_max + db10(eta_s * eta_i) + PREDICTED_LOSS_DB
             out.append(EfficiencyBreakdown(eta_s, eta_i, float(predicted)))
@@ -136,7 +139,8 @@ def _efficiencies(assembly: AntennaAssembly, feeds, n_grid: int) -> list:
 
 
 def aperture_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> EfficiencyBreakdown:
-    """Analytic spillover / illumination figures for one feed position."""
+    """Analytic spillover / illumination figures for one feed position (on
+    the default 256 mesh, the assembly's memoized `spillover_efficiency`)."""
     return _efficiencies(assembly, [assembly.feed], n_grid)[0]
 
 

@@ -30,10 +30,9 @@ _MU_BY_SCS_KHZ = {15: 0, 30: 1, 60: 2, 120: 3, 240: 4}
 
 # Work bounds on the record-length keys.  An ACLR symbol is 17536 complex
 # samples (the 16384-point grid and its prefix), so the longest record is
-# 287 MB, which measure_aclr streams in 33 MB (0.11 records), most of it the
-# 26 MB int64 table of symbol indices that _ofdm_pieces draws in one call
-# (drawing it in chunks would change the Generator.integers stream); the
-# longest EVM draw makes complex arrays of 160 MB.
+# 287 MB, which measure_aclr streams in the 6.6 MB it takes at any length
+# (0.02 records), as _ofdm_pieces draws each block's symbol indices as it
+# goes; the longest EVM draw makes complex arrays of 160 MB.
 MAX_ACLR_SYMBOLS = 1024
 MAX_EVM_SYMBOLS = 10_000_000
 
@@ -332,22 +331,25 @@ def _ofdm_pieces(n_occ: int, n_symbols: int, rng_seed: int):
     unit-power scale, in pieces of _OFDM_BLOCK symbols: one row-blocked
     IFFT per block, prefixes and ramps set by slicing its (symbols,
     _FFT_SIZE + _CP_SAMPLES) rows, and the last suffix ramp carried into
-    the next block.  Every sample equals the whole-record overlap-add's."""
+    the next block, all in one buffer that the next block overwrites.  Every
+    sample equals the whole-record overlap-add's."""
     rng = np.random.default_rng(rng_seed)
     n_fft, cp, ov = _FFT_SIZE, _CP_SAMPLES, _WINDOW_SAMPLES
-    symbols = rng.integers(0, _POINTS.size, (n_symbols, n_occ))
     scale = math.sqrt(n_fft / n_occ)
     ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
     spectrum = np.zeros((min(_OFDM_BLOCK, n_symbols), n_fft), dtype=complex)
     tail = np.zeros(ov, dtype=complex)
+    buf = np.empty((len(spectrum), n_fft + cp), dtype=complex)
     for lo in range(0, n_symbols, _OFDM_BLOCK):
         block = spectrum[:min(_OFDM_BLOCK, n_symbols - lo)]
+        # drawn block by block, equal to one call's table: the bit generator
+        # keeps the spare half of a 64-bit word for the next 32-bit draw
+        values = _POINTS[rng.integers(0, _POINTS.size, (len(block), n_occ))]
         # symmetric around the carrier with the DC bin left empty
-        values = _POINTS[symbols[lo:lo + len(block)]]
         block[:, n_fft - n_occ // 2:] = values[:, :n_occ // 2]
         block[:, 1:n_occ - n_occ // 2 + 1] = values[:, n_occ // 2:]
-        rows = np.empty((len(block), n_fft + cp), dtype=complex)
-        np.multiply(np.fft.ifft(block, axis=1), scale, out=rows[:, cp:])
+        rows = buf[:len(block)]
+        np.multiply(np.fft.ifft(block, axis=1, out=rows[:, cp:]), scale, out=rows[:, cp:])
         rows[:, :cp] = rows[:, n_fft:]
         rows[:, :ov] *= ramp
         rows[0, :ov] += tail
@@ -580,9 +582,8 @@ def measure_aclr(pa: PaModel, n_symbols: int, rng_seed: int,
     ...) to the bit, but the record never exists whole.  Memory:
     _record_rms's pass, then a second pass of _ofdm_pieces that scales and
     amplifies each piece into the streamed Welch average; each holds a few
-    pieces and the symbol-index table, 8.2 MB (0.46 records) at the
-    defaults (400 MHz, 64 symbols) and 33 MB (0.11 records) at
-    MAX_ACLR_SYMBOLS (tracemalloc).
+    pieces, 6.6 MB (tracemalloc) at any record length: 0.37 records at the
+    defaults (400 MHz, 64 symbols), 0.02 at MAX_ACLR_SYMBOLS.
     """
     n_occ = _occupied_subcarriers(channel_bandwidth_mhz)
     n_samples, rms = _record_rms(n_occ, n_symbols, rng_seed)

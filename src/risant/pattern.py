@@ -88,14 +88,16 @@ def _feed_rays(feeds, xs, ys):
     a y term plus an x term, so no per-point 3-vector is formed.  When every
     feed's y is 0 and ``ys`` is its own mirror image, rows i and n - 1 - i
     are equal to the bit (dy^2 is the same and dy * by is +-0), so only
-    rows = ceil(n / 2) are formed, for `_unfold`; otherwise rows = n."""
+    rows = ceil(n / 2) are formed, to mirror or fold; otherwise rows = n."""
     fx, fy, fz = np.array([f.position_mm for f in feeds]).T[:, :, None]
     bx, by, bz = np.array([f.boresight() for f in feeds]).T[:, :, None]
     n = ys.size
     rows = (n + 1) // 2 if not fy.any() and np.array_equal(ys, -ys[::-1]) else n
     dx, dy = xs - fx, ys[:rows] - fy
-    r = np.sqrt((dy * dy)[:, :, None] + (dx * dx + fz * fz)[:, None])
-    cos_feed = (dy * by)[:, :, None] + (dx * bx - fz * bz)[:, None]
+    # one allocation: freed, it lifts glibc's trim threshold past a pass's temporaries
+    r, cos_feed = np.empty((2, len(feeds), rows, xs.size))
+    np.sqrt(np.add((dy * dy)[:, :, None], (dx * dx + fz * fz)[:, None], out=r), out=r)
+    np.add((dy * by)[:, :, None], (dx * bx - fz * bz)[:, None], out=cos_feed)
     cos_feed /= r
     return r, np.clip(cos_feed, 0.0, 1.0, out=cos_feed)
 
@@ -122,8 +124,11 @@ def _spillover(array, feeds, n_grid: int) -> list[float]:
     # normalized cos^q intensity over a hemisphere, (q + 1) / (2 pi) cos^q,
     # times a cell's solid angle: obliquity fz / r over r^2
     integrand = np.power(cos_feed, q, out=cos_feed)
-    integrand /= r * r * r
-    sums = _unfold(integrand, n_grid).reshape(len(feeds), -1).sum(axis=1)
+    integrand /= np.multiply(r * r, r, out=r)   # (r r) r, in r's own buffer
+    # numpy's pairwise sum of a folded 2^p >= 128 mesh splits on rows down to
+    # leaves of one row or less: its mirrored half's tree is the first's commuted
+    fold = 2 if integrand.shape[1] < n_grid and n_grid >= 128 and not n_grid & n_grid - 1 else 1
+    sums = fold * _unfold(integrand, n_grid // fold).reshape(len(feeds), -1).sum(axis=1)
     cell = (2 * half_x / n_grid) * (2 * half_y / n_grid)
     return [min(float(s) * (q + 1.0) / (2.0 * math.pi) * f.position_mm[2] * cell, 1.0)
             for s, f in zip(sums, feeds)]
@@ -137,8 +142,8 @@ def spillover_efficiency(assembly: AntennaAssembly) -> float:
     aperture rectangle (midpoint rule on a 256 x 256 mesh).  With the feed
     on the y = 0 plane and a mesh whose y axis is its own mirror image (any
     period whose midpoints are exact, e.g. 5 mm), the integrand is formed
-    on the first 128 rows and mirrored, with the same bits as the full
-    mesh.
+    on the first 128 rows only and its sum doubled, with the same bits as
+    the full mesh's sum.
     """
     cached = _assembly_memo.setdefault(assembly, {})
     if "spillover" not in cached:

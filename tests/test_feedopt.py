@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from risant import feedopt
+from risant import feedopt, pattern
 from risant.cli import main
 from risant.constants import db10
 from risant.feedopt import (
@@ -24,7 +24,7 @@ from risant.feedopt import (
     refine_feed,
 )
 from risant.geometry import AntennaAssembly, FeedModel, RisArray
-from risant.pattern import directivity_upper_bound
+from risant.pattern import directivity_upper_bound, spillover_efficiency
 
 
 def _with_feed(assembly, pos):
@@ -88,6 +88,18 @@ class TestApertureEfficiency:
         assert 0.0 < br.eta_spillover <= 1.0
         assert 0.0 < br.eta_illumination <= 1.0
 
+    def test_default_mesh_reads_the_memoized_spillover(self, assembly, monkeypatch):
+        bound = directivity_upper_bound(assembly.array.aperture_m2, assembly.frequency_ghz)
+        for asm in (assembly, _with_feed(assembly, (-37.0, 12.5, 60.0))):
+            eta_s = pattern._spillover(asm.array, [asm.feed], 256)[0]
+            assert spillover_efficiency(asm) == eta_s
+            with monkeypatch.context() as patched:
+                patched.setattr(feedopt, "_spillover", None)   # no mesh is integrated again
+                br = aperture_efficiency(asm)
+            assert br.eta_spillover == eta_s
+            assert br.eta_illumination == aperture_efficiency(asm, n_grid=128).eta_illumination
+            assert br.predicted_gain_dbi == bound + db10(eta_s * br.eta_illumination) + PREDICTED_LOSS_DB
+
     def test_distant_feed_flattens_taper_but_wastes_power(self, assembly):
         near = aperture_efficiency(_with_feed(assembly, (0.0, 0.0, 150.0)))
         far = aperture_efficiency(_with_feed(assembly, (0.0, 0.0, 400.0)))
@@ -133,25 +145,35 @@ class TestCoarseOptimize:
         assert len(coarse.evaluations) == n
 
 
+_SCAN_SPACES = pytest.mark.parametrize("space", [
+    FeedSearchSpace(),
+    # 13 x 11 cells: the last batch is short
+    FeedSearchSpace(x_mm=(-102.0, 102.0), z_mm=(85.0, 255.0), coarse_step_mm=17.0),
+    FeedSearchSpace(x_mm=(-82.0, -82.0), z_mm=(150.0, 150.0)),
+    # y = -20, 0, 20 under each x: batches that mix cells on and off
+    # the y = 0 plane
+    FeedSearchSpace(x_mm=(-100.0, -60.0), y_mm=(-20.0, 20.0), z_mm=(130.0, 170.0)),
+], ids=["default", "odd", "single-cell", "y-range"])
+
+
 class TestScanBatches:
     """The coarse scan evaluates its cells a few to one array pass; each
     row keeps the bits of the one-position call."""
 
-    @pytest.mark.parametrize("space", [
-        FeedSearchSpace(),
-        # 13 x 11 cells: the last batch is short
-        FeedSearchSpace(x_mm=(-102.0, 102.0), z_mm=(85.0, 255.0), coarse_step_mm=17.0),
-        FeedSearchSpace(x_mm=(-82.0, -82.0), z_mm=(150.0, 150.0)),
-        # y = -20, 0, 20 under each x: batches that mix cells on and off
-        # the y = 0 plane
-        FeedSearchSpace(x_mm=(-100.0, -60.0), y_mm=(-20.0, 20.0), z_mm=(130.0, 170.0)),
-    ], ids=["default", "odd", "single-cell", "y-range"])
+    @_SCAN_SPACES
     def test_each_row_equals_the_one_position_call(self, assembly, space):
         rows = coarse_optimize_feed(assembly, space).evaluations
         assert len(rows) == math.prod(space.axis_grid(axis).size for axis in range(3))
         for row in rows:
             br = aperture_efficiency(_with_feed(assembly, row[:3]), n_grid=128)
             assert row[3:] == (br.eta_spillover, br.eta_illumination, br.predicted_gain_dbi)
+
+    @_SCAN_SPACES
+    def test_batch_size_changes_no_bit(self, assembly, space, monkeypatch):
+        expected = coarse_optimize_feed(assembly, space)
+        for chunk in (1, 3, 7):
+            monkeypatch.setattr(feedopt, "_SCAN_CHUNK", chunk)
+            assert coarse_optimize_feed(assembly, space) == expected
 
     def test_default_feed_opt_forms_half_the_mesh_rows(self, mesh_rows, tmp_path):
         # the default feed sits on the y = 0 plane and so does the search box:

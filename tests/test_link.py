@@ -493,10 +493,24 @@ class TestStreamedLinkPath:
                 tracemalloc.stop()
         record_bytes = n_symbols * 17536 * 16
         assert peaks[0] <= 0.5 * record_bytes
-        # the one record-sized buffer left: _ofdm_pieces draws every symbol's
-        # indices (int64) in one call; 64 kB covers the longer loops' objects
-        index_growth = n_symbols * 12 * PRB_TABLE_120KHZ[bw_mhz] * 8
-        assert peaks[1] - peaks[0] <= index_growth + 64 * 1024
+        # no buffer scales with the record; 64 kB covers the longer loops' objects
+        assert peaks[1] - peaks[0] <= 64 * 1024
+
+    @pytest.mark.parametrize("bw_mhz", sorted(PRB_TABLE_120KHZ))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_draw_the_one_call_index_table(self, bw_mhz, seed):
+        # _ofdm_pieces draws each block's symbol indices as it goes; the
+        # references draw the record's table in one call
+        n_occ = 12 * PRB_TABLE_120KHZ[bw_mhz]
+        for n_symbols in (1, _OFDM_BLOCK + 1, 7):
+            rng = np.random.default_rng(seed)
+            blocks = [rng.integers(0, 64, (min(_OFDM_BLOCK, n_symbols - lo), n_occ))
+                      for lo in range(0, n_symbols, _OFDM_BLOCK)]
+            table = np.random.default_rng(seed).integers(0, 64, (n_symbols, n_occ))
+            assert np.array_equal(np.concatenate(blocks), table)
+        n_symbols = _OFDM_BLOCK + 1
+        assert np.array_equal(ofdm_waveform(n_symbols, seed, bw_mhz),
+                              _reference_waveform(bw_mhz, n_symbols, seed))
 
 
 def _order_sensitive(rng, shape):

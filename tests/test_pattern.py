@@ -264,9 +264,18 @@ def _full_mesh_illumination(assembly, normalize):
     return a
 
 
+# five feeds a batch: on the y = 0 plane (-0.0 too), off it, and both in turn
+BATCH_ON_PLANE = [(-82.0, 0.0, 150.0), (40.0, -0.0, 85.0), (0.0, 0.0, 200.0),
+                  (120.0, 0.0, 80.0), (-120.0, 0.0, 260.0)]
+BATCH_OFF_PLANE = [(-37.0, 12.5, 60.0), (25.0, -18.0, 45.0), (-82.0, 15.0, 150.0),
+                   (60.0, 40.0, 120.0), (0.0, -60.0, 200.0)]
+BATCH_MIXED = [p for pair in zip(BATCH_ON_PLANE, BATCH_OFF_PLANE) for p in pair][:5]
+
+
 class TestFeedIntegralsOnHalfTheMesh:
     """With the feed on y = 0 the integrals form half the mesh rows and
-    mirror them; the result keeps the bits of the full mesh."""
+    mirror them, or double the sum of half a power-of-two spillover mesh;
+    the result keeps the bits of the full mesh."""
 
     @pytest.mark.parametrize("n_x, n_y", [(32, 32), (31, 17), (6, 9), (5, 1)])
     @pytest.mark.parametrize("period_mm", [5.0, 5.77])
@@ -294,6 +303,38 @@ class TestFeedIntegralsOnHalfTheMesh:
             assert np.array_equal(illuminate(asm), _full_mesh_illumination(asm, normalize))
             # the lattice axis always mirrors itself
             assert mesh_rows == [(n_y, (n_y + 1) // 2 if on_plane else n_y)]
+
+    @pytest.mark.parametrize("n_x, n_y", [(32, 32), (31, 17), (6, 9), (5, 1)])
+    @pytest.mark.parametrize("period_mm", [5.0, 5.77])
+    @pytest.mark.parametrize("positions", [BATCH_ON_PLANE, BATCH_OFF_PLANE, BATCH_MIXED],
+                             ids=["on-plane", "off-plane", "mixed"])
+    def test_batches_keep_each_feeds_bits(self, n_x, n_y, period_mm, positions):
+        array = RisArray(n_x=n_x, n_y=n_y, period_mm=period_mm, group_size=1)
+        feeds = [FeedModel(position_mm=p) for p in positions]
+        # 64 and 192 mirror at 5 mm but do not fold: their sum trees do not
+        # split on whole rows
+        for n_grid in (17, 64, 128, 192, 256):
+            expected = [_full_mesh_spillover(AntennaAssembly(array=array, feed=f), n_grid)
+                        for f in feeds]
+            for size in range(1, len(feeds) + 1):
+                assert pattern._spillover(array, feeds[:size], n_grid) == expected[:size]
+
+    @pytest.mark.parametrize("n_grid, folded", [(128, True), (256, True), (512, True),
+                                                (17, False), (64, False), (192, False)])
+    def test_power_of_two_meshes_fold_on_the_plane(self, n_grid, folded, monkeypatch):
+        unfolded_rows, unfold = [], pattern._unfold
+
+        def recorded(half, n):
+            mesh = unfold(half, n)
+            unfolded_rows.append(mesh.shape[-2])
+            return mesh
+
+        monkeypatch.setattr(pattern, "_unfold", recorded)
+        array = RisArray(period_mm=5.0)
+        pattern._spillover(array, [FeedModel(position_mm=p) for p in BATCH_ON_PLANE], n_grid)
+        pattern._spillover(array, [FeedModel(position_mm=p) for p in BATCH_MIXED], n_grid)
+        # the folded sum reads half the rows; a mixed batch forms them all
+        assert unfolded_rows == [n_grid // 2 if folded else n_grid, n_grid]
 
 
 class TestTaperEfficiency:
