@@ -20,6 +20,7 @@ import numpy as np
 from .constants import db10
 from .geometry import AntennaAssembly, Direction
 from .pattern import (
+    SPILLOVER_MESH,
     _illumination,
     _spillover,
     directivity_upper_bound,
@@ -65,10 +66,9 @@ MIN_SEARCH_HEIGHT_MM = 1e-3
 # at 26 GHz) stay finite and exact.  At 1e300 mm the squared distance overflows.
 MAX_SEARCH_EXTENT_MM = 1e6
 
-# Feed positions the coarse scan evaluates in one array pass, whose three
-# 128 x 128 mesh buffers take 768 kB on the y = 0 plane (half the mesh) and
-# 1.5 MB off it.  The default box's 130 cells took 21.5 ms on the plane (24.4
-# at two, 20-21 at six or eight) and 36 ms off it (39 at two, 36-38 at 3-8).
+# Feed positions the coarse scan evaluates in one array pass: three 128 x 128
+# mesh buffers, 768 kB on the y = 0 plane and 1.5 MB off it.  The default box
+# took 21.5 ms on the plane (24.4 at 2, 20-21 at 6-8), 36 off it (39 at 2).
 _SCAN_CHUNK = 4
 
 
@@ -129,7 +129,8 @@ def _efficiencies(assembly: AntennaAssembly, feeds, n_grid: int) -> list:
     for start in range(0, len(feeds), _SCAN_CHUNK):
         chunk = feeds[start:start + _SCAN_CHUNK]
         amplitudes = np.abs(_illumination(assembly, chunk)[1]).reshape(len(chunk), -1)
-        etas = ([spillover_efficiency(assembly)] if n_grid == 256 and chunk == [assembly.feed]
+        memoized = n_grid == SPILLOVER_MESH and chunk == [assembly.feed]
+        etas = ([spillover_efficiency(assembly)] if memoized
                 else _spillover(assembly.array, chunk, n_grid))
         for eta_s, amp in zip(etas, amplitudes):
             eta_i = taper_efficiency(amp)
@@ -138,9 +139,9 @@ def _efficiencies(assembly: AntennaAssembly, feeds, n_grid: int) -> list:
     return out
 
 
-def aperture_efficiency(assembly: AntennaAssembly, n_grid: int = 256) -> EfficiencyBreakdown:
-    """Analytic spillover / illumination figures for one feed position (on
-    the default 256 mesh, the assembly's memoized `spillover_efficiency`)."""
+def aperture_efficiency(assembly: AntennaAssembly,
+                        n_grid: int = SPILLOVER_MESH) -> EfficiencyBreakdown:
+    """Analytic spillover / illumination figures for one feed position."""
     return _efficiencies(assembly, [assembly.feed], n_grid)[0]
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constants import MAX_FREQUENCY_GHZ, THERMAL_NOISE_DBM_PER_HZ, db10, from_db10, wavelength_m
+from .constants import (MAX_FREQUENCY_GHZ, PAIRWISE_LEAF, THERMAL_NOISE_DBM_PER_HZ, db10, from_db10,
+                        wavelength_m)
 
 EVM_LIMIT = 0.08                  # transmit quality bound for 64QAM downlink
 ACLR_LIMIT_DBC = -28.0            # adjacent-channel leakage compliance bound
@@ -30,9 +31,8 @@ _MU_BY_SCS_KHZ = {15: 0, 30: 1, 60: 2, 120: 3, 240: 4}
 
 # Work bounds on the record-length keys.  An ACLR symbol is 17536 complex
 # samples (the 16384-point grid and its prefix), so the longest record is
-# 287 MB, which measure_aclr streams in the 6.6 MB it takes at any length
-# (0.02 records), as _ofdm_pieces draws each block's symbol indices as it
-# goes; the longest EVM draw makes complex arrays of 160 MB.
+# 287 MB, which measure_aclr streams in 6.6 MB at any length (0.02 records);
+# the longest EVM draw makes complex arrays of 160 MB.
 MAX_ACLR_SYMBOLS = 1024
 MAX_EVM_SYMBOLS = 10_000_000
 
@@ -70,9 +70,6 @@ DEFAULT_CHANNEL_BANDWIDTH_MHZ = 400.0
 _OFDM_BLOCK = 2
 _WELCH_BLOCK = 16
 
-# numpy's pairwise summation (PW_BLOCKSIZE in its loops_utils.h): a run of
-# at most this many terms is a leaf, summed in 8 lanes
-_PAIRWISE_LEAF = 128
 # Scalar terms go to np.add.reduce in runs of at most this many (256 kB)
 _PAIRWISE_RUN = 1 << 15
 
@@ -331,8 +328,7 @@ def _ofdm_pieces(n_occ: int, n_symbols: int, rng_seed: int):
     unit-power scale, in pieces of _OFDM_BLOCK symbols: one row-blocked
     IFFT per block, prefixes and ramps set by slicing its (symbols,
     _FFT_SIZE + _CP_SAMPLES) rows, and the last suffix ramp carried into
-    the next block, all in one buffer that the next block overwrites.  Every
-    sample equals the whole-record overlap-add's."""
+    the next block, in one buffer.  Every sample equals the whole-record overlap-add's."""
     rng = np.random.default_rng(rng_seed)
     n_fft, cp, ov = _FFT_SIZE, _CP_SAMPLES, _WINDOW_SAMPLES
     scale = math.sqrt(n_fft / n_occ)
@@ -342,8 +338,7 @@ def _ofdm_pieces(n_occ: int, n_symbols: int, rng_seed: int):
     buf = np.empty((len(spectrum), n_fft + cp), dtype=complex)
     for lo in range(0, n_symbols, _OFDM_BLOCK):
         block = spectrum[:min(_OFDM_BLOCK, n_symbols - lo)]
-        # drawn block by block, equal to one call's table: the bit generator
-        # keeps the spare half of a 64-bit word for the next 32-bit draw
+        # one call's table: the generator keeps a 64-bit word's spare half for the next draw
         values = _POINTS[rng.integers(0, _POINTS.size, (len(block), n_occ))]
         # symmetric around the carrier with the DC bin left empty
         block[:, n_fft - n_occ // 2:] = values[:, :n_occ // 2]
@@ -364,7 +359,7 @@ class _PairwiseSum:
     one run of terms at a time.
 
     numpy adds a contiguous run of n terms so: fewer than 8 in order from
-    0.0; at most _PAIRWISE_LEAF (a leaf) in 8 lanes seeded with the first
+    0.0; at most PAIRWISE_LEAF (a leaf) in 8 lanes seeded with the first
     8 terms, every later whole group of 8 added lane by lane, the lanes
     combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rest added in
     order; more than that split at n/2 rounded down to a multiple of 8,
@@ -404,7 +399,7 @@ class _PairwiseSum:
             # reduce is its subtree of the whole tree, behind a 0.0 + that
             # only turns -0.0 into 0.0: no sum of a nonzero value changes
             return np.add.reduce(self._take(n))
-        if n > _PAIRWISE_LEAF:
+        if n > PAIRWISE_LEAF:
             half = n // 2 - n // 2 % 8
             return self.sum(half) + self.sum(n - half)
         total = 0.0
@@ -582,8 +577,7 @@ def measure_aclr(pa: PaModel, n_symbols: int, rng_seed: int,
     ...) to the bit, but the record never exists whole.  Memory:
     _record_rms's pass, then a second pass of _ofdm_pieces that scales and
     amplifies each piece into the streamed Welch average; each holds a few
-    pieces, 6.6 MB (tracemalloc) at any record length: 0.37 records at the
-    defaults (400 MHz, 64 symbols), 0.02 at MAX_ACLR_SYMBOLS.
+    pieces, 6.6 MB at any length (tracemalloc; 0.37 records at the defaults).
     """
     n_occ = _occupied_subcarriers(channel_bandwidth_mhz)
     n_samples, rms = _record_rms(n_occ, n_symbols, rng_seed)

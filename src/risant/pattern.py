@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import db10, wavelength_m
+from .constants import PAIRWISE_LEAF, db10, wavelength_m
 from .element import reflection_coefficient
 from .geometry import AntennaAssembly, Direction, incidence_angles, lattice_axis
 
@@ -51,6 +51,8 @@ DEFAULT_GRID_STEP_DEG = 0.25
 # 3.2 M directions, at most 13 MB in pattern_metrics and 130 MB in
 # far_field.
 MIN_GRID_STEP_DEG = 0.1
+
+SPILLOVER_MESH = 256   # side of spillover_efficiency's midpoint mesh
 
 # Most directions per block of whole elevation rows in the lattice field
 # kernel and in the bounds of the bounded search (a row longer than this
@@ -125,9 +127,10 @@ def _spillover(array, feeds, n_grid: int) -> list[float]:
     # times a cell's solid angle: obliquity fz / r over r^2
     integrand = np.power(cos_feed, q, out=cos_feed)
     integrand /= np.multiply(r * r, r, out=r)   # (r r) r, in r's own buffer
-    # numpy's pairwise sum of a folded 2^p >= 128 mesh splits on rows down to
-    # leaves of one row or less: its mirrored half's tree is the first's commuted
-    fold = 2 if integrand.shape[1] < n_grid and n_grid >= 128 and not n_grid & n_grid - 1 else 1
+    # numpy's pairwise sum of a folded 2^p mesh, rows no shorter than a leaf, splits
+    # on rows down to leaves within a row: its mirrored half's tree is the first's commuted
+    foldable = n_grid >= PAIRWISE_LEAF and not n_grid & n_grid - 1
+    fold = 2 if integrand.shape[1] < n_grid and foldable else 1
     sums = fold * _unfold(integrand, n_grid // fold).reshape(len(feeds), -1).sum(axis=1)
     cell = (2 * half_x / n_grid) * (2 * half_y / n_grid)
     return [min(float(s) * (q + 1.0) / (2.0 * math.pi) * f.position_mm[2] * cell, 1.0)
@@ -147,7 +150,7 @@ def spillover_efficiency(assembly: AntennaAssembly) -> float:
     """
     cached = _assembly_memo.setdefault(assembly, {})
     if "spillover" not in cached:
-        cached["spillover"] = _spillover(assembly.array, [assembly.feed], 256)[0]
+        cached["spillover"] = _spillover(assembly.array, [assembly.feed], SPILLOVER_MESH)[0]
     return cached["spillover"]
 
 

@@ -91,7 +91,7 @@ class TestApertureEfficiency:
     def test_default_mesh_reads_the_memoized_spillover(self, assembly, monkeypatch):
         bound = directivity_upper_bound(assembly.array.aperture_m2, assembly.frequency_ghz)
         for asm in (assembly, _with_feed(assembly, (-37.0, 12.5, 60.0))):
-            eta_s = pattern._spillover(asm.array, [asm.feed], 256)[0]
+            eta_s = pattern._spillover(asm.array, [asm.feed], pattern.SPILLOVER_MESH)[0]
             assert spillover_efficiency(asm) == eta_s
             with monkeypatch.context() as patched:
                 patched.setattr(feedopt, "_spillover", None)   # no mesh is integrated again

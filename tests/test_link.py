@@ -428,11 +428,11 @@ class TestStreamedLinkPath:
     measurement's memory bound."""
 
     # the block edges, and counts that end a block early after full ones
-    @pytest.mark.parametrize("bw_mhz", [50, 400])
+    @pytest.mark.parametrize("bw_mhz", sorted(PRB_TABLE_120KHZ))
     @pytest.mark.parametrize("n_symbols", sorted({1, 2, 7, 8, 9, 64, _OFDM_BLOCK - 1,
                                                   _OFDM_BLOCK, _OFDM_BLOCK + 1}))
     def test_waveform_matches_the_whole_record(self, bw_mhz, n_symbols):
-        for seed in (0, 7):
+        for seed in range(4):
             got = ofdm_waveform(n_symbols, seed, bw_mhz)
             assert np.array_equal(got, _reference_waveform(bw_mhz, n_symbols, seed))
 
@@ -508,9 +508,6 @@ class TestStreamedLinkPath:
                       for lo in range(0, n_symbols, _OFDM_BLOCK)]
             table = np.random.default_rng(seed).integers(0, 64, (n_symbols, n_occ))
             assert np.array_equal(np.concatenate(blocks), table)
-        n_symbols = _OFDM_BLOCK + 1
-        assert np.array_equal(ofdm_waveform(n_symbols, seed, bw_mhz),
-                              _reference_waveform(bw_mhz, n_symbols, seed))
 
 
 def _order_sensitive(rng, shape):
