@@ -1,6 +1,7 @@
 """Every artifact of the default runs against checked-in fingerprints.
 
-The 12 subcommands on the default scenario, ``train`` at 2000 trials and
+The 12 subcommands on the default scenario, ``train`` at 2000 trials,
+``aclr-sweep`` at the other channel bandwidths of ``PRB_TABLE_120KHZ`` and
 the benchmark's ``chain`` training jobs at seeds 0-3 run in-process once
 per session.  Every artifact but the run manifests is fingerprinted with
 ``perfbench/check.py`` (every JSON leaf; per CSV column its row count,
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from risant.cli import COMMANDS, main
+from risant.link import DEFAULT_CHANNEL_BANDWIDTH_MHZ, PRB_TABLE_120KHZ
 
 REFERENCE = Path(__file__).with_name("reference_outputs.json")
 
@@ -31,13 +33,17 @@ REFERENCE = Path(__file__).with_name("reference_outputs.json")
 SCENARIO_HASH = "8388fb92a851ad8737c513c0537bcdceda6e9e3d174c2a5bbd691d627f92b65d"
 
 CHAIN_SEEDS = (0, 1, 2, 3)
-RUN_IDS = [*COMMANDS, "train-2000", *(f"chain-seed{seed}-train" for seed in CHAIN_SEEDS)]
+ACLR_BANDWIDTHS_MHZ = [bw for bw in sorted(PRB_TABLE_120KHZ) if bw != DEFAULT_CHANNEL_BANDWIDTH_MHZ]
+RUN_IDS = [*COMMANDS, "train-2000", *(f"aclr-sweep-{bw}mhz" for bw in ACLR_BANDWIDTHS_MHZ),
+           *(f"chain-seed{seed}-train" for seed in CHAIN_SEEDS)]
 
 
 def _run_args(perfbench_jobs):
     """{run id: subcommand and overrides}, in RUN_IDS order."""
     runs = {command: [command] for command in COMMANDS}
     runs["train-2000"] = ["train", "--training.n_trials", "2000"]
+    for bw in ACLR_BANDWIDTHS_MHZ:
+        runs[f"aclr-sweep-{bw}mhz"] = ["aclr-sweep", "--link.aclr.channel_bandwidth_mhz", str(bw)]
     for seed in CHAIN_SEEDS:
         job, = (job for job in perfbench_jobs.make_jobs("chain", seed) if job["cmd"] == "train")
         runs[f"chain-seed{seed}-train"] = job["args"]
