@@ -11,7 +11,9 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 # the wavelength underflows, to 0 above about 1.8e299 GHz.
 MAX_FREQUENCY_GHZ = 1e4
 
-PAIRWISE_LEAF = 128   # leaf of numpy's pairwise sum (PW_BLOCKSIZE in its loops_utils.h)
+# Leaf of numpy's pairwise sum (PW_BLOCKSIZE in its loops_utils.h); its one
+# reader is pattern._spillover's folded-mesh sum
+PAIRWISE_LEAF = 128
 
 
 def wavelength_m(frequency_ghz: float) -> float:

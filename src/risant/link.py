@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constants import (MAX_FREQUENCY_GHZ, PAIRWISE_LEAF, THERMAL_NOISE_DBM_PER_HZ, db10, from_db10,
-                        wavelength_m)
+from .constants import MAX_FREQUENCY_GHZ, THERMAL_NOISE_DBM_PER_HZ, db10, from_db10, wavelength_m
 
 EVM_LIMIT = 0.08                  # transmit quality bound for 64QAM downlink
 ACLR_LIMIT_DBC = -28.0            # adjacent-channel leakage compliance bound
@@ -31,7 +30,7 @@ _MU_BY_SCS_KHZ = {15: 0, 30: 1, 60: 2, 120: 3, 240: 4}
 
 # Work bounds on the record-length keys.  An ACLR symbol is 17536 complex
 # samples (the 16384-point grid and its prefix), so the longest record is
-# 287 MB, which measure_aclr streams in 6.6 MB at any length (0.02 records);
+# 287 MB, which measure_aclr streams in 6.1 MB at any length (0.02 records);
 # the longest EVM draw makes complex arrays of 160 MB.
 MAX_ACLR_SYMBOLS = 1024
 MAX_EVM_SYMBOLS = 10_000_000
@@ -69,9 +68,6 @@ DEFAULT_CHANNEL_BANDWIDTH_MHZ = 400.0
 # compare both paths to the bit.
 _OFDM_BLOCK = 2
 _WELCH_BLOCK = 16
-
-# Scalar terms go to np.add.reduce in runs of at most this many (256 kB)
-_PAIRWISE_RUN = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -354,87 +350,19 @@ def _ofdm_pieces(n_occ: int, n_symbols: int, rng_seed: int):
         yield rows.ravel()[ov if lo == 0 else 0:]
 
 
-class _PairwiseSum:
-    """The sum of a stream of terms, added in numpy's pairwise order, from
-    one run of terms at a time.
-
-    numpy adds a contiguous run of n terms so: fewer than 8 in order from
-    0.0; at most PAIRWISE_LEAF (a leaf) in 8 lanes seeded with the first
-    8 terms, every later whole group of 8 added lane by lane, the lanes
-    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rest added in
-    order; more than that split at n/2 rounded down to a multiple of 8,
-    each part summed so and the two sums added.  np.add.reduce returns
-    0.0 + that sum.  So every leaf starts on a multiple of 8, and only the
-    last can end off one.  The blocks stack the terms along axis 0: a term
-    is an element of 1-D blocks, or a row, added elementwise, so that rows
-    are summed as numpy sums each column of their contiguous transpose.
-    A block's buffer may be refilled once the next block is drawn.
-    """
-
-    def __init__(self, blocks):
-        self._blocks = iter(blocks)
-        self._block = next(self._blocks)
-        self._at = 0
-
-    def _take(self, m: int) -> np.ndarray:
-        run = self._block[self._at:self._at + m]
-        self._at += len(run)
-        if len(run) == m:
-            return run
-        # copied as it comes: a block may be refilled once the next one is drawn
-        out = np.empty((m, *run.shape[1:]), dtype=run.dtype)
-        at = len(run)
-        out[:at] = run
-        while at < m:
-            self._block = next(self._blocks)
-            self._at = min(m - at, len(self._block))
-            out[at:at + self._at] = self._block[:self._at]
-            at += self._at
-        return out
-
-    def sum(self, n: int):
-        """The next n terms, added as numpy adds a run of n."""
-        if self._block.ndim == 1 and n <= _PAIRWISE_RUN:
-            # the split depends on the run length alone, so a run's own
-            # reduce is its subtree of the whole tree, behind a 0.0 + that
-            # only turns -0.0 into 0.0: no sum of a nonzero value changes
-            return np.add.reduce(self._take(n))
-        if n > PAIRWISE_LEAF:
-            half = n // 2 - n // 2 % 8
-            return self.sum(half) + self.sum(n - half)
-        total = 0.0
-        if n >= 8:
-            r = self._take(8).copy()
-            for _ in range(n // 8 - 1):
-                r += self._take(8)
-            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for term in self._take(n % 8):
-            total = total + term
-        return total
-
-
-def _pairwise_mean(blocks, n: int):
-    """The mean of the n terms that ``blocks`` stack, to the bit as np.mean
-    takes it along a contiguous axis: np.mean(x) of 1-D blocks x, and
-    np.ascontiguousarray(rows.T).mean(axis=1) of blocks of rows."""
-    return (0.0 + _PairwiseSum(blocks).sum(n)) / n
-
-
 def _record_rms(n_occ: int, n_symbols: int, rng_seed: int) -> tuple[int, float]:
-    """(length, RMS) of the _ofdm_pieces record: np.sqrt(np.mean(|x|^2)) of
-    the whole record to the bit, from a pass that holds one piece's |x|^2,
-    in one buffer, and one _PAIRWISE_RUN at a time."""
+    """(length, RMS) of the _ofdm_pieces record, through one |x|^2 buffer:
+    each piece's np.add.reduce of |x|^2, the piece sums added in order,
+    over the length, square-rooted."""
     if n_symbols < 1:
         raise ValueError("need at least one OFDM symbol")
     n_samples = n_symbols * (_FFT_SIZE + _CP_SAMPLES) - _WINDOW_SAMPLES
-
-    def powers():
-        buf = np.empty(min(_OFDM_BLOCK, n_symbols) * (_FFT_SIZE + _CP_SAMPLES))
-        for piece in _ofdm_pieces(n_occ, n_symbols, rng_seed):
-            power = np.abs(piece, out=buf[:len(piece)])
-            yield np.square(power, out=power)
-
-    return n_samples, np.sqrt(_pairwise_mean(powers(), n_samples))
+    buf = np.empty(min(_OFDM_BLOCK, n_symbols) * (_FFT_SIZE + _CP_SAMPLES))
+    total = 0.0
+    for piece in _ofdm_pieces(n_occ, n_symbols, rng_seed):
+        power = np.abs(piece, out=buf[:len(piece)])
+        total += float(np.add.reduce(np.square(power, out=power)))
+    return n_samples, math.sqrt(total / n_samples)
 
 
 def ofdm_waveform(n_symbols: int, rng_seed: int, channel_bandwidth_mhz: float) -> np.ndarray:
@@ -499,39 +427,40 @@ def _welch_psd(pieces, n_samples: int,
     scipy.signal.welch(..., window="hann", return_onesided=False,
     detrend=False) step for step: the window is built on the symmetric
     linspace and carries the density scale 1/sqrt(fs * sum w^2), and the
-    periodograms are averaged along a contiguous axis.  On scipy 1.17 the
-    PSD is bit-identical, so ACLR artifacts keep their bytes.
+    periodograms are averaged.  The PSD agrees with scipy's to 1e-12
+    relative, not to the bit (2.3e-15 of the peak at the table widths):
+    each periodogram is added into one row in record order and the row is
+    divided by the segment count, an order that neither _WELCH_BLOCK nor the
+    piece cuts change.
 
     Memory: one block of _WELCH_BLOCK windowed segments and their
-    periodograms, in buffers that every block reuses, averaged as they
-    come by _pairwise_mean, which keeps the 8 lanes of numpy's pairwise
-    sum, a periodogram each, instead of the (nperseg, n_seg) table:
-    256 kB in place of 18 MB at the defaults and of 287 MB at
-    MAX_ACLR_SYMBOLS.  The samples past a piece's last whole segment
-    carry over.
+    periodograms, in buffers that every block reuses, and the row, instead
+    of the (n_seg, nperseg) table of 18 MB at the defaults and of 287 MB at
+    MAX_ACLR_SYMBOLS.  The samples past a piece's last whole segment carry
+    over.
     """
     nperseg = min(4096, n_samples)
     step = nperseg - nperseg // 2
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
     win *= 1.0 / np.sqrt(sum(win ** 2) / (1.0 / sample_rate_hz))
 
-    def periodograms():
-        windowed = np.empty((_WELCH_BLOCK, nperseg), dtype=complex)
-        power = np.empty((_WELCH_BLOCK, nperseg))
-        carry = ()
-        for piece in pieces:
-            carry = np.concatenate([carry, piece]) if len(carry) else piece
-            if len(carry) < nperseg:
-                continue
-            segments = sliding_window_view(carry, nperseg)[::step]
-            for lo in range(0, len(segments), _WELCH_BLOCK):
-                k = min(_WELCH_BLOCK, len(segments) - lo)
-                spec = np.fft.fft(np.multiply(segments[lo:lo + k], win, out=windowed[:k]))
-                re, im = spec.real, spec.imag
-                yield np.add(np.square(re, out=re), np.square(im, out=im), out=power[:k])
-            carry = carry[len(segments) * step:]
-
-    psd = _pairwise_mean(periodograms(), (n_samples - nperseg) // step + 1)
+    windowed = np.empty((_WELCH_BLOCK, nperseg), dtype=complex)
+    power = np.empty((_WELCH_BLOCK, nperseg))
+    psd = np.zeros(nperseg)
+    carry = ()
+    for piece in pieces:
+        carry = np.concatenate([carry, piece]) if len(carry) else piece
+        if len(carry) < nperseg:
+            continue
+        segments = sliding_window_view(carry, nperseg)[::step]
+        for lo in range(0, len(segments), _WELCH_BLOCK):
+            k = min(_WELCH_BLOCK, len(segments) - lo)
+            spec = np.fft.fft(np.multiply(segments[lo:lo + k], win, out=windowed[:k]))
+            re, im = spec.real, spec.imag
+            for row in np.add(np.square(re, out=re), np.square(im, out=im), out=power[:k]):
+                psd += row
+        carry = carry[len(segments) * step:]
+    psd /= (n_samples - nperseg) // step + 1
     return np.fft.fftfreq(nperseg, 1.0 / sample_rate_hz), psd
 
 
@@ -577,7 +506,7 @@ def measure_aclr(pa: PaModel, n_symbols: int, rng_seed: int,
     ...) to the bit, but the record never exists whole.  Memory:
     _record_rms's pass, then a second pass of _ofdm_pieces that scales and
     amplifies each piece into the streamed Welch average; each holds a few
-    pieces, 6.6 MB at any length (tracemalloc; 0.37 records at the defaults).
+    pieces, 6.1 MB at any length (tracemalloc; 0.34 records at the defaults).
     """
     n_occ = _occupied_subcarriers(channel_bandwidth_mhz)
     n_samples, rms = _record_rms(n_occ, n_symbols, rng_seed)

@@ -14,9 +14,9 @@ from risant.synthesis import build_codebook
 
 
 def pytest_addoption(parser):
-    parser.addoption("--full-float-sweep", action="store_true",
-                     help="run every float leaf at every extreme value, "
-                          "not one extreme a leaf element")
+    parser.addoption("--full-extreme-sweep", action="store_true",
+                     help="run every numeric leaf at every extreme value, "
+                          "not one extreme a slot")
     parser.addoption("--write-reference-outputs", action="store_true",
                      help="rewrite tests/reference_outputs.json from this tree's "
                           "artifacts (list each fingerprint that moved)")

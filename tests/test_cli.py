@@ -1183,34 +1183,51 @@ def test_any_leaf_with_a_small_bad_value_exits_0_or_2(leaf, value):
 # Extreme finite values of a float: huge and tiny of either sign, and 1e15,
 # where a dB value's ratio 10**(x/10) overflows
 _EXTREMES = ("1e300", "-1e300", "1e-300", "-1e-300", "1e15")
+# Extreme integers: past every work bound, past int32, past int64 on either
+# side, and past the integers a float holds exactly
+_INT_EXTREMES = ("1000000", str(2 ** 31), str(2 ** 63), str(-2 ** 63 - 1), str(10 ** 23))
+# Two-element lists whose ends lie 300 decades apart, for a list leaf of any length
+_LIST_EXTREMES = ("[0, 1e300]", "[1e300, 0]", "[1e-300, 1e300]")
 
 
-def _float_overrides(full: bool) -> list[tuple[str, str]]:
-    """(leaf, value) for every float leaf, and for each element of every
-    float-list leaf with the other elements at their defaults: at each of
-    _EXTREMES if ``full``, else at one of them, taken in turn."""
-    slots = []
+def _extreme_overrides(full: bool) -> list[tuple[str, str]]:
+    """(leaf, value) at each of _EXTREMES for every float leaf and each
+    element of every float-list leaf, the other elements at their defaults;
+    at each of _INT_EXTREMES for every integer leaf and each element of
+    ``frame.s_slot_split``; and at each of _LIST_EXTREMES for every numeric
+    list leaf of two or more elements.  All of a slot's values if ``full``,
+    else one of them, taken in turn."""
+    floats, ints, lists = [], [], []
     for leaf, default in iter_leaf_paths():
-        if isinstance(default, float):
-            slots.append((leaf, "{}"))
-        elif isinstance(default, list) and default and all(isinstance(v, float)
+        if type(default) is float:
+            floats.append((leaf, "{}", _EXTREMES))
+        elif type(default) is int or _LITERALS.get(leaf, (None,))[0] == int | None:
+            ints.append((leaf, "{}", _INT_EXTREMES))
+        elif isinstance(default, list) and default and all(type(v) in (float, int)
                                                             for v in default):
             for i in range(len(default)):
                 cells = [repr(v) for v in default]
                 cells[i] = "{}"
-                slots.append((leaf, f"[{', '.join(cells)}]"))
-    return [(leaf, form.format(value)) for k, (leaf, form) in enumerate(slots)
-            for value in (_EXTREMES if full else [_EXTREMES[k % len(_EXTREMES)]])]
+                slot = (leaf, f"[{', '.join(cells)}]")
+                if type(default[i]) is float:
+                    floats.append((*slot, _EXTREMES))
+                else:
+                    ints.append((*slot, _INT_EXTREMES))
+            if len(default) >= 2:
+                lists.append((leaf, "{}", _LIST_EXTREMES))
+    return [(leaf, form.format(value))
+            for k, (leaf, form, values) in enumerate(floats + ints + lists)
+            for value in (values if full else [values[k % len(values)]])]
 
 
 def pytest_generate_tests(metafunc):
-    # the whole product (555 runs) with --full-float-sweep, as CI runs it
-    if metafunc.function.__name__ == "test_float_leaf_at_an_extreme_exits_0_or_2":
-        full = metafunc.config.getoption("--full-float-sweep")
-        metafunc.parametrize("leaf, value", _float_overrides(full))
+    # the whole product (698 runs) with --full-extreme-sweep, as CI runs it
+    if metafunc.function.__name__ == "test_numeric_leaf_at_an_extreme_exits_0_or_2":
+        full = metafunc.config.getoption("--full-extreme-sweep")
+        metafunc.parametrize("leaf, value", _extreme_overrides(full))
 
 
-def test_float_leaf_at_an_extreme_exits_0_or_2(leaf, value):
+def test_numeric_leaf_at_an_extreme_exits_0_or_2(leaf, value):
     args = next(run for prefix, run in _CHEAPEST_READER if leaf.startswith(prefix))
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \

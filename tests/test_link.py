@@ -24,10 +24,7 @@ from risant.link import (
     PaModel,
     XpdModel,
     _OFDM_BLOCK,
-    _PAIRWISE_RUN,
     _WELCH_BLOCK,
-    _PairwiseSum,
-    _pairwise_mean,
     _welch_psd,
     aclr,
     apply_pa,
@@ -314,7 +311,9 @@ class TestAclr:
 
 def _reference_waveform(bw_mhz, n_symbols, rng_seed):
     """`ofdm_waveform` on the whole record: one (n_symbols, 16384) grid of
-    64QAM, each symbol with a 1152-sample prefix and a 512-sample crossfade."""
+    64QAM, each symbol with a 1152-sample prefix and a 512-sample crossfade,
+    scaled by the RMS that sums |x|^2 over the pieces of _OFDM_BLOCK symbols
+    in order, as `ofdm_waveform`'s pass does."""
     rng = np.random.default_rng(rng_seed)
     points = constellation("64QAM")
     n_fft, cp, ov = 16384, 1152, 512
@@ -334,7 +333,10 @@ def _reference_waveform(bw_mhz, n_symbols, rng_seed):
         ext[-ov:] *= ramp[::-1]
         out[i * stride: i * stride + stride + ov] += ext
     out = out[ov: n_symbols * stride]
-    return out / np.sqrt(np.mean(np.abs(out) ** 2))
+    power = np.abs(out) ** 2
+    bounds = range(_OFDM_BLOCK * stride - ov, len(out), _OFDM_BLOCK * stride)
+    return out / math.sqrt(sum(float(np.add.reduce(p)) for p in np.split(power, bounds))
+                           / len(out))
 
 
 def _reference_pa(samples, pa):
@@ -347,13 +349,15 @@ def _reference_pa(samples, pa):
 
 
 def _reference_welch(samples, sample_rate_hz, nperseg):
-    """`_welch_psd` with every segment windowed and transformed at once."""
+    """`_welch_psd` with every segment windowed and transformed at once, and
+    the table of periodograms averaged down its rows (numpy adds the rows of
+    a C-contiguous table in order)."""
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
     win *= 1.0 / np.sqrt(sum(win ** 2) / (1.0 / sample_rate_hz))
     step = nperseg - nperseg // 2
     spec = np.fft.fft(sliding_window_view(samples, nperseg)[::step] * win)
     periodograms = spec.real ** 2 + spec.imag ** 2
-    psd = np.ascontiguousarray(periodograms.T).mean(axis=1)
+    psd = periodograms.mean(axis=0)
     return np.fft.fftfreq(nperseg, 1.0 / sample_rate_hz), psd
 
 
@@ -443,11 +447,15 @@ class TestStreamedLinkPath:
         assert np.array_equal(apply_pa(x, pa), _reference_pa(x, pa))
         assert np.array_equal(apply_pa(x[::3], pa), _reference_pa(x[::3], pa))
 
+    @pytest.mark.parametrize("block", [1, 3, 16, 64])
     @pytest.mark.parametrize("size", [1, 1000, 2047, 2048, 2049, 4095, 4096, 4097,
                                       2 * 17536])
-    def test_welch_over_pieces_matches_the_whole_record(self, size):
+    def test_welch_over_pieces_matches_the_whole_record(self, size, block, monkeypatch):
         # every cut leaves a different carry: shorter than a segment, one
-        # step, one sample either side of a step or a segment
+        # step, one sample either side of a step or a segment; and neither
+        # the cuts nor the segments a block transforms change the order of
+        # the average
+        monkeypatch.setattr(link, "_WELCH_BLOCK", block)
         samples, rate = _aclr_sweep_samples(400)
         x = samples[:2048 * (_WELCH_BLOCK + 2) + 777]
         pieces = [x[lo:lo + size] for lo in range(0, len(x), size)]
@@ -508,86 +516,6 @@ class TestStreamedLinkPath:
                       for lo in range(0, n_symbols, _OFDM_BLOCK)]
             table = np.random.default_rng(seed).integers(0, 64, (n_symbols, n_occ))
             assert np.array_equal(np.concatenate(blocks), table)
-
-
-def _order_sensitive(rng, shape):
-    """Terms over 16 decades of both signs, so that most changes to the
-    order of adding them change the float sum."""
-    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
-
-
-def _cuts(x, rng, longest):
-    """``x`` cut along axis 0 into blocks of random length, empty ones too."""
-    bounds = [0]
-    while bounds[-1] < len(x):
-        bounds.append(bounds[-1] + int(rng.integers(0, longest + 1)))
-    return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-class TestPairwiseSum:
-    """The streamed sum behind the Welch average and the record RMS against
-    np.add.reduce and np.mean, to the bit, whatever the blocks."""
-
-    @pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 129, 8191, 8192, 8193,
-                                   2 * _PAIRWISE_RUN + 13,   # runs split off a multiple of 8
-                                   64 * 17536 - 512])        # the default ACLR record
-    def test_elements_sum_as_numpy_sums_them(self, n):
-        # a tree split in the wrong place changes about one sum in two
-        rng = np.random.default_rng(n)
-        records = _order_sensitive(rng, (4, n))
-        for x in records:
-            for blocks in ([x], _cuts(x, rng, 40000), _cuts(x, rng, 300)):
-                assert 0.0 + _PairwiseSum(blocks).sum(n) == np.add.reduce(x)
-                assert _pairwise_mean(blocks, n) == np.mean(x)
-        if n <= 8193:
-            # rows of one element per record take the lanes that elements leave to numpy
-            rows = np.ascontiguousarray(records.T)
-            assert np.array_equal(0.0 + _PairwiseSum(_cuts(rows, rng, 20)).sum(n),
-                                  np.add.reduce(records, axis=1))
-        if n > 1000:
-            # the order shows
-            assert np.any(np.cumsum(records, axis=1)[:, -1] != np.add.reduce(records, axis=1))
-
-    @pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 129, 547])
-    def test_rows_sum_as_numpy_sums_a_contiguous_table(self, n):
-        rng = np.random.default_rng(n)
-        table = _order_sensitive(rng, (4096, n))
-        rows = np.ascontiguousarray(table.T)
-        for blocks in ([rows[lo:lo + _WELCH_BLOCK] for lo in range(0, n, _WELCH_BLOCK)],
-                       _cuts(rows, rng, 11)):
-            assert np.array_equal(0.0 + _PairwiseSum(blocks).sum(n),
-                                  np.add.reduce(table, axis=1))
-            assert np.array_equal(_pairwise_mean(blocks, n), table.mean(axis=1))
-        if n > 8:
-            # adding the rows in order would not do
-            assert not np.array_equal(np.add.reduce(rows, axis=0),
-                                      np.add.reduce(table, axis=1))
-
-    @pytest.mark.parametrize("n, shape", [(3 * _PAIRWISE_RUN + 5, ()), (547, (3,))])
-    def test_blocks_may_share_one_buffer(self, n, shape):
-        x = _order_sensitive(np.random.default_rng(n), (n, *shape))
-
-        def refilled(size):
-            # each block is drawn into the buffer of the one before
-            buf = np.empty((size, *shape))
-            for lo in range(0, n, size):
-                block = buf[:len(x[lo:lo + size])]
-                block[...] = x[lo:lo + size]
-                yield block
-
-        for size in (5, 16, 1000, 35072):
-            assert np.array_equal(_pairwise_mean(refilled(size), n),
-                                  np.ascontiguousarray(x.T).mean(axis=-1))
-
-    @pytest.mark.parametrize("n", [3, 200, 40000])
-    @pytest.mark.parametrize("shape", [(), (2,)])
-    def test_negative_zeros_sum_to_positive_zero(self, n, shape):
-        # numpy's reduce starts from 0.0, and 0.0 + -0.0 is 0.0
-        x = np.full((n, *shape), -0.0)
-        blocks = _cuts(x, np.random.default_rng(n), 500)
-        assert not np.any(np.signbit(0.0 + _PairwiseSum(blocks).sum(n)))
-        assert not np.any(np.signbit(_pairwise_mean(blocks, n)))
-        assert not np.any(np.signbit(np.mean(x, axis=0)))
 
 
 class TestDualStream:
