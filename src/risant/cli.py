@@ -80,7 +80,9 @@ _CSV_BLOCK_ROWS = 4096
 
 def _column(values):
     """(%-conversion, array) of one CSV column, whose slices' ``tolist()``
-    formatted by the conversion give each cell the text ``_fmt`` gives it."""
+    formatted by the conversion give each cell the text ``_fmt`` gives it.
+    Floats take ``%.10g`` or, where a column holds at most half as many distinct
+    bit patterns as rows (a lattice's x, y, z), their text once a value under ``%s``."""
     array = np.asarray(values)
     kind = array.dtype.kind
     # a sequence that mixes types (True and 2, or 1 and 2.5) is promoted to
@@ -92,6 +94,14 @@ def _column(values):
     if kind in "iu":
         return "%d", array
     if kind == "f":
+        if array.itemsize <= 8:   # a long double has no integer view
+            bits = array.view(f"u{array.itemsize}")
+            # one sort and a search: np.unique(return_inverse=True) costs 2-4x more
+            ordered = np.sort(bits)
+            distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
+            if 2 * distinct.size <= bits.size:
+                texts = ["%.10g" % v for v in distinct.view(array.dtype).tolist()]
+                return "%s", np.array(texts, dtype=object)[np.searchsorted(distinct, bits)]
         return "%.10g", array
     return "%s", np.array([_fmt(v) for v in values], dtype=object)
 

@@ -166,9 +166,14 @@ class FeedModel:
         return np.asarray(self.position_mm, dtype=float)
 
     def boresight(self) -> np.ndarray:
-        """Unit vector from the feed towards the aperture centre."""
-        v = -self.position()
-        return v / np.linalg.norm(v)
+        """Unit vector from the feed towards the aperture centre, memoized read-only."""
+        boresight = self.__dict__.get("_boresight")
+        if boresight is None:
+            v = -self.position()
+            boresight = v / np.linalg.norm(v)
+            boresight.flags.writeable = False
+            object.__setattr__(self, "_boresight", boresight)
+        return boresight
 
 
 def incidence_angles(feed: FeedModel, positions_mm: np.ndarray) -> np.ndarray:

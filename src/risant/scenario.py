@@ -13,7 +13,6 @@ can also be overridden from the command line by the same dotted name.
 from __future__ import annotations
 
 import contextlib
-import copy
 import functools
 import hashlib
 import json
@@ -281,11 +280,12 @@ def _changed(leaves) -> list[str]:
 
 
 def _merge(defaults, user, path=""):
-    """Deep merge with unknown-key rejection; user values win."""
+    """Deep merge with unknown-key rejection; user values win.  Only the
+    sections that ``user`` sets are copied: the rest stay the defaults' own."""
     if not isinstance(user, dict):
         raise ScenarioError(f"section '{path or '<root>'}' must be a mapping, "
                             f"got {type(user).__name__}")
-    merged = copy.deepcopy(defaults)
+    merged = dict(defaults)
     for key, value in user.items():
         dotted = f"{path}.{key}" if path else str(key)
         if key not in defaults:
@@ -298,25 +298,44 @@ def _merge(defaults, user, path=""):
 
 
 def _set_dotted(data: dict, dotted: str, value):
+    """Set a leaf of ``data``, copying the (maybe shared) sections on its path."""
     parts = dotted.split(".")
     parent = node = data
     for i, part in enumerate(parts):
         if not isinstance(node, dict) or part not in node:
             raise ScenarioError(f"unknown key '{'.'.join(parts[:i + 1])}'")
+        if isinstance(node[part], dict):   # a section is refused below
+            node[part] = dict(node[part])
         parent, node = node, node[part]
     if isinstance(node, dict):
         raise ScenarioError(f"'{dotted}' is a section, not a value")
     parent[parts[-1]] = value
 
 
+def _raw(data: dict, dotted: str):
+    return functools.reduce(dict.__getitem__, dotted.split("."), data)
+
+
 def _literal(data: dict, dotted: str):
     """The value of a key of ``_LITERALS`` in ``data``, coerced and checked."""
     hint, valid, must = _LITERALS[dotted]
-    raw = functools.reduce(dict.__getitem__, dotted.split("."), data)
+    raw = _raw(data, dotted)
     value = _coerce(raw, hint, dotted)
     if not valid(value):
         raise ScenarioError(f"{dotted} must be {must}, got {raw!r}")
     return value
+
+
+def _entry(key, value) -> str:
+    """``key`` and ``value`` as the canonical JSON of a mapping holds them."""
+    return json.dumps({key: value}, sort_keys=True, separators=(",", ":"), default=str)[1:-1]
+
+
+# Worked out once per process: each _LITERALS key's (raw default, checked
+# value), and the canonical text of each top-level entry of the defaults.
+_DEFAULT_LITERALS = {d: (_raw(DEFAULT_SCENARIO, d), _literal(DEFAULT_SCENARIO, d))
+                     for d in _LITERALS}
+_DEFAULT_ENTRIES = {key: _entry(key, value) for key, value in DEFAULT_SCENARIO.items()}
 
 
 @dataclass(frozen=True)
@@ -351,9 +370,11 @@ class Scenario:
             raise ScenarioError(f"{', '.join(keys or names)}: {exc}") from None
 
     def hash(self) -> str:
-        canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"),
-                               default=str)
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        """sha256 of ``data``'s canonical JSON, composed one top-level entry
+        at a time: an entry that is still the defaults' own reuses its text."""
+        canonical = ",".join([_DEFAULT_ENTRIES[key] if value is DEFAULT_SCENARIO[key]
+                              else _entry(key, value) for key, value in sorted(self.data.items())])
+        return hashlib.sha256(f"{{{canonical}}}".encode()).hexdigest()
 
     # -- builders ---------------------------------------------------------
 
@@ -436,7 +457,11 @@ def resolve_scenario(user_data: dict | None, overrides=()) -> Scenario:
     merged = _merge(DEFAULT_SCENARIO, user_data or {})
     for dotted, value in overrides:
         _set_dotted(merged, dotted, value)
-    return Scenario(data=merged, literals={d: _literal(merged, d) for d in _LITERALS})
+    # _literal is a function of the raw object alone, so a leaf that is still
+    # the default's own object keeps the default's checked value
+    return Scenario(data=merged, literals={
+        d: value if _raw(merged, d) is default else _literal(merged, d)
+        for d, (default, value) in _DEFAULT_LITERALS.items()})
 
 
 def load_scenario(path: str | None, overrides=()) -> Scenario:

@@ -471,6 +471,7 @@ _KIND_COLUMNS = [
     ([1.5, -0.0, 1e-320, 1 / 3], ["1.5", "-0", "9.999888672e-321", "0.3333333333"]),
     (np.array([2.0 / 3.0, -0.0, np.nan]), ["0.6666666667", "-0", "nan"]),
     (np.array([0.1], dtype=np.float32), ["0.1000000015"]),
+    (np.array([0.5, 0.5], dtype=np.longdouble), ["0.5", "0.5"]),
     ([-math.inf, math.inf, math.nan], ["-inf", "inf", "nan"]),
     (np.array([-np.inf, np.inf]), ["-inf", "inf"]),
     (["H", None], ["H", "None"]),
@@ -492,6 +493,18 @@ def _fmt_rows(header, columns) -> bytes:
     """The CSV text of ``columns``, each cell by ``cli._fmt``."""
     lines = [",".join(header)] + [",".join(map(cli._fmt, row)) for row in zip(*columns)]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _float_pool(dtype) -> np.ndarray:
+    """Values of ``dtype`` with distinct bits: both zeros, a NaN of each sign
+    and one with a payload, both infinities, a subnormal and two more."""
+    nans = np.array([np.nan, -np.nan, np.nan], dtype=dtype)
+    nans.view(f"u{nans.itemsize}")[2] |= 1
+    subnormal = {np.float64: 1e-320, np.float32: 1e-45}[dtype]
+    pool = np.concatenate([np.array([-0.0, 0.0], dtype=dtype), nans,
+                           np.array([np.inf, -np.inf, subnormal, 1.5, 2 / 3], dtype=dtype)])
+    assert np.unique(pool.view(f"u{pool.itemsize}")).size == pool.size
+    return pool
 
 
 class TestCsvFormatting:
@@ -529,6 +542,33 @@ class TestCsvFormatting:
         path = cli.write_csv(str(tmp_path / "blocks.csv"), list("abcdefg"), columns)
         with open(path, "rb") as fh:
             assert fh.read() == _fmt_rows(list("abcdefg"), columns)
+
+    # a short column, and either side of a write block's end
+    @pytest.mark.parametrize("n_rows", [64, cli._CSV_BLOCK_ROWS + 1, 2 * cli._CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_repeated_floats_match_per_value_formatting(self, dtype, n_rows, tmp_path):
+        rng = np.random.default_rng(n_rows)
+        pool = _float_pool(dtype)
+        column = rng.permutation(np.concatenate([pool, rng.choice(pool, n_rows - pool.size)]))
+        assert cli._column(column)[0] == "%s"
+        columns = [column, np.arange(n_rows)]
+        path = cli.write_csv(str(tmp_path / "pool.csv"), ["v", "i"], columns)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        assert text == _fmt_rows(["v", "i"], columns)
+        cells = {line.split(b",")[0] for line in text.splitlines()[1:]}
+        assert {b"-0", b"0", b"nan", b"inf", b"-inf"} <= cells
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_distinct, conversion", [(5, "%s"), (6, "%.10g")])
+    def test_half_as_many_distinct_values_as_rows_are_formatted_once(
+            self, dtype, n_distinct, conversion, tmp_path):
+        pool = _float_pool(dtype)
+        column = np.concatenate([pool[:n_distinct], pool[:10 - n_distinct]])
+        assert cli._column(column)[0] == conversion
+        path = cli.write_csv(str(tmp_path / "half.csv"), ["v"], [column])
+        with open(path, "rb") as fh:
+            assert fh.read() == _fmt_rows(["v"], [column])
 
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         path = tmp_path / "ragged.csv"

@@ -1,6 +1,7 @@
 """Lattice, grouping, feed geometry and assembly validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,18 @@ class TestFeedModel:
         np.testing.assert_allclose(
             feed.position() + np.linalg.norm(feed.position()) * b, [0, 0, 0], atol=1e-9
         )
+
+    def test_boresight_is_computed_once_and_read_only(self):
+        feed = FeedModel(position_mm=(-82.0, 15.0, 150.0))
+        b = feed.boresight()
+        assert feed.boresight() is b
+        v = -np.array([-82.0, 15.0, 150.0])
+        np.testing.assert_array_equal(b, v / np.linalg.norm(v))
+        with pytest.raises(ValueError, match="read-only"):
+            b[0] = 0.0
+        # a feed of another position has its own, and equal feeds stay equal
+        assert replace(feed, position_mm=(0.0, 0.0, 1.0)).boresight().tolist() == [0, 0, -1]
+        assert feed == FeedModel(position_mm=(-82.0, 15.0, 150.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,16 @@
 """Scenario resolution: defaults, merging, overrides, and the builders
 that turn the plain mapping into typed model objects."""
 
+import copy
 import functools
+import hashlib
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from risant.cli import build_parser, main
+from risant.cli import COMMANDS, build_parser, main
 from risant.element import (
     DEFAULT_START_CIRCUIT,
     DESIGN_CIRCUIT,
@@ -19,8 +22,16 @@ from risant.feedopt import FeedSearchSpace
 from risant.geometry import Direction, FeedModel, IncidenceModel, RisArray
 from risant.link import FrameConfig, LinkScenario, PaModel, XpdModel
 from risant.scenario import (
+    _DEFAULT_ENTRIES,
+    _DEFAULT_LITERALS,
     _FIELDS,
+    _LITERALS,
     DEFAULT_SCENARIO,
+    _coerce,
+    _literal,
+    _merge,
+    _raw,
+    _set_dotted,
     Scenario,
     ScenarioError,
     iter_leaf_paths,
@@ -33,7 +44,7 @@ class TestResolve:
     def test_empty_input_gives_defaults(self):
         sc = resolve_scenario(None)
         assert sc.data == DEFAULT_SCENARIO
-        assert sc.data is not DEFAULT_SCENARIO  # deep copied
+        assert sc.data is not DEFAULT_SCENARIO  # its own top level
         assert sc.literal("rng_seed") == 0
 
     def test_deep_merge_keeps_siblings(self):
@@ -310,3 +321,113 @@ class TestSingleSourceOfDefaults:
         with pytest.raises(SystemExit) as excinfo:
             main(["rate", f"--{section}.{key}", "99"])
         assert excinfo.value.code == 2
+
+
+# a deep snapshot of the defaults, taken before any test runs a command
+_DEFAULTS_AT_IMPORT = copy.deepcopy(DEFAULT_SCENARIO)
+
+# one cheap override per subcommand, on a leaf of a section the command reads
+_ONE_OVERRIDE = {
+    "element-opt": ("element.max_rounds", "1"),
+    "pattern": ("pattern.step_deg", "1.0"),
+    "steer": ("pattern.scan_az_deg", "[0.0, 30.0]"),
+    "widebeam": ("pattern.widebeam.el_deg", "5.0"),
+    "feed-opt": ("feed.search.coarse_step_mm", "60"),
+    "link": ("link.evm_symbols", "64"),
+    "evm-sweep": ("link.sweep_distances_m", "[1.0, 2.0]"),
+    "aclr-sweep": ("link.aclr.n_symbols", "2"),
+    "dual-stream": ("link.dual.d_m", "2.0"),
+    "rate": ("frame.overhead", "0.1"),
+    "train": ("training.n_trials", "10"),
+    "geometry": ("array.n_x", "8"),
+}
+
+_DEFAULT_HASH = "8388fb92a851ad8737c513c0537bcdceda6e9e3d174c2a5bbd691d627f92b65d"
+
+
+def _plain_digest(data) -> str:
+    """The scenario hash as one ``json.dumps`` of the whole mapping."""
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+class TestSharedDefaults:
+    """A run shares the defaults' untouched sections and leaves, and their
+    checked values and hash texts, with every other run in the process."""
+
+    def test_runs_write_nothing_into_the_shared_defaults(self, tmp_path):
+        assert set(_ONE_OVERRIDE) == set(COMMANDS)
+        for command, (dotted, value) in _ONE_OVERRIDE.items():
+            assert main([command, f"--{dotted}", value,
+                         "--out", str(tmp_path / "set" / command)]) == 0
+        for command in COMMANDS:
+            out = tmp_path / "default" / command
+            assert main([command, "--out", str(out)]) == 0
+            manifest = out / f"{command.replace('-', '_')}_manifest.json"
+            assert json.loads(manifest.read_text())["scenario_hash"] == _DEFAULT_HASH
+        assert DEFAULT_SCENARIO == _DEFAULTS_AT_IMPORT
+        for dotted, (raw, value) in _DEFAULT_LITERALS.items():
+            assert raw is _raw(DEFAULT_SCENARIO, dotted)
+            assert value == _literal(_DEFAULTS_AT_IMPORT, dotted)
+        assert _DEFAULT_ENTRIES == {
+            key: f"{json.dumps(key)}:" + json.dumps(value, sort_keys=True,
+                                                    separators=(",", ":"), default=str)
+            for key, value in _DEFAULTS_AT_IMPORT.items()}
+
+    @pytest.mark.parametrize("dotted", list(_LITERALS))
+    def test_every_default_passes_its_own_check(self, dotted):
+        hint, valid, _ = _LITERALS[dotted]
+        assert valid(_coerce(_raw(DEFAULT_SCENARIO, dotted), hint, dotted))
+
+    def test_a_set_leaf_is_checked_and_an_untouched_one_shared(self):
+        sc = resolve_scenario({"pattern": {"scan_el_deg": [10.0]}},
+                              overrides=[("training.n_trials", 7)])
+        assert sc.literal("pattern.scan_el_deg") == [10.0]
+        assert sc.literal("training.n_trials") == 7
+        assert sc.literals["pattern.scan_az_deg"] is (
+            _DEFAULT_LITERALS["pattern.scan_az_deg"][1])
+        with pytest.raises(ScenarioError, match=r"pattern.scan_el_deg must be a list of "
+                                                r"elevations in \[-30.0, 30.0\] deg"):
+            resolve_scenario({"pattern": {"scan_el_deg": [40.0]}})
+
+
+class TestComposedHash:
+    """``Scenario.hash`` composed from per-entry texts is the digest of one
+    ``json.dumps`` of the whole mapping."""
+
+    def test_defaults(self):
+        assert resolve_scenario(None).hash() == _plain_digest(DEFAULT_SCENARIO) == _DEFAULT_HASH
+
+    @pytest.mark.parametrize("dotted, default", list(iter_leaf_paths()))
+    def test_one_changed_leaf(self, dotted, default):
+        # set as a file would and as an override would, unchecked: the hash
+        # reads the mapping alone
+        nested = changed = [default]
+        for part in reversed(dotted.split(".")):
+            nested = {part: nested}
+        from_file = _merge(DEFAULT_SCENARIO, nested)
+        from_flag = _merge(DEFAULT_SCENARIO, {})
+        _set_dotted(from_flag, dotted, changed)
+        assert from_file == from_flag
+        section = dotted.partition(".")[0]
+        for data in (from_file, from_flag):
+            assert data[section] is not DEFAULT_SCENARIO[section]
+            assert all(data[key] is value
+                       for key, value in DEFAULT_SCENARIO.items() if key != section)
+            digest = Scenario(data=data, literals={}).hash()
+            assert digest == _plain_digest(data) != _DEFAULT_HASH
+        assert DEFAULT_SCENARIO == _DEFAULTS_AT_IMPORT
+
+    def test_a_file_that_sets_a_nested_section(self, tmp_path):
+        path = tmp_path / "nested.yaml"
+        path.write_text("element:\n  design:\n    c_p_ff: 48.5\n"
+                        "pattern:\n  widebeam:\n    el_deg: 5.0\n")
+        sc = load_scenario(str(path), overrides=[("pattern.widebeam.sector_az_deg",
+                                                  [-10.0, 10.0])])
+        assert sc.data["element"]["design"]["c_p_ff"] == 48.5
+        assert sc.data["element"]["sweeps"] is DEFAULT_SCENARIO["element"]["sweeps"]
+        assert sc.data["pattern"]["target"] is DEFAULT_SCENARIO["pattern"]["target"]
+        assert sc.data["link"] is DEFAULT_SCENARIO["link"]
+        assert sc.literal("pattern.widebeam.sector_az_deg") == (-10.0, 10.0)
+        assert sc.hash() == _plain_digest(sc.data) != _DEFAULT_HASH
+        assert DEFAULT_SCENARIO == _DEFAULTS_AT_IMPORT
