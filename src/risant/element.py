@@ -20,10 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
-from .constants import ETA0_OHM, wrap_deg
+from .constants import ETA0_OHM, NON_NEGATIVE, POSITIVE, Range, ranged, wrap_deg
 
 # Impedance magnitude reported when a lossless network sits exactly on a
 # parallel resonance.  Kept finite so downstream arithmetic stays valid.
@@ -40,6 +41,7 @@ PHASE_DIFF_TARGET_DEG = 180.0
 
 
 @dataclass(frozen=True)
+@ranged
 class DiodeModel:
     """PIN diode small-signal parameters for both bias states.
 
@@ -48,16 +50,10 @@ class DiodeModel:
     package inductance ``l_diode_nh``.
     """
 
-    r_on_ohm: float = 5.0
-    l_diode_nh: float = 0.05
-    r_off_ohm: float = 10e3
-    c_off_ff: float = 35.0
-
-    def __post_init__(self):
-        if self.r_on_ohm < 0 or self.r_off_ohm <= 0:
-            raise ValueError("diode resistances must be non-negative (R_off > 0)")
-        if self.l_diode_nh < 0 or self.c_off_ff <= 0:
-            raise ValueError("diode reactive values must be positive")
+    r_on_ohm: Annotated[float, NON_NEGATIVE] = 5.0
+    l_diode_nh: Annotated[float, NON_NEGATIVE] = 0.05
+    r_off_ohm: Annotated[float, POSITIVE] = 10e3
+    c_off_ff: Annotated[float, POSITIVE] = 35.0
 
     def impedance(self, state: str, frequency_ghz: float) -> complex:
         w = 2.0 * math.pi * frequency_ghz * 1e9
@@ -70,6 +66,7 @@ class DiodeModel:
 
 
 @dataclass(frozen=True)
+@ranged
 class ElementCircuit:
     """Lumped shunt network of one element.
 
@@ -80,36 +77,21 @@ class ElementCircuit:
     and the diode's resistances.
     """
 
-    c_p_ff: float                 # patch gap capacitance
-    l_p_nh: float                 # patch strip inductance
-    l_g_nh: float                 # groove inductance
-    l_v_nh: float                 # bias via inductance
-    r_loss_ohm: float             # conductor loss in the patch branch
-    line_z0_ohm: float            # substrate stub characteristic impedance
-    line_length_deg: float        # electrical length at REF_FREQUENCY_GHZ
+    c_p_ff: Annotated[float, POSITIVE]                # patch gap capacitance
+    l_p_nh: Annotated[float, NON_NEGATIVE]            # patch strip inductance
+    l_g_nh: Annotated[float, NON_NEGATIVE]            # groove inductance
+    l_v_nh: Annotated[float, NON_NEGATIVE]            # bias via inductance
+    r_loss_ohm: Annotated[float, NON_NEGATIVE]        # conductor loss in the patch branch
+    line_z0_ohm: Annotated[float, POSITIVE]           # substrate stub characteristic impedance
+    line_length_deg: Annotated[float, NON_NEGATIVE]   # electrical length at REF_FREQUENCY_GHZ
     diode: DiodeModel = field(default_factory=DiodeModel)
-
-    def __post_init__(self):
-        if self.c_p_ff <= 0:
-            raise ValueError("patch capacitance must be positive")
-        if min(self.l_p_nh, self.l_g_nh, self.l_v_nh) < 0:
-            raise ValueError("inductances must be non-negative")
-        if self.r_loss_ohm < 0:
-            raise ValueError("patch loss must be non-negative")
-        if self.line_z0_ohm <= 0 or self.line_length_deg < 0:
-            raise ValueError("stub impedance must be positive and length non-negative")
 
 
 @dataclass(frozen=True)
+@ranged
 class ReflectionCoefficient:
-    amplitude: float
-    phase_deg: float     # wrapped to (-180, 180]
-
-    def __post_init__(self):
-        if not (0.0 <= self.amplitude):
-            raise ValueError("reflection amplitude must be non-negative")
-        if not (-180.0 < self.phase_deg <= 180.0):
-            raise ValueError("reflection phase must lie in (-180, 180]")
+    amplitude: Annotated[float, NON_NEGATIVE]
+    phase_deg: Annotated[float, Range(-180.0, 180.0, lo_open=True)]   # as wrap_deg gives it
 
     @property
     def value(self) -> complex:
@@ -141,7 +123,7 @@ def element_impedance(circuit: ElementCircuit, state: str, frequency_ghz: float)
     network) the open-circuit sentinel ``OPEN_CIRCUIT_OHM`` is returned
     instead of a non-finite value.
     """
-    if frequency_ghz <= 0:
+    if not frequency_ghz > 0:
         raise ValueError(f"frequency must be positive, got {frequency_ghz} GHz")
     y_total = 0j
     for z in _branch_impedances(circuit, state, frequency_ghz):
@@ -168,16 +150,11 @@ def reflection_coefficient(
 
 
 @dataclass(frozen=True)
+@ranged
 class DesignTargets:
-    min_amplitude: float = 0.85
-    phase_tolerance_deg: float = 5.0
-
-    def __post_init__(self):
-        # a passive element reflects at most all of the incident wave
-        if not 0.0 < self.min_amplitude <= 1.0:
-            raise ValueError("minimum amplitude must lie in (0, 1]")
-        if self.phase_tolerance_deg < 0:
-            raise ValueError("phase tolerance must be non-negative")
+    # a passive element reflects at most all of the incident wave
+    min_amplitude: Annotated[float, Range(0.0, 1.0, lo_open=True)] = 0.85
+    phase_tolerance_deg: Annotated[float, NON_NEGATIVE] = 5.0
 
 
 # Most points a sweep may hold (grid() holds round(span / step) + 1): each
@@ -186,14 +163,15 @@ MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True)
+@ranged
 class SweepRange:
     lo: float
     hi: float
-    step: float
+    step: Annotated[float, POSITIVE]
 
     def __post_init__(self):
-        if not (self.lo <= self.hi) or self.step <= 0:
-            raise ValueError("sweep range must have lo <= hi and a positive step")
+        if not self.lo <= self.hi:
+            raise ValueError(f"sweep range must have lo <= hi, got ({self.lo}, {self.hi})")
         if (self.hi - self.lo) / self.step >= MAX_SWEEP_POINTS - 0.5:
             raise ValueError(f"sweep range must hold at most {MAX_SWEEP_POINTS} points")
 

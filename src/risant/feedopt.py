@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
-from .constants import db10
+from .constants import POSITIVE, Range, db10, ranged
 from .geometry import AntennaAssembly, Direction
 from .pattern import (
     SPILLOVER_MESH,
@@ -65,6 +66,8 @@ MIN_SEARCH_HEIGHT_MM = 1e-3
 # out to here the feed distances, their cubes and the path phase k*r (5e5 rad
 # at 26 GHz) stay finite and exact.  At 1e300 mm the squared distance overflows.
 MAX_SEARCH_EXTENT_MM = 1e6
+_EXTENT_MM = Range(-MAX_SEARCH_EXTENT_MM, MAX_SEARCH_EXTENT_MM)
+_HEIGHT_MM = Range(MIN_SEARCH_HEIGHT_MM, MAX_SEARCH_EXTENT_MM)
 
 # Feed positions the coarse scan evaluates in one array pass: three 128 x 128
 # mesh buffers, 768 kB on the y = 0 plane and 1.5 MB off it.  The default box
@@ -73,26 +76,19 @@ _SCAN_CHUNK = 4
 
 
 @dataclass(frozen=True)
+@ranged
 class FeedSearchSpace:
     """Axis-aligned box of candidate feed positions, millimetres."""
 
-    x_mm: tuple[float, float] = (-120.0, 120.0)
-    y_mm: tuple[float, float] = (0.0, 0.0)
-    z_mm: tuple[float, float] = (80.0, 260.0)
-    coarse_step_mm: float = 20.0
+    x_mm: Annotated[tuple[float, float], _EXTENT_MM] = (-120.0, 120.0)
+    y_mm: Annotated[tuple[float, float], _EXTENT_MM] = (0.0, 0.0)
+    z_mm: Annotated[tuple[float, float], _HEIGHT_MM] = (80.0, 260.0)
+    coarse_step_mm: Annotated[float, POSITIVE] = 20.0
 
     def __post_init__(self):
         for name, (lo, hi) in (("x", self.x_mm), ("y", self.y_mm), ("z", self.z_mm)):
             if lo > hi:
                 raise ValueError(f"{name} bounds must satisfy lo <= hi, got ({lo}, {hi})")
-        if not self.z_mm[0] >= MIN_SEARCH_HEIGHT_MM:
-            raise ValueError(f"feed search must stay at least {MIN_SEARCH_HEIGHT_MM:g} mm "
-                             f"above the aperture")
-        if not max(map(abs, (*self.x_mm, *self.y_mm, self.z_mm[1]))) <= MAX_SEARCH_EXTENT_MM:
-            raise ValueError(f"feed search must stay within {MAX_SEARCH_EXTENT_MM:g} mm "
-                             f"of the aperture centre on each axis")
-        if self.coarse_step_mm <= 0:
-            raise ValueError("coarse step must be positive")
         cells = math.prod((hi - lo) / self.coarse_step_mm + 2 if hi > lo else 1
                           for lo, hi in (self.x_mm, self.y_mm, self.z_mm))
         if cells > MAX_COARSE_CELLS:

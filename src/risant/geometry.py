@@ -11,19 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .constants import wavelength_mm, wavenumber_per_mm
+from .constants import NON_NEGATIVE, POSITIVE, Range, ranged, wavelength_mm, wavenumber_per_mm
 from .element import DESIGN_CIRCUIT, ElementCircuit
-from .link import XpdModel
-
-
-def _check_lattice(n_x: int, n_y: int, period_mm: float) -> None:
-    if n_x < 1 or n_y < 1:
-        raise ValueError("array dimensions must be at least 1x1")
-    if period_mm <= 0:
-        raise ValueError("element period must be positive")
+from .link import CROSS_POL_DB, XpdModel
 
 
 def lattice_axis(n: int, period_mm: float) -> np.ndarray:
@@ -37,7 +31,7 @@ def element_positions(n_x: int, n_y: int, period_mm: float) -> np.ndarray:
     Element (ix, iy) sits at (:func:`lattice_axis` of n_x at ix, of n_y
     at iy, 0) and occupies row iy, i.e. linear index iy * n_x + ix.
     """
-    _check_lattice(n_x, n_y, period_mm)
+    _SIDE.check(n_x, "n_x"), _SIDE.check(n_y, "n_y"), POSITIVE.check(period_mm, "period_mm")
     gx, gy = np.meshgrid(lattice_axis(n_x, period_mm), lattice_axis(n_y, period_mm))
     return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n_x * n_y)])
 
@@ -71,6 +65,7 @@ def group_map(n_x: int, n_y: int, group_size: int, axis: str = "y") -> np.ndarra
 # group size 1, 0.1 deg 3.2 s and 95 MB; pattern at 256 x 256, 0.1 deg 0.9 s
 # and 73 MB; steer and feed-opt at 256 x 256 1.1 s and 1.3 s, 62 MB each.
 MAX_ARRAY_SIDE = 256
+_SIDE = Range(1, MAX_ARRAY_SIDE)
 
 # Longest lattice period, in wavelengths (the default 5 mm at 26 GHz is 0.43).
 # The lattice kernel's phases k x u reach pi (MAX_ARRAY_SIDE - 1) period /
@@ -99,12 +94,13 @@ MAX_INCIDENCE_PHASE_DRIFT = 1.0
 
 
 @dataclass(frozen=True, eq=False)
+@ranged
 class RisArray:
     """Planar lattice of one-bit elements with shared-bias grouping."""
 
-    n_x: int = 32
-    n_y: int = 32
-    period_mm: float = 5.0
+    n_x: Annotated[int, _SIDE] = 32
+    n_y: Annotated[int, _SIDE] = 32
+    period_mm: Annotated[float, POSITIVE] = 5.0
     polarization: str = "H"         # of the elements and of the feed that lights them
     group_size: int = 2
     group_axis: str = "y"
@@ -113,9 +109,6 @@ class RisArray:
     def __post_init__(self):
         if self.polarization not in ("H", "V"):
             raise ValueError(f"polarization must be 'H' or 'V', got {self.polarization!r}")
-        _check_lattice(self.n_x, self.n_y, self.period_mm)
-        if max(self.n_x, self.n_y) > MAX_ARRAY_SIDE:
-            raise ValueError(f"array sides must hold at most {MAX_ARRAY_SIDE} elements")
         object.__setattr__(
             self, "grouping", group_map(self.n_x, self.n_y, self.group_size, self.group_axis)
         )
@@ -144,6 +137,7 @@ class RisArray:
 
 
 @dataclass(frozen=True)
+@ranged
 class FeedModel:
     """Point feed with a cos^q power pattern aimed at the array centre.
 
@@ -153,14 +147,9 @@ class FeedModel:
     11.8 dBi for q = 6.5).
     """
 
-    position_mm: tuple[float, float, float] = (-82.0, 0.0, 150.0)
-    pattern_exponent: float = 6.5
-
-    def __post_init__(self):
-        if self.position_mm[2] <= 0:
-            raise ValueError("feed must sit above the aperture (z > 0)")
-        if self.pattern_exponent < 0:
-            raise ValueError("pattern exponent must be non-negative")
+    # the feed sits above the aperture
+    position_mm: tuple[float, float, Annotated[float, POSITIVE]] = (-82.0, 0.0, 150.0)
+    pattern_exponent: Annotated[float, NON_NEGATIVE] = 6.5
 
     def position(self) -> np.ndarray:
         return np.asarray(self.position_mm, dtype=float)
@@ -189,18 +178,16 @@ def incidence_angles(feed: FeedModel, positions_mm: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(cos_theta))
 
 
+_HEMISPHERE_DEG = Range(-90.0, 90.0)
+
+
 @dataclass(frozen=True)
+@ranged
 class Direction:
     """Azimuth / elevation direction; (0, 0) is the +z boresight."""
 
-    az_deg: float
-    el_deg: float = 0.0
-
-    def __post_init__(self):
-        if not (-90.0 <= self.az_deg <= 90.0 and -90.0 <= self.el_deg <= 90.0):
-            raise ValueError(
-                f"direction (az={self.az_deg}, el={self.el_deg}) outside +/-90 deg"
-            )
+    az_deg: Annotated[float, _HEMISPHERE_DEG]
+    el_deg: Annotated[float, _HEMISPHERE_DEG] = 0.0
 
     def unit_vector(self) -> np.ndarray:
         a = math.radians(self.az_deg)
@@ -213,6 +200,7 @@ class Direction:
 
 
 @dataclass(frozen=True)
+@ranged
 class IncidenceModel:
     """Phenomenological dependence of the element response on incidence.
 
@@ -220,26 +208,21 @@ class IncidenceModel:
     angle and the amplitude rolls off as cos^a.
     """
 
-    beta_deg_per_deg2: float = 0.004
-    amplitude_exponent: float = 0.5
-
-    def __post_init__(self):
-        if not abs(self.beta_deg_per_deg2) <= MAX_INCIDENCE_PHASE_DRIFT:
-            raise ValueError(f"phase drift {self.beta_deg_per_deg2:g} deg/deg^2 outside "
-                             f"[-{MAX_INCIDENCE_PHASE_DRIFT:g}, {MAX_INCIDENCE_PHASE_DRIFT:g}]")
-        if not 0.0 <= self.amplitude_exponent <= MAX_INCIDENCE_EXPONENT:
-            raise ValueError(f"amplitude exponent {self.amplitude_exponent:g} outside "
-                             f"[0, {MAX_INCIDENCE_EXPONENT:g}]")
+    beta_deg_per_deg2: Annotated[float, Range(-MAX_INCIDENCE_PHASE_DRIFT,
+                                              MAX_INCIDENCE_PHASE_DRIFT)] = 0.004
+    amplitude_exponent: Annotated[float, Range(0.0, MAX_INCIDENCE_EXPONENT)] = 0.5
 
 
 @dataclass(frozen=True, eq=False)
+@ranged
 class AntennaAssembly:
     """Array, feed and operating frequency bundled together."""
 
     array: RisArray = field(default_factory=RisArray)
     feed: FeedModel = field(default_factory=FeedModel)
     frequency_ghz: float = 26.0
-    cross_pol_db: float = XpdModel.h_antenna_db        # the default H array's leakage
+    # the default H array's leakage
+    cross_pol_db: Annotated[float, CROSS_POL_DB] = XpdModel.h_antenna_db
     element_circuit: ElementCircuit = DESIGN_CIRCUIT
     incidence_model: IncidenceModel | None = None
 
@@ -248,8 +231,6 @@ class AntennaAssembly:
         if not self.array.period_mm <= MAX_PERIOD_WAVELENGTHS * wavelength:
             raise ValueError(f"lattice period of {self.array.period_mm / wavelength:.3g} "
                              f"wavelengths, more than {MAX_PERIOD_WAVELENGTHS:g}")
-        if self.cross_pol_db >= 0:
-            raise ValueError("cross-pol level must be negative dB")
 
     @property
     def wavelength_mm(self) -> float:

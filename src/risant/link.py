@@ -11,11 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constants import MAX_FREQUENCY_GHZ, THERMAL_NOISE_DBM_PER_HZ, db10, from_db10, wavelength_m
+from .constants import (
+    MAX_FREQUENCY_GHZ,
+    NON_NEGATIVE,
+    THERMAL_NOISE_DBM_PER_HZ,
+    Range,
+    db10,
+    from_db10,
+    ranged,
+    wavelength_m,
+)
 
 EVM_LIMIT = 0.08                  # transmit quality bound for 64QAM downlink
 ACLR_LIMIT_DBC = -28.0            # adjacent-channel leakage compliance bound
@@ -40,14 +50,16 @@ MAX_EVM_SYMBOLS = 10_000_000
 # the medium-wave band; its highest MAX_FREQUENCY_GHZ.  Over both ranges the
 # free-space loss stays within [-88, 293] dB; far past them the budget's
 # ratios 10**(x/10) over- or underflow (1e300 m is a 6000 dB loss).
-LINK_DISTANCE_M = (1e-3, 1e9)
+LINK_DISTANCE_M = Range(1e-3, 1e9)
 MIN_LINK_FREQUENCY_GHZ = 1e-3
+_CARRIER_GHZ = Range(MIN_LINK_FREQUENCY_GHZ, MAX_FREQUENCY_GHZ)
 
 # Largest magnitude of the budget's own dB terms: the transmit power (dBm),
 # the antenna gains (dBi) and the noise figure (dB), which is also at least
 # 0, as a receiver adds noise and never takes it away.  200 is twice what
 # radios reach (a 10 MW transmitter is 100 dBm); at 1e15 dB the ratios overflow.
 MAX_BUDGET_DB = 200.0
+_BUDGET_DB = Range(-MAX_BUDGET_DB, MAX_BUDGET_DB)
 
 # Range of a link's channel.  The widest is 10^4 MHz, five times the widest
 # NR carrier (2000 MHz in FR2-2): its noise power, with the noise figure at
@@ -56,8 +68,7 @@ MAX_BUDGET_DB = 200.0
 # under the channel of any data link: a narrower one only lowers the noise
 # power until the SNR means nothing a receiver sees (the default link at
 # 1e-300 MHz reads 3081 dB).
-MIN_BANDWIDTH_MHZ = 1e-3
-MAX_BANDWIDTH_MHZ = 1e4
+_BANDWIDTH_MHZ = Range(1e-3, 1e4)
 
 DEFAULT_ACLR_SYMBOLS = 64
 DEFAULT_EVM_SYMBOLS = 100_000
@@ -75,42 +86,28 @@ _WELCH_BLOCK = 16
 
 
 @dataclass(frozen=True)
+@ranged
 class LinkScenario:
     """Single point-to-point link between the array and a receiver."""
 
-    d_m: float = 4.0
-    center_freq_ghz: float = 26.0
-    bandwidth_mhz: float = DEFAULT_CHANNEL_BANDWIDTH_MHZ
-    tx_power_dbm: float = 1.0
-    tx_antenna_gain_dbi: float = 22.2
-    rx_antenna_gain_dbi: float = 22.0
-    rx_noise_figure_db: float = 5.0
-    tx_evm_floor: float = 0.03
+    d_m: Annotated[float, LINK_DISTANCE_M] = 4.0
+    center_freq_ghz: Annotated[float, _CARRIER_GHZ] = 26.0
+    bandwidth_mhz: Annotated[float, _BANDWIDTH_MHZ] = DEFAULT_CHANNEL_BANDWIDTH_MHZ
+    tx_power_dbm: Annotated[float, _BUDGET_DB] = 1.0
+    tx_antenna_gain_dbi: Annotated[float, _BUDGET_DB] = 22.2
+    rx_antenna_gain_dbi: Annotated[float, _BUDGET_DB] = 22.0
+    rx_noise_figure_db: Annotated[float, Range(0.0, MAX_BUDGET_DB)] = 5.0
+    tx_evm_floor: Annotated[float, Range(0.0, 0.5, hi_open=True)] = 0.03
     modulation: str = "64QAM"
 
     def __post_init__(self):
-        lo, hi = LINK_DISTANCE_M
-        if not lo <= self.d_m <= hi:
-            raise ValueError(f"distance must be in [{lo:g}, {hi:g}] m")
-        if not MIN_LINK_FREQUENCY_GHZ <= self.center_freq_ghz <= MAX_FREQUENCY_GHZ:
-            raise ValueError(f"carrier must be in [{MIN_LINK_FREQUENCY_GHZ:g}, "
-                             f"{MAX_FREQUENCY_GHZ:g}] GHz")
-        for name in ("tx_power_dbm", "tx_antenna_gain_dbi", "rx_antenna_gain_dbi"):
-            if not abs(getattr(self, name)) <= MAX_BUDGET_DB:
-                raise ValueError(f"{name} must be in [-{MAX_BUDGET_DB:g}, {MAX_BUDGET_DB:g}]")
-        if not 0.0 <= self.rx_noise_figure_db <= MAX_BUDGET_DB:
-            raise ValueError(f"noise figure must be in [0, {MAX_BUDGET_DB:g}] dB")
-        if not MIN_BANDWIDTH_MHZ <= self.bandwidth_mhz <= MAX_BANDWIDTH_MHZ:
-            raise ValueError(f"bandwidth must be in [{MIN_BANDWIDTH_MHZ:g}, "
-                             f"{MAX_BANDWIDTH_MHZ:g}] MHz")
-        if not 0.0 <= self.tx_evm_floor < 0.5:
-            raise ValueError("tx EVM floor must lie in [0, 0.5)")
         if self.modulation not in MODULATION_ORDERS:
             raise ValueError(f"unknown modulation {self.modulation!r}; "
                              f"expected one of {sorted(MODULATION_ORDERS)}")
 
 
 @dataclass(frozen=True)
+@ranged
 class FrameConfig:
     """TDD frame and carrier-aggregation bookkeeping for the rate formula.
 
@@ -119,33 +116,25 @@ class FrameConfig:
     """
 
     slot_pattern: str = "DDDSU"
-    s_slot_split: tuple[int, int, int] = (10, 2, 2)   # (DL, guard, UL) symbols
+    # (DL, guard, UL) symbols
+    s_slot_split: Annotated[tuple[int, int, int], NON_NEGATIVE] = (10, 2, 2)
     scs_khz: int = 120
-    cc_count: int = 4
+    cc_count: Annotated[int, NON_NEGATIVE] = 4
     cc_bandwidth_mhz: float = 200.0
-    layers: int = 2
-    modulation_order: int = 6
+    layers: Annotated[int, NON_NEGATIVE] = 2
+    modulation_order: Annotated[int, NON_NEGATIVE] = 6
     max_code_rate: float = 948 / 1024
     scaling: float = 1.0
-    overhead: float = 0.14
-    prb_per_cc: int = 132
+    overhead: Annotated[float, Range(0.0, 1.0, hi_open=True)] = 0.14
+    prb_per_cc: Annotated[int, NON_NEGATIVE] = 132
 
     def __post_init__(self):
         if not self.slot_pattern or set(self.slot_pattern) - set("DSU"):
             raise ValueError("slot pattern must be a non-empty string over {D, S, U}")
         if sum(self.s_slot_split) != 14:
             raise ValueError("S-slot split must sum to 14 symbols")
-        if any(v < 0 for v in self.s_slot_split):
-            raise ValueError("S-slot split entries must be non-negative")
         if self.scs_khz not in _MU_BY_SCS_KHZ:
             raise ValueError(f"unsupported subcarrier spacing {self.scs_khz} kHz")
-        if self.layers < 0:
-            raise ValueError("layer count must be non-negative")
-        if not 0.0 <= self.overhead < 1.0:
-            raise ValueError("overhead must lie in [0, 1)")
-        for name in ("cc_count", "prb_per_cc", "modulation_order"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
     @property
     def numerology(self) -> int:
@@ -170,22 +159,23 @@ class PaModel:
         if self.kind not in ("ideal", "rapp"):
             raise ValueError(f"unknown PA kind {self.kind!r}")
         if self.kind == "rapp":
-            if self.saturation_level <= 0:
+            if not self.saturation_level > 0:
                 raise ValueError("saturation level must be positive")
-            if self.smoothness <= 0:
+            if not self.smoothness > 0:
                 raise ValueError("smoothness must be positive")
 
 
+# a cross-polar level is a leakage, below the co-polar one
+CROSS_POL_DB = Range(hi=0.0, hi_open=True)
+
+
 @dataclass(frozen=True)
+@ranged
 class XpdModel:
     """Per-antenna cross-polarization leakage, dB (negative = isolation)."""
 
-    h_antenna_db: float = -15.19
-    v_antenna_db: float = -10.16
-
-    def __post_init__(self):
-        if self.h_antenna_db >= 0 or self.v_antenna_db >= 0:
-            raise ValueError("cross-pol leakage must be below 0 dB")
+    h_antenna_db: Annotated[float, CROSS_POL_DB] = -15.19
+    v_antenna_db: Annotated[float, CROSS_POL_DB] = -10.16
 
 
 # ---------------------------------------------------------------------------

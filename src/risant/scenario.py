@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
-from .constants import MAX_FREQUENCY_GHZ
+from .constants import FREQUENCY_GHZ, Range
 from .element import (
     DEFAULT_MAX_ROUNDS,
     DEFAULT_START_CIRCUIT,
@@ -140,78 +140,51 @@ DEFAULT_SCENARIO = {
 # scenario keys that feed model fields of another name
 _FIELDS = {XpdModel: {"h": "h_antenna_db", "v": "v_antenna_db"}}
 
-_AZ, _EL = SCAN_SECTOR
-
-
-def _any(_) -> bool:
-    """No test beyond the type hint's coercion."""
-    return True
-
-
-def _inside(lo, hi):
-    """Test that every number of a value (a number or a list) lies in [lo, hi]."""
-    return lambda v: all(lo <= x <= hi for x in (v if isinstance(v, (list, tuple)) else [v]))
-
-
-def _sector(lo, hi):
-    """Test that a pair of numbers is increasing and lies in [lo, hi]."""
-    return lambda v: v[0] < v[1] and _inside(lo, hi)(v)
-
+# Directions and sectors lie in the scan sector that synthesis accepts
+_AZ, _EL = (Range(lo, hi) for lo, hi in SCAN_SECTOR)
+_SECTOR = (lambda v: v[0] < v[1], "[lo, hi] with lo < hi")
 
 # Range of the dB keys read as plain values: a pilot 100 dB under its noise
 # carries nothing, a widening threshold 100 dB off widens always or never,
 # and 100 dBi is 66 dB past the prototype aperture's directivity bound.  The
 # ratios 10**(x/10) stay far inside float64 here; at 1e15 dB they overflow.
-_DB = (-100.0, 100.0)
+_DB = Range(-100.0, 100.0)
 
 # keys that commands read as plain values, checked when the scenario
-# resolves: dotted key -> (type hint, test the coerced value must pass,
-# what the test asks for).  Directions and sectors must lie in the scan
-# sector that synthesis accepts.
+# resolves: dotted key -> (type hint, the Range of the number or of each
+# entry of a list, or None[, a test of the whole value, what it asks for])
 _LITERALS = {
-    "rng_seed": (int, lambda v: v >= 0, "a non-negative integer"),
-    "element.max_rounds": (int, lambda v: v >= 0, "a non-negative integer"),
-    "pattern.frequency_ghz": (float, lambda v: 0 < v <= MAX_FREQUENCY_GHZ,
-                              f"a frequency in (0, {MAX_FREQUENCY_GHZ:g}] GHz"),
-    "pattern.step_deg": (float, _inside(MIN_GRID_STEP_DEG, 90.0),
-                         f"a step in [{MIN_GRID_STEP_DEG}, 90] deg (at most "
-                         f"{2 * round(90 / MIN_GRID_STEP_DEG) + 1} directions an axis)"),
-    "pattern.target.az_deg": (float, _inside(*_AZ), f"an azimuth in {list(_AZ)} deg"),
-    "pattern.target.el_deg": (float, _inside(*_EL), f"an elevation in {list(_EL)} deg"),
-    "pattern.scan_az_deg": (list[float], _inside(*_AZ),
-                            f"a list of azimuths in {list(_AZ)} deg"),
-    "pattern.scan_el_deg": (list[float], _inside(*_EL),
-                            f"a list of elevations in {list(_EL)} deg"),
-    "pattern.widebeam.sector_az_deg": (tuple[float, float], _sector(*_AZ),
-                                       f"[lo, hi] with lo < hi in {list(_AZ)} deg"),
-    "pattern.widebeam.el_deg": (float, _inside(*_EL), f"an elevation in {list(_EL)} deg"),
-    "pattern.widebeam.n_subapertures": (int | None, lambda v: v is None or v >= 1,
-                                        "null or a positive integer"),
-    "pattern.incidence.enabled": (bool, _any, ""),
-    "pattern.compensate_incidence": (bool, _any, ""),
-    "link.evm_symbols": (int, lambda v: 1 <= v <= MAX_EVM_SYMBOLS,
-                         f"an integer in [1, {MAX_EVM_SYMBOLS}]"),
-    "link.sweep_distances_m": (list[float], lambda v: v and v == sorted(v)
-                               and _inside(*LINK_DISTANCE_M)(v),
-                               "a non-empty ascending list of distances in [%g, %g] m"
-                               % LINK_DISTANCE_M),
-    "link.aclr.centers_ghz": (list[float], _any, ""),
-    "link.aclr.channel_bandwidth_mhz": (float, lambda v: v in PRB_TABLE_120KHZ,
+    "rng_seed": (int, Range(0)),
+    "element.max_rounds": (int, Range(0)),
+    "pattern.frequency_ghz": (float, FREQUENCY_GHZ),
+    # at most 2 * 90 / 0.1 + 1 = 1801 directions an axis
+    "pattern.step_deg": (float, Range(MIN_GRID_STEP_DEG, 90.0)),
+    "pattern.target.az_deg": (float, _AZ),
+    "pattern.target.el_deg": (float, _EL),
+    "pattern.scan_az_deg": (list[float], _AZ),
+    "pattern.scan_el_deg": (list[float], _EL),
+    "pattern.widebeam.sector_az_deg": (tuple[float, float], _AZ, *_SECTOR),
+    "pattern.widebeam.el_deg": (float, _EL),
+    "pattern.widebeam.n_subapertures": (int | None, Range(1)),
+    "pattern.incidence.enabled": (bool, None),
+    "pattern.compensate_incidence": (bool, None),
+    "link.evm_symbols": (int, Range(1, MAX_EVM_SYMBOLS)),
+    "link.sweep_distances_m": (list[float], LINK_DISTANCE_M,
+                               lambda v: v and v == sorted(v), "a non-empty ascending list"),
+    "link.aclr.centers_ghz": (list[float], None),
+    "link.aclr.channel_bandwidth_mhz": (float, None, lambda v: v in PRB_TABLE_120KHZ,
                                         f"one of {sorted(PRB_TABLE_120KHZ)} MHz"),
-    "link.aclr.n_symbols": (int, lambda v: 1 <= v <= MAX_ACLR_SYMBOLS,
-                            f"an integer in [1, {MAX_ACLR_SYMBOLS}]"),
-    "link.aclr.aod_az_deg": (list[float], _any, ""),
-    "link.stream_gains_dbi.h": (float, _inside(*_DB), f"a gain in {list(_DB)} dBi"),
-    "link.stream_gains_dbi.v": (float, _inside(*_DB), f"a gain in {list(_DB)} dBi"),
-    "training.n_levels": (int, lambda v: v >= 1, "a positive integer"),
-    "training.branching": (int, lambda v: v >= 2, "an integer of at least 2"),
-    "training.pilot_snr_db": (float, _inside(*_DB), f"an SNR in {list(_DB)} dB"),
-    "training.n_trials": (int, lambda v: 1 <= v <= MAX_TRAINING_TRIALS,
-                          f"an integer in [1, {MAX_TRAINING_TRIALS}]"),
-    "training.accept_threshold_db": (float, _inside(*_DB), f"a threshold in {list(_DB)} dB"),
-    "training.sector_az_deg": (tuple[float, float], _sector(*_AZ),
-                               f"[lo, hi] with lo < hi in {list(_AZ)} deg"),
-    "training.el_deg": (float, _inside(*_EL), f"an elevation in {list(_EL)} deg"),
+    "link.aclr.n_symbols": (int, Range(1, MAX_ACLR_SYMBOLS)),
+    "link.aclr.aod_az_deg": (list[float], None),
+    "link.stream_gains_dbi.h": (float, _DB),
+    "link.stream_gains_dbi.v": (float, _DB),
+    "training.n_levels": (int, Range(1)),
+    "training.branching": (int, Range(2)),
+    "training.pilot_snr_db": (float, _DB),
+    "training.n_trials": (int, Range(1, MAX_TRAINING_TRIALS)),
+    "training.accept_threshold_db": (float, _DB),
+    "training.sector_az_deg": (tuple[float, float], _AZ, *_SECTOR),
+    "training.el_deg": (float, _EL),
 }
 
 _KINDS = {float: "a finite number", int: "an integer", str: "a string",
@@ -318,11 +291,16 @@ def _raw(data: dict, dotted: str):
 
 def _literal(data: dict, dotted: str):
     """The value of a key of ``_LITERALS`` in ``data``, coerced and checked."""
-    hint, valid, must = _LITERALS[dotted]
+    hint, rng, *rule = _LITERALS[dotted]
     raw = _raw(data, dotted)
     value = _coerce(raw, hint, dotted)
-    if not valid(value):
-        raise ScenarioError(f"{dotted} must be {must}, got {raw!r}")
+    try:
+        if rng is not None and value is not None:
+            rng.check(value, dotted)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    if rule and not rule[0](value):
+        raise ScenarioError(f"{dotted} must be {rule[1]}, got {raw!r}")
     return value
 
 

@@ -7,16 +7,25 @@ fast.  File contents are checked, not just exit codes: the CSV writer
 promises byte-identical artifacts for identical scenario and seed.
 """
 
+import ast
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
+import traceback
+import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,14 +34,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import risant
-from risant import __version__, cli, element, geometry, pattern, synthesis
+from risant import __version__, cli, element, feedopt, geometry, link, pattern, synthesis
+from risant import scenario as scenario_module
 from risant.cli import COMMANDS, main
-from risant.element import SweepRange
-from risant.constants import wavelength_mm
+from risant.element import (
+    DEFAULT_SWEEPS,
+    DESIGN_CIRCUIT,
+    ElementCircuit,
+    ReflectionCoefficient,
+    SweepRange,
+)
+from risant.constants import Range, wavelength_mm
 from risant.feedopt import MAX_SEARCH_EXTENT_MM, MIN_SEARCH_HEIGHT_MM, FeedSearchSpace
-from risant.link import MAX_ACLR_SYMBOLS, MAX_EVM_SYMBOLS
+from risant.geometry import Direction
+from risant.link import MAX_ACLR_SYMBOLS, MAX_EVM_SYMBOLS, PaModel
 from risant.pattern import DEFAULT_GRID_STEP_DEG, MIN_GRID_STEP_DEG
-from risant.scenario import _LITERALS, iter_leaf_paths, resolve_scenario
+from risant.scenario import _LITERALS, Scenario, iter_leaf_paths, resolve_scenario
 from risant.synthesis import MAX_TRAINING_TRIALS
 
 # overrides that keep each subcommand cheap without changing its shape
@@ -585,14 +602,15 @@ class TestCsvFormatting:
         assert "true" in flags
 
 
-# each _LITERALS key with a value just outside its check, .inf where a
-# number is read and true where an integer is read; every key resolves when
-# the scenario loads, so the cheapest command serves all of the new rows
+# each _LITERALS key with a value outside its check, .inf where a number is
+# read and true where an integer is read; every key resolves when the
+# scenario loads, so the cheapest command serves all of the new rows.  The
+# nearest value past each end of a declared Range is generated (see
+# test_every_ranged_leaf_refuses_the_nearest_value_past_its_ends).
 _BAD_LITERAL_VALUES = [
         ("rate", "rng_seed", "foo"),
         ("rate", "rng_seed", "1.5"),
         ("link", "link.evm_symbols", "foo"),
-        ("train", "training.n_trials", "0"),
         ("pattern", "pattern.step_deg", "0"),
         ("pattern", "pattern.step_deg", "200"),
         ("evm-sweep", "link.sweep_distances_m", "[]"),
@@ -609,7 +627,6 @@ _BAD_LITERAL_VALUES = [
         ("pattern", "pattern.target.az_deg", "80"),
         ("steer", "pattern.scan_az_deg", "[80.0]"),
         ("train", "training.sector_az_deg", "[-80.0,80.0]"),
-        ("rate", "rng_seed", "-1"),
     ("rate", "rng_seed", ".inf"),
     ("rate", "rng_seed", "true"),
     ("rate", "element.max_rounds", "-1"),
@@ -694,26 +711,22 @@ _BAD_LITERAL_VALUES = [
 
 # each check of a model class that the scenario builds, by a key that breaks
 # it, on the cheapest command (with the flags it needs) that builds the
-# class; the class's message follows the key
+# class; the class's message follows the key.  Every cross-field rule has a
+# row (test_every_cross_field_rule_of_a_model_is_reached_by_a_bad_model_row);
+# the nearest value past each end of a declared Range is generated.
 _BAD_MODEL_VALUES = [
     ("geometry", "array.n_x", "foo"),
-    ("geometry", "array.n_x", "0"),
-    ("geometry", "array.n_y", "0"),
-    ("geometry", "array.n_x", "257"),
     ("geometry", "array.period_mm", "-1"),
-    ("geometry", "array.period_mm", "0"),
     ("geometry", "array.polarization", "X"),
     ("geometry", "array.group_size", "3"),
     ("geometry", "array.group_size", "0"),
     ("geometry", "array.group_axis", "z"),
     ("pattern", "feed.position_mm", "[0,0]"),
-    ("pattern", "feed.position_mm", "[-82, 0, 0]"),
     ("pattern", "feed.pattern_exponent", "-1"),
     ("feed-opt", "feed.search.x_mm", "[10, -10]"),
     ("feed-opt", "feed.search.y_mm", "[1, -1]"),
     ("feed-opt", "feed.search.z_mm", "[200, 100]"),
     ("feed-opt", "feed.search.z_mm", "[0, 100]"),
-    ("feed-opt", "feed.search.coarse_step_mm", "0"),
     ("feed-opt", "feed.search.coarse_step_mm", "0.001"),
     ("pattern", "pattern.frequency_ghz", ".nan"),
     ("pattern", "pattern.frequency_ghz", ".inf"),
@@ -723,24 +736,18 @@ _BAD_MODEL_VALUES = [
     ("pattern", "element.diode.r_off_ohm", "0"),
     ("pattern", "element.diode.l_diode_nh", "-1"),
     ("pattern", "element.diode.c_off_ff", "0"),
-    ("pattern", "element.design.c_p_ff", "0"),
     ("pattern", "element.design.l_p_nh", "-1"),
     ("pattern", "element.design.l_g_nh", "-1"),
     ("pattern", "element.design.l_v_nh", "-1"),
     ("pattern", "element.design.r_loss_ohm", "-1"),
-    ("pattern", "element.design.line_z0_ohm", "0"),
     ("pattern", "element.design.line_length_deg", "-1"),
     ("pattern", "element.design.l_diode_nh", "-1"),
-    ("element-opt", "element.start.c_p_ff", "0"),
     ("element-opt", "element.start.l_g_nh", "-1"),
     ("element-opt", "element.start.r_loss_ohm", "-1"),
-    ("element-opt", "element.start.line_z0_ohm", "0"),
     ("element-opt", "element.start.line_length_deg", "-1"),
     ("element-opt", "element.targets.phase_tolerance_deg", "-1"),
-    ("element-opt", "element.targets.min_amplitude", "0"),
     ("element-opt", "element.targets.min_amplitude", "1.5"),
     ("element-opt", "element.sweeps.c_p_ff", "[70, 30, 0.5]"),
-    ("element-opt", "element.sweeps.c_p_ff", "[30, 70, 0]"),
     ("element-opt", "element.sweeps.c_p_ff", "[30, 70, 0.001]"),
     ("link", "link.d_m", "0"),
     ("link", "link.center_freq_ghz", "0"),
@@ -748,7 +755,6 @@ _BAD_MODEL_VALUES = [
     ("link", "link.center_freq_ghz", "10000.01"),
     ("link", "link.center_freq_ghz", "1e300"),
     ("link", "link.bandwidth_mhz", "0"),
-    ("link", "link.tx_evm_floor", "0.5"),
     ("link", "link.tx_evm_floor", "-0.01"),
     ("link", "link.modulation", "8PSK"),
     ("dual-stream", "link.dual.d_m", "0"),
@@ -761,12 +767,7 @@ _BAD_MODEL_VALUES = [
     ("rate", "frame.s_slot_split", "[10, 2, 1]"),
     ("rate", "frame.s_slot_split", "[16, -1, -1]"),
     ("rate", "frame.scs_khz", "100"),
-    ("rate", "frame.layers", "-1"),
-    ("rate", "frame.overhead", "1"),
     ("rate", "frame.overhead", "-0.01"),
-    ("rate", "frame.cc_count", "-1"),
-    ("rate", "frame.prb_per_cc", "-1"),
-    ("rate", "frame.modulation_order", "-1"),
     ("aclr-sweep", "link.pa.kind", "foo"),
     ("aclr-sweep", "link.pa.saturation_level", "0"),
     ("aclr-sweep", "link.pa.smoothness", "0"),
@@ -819,13 +820,13 @@ _BAD_MODEL_VALUES = [
     ("dual-stream", "link.dual.d_m", "1e300"),
     ("dual-stream", "link.dual.d_m", "1e-300"),
     ("dual-stream", "link.dual.center_freq_ghz", "1e-300"),
-    # a channel wider than link.MAX_BANDWIDTH_MHZ, whose noise power
+    # a channel wider than link._BANDWIDTH_MHZ, whose noise power
     # overflows with the noise figure at its bound; link.dual inherits it
     ("link", "link.bandwidth_mhz", "1e300"),
     ("link --link.rx_noise_figure_db 200", "link.bandwidth_mhz", "1e300"),
     ("evm-sweep --link.rx_noise_figure_db 200", "link.bandwidth_mhz", "1e300"),
     ("dual-stream --link.rx_noise_figure_db 200", "link.bandwidth_mhz", "1e300"),
-    # a channel narrower than link.MIN_BANDWIDTH_MHZ, whose SNR means nothing
+    # a channel narrower than link._BANDWIDTH_MHZ, whose SNR means nothing
     ("link", "link.bandwidth_mhz", "1e-300"),
     ("link", "link.bandwidth_mhz", "0.00099"),
     ("evm-sweep", "link.bandwidth_mhz", "1e-300"),
@@ -1055,7 +1056,7 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert rc == 2
         assert "scenario error: element.sweeps.c_p_ff: sweep range for c_p_ff" in err
-        assert "patch capacitance must be positive" in err
+        assert "reaches 0.0: c_p_ff must be > 0, got 0.0" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag, value, model, grid", [
@@ -1117,13 +1118,13 @@ class TestFailureModes:
                    "--feed.search.coarse_step_mm", "1e300", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert ("scenario error: feed.search.y_mm, feed.search.coarse_step_mm: feed search "
-                "must stay within") in err
+        assert ("scenario error: feed.search.y_mm, feed.search.coarse_step_mm: y_mm[0] "
+                "must be in [-1e+06, 1e+06], got -1e+300") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("corner", [-MAX_SEARCH_EXTENT_MM, MAX_SEARCH_EXTENT_MM])
     def test_search_extent_bound_admits_its_limit(self, corner, tmp_path):
-        with pytest.raises(ValueError, match="within"):
+        with pytest.raises(ValueError, match=r"z_mm\[1\] must be in \[0.001, 1e\+06\]"):
             FeedSearchSpace(z_mm=(80.0, math.nextafter(MAX_SEARCH_EXTENT_MM, math.inf)))
         # a box of one cell at a corner of the bound, and its refinement, run clean
         with contextlib.redirect_stdout(io.StringIO()):
@@ -1278,3 +1279,229 @@ def test_numeric_leaf_at_an_extreme_exits_0_or_2(leaf, value):
     assert rc in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+
+# Declared ranges.  Each one-field range is declared once, as a Range on a
+# model field's hint or in a _LITERALS entry; the tests below are generated
+# from those declarations.
+
+def _record_builds():
+    """[(model class, section, dotted section, builder)] of every
+    scenario._build call that a Scenario builder makes, on a scenario whose
+    incidence model is on (build_link also with ``dual``); the builders
+    that make fewer calls first, so a leaf's first builder reads the least."""
+    build = scenario_module._build
+    scn = resolve_scenario(None, [("pattern.incidence.enabled", True)])
+    builders = [operator.methodcaller(n) for n in dir(Scenario) if n.startswith("build_")]
+    builders.append(operator.methodcaller("build_link", dual=True))
+    made = []
+    for builder in builders:
+        calls = []
+
+        def recording(cls, section, dotted, **given):
+            calls.append((cls, section, dotted, builder))
+            return build(cls, section, dotted, **given)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "_build", recording)
+            builder(scn)
+        made.append(calls)
+    return [call for calls in sorted(made, key=len) for call in calls]
+
+
+class _Leaf(typing.NamedTuple):
+    """A scenario leaf whose number, or one entry's, has a declared range."""
+    key: str
+    index: int | None       # the entry of a fixed-length list leaf
+    rng: Range
+    kind: type              # int or float
+    label: str              # what a refusal names: the key, or the model field
+    builder: object         # a Scenario builder that reads it; None for a literal
+
+
+def _ranged_leaves() -> list[_Leaf]:
+    """Every ranged leaf: the _LITERALS keys with a Range (each entry of a
+    list, one leaf for a list of any length), and the keys that set a
+    ranged field of a model that a builder makes."""
+    leaves = {}
+    for key, (hint, rng, *_) in _LITERALS.items():
+        args = typing.get_args(hint)
+        if rng is None:
+            continue
+        if typing.get_origin(hint) is tuple:
+            leaves.update({(key, i): _Leaf(key, i, rng, a, key, None) for i, a in enumerate(args)})
+        else:
+            kind = args[0] if args else hint          # list[float] or int | None
+            leaves[key, None] = _Leaf(key, None, rng, kind, key, None)
+    for cls, section, dotted, builder in _record_builds():
+        hints, names = typing.get_type_hints(cls), [f.name for f in dataclasses.fields(cls)]
+        keys = {scenario_module._FIELDS.get(cls, {}).get(k, k): k for k in section}
+        for name, i, label, rng in getattr(cls, "_ranges", ()):
+            kind = hints[name] if i is None else typing.get_args(hints[name])[i]
+            if not section:        # a sweep: one list leaf holds the fields in order
+                leaf = _Leaf(dotted, names.index(name), rng, kind, label, builder)
+            elif name in keys:
+                leaf = _Leaf(f"{dotted}.{keys[name]}", i, rng, kind, label, builder)
+            else:
+                continue
+            if leaf.key not in _LITERALS:     # a literal's own range is checked first
+                leaves.setdefault((leaf.key, leaf.index), leaf)
+    return list(leaves.values())
+
+
+_RANGED_LEAVES = _ranged_leaves()
+
+
+def _step(x, kind, direction):
+    """The nearest number of ``kind`` past ``x`` towards ``direction``."""
+    return x + (1 if direction > 0 else -1) if kind is int else math.nextafter(x, direction)
+
+
+def _bounds():
+    """(leaf, the closest number in range, the closest past it) at each
+    finite end of every ranged leaf.  A sector's lo < hi keeps its lo under
+    the range's top and its hi over the bottom, so those two ends are no
+    sector's."""
+    cases = []
+    for leaf in _RANGED_LEAVES:
+        r, ends, sector = leaf.rng, [], leaf.key.endswith("sector_az_deg")
+        if math.isfinite(r.lo) and not (sector and leaf.index == 1):
+            inside = _step(r.lo, leaf.kind, math.inf) if r.lo_open else r.lo
+            ends.append((inside, r.lo if r.lo_open else _step(r.lo, leaf.kind, -math.inf)))
+        if math.isfinite(r.hi) and not (sector and leaf.index == 0):
+            inside = _step(r.hi, leaf.kind, -math.inf) if r.hi_open else r.hi
+            ends.append((inside, r.hi if r.hi_open else _step(r.hi, leaf.kind, math.inf)))
+        entry = "" if leaf.index is None else f"[{leaf.index}]"
+        cases += [pytest.param(leaf, *end, id=f"{leaf.key}{entry}={end[0]!r}") for end in ends]
+    return cases
+
+
+_BOUNDS = _bounds()
+
+
+def _value_at(leaf: _Leaf, x):
+    """The leaf's default value with ``x`` in the leaf's place."""
+    default = dict(iter_leaf_paths())[leaf.key]
+    if leaf.index is None:
+        return [x] if isinstance(default, list) else x
+    return [x if j == leaf.index else v for j, v in enumerate(default)]
+
+
+def _overrides_at(leaf: _Leaf, x) -> list[tuple[str, object]]:
+    """Overrides that put ``x`` in the leaf's place and keep its model's
+    cross-field rules: a one-cell search box (the coarse-cell bound), a
+    one-point sweep (the sweep-point bound; lo = hi, the edge of lo <= hi),
+    the S-slot symbols moved to the next entry (their sum of 14), the other
+    end of a sector at the range's far end (lo < hi), and one element a bias
+    group on a one-row lattice; and the incidence model on."""
+    value, overrides = _value_at(leaf, x), []
+    if leaf.key == "feed.search.coarse_step_mm":
+        overrides = [("feed.search.x_mm", [0.0, 0.0]), ("feed.search.z_mm", [150.0, 150.0])]
+    elif leaf.key.startswith("feed.search."):
+        value = [x, x]
+    elif leaf.key.startswith("element.sweeps."):
+        value[1] = value[0]
+    elif leaf.key == "frame.s_slot_split":
+        value[(leaf.index + 1) % 3] += dict(iter_leaf_paths())[leaf.key][leaf.index] - x
+    elif leaf.key.endswith("sector_az_deg"):
+        value[1 - leaf.index] = leaf.rng.hi if leaf.index == 0 else leaf.rng.lo
+    if leaf.key == "array.n_y" and x == 1:
+        overrides = [("array.group_size", 1)]
+    elif leaf.key.startswith("pattern.incidence."):
+        overrides = [("pattern.incidence.enabled", True)]
+    return [(leaf.key, value), *overrides]
+
+
+@pytest.mark.parametrize("leaf, inside, outside", _BOUNDS)
+def test_every_ranged_leaf_admits_its_ends(leaf, inside, outside):
+    # at the resolve/build level: a run at training.n_trials 10**5 takes 12 s
+    overrides = _overrides_at(leaf, inside)
+    scn = resolve_scenario(None, overrides)
+    if leaf.builder is None:
+        value = scn.literal(leaf.key)
+        assert (list(value) if isinstance(value, tuple) else value) == overrides[0][1]
+    else:
+        leaf.builder(scn)
+
+
+@pytest.mark.parametrize("leaf, inside, outside", _BOUNDS)
+def test_every_ranged_leaf_refuses_the_nearest_value_past_its_ends(leaf, inside, outside,
+                                                                   tmp_path, capsys):
+    args = next(run for prefix, run in _CHEAPEST_READER if leaf.key.startswith(prefix))
+    value = _value_at(leaf, outside)
+    rc = main([*args, f"--{leaf.key}", json.dumps(value), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    # a model names the keys set in scenario order, those of the reader's run
+    # among them, and the field whose range it is
+    keys = {leaf.key} | {a[2:] for a in args if a.startswith("--")} - set(_LITERALS)
+    named = ", ".join(d for d, _ in iter_leaf_paths() if d in keys) + f": {leaf.label}"
+    assert f"scenario error: {leaf.key if leaf.builder is None else named} must be " in err
+
+
+def _ranged_models():
+    """(model class, a valid instance) of every class that declares a Range."""
+    valid = {ElementCircuit: DESIGN_CIRCUIT, SweepRange: DEFAULT_SWEEPS["c_p_ff"],
+             ReflectionCoefficient: ReflectionCoefficient(1.0, 0.0), Direction: Direction(0.0)}
+    return [(cls, valid[cls] if cls in valid else cls())
+            for module in (element, geometry, link, feedopt, pattern, synthesis)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and "_ranges" in vars(cls)]
+
+
+@pytest.mark.parametrize("model, name, index, label", [
+    *[pytest.param(model, name, i, label, id=f"{type(model).__name__}.{label}")
+      for cls, model in _ranged_models() for name, i, label, _ in cls._ranges],
+    # the rapp amplifier's rules, which hold for the rapp kind alone
+    *[pytest.param(PaModel(), name, None, name.replace("_", " "), id=f"PaModel.{name}")
+      for name in ("saturation_level", "smoothness")],
+])
+def test_every_declared_range_refuses_nan(model, name, index, label):
+    value = getattr(model, name)
+    nan = math.nan if index is None else tuple(
+        math.nan if j == index else v for j, v in enumerate(value))
+    with pytest.raises(ValueError, match=re.escape(f"{label} must be")):
+        dataclasses.replace(model, **{name: nan})
+
+
+def test_every_cross_field_rule_of_a_model_is_reached_by_a_bad_model_row(tmp_path,
+                                                                         monkeypatch):
+    # each raise left in the __post_init__ of a model the scenario builds
+    # (a rule over two fields, or a choice) fires on at least one row
+    models = [cls for cls in vars(scenario_module).values()
+              if isinstance(cls, type) and hasattr(cls, "__post_init__")]
+    rules, reached = set(), set()
+    for cls in models:
+        lines, first = inspect.getsourcelines(cls)
+        for node in ast.walk(ast.parse(textwrap.dedent("".join(lines)))):
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                rules |= {(inspect.getsourcefile(cls), first - 1 + n.lineno)
+                          for n in ast.walk(node) if isinstance(n, ast.Raise)}
+
+        def recording(self, post_init=cls.__post_init__):
+            try:
+                post_init(self)
+            except ValueError as exc:
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                reached.add((frame.filename, frame.lineno))
+                raise
+        monkeypatch.setattr(cls, "__post_init__", recording)
+    assert len(rules) >= 10
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for command, flag, value in _BAD_MODEL_VALUES:
+            assert main([*command.split(), f"--{flag}", value, "--out", str(tmp_path)]) == 2
+    assert sorted(rules - reached) == []
+
+
+def test_readme_bounds_state_every_declared_range():
+    # README's table of bounds, one row a range: a bound moved in the code
+    # and not in the docs fails here, as does a key that lost or gained one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bounds = readme.split("### Bounds", 1)[1].split("\n#", 1)[0]
+    stated = {name: cells[-1].strip() for line in bounds.splitlines()
+              if line.startswith("| `") and len(cells := line.split("|")[1:-1]) == 2
+              for name in re.findall(r"`([^`]+)`", cells[0])}
+    declared = {leaf.key + ("" if leaf.index is None else f"[{leaf.index}]"): str(leaf.rng)
+                for leaf in _RANGED_LEAVES}
+    assert stated == declared

@@ -108,9 +108,11 @@ class TestElementImpedance:
         assert gamma.amplitude == pytest.approx(1.0, abs=1e-6)
         assert abs(gamma.phase_deg) == pytest.approx(180.0, abs=0.01)
 
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            element_impedance(DESIGN_CIRCUIT, "on", 0.0)
+    @pytest.mark.parametrize("frequency_ghz", [0.0, math.nan])
+    def test_rejects_nonpositive_frequency(self, frequency_ghz):
+        # NaN too: it would read as the open-circuit sentinel
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            element_impedance(DESIGN_CIRCUIT, "on", frequency_ghz)
 
 
 class TestReflection:

@@ -88,7 +88,7 @@ class TestBudget:
             LinkScenario(modulation="8PSK")
 
     @pytest.mark.parametrize("field, lo, hi", [
-        ("d_m", *LINK_DISTANCE_M),
+        ("d_m", LINK_DISTANCE_M.lo, LINK_DISTANCE_M.hi),
         ("center_freq_ghz", MIN_LINK_FREQUENCY_GHZ, MAX_FREQUENCY_GHZ),
         ("tx_power_dbm", -MAX_BUDGET_DB, MAX_BUDGET_DB),
         ("tx_antenna_gain_dbi", -MAX_BUDGET_DB, MAX_BUDGET_DB),

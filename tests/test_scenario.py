@@ -376,8 +376,10 @@ class TestSharedDefaults:
 
     @pytest.mark.parametrize("dotted", list(_LITERALS))
     def test_every_default_passes_its_own_check(self, dotted):
-        hint, valid, _ = _LITERALS[dotted]
-        assert valid(_coerce(_raw(DEFAULT_SCENARIO, dotted), hint, dotted))
+        hint, rng, *rule = _LITERALS[dotted]
+        value = _coerce(_raw(DEFAULT_SCENARIO, dotted), hint, dotted)
+        assert rng is None or value is None or rng.check(value, dotted) == value
+        assert not rule or rule[0](value)
 
     def test_a_set_leaf_is_checked_and_an_untouched_one_shared(self):
         sc = resolve_scenario({"pattern": {"scan_el_deg": [10.0]}},
@@ -387,7 +389,7 @@ class TestSharedDefaults:
         assert sc.literals["pattern.scan_az_deg"] is (
             _DEFAULT_LITERALS["pattern.scan_az_deg"][1])
         with pytest.raises(ScenarioError, match=r"pattern.scan_el_deg must be a list of "
-                                                r"elevations in \[-30.0, 30.0\] deg"):
+                                                r"numbers in \[-30, 30\], got \[40.0\]"):
             resolve_scenario({"pattern": {"scan_el_deg": [40.0]}})
 
 
